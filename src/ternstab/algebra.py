@@ -24,6 +24,9 @@ FIELDS = (REAL, COMPLEX)
 # exhaustive basis enumeration is used up to this many tuples, seeded
 # subsampling beyond it
 DEFAULT_TUPLE_BUDGET = 1_000_000
+# sampled tuples are evaluated in chunks of this many, bounding the gathered
+# operands to a few tens of MB at d = 16
+_TUPLE_CHUNK = 20_000
 
 
 def dtype_for(field_tag):
@@ -112,12 +115,32 @@ class TernaryAlgebra:
         return np.eye(self.dim, dtype=self.dtype)
 
 
+def _trilinear(tensor: np.ndarray, a, b, c) -> np.ndarray:
+    """Contract slots 1-3 of a ``(d1, d2, d3, dout)`` tensor with ``a, b, c``.
+
+    Three staged matrix products, one slot at a time.  The leading axes of
+    ``a``, ``b`` and ``c`` broadcast against each other, so the same call
+    serves one vector, an ``(N, d)`` stack and a grid of basis vectors; the
+    result has the broadcast leading shape followed by ``dout``.
+    """
+    d1, d2, d3, dout = tensor.shape
+    out = a[..., None, :] @ tensor.reshape(d1, d2 * d3 * dout)
+    out = b[..., None, :] @ out.reshape(*out.shape[:-2], d2, d3 * dout)
+    out = c[..., None, :] @ out.reshape(*out.shape[:-2], d3, dout)
+    return out[..., 0, :]
+
+
+def _random_vector(rng, dim: int, field_tag: str, scale: float = 1.0) -> np.ndarray:
+    """Standard normal coordinates; complex fields draw the imaginary part second."""
+    v = rng.standard_normal(dim)
+    if field_tag == COMPLEX:
+        v = v + 1j * rng.standard_normal(dim)
+    return scale * v
+
+
 def ternary_product(alg: TernaryAlgebra, a, b, c) -> np.ndarray:
     """Triple product ``[abc]`` of coordinate vectors, exactly trilinear."""
-    a = alg.vector(a)
-    b = alg.vector(b)
-    c = alg.vector(c)
-    return np.einsum("i,j,k,ijkl->l", a, b, c, alg.structure)
+    return _trilinear(alg.structure, alg.vector(a), alg.vector(b), alg.vector(c))
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +279,9 @@ def check_ternary_associativity(
     else:
         rng = np.random.default_rng(seed)
         checked = samples if samples is not None else budget
-        chunk = 20_000
         done = 0
         while done < checked:
-            n = min(chunk, checked - done)
+            n = min(_TUPLE_CHUNK, checked - done)
             idx = rng.integers(0, d, size=(5, n))
             i, j, k, l, m = idx
             # t[:, l, m, :] has adjacent advanced axes -> (q, t, r);
@@ -347,12 +369,6 @@ def rescale_norm_submultiplicative(
         return alg
     rng = np.random.default_rng(seed)
 
-    def draw():
-        v = rng.standard_normal(d)
-        if alg.field == COMPLEX:
-            v = v + 1j * rng.standard_normal(d)
-        return v.astype(alg.dtype)
-
     def ratio(a, b, c):
         na, nb, nc = alg.norm_of(a), alg.norm_of(b), alg.norm_of(c)
         if na == 0 or nb == 0 or nc == 0:
@@ -363,7 +379,7 @@ def rescale_norm_submultiplicative(
     best_val = 0.0
     top = []
     for _ in range(samples):
-        val, triple = ratio(draw(), draw(), draw())
+        val, triple = ratio(*(_random_vector(rng, d, alg.field) for _ in range(3)))
         if triple is None:
             continue
         top.append((val, triple))

@@ -22,7 +22,14 @@ from .algebra import (
     trivial_matrix_algebra,
 )
 from .errors import TernstabError
-from .harness import load_config, parse_sweep_spec, run_experiment, run_sweep
+from .harness import (
+    _parse_config,
+    _read_config,
+    load_config,
+    parse_sweep_spec,
+    run_experiment,
+    run_sweep,
+)
 from .maps import SignConvention, solve_exact_derivations
 from .module import check_module_axioms, self_module
 from .serialize import algebra_from_json, read_json
@@ -77,6 +84,14 @@ def _parse_signs(text: str):
     return SignConvention.from_sequence(parts)
 
 
+def _load_overridden(path, overrides: dict):
+    """Parse the config file once, with command-line overrides patched into
+    its raw fields; input files still resolve against the file's directory."""
+    raw, base_dir = _read_config(path)
+    raw.update(overrides)
+    return _parse_config(raw, base_dir)
+
+
 def _cmd_algebra_check(args) -> int:
     if args.target:
         alg = algebra_from_json(read_json(args.target))
@@ -123,16 +138,14 @@ def _cmd_derive_solve(args) -> int:
 
 
 def _cmd_stabilize(args) -> int:
-    config = load_config(args.config)
+    overrides = {}
     if args.seed is not None:
-        config.raw["seed"] = args.seed
-        config = load_config(config.raw)
+        overrides["seed"] = args.seed
     if args.tol is not None:
-        config.raw["tol"] = args.tol
-        config = load_config(config.raw)
+        overrides["tol"] = args.tol
     if args.sign:
-        config.raw["signs"] = list(_parse_signs(args.sign).as_tuple())
-        config = load_config(config.raw)
+        overrides["signs"] = list(_parse_signs(args.sign).as_tuple())
+    config = _load_overridden(args.config, overrides)
     result = run_experiment(config, out_dir=args.out)
     report = result.report
     for err in report["errors"]:
@@ -162,10 +175,8 @@ def _cmd_stabilize(args) -> int:
 
 
 def _cmd_experiment_sweep(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.raw["seed"] = args.seed
-        config = load_config(config.raw)
+    overrides = {} if args.seed is None else {"seed": args.seed}
+    config = _load_overridden(args.config, overrides)
     param, values = parse_sweep_spec(args.param)
     rows = run_sweep(config, param, values, out_csv=args.out)
     for row in rows:

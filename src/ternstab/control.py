@@ -81,15 +81,6 @@ def custom_control(fn, arity: int = 5, norm=None) -> ControlFunction:
     return ControlFunction(kind="custom", arity=arity, fn=fn, norm=norm)
 
 
-def _power_sum(control: ControlFunction, args) -> float:
-    total = 0.0
-    for v in args:
-        nv = control.norm_of(v)
-        if nv > 0.0:
-            total += nv**control.p
-    return total
-
-
 def _series_sum(term_at, tail_tol: float, max_terms: int, complete_tail: bool) -> float:
     """Sum ``term_at(n)`` for n = 0.. with divergence detection.
 
@@ -157,7 +148,7 @@ def summed_majorant(
     if method in ("auto", "closed"):
         if control.kind == "power":
             denom = 1.0 - 2.0 ** (control.p - 1.0)
-            return control.theta * _power_sum(control, args) / (2.0 * denom)
+            return control.evaluate(*args) / (2.0 * denom)
         if method == "closed":
             raise ValueError("closed form only exists for power controls")
 

@@ -177,6 +177,8 @@ class ExperimentConfig:
     pick: int
     on_empty: str
     out_dir: Path | None
+    #: directory that input file paths in ``raw`` resolve against
+    base_dir: Path
 
 
 def _build_algebra(spec: dict, base_dir: Path) -> TernaryAlgebra:
@@ -236,16 +238,21 @@ DEFAULT_SAMPLES = {
 
 def load_config(source) -> ExperimentConfig:
     """Parse an experiment config from a dict or a JSON file path."""
+    return _parse_config(*_read_config(source))
+
+
+def _read_config(source) -> tuple:
+    """The raw config dict and the directory its input files resolve against:
+    the file's directory for a path, the working directory for a dict."""
     if isinstance(source, (str, Path)):
         path = Path(source)
         if not path.exists():
             raise ConfigError(f"config file {path} does not exist")
-        raw = read_json(path)
-        base_dir = path.parent
-    else:
-        raw = dict(source)
-        base_dir = Path.cwd()
+        return read_json(path), path.parent
+    return dict(source), Path.cwd()
 
+
+def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     try:
         algebra = _build_algebra(raw["algebra"], base_dir)
     except KeyError:
@@ -300,6 +307,7 @@ def load_config(source) -> ExperimentConfig:
         pick=int(raw.get("derivation", {}).get("pick", 0)),
         on_empty=raw.get("derivation", {}).get("on_empty", "zero"),
         out_dir=out_dir,
+        base_dir=base_dir,
     )
 
 
@@ -534,7 +542,7 @@ def run_sweep(config, param: str, values, out_csv=None) -> list:
     point_configs = [_sweep_config(config.raw, param, v) for v in values]
 
     def run_point(raw):
-        return run_experiment(load_config(raw), write_files=False)
+        return run_experiment(_parse_config(raw, config.base_dir), write_files=False)
 
     workers = min(thread_count(), max(1, len(point_configs)))
     if workers > 1:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _trilinear
 from .errors import DimensionMismatch
 from .module import TernaryModule, product_abx, product_xab
 
@@ -136,23 +137,40 @@ def lie_derivation_residual(
     xi: LinearMap,
     signs: SignConvention = LIE_SIGNS,
 ) -> np.ndarray:
-    """Defect of the derivation identity at one triple.
+    """Defect of the derivation identity at one triple or a stack of them.
 
     Zero for all triples exactly when ``deriv`` is a twisted ternary
-    derivation under the given sign convention.  The accumulation order is
-    fixed (first bracket subtracted first) so sign-flipped variants are
-    bitwise reproducible.
+    derivation under the given sign convention.  ``a``, ``b`` and ``c`` are
+    algebra vectors whose leading axes broadcast; the result has the
+    broadcast leading shape followed by the module dimension.  The
+    accumulation order is fixed (first bracket subtracted first) so
+    sign-flipped variants are bitwise reproducible.
     """
-    from .algebra import ternary_product
-
+    _check_twist_maps(mod, sigma, tau, xi)
     alg = mod.algebra
-    a = alg.vector(a)
-    b = alg.vector(b)
-    c = alg.vector(c)
-    res = deriv(ternary_product(alg, a, b, c))
-    res = res - signs.s1 * twisted_bracket(mod, deriv(a), b, c, sigma, tau, xi)
-    res = res - signs.s2 * twisted_bracket(mod, deriv(b), a, c, sigma, tau, xi)
-    res = res - signs.s3 * twisted_bracket(mod, deriv(c), b, a, sigma, tau, xi)
+    a, b, c = (np.asarray(v, dtype=alg.dtype) for v in (a, b, c))
+    if deriv.matrix.shape != (mod.dim, alg.dim) or any(
+        v.shape[-1:] != (alg.dim,) for v in (a, b, c)
+    ):
+        raise DimensionMismatch(
+            f"need a {mod.dim}x{alg.dim} deriv and vectors of length {alg.dim}, got "
+            f"{deriv.out_dim}x{deriv.in_dim} and shapes {a.shape}, {b.shape}, {c.shape}"
+        )
+
+    def apply(m, v):
+        return v @ m.matrix.T
+
+    def bracket(x, b, c):
+        # the twisted bracket [x, tau(b), xi(c)] - [sigma(c), tau(b), x]
+        tb = apply(tau, b)
+        return _trilinear(mod.product_xab, x, tb, apply(xi, c)) - _trilinear(
+            mod.product_abx, apply(sigma, c), tb, x
+        )
+
+    res = apply(deriv, _trilinear(alg.structure, a, b, c))
+    res = res - signs.s1 * bracket(apply(deriv, a), b, c)
+    res = res - signs.s2 * bracket(apply(deriv, b), a, c)
+    res = res - signs.s3 * bracket(apply(deriv, c), b, a)
     return res
 
 
@@ -178,24 +196,9 @@ def residual_on_basis(
     signs: SignConvention = LIE_SIGNS,
 ) -> np.ndarray:
     """Residual tensor ``R[i, j, k, :]`` over all basis triples, vectorized."""
-    _check_twist_maps(mod, sigma, tau, xi)
-    ta = mod.algebra.structure
-    pxab, pabx = mod.product_xab, mod.product_abx
-    dm, sm, tm, xm = deriv.matrix, sigma.matrix, tau.matrix, xi.matrix
-    res = np.einsum("ijkq,wq->ijkw", ta, dm)
-    for s, spec_pos, spec_neg in (
-        (signs.s1, ("pi", "qj", "rk"), ("pk", "qj", "ri")),
-        (signs.s2, ("pj", "qi", "rk"), ("pk", "qi", "rj")),
-        (signs.s3, ("pk", "qj", "ri"), ("pi", "qj", "rk")),
-    ):
-        pos = np.einsum(
-            f"{spec_pos[0]},{spec_pos[1]},{spec_pos[2]},pqrw->ijkw", dm, tm, xm, pxab
-        )
-        neg = np.einsum(
-            f"{spec_neg[0]},{spec_neg[1]},{spec_neg[2]},pqrw->ijkw", sm, tm, dm, pabx
-        )
-        res = res - s * (pos - neg)
-    return res
+    eye = mod.algebra.basis()
+    grid = (eye[:, None, None, :], eye[None, :, None, :], eye[None, None, :, :])
+    return lie_derivation_residual(mod, deriv, *grid, sigma, tau, xi, signs)
 
 
 def solve_exact_derivations(

@@ -19,9 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    COMPLEX,
+    _TUPLE_CHUNK,
     DEFAULT_TUPLE_BUDGET,
     TernaryAlgebra,
+    _random_vector,
+    _trilinear,
     dtype_for,
     l2_norm,
 )
@@ -94,24 +96,21 @@ def self_module(alg: TernaryAlgebra) -> TernaryModule:
 
 
 def product_xab(mod: TernaryModule, x, a, b) -> np.ndarray:
-    x = mod.vector(x)
-    a = mod.algebra.vector(a)
-    b = mod.algebra.vector(b)
-    return np.einsum("i,j,k,ijkl->l", x, a, b, mod.product_xab)
+    return _trilinear(
+        mod.product_xab, mod.vector(x), mod.algebra.vector(a), mod.algebra.vector(b)
+    )
 
 
 def product_axb(mod: TernaryModule, a, x, b) -> np.ndarray:
-    a = mod.algebra.vector(a)
-    x = mod.vector(x)
-    b = mod.algebra.vector(b)
-    return np.einsum("i,j,k,ijkl->l", a, x, b, mod.product_axb)
+    return _trilinear(
+        mod.product_axb, mod.algebra.vector(a), mod.vector(x), mod.algebra.vector(b)
+    )
 
 
 def product_abx(mod: TernaryModule, a, b, x) -> np.ndarray:
-    a = mod.algebra.vector(a)
-    b = mod.algebra.vector(b)
-    x = mod.vector(x)
-    return np.einsum("i,j,k,ijkl->l", a, b, x, mod.product_abx)
+    return _trilinear(
+        mod.product_abx, mod.algebra.vector(a), mod.algebra.vector(b), mod.vector(x)
+    )
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,9 @@ class ModuleReport:
 
 
 # each chain is a list of (einsum spec, tensor names); all expressions share
-# the output index order (a, b, c, d, x, r)
+# the output index order (a, b, c, d, x, r).  The first operand always ends
+# in the contracted index q and the second in the output index r, which
+# _gathered relies on.
 _CHAINS = {
     "abc_d_x": [
         ("abcq,qdxr->abcdxr", ("TA", "Pabx")),
@@ -157,6 +158,20 @@ _CHAINS = {
 }
 
 
+def _gathered(spec: str, t1: np.ndarray, t2: np.ndarray, idx: dict) -> np.ndarray:
+    """One ``_CHAINS`` expression at sampled basis tuples.
+
+    ``idx`` maps each of the letters a, b, c, d, x to an index array of
+    length n; the result has shape ``(n, dX)``.
+    """
+    first, second = spec.split("->")[0].split(",")
+    left = t1[tuple(idx[s] for s in first[:-1])]
+    # move q next to r so the two gathered axes stay in front: (n, q, r)
+    right = np.moveaxis(t2, second.index("q"), 2)
+    right = right[tuple(idx[s] for s in second if s not in "qr")]
+    return np.einsum("nq,nqr->nr", left, right)
+
+
 def check_module_axioms(
     mod: TernaryModule,
     tol: float,
@@ -180,14 +195,15 @@ def check_module_axioms(
         "Pabx": mod.product_abx,
     }
     total = alg.dim**4 * mod.dim
-    chain_residuals = {}
+    chain_residuals = dict.fromkeys(_CHAINS, 0.0)
+
+    def record(name, vals):
+        res = np.maximum(mod.norms_of(vals[0] - vals[1]), mod.norms_of(vals[1] - vals[2]))
+        chain_residuals[name] = max(chain_residuals[name], float(res.max()))
+
     if total <= budget:
         for name, exprs in _CHAINS.items():
-            vals = [
-                np.einsum(spec, tensors[t1], tensors[t2]) for spec, (t1, t2) in exprs
-            ]
-            res = np.maximum(mod.norms_of(vals[0] - vals[1]), mod.norms_of(vals[1] - vals[2]))
-            chain_residuals[name] = float(res.max())
+            record(name, [np.einsum(spec, tensors[t1], tensors[t2]) for spec, (t1, t2) in exprs])
         tuples_checked = total
         exhaustive = True
     else:
@@ -195,28 +211,22 @@ def check_module_axioms(
         tuples_checked = min(budget, 100_000)
         ia = rng.integers(0, alg.dim, size=(4, tuples_checked))
         ix = rng.integers(0, mod.dim, size=tuples_checked)
-        basis_a = np.eye(alg.dim, dtype=alg.dtype)
-        basis_x = np.eye(mod.dim, dtype=mod.dtype)
-        for name, exprs in _CHAINS.items():
-            worst = 0.0
-            for n in range(tuples_checked):
-                a, b, c, d = (basis_a[ia[s, n]] for s in range(4))
-                x = basis_x[ix[n]]
-                vals = _chain_values(name, mod, a, b, c, d, x)
-                worst = max(
-                    worst,
-                    mod.norm_of(vals[0] - vals[1]),
-                    mod.norm_of(vals[1] - vals[2]),
+        for start in range(0, tuples_checked, _TUPLE_CHUNK):
+            part = slice(start, start + _TUPLE_CHUNK)
+            idx = dict(zip("abcd", ia[:, part]), x=ix[part])
+            for name, exprs in _CHAINS.items():
+                record(
+                    name,
+                    [_gathered(spec, tensors[t1], tensors[t2], idx) for spec, (t1, t2) in exprs],
                 )
-            chain_residuals[name] = worst
         exhaustive = False
 
     rng = np.random.default_rng(seed + 1)
     violation = 0.0
     for _ in range(samples):
-        a = _draw(rng, alg.dim, alg.field)
-        b = _draw(rng, alg.dim, alg.field)
-        x = _draw(rng, mod.dim, alg.field)
+        a = _random_vector(rng, alg.dim, alg.field)
+        b = _random_vector(rng, alg.dim, alg.field)
+        x = _random_vector(rng, mod.dim, alg.field)
         lhs = max(
             mod.norm_of(product_xab(mod, x, a, b)),
             mod.norm_of(product_axb(mod, a, x, b)),
@@ -237,47 +247,3 @@ def check_module_axioms(
         tol=float(tol),
         passed=passed,
     )
-
-
-def _draw(rng, dim, field_tag):
-    v = rng.standard_normal(dim)
-    if field_tag == COMPLEX:
-        v = v + 1j * rng.standard_normal(dim)
-    return v
-
-
-def _chain_values(name, mod, a, b, c, d, x):
-    from .algebra import ternary_product as tp
-
-    alg = mod.algebra
-    if name == "abc_d_x":
-        return (
-            product_abx(mod, tp(alg, a, b, c), d, x),
-            product_abx(mod, a, tp(alg, b, c, d), x),
-            product_abx(mod, a, b, product_abx(mod, c, d, x)),
-        )
-    if name == "abc_x_d":
-        return (
-            product_axb(mod, tp(alg, a, b, c), x, d),
-            product_axb(mod, a, product_abx(mod, b, c, x), d),
-            product_abx(mod, a, b, product_axb(mod, c, x, d)),
-        )
-    if name == "xab_c_d":
-        return (
-            product_xab(mod, product_xab(mod, x, a, b), c, d),
-            product_xab(mod, x, tp(alg, a, b, c), d),
-            product_xab(mod, x, a, tp(alg, b, c, d)),
-        )
-    if name == "axb_c_d":
-        return (
-            product_xab(mod, product_axb(mod, a, x, b), c, d),
-            product_axb(mod, a, product_xab(mod, x, b, c), d),
-            product_axb(mod, a, x, tp(alg, b, c, d)),
-        )
-    if name == "abx_c_d":
-        return (
-            product_xab(mod, product_abx(mod, a, b, x), c, d),
-            product_axb(mod, a, product_axb(mod, b, x, c), d),
-            product_abx(mod, a, b, product_xab(mod, x, c, d)),
-        )
-    raise KeyError(name)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import COMPLEX, l2_norm, ternary_product
+from .algebra import COMPLEX, _random_vector, l2_norm, ternary_product
 from .control import ControlFunction, cauchy_tail_bound, summed_majorant
 from .errors import DimensionMismatch, NonConvergenceError
 from .maps import LinearMap, SignConvention, LIE_SIGNS, lie_derivation_residual
@@ -170,13 +170,6 @@ def _lambda_grid(field_tag: str, count: int):
     return np.array([1.0, -1.0])
 
 
-def _draw_vec(rng, dim, field_tag, scale=1.0):
-    v = rng.standard_normal(dim)
-    if field_tag == COMPLEX:
-        v = v + 1j * rng.standard_normal(dim)
-    return scale * v
-
-
 def check_hypothesis(
     f: EvaluableMap,
     g: EvaluableMap,
@@ -223,12 +216,12 @@ def check_hypothesis(
 
     for index in range(samples):
         scale = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
-        x = _draw_vec(rng, alg.dim, alg.field, scale)
-        y = _draw_vec(rng, alg.dim, alg.field, scale)
-        u = _draw_vec(rng, alg.dim, alg.field, scale)
+        x = _random_vector(rng, alg.dim, alg.field, scale)
+        y = _random_vector(rng, alg.dim, alg.field, scale)
+        u = _random_vector(rng, alg.dim, alg.field, scale)
         if mode == "lie":
-            v = _draw_vec(rng, alg.dim, alg.field, scale)
-            w = _draw_vec(rng, alg.dim, alg.field, scale)
+            v = _random_vector(rng, alg.dim, alg.field, scale)
+            w = _random_vector(rng, alg.dim, alg.field, scale)
             phi_main = control.evaluate(x, y, u, v, w)
             phi_add = control.evaluate(x, y, zeros_a, zeros_a, zeros_a)
         else:
@@ -423,7 +416,7 @@ def direct_method_stabilize(
     linearity_max = 0.0
     if not failures:
         for _ in range(linearity_points):
-            x = _draw_vec(rng, alg.dim, alg.field)
+            x = _random_vector(rng, alg.dim, alg.field)
             for name, evaluable, out_norm in (
                 ("f", f, mod.norm_of),
                 ("g", g, alg.norm_of),
@@ -441,7 +434,7 @@ def direct_method_stabilize(
     phi_values = []
     max_violation = -float("inf")
     for _ in range(bound_points):
-        x = _draw_vec(rng, alg.dim, alg.field)
+        x = _random_vector(rng, alg.dim, alg.field)
         bound = summed_majorant(control, (x, x) + (zero_vec,) * zeros_needed)
         phi_values.append(float(bound))
         for name, evaluable, out_norm in (
@@ -454,19 +447,14 @@ def direct_method_stabilize(
             max_violation = max(max_violation, gap - bound)
 
     rng = np.random.default_rng([seed, 0x53])
-    max_identity = 0.0
-    for _ in range(identity_triples):
-        a = _draw_vec(rng, alg.dim, alg.field)
-        if mode == "jordan":
-            b = c = a
-        else:
-            b = _draw_vec(rng, alg.dim, alg.field)
-            c = _draw_vec(rng, alg.dim, alg.field)
-        res = mod.norm_of(
-            lie_derivation_residual(mod, deriv, a, b, c, sigma, tau, xi, signs)
-        )
-        scale = 1.0 + alg.norm_of(a) * alg.norm_of(b) * alg.norm_of(c)
-        max_identity = max(max_identity, res / scale)
+    # drawn a, b, c per triple in turn; a Jordan triple repeats its one draw
+    slots = 1 if mode == "jordan" else 3
+    draws = [_random_vector(rng, alg.dim, alg.field) for _ in range(identity_triples * slots)]
+    stack = np.reshape(draws, (identity_triples, slots, alg.dim))
+    a, b, c = (stack[:, s % slots] for s in range(3))
+    res = mod.norms_of(lie_derivation_residual(mod, deriv, a, b, c, sigma, tau, xi, signs))
+    scale = 1.0 + alg.norms_of(a) * alg.norms_of(b) * alg.norms_of(c)
+    max_identity = float(np.max(res / scale, initial=0.0))
 
     if max_violation == -float("inf"):
         max_violation = 0.0

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ternstab as ts
 from ternstab.cli import cli_main
@@ -134,6 +135,43 @@ class TestSweepCommand:
             ["experiment", "sweep", str(CONFIG_DIR / "oddpoly3_p05.json"), "--param", "p=bad"]
         )
         assert code == 1
+
+
+class TestRelativeInputFiles:
+    """Overrides and sweep points keep resolving input files against the
+    config's directory when the command runs from elsewhere."""
+
+    @pytest.fixture
+    def config_in_subdir(self, tmp_path, monkeypatch):
+        cfg_dir = tmp_path / "cfgdir"
+        write_json(cfg_dir / "alg.json", algebra_to_json(ts.odd_polynomial_algebra(3)))
+        raw = json.loads((CONFIG_DIR / "oddpoly3_p05.json").read_text())
+        raw["algebra"] = {"file": "alg.json"}
+        raw.pop("out")
+        write_json(cfg_dir / "cfg.json", raw)
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        return cfg_dir / "cfg.json"
+
+    def test_stabilize_with_overrides(self, config_in_subdir, tmp_path, capsys):
+        code = cli_main(
+            [
+                "stabilize", str(config_in_subdir), "--seed", "3", "--tol", "1e-9",
+                "--sign", "1,1,1", "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["config_echo"]["seed"] == 3
+        assert report["config_echo"]["tol"] == 1e-9
+
+    def test_sweep_with_seed(self, config_in_subdir, capsys):
+        code = cli_main(
+            ["experiment", "sweep", str(config_in_subdir), "--param", "p=0.3:0.5:0.2",
+             "--seed", "4"]
+        )
+        assert code == 0, capsys.readouterr().err
 
 
 class TestUsage:

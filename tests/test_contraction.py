@@ -1,0 +1,296 @@
+"""Cross-checks of the shared contraction kernel against the formulas it
+replaced.
+
+Each reference below is the earlier direct formula, kept here verbatim in
+spirit: a four-operand ``np.einsum`` per product, the six-einsum basis
+residual of the derivation solver, and the per-tuple loop over the five
+module chains.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import ternstab as ts
+from ternstab import module as module_mod
+from ternstab.algebra import _trilinear
+from ternstab.errors import DimensionMismatch
+
+ALL_SIGNS = [ts.SignConvention(*s) for s in itertools.product((1, -1), repeat=3)]
+
+
+def random_array(rng, shape, field):
+    out = rng.standard_normal(shape)
+    if field == "complex":
+        out = out + 1j * rng.standard_normal(shape)
+    return out
+
+
+def einsum_product(tensor, a, b, c):
+    return np.einsum("i,j,k,ijkl->l", a, b, c, tensor)
+
+
+def random_module(rng, da, dx, field, scale=1.0):
+    alg = ts.TernaryAlgebra(da, field, scale * random_array(rng, (da,) * 4, field))
+    return ts.TernaryModule(
+        algebra=alg,
+        dim=dx,
+        product_xab=scale * random_array(rng, (dx, da, da, dx), field),
+        product_axb=scale * random_array(rng, (da, dx, da, dx), field),
+        product_abx=scale * random_array(rng, (da, da, dx, dx), field),
+    )
+
+
+def close(got, want):
+    scale = max(1.0, float(np.abs(want).max()))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
+
+
+class TestKernel:
+    # (d1, d2, d3, dout) shapes of the algebra and the three module products
+    # of a 3-dim module over a 2-dim algebra
+    SHAPES = [(2, 2, 2, 2), (3, 2, 2, 3), (2, 3, 2, 3), (2, 2, 3, 3)]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_single_vectors(self, shape, field):
+        rng = np.random.default_rng(1)
+        t = random_array(rng, shape, field)
+        for _ in range(5):
+            a, b, c = (random_array(rng, n, field) for n in shape[:3])
+            close(_trilinear(t, a, b, c), einsum_product(t, a, b, c))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_stacked_vectors(self, shape, field):
+        rng = np.random.default_rng(2)
+        t = random_array(rng, shape, field)
+        a, b, c = (random_array(rng, (7, n), field) for n in shape[:3])
+        got = _trilinear(t, a, b, c)
+        assert got.shape == (7, shape[3])
+        for n in range(7):
+            close(got[n], einsum_product(t, a[n], b[n], c[n]))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_broadcast_vectors(self, shape, field):
+        rng = np.random.default_rng(3)
+        t = random_array(rng, shape, field)
+        a = random_array(rng, (4, 1, shape[0]), field)
+        b = random_array(rng, (1, 3, shape[1]), field)
+        c = random_array(rng, shape[2], field)
+        got = _trilinear(t, a, b, c)
+        assert got.shape == (4, 3, shape[3])
+        for i, j in itertools.product(range(4), range(3)):
+            close(got[i, j], einsum_product(t, a[i, 0], b[0, j], c))
+
+    def test_basis_grid_is_the_tensor(self):
+        rng = np.random.default_rng(4)
+        t = rng.standard_normal((3, 2, 2, 3))
+        e3, e2 = np.eye(3), np.eye(2)
+        got = _trilinear(t, e3[:, None, None, :], e2[None, :, None, :], e2[None, None, :, :])
+        np.testing.assert_array_equal(got, t)
+
+    def test_module_products_match_einsum(self):
+        rng = np.random.default_rng(5)
+        mod = random_module(rng, 2, 3, "complex")
+        x = random_array(rng, 3, "complex")
+        a, b = random_array(rng, (2, 2), "complex")
+        close(ts.product_xab(mod, x, a, b), einsum_product(mod.product_xab, x, a, b))
+        close(ts.product_axb(mod, a, x, b), einsum_product(mod.product_axb, a, x, b))
+        close(ts.product_abx(mod, a, b, x), einsum_product(mod.product_abx, a, b, x))
+
+
+def six_einsum_residual_on_basis(mod, deriv, sigma, tau, xi, signs):
+    """The basis residual as the solver assembled it before the kernel."""
+    ta = mod.algebra.structure
+    pxab, pabx = mod.product_xab, mod.product_abx
+    dm, sm, tm, xm = deriv.matrix, sigma.matrix, tau.matrix, xi.matrix
+    res = np.einsum("ijkq,wq->ijkw", ta, dm)
+    for s, spec_pos, spec_neg in (
+        (signs.s1, ("pi", "qj", "rk"), ("pk", "qj", "ri")),
+        (signs.s2, ("pj", "qi", "rk"), ("pk", "qi", "rj")),
+        (signs.s3, ("pk", "qj", "ri"), ("pi", "qj", "rk")),
+    ):
+        pos = np.einsum(
+            f"{spec_pos[0]},{spec_pos[1]},{spec_pos[2]},pqrw->ijkw", dm, tm, xm, pxab
+        )
+        neg = np.einsum(
+            f"{spec_neg[0]},{spec_neg[1]},{spec_neg[2]},pqrw->ijkw", sm, tm, dm, pabx
+        )
+        res = res - s * (pos - neg)
+    return res
+
+
+class TestResidual:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_stacked_matches_per_row(self, field):
+        rng = np.random.default_rng(6)
+        mod = random_module(rng, 2, 3, field)
+        deriv, sigma, tau, xi = (
+            ts.LinearMap(random_array(rng, shape, field))
+            for shape in ((3, 2), (2, 2), (2, 2), (2, 2))
+        )
+        a, b, c = random_array(rng, (3, 6, 2), field)
+        for signs in (ts.LIE_SIGNS, ts.MIXED_SIGNS):
+            got = ts.lie_derivation_residual(mod, deriv, a, b, c, sigma, tau, xi, signs)
+            assert got.shape == (6, 3)
+            for n in range(6):
+                row = ts.lie_derivation_residual(
+                    mod, deriv, a[n], b[n], c[n], sigma, tau, xi, signs
+                )
+                close(got[n], row)
+
+    def test_broadcast_triples(self, matrix2_module, identity4):
+        rng = np.random.default_rng(7)
+        deriv = ts.LinearMap(rng.standard_normal((4, 4)))
+        a = rng.standard_normal((5, 1, 4))
+        b = rng.standard_normal((1, 2, 4))
+        c = rng.standard_normal(4)
+        got = ts.lie_derivation_residual(
+            matrix2_module, deriv, a, b, c, identity4, identity4, identity4
+        )
+        assert got.shape == (5, 2, 4)
+        for i, j in itertools.product(range(5), range(2)):
+            row = ts.lie_derivation_residual(
+                matrix2_module, deriv, a[i, 0], b[0, j], c, identity4, identity4, identity4
+            )
+            close(got[i, j], row)
+
+    def test_wrong_last_axis_raises(self, matrix2_module, identity4):
+        deriv = ts.LinearMap.identity(4)
+        good = np.zeros((3, 4))
+        with pytest.raises(DimensionMismatch):
+            ts.lie_derivation_residual(
+                matrix2_module, deriv, np.zeros((3, 5)), good, good,
+                identity4, identity4, identity4,
+            )
+        with pytest.raises(DimensionMismatch):
+            ts.lie_derivation_residual(
+                matrix2_module, ts.LinearMap.identity(3), good, good, good,
+                identity4, identity4, identity4,
+            )
+
+    @pytest.mark.parametrize(
+        "alg",
+        [
+            ts.odd_polynomial_algebra(3),
+            ts.odd_polynomial_algebra(7),
+            ts.trivial_matrix_algebra(2, "complex"),
+            ts.trivial_matrix_algebra(3),
+        ],
+        ids=["oddpoly3", "oddpoly7", "m2-complex", "m3"],
+    )
+    def test_basis_residual_matches_six_einsums(self, alg):
+        rng = np.random.default_rng(alg.dim)
+        mod = ts.self_module(alg)
+        d = alg.dim
+        deriv, sigma, tau, xi = (
+            ts.LinearMap(random_array(rng, (d, d), alg.field)) for _ in range(4)
+        )
+        for signs in ALL_SIGNS:
+            got = ts.residual_on_basis(mod, deriv, sigma, tau, xi, signs)
+            want = six_einsum_residual_on_basis(mod, deriv, sigma, tau, xi, signs)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_identity_twist_unit_columns_are_bitwise_unchanged(self, matrix2_module, identity4):
+        # the solver's system is built from these columns, so its null space
+        # must not move
+        for u, v in itertools.product(range(4), repeat=2):
+            unit = np.zeros((4, 4))
+            unit[u, v] = 1.0
+            deriv = ts.LinearMap(unit)
+            for signs in (ts.LIE_SIGNS, ts.MIXED_SIGNS):
+                got = ts.residual_on_basis(
+                    matrix2_module, deriv, identity4, identity4, identity4, signs
+                )
+                want = six_einsum_residual_on_basis(
+                    matrix2_module, deriv, identity4, identity4, identity4, signs
+                )
+                np.testing.assert_array_equal(got, want)
+
+
+def per_tuple_chain_residuals(mod, seed, tuples):
+    """The sampled module check as a per-tuple loop over explicit products."""
+
+    def tp(a, b, c):
+        return einsum_product(mod.algebra.structure, a, b, c)
+
+    def xab(x, a, b):
+        return einsum_product(mod.product_xab, x, a, b)
+
+    def axb(a, x, b):
+        return einsum_product(mod.product_axb, a, x, b)
+
+    def abx(a, b, x):
+        return einsum_product(mod.product_abx, a, b, x)
+
+    chains = {
+        "abc_d_x": lambda a, b, c, d, x: (
+            abx(tp(a, b, c), d, x), abx(a, tp(b, c, d), x), abx(a, b, abx(c, d, x))
+        ),
+        "abc_x_d": lambda a, b, c, d, x: (
+            axb(tp(a, b, c), x, d), axb(a, abx(b, c, x), d), abx(a, b, axb(c, x, d))
+        ),
+        "xab_c_d": lambda a, b, c, d, x: (
+            xab(xab(x, a, b), c, d), xab(x, tp(a, b, c), d), xab(x, a, tp(b, c, d))
+        ),
+        "axb_c_d": lambda a, b, c, d, x: (
+            xab(axb(a, x, b), c, d), axb(a, xab(x, b, c), d), axb(a, x, tp(b, c, d))
+        ),
+        "abx_c_d": lambda a, b, c, d, x: (
+            xab(abx(a, b, x), c, d), axb(a, axb(b, x, c), d), abx(a, b, xab(x, c, d))
+        ),
+    }
+    rng = np.random.default_rng(seed)
+    ia = rng.integers(0, mod.algebra.dim, size=(4, tuples))
+    ix = rng.integers(0, mod.dim, size=tuples)
+    basis_a, basis_x = np.eye(mod.algebra.dim), np.eye(mod.dim)
+    out = {}
+    for name, chain in chains.items():
+        worst = 0.0
+        for n in range(tuples):
+            vals = chain(*(basis_a[ia[s, n]] for s in range(4)), basis_x[ix[n]])
+            worst = max(
+                worst,
+                mod.norm_of(vals[0] - vals[1]),
+                mod.norm_of(vals[1] - vals[2]),
+            )
+        out[name] = worst
+    return out
+
+
+class TestSampledModuleChains:
+    # fewer tuples than the dA**4 * dX basis tuples, so the check samples
+    @pytest.mark.parametrize(
+        "dims, tuples", [((4, 4), 300), ((2, 3), 40)], ids=["self-d4", "dA2-dX3"]
+    )
+    # small chunks put many chunk boundaries into the sample; with one tuple
+    # per chunk a dropped tuple changes the result
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_perturbed_module_matches_per_tuple_loop(self, dims, tuples, chunk, monkeypatch):
+        monkeypatch.setattr(module_mod, "_TUPLE_CHUNK", chunk)
+        rng = np.random.default_rng(8)
+        da, dx = dims
+        if dims == (4, 4):
+            t = ts.trivial_matrix_algebra(2).structure
+            bumps = [1e-3 * rng.standard_normal(t.shape) for _ in range(3)]
+            mod = ts.TernaryModule(
+                algebra=ts.trivial_matrix_algebra(2),
+                dim=4,
+                product_xab=t + bumps[0],
+                product_axb=t + bumps[1],
+                product_abx=t + bumps[2],
+            )
+        else:
+            mod = random_module(rng, da, dx, "real")
+        report = ts.check_module_axioms(mod, 1e-12, samples=5, seed=11, budget=tuples)
+        assert not report.exhaustive and report.tuples_checked == tuples
+        assert not report.passed
+        want = per_tuple_chain_residuals(mod, 11, tuples)
+        assert report.chain_residuals.keys() == want.keys()
+        for name, value in want.items():
+            assert value > 1e-6
+            # the stacked norm may round differently from the 1-D norm in the last bit
+            assert abs(report.chain_residuals[name] - value) <= 1e-14 * value
