@@ -4,12 +4,14 @@
 with the timestamp removed.  A rerun must match it leaf by leaf: non-float
 leaves exactly, floats to ``|a - b| <= 1e-12 * max(1, |a|, |b|)``.  The
 absolute floor covers values that are rounding noise, such as an identity
-residual near 1e-11.
+residual near 1e-11.  ``tests/golden/traces.json`` holds the sha256 of each
+config's four ``trace_*.csv`` files, which a rerun must match byte for byte.
 
 Regenerate the files (only when a report change is intended, and say why in
 CHANGES.md) with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import hashlib
 import json
 import math
 import tempfile
@@ -24,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 NAMES = ("oddpoly3_p05", "trivial2x2_p05", "oddpoly3_jordan")
+TRACE_FILES = tuple(f"trace_{m}.csv" for m in "fghk")
 REL_TOL = 1e-12
 
 
@@ -32,6 +35,13 @@ def _report(name: str, out_dir: Path) -> dict:
     report = json.loads((out_dir / "report.json").read_text())
     del report["timestamp"]
     return report
+
+
+def _trace_digests(out_dir: Path) -> dict:
+    return {
+        file: hashlib.sha256((out_dir / file).read_bytes()).hexdigest()
+        for file in TRACE_FILES
+    }
 
 
 def _mismatches(got, want, path="$"):
@@ -62,6 +72,13 @@ def test_report_matches_golden(name, tmp_path):
     assert _mismatches(got, want) == []
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_traces_match_golden(name, tmp_path):
+    want = json.loads((GOLDEN_DIR / "traces.json").read_text())[name]
+    _report(name, tmp_path)
+    assert _trace_digests(tmp_path) == want
+
+
 def test_tolerance_rejects_a_moved_float():
     assert _mismatches({"x": [1.0, 2.0]}, {"x": [1.0, 2.0 + 1e-9]}) != []
     assert _mismatches({"x": 1e-11}, {"x": 1.05e-11}) == []
@@ -70,8 +87,12 @@ def test_tolerance_rejects_a_moved_float():
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
+    digests = {}
     for name in NAMES:
         with tempfile.TemporaryDirectory() as tmp:
             report = _report(name, Path(tmp))
+            digests[name] = _trace_digests(Path(tmp))
         (GOLDEN_DIR / f"{name}.json").write_text(dump_json(report))
         print(f"wrote {GOLDEN_DIR / f'{name}.json'}")
+    (GOLDEN_DIR / "traces.json").write_text(dump_json(digests))
+    print(f"wrote {GOLDEN_DIR / 'traces.json'}")
