@@ -21,7 +21,7 @@ from .algebra import (
     odd_polynomial_algebra,
     trivial_matrix_algebra,
 )
-from .errors import TernstabError
+from .errors import ConfigError, TernstabError
 from .harness import (
     _parse_config,
     _read_config,
@@ -80,8 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_signs(text: str):
-    parts = [int(p) for p in text.split(",")]
-    return SignConvention.from_sequence(parts)
+    try:
+        return SignConvention.from_sequence(int(p) for p in text.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"--sign needs three entries of +1 or -1, e.g. 1,-1,-1; got {text!r}"
+        ) from None
 
 
 def _load_overridden(path, overrides: dict):

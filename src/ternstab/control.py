@@ -17,6 +17,7 @@ value when terms stop decaying.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,27 +168,37 @@ def summed_majorant(
 def cauchy_tail_bound(
     control: ControlFunction,
     x,
-    q: int,
+    q,
     terms: int = 256,
     tail_tol: float = 1e-30,
-) -> float:
+):
     """Tail majorant ``sum_{k>=q} (1/2) 2**(-k) phi(2**k x, 2**k x, 0, ...)``.
 
     Bounds the distance between the scaled iterates at steps ``q`` and any
     later step, hence the distance to the limit.  Power controls use the
     closed form ``theta |x|**p 2**(q(p-1)) / (1 - 2**(p-1))``; custom
     controls are summed numerically with the same divergence detection as
-    :func:`summed_majorant`.
+    :func:`summed_majorant`.  For power controls ``q`` may also be a
+    sequence; the result is then a list with one bound per entry.
     """
-    if q < 0:
+    many = isinstance(q, Iterable)
+    qs = list(q) if many else [q]
+    if any(k < 0 for k in qs):
         raise ValueError("q must be nonnegative")
     x = np.asarray(x)
     if control.kind == "power":
         nx = control.norm_of(x)
         if nx == 0.0 or control.theta == 0.0:
-            return 0.0
-        denom = 1.0 - 2.0 ** (control.p - 1.0)
-        return control.theta * nx**control.p * 2.0 ** (q * (control.p - 1.0)) / denom
+            bounds = [0.0] * len(qs)
+        else:
+            denom = 1.0 - 2.0 ** (control.p - 1.0)
+            bounds = [
+                control.theta * nx**control.p * 2.0 ** (k * (control.p - 1.0)) / denom
+                for k in qs
+            ]
+        return bounds if many else bounds[0]
+    if many:
+        raise ValueError("a sequence of q needs a power control")
 
     zeros = tuple(np.zeros_like(x) for _ in range(control.arity - 2))
     scaled = np.array(x * 2.0**q, dtype=np.result_type(x.dtype, np.float64))

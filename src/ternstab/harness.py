@@ -14,6 +14,7 @@ import copy
 import csv
 import datetime
 import hashlib
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .algebra import (
 )
 from .errors import (
     ConfigError,
+    DimensionMismatch,
     DivergentControlError,
     EmptyDerivationSpaceError,
     NonConvergenceError,
@@ -89,24 +91,35 @@ class PerturbationSpec:
             raise ValueError("direction must be 'fixed' or 'hash'")
 
 
-def _hash_unit(seed: int, x: np.ndarray, out_dim: int, complex_out: bool, out_norm):
-    """Counter-based unit direction keyed on (seed, quantized coordinates)."""
-    flat = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+def _hash_units(seed: int, xs: np.ndarray, out_dim: int, complex_out: bool, out_norm):
+    """Counter-based unit directions, one per row of ``xs``, each keyed on
+    (seed, the row's quantized coordinates).
+
+    One Philox generator serves the whole call: resetting it to counter 0
+    under a row's key draws the same normals as a fresh ``Philox(key=...)``.
+    It stays local to the call, so concurrent calls share no state.
+    """
+    flat = np.ascontiguousarray(xs, dtype=np.complex128).view(np.float64)
     quantized = np.round(flat, 9)
-    digest = hashlib.blake2b(
-        quantized.tobytes(),
-        key=(seed % 2**64).to_bytes(8, "little"),
-        digest_size=16,
-    ).digest()
-    gen = np.random.Generator(np.random.Philox(key=np.frombuffer(digest, dtype=np.uint64)))
-    v = gen.standard_normal(out_dim)
-    if complex_out:
-        v = v + 1j * gen.standard_normal(out_dim)
-    nv = out_norm(v)
-    if nv == 0.0:
-        v = np.ones(out_dim, dtype=v.dtype)
+    hash_key = (seed % 2**64).to_bytes(8, "little")
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    # a fresh generator's state: counter 0, buffer spent, no cached draw
+    state = bits.state
+    units = np.empty((len(xs), out_dim), dtype=np.complex128 if complex_out else np.float64)
+    for i, row in enumerate(quantized):
+        digest = hashlib.blake2b(row.tobytes(), key=hash_key, digest_size=16).digest()
+        state["state"]["key"] = np.frombuffer(digest, dtype=np.uint64)
+        bits.state = state
+        v = gen.standard_normal(out_dim)
+        if complex_out:
+            v = v + 1j * gen.standard_normal(out_dim)
         nv = out_norm(v)
-    return v / nv
+        if nv == 0.0:
+            v = np.ones(out_dim, dtype=v.dtype)
+            nv = out_norm(v)
+        units[i] = v / nv
+    return units
 
 
 def perturb_map(
@@ -118,7 +131,9 @@ def perturb_map(
     """Evaluator ``x -> base(x) + theta |x|**p u(x)`` with unit ``u``.
 
     Maps zero to zero, is deterministic under a fixed seed, and realizes the
-    perturbation magnitude exactly in the output norm.
+    perturbation magnitude exactly in the output norm.  The evaluator takes
+    one point or an ``(N, d)`` stack; each row of a stack gets exactly the
+    value it would get alone.
     """
     in_norm = l2_norm if in_norm is None else in_norm
     out_norm = l2_norm if out_norm is None else out_norm
@@ -141,16 +156,30 @@ def perturb_map(
 
     def evaluate(x):
         x = np.asarray(x)
-        out = base(x)
-        size = in_norm(x)
-        if spec.theta == 0.0 or size == 0.0:
+        if x.ndim == 1:
+            return evaluate(x[None])[0]
+        if x.shape[-1] != base.in_dim:
+            raise DimensionMismatch(
+                f"input of shape {x.shape} for map with in_dim {base.in_dim}"
+            )
+        out = np.empty((len(x), base.out_dim), dtype=np.result_type(base.matrix, x))
+        for i, row in enumerate(x):
+            out[i] = base.matrix @ row
+        if spec.theta == 0.0:
             return out
+        sizes = [in_norm(row) for row in x]
+        moved = [i for i, size in enumerate(sizes) if size != 0.0]
+        if not moved:
+            return out
+        # Python float ** per row, as for a single point
+        scale = np.array([spec.theta * sizes[i] ** spec.p for i in moved])[:, None]
         unit = (
             fixed_unit
             if fixed_unit is not None
-            else _hash_unit(spec.seed, x, base.out_dim, complex_out, out_norm)
+            else _hash_units(spec.seed, x[moved], base.out_dim, complex_out, out_norm)
         )
-        return out + (spec.theta * size**spec.p) * unit
+        out[moved] = out[moved] + scale * unit
+        return out
 
     return EvaluableMap(base.in_dim, base.out_dim, evaluate, kind="linear-plus-perturbation")
 
@@ -252,6 +281,26 @@ def _read_config(source) -> tuple:
     return dict(source), Path.cwd()
 
 
+def _int_at_least(value, name: str, minimum: int) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if number < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {number}")
+    return number
+
+
+def _positive_float(value, name: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not (math.isfinite(number) and number > 0):
+        raise ConfigError(f"tolerances must be positive and finite: {name} is {number}")
+    return number
+
+
 def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     try:
         algebra = _build_algebra(raw["algebra"], base_dir)
@@ -266,10 +315,9 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         raise ConfigError(f"{mode} mode needs a control of arity {expected_arity}")
     control_spec = {**control_spec, "arity": expected_arity}
 
-    tol = float(raw.get("tol", 1e-10))
-    rank_tol = float(raw.get("derivation", {}).get("rank_tol", 1e-10))
-    if tol <= 0 or rank_tol <= 0:
-        raise ConfigError("tolerances must be positive")
+    derivation = raw.get("derivation", {})
+    tol = _positive_float(raw.get("tol", 1e-10), "tol")
+    rank_tol = _positive_float(derivation.get("rank_tol", 1e-10), "derivation.rank_tol")
 
     maps_spec = raw.get("maps", {"sigma": "identity", "tau": "identity", "xi": "identity"})
     candidates = [maps_spec] + list(raw.get("fallback_maps", []))
@@ -285,6 +333,14 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     }
 
     samples = {**DEFAULT_SAMPLES, **raw.get("samples", {})}
+    for key in DEFAULT_SAMPLES:
+        samples[key] = _int_at_least(samples[key], f"samples.{key}", 0)
+    try:
+        signs = SignConvention.from_sequence(raw.get("signs", [1, 1, 1]))
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"signs must be three entries of +1 or -1, got {raw['signs']!r}"
+        ) from None
     # input files resolve against the config's directory, output paths
     # against the working directory
     out_spec = raw.get("out", {})
@@ -294,18 +350,18 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         raw=raw,
         algebra=algebra,
         map_candidates=map_candidates,
-        signs=SignConvention.from_sequence(raw.get("signs", [1, 1, 1])),
+        signs=signs,
         mode=mode,
         control_spec=control_spec,
         perturbations=perturbations,
         tol=tol,
         max_iter=int(raw.get("max_iter", 1000)),
-        seed=int(raw.get("seed", 0)),
-        lambda_grid=int(raw.get("lambda_grid", 16)),
+        seed=_int_at_least(raw.get("seed", 0), "seed", 0),
+        lambda_grid=_int_at_least(raw.get("lambda_grid", 16), "lambda_grid", 2),
         samples=samples,
         rank_tol=rank_tol,
-        pick=int(raw.get("derivation", {}).get("pick", 0)),
-        on_empty=raw.get("derivation", {}).get("on_empty", "zero"),
+        pick=_int_at_least(derivation.get("pick", 0), "derivation.pick", 0),
+        on_empty=derivation.get("on_empty", "zero"),
         out_dir=out_dir,
         base_dir=base_dir,
     )

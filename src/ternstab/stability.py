@@ -12,6 +12,7 @@ rather than failures.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 
@@ -29,7 +30,15 @@ ITERATION_CAP = 1000
 
 @dataclass(frozen=True, eq=False)
 class EvaluableMap:
-    """A deterministic pointwise-evaluable map between coordinate spaces."""
+    """A deterministic pointwise-evaluable map between coordinate spaces.
+
+    ``map(x)`` evaluates one point and :meth:`evaluate_stack` every row of
+    an ``(N, in_dim)`` stack.  A ``linear-plus-perturbation`` map (as built
+    by ``perturb_map``) gets the whole stack in one ``fn`` call, which must
+    return ``(N, out_dim)``; ``exact-linear``, ``tabulated`` and ``custom``
+    maps are called once per row.  Stack support goes with ``kind``, so a
+    map rebuilt from ``(in_dim, out_dim, fn, kind)`` keeps it.
+    """
 
     in_dim: int
     out_dim: int
@@ -46,6 +55,24 @@ class EvaluableMap:
         if out.shape != (self.out_dim,):
             raise DimensionMismatch(
                 f"evaluator returned shape {out.shape}, expected ({self.out_dim},)"
+            )
+        return out
+
+    def evaluate_stack(self, xs) -> np.ndarray:
+        """The map on every row of an ``(N, in_dim)`` stack, as ``(N, out_dim)``."""
+        xs = np.asarray(xs)
+        if xs.ndim != 2 or xs.shape[1] != self.in_dim:
+            raise DimensionMismatch(
+                f"stack shape {xs.shape} for map with in_dim {self.in_dim}"
+            )
+        if self.kind != "linear-plus-perturbation":
+            if not len(xs):
+                return np.empty((0, self.out_dim))
+            return np.array([self(row) for row in xs])
+        out = np.asarray(self.fn(xs))
+        if out.shape != (len(xs), self.out_dim):
+            raise DimensionMismatch(
+                f"evaluator returned shape {out.shape}, expected ({len(xs)}, {self.out_dim})"
             )
         return out
 
@@ -86,20 +113,26 @@ def hyers_limit(
 
     For power controls the iteration stops at the first ``n`` whose Cauchy
     tail bound is at most ``tol`` (an a-priori rule; for ``theta = 0`` that
-    is ``n = 0``).  Custom controls fall back to the empirical criterion
+    is ``n = 0``).  That ``n`` is found first, and ``f`` is then evaluated
+    once on the stacked dyadic ray ``2**k x, k = 1..n`` (see
+    :meth:`EvaluableMap.evaluate_stack`); doubling and scaling by ``2**-k``
+    are exact in binary floating point, so the limit and the trace equal
+    those of doubling one step at a time.  Custom controls double one step
+    at a time and stop on the empirical criterion
     ``|f(2**(n+1) x) / 2**(n+1) - f(2**n x) / 2**n| <= tol``.  Returns the
     scaled iterate and the stopping ``n``.  ``trace``, if a list, receives a
-    row ``(n, successive_difference, tail_bound)`` per iteration.
+    row ``(n, successive_difference, tail_bound)`` per iteration, also for
+    the iterations before a failure.
 
-    Raises :class:`NonConvergenceError` past ``min(max_iter, 1000)``; the
-    hard cap keeps ``2**n`` inside double-precision range.
+    Raises :class:`NonConvergenceError` when an iterate is not finite or past
+    ``min(max_iter, 1000)``; the hard cap keeps ``2**n`` inside
+    double-precision range.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     norm = l2_norm if out_norm is None else out_norm
     x = np.asarray(x)
     limit = min(int(max_iter), ITERATION_CAP)
-    a_priori = control.kind == "power"
 
     current = f(x)
     if not np.all(np.isfinite(current)):
@@ -108,33 +141,78 @@ def hyers_limit(
         return current, 0
 
     xn = np.array(x, dtype=np.result_type(x.dtype, np.float64))
-    n = 0
+    if control.kind != "power":
+        for n in range(1, max(limit, 0) + 1):
+            np.multiply(xn, 2.0, out=xn)
+            nxt = f(xn) * 2.0**-n
+            if not np.all(np.isfinite(nxt)):
+                raise NonConvergenceError(f"iterate at n={n} overflowed", iterations=n)
+            diff = float(norm(nxt - current))
+            if trace is not None:
+                trace.append((n, diff, float("nan")))
+            current = nxt
+            if diff <= tol:
+                return current, n
+        raise _cap_error(limit)
+
+    stop = _a_priori_stop(control, x, tol, limit)
+    if stop == 0:
+        return current, 0
+    count = max(limit, 0) if stop is None else stop
+    steps = np.arange(1, count + 1)
+    ray = xn * np.ldexp(1.0, steps)[:, None]
+    scaled = f.evaluate_stack(ray) * np.ldexp(1.0, -steps)[:, None]
+    finite = np.isfinite(scaled).all(axis=1)
+    reached = count if finite.all() else int(np.argmin(finite))
+    if trace is not None and reached:
+        tails = cauchy_tail_bound(control, x, range(1, reached + 1))
+        previous = current
+        for k in range(reached):
+            trace.append((k + 1, float(norm(scaled[k] - previous)), tails[k]))
+            previous = scaled[k]
+    if reached < count:
+        raise NonConvergenceError(
+            f"iterate at n={reached + 1} overflowed", iterations=reached + 1
+        )
+    if stop is None:
+        raise _cap_error(limit)
+    return scaled[-1].copy(), count
+
+
+def _a_priori_stop(control: ControlFunction, x, tol: float, limit: int):
+    """First ``n`` in ``0..limit`` whose Cauchy tail bound is at most ``tol``,
+    or None.  A log2 estimate of ``n`` is confirmed with the bound itself at
+    ``n - 1`` and ``n``, because rounding can put the estimate a step off."""
+    head = cauchy_tail_bound(control, x, 0)
+    if head <= tol:
+        return 0
+    if limit <= 0:
+        return None
+    ratio = head / tol
+    n = limit
+    if math.isfinite(ratio):
+        n = min(limit, max(1, math.ceil(math.log2(ratio) / (1.0 - control.p))))
     while True:
-        if a_priori and cauchy_tail_bound(control, x, n) <= tol:
-            return current, n
-        if n >= limit:
-            reason = (
-                f"hard iteration cap {ITERATION_CAP} reached"
-                if limit == ITERATION_CAP
-                else f"max_iter {limit} exceeded"
-            )
-            raise NonConvergenceError(
-                f"doubling iteration did not converge: {reason}", iterations=n
-            )
-        np.multiply(xn, 2.0, out=xn)
-        nxt = f(xn) * 2.0 ** -(n + 1)
-        if not np.all(np.isfinite(nxt)):
-            raise NonConvergenceError(
-                f"iterate at n={n + 1} overflowed", iterations=n + 1
-            )
-        diff = float(norm(nxt - current))
-        if trace is not None:
-            tail = cauchy_tail_bound(control, x, n + 1) if a_priori else float("nan")
-            trace.append((n + 1, diff, tail))
-        current = nxt
-        n += 1
-        if not a_priori and diff <= tol:
-            return current, n
+        before, at = cauchy_tail_bound(control, x, (n - 1, n))
+        if before <= tol:
+            n -= 1
+        elif at <= tol:
+            return n
+        elif n >= limit:
+            return None
+        else:
+            n += 1
+
+
+def _cap_error(limit: int) -> NonConvergenceError:
+    reason = (
+        f"hard iteration cap {ITERATION_CAP} reached"
+        if limit == ITERATION_CAP
+        else f"max_iter {limit} exceeded"
+    )
+    return NonConvergenceError(
+        f"doubling iteration did not converge: {reason}", iterations=max(limit, 0)
+    )
 
 
 @dataclass
@@ -203,10 +281,11 @@ def check_hypothesis(
     rng = np.random.default_rng([seed, 0x48])
     zeros_a = np.zeros(alg.dim, dtype=alg.dtype)
 
-    def bracket(first, b_raw, c_raw):
-        # pointwise twisted bracket with the raw maps in the twist slots
-        return product_xab(mod, first, h(b_raw), k(c_raw)) - product_abx(
-            mod, g(c_raw), h(b_raw), first
+    def bracket(first, b, c):
+        # pointwise twisted bracket with the raw maps in the twist slots,
+        # their values taken from rows b and c of the sample's stacks
+        return product_xab(mod, first, h_at[b], k_at[c]) - product_abx(
+            mod, g_at[c], h_at[b], first
         )
 
     max_residual = 0.0
@@ -229,19 +308,23 @@ def check_hypothesis(
             phi_main = control.evaluate(x, y, u)
             phi_add = control.evaluate(x, y, zeros_a)
         triple = ternary_product(alg, u, v, w)
-        fx, fy = f(x), f(y)
-        fu, fv, fw = f(u), f(v), f(w)
-        bracket_sum = (
-            signs.s1 * bracket(fu, v, w)
-            + signs.s2 * bracket(fv, u, w)
-            + signs.s3 * bracket(fw, v, u)
+        # rows 0-4 are x, y, u, v, w; row 5 + j belongs to lams[j]
+        sums = [lam * x + lam * y for lam in lams]
+        fx, fy, fu, fv, fw, *f_args = f.evaluate_stack(
+            np.stack([x, y, u, v, w] + [s + triple for s in sums])
         )
-        for lam in lams:
-            arg = lam * x + lam * y + triple
-            res_main = mod.norm_of(f(arg) - lam * fx - lam * fy - bracket_sum)
+        points = np.stack([x, y, u, v, w] + sums)
+        g_at, h_at, k_at = (m.evaluate_stack(points) for m in (g, h, k))
+        bracket_sum = (
+            signs.s1 * bracket(fu, 3, 4)
+            + signs.s2 * bracket(fv, 2, 4)
+            + signs.s3 * bracket(fw, 3, 2)
+        )
+        for j, lam in enumerate(lams):
+            res_main = mod.norm_of(f_args[j] - lam * fx - lam * fy - bracket_sum)
             checks = [("main", res_main, phi_main)]
-            for name, m in (("g", g), ("h", h), ("k", k)):
-                res = alg.norm_of(m(lam * x + lam * y) - lam * m(x) - lam * m(y))
+            for name, at in (("g", g_at), ("h", h_at), ("k", k_at)):
+                res = alg.norm_of(at[5 + j] - lam * at[0] - lam * at[1])
                 checks.append((name, float(res), phi_add))
             for name, res, phi in checks:
                 slack = phi - res
@@ -412,17 +495,18 @@ def direct_method_stabilize(
         )
     deriv, sigma, tau, xi = (recovered[n] for n in "fghk")
 
+    named = (
+        ("f", f, mod.norm_of),
+        ("g", g, alg.norm_of),
+        ("h", h, alg.norm_of),
+        ("k", k, alg.norm_of),
+    )
     rng = np.random.default_rng([seed, 0x51])
     linearity_max = 0.0
     if not failures:
         for _ in range(linearity_points):
             x = _random_vector(rng, alg.dim, alg.field)
-            for name, evaluable, out_norm in (
-                ("f", f, mod.norm_of),
-                ("g", g, alg.norm_of),
-                ("h", h, alg.norm_of),
-                ("k", k, alg.norm_of),
-            ):
+            for name, evaluable, out_norm in named:
                 fresh, _ = hyers_limit(evaluable, control, x, tol, max_iter, out_norm)
                 linearity_max = max(
                     linearity_max, float(out_norm(recovered[name](x) - fresh))
@@ -433,17 +517,14 @@ def direct_method_stabilize(
     zero_vec = np.zeros(alg.dim, dtype=alg.dtype)
     phi_values = []
     max_violation = -float("inf")
-    for _ in range(bound_points):
-        x = _random_vector(rng, alg.dim, alg.field)
+    points = [_random_vector(rng, alg.dim, alg.field) for _ in range(bound_points)]
+    if points:
+        values = {name: m.evaluate_stack(np.stack(points)) for name, m, _ in named}
+    for j, x in enumerate(points):
         bound = summed_majorant(control, (x, x) + (zero_vec,) * zeros_needed)
         phi_values.append(float(bound))
-        for name, evaluable, out_norm in (
-            ("f", f, mod.norm_of),
-            ("g", g, alg.norm_of),
-            ("h", h, alg.norm_of),
-            ("k", k, alg.norm_of),
-        ):
-            gap = float(out_norm(evaluable(x) - recovered[name](x)))
+        for name, _, out_norm in named:
+            gap = float(out_norm(values[name][j] - recovered[name](x)))
             max_violation = max(max_violation, gap - bound)
 
     rng = np.random.default_rng([seed, 0x53])

@@ -64,6 +64,14 @@ class TestDeriveSolve:
         assert code == 0
         assert "(1, -1, -1)" in out
 
+    @pytest.mark.parametrize("command", ["derive", "stabilize"])
+    @pytest.mark.parametrize("sign", ["1,2,1", "a"])
+    def test_bad_sign_is_a_coded_error(self, command, sign, capsys):
+        argv = ["solve"] if command == "derive" else []
+        code = cli_main([command, *argv, str(CONFIG_DIR / "oddpoly3_p05.json"), "--sign", sign])
+        assert code == 1
+        assert "CONFIG_INVALID" in capsys.readouterr().err
+
 
 class TestStabilize:
     def test_bundled_config_exits_zero(self, tmp_path, capsys):

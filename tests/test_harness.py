@@ -220,6 +220,38 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="tolerances"):
             ts.load_config(raw)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("samples", "bound_points"), -3),
+            (("samples", "identity_triples"), -1),
+            (("samples", "hypothesis_tuples"), -1),
+            (("samples", "linearity_points"), -2),
+            (("derivation", "pick"), -1),
+            (("lambda_grid",), 1),
+            (("seed",), -1),
+            (("seed",), "abc"),
+            (("tol",), float("nan")),
+            (("tol",), float("inf")),
+            (("derivation", "rank_tol"), float("nan")),
+            (("signs",), [1, 2, 1]),
+        ],
+    )
+    def test_invalid_field(self, path, value):
+        raw = load_raw("oddpoly3_p05.json")
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError, match=path[-1]):
+            ts.load_config(raw)
+
+    def test_zero_counts_keep_their_meaning(self):
+        raw = load_raw("oddpoly3_p05.json")
+        raw["samples"] = {key: 0 for key in raw["samples"]}
+        cfg = ts.load_config(raw)
+        assert set(cfg.samples.values()) == {0}
+
     def test_mode_arity_mismatch(self):
         raw = load_raw("oddpoly3_p05.json")
         raw["mode"] = "jordan"  # control still has arity 5
