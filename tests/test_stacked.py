@@ -158,6 +158,15 @@ def _assert_same_outcome(got, want):
         assert _same(row_got[1:], row_want[1:])
 
 
+@pytest.fixture()
+def perturbed_maps(oddpoly3, oddpoly3_module, oddpoly_derivation, identity2):
+    spec = ts.PerturbationSpec(theta=0.1, p=0.5, direction="hash", seed=1)
+    maps = [ts.perturb_map(oddpoly_derivation, spec, oddpoly3.norm_of, oddpoly3_module.norm_of)]
+    maps += [ts.perturb_map(identity2, spec, oddpoly3.norm_of, oddpoly3.norm_of)] * 3
+    control = ts.power_control(0.1, 0.5, arity=5, norm=oddpoly3.norm_of)
+    return (*maps, control, oddpoly3_module)
+
+
 class TestStackedHyersLimit:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("direction", ["fixed", "hash"])
@@ -352,12 +361,3 @@ class TestStackedChecks:
             mode="lie", tuples_checked=0, lambda_count=2, max_residual=0.0,
             min_slack=math.inf, violations=0, worst=None,
         )
-
-
-@pytest.fixture()
-def perturbed_maps(oddpoly3, oddpoly3_module, oddpoly_derivation, identity2):
-    spec = ts.PerturbationSpec(theta=0.1, p=0.5, direction="hash", seed=1)
-    maps = [ts.perturb_map(oddpoly_derivation, spec, oddpoly3.norm_of, oddpoly3_module.norm_of)]
-    maps += [ts.perturb_map(identity2, spec, oddpoly3.norm_of, oddpoly3.norm_of)] * 3
-    control = ts.power_control(0.1, 0.5, arity=5, norm=oddpoly3.norm_of)
-    return (*maps, control, oddpoly3_module)
