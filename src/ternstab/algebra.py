@@ -38,11 +38,72 @@ def dtype_for(field_tag):
 
 
 def l2_norm(v) -> float:
-    return float(np.linalg.norm(v))
+    return float(_row_norms(np.asarray(v).ravel(order="K")))
+
+
+def _row_norms(vectors) -> np.ndarray:
+    """2-norm along the last axis, each bitwise equal to ``np.linalg.norm`` of
+    its row alone: on a C-contiguous copy ``vecdot`` sums a row's squares in
+    the order of ``norm``'s dot product (``norm(axis=-1)`` and ``einsum``
+    reorder them).  Rows whose squares overflow although their entries are
+    finite are recomputed after an exact power-of-two rescale.
+    """
+    v = np.asarray(vectors)
+    if not issubclass(v.dtype.type, np.inexact):
+        v = v.astype(np.float64)
+    v = np.ascontiguousarray(v)
+    dot = np.vecdot if v.ndim > 1 else np.ndarray.dot
+    if v.dtype.kind == "c":
+        out = np.sqrt(dot(v.real, v.real) + dot(v.imag, v.imag))
+    else:
+        out = np.sqrt(dot(v, v))
+    over = out == np.inf
+    # one vector's bool is tested directly: .any() costs as much as its norm
+    if over.any() if over.ndim else over:
+        over = over & np.isfinite(v).all(axis=-1)
+        rows = v[over]
+        exp = np.frexp(np.maximum(abs(rows.real).max(-1), abs(rows.imag).max(-1)))[1]
+        out = np.array(out)
+        out[over] = np.ldexp(_row_norms(rows * np.ldexp(1.0, -exp)[:, None]), exp)
+    return out
+
+
+def _norms_with(norm, vectors) -> np.ndarray:
+    """``norm`` (None for the 2-norm) of each row: one kernel call for the
+    2-norm or a space's own ``norm_of``, else one call per row."""
+    vectors = np.asarray(vectors)
+    if norm is None:
+        return _row_norms(vectors)
+    owner = getattr(norm, "__self__", None)
+    if isinstance(owner, _Space) and norm == owner.norm_of:
+        return owner.norms_of(vectors)
+    flat = vectors.reshape(-1, vectors.shape[-1])
+    return np.array([float(norm(row)) for row in flat]).reshape(vectors.shape[:-1])
+
+
+class _Space:
+    """Vectors of length ``dim``, normed by ``norm`` (None: 2-norm) times ``norm_scale``."""
+
+    norm_scale = 1.0
+
+    def norm_of(self, v) -> float:
+        return self.norm_scale * (l2_norm(v) if self.norm is None else float(self.norm(v)))
+
+    def norms_of(self, vectors) -> np.ndarray:
+        """Norms along the last axis, each equal to ``norm_of`` of its row."""
+        return self.norm_scale * _norms_with(self.norm, vectors)
+
+    def vector(self, coords) -> np.ndarray:
+        v = np.asarray(coords, dtype=self.dtype)
+        if v.shape != (self.dim,):
+            raise DimensionMismatch(
+                f"vector of length {v.shape} does not live in a {self.dim}-dim space"
+            )
+        return v
 
 
 @dataclass(frozen=True, eq=False)
-class TernaryAlgebra:
+class TernaryAlgebra(_Space):
     """A coordinatized ternary algebra.
 
     Parameters
@@ -90,26 +151,6 @@ class TernaryAlgebra:
     @property
     def dtype(self):
         return dtype_for(self.field)
-
-    def norm_of(self, v) -> float:
-        base = l2_norm(v) if self.norm is None else float(self.norm(v))
-        return self.norm_scale * base
-
-    def norms_of(self, vectors) -> np.ndarray:
-        """Norms along the last axis of a stacked array of vectors."""
-        if self.norm is None:
-            return self.norm_scale * np.linalg.norm(vectors, axis=-1)
-        flat = vectors.reshape(-1, vectors.shape[-1])
-        out = np.array([float(self.norm(row)) for row in flat])
-        return self.norm_scale * out.reshape(vectors.shape[:-1])
-
-    def vector(self, coords) -> np.ndarray:
-        v = np.asarray(coords, dtype=self.dtype)
-        if v.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"vector of length {v.shape} does not live in a {self.dim}-dim space"
-            )
-        return v
 
     def basis(self) -> np.ndarray:
         return np.eye(self.dim, dtype=self.dtype)
@@ -325,9 +366,7 @@ def verify_identity_and_reduce(alg: TernaryAlgebra, e, tol: float) -> BinaryRedu
     right = np.einsum("j,k,ijkl->il", e, e, t)   # [e_i e e]
     mid = np.einsum("i,k,ijkl->jl", e, e, t)     # [e e_j e]
     left = np.einsum("i,j,ijkl->kl", e, e, t)    # [e e e_k]
-    residuals = np.stack(
-        [alg.norms_of(right - eye), alg.norms_of(mid - eye), alg.norms_of(left - eye)]
-    )
+    residuals = alg.norms_of(np.stack([right, mid, left]) - eye)
     per_basis = residuals.max(axis=0)
     worst = int(np.argmax(per_basis))
     identity_residual = float(per_basis[worst])

@@ -25,7 +25,7 @@ import numpy as np
 from .algebra import (
     COMPLEX,
     TernaryAlgebra,
-    l2_norm,
+    _norms_with,
     odd_polynomial_algebra,
     trivial_matrix_algebra,
 )
@@ -114,12 +114,12 @@ def _hash_units(seed: int, xs: np.ndarray, out_dim: int, complex_out: bool, out_
         v = gen.standard_normal(out_dim)
         if complex_out:
             v = v + 1j * gen.standard_normal(out_dim)
-        nv = out_norm(v)
-        if nv == 0.0:
-            v = np.ones(out_dim, dtype=v.dtype)
-            nv = out_norm(v)
-        units[i] = v / nv
-    return units
+        units[i] = v
+    sizes = _norms_with(out_norm, units)
+    if not sizes.all():
+        units[sizes == 0.0] = 1.0
+        sizes = _norms_with(out_norm, units)
+    return units / sizes[:, None]
 
 
 def perturb_map(
@@ -135,8 +135,6 @@ def perturb_map(
     one point or an ``(N, d)`` stack; each row of a stack gets exactly the
     value it would get alone.
     """
-    in_norm = l2_norm if in_norm is None else in_norm
-    out_norm = l2_norm if out_norm is None else out_norm
     complex_out = np.iscomplexobj(base.matrix)
     fixed_unit = None
     if spec.direction == "fixed":
@@ -149,7 +147,7 @@ def perturb_map(
             raise ConfigError(
                 f"fixed direction has shape {raw.shape}, expected ({base.out_dim},)"
             )
-        nv = out_norm(raw)
+        nv = float(_norms_with(out_norm, raw))
         if nv == 0.0:
             raise ConfigError("fixed direction must be a nonzero vector")
         fixed_unit = raw / nv
@@ -167,12 +165,12 @@ def perturb_map(
             out[i] = base.matrix @ row
         if spec.theta == 0.0:
             return out
-        sizes = [in_norm(row) for row in x]
-        moved = [i for i, size in enumerate(sizes) if size != 0.0]
-        if not moved:
+        sizes = _norms_with(in_norm, x)
+        moved = np.flatnonzero(sizes)
+        if not len(moved):
             return out
         # Python float ** per row, as for a single point
-        scale = np.array([spec.theta * sizes[i] ** spec.p for i in moved])[:, None]
+        scale = np.array([spec.theta * size**spec.p for size in sizes[moved].tolist()])[:, None]
         unit = (
             fixed_unit
             if fixed_unit is not None
@@ -247,10 +245,11 @@ def _build_map(spec, alg: TernaryAlgebra, base_dir: Path) -> LinearMap:
     raise ConfigError(f"cannot interpret map spec {spec!r}")
 
 
-def _parse_perturbation(spec: dict) -> PerturbationSpec:
+def _parse_perturbation(spec: dict, name: str) -> PerturbationSpec:
+    theta, p = _power_law(spec, f"perturbation.{name}", 0.0)
     return PerturbationSpec(
-        theta=float(spec.get("theta", 0.0)),
-        p=float(spec.get("p", 0.0)),
+        theta=theta,
+        p=p,
         direction=spec.get("direction", "fixed"),
         vector=spec.get("vector"),
         seed=int(spec.get("seed", 0)),
@@ -285,20 +284,37 @@ def _int_at_least(value, name: str, minimum: int) -> int:
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        number = None
+    if number is None or (isinstance(value, float) and number != value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     if number < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, got {number}")
     return number
 
 
-def _positive_float(value, name: str) -> float:
+def _number(value, name: str) -> float:
     try:
-        number = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+def _positive_float(value, name: str) -> float:
+    number = _number(value, name)
     if not (math.isfinite(number) and number > 0):
         raise ConfigError(f"tolerances must be positive and finite: {name} is {number}")
     return number
+
+
+def _power_law(spec: dict, name: str, default) -> tuple:
+    """``theta`` (finite, nonnegative) and ``p`` (in [0, 1)) of ``spec``."""
+    theta = _number(spec.get("theta", default), f"{name}.theta")
+    p = _number(spec.get("p", default), f"{name}.p")
+    if not (math.isfinite(theta) and theta >= 0):
+        raise ConfigError(f"{name}.theta must be finite and nonnegative, got {theta}")
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"{name}.p must lie in [0, 1), got {p}")
+    return theta, p
 
 
 def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
@@ -314,6 +330,8 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     if int(control_spec.get("arity", expected_arity)) != expected_arity:
         raise ConfigError(f"{mode} mode needs a control of arity {expected_arity}")
     control_spec = {**control_spec, "arity": expected_arity}
+    if control_spec.get("kind") == "power":
+        _power_law(control_spec, "control", None)
 
     derivation = raw.get("derivation", {})
     tol = _positive_float(raw.get("tol", 1e-10), "tol")
@@ -329,7 +347,7 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
     pert_raw = raw.get("perturbation", {})
     perturbations = {
-        name: _parse_perturbation(pert_raw.get(name, {})) for name in MAP_NAMES
+        name: _parse_perturbation(pert_raw.get(name, {}), name) for name in MAP_NAMES
     }
 
     samples = {**DEFAULT_SAMPLES, **raw.get("samples", {})}
@@ -355,7 +373,7 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         control_spec=control_spec,
         perturbations=perturbations,
         tol=tol,
-        max_iter=int(raw.get("max_iter", 1000)),
+        max_iter=_int_at_least(raw.get("max_iter", 1000), "max_iter", 0),
         seed=_int_at_least(raw.get("seed", 0), "seed", 0),
         lambda_grid=_int_at_least(raw.get("lambda_grid", 16), "lambda_grid", 2),
         samples=samples,

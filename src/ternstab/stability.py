@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import COMPLEX, _random_vector, l2_norm, ternary_product
+from .algebra import COMPLEX, _norms_with, _random_vector, l2_norm, ternary_product
 from .control import ControlFunction, cauchy_tail_bound, summed_majorant
 from .errors import DimensionMismatch, NonConvergenceError
 from .maps import LinearMap, SignConvention, LIE_SIGNS, lie_derivation_residual
@@ -130,7 +130,6 @@ def hyers_limit(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    norm = l2_norm if out_norm is None else out_norm
     x = np.asarray(x)
     limit = min(int(max_iter), ITERATION_CAP)
 
@@ -147,7 +146,7 @@ def hyers_limit(
             nxt = f(xn) * 2.0**-n
             if not np.all(np.isfinite(nxt)):
                 raise NonConvergenceError(f"iterate at n={n} overflowed", iterations=n)
-            diff = float(norm(nxt - current))
+            diff = float(_norms_with(out_norm, nxt - current))
             if trace is not None:
                 trace.append((n, diff, float("nan")))
             current = nxt
@@ -160,16 +159,18 @@ def hyers_limit(
         return current, 0
     count = max(limit, 0) if stop is None else stop
     steps = np.arange(1, count + 1)
-    ray = xn * np.ldexp(1.0, steps)[:, None]
-    scaled = f.evaluate_stack(ray) * np.ldexp(1.0, -steps)[:, None]
+    # the norms recompute rows whose squares overflow, and an iterate that
+    # leaves double range is reported below, so numpy need not warn
+    with np.errstate(over="ignore"):
+        ray = xn * np.ldexp(1.0, steps)[:, None]
+        scaled = f.evaluate_stack(ray) * np.ldexp(1.0, -steps)[:, None]
     finite = np.isfinite(scaled).all(axis=1)
     reached = count if finite.all() else int(np.argmin(finite))
     if trace is not None and reached:
         tails = cauchy_tail_bound(control, x, range(1, reached + 1))
-        previous = current
-        for k in range(reached):
-            trace.append((k + 1, float(norm(scaled[k] - previous)), tails[k]))
-            previous = scaled[k]
+        previous = np.concatenate([current[None], scaled[: reached - 1]])
+        diffs = _norms_with(out_norm, scaled[:reached] - previous).tolist()
+        trace.extend(zip(range(1, reached + 1), diffs, tails))
     if reached < count:
         raise NonConvergenceError(
             f"iterate at n={reached + 1} overflowed", iterations=reached + 1
@@ -278,6 +279,7 @@ def check_hypothesis(
         raise ValueError("mode must be 'lie' or 'jordan'")
     alg = mod.algebra
     lams = _lambda_grid(alg.field, lambda_grid)
+    lam_col = lams[:, None]
     rng = np.random.default_rng([seed, 0x48])
     zeros_a = np.zeros(alg.dim, dtype=alg.dtype)
 
@@ -310,22 +312,20 @@ def check_hypothesis(
         triple = ternary_product(alg, u, v, w)
         # rows 0-4 are x, y, u, v, w; row 5 + j belongs to lams[j]
         sums = [lam * x + lam * y for lam in lams]
-        fx, fy, fu, fv, fw, *f_args = f.evaluate_stack(
-            np.stack([x, y, u, v, w] + [s + triple for s in sums])
-        )
+        f_at = f.evaluate_stack(np.stack([x, y, u, v, w] + [s + triple for s in sums]))
         points = np.stack([x, y, u, v, w] + sums)
         g_at, h_at, k_at = (m.evaluate_stack(points) for m in (g, h, k))
         bracket_sum = (
-            signs.s1 * bracket(fu, 3, 4)
-            + signs.s2 * bracket(fv, 2, 4)
-            + signs.s3 * bracket(fw, 3, 2)
+            signs.s1 * bracket(f_at[2], 3, 4)
+            + signs.s2 * bracket(f_at[3], 2, 4)
+            + signs.s3 * bracket(f_at[4], 3, 2)
         )
+        res_main = mod.norms_of(f_at[5:] - lam_col * f_at[0] - lam_col * f_at[1] - bracket_sum)
+        res_add = [alg.norms_of(at[5:] - lam_col * at[0] - lam_col * at[1])
+                   for at in (g_at, h_at, k_at)]
         for j, lam in enumerate(lams):
-            res_main = mod.norm_of(f_args[j] - lam * fx - lam * fy - bracket_sum)
-            checks = [("main", res_main, phi_main)]
-            for name, at in (("g", g_at), ("h", h_at), ("k", k_at)):
-                res = alg.norm_of(at[5 + j] - lam * at[0] - lam * at[1])
-                checks.append((name, float(res), phi_add))
+            checks = [("main", float(res_main[j]), phi_main)]
+            checks += [(name, float(res[j]), phi_add) for name, res in zip("ghk", res_add)]
             for name, res, phi in checks:
                 slack = phi - res
                 max_residual = max(max_residual, res)
@@ -355,7 +355,11 @@ def check_hypothesis(
 
 @dataclass
 class StabilizationReport:
-    """Everything a stabilization run measured."""
+    """Everything a stabilization run measured.
+
+    A check with a zero count (``bound_points``, ``identity_triples`` or
+    ``linearity_points``) checked nothing and so does not pass.
+    """
 
     derivation: LinearMap
     sigma: LinearMap
@@ -379,15 +383,15 @@ class StabilizationReport:
 
     @property
     def bounds_ok(self) -> bool:
-        return self.max_bound_violation <= 0.0
+        return self.bound_points > 0 and self.max_bound_violation <= 0.0
 
     @property
     def identity_ok(self) -> bool:
-        return self.max_identity_residual <= self.identity_tol
+        return self.identity_triples > 0 and self.max_identity_residual <= self.identity_tol
 
     @property
     def linearity_ok(self) -> bool:
-        return self.linearity_max <= 10.0 * self.tol
+        return self.linearity_points > 0 and self.linearity_max <= 10.0 * self.tol
 
     @property
     def converged(self) -> bool:
@@ -513,19 +517,15 @@ def direct_method_stabilize(
                 )
 
     rng = np.random.default_rng([seed, 0x52])
-    zeros_needed = control.arity - 2
-    zero_vec = np.zeros(alg.dim, dtype=alg.dtype)
-    phi_values = []
+    zeros = (np.zeros(alg.dim, dtype=alg.dtype),) * (control.arity - 2)
+    draws = [_random_vector(rng, alg.dim, alg.field) for _ in range(bound_points)]
+    points = np.reshape(draws, (bound_points, alg.dim))
+    phi_values = [float(summed_majorant(control, (x, x) + zeros)) for x in points]
     max_violation = -float("inf")
-    points = [_random_vector(rng, alg.dim, alg.field) for _ in range(bound_points)]
-    if points:
-        values = {name: m.evaluate_stack(np.stack(points)) for name, m, _ in named}
-    for j, x in enumerate(points):
-        bound = summed_majorant(control, (x, x) + (zero_vec,) * zeros_needed)
-        phi_values.append(float(bound))
-        for name, _, out_norm in named:
-            gap = float(out_norm(values[name][j] - recovered[name](x)))
-            max_violation = max(max_violation, gap - bound)
+    for name, m, out_norm in named:
+        limit = np.reshape([recovered[name](x) for x in points], (bound_points, m.out_dim))
+        gaps = _norms_with(out_norm, m.evaluate_stack(points) - limit)
+        max_violation = max(max_violation, float(np.max(gaps - phi_values, initial=-np.inf)))
 
     rng = np.random.default_rng([seed, 0x53])
     # drawn a, b, c per triple in turn; a Jordan triple repeats its one draw

@@ -118,6 +118,45 @@ class TestStabilize:
         assert cli_main(["stabilize", "nope.json"]) == 1
         assert "CONFIG_INVALID" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("perturbation", "g", "theta"), -0.1),
+            (("perturbation", "g", "theta"), float("inf")),
+            (("perturbation", "g", "theta"), float("nan")),
+            (("perturbation", "f", "theta"), "big"),
+            (("perturbation", "h", "p"), 1.0),
+            (("perturbation", "h", "p"), -0.5),
+            (("perturbation", "k", "p"), float("nan")),
+            (("control", "theta"), -1.0),
+            (("control", "theta"), float("inf")),
+            (("control", "p"), 1.0),
+            (("control", "p"), -0.1),
+            (("control", "p"), None),
+            (("max_iter",), -1),
+            (("max_iter",), 2.5),
+            (("max_iter",), "many"),
+        ],
+    )
+    def test_invalid_field_is_a_coded_error(self, path, value, tmp_path, capsys):
+        raw = json.loads((CONFIG_DIR / "oddpoly3_p05.json").read_text())
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        code = cli_main(["stabilize", str(cfg), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "CONFIG_INVALID" in err and ".".join(path[-2:]) in err
+        assert not (tmp_path / "run").exists()
+
+    def test_zero_max_iter_is_valid(self):
+        raw = json.loads((CONFIG_DIR / "oddpoly3_p05.json").read_text())
+        raw["max_iter"] = 0
+        assert ts.load_config(raw).max_iter == 0
+
 
 class TestSweepCommand:
     def test_sweep_writes_csv(self, tmp_path, capsys):

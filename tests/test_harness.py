@@ -139,6 +139,28 @@ class TestRunExperiment:
             counts[p] = n_used
         assert counts[0.9] > counts[0.1]
 
+    @pytest.mark.parametrize(
+        "count, verdict",
+        [("bound_points", "bounds"), ("identity_triples", "identity_residuals"),
+         ("linearity_points", None)],
+    )
+    def test_zero_count_does_not_pass(self, count, verdict):
+        raw = load_raw("oddpoly3_p05.json")
+        raw["samples"] = {
+            "bound_points": 3,
+            "identity_triples": 3,
+            "hypothesis_tuples": 0,
+            "linearity_points": 1,
+        }
+        assert ts.run_experiment(raw, write_files=False).all_passed
+        raw["samples"][count] = 0
+        result = ts.run_experiment(raw, write_files=False)
+        assert not result.all_passed
+        assert result.report["all_passed"] is False
+        assert not result.report["errors"] and not result.report["recovered"]["failures"]
+        if verdict is not None:
+            assert result.report[verdict]["passed"] is False
+
     def test_empty_space_error_mode(self):
         raw = load_raw("trivial2x2_p05.json")
         raw["derivation"]["on_empty"] = "error"

@@ -8,7 +8,9 @@ they replaced, kept verbatim; results must agree bitwise.
 
 import dataclasses
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from ternstab.control import cauchy_tail_bound
 from ternstab.errors import NonConvergenceError
 from ternstab.harness import _hash_units
 from ternstab.stability import ITERATION_CAP, _a_priori_stop
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _reference_hyers_limit(f, control, x, tol, max_iter=ITERATION_CAP, out_norm=None,
@@ -201,26 +205,60 @@ class TestStackedHyersLimit:
 
     @pytest.mark.parametrize("direction", ["fixed", "hash"])
     def test_overflow_at_512_and_partial_trace(self, direction):
-        # |2**512 x| squared overflows the 2-norm long before the a-priori
-        # stop at p = 0.95 is reached
+        # the doubling ray 2**k x of x = 2**512 e_2 leaves double range at
+        # k = 512, long before the a-priori stop at p = 0.95 is reached;
+        # column 2 of the base matrix has entries below 1, so f stays finite
+        # up to k = 511
         alg, stacked, pointwise, control = _setup("real", direction, 0.95)
-        x = alg.basis()[0]
-        with np.errstate(over="ignore"):
+        x = np.ldexp(alg.basis()[2], 512)
+        with np.errstate(over="ignore", invalid="ignore"):
             got = _outcome(ts.hyers_limit, stacked, control, x, 1e-10)
             want = _outcome(_reference_hyers_limit, pointwise, control, x, 1e-10)
         assert want[:2] == ("iterate at n=512 overflowed", 512)
         assert len(want[2]) == 511
         _assert_same_outcome(got, want)
 
+    @pytest.mark.parametrize("direction", ["fixed", "hash"])
+    def test_p095_converges_at_a_priori_stop(self, direction):
+        # |2**n x| passes 2**512 on the way, whose square overflows a naive
+        # 2-norm; the stop lies near n = 700
+        alg, stacked, pointwise, control = _setup("real", direction, 0.95)
+        for x in alg.basis():
+            stop = _a_priori_stop(control, x, 1e-10, ITERATION_CAP)
+            assert 512 < stop < ITERATION_CAP
+            got = _outcome(ts.hyers_limit, stacked, control, x, 1e-10, out_norm=alg.norm_of)
+            with np.errstate(over="ignore"):  # one-row norms warn before their rescale
+                want = _outcome(
+                    _reference_hyers_limit, pointwise, control, x, 1e-10, out_norm=alg.norm_of
+                )
+            assert got[1] == stop and np.all(np.isfinite(got[0]))
+            assert all(np.isfinite(row[1]) for row in got[2])
+            _assert_same_outcome(got, want)
+
+    def test_p095_experiment_passes(self):
+        raw = json.loads((CONFIGS / "oddpoly3_p05.json").read_text())
+        raw.pop("out")
+        raw["control"]["p"] = 0.95
+        for spec in raw["perturbation"].values():
+            spec["p"] = 0.95
+        result = ts.run_experiment(raw, write_files=False)
+        assert result.all_passed, result.report["errors"]
+        control = ts.power_control(0.1, 0.95, arity=5)
+        stops = [_a_priori_stop(control, e, 1e-10, ITERATION_CAP) for e in np.eye(2)]
+        assert result.report["recovered"]["iterations"] == {name: stops for name in "fghk"}
+
     def test_recover_matrix_keeps_partial_rows(self, oddpoly3_module, oddpoly_derivation,
                                                identity2):
+        # maps scaled by 2**512 send 2**512 e_i out of double range, so every
+        # basis vector fails at n = 512
         mod = oddpoly3_module
         alg = mod.algebra
+        big = ts.LinearMap(np.ldexp(identity2.matrix, 512))
         spec = ts.PerturbationSpec(theta=0.1, p=0.95, direction="fixed")
-        f = ts.perturb_map(oddpoly_derivation, spec, alg.norm_of, mod.norm_of)
-        g = ts.perturb_map(identity2, spec, alg.norm_of, alg.norm_of)
+        f = ts.perturb_map(big, spec, alg.norm_of, mod.norm_of)
+        g = ts.perturb_map(big, spec, alg.norm_of, alg.norm_of)
         control = ts.power_control(0.1, 0.95, arity=5, norm=alg.norm_of)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             report = ts.direct_method_stabilize(
                 f, g, g, g, control, mod, bound_points=2, identity_triples=2
             )
