@@ -283,6 +283,55 @@ class AssocReport:
     exhaustive: bool
 
 
+# A law is a list of (einsum spec, tensor names) whose values must agree.
+# Each spec contracts its two tensors over q; the output letters name the
+# basis tuple in order, then the output coordinate r.  The first operand
+# ends in q and the second in r.
+_ASSOC_LAW = {
+    "assoc": [("abcq,qder->abcder", ("T", "T")), ("bcdq,aqer->abcder", ("T", "T"))],
+}
+
+
+def _law_values(spec: str, t1: np.ndarray, t2: np.ndarray, where) -> np.ndarray:
+    """One law expression at basis tuples.
+
+    An integer ``where`` fixes the first tuple letter (a view of whichever
+    operand carries it) and gives the slice over the other letters, then r.
+    An index array of shape ``(letters, n)`` gathers n tuples: ``(n, dout)``.
+    """
+    ins, out = spec.split("->")
+    first, second = ins.split(",")
+    if np.ndim(where) == 0:
+        lead = out[0]
+        if lead in first:
+            t1 = t1[(slice(None),) * first.index(lead) + (where,)]
+        else:
+            t2 = t2[(slice(None),) * second.index(lead) + (where,)]
+        return np.einsum(spec.replace(lead, ""), t1, t2)
+    idx = dict(zip(out, where))
+    left = t1[tuple(idx[s] for s in first[:-1])]
+    # q next to r, so the gathered axes come first: (n, q, r)
+    right = np.moveaxis(t2, second.index("q"), 2)[tuple(idx[s] for s in second[:-1] if s != "q")]
+    return np.einsum("nq,nqr->nr", left, right)
+
+
+def _law_residuals(laws: dict, tensors: dict, norms_of, chunks) -> dict:
+    """Per law, the largest norm of a difference of consecutive expressions
+    over ``chunks`` (each a ``where`` of ``_law_values``) and the tuple where
+    it occurs (None while every difference is zero)."""
+    found = dict.fromkeys(laws, (0.0, None))
+    for where in chunks:
+        for name, exprs in laws.items():
+            # lazily, so at most two values of the law are alive at a time
+            vals = (_law_values(spec, tensors[a], tensors[b], where) for spec, (a, b) in exprs)
+            norms = np.max([norms_of(u - v) for u, v in itertools.pairwise(vals)], axis=0)
+            pos = np.unravel_index(int(np.argmax(norms)), norms.shape)
+            if norms[pos] > found[name][0]:
+                at = (where, *pos) if np.ndim(where) == 0 else where[:, pos[0]]
+                found[name] = (float(norms[pos]), tuple(map(int, at)))
+    return found
+
+
 def check_ternary_associativity(
     alg: TernaryAlgebra,
     tol: float,
@@ -301,42 +350,19 @@ def check_ternary_associativity(
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     d = alg.dim
-    t = alg.structure
-    total = d**5
-    worst = (0, 0, 0, 0, 0)
-    max_res = 0.0
-    if total <= budget and samples is None:
-        # chunk over the first index: d^4 x d residual block per slice
-        for i in range(d):
-            lhs = np.einsum("jkq,qlmr->jklmr", t[i], t)
-            rhs = np.einsum("jklq,qmr->jklmr", t, t[i])
-            norms = alg.norms_of(lhs - rhs)
-            pos = np.unravel_index(int(np.argmax(norms)), norms.shape)
-            if norms[pos] > max_res:
-                max_res = float(norms[pos])
-                worst = (i, *map(int, pos))
-        checked = total
-        exhaustive = True
+    exhaustive = d**5 <= budget and samples is None
+    if exhaustive:
+        checked, chunks = d**5, range(d)
     else:
         rng = np.random.default_rng(seed)
         checked = samples if samples is not None else budget
-        done = 0
-        while done < checked:
-            n = min(_TUPLE_CHUNK, checked - done)
-            idx = rng.integers(0, d, size=(5, n))
-            i, j, k, l, m = idx
-            # t[:, l, m, :] has adjacent advanced axes -> (q, t, r);
-            # t[i, :, m, :] has split advanced axes -> (t, q, r)
-            lhs = np.einsum("tq,qtr->tr", t[i, j, k, :], t[:, l, m, :])
-            rhs = np.einsum("tq,tqr->tr", t[j, k, l, :], t[i, :, m, :])
-            norms = alg.norms_of(lhs - rhs)
-            pos = int(np.argmax(norms))
-            if norms[pos] > max_res:
-                max_res = float(norms[pos])
-                worst = tuple(int(idx[s, pos]) for s in range(5))
-            done += n
-        exhaustive = False
-    return AssocReport(max_res, float(tol), max_res <= tol, worst, checked, exhaustive)
+        chunks = (
+            rng.integers(0, d, size=(5, min(_TUPLE_CHUNK, checked - done)))
+            for done in range(0, checked, _TUPLE_CHUNK)
+        )
+    found = _law_residuals(_ASSOC_LAW, {"T": alg.structure}, alg.norms_of, chunks)
+    max_res, worst = found["assoc"]
+    return AssocReport(max_res, float(tol), max_res <= tol, worst or (0,) * 5, checked, exhaustive)
 
 
 @dataclass(frozen=True)
@@ -363,11 +389,8 @@ def verify_identity_and_reduce(alg: TernaryAlgebra, e, tol: float) -> BinaryRedu
     e = alg.vector(e)
     t = alg.structure
     eye = alg.basis()
-    right = np.einsum("j,k,ijkl->il", e, e, t)   # [e_i e e]
-    mid = np.einsum("i,k,ijkl->jl", e, e, t)     # [e e_j e]
-    left = np.einsum("i,j,ijkl->kl", e, e, t)    # [e e e_k]
-    residuals = alg.norms_of(np.stack([right, mid, left]) - eye)
-    per_basis = residuals.max(axis=0)
+    sides = [_trilinear(t, eye, e, e), _trilinear(t, e, eye, e), _trilinear(t, e, e, eye)]
+    per_basis = alg.norms_of(np.stack(sides) - eye).max(axis=0)
     worst = int(np.argmax(per_basis))
     identity_residual = float(per_basis[worst])
     if identity_residual > tol:
@@ -377,10 +400,10 @@ def verify_identity_and_reduce(alg: TernaryAlgebra, e, tol: float) -> BinaryRedu
             worst_index=worst,
             residual=identity_residual,
         )
-    table = np.einsum("j,ijkl->ikl", e, t)       # [e_i e e_k]
-    assoc_left = np.einsum("ijq,qkl->ijkl", table, table)
-    assoc_right = np.einsum("jkq,iql->ijkl", table, table)
-    assoc_residual = float(alg.norms_of(assoc_left - assoc_right).max())
+    table = _trilinear(t, eye[:, None], e, eye)  # [e_i e e_k]
+    # (e_i e_j) e_k - e_i (e_j e_k)
+    assoc = _trilinear(t, table[:, :, None], e, eye) - _trilinear(t, eye[:, None, None], e, table)
+    assoc_residual = float(alg.norms_of(assoc).max())
     return BinaryReduction(e, table, identity_residual, assoc_residual)
 
 
@@ -430,13 +453,12 @@ def rescale_norm_submultiplicative(
         # alternating ascent: with two slots fixed the third enters through a
         # d x d matrix, whose top right singular vector maximizes the 2-norm
         # ratio exactly
-        slot_einsum = ("j,k,ijkl->li", "i,k,ijkl->lj", "i,j,ijkl->lk")
+        eye = alg.basis()
         for val, (a, b, c) in top:
             vecs = [a.copy(), b.copy(), c.copy()]
             for _ in range(ascent_rounds):
                 for slot in range(3):
-                    others = [vecs[s] for s in range(3) if s != slot]
-                    mat = np.einsum(slot_einsum[slot], others[0], others[1], t)
+                    mat = _trilinear(t, *(eye if s == slot else vecs[s] for s in range(3))).T
                     _, _, vh = np.linalg.svd(mat)
                     vecs[slot] = vh[0].conj()
             val, _ = ratio(*vecs)

@@ -199,22 +199,16 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    commands = {"algebra": _cmd_algebra_check, "derive": _cmd_derive_solve,
+                "stabilize": _cmd_stabilize, "experiment": _cmd_experiment_sweep}
     try:
-        if args.command == "algebra":
-            return _cmd_algebra_check(args)
-        if args.command == "derive":
-            return _cmd_derive_solve(args)
-        if args.command == "stabilize":
-            return _cmd_stabilize(args)
-        if args.command == "experiment":
-            return _cmd_experiment_sweep(args)
+        return commands[args.command](args)
     except TernstabError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 def main() -> None:

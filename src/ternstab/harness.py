@@ -24,6 +24,7 @@ import numpy as np
 
 from .algebra import (
     COMPLEX,
+    FIELDS,
     TernaryAlgebra,
     _norms_with,
     odd_polynomial_algebra,
@@ -50,6 +51,7 @@ from .serialize import (
 from .stability import EvaluableMap, check_hypothesis, direct_method_stabilize
 
 MAP_NAMES = ("f", "g", "h", "k")
+_DIRECTIONS = ("fixed", "hash")
 
 
 def thread_count() -> int:
@@ -87,7 +89,7 @@ class PerturbationSpec:
             raise ValueError("theta must be nonnegative")
         if not 0.0 <= self.p < 1.0:
             raise ValueError("p must lie in [0, 1)")
-        if self.direction not in ("fixed", "hash"):
+        if self.direction not in _DIRECTIONS:
             raise ValueError("direction must be 'fixed' or 'hash'")
 
 
@@ -209,50 +211,57 @@ class ExperimentConfig:
 
 
 def _build_algebra(spec: dict, base_dir: Path) -> TernaryAlgebra:
-    if "file" in spec:
-        path = base_dir / spec["file"]
-        if not path.exists():
-            raise ConfigError(f"algebra file {path} does not exist")
+    if "file" in _typed(spec, "algebra"):
+        path = base_dir / _typed(spec["file"], "algebra.file", str)
+        if not path.is_file():
+            raise ConfigError(f"algebra file {path} does not exist or is not a file")
         return algebra_from_json(read_json(path))
     builder = spec.get("builder")
-    field_tag = spec.get("field", "real")
+    field_tag = _choice(spec.get("field", "real"), "algebra.field", FIELDS)
     if builder == "trivial-matrix":
-        return trivial_matrix_algebra(int(spec.get("m", 2)), field_tag)
+        return trivial_matrix_algebra(_int_at_least(spec.get("m", 2), "algebra.m", 1), field_tag)
     if builder == "odd-poly":
-        return odd_polynomial_algebra(int(spec.get("cap", 3)), field_tag)
+        cap = _int_at_least(spec.get("cap", 3), "algebra.cap", 1)
+        if cap % 2 == 0:
+            raise ConfigError(f"algebra.cap must be odd, got {cap}")
+        return odd_polynomial_algebra(cap, field_tag)
     raise ConfigError(f"unknown algebra builder {builder!r}")
 
 
-def _build_map(spec, alg: TernaryAlgebra, base_dir: Path) -> LinearMap:
+def _build_map(spec, alg: TernaryAlgebra, base_dir: Path, name: str) -> LinearMap:
     if spec == "identity":
         return LinearMap.identity(alg.dim, alg.dtype)
     if isinstance(spec, dict):
         if "file" in spec:
-            path = base_dir / spec["file"]
-            if not path.exists():
-                raise ConfigError(f"map file {path} does not exist")
+            path = base_dir / _typed(spec["file"], f"{name}.file", str)
+            if not path.is_file():
+                raise ConfigError(f"map file {path} does not exist or is not a file")
             return linear_map_from_json(read_json(path))
         if "matrix" in spec:
-            return linear_map_from_json(
-                {"in_dim": alg.dim, "out_dim": alg.dim, "matrix": spec["matrix"]}
-            )
+            try:
+                return linear_map_from_json(
+                    {"in_dim": alg.dim, "out_dim": alg.dim, "matrix": spec["matrix"]}
+                )
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}.matrix: {exc}") from None
         if "random_seed" in spec:
-            rng = np.random.default_rng(int(spec["random_seed"]))
+            seed = _int_at_least(spec["random_seed"], f"{name}.random_seed", 0)
+            rng = np.random.default_rng(seed)
             m = rng.standard_normal((alg.dim, alg.dim))
             if alg.field == COMPLEX:
                 m = m + 1j * rng.standard_normal((alg.dim, alg.dim))
             return LinearMap(m.astype(alg.dtype))
-    raise ConfigError(f"cannot interpret map spec {spec!r}")
+    raise ConfigError(f"cannot interpret map spec {name}: {spec!r}")
 
 
 def _parse_perturbation(spec: dict, name: str) -> PerturbationSpec:
-    theta, p = _power_law(spec, f"perturbation.{name}", 0.0)
+    theta, p = _power_law(_typed(spec, name), name, 0.0)
     return PerturbationSpec(
         theta=theta,
         p=p,
-        direction=spec.get("direction", "fixed"),
+        direction=_choice(spec.get("direction", "fixed"), f"{name}.direction", _DIRECTIONS),
         vector=spec.get("vector"),
-        seed=int(spec.get("seed", 0)),
+        seed=_int_at_least(spec.get("seed", 0), f"{name}.seed", None),
     )
 
 
@@ -274,20 +283,32 @@ def _read_config(source) -> tuple:
     the file's directory for a path, the working directory for a dict."""
     if isinstance(source, (str, Path)):
         path = Path(source)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
+        if not path.is_file():
+            raise ConfigError(f"config file {path} does not exist or is not a file")
         return read_json(path), path.parent
     return dict(source), Path.cwd()
 
 
-def _int_at_least(value, name: str, minimum: int) -> int:
+def _typed(value, name: str, kind: type = dict):
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _choice(value, name: str, options: tuple):
+    if value not in options:
+        raise ConfigError(f"{name} must be one of {options}, got {value!r}")
+    return value
+
+
+def _int_at_least(value, name: str, minimum: int | None) -> int:
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or (isinstance(value, float) and number != value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if number < minimum:
+    if minimum is not None and number < minimum:
         raise ConfigError(f"{name} must be at least {minimum}, got {number}")
     return number
 
@@ -295,7 +316,7 @@ def _int_at_least(value, name: str, minimum: int) -> int:
 def _number(value, name: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
@@ -322,47 +343,50 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         algebra = _build_algebra(raw["algebra"], base_dir)
     except KeyError:
         raise ConfigError("config needs an 'algebra' section") from None
-    mode = raw.get("mode", "lie")
-    if mode not in ("lie", "jordan"):
-        raise ConfigError(f"mode must be 'lie' or 'jordan', got {mode!r}")
-    control_spec = raw.get("control", {"kind": "power", "theta": 0.0, "p": 0.0})
+    mode = _choice(raw.get("mode", "lie"), "mode", ("lie", "jordan"))
+    control_spec = _typed(raw.get("control", {"kind": "power", "theta": 0.0, "p": 0.0}), "control")
     expected_arity = 5 if mode == "lie" else 3
-    if int(control_spec.get("arity", expected_arity)) != expected_arity:
+    arity = _int_at_least(control_spec.get("arity", expected_arity), "control.arity", None)
+    if arity != expected_arity:
         raise ConfigError(f"{mode} mode needs a control of arity {expected_arity}")
     control_spec = {**control_spec, "arity": expected_arity}
     if control_spec.get("kind") == "power":
         _power_law(control_spec, "control", None)
 
-    derivation = raw.get("derivation", {})
+    derivation = _typed(raw.get("derivation", {}), "derivation")
     tol = _positive_float(raw.get("tol", 1e-10), "tol")
     rank_tol = _positive_float(derivation.get("rank_tol", 1e-10), "derivation.rank_tol")
 
-    maps_spec = raw.get("maps", {"sigma": "identity", "tau": "identity", "xi": "identity"})
-    candidates = [maps_spec] + list(raw.get("fallback_maps", []))
+    fallbacks = _typed(raw.get("fallback_maps", []), "fallback_maps", list)
+    candidates = {"maps": raw.get("maps", {})}
+    candidates.update((f"fallback_maps.{i}", cand) for i, cand in enumerate(fallbacks))
     map_candidates = []
-    for cand in candidates:
+    for where, cand in candidates.items():
+        cand = _typed(cand, where)
         map_candidates.append(
-            tuple(_build_map(cand.get(n, "identity"), algebra, base_dir) for n in ("sigma", "tau", "xi"))
+            tuple(_build_map(cand.get(n, "identity"), algebra, base_dir, f"{where}.{n}")
+                  for n in ("sigma", "tau", "xi"))
         )
 
-    pert_raw = raw.get("perturbation", {})
+    pert_raw = _typed(raw.get("perturbation", {}), "perturbation")
     perturbations = {
-        name: _parse_perturbation(pert_raw.get(name, {}), name) for name in MAP_NAMES
+        name: _parse_perturbation(pert_raw.get(name, {}), f"perturbation.{name}")
+        for name in MAP_NAMES
     }
 
-    samples = {**DEFAULT_SAMPLES, **raw.get("samples", {})}
+    samples = {**DEFAULT_SAMPLES, **_typed(raw.get("samples", {}), "samples")}
     for key in DEFAULT_SAMPLES:
         samples[key] = _int_at_least(samples[key], f"samples.{key}", 0)
     try:
         signs = SignConvention.from_sequence(raw.get("signs", [1, 1, 1]))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(
             f"signs must be three entries of +1 or -1, got {raw['signs']!r}"
         ) from None
     # input files resolve against the config's directory, output paths
     # against the working directory
-    out_spec = raw.get("out", {})
-    out_dir = Path(out_spec["dir"]) if "dir" in out_spec else None
+    out_spec = _typed(raw.get("out", {}), "out")
+    out_dir = Path(_typed(out_spec["dir"], "out.dir", str)) if "dir" in out_spec else None
 
     return ExperimentConfig(
         raw=raw,
@@ -379,7 +403,9 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         samples=samples,
         rank_tol=rank_tol,
         pick=_int_at_least(derivation.get("pick", 0), "derivation.pick", 0),
-        on_empty=derivation.get("on_empty", "zero"),
+        on_empty=_choice(
+            derivation.get("on_empty", "zero"), "derivation.on_empty", ("zero", "error")
+        ),
         out_dir=out_dir,
         base_dir=base_dir,
     )

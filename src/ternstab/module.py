@@ -23,6 +23,7 @@ from .algebra import (
     DEFAULT_TUPLE_BUDGET,
     TernaryAlgebra,
     _Space,
+    _law_residuals,
     _random_vector,
     _trilinear,
     dtype_for,
@@ -107,10 +108,8 @@ class ModuleReport:
     passed: bool
 
 
-# each chain is a list of (einsum spec, tensor names); all expressions share
-# the output index order (a, b, c, d, x, r).  The first operand always ends
-# in the contracted index q and the second in the output index r, which
-# _gathered relies on.
+# each chain is a law in the format of ``algebra._ASSOC_LAW``, over the
+# tuple letters a, b, c, d, x
 _CHAINS = {
     "abc_d_x": [
         ("abcq,qdxr->abcdxr", ("TA", "Pabx")),
@@ -140,20 +139,6 @@ _CHAINS = {
 }
 
 
-def _gathered(spec: str, t1: np.ndarray, t2: np.ndarray, idx: dict) -> np.ndarray:
-    """One ``_CHAINS`` expression at sampled basis tuples.
-
-    ``idx`` maps each of the letters a, b, c, d, x to an index array of
-    length n; the result has shape ``(n, dX)``.
-    """
-    first, second = spec.split("->")[0].split(",")
-    left = t1[tuple(idx[s] for s in first[:-1])]
-    # move q next to r so the two gathered axes stay in front: (n, q, r)
-    right = np.moveaxis(t2, second.index("q"), 2)
-    right = right[tuple(idx[s] for s in second if s not in "qr")]
-    return np.einsum("nq,nqr->nr", left, right)
-
-
 def check_module_axioms(
     mod: TernaryModule,
     tol: float,
@@ -170,38 +155,21 @@ def check_module_axioms(
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     alg = mod.algebra
-    tensors = {
-        "TA": alg.structure,
-        "Pxab": mod.product_xab,
-        "Paxb": mod.product_axb,
-        "Pabx": mod.product_abx,
-    }
+    tensors = dict(
+        TA=alg.structure, Pxab=mod.product_xab, Paxb=mod.product_axb, Pabx=mod.product_abx
+    )
     total = alg.dim**4 * mod.dim
-    chain_residuals = dict.fromkeys(_CHAINS, 0.0)
-
-    def record(name, vals):
-        res = np.maximum(mod.norms_of(vals[0] - vals[1]), mod.norms_of(vals[1] - vals[2]))
-        chain_residuals[name] = max(chain_residuals[name], float(res.max()))
-
-    if total <= budget:
-        for name, exprs in _CHAINS.items():
-            record(name, [np.einsum(spec, tensors[t1], tensors[t2]) for spec, (t1, t2) in exprs])
-        tuples_checked = total
-        exhaustive = True
+    exhaustive = total <= budget
+    if exhaustive:
+        tuples_checked, chunks = total, range(alg.dim)
     else:
         rng = np.random.default_rng(seed)
         tuples_checked = min(budget, 100_000)
-        ia = rng.integers(0, alg.dim, size=(4, tuples_checked))
-        ix = rng.integers(0, mod.dim, size=tuples_checked)
-        for start in range(0, tuples_checked, _TUPLE_CHUNK):
-            part = slice(start, start + _TUPLE_CHUNK)
-            idx = dict(zip("abcd", ia[:, part]), x=ix[part])
-            for name, exprs in _CHAINS.items():
-                record(
-                    name,
-                    [_gathered(spec, tensors[t1], tensors[t2], idx) for spec, (t1, t2) in exprs],
-                )
-        exhaustive = False
+        where = np.vstack([rng.integers(0, alg.dim, size=(4, tuples_checked)),
+                           rng.integers(0, mod.dim, size=tuples_checked)])
+        chunks = (where[:, s:s + _TUPLE_CHUNK] for s in range(0, tuples_checked, _TUPLE_CHUNK))
+    found = _law_residuals(_CHAINS, tensors, mod.norms_of, chunks)
+    chain_residuals = {name: res for name, (res, _) in found.items()}
 
     # a, b and x of each sample drawn in turn, evaluated as three stacks
     rng = np.random.default_rng(seed + 1)

@@ -402,7 +402,7 @@ class StabilizationReport:
         return self.bounds_ok and self.identity_ok and self.linearity_ok and self.converged
 
 
-def _recover_matrix(evaluable, control, alg, tol, max_iter, out_dim, out_norm, name,
+def _recover_matrix(evaluable, control, alg, tol, max_iter, out_norm, name,
                     traces, iterations, failures):
     columns = []
     iters = []
@@ -419,7 +419,7 @@ def _recover_matrix(evaluable, control, alg, tol, max_iter, out_dim, out_norm, n
             failures.append(
                 {"map": name, "basis_index": i, "code": exc.code, "message": str(exc)}
             )
-            col = np.zeros(out_dim, dtype=alg.dtype)
+            col = np.zeros(evaluable.out_dim, dtype=alg.dtype)
             n = exc.iterations if exc.iterations is not None else 0
         columns.append(col)
         iters.append(n)
@@ -478,7 +478,9 @@ def direct_method_stabilize(
     if mode not in ("lie", "jordan"):
         raise ValueError("mode must be 'lie' or 'jordan'")
     alg = mod.algebra
-    for name, m in (("f", f), ("g", g), ("h", h), ("k", k)):
+    named = (("f", f, mod.norm_of), ("g", g, alg.norm_of), ("h", h, alg.norm_of),
+             ("k", k, alg.norm_of))
+    for name, m, _ in named:
         origin = m(np.zeros(m.in_dim, dtype=alg.dtype))
         if l2_norm(origin) > 1e-12:
             raise ValueError(f"{name}(0) != 0; the direct method requires it")
@@ -486,25 +488,13 @@ def direct_method_stabilize(
     traces: dict = {}
     iterations: dict = {}
     failures: list = []
-    recovered = {}
-    for name, evaluable, out_dim, out_norm in (
-        ("f", f, mod.dim, mod.norm_of),
-        ("g", g, alg.dim, alg.norm_of),
-        ("h", h, alg.dim, alg.norm_of),
-        ("k", k, alg.dim, alg.norm_of),
-    ):
-        recovered[name] = _recover_matrix(
-            evaluable, control, alg, tol, max_iter, out_dim, out_norm, name,
-            traces, iterations, failures,
-        )
+    recovered = {
+        name: _recover_matrix(evaluable, control, alg, tol, max_iter, out_norm, name,
+                              traces, iterations, failures)
+        for name, evaluable, out_norm in named
+    }
     deriv, sigma, tau, xi = (recovered[n] for n in "fghk")
 
-    named = (
-        ("f", f, mod.norm_of),
-        ("g", g, alg.norm_of),
-        ("h", h, alg.norm_of),
-        ("k", k, alg.norm_of),
-    )
     rng = np.random.default_rng([seed, 0x51])
     linearity_max = 0.0
     if not failures:

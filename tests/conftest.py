@@ -3,8 +3,6 @@ import pytest
 
 import ternstab as ts
 
-REPO_ROOT = None
-
 
 def pytest_runtest_logreport(report):
     # one visible pass/fail line per acceptance criterion

@@ -152,6 +152,42 @@ class TestStabilize:
         assert "CONFIG_INVALID" in err and ".".join(path[-2:]) in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "patch, field",
+        [
+            ({("perturbation", "f", "direction"): "random"}, "perturbation.f.direction"),
+            ({("perturbation", "f", "seed"): "abc"}, "perturbation.f.seed"),
+            ({("algebra", "cap"): 4}, "algebra.cap"),
+            ({("algebra", "cap"): "x"}, "algebra.cap"),
+            ({("algebra", "builder"): "trivial-matrix", ("algebra", "m"): 0}, "algebra.m"),
+            ({("algebra", "field"): "quaternion"}, "algebra.field"),
+            ({("control", "arity"): "five"}, "control.arity"),
+            ({("maps", "sigma"): {"random_seed": "q"}}, "maps.sigma.random_seed"),
+            ({("maps", "sigma"): {"matrix": [[1, 2], [3]]}}, "maps.sigma.matrix"),
+            ({("samples",): [1, 2]}, "samples"),
+            ({("algebra",): "odd-poly"}, "algebra"),
+            ({("derivation", "on_empty"): "explode"}, "derivation.on_empty"),
+            ({("fallback_maps",): [{"tau": {"matrix": "x"}}]}, "fallback_maps.0.tau.matrix"),
+            ({("out",): {"dir": 5}}, "out.dir"),
+            ({("signs",): [float("inf"), 1, 1]}, "signs"),
+        ],
+    )
+    def test_malformed_field_is_a_coded_error(self, patch, field, tmp_path, capsys):
+        raw = json.loads((CONFIG_DIR / "oddpoly3_p05.json").read_text())
+        for path, value in patch.items():
+            node = raw
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        code = cli_main(["stabilize", str(cfg), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "CONFIG_INVALID" in err and field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_zero_max_iter_is_valid(self):
         raw = json.loads((CONFIG_DIR / "oddpoly3_p05.json").read_text())
         raw["max_iter"] = 0

@@ -1,0 +1,117 @@
+"""Fuzzed experiment configs: every dict either loads or is a coded error.
+
+The generated dicts mix plausible values for every config field with
+arbitrary JSON-like values in their place.  Algebra sizes stay small
+(m <= 3, cap <= 9), so a config that loads builds its algebra quickly.
+"""
+
+import math
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ternstab as ts
+from ternstab.errors import ConfigError
+
+WORDS = ["lie", "jordan", "real", "complex", "odd-poly", "trivial-matrix", "octonion",
+         "fixed", "hash", "random", "zero", "error", "power", "custom", "identity", ""]
+KEYS = ["kind", "theta", "p", "arity", "matrix", "random_seed", "direction", "seed",
+        "vector", "dir", "rank_tol", "pick", "on_empty", "file", "sigma"]
+
+# arbitrary JSON values; integers and strings stay small, so no count or size
+# read from them can make the loader build a large algebra
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(WORDS),
+    st.text(alphabet="ax-.", max_size=3),
+)
+junk = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(KEYS), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+
+
+def field(plausible):
+    return st.one_of(plausible, junk)
+
+
+small_float = st.floats(-0.5, 1.5)
+algebra = field(st.fixed_dictionaries(
+    {"builder": field(st.sampled_from(["odd-poly", "trivial-matrix", "octonion"]))},
+    optional={
+        "cap": field(st.integers(-1, 9)),
+        "m": field(st.integers(-1, 3)),
+        "field": field(st.sampled_from(["real", "complex", "quaternion"])),
+    },
+))
+linear_map = field(st.one_of(
+    st.just("identity"),
+    st.fixed_dictionaries({"random_seed": field(st.integers(-1, 5))}),
+    st.fixed_dictionaries({"matrix": field(st.lists(st.lists(small_float, max_size=3),
+                                                    max_size=3))}),
+))
+maps = field(st.fixed_dictionaries({}, optional={n: linear_map for n in ("sigma", "tau", "xi")}))
+power_law = {"theta": field(small_float), "p": field(small_float)}
+perturbation = field(st.fixed_dictionaries({}, optional={
+    **power_law,
+    "direction": field(st.sampled_from(["fixed", "hash", "random"])),
+    "seed": field(st.integers(-2, 2**70)),
+    "vector": junk,
+}))
+configs = st.fixed_dictionaries({}, optional={
+    "algebra": algebra,
+    "maps": maps,
+    "fallback_maps": field(st.lists(maps, max_size=2)),
+    "signs": field(st.lists(st.sampled_from([1, -1, 2, 0.5, math.inf]), max_size=4)),
+    "mode": field(st.sampled_from(["lie", "jordan", "x"])),
+    "control": field(st.fixed_dictionaries({}, optional={
+        "kind": field(st.sampled_from(["power", "custom"])),
+        "arity": field(st.sampled_from([3, 5, 4, "5"])),
+        **power_law,
+    })),
+    "perturbation": field(st.fixed_dictionaries({}, optional={n: perturbation for n in "fghk"})),
+    "tol": field(st.floats(-1.0, 1.0)),
+    "max_iter": field(st.integers(-2, 2000)),
+    "seed": field(st.integers(-2, 2**70)),
+    "lambda_grid": field(st.integers(0, 20)),
+    "samples": field(st.dictionaries(
+        st.sampled_from(["bound_points", "identity_triples", "hypothesis_tuples",
+                         "linearity_points"]),
+        field(st.integers(-2, 200)),
+    )),
+    "derivation": field(st.fixed_dictionaries({}, optional={
+        "rank_tol": field(st.floats(-1.0, 1.0)),
+        "pick": field(st.integers(-2, 3)),
+        "on_empty": field(st.sampled_from(["zero", "error", "explode"])),
+    })),
+    "out": field(st.fixed_dictionaries({}, optional={"dir": field(st.just("run"))})),
+})
+
+
+@pytest.fixture(scope="module")
+def empty_cwd(tmp_path_factory):
+    # input files resolve against the working directory; in an empty one
+    # every generated file name is missing
+    old = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("fuzz"))
+    yield
+    os.chdir(old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=configs)
+def test_config_loads_or_is_a_coded_error(empty_cwd, raw):
+    try:
+        config = ts.load_config(raw)
+    except ConfigError:
+        return
+    assert config.algebra.dim <= 9
+    assert config.mode in ("lie", "jordan")
+    assert config.on_empty in ("zero", "error")

@@ -1,0 +1,332 @@
+"""The axiom laws, their one evaluator and the checkers built on it.
+
+``check_ternary_associativity`` is compared with a copy of its earlier
+version (two einsums per exhaustive slice, two gathered einsums per sampled
+chunk), bitwise on the report.  ``verify_identity_and_reduce`` and the
+rescale ascent are compared with the einsums they used before the
+contraction kernel took them over.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import ternstab as ts
+from ternstab import algebra as algebra_mod
+from ternstab import module as module_mod
+from ternstab.algebra import (
+    _ASSOC_LAW,
+    _law_residuals,
+    _law_values,
+    _random_vector,
+    ternary_product,
+)
+from ternstab.module import _CHAINS
+
+
+def _random_array(rng, shape, field):
+    out = rng.standard_normal(shape)
+    if field == "complex":
+        out = out + 1j * rng.standard_normal(shape)
+    return out
+
+
+def _random_algebra(d, field, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return ts.TernaryAlgebra(d, field, scale * _random_array(rng, (d,) * 4, field))
+
+
+def _random_module(alg, dx, seed):
+    rng = np.random.default_rng(seed)
+    da = alg.dim
+    return ts.TernaryModule(
+        algebra=alg,
+        dim=dx,
+        product_xab=_random_array(rng, (dx, da, da, dx), alg.field),
+        product_axb=_random_array(rng, (da, dx, da, dx), alg.field),
+        product_abx=_random_array(rng, (da, da, dx, dx), alg.field),
+    )
+
+
+def _reference_associativity(alg, tol, budget=1_000_000, seed=0, samples=None):
+    """The associativity check before the shared law evaluator."""
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    d = alg.dim
+    t = alg.structure
+    total = d**5
+    worst = (0, 0, 0, 0, 0)
+    max_res = 0.0
+    if total <= budget and samples is None:
+        # chunk over the first index: d^4 x d residual block per slice
+        for i in range(d):
+            lhs = np.einsum("jkq,qlmr->jklmr", t[i], t)
+            rhs = np.einsum("jklq,qmr->jklmr", t, t[i])
+            norms = alg.norms_of(lhs - rhs)
+            pos = np.unravel_index(int(np.argmax(norms)), norms.shape)
+            if norms[pos] > max_res:
+                max_res = float(norms[pos])
+                worst = (i, *map(int, pos))
+        checked = total
+        exhaustive = True
+    else:
+        rng = np.random.default_rng(seed)
+        checked = samples if samples is not None else budget
+        done = 0
+        while done < checked:
+            n = min(algebra_mod._TUPLE_CHUNK, checked - done)
+            idx = rng.integers(0, d, size=(5, n))
+            i, j, k, l, m = idx
+            # t[:, l, m, :] has adjacent advanced axes -> (q, t, r);
+            # t[i, :, m, :] has split advanced axes -> (t, q, r)
+            lhs = np.einsum("tq,qtr->tr", t[i, j, k, :], t[:, l, m, :])
+            rhs = np.einsum("tq,tqr->tr", t[j, k, l, :], t[i, :, m, :])
+            norms = alg.norms_of(lhs - rhs)
+            pos = int(np.argmax(norms))
+            if norms[pos] > max_res:
+                max_res = float(norms[pos])
+                worst = tuple(int(idx[s, pos]) for s in range(5))
+            done += n
+        exhaustive = False
+    return ts.AssocReport(max_res, float(tol), max_res <= tol, worst, checked, exhaustive)
+
+
+def _algebras(field):
+    perturbed = ts.trivial_matrix_algebra(2, field)
+    bump = 1e-6 * _random_array(np.random.default_rng(3), perturbed.structure.shape, field)
+    return {
+        "matrix2": ts.trivial_matrix_algebra(2, field),
+        "oddpoly7": ts.odd_polynomial_algebra(7, field),
+        "perturbed-matrix2": replace(perturbed, structure=perturbed.structure + bump),
+        "random3": _random_algebra(3, field, 1),
+        "random5": _random_algebra(5, field, 2),
+        "scalar": ts.TernaryAlgebra(1, field, np.full((1, 1, 1, 1), 0.5)),
+    }
+
+
+ASSOC_RUNS = {
+    "exhaustive": {},
+    "multi-chunk": {"samples": 2 * algebra_mod._TUPLE_CHUNK + 17, "seed": 3},
+    "budget-forced": {"budget": 100, "seed": 4},
+    "no-samples": {"samples": 0},
+    "few-samples": {"samples": 7, "seed": 5},
+}
+
+
+class TestAssociativityMatchesEarlierCode:
+    @pytest.mark.parametrize("run", list(ASSOC_RUNS))
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_report_is_bitwise_equal(self, field, run):
+        kwargs = ASSOC_RUNS[run]
+        for name, alg in _algebras(field).items():
+            got = ts.check_ternary_associativity(alg, 1e-9, **kwargs)
+            want = _reference_associativity(alg, 1e-9, **kwargs)
+            assert repr(got) == repr(want), name
+
+    def test_exhaustive_and_sampled_agree_on_a_violation(self):
+        alg = _algebras("real")["random3"]
+        exhaustive = ts.check_ternary_associativity(alg, 0.0)
+        # every basis tuple is drawn with 3**5 * 40 samples, so the maximum is hit
+        sampled = ts.check_ternary_associativity(alg, 0.0, samples=3**5 * 40)
+        assert exhaustive.exhaustive and not sampled.exhaustive
+        assert sampled.max_residual == exhaustive.max_residual
+        assert sampled.worst == exhaustive.worst
+
+
+def _law_tensors(field):
+    alg = _random_algebra(3, field, 7)
+    mod = _random_module(alg, 2, 8)
+    return alg, mod, {"T": alg.structure, "TA": alg.structure, "Pxab": mod.product_xab,
+                      "Paxb": mod.product_axb, "Pabx": mod.product_abx}
+
+
+EXPRESSIONS = [expr for law in (_ASSOC_LAW, _CHAINS) for exprs in law.values() for expr in exprs]
+
+
+class TestLawValues:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("spec, names", EXPRESSIONS, ids=[s for s, _ in EXPRESSIONS])
+    def test_slice_is_the_full_einsum_slice(self, spec, names, field):
+        _, _, tensors = _law_tensors(field)
+        full = np.einsum(spec, *(tensors[n] for n in names))
+        for where in range(full.shape[0]):
+            got = _law_values(spec, *(tensors[n] for n in names), where)
+            assert got.shape == full.shape[1:]
+            np.testing.assert_array_equal(got, full[where])
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("spec, names", EXPRESSIONS, ids=[s for s, _ in EXPRESSIONS])
+    def test_gathered_tuples_are_full_einsum_entries(self, spec, names, field):
+        _, _, tensors = _law_tensors(field)
+        full = np.einsum(spec, *(tensors[n] for n in names))
+        rng = np.random.default_rng(9)
+        where = np.stack([rng.integers(0, size, 40) for size in full.shape[:-1]])
+        got = _law_values(spec, *(tensors[n] for n in names), where)
+        assert got.shape == (40, full.shape[-1])
+        np.testing.assert_allclose(got, full[tuple(where)], rtol=1e-14, atol=1e-14)
+
+    def test_slice_takes_a_view(self):
+        # the fixed letter sits in the second operand, one axis in
+        _, _, tensors = _law_tensors("real")
+        spec = "bcdq,xaqr->abcdxr"
+        seen = []
+        original = np.einsum
+
+        def spy(subscripts, *operands):
+            seen.append((subscripts, operands))
+            return original(subscripts, *operands)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "einsum", spy)
+            _law_values(spec, tensors["TA"], tensors["Pxab"], 1)
+        [(subscripts, (left, right))] = seen
+        assert subscripts == "bcdq,xqr->bcdxr"
+        assert left is tensors["TA"]
+        assert np.shares_memory(right, tensors["Pxab"])
+
+
+class TestLawResiduals:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_exhaustive_maximum_and_tuple(self, field):
+        alg, mod, tensors = _law_tensors(field)
+        found = _law_residuals(_CHAINS, tensors, mod.norms_of, range(alg.dim))
+        for name, exprs in _CHAINS.items():
+            vals = [np.einsum(spec, *(tensors[n] for n in names)) for spec, names in exprs]
+            norms = np.maximum(mod.norms_of(vals[0] - vals[1]), mod.norms_of(vals[1] - vals[2]))
+            worst = np.unravel_index(int(np.argmax(norms)), norms.shape)
+            assert found[name] == (float(norms[worst]), tuple(map(int, worst))), name
+
+    def test_sampled_chunks_give_the_tuple(self):
+        alg, _, tensors = _law_tensors("real")
+        rng = np.random.default_rng(4)
+        where = rng.integers(0, alg.dim, size=(5, 50))
+        chunks = [where[:, :20], where[:, 20:]]
+        residual, worst = _law_residuals(_ASSOC_LAW, tensors, alg.norms_of, chunks)["assoc"]
+        vals = [np.einsum(s, tensors["T"], tensors["T"]) for s, _ in _ASSOC_LAW["assoc"]]
+        norms = alg.norms_of(vals[0] - vals[1])[tuple(where)]
+        assert residual == pytest.approx(norms.max(), rel=1e-14)
+        assert worst == tuple(map(int, where[:, int(np.argmax(norms))]))
+
+    def test_zero_differences_keep_no_tuple(self):
+        alg = ts.trivial_matrix_algebra(2)
+        found = _law_residuals(_ASSOC_LAW, {"T": alg.structure}, alg.norms_of, range(4))
+        assert found == {"assoc": (0.0, None)}
+        report = ts.check_ternary_associativity(alg, 0.0)
+        assert report.worst == (0, 0, 0, 0, 0) and report.passed
+
+
+class TestModuleChunks:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_chunk_size_does_not_change_the_report(self, field, monkeypatch):
+        alg = _random_algebra(3, field, 5)
+        mod = _random_module(alg, 4, 6)
+        kwargs = dict(samples=10, seed=2, budget=300)
+        whole = ts.check_module_axioms(mod, 1e-9, **kwargs)
+        monkeypatch.setattr(module_mod, "_TUPLE_CHUNK", 7)
+        assert repr(ts.check_module_axioms(mod, 1e-9, **kwargs)) == repr(whole)
+
+
+def _reference_reduction(alg, e):
+    t = alg.structure
+    eye = alg.basis()
+    right = np.einsum("j,k,ijkl->il", e, e, t)
+    mid = np.einsum("i,k,ijkl->jl", e, e, t)
+    left = np.einsum("i,j,ijkl->kl", e, e, t)
+    per_basis = alg.norms_of(np.stack([right, mid, left]) - eye).max(axis=0)
+    table = np.einsum("j,ijkl->ikl", e, t)
+    assoc_left = np.einsum("ijq,qkl->ijkl", table, table)
+    assoc_right = np.einsum("jkq,iql->ijkl", table, table)
+    assoc = alg.norms_of(assoc_left - assoc_right)
+    # the residual is a difference, so its error scales with the products
+    return per_basis, table, float(assoc.max()), float(alg.norms_of(assoc_left).max())
+
+
+def _rel_close(got, want, scale=None, rel=1e-14):
+    got, want = np.asarray(got), np.asarray(want)
+    scale = np.abs(want).max() if scale is None else scale
+    assert np.all(np.abs(got - want) <= rel * scale)
+
+
+class TestIdentityReduction:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("d", [1, 2, 4, 6])
+    def test_matches_the_einsums(self, d, field):
+        rng = np.random.default_rng(d)
+        alg = _random_algebra(d, field, d + 10)
+        e = _random_array(rng, d, field)
+        per_basis, table, assoc, scale = _reference_reduction(alg, e)
+        red = ts.verify_identity_and_reduce(alg, e, tol=1e300)
+        _rel_close(red.identity_residual, per_basis.max())
+        _rel_close(red.table, table)
+        _rel_close(red.assoc_residual, assoc, scale)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matrix_identity_is_exact(self, m):
+        alg = ts.trivial_matrix_algebra(m, "complex")
+        red = ts.verify_identity_and_reduce(alg, np.eye(m).ravel(), tol=1e-12)
+        assert red.identity_residual == 0.0 and red.assoc_residual == 0.0
+        np.testing.assert_array_equal(red.table, _reference_reduction(alg, red.identity)[1])
+
+    def test_failure_names_the_same_basis_vector(self):
+        alg = _random_algebra(4, "real", 3)
+        e = np.random.default_rng(2).standard_normal(4)
+        per_basis = _reference_reduction(alg, e)[0]
+        with pytest.raises(ts.IdentityCheckError) as info:
+            ts.verify_identity_and_reduce(alg, e, tol=1e-12)
+        assert info.value.worst_index == int(np.argmax(per_basis))
+        _rel_close(info.value.residual, per_basis.max())
+
+
+def _reference_rescale(alg, samples, seed=0, ascent_rounds=4):
+    """The rescale with its per-slot einsums."""
+    d = alg.dim
+    t = alg.structure
+    if not np.any(t):
+        return alg
+    rng = np.random.default_rng(seed)
+
+    def ratio(a, b, c):
+        na, nb, nc = alg.norm_of(a), alg.norm_of(b), alg.norm_of(c)
+        if na == 0 or nb == 0 or nc == 0:
+            return 0.0, None
+        val = alg.norm_of(ternary_product(alg, a, b, c)) / (na * nb * nc)
+        return val, (a, b, c)
+
+    best_val = 0.0
+    top = []
+    for _ in range(samples):
+        val, triple = ratio(*(_random_vector(rng, d, alg.field) for _ in range(3)))
+        if triple is None:
+            continue
+        top.append((val, triple))
+        best_val = max(best_val, val)
+    top.sort(key=lambda item: -item[0])
+    top = top[: min(5, len(top))]
+    if alg.norm is None:
+        slot_einsum = ("j,k,ijkl->li", "i,k,ijkl->lj", "i,j,ijkl->lk")
+        for val, (a, b, c) in top:
+            vecs = [a.copy(), b.copy(), c.copy()]
+            for _ in range(ascent_rounds):
+                for slot in range(3):
+                    others = [vecs[s] for s in range(3) if s != slot]
+                    mat = np.einsum(slot_einsum[slot], others[0], others[1], t)
+                    _, _, vh = np.linalg.svd(mat)
+                    vecs[slot] = vh[0].conj()
+            val, _ = ratio(*vecs)
+            best_val = max(best_val, val)
+    kappa = max(1.0, float(np.sqrt(best_val)))
+    return replace(alg, norm_scale=alg.norm_scale * kappa)
+
+
+class TestRescaleAscent:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_einsums(self, field, seed):
+        for alg in (_random_algebra(4, field, seed), _random_algebra(3, field, seed, scale=3.0),
+                    replace(ts.trivial_matrix_algebra(2, field),
+                            structure=3.0 * ts.trivial_matrix_algebra(2, field).structure)):
+            got = ts.rescale_norm_submultiplicative(alg, samples=40, seed=seed)
+            want = _reference_rescale(alg, samples=40, seed=seed)
+            assert got.norm_scale > 1.0
+            _rel_close(got.norm_scale, want.norm_scale)

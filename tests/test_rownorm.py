@@ -15,7 +15,7 @@ import ternstab as ts
 from ternstab import algebra as algebra_mod
 from ternstab.algebra import _random_vector, _row_norms, l2_norm, ternary_product
 from ternstab.control import summed_majorant
-from ternstab.module import _CHAINS, _gathered, product_abx, product_axb, product_xab
+from ternstab.module import _CHAINS, product_abx, product_axb, product_xab
 from ternstab.serialize import module_from_json, module_to_json
 from ternstab.stability import _lambda_grid
 
@@ -148,6 +148,20 @@ class TestNormsOf:
         assert ts.TernaryModule(alg, alg.dim, *[alg.structure] * 3,
                                 norm=lambda v: alg.norm_of(v)).norms_of(stack).shape == (50,)
         assert len(calls) == 50
+
+
+def _gathered(spec: str, t1: np.ndarray, t2: np.ndarray, idx: dict) -> np.ndarray:
+    """One ``_CHAINS`` expression at sampled basis tuples.
+
+    ``idx`` maps each of the letters a, b, c, d, x to an index array of
+    length n; the result has shape ``(n, dX)``.
+    """
+    first, second = spec.split("->")[0].split(",")
+    left = t1[tuple(idx[s] for s in first[:-1])]
+    # move q next to r so the two gathered axes stay in front: (n, q, r)
+    right = np.moveaxis(t2, second.index("q"), 2)
+    right = right[tuple(idx[s] for s in second if s not in "qr")]
+    return np.einsum("nq,nqr->nr", left, right)
 
 
 def _loop_norms(space, vectors):

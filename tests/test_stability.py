@@ -197,6 +197,23 @@ class TestDirectMethodStabilize:
         assert not report.all_passed
         assert {f["map"] for f in report.failures} == {"f"}
 
+    def test_failed_columns_have_the_maps_out_dim(self, oddpoly3, identity2):
+        # f maps the 2-dim algebra into a 3-dim module: its zero columns
+        # for failed basis vectors are 3 long, those of g, h, k 2 long
+        rng = np.random.default_rng(4)
+        mod = ts.TernaryModule(oddpoly3, 3, rng.standard_normal((3, 2, 2, 3)),
+                               rng.standard_normal((2, 3, 2, 3)), rng.standard_normal((2, 2, 3, 3)))
+        bad = ts.EvaluableMap(2, 3, lambda x: np.linalg.norm(x) ** 1.5 * np.ones(3))
+        g = ts.EvaluableMap(2, 2, lambda x: np.linalg.norm(x) ** 1.5 * np.ones(2))
+        control = ts.custom_control(lambda *a: 0.0, arity=5)
+        report = ts.direct_method_stabilize(
+            bad, g, g, g, control, mod, tol=1e-12, max_iter=5, seed=1,
+            bound_points=2, identity_triples=2, linearity_points=0,
+        )
+        assert {f["map"] for f in report.failures} == set("fghk")
+        assert report.derivation.matrix.shape == (3, 2)
+        assert report.sigma.matrix.shape == (2, 2)
+
 
 class TestCheckHypothesis:
     def test_exact_derivation_zero_control_no_violations(
