@@ -11,6 +11,7 @@ condition ``|[abc]| <= |a| |b| |c|`` can be enforced by rescaling.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,30 +42,41 @@ def l2_norm(v) -> float:
     return float(_row_norms(np.asarray(v).ravel(order="K")))
 
 
+@np.errstate(over="ignore")  # rows whose squares overflow are recomputed below
 def _row_norms(vectors) -> np.ndarray:
     """2-norm along the last axis, each bitwise equal to ``np.linalg.norm`` of
     its row alone: on a C-contiguous copy ``vecdot`` sums a row's squares in
     the order of ``norm``'s dot product (``norm(axis=-1)`` and ``einsum``
     reorder them).  Rows whose squares overflow although their entries are
-    finite are recomputed after an exact power-of-two rescale.
+    finite are recomputed after an exact power-of-two rescale, without a
+    numpy overflow warning.
     """
     v = np.asarray(vectors)
     if not issubclass(v.dtype.type, np.inexact):
         v = v.astype(np.float64)
     v = np.ascontiguousarray(v)
-    dot = np.vecdot if v.ndim > 1 else np.ndarray.dot
-    if v.dtype.kind == "c":
-        out = np.sqrt(dot(v.real, v.real) + dot(v.imag, v.imag))
+    if v.ndim == 1:
+        # one vector: the dot product of ``norm``; math.sqrt rounds as
+        # np.sqrt does at a fraction of its call cost on a scalar
+        square = v.dot(v) if v.dtype.kind != "c" else v.real.dot(v.real) + v.imag.dot(v.imag)
+        root = math.sqrt(square)
+        if root != math.inf:
+            return np.float64(root)
+        out, over = np.float64(root), np.isfinite(v).all()
     else:
-        out = np.sqrt(dot(v, v))
-    over = out == np.inf
-    # one vector's bool is tested directly: .any() costs as much as its norm
-    if over.any() if over.ndim else over:
+        dot = np.vecdot
+        if v.dtype.kind == "c":
+            out = np.sqrt(dot(v.real, v.real) + dot(v.imag, v.imag))
+        else:
+            out = np.sqrt(dot(v, v))
+        over = out == np.inf
+        if not over.any():
+            return out
         over = over & np.isfinite(v).all(axis=-1)
-        rows = v[over]
-        exp = np.frexp(np.maximum(abs(rows.real).max(-1), abs(rows.imag).max(-1)))[1]
-        out = np.array(out)
-        out[over] = np.ldexp(_row_norms(rows * np.ldexp(1.0, -exp)[:, None]), exp)
+    rows = v[over]
+    exp = np.frexp(np.maximum(abs(rows.real).max(-1), abs(rows.imag).max(-1)))[1]
+    out = np.array(out)
+    out[over] = np.ldexp(_row_norms(rows * np.ldexp(1.0, -exp)[:, None]), exp)
     return out
 
 

@@ -16,13 +16,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .algebra import (
-    check_ternary_associativity,
-    odd_polynomial_algebra,
-    trivial_matrix_algebra,
-)
+from .algebra import check_ternary_associativity
 from .errors import ConfigError, TernstabError
 from .harness import (
+    _build_algebra,
     _parse_config,
     _read_config,
     load_config,
@@ -100,12 +97,12 @@ def _cmd_algebra_check(args) -> int:
     if args.target:
         alg = algebra_from_json(read_json(args.target))
         label = args.target
-    elif args.builder == "trivial-matrix":
-        alg = trivial_matrix_algebra(args.m, args.field)
-        label = f"trivial-matrix m={args.m}"
-    elif args.builder == "odd-poly":
-        alg = odd_polynomial_algebra(args.cap, args.field)
-        label = f"odd-poly cap={args.cap}"
+    elif args.builder:
+        # the config's builder checks: a bad --m or --cap is CONFIG_INVALID
+        size = {"trivial-matrix": "m", "odd-poly": "cap"}[args.builder]
+        spec = {"builder": args.builder, size: getattr(args, size), "field": args.field}
+        alg = _build_algebra(spec, Path.cwd())
+        label = f"{args.builder} {size}={spec[size]}"
     else:
         print("error: give an algebra file or --builder", file=sys.stderr)
         return 2
@@ -135,6 +132,8 @@ def _cmd_derive_solve(args) -> int:
     sigma, tau, xi = config.map_candidates[0]
     basis = solve_exact_derivations(mod, sigma, tau, xi, signs, config.rank_tol)
     print(f"derivation space dimension: {len(basis)} (signs {signs.as_tuple()})")
+    print("rank margin: " + ", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
+                                      for k, v in basis.margin.items()))
     for idx, lm in enumerate(basis):
         print(f"basis[{idx}] =")
         print(lm.matrix)

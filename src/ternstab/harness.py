@@ -254,13 +254,20 @@ def _build_map(spec, alg: TernaryAlgebra, base_dir: Path, name: str) -> LinearMa
     raise ConfigError(f"cannot interpret map spec {name}: {spec!r}")
 
 
-def _parse_perturbation(spec: dict, name: str) -> PerturbationSpec:
+def _parse_perturbation(spec: dict, name: str, dim: int) -> PerturbationSpec:
     theta, p = _power_law(_typed(spec, name), name, 0.0)
+    vector = spec.get("vector")
+    if vector is not None:
+        where = f"{name}.vector"
+        vector = [_number(x, where) for x in _typed(vector, where, list)]
+        if len(vector) != dim or not all(map(math.isfinite, vector)) or not any(vector):
+            raise ConfigError(f"{where} must be a nonzero list of {dim} finite numbers, "
+                              f"got {spec['vector']!r}")
     return PerturbationSpec(
         theta=theta,
         p=p,
         direction=_choice(spec.get("direction", "fixed"), f"{name}.direction", _DIRECTIONS),
-        vector=spec.get("vector"),
+        vector=vector,
         seed=_int_at_least(spec.get("seed", 0), f"{name}.seed", None),
     )
 
@@ -370,7 +377,7 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
     pert_raw = _typed(raw.get("perturbation", {}), "perturbation")
     perturbations = {
-        name: _parse_perturbation(pert_raw.get(name, {}), f"perturbation.{name}")
+        name: _parse_perturbation(pert_raw.get(name, {}), f"perturbation.{name}", algebra.dim)
         for name in MAP_NAMES
     }
 
@@ -436,7 +443,9 @@ def run_experiment(config, out_dir=None, write_files: bool = True) -> RunResult:
     ``write_files`` is set and an output directory is known.  Fatal errors
     (empty derivation space with ``on_empty: error``, divergent control,
     nonconvergent iteration) are recorded in the report under their codes
-    instead of propagating, and force ``all_passed`` to false.
+    instead of propagating, and force ``all_passed`` to false.  The
+    report's ``derivation`` entry is the solver's rank margin for the map
+    candidate used.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
@@ -480,6 +489,7 @@ def run_experiment(config, out_dir=None, write_files: bool = True) -> RunResult:
 
     report: dict = {
         "config_echo": config.raw,
+        "derivation": basis.margin,
         "recovered": None,
         "bounds": None,
         "hypothesis": None,

@@ -19,7 +19,6 @@ about the signs, so the convention is an explicit parameter.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,6 +200,84 @@ def residual_on_basis(
     return lie_derivation_residual(mod, deriv, *grid, sigma, tau, xi, signs)
 
 
+#: a column of the null rows becomes a pivot of the canonical basis when its
+#: part outside the span of the pivots already taken is longer than this
+_PIVOT_TOL = 1e-8
+
+
+class DerivationBasis(list):
+    """The solver's basis list, with its rank decision as ``margin``.
+
+    ``margin`` holds the system's ``rows``, its ``nonzero_rows`` and
+    ``columns``, the resulting ``null_dim``, ``sigma_max``, the largest
+    singular value counted null (``sigma_null``, 0.0 for the directions the
+    rank deficit of a short system adds), the smallest one kept
+    (``sigma_kept``) and ``ratio = sigma_null / sigma_kept``.  An entry with
+    nothing to measure (no null or no kept direction) is ``None``.
+    """
+
+    margin: dict
+
+
+def _twisted_bracket_table(mod: TernaryModule, sigma, tau, xi) -> np.ndarray:
+    """``G[u, b, c, w]``: coordinate ``w`` of the twisted bracket ``[e_u b c]``
+    at basis vectors, ``sum tau[q,b] xi[r,c] Pxab[u,q,r,w] -
+    sum sigma[p,c] tau[q,b] Pabx[p,q,u,w]``."""
+    ex = np.eye(mod.dim, dtype=mod.dtype)[:, None, None, :]
+    tb = tau.matrix.T[None, :, None, :]
+    return _trilinear(mod.product_xab, ex, tb, xi.matrix.T[None, None, :, :]) - _trilinear(
+        mod.product_abx, sigma.matrix.T[None, None, :, :], tb, ex
+    )
+
+
+def _jacobian_block(structure, table, i: int, signs: SignConvention) -> np.ndarray:
+    """Rows ``(i, j, k, w)`` of the derivation system for one first index ``i``.
+
+    Column ``(u, v)`` is the entry ``D[u, v]``; the defect is linear in it:
+    ``J[(i,j,k,w),(u,v)] = delta_wu T[i,j,k,v] - s1 delta_iv G[u,j,k,w]
+    - s2 delta_jv G[u,i,k,w] - s3 delta_kv G[u,j,i,w]``.
+    """
+    dx, da = table.shape[0], structure.shape[0]
+    block = np.zeros((da, da, dx, dx, da), dtype=table.dtype)  # [j, k, w, u, v]
+    w, a = np.arange(dx), np.arange(da)
+    block[:, :, w, w, :] = structure[i][:, :, None, :]
+    block[:, :, :, :, i] -= signs.s1 * table.transpose(1, 2, 3, 0)
+    block[a, :, :, :, a] -= signs.s2 * table[:, i].transpose(1, 2, 0)
+    block[:, a, :, :, a] -= signs.s3 * table[:, :, i].transpose(1, 2, 0)[None]
+    return block.reshape(da * da * dx, dx * da)
+
+
+def _canonical_null_basis(rows: np.ndarray) -> np.ndarray:
+    """One fixed orthonormal basis of the row span of ``rows``.
+
+    Any rotation of the same span gives the same result.  Pivot columns are
+    taken from the last column down: a column is a pivot when its part
+    outside the span of the pivots already taken is longer than
+    ``_PIVOT_TOL``.  The rows are brought to reduced echelon form on those
+    pivots (the identity on the pivot columns) and orthonormalised in pivot
+    order, largest pivot column first, each row's pivot entry positive real.
+    """
+    k = rows.shape[0]
+    pivots: list = []
+    span = np.zeros((k, 0), dtype=rows.dtype)  # orthonormal, spans the pivot columns
+    for col in range(rows.shape[1] - 1, -1, -1):
+        if len(pivots) == k:
+            break
+        part = rows[:, col]
+        for _ in range(2):  # a second pass restores orthogonality
+            part = part - span @ (span.conj().T @ part)
+        length = np.linalg.norm(part)
+        if length > _PIVOT_TOL:
+            pivots.append(col)
+            span = np.column_stack([span, part / length])
+    echelon = np.linalg.solve(rows[:, pivots], rows)
+    ortho = np.linalg.qr(echelon.T)[0].T
+    # Gram-Schmidt would leave each row's pivot entry positive; QR's
+    # reflections may flip it, so that sign is restored
+    at_pivot = ortho[np.arange(k), pivots]
+    return ortho * (np.abs(at_pivot) / at_pivot)[:, None]
+
+
 def solve_exact_derivations(
     mod: TernaryModule,
     sigma: LinearMap,
@@ -208,43 +285,80 @@ def solve_exact_derivations(
     xi: LinearMap,
     signs: SignConvention = LIE_SIGNS,
     rank_tol: float = 1e-10,
-) -> list:
+) -> DerivationBasis:
     """Orthonormal basis of the space of exact twisted derivations.
 
-    The derivation defect is linear in the entries of ``D``; stacking it
-    over all basis triples gives a ``(dA**3 * dX) x (dX * dA)`` system whose
-    null space is extracted by SVD.  Directions with singular value at most
-    ``rank_tol`` times the largest are counted as null.  The zero map is
-    always a solution and is not part of the returned basis; an empty list
-    means it is the only one.
+    The derivation defect over all basis triples is linear in the entries
+    of ``D``.  Its Jacobian is written in closed form from the structure
+    tensor and the twisted bracket at basis vectors (``_jacobian_block``),
+    one row block per first index ``i``, so the whole system never exists
+    at once.  Each block loses its all-zero rows and is stacked under the
+    running triangular factor, which an R-only QR then replaces: a
+    tall-skinny QR (TSQR).  The null space comes from the right singular
+    vectors of the final small ``R``.  Directions with singular value at
+    most ``rank_tol`` times the largest count as null, and so does the rank
+    deficit when fewer nonzero rows than columns remain.
+
+    The null rows then go through ``_canonical_null_basis`` (reduced
+    echelon form with pivots taken from the last entry down, orthonormalised
+    in that order), so the basis does not depend on which rotation of the
+    null space the factorisation returned.  Each vector is oriented so its
+    largest entry is positive real.  The zero map is always a solution and
+    is not part of the returned basis; an empty list means it is the only
+    one.  The list's ``margin`` reports the rank decision
+    (``DerivationBasis``).
     """
     _check_twist_maps(mod, sigma, tau, xi)
     da, dx = mod.algebra.dim, mod.dim
     dtype = mod.dtype
-    cols = []
-    for u, v in itertools.product(range(dx), range(da)):
-        unit = np.zeros((dx, da), dtype=dtype)
-        unit[u, v] = 1.0
-        cols.append(
-            residual_on_basis(mod, LinearMap(unit), sigma, tau, xi, signs).reshape(-1)
-        )
-    system = np.column_stack(cols)
-    _, svals, vh = np.linalg.svd(system, full_matrices=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        null_rows = vh
-    else:
-        null_rows = vh[svals <= rank_tol * svals[0]]
-    basis = []
-    # most-null direction first; orient each vector so its largest entry is
-    # positive real, making the basis reproducible
-    for row in null_rows[::-1]:
-        mat = row.conj().reshape(dx, da)
+    table = _twisted_bracket_table(mod, sigma, tau, xi)
+    columns = dx * da
+    r_factor = np.zeros((0, columns), dtype=dtype)
+    pending: list = []
+    single_sq = np.zeros(columns)
+    nonzero_rows = 0
+    for i in range(da):
+        block = _jacobian_block(mod.algebra.structure, table, i, signs)
+        entries = np.count_nonzero(block, axis=1)
+        nonzero_rows += int(np.count_nonzero(entries))
+        # rows with a single nonzero entry fold into one row per column, the
+        # root sum of their squares: an exact orthogonal reduction, as any
+        # QR step is, and most rows of a sparse structure tensor are such
+        single_sq += np.sum(np.abs(block[entries == 1]) ** 2, axis=0)
+        pending.append(block[entries > 1])
+        if sum(map(len, pending)) >= columns:
+            r_factor = np.linalg.qr(np.vstack([r_factor, *pending]), mode="r")
+            pending = []
+    folded = np.diag(np.sqrt(single_sq))[single_sq > 0]
+    r_factor = np.linalg.qr(np.vstack([r_factor, *pending, folded]), mode="r")
+    _, svals, vh = np.linalg.svd(r_factor)
+    sigma_max = float(svals[0]) if svals.size else 0.0
+    rank = int(np.count_nonzero(svals > rank_tol * sigma_max))
+
+    basis = DerivationBasis()
+    for row in _canonical_null_basis(vh[rank:].conj()):
+        mat = row.reshape(dx, da)
         anchor = mat.flat[int(np.argmax(np.abs(mat)))]
         if anchor != 0:
             mat = mat * (np.abs(anchor) / anchor)
         if dtype == np.float64:
             mat = mat.real
         basis.append(LinearMap(mat))
+
+    sigma_null = None
+    if rank < columns:
+        sigma_null = float(svals[rank]) if rank < svals.size else 0.0
+    sigma_kept = float(svals[rank - 1]) if rank else None
+    basis.margin = {
+        "rows": da**3 * dx,
+        "nonzero_rows": nonzero_rows,
+        "columns": columns,
+        "null_dim": columns - rank,
+        "sigma_max": sigma_max,
+        "sigma_null": sigma_null,
+        "sigma_kept": sigma_kept,
+        "ratio": None if sigma_null is None or sigma_kept is None else sigma_null / sigma_kept,
+    }
     return basis
 
 

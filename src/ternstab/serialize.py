@@ -181,7 +181,12 @@ def write_json(path, data: dict) -> Path:
 
 
 def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """The JSON value in the file at ``path``; text that is not JSON (or not
+    UTF-8) is a ``ConfigError``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
 
 
 TRACE_HEADER = ("basis_index", "n", "error", "tail_bound")

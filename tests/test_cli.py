@@ -47,6 +47,32 @@ class TestAlgebraCheck:
     def test_no_target_usage_error(self, capsys):
         assert cli_main(["algebra", "check"]) == 2
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--builder", "odd-poly", "--cap", "4"], "algebra.cap"),
+        (["--builder", "odd-poly", "--cap", "-1"], "algebra.cap"),
+        (["--builder", "trivial-matrix", "--m", "0"], "algebra.m"),
+    ])
+    def test_bad_builder_size_is_a_coded_error(self, argv, field, capsys):
+        code = cli_main(["algebra", "check", *argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "CONFIG_INVALID" in err and field in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stabilize", "FILE"],
+    ["derive", "solve", "FILE"],
+    ["experiment", "sweep", "FILE", "--param", "p=0.3:0.5:0.2"],
+    ["algebra", "check", "FILE"],
+])
+def test_file_that_is_not_json_is_a_coded_error(argv, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code = cli_main([str(bad) if arg == "FILE" else arg for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "CONFIG_INVALID" in err and "not valid JSON" in err
+
 
 class TestDeriveSolve:
     def test_prints_basis(self, capsys):
@@ -54,6 +80,7 @@ class TestDeriveSolve:
         out = capsys.readouterr().out
         assert code == 0
         assert "derivation space dimension: 2" in out
+        assert "rank margin: rows=16, nonzero_rows=2, columns=4, null_dim=2" in out
         assert "basis[0]" in out
 
     def test_sign_override(self, capsys):
@@ -170,6 +197,11 @@ class TestStabilize:
             ({("fallback_maps",): [{"tau": {"matrix": "x"}}]}, "fallback_maps.0.tau.matrix"),
             ({("out",): {"dir": 5}}, "out.dir"),
             ({("signs",): [float("inf"), 1, 1]}, "signs"),
+            ({("perturbation", "f", "vector"): "abc"}, "perturbation.f.vector"),
+            ({("perturbation", "f", "vector"): ["a", 1.0]}, "perturbation.f.vector"),
+            ({("perturbation", "g", "vector"): [1.0, 2.0, 3.0]}, "perturbation.g.vector"),
+            ({("perturbation", "h", "vector"): [1.0, float("inf")]}, "perturbation.h.vector"),
+            ({("perturbation", "k", "vector"): [0.0, 0.0]}, "perturbation.k.vector"),
         ],
     )
     def test_malformed_field_is_a_coded_error(self, patch, field, tmp_path, capsys):

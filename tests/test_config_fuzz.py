@@ -63,7 +63,8 @@ perturbation = field(st.fixed_dictionaries({}, optional={
     **power_law,
     "direction": field(st.sampled_from(["fixed", "hash", "random"])),
     "seed": field(st.integers(-2, 2**70)),
-    "vector": junk,
+    "vector": field(st.lists(st.one_of(small_float, st.floats(), st.integers(-2, 2),
+                                       st.sampled_from(["1", "abc", True])), max_size=9)),
 }))
 configs = st.fixed_dictionaries({}, optional={
     "algebra": algebra,
@@ -115,3 +116,12 @@ def test_config_loads_or_is_a_coded_error(empty_cwd, raw):
     assert config.algebra.dim <= 9
     assert config.mode in ("lie", "jordan")
     assert config.on_empty in ("zero", "error")
+    for spec in config.perturbations.values():
+        vector = spec.vector
+        assert vector is None or (
+            len(vector) == config.algebra.dim
+            and all(isinstance(x, float) and math.isfinite(x) for x in vector)
+            and any(vector)
+        )
+        # the vector is checked before work starts: building the map cannot fail
+        ts.perturb_map(ts.LinearMap.identity(config.algebra.dim, config.algebra.dtype), spec)

@@ -1,10 +1,14 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ternstab as ts
 from ternstab.errors import DimensionMismatch
+from ternstab.maps import _canonical_null_basis
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def unit_vec(dim, index, dtype=np.float64):
@@ -227,6 +231,139 @@ class TestDerivationSolver:
         two = ts.solve_exact_derivations(oddpoly3_module, identity2, identity2, identity2)
         for a, b in zip(one, two):
             np.testing.assert_array_equal(a.matrix, b.matrix)
+
+
+def column_by_column_solver(mod, sigma, tau, xi, signs=ts.LIE_SIGNS, rank_tol=1e-10):
+    """The solver before the closed-form Jacobian, kept as the reference: one
+    ``residual_on_basis`` column per entry of ``D``, then a dense SVD of the
+    whole ``(dA**3 * dX) x (dX * dA)`` system."""
+    da, dx = mod.algebra.dim, mod.dim
+    dtype = mod.dtype
+    cols = []
+    for u, v in itertools.product(range(dx), range(da)):
+        unit = np.zeros((dx, da), dtype=dtype)
+        unit[u, v] = 1.0
+        cols.append(
+            ts.residual_on_basis(mod, ts.LinearMap(unit), sigma, tau, xi, signs).reshape(-1)
+        )
+    system = np.column_stack(cols)
+    _, svals, vh = np.linalg.svd(system, full_matrices=False)
+    if svals.size == 0 or svals[0] == 0.0:
+        null_rows = vh
+    else:
+        null_rows = vh[svals <= rank_tol * svals[0]]
+    basis = []
+    for row in null_rows[::-1]:
+        mat = row.conj().reshape(dx, da)
+        anchor = mat.flat[int(np.argmax(np.abs(mat)))]
+        if anchor != 0:
+            mat = mat * (np.abs(anchor) / anchor)
+        if dtype == np.float64:
+            mat = mat.real
+        basis.append(ts.LinearMap(mat))
+    return basis
+
+
+def subspace_distance(one, two) -> float:
+    """Spectral norm of the difference of the orthogonal projectors onto the
+    spans of two orthonormal bases of linear maps."""
+    def projector(basis):
+        flat = np.array([lm.matrix.reshape(-1) for lm in basis], dtype=complex)
+        return flat.reshape(len(basis), -1).conj().T @ flat.reshape(len(basis), -1)
+
+    return float(np.linalg.norm(projector(one) - projector(two), 2))
+
+
+def assert_same_space(mod, sigma, tau, xi, signs=ts.LIE_SIGNS, rank_tol=1e-10):
+    new = ts.solve_exact_derivations(mod, sigma, tau, xi, signs, rank_tol)
+    old = column_by_column_solver(mod, sigma, tau, xi, signs, rank_tol)
+    assert len(new) == len(old) == new.margin["null_dim"]
+    if old:
+        assert subspace_distance(new, old) <= 1e-10
+    return new
+
+
+def random_twist(rng, dim, field_tag, kind):
+    m = rng.standard_normal((dim, dim))
+    if field_tag == "complex":
+        m = m + 1j * rng.standard_normal((dim, dim))
+    return ts.LinearMap(np.diag(np.diag(m)) if kind == "diagonal" else m)
+
+
+class TestSolverAgainstColumnReference:
+    """The closed-form TSQR solver finds the null space of the column-by-column
+    system: the same dimension, and spans at most 1e-10 apart."""
+
+    @pytest.mark.parametrize("name", ["oddpoly3_p05", "trivial2x2_p05", "oddpoly3_jordan"])
+    def test_bundled_configs(self, name):
+        config = ts.load_config(CONFIG_DIR / f"{name}.json")
+        mod = ts.self_module(config.algebra)
+        for sigma, tau, xi in config.map_candidates:
+            assert_same_space(mod, sigma, tau, xi, config.signs, config.rank_tol)
+
+    @pytest.mark.parametrize("builder, size", [("odd", 3), ("odd", 9), ("odd", 15),
+                                               ("matrix", 2), ("matrix", 3)])
+    @pytest.mark.parametrize("field_tag", ["real", "complex"])
+    @pytest.mark.parametrize("signs", [ts.LIE_SIGNS, ts.MIXED_SIGNS], ids=["lie", "mixed"])
+    @pytest.mark.parametrize("kind", ["dense", "diagonal"])
+    def test_random_twists(self, builder, size, field_tag, signs, kind):
+        alg = (ts.odd_polynomial_algebra(size, field_tag) if builder == "odd"
+               else ts.trivial_matrix_algebra(size, field_tag))
+        assert alg.dim <= 9
+        rng = np.random.default_rng([size, len(field_tag), signs.s2 + 1, len(kind)])
+        twists = [random_twist(rng, alg.dim, field_tag, kind) for _ in range(3)]
+        assert_same_space(ts.self_module(alg), *twists, signs)
+
+    @pytest.mark.parametrize("field_tag", ["real", "complex"])
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.1])
+    def test_module_of_another_dimension(self, field_tag, density):
+        # dX = 2 over a dA = 3 algebra, sparse random module products
+        alg = ts.odd_polynomial_algebra(5, field_tag)
+        rng = np.random.default_rng([int(100 * density), len(field_tag)])
+        shapes = [(2, 3, 3, 2), (3, 2, 3, 2), (3, 3, 2, 2)]
+        products = [rng.standard_normal(s) * (rng.random(s) < density) for s in shapes]
+        mod = ts.TernaryModule(alg, 2, *products)
+        twists = [random_twist(rng, 3, field_tag, "dense") for _ in range(3)]
+        assert_same_space(mod, *twists, ts.MIXED_SIGNS)
+
+    def test_rank_deficient_oddpoly3(self, oddpoly3_module, identity2):
+        # 2 nonzero rows for 4 columns: the rank deficit is null
+        basis = assert_same_space(oddpoly3_module, identity2, identity2, identity2)
+        margin = basis.margin
+        assert (margin["rows"], margin["nonzero_rows"], margin["columns"]) == (16, 2, 4)
+        assert margin["null_dim"] == 2
+        assert margin["sigma_null"] == 0.0 and margin["ratio"] == 0.0
+        # the canonical basis is [E21, E11], the column solver's order
+        units = [np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])]
+        for lm, unit in zip(basis, units):
+            np.testing.assert_allclose(lm.matrix, unit, atol=1e-15)
+
+    def test_margin_without_null_or_kept_directions(self, scalar_algebra):
+        ident = ts.LinearMap.identity(1)
+        full = ts.solve_exact_derivations(ts.self_module(scalar_algebra), ident, ident, ident)
+        assert full.margin["null_dim"] == 0
+        assert full.margin["sigma_null"] is None and full.margin["ratio"] is None
+        zero = ts.self_module(ts.TernaryAlgebra(2, "real", np.zeros((2, 2, 2, 2))))
+        empty = ts.solve_exact_derivations(zero, *[ts.LinearMap.identity(2)] * 3)
+        assert empty.margin["nonzero_rows"] == 0 and empty.margin["null_dim"] == 4
+        assert empty.margin["sigma_max"] == 0.0 and empty.margin["sigma_kept"] is None
+
+    @pytest.mark.parametrize("field_tag", ["real", "complex"])
+    @pytest.mark.parametrize("k, n", [(1, 5), (2, 4), (3, 16), (6, 9)])
+    def test_canonical_basis_ignores_rotation(self, field_tag, k, n):
+        rng = np.random.default_rng([k, n, len(field_tag)])
+
+        def draw(rows, cols):
+            m = rng.standard_normal((rows, cols))
+            return m + 1j * rng.standard_normal((rows, cols)) if field_tag == "complex" else m
+
+        rows = np.linalg.qr(draw(n, k))[0].T  # orthonormal rows
+        want = _canonical_null_basis(rows)
+        np.testing.assert_allclose(want @ want.conj().T, np.eye(k), atol=1e-12)
+        for _ in range(3):
+            rotation = np.linalg.qr(draw(k, k))[0]
+            got = _canonical_null_basis(rotation @ rows)
+            np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 class TestUnimodularSplit:

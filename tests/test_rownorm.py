@@ -7,6 +7,7 @@ stacks are compared below with copies of the per-row code they replaced.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,20 @@ class TestKernel:
         assert norms[5] == np.inf  # the norm itself leaves double range
         with np.errstate(over="ignore"):
             assert l2_norm(stack[1]) == norms[1]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_rescaled_overflow_does_not_warn(self, field):
+        rng = np.random.default_rng(5)
+        stack = _stack(rng, (3, 5), field)
+        stack[1] *= 2.0**600
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norms = _row_norms(stack)
+            one = _row_norms(stack[1])
+            alone = l2_norm(stack[1])
+        want = np.ldexp(np.linalg.norm(stack[1] * 2.0**-600), 600)
+        assert norms[1] == one == alone == want
+        assert _same(norms[0], np.linalg.norm(stack[0]))
 
 
 def _scaled(alg, factor):
