@@ -13,6 +13,7 @@ Exit status: 0 on pass, 1 on a failed check or run, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -94,6 +95,10 @@ def _load_overridden(path, overrides: dict):
 
 
 def _cmd_algebra_check(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol}")
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if args.target:
         alg = algebra_from_json(read_json(args.target))
         label = args.target

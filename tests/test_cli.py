@@ -74,6 +74,103 @@ def test_file_that_is_not_json_is_a_coded_error(argv, tmp_path, capsys):
     assert "CONFIG_INVALID" in err and "not valid JSON" in err
 
 
+def _with_input_file(tmp_path, key, document):
+    """The odd-poly config with its algebra (``key`` "algebra") or its sigma
+    map (``key`` "sigma") read from a file holding ``document``."""
+    (tmp_path / "input.json").write_text(json.dumps(document))
+    raw = json.loads((CONFIG_DIR / "oddpoly3_p05.json").read_text())
+    if key == "algebra":
+        raw["algebra"] = {"file": "input.json"}
+    else:
+        raw["maps"]["sigma"] = {"file": "input.json"}
+    raw.pop("out")
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    return str(tmp_path / "cfg.json")
+
+
+def _coded_failure(argv, capsys):
+    code = cli_main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "CONFIG_INVALID" in captured.err and "Traceback" not in captured.err
+    return captured
+
+
+@pytest.mark.parametrize("document", [[], 5, "text", None])
+@pytest.mark.parametrize("argv", [
+    ["stabilize", "CONFIG"],
+    ["derive", "solve", "CONFIG"],
+    ["experiment", "sweep", "CONFIG", "--param", "p=0.3:0.5:0.2"],
+    ["algebra", "check", "CONFIG"],
+    ["stabilize", "ALGEBRA"],
+    ["stabilize", "SIGMA"],
+])
+def test_document_that_is_not_an_object_is_a_coded_error(argv, document, tmp_path, capsys):
+    paths = {"CONFIG": tmp_path / "doc.json", "ALGEBRA": None, "SIGMA": None}
+    paths["CONFIG"].write_text(json.dumps(document))
+    paths["ALGEBRA"] = _with_input_file(tmp_path, "algebra", document)
+    paths["SIGMA"] = _with_input_file(tmp_path, "sigma", document)
+    _coded_failure([str(paths[arg]) if arg in paths else arg for arg in argv], capsys)
+
+
+GOOD_ALGEBRA = algebra_to_json(ts.odd_polynomial_algebra(3))
+
+
+@pytest.mark.parametrize("patch", [
+    {"dim": "x"},
+    {"dim": 1.5, "structure": [[[[1.0]]]]},
+    {"dim": 0},
+    {"dim": None},
+    {"norm_scale": "x"},
+    {"norm_scale": -1},
+    {"norm_scale": float("inf")},
+    {"flags": 5},
+    {"flags": "associative"},
+    {"flags": [1]},
+    {"structure": "abc"},
+    {"structure": [[[[1.0, None], [0.0, 0.0]]] * 2] * 2},
+    {"structure": {"a": 1}},
+    {"field": ["real"]},
+])
+@pytest.mark.parametrize("route", ["algebra check", "config algebra.file"])
+def test_malformed_algebra_document_is_a_coded_error(patch, route, tmp_path, capsys):
+    document = {**GOOD_ALGEBRA, **patch}
+    if route == "algebra check":
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(document))
+        argv = ["algebra", "check", str(path)]
+    else:
+        argv = ["stabilize", _with_input_file(tmp_path, "algebra", document)]
+    _coded_failure(argv, capsys)
+
+
+@pytest.mark.parametrize("patch, drop", [
+    ({"out_dim": "two"}, None),
+    ({"in_dim": 2.5}, None),
+    ({}, "matrix"),
+    ({}, "out_dim"),
+    ({"matrix": "x"}, None),
+    ({"matrix": [[1.0, None], [0.0, 1.0]]}, None),
+    ({"matrix": [[1.0, 0.0], [0.0]]}, None),
+])
+def test_malformed_map_document_is_a_coded_error(patch, drop, tmp_path, capsys):
+    document = {"in_dim": 2, "out_dim": 2, "matrix": [[1.0, 0.0], [0.0, 1.0]], **patch}
+    document.pop(drop, None)
+    captured = _coded_failure(["stabilize", _with_input_file(tmp_path, "sigma", document)], capsys)
+    assert "maps.sigma.file" in captured.err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
+    ("--samples", "0"), ("--samples", "-1"),
+])
+def test_algebra_check_rejects_bad_tol_and_samples(option, value, capsys):
+    argv = ["algebra", "check", "--builder", "odd-poly", option, value]
+    captured = _coded_failure(argv, capsys)
+    assert option in captured.err
+    assert captured.out == ""
+
+
 class TestDeriveSolve:
     def test_prints_basis(self, capsys):
         code = cli_main(["derive", "solve", str(CONFIG_DIR / "oddpoly3_p05.json")])

@@ -1,8 +1,9 @@
-"""Fuzzed experiment configs: every dict either loads or is a coded error.
+"""Fuzzed experiment configs, algebra documents and map documents: every
+one either loads or is a coded error.
 
-The generated dicts mix plausible values for every config field with
-arbitrary JSON-like values in their place.  Algebra sizes stay small
-(m <= 3, cap <= 9), so a config that loads builds its algebra quickly.
+The generated values mix plausible values for every field with arbitrary
+JSON-like values in their place.  Algebra sizes stay small (m <= 3,
+cap <= 9, dim <= 2), so a config that loads builds its algebra quickly.
 """
 
 import math
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import ternstab as ts
 from ternstab.errors import ConfigError
+from ternstab.serialize import algebra_from_json, linear_map_from_json
 
 WORDS = ["lie", "jordan", "real", "complex", "odd-poly", "trivial-matrix", "octonion",
          "fixed", "hash", "random", "zero", "error", "power", "custom", "identity", ""]
@@ -125,3 +127,57 @@ def test_config_loads_or_is_a_coded_error(empty_cwd, raw):
         )
         # the vector is checked before work starts: building the map cannot fail
         ts.perturb_map(ts.LinearMap.identity(config.algebra.dim, config.algebra.dtype), spec)
+
+
+def nested(shape, entry):
+    """Nested lists of the given shape with ``entry`` at the leaves."""
+    for size in reversed(shape):
+        entry = st.lists(entry, min_size=size, max_size=size)
+    return entry
+
+
+def array(shapes):
+    """A plausible array of one of ``shapes``, or one with junk at some leaves."""
+    shape = st.sampled_from(shapes)
+    return st.one_of(shape.flatmap(lambda s: nested(s, small_float)),
+                     shape.flatmap(lambda s: nested(s, st.one_of(small_float, leaves))))
+
+
+algebra_document = field(st.fixed_dictionaries(
+    {
+        "dim": field(st.integers(-1, 3)),
+        "field": field(st.sampled_from(["real", "complex", "quaternion"])),
+        "structure": field(array([(1,) * 4, (2,) * 4, (1,) * 4 + (2,), (2,) * 4 + (2,)])),
+    },
+    optional={
+        "norm_scale": field(st.floats()),
+        "flags": field(st.lists(st.sampled_from(["associative", "partial"]), max_size=2)),
+    },
+))
+map_document = field(st.fixed_dictionaries({}, optional={
+    "in_dim": field(st.integers(-1, 3)),
+    "out_dim": field(st.integers(-1, 3)),
+    "matrix": field(array([(2, 2), (1, 2), (2, 2, 2), (3,)])),
+}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=algebra_document)
+def test_algebra_document_decodes_or_is_a_coded_error(document):
+    try:
+        alg = algebra_from_json(document)
+    except ConfigError:
+        return
+    assert alg.dim == document["dim"] and alg.field == document["field"]
+    assert math.isfinite(alg.norm_scale) and alg.norm_scale > 0
+    assert all(isinstance(flag, str) for flag in alg.flags)
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=map_document)
+def test_map_document_decodes_or_is_a_coded_error(document):
+    try:
+        lm = linear_map_from_json(document)
+    except ConfigError:
+        return
+    assert (lm.out_dim, lm.in_dim) == (document["out_dim"], document["in_dim"])

@@ -85,6 +85,17 @@ class TestKernel:
         for i, j in itertools.product(range(4), range(3)):
             close(got[i, j], einsum_product(t, a[i, 0], b[0, j], c))
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_stack_is_bitwise_per_row(self, shape, field):
+        # the stacked hypothesis sampling relies on this, not just on closeness
+        rng = np.random.default_rng(6)
+        t = random_array(rng, shape, field)
+        a, b, c = (random_array(rng, (40, n), field) for n in shape[:3])
+        got = _trilinear(t, a, b, c)
+        for n in range(40):
+            assert got[n].tobytes() == _trilinear(t, a[n], b[n], c[n]).tobytes()
+
     def test_basis_grid_is_the_tensor(self):
         rng = np.random.default_rng(4)
         t = rng.standard_normal((3, 2, 2, 3))
@@ -100,6 +111,21 @@ class TestKernel:
         close(ts.product_xab(mod, x, a, b), einsum_product(mod.product_xab, x, a, b))
         close(ts.product_axb(mod, a, x, b), einsum_product(mod.product_axb, a, x, b))
         close(ts.product_abx(mod, a, b, x), einsum_product(mod.product_abx, a, b, x))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_batched_matvec_is_bitwise_per_row(field, order):
+    # perturb_map and the bound points apply a matrix to a stack this way;
+    # ``xs @ m.T`` sums in another order and is not bitwise equal
+    rng = np.random.default_rng(7)
+    for d in range(1, 26):
+        m = random_array(rng, (d, d), field)
+        for n in (1, 700):
+            xs = np.asarray(random_array(rng, (n, d), field), order=order)
+            got = (m @ xs[:, :, None])[:, :, 0]
+            want = np.array([m @ x for x in xs])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (d, n)
 
 
 def six_einsum_residual_on_basis(mod, deriv, sigma, tau, xi, signs):

@@ -383,6 +383,35 @@ class TestStackedChecksMatchPerRowCode:
             assert got_log == sorted(log)
         assert len(got_log) > 4 * 8 * got.lambda_count
 
+    @pytest.mark.parametrize("case", ["dX=4", "theta=0", "samples=1"])
+    @pytest.mark.parametrize("mode", ["lie", "jordan"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_hypothesis_more_inputs(self, field, mode, case):
+        # a module of another dimension than its algebra; zero maps under a
+        # zero control, so that every slack ties at 0.0 and ``worst`` is the
+        # first one; a single sample
+        alg = _scaled(ts.odd_polynomial_algebra(5, field), 1.3)
+        mod = _random_module(alg, 4, seed=9) if case == "dX=4" else ts.self_module(alg)
+        theta = 0.0 if case == "theta=0" else 0.2
+        rng = np.random.default_rng(6)
+        maps = []
+        for seed, (out_dim, out_norm) in enumerate([(mod.dim, mod.norm_of)]
+                                                   + [(alg.dim, alg.norm_of)] * 3):
+            shape = (out_dim, alg.dim)
+            matrix = np.zeros(shape) if theta == 0.0 else _stack(rng, shape, field)
+            spec = ts.PerturbationSpec(theta=theta, p=0.5, direction="fixed" if seed == 0
+                                       else "hash", seed=seed)
+            maps.append(ts.perturb_map(ts.LinearMap(matrix.astype(alg.dtype)), spec,
+                                       alg.norm_of, out_norm))
+        control = ts.power_control(theta, 0.5, arity=5 if mode == "lie" else 3,
+                                   norm=alg.norm_of)
+        kwargs = dict(lambda_grid=6, samples=1 if case == "samples=1" else 8, seed=3, mode=mode)
+        got = ts.check_hypothesis(*maps, control, mod, **kwargs)
+        assert repr(got) == repr(_reference_check_hypothesis(*maps, control, mod, **kwargs))
+        if case == "theta=0":
+            assert got.worst["sample"] == 0 and got.worst["inequality"] == "main"
+            assert got.worst["lambda"] == [1.0, 0.0] and got.min_slack == 0.0
+
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_bound_points(self, field):
         alg = _scaled(ts.odd_polynomial_algebra(3, field), 1.3)

@@ -392,6 +392,23 @@ class TestStackedChecks:
         for name in ("derivation", "sigma", "tau", "xi"):
             assert _same(getattr(got, name).matrix, getattr(want, name).matrix)
 
+    @pytest.mark.parametrize("mode", ["lie", "jordan"])
+    @pytest.mark.parametrize("samples", [0, 1, 7])
+    def test_one_stack_per_map_per_call(self, perturbed_maps, monkeypatch, samples, mode):
+        f, g, h, k, _, mod = perturbed_maps
+        control = ts.power_control(0.1, 0.5, arity=5 if mode == "lie" else 3,
+                                   norm=mod.algebra.norm_of)
+        calls = []
+        original = ts.EvaluableMap.evaluate_stack
+
+        def counting(self, xs):
+            calls.append(self)
+            return original(self, xs)
+
+        monkeypatch.setattr(ts.EvaluableMap, "evaluate_stack", counting)
+        ts.check_hypothesis(f, g, h, k, control, mod, samples=samples, mode=mode)
+        assert [id(m) for m in calls] == [id(m) for m in (f, g, h, k)]
+
     def test_zero_samples(self, perturbed_maps):
         f, g, h, k, control, mod = perturbed_maps
         report = ts.check_hypothesis(f, g, h, k, control, mod, samples=0)
