@@ -46,8 +46,8 @@ class ControlFunction:
         if self.arity not in (3, 5):
             raise ValueError("arity must be 3 or 5")
         if self.kind == "power":
-            if self.theta < 0:
-                raise ValueError("theta must be nonnegative")
+            if not (math.isfinite(self.theta) and self.theta >= 0):
+                raise ValueError("theta must be finite and nonnegative")
             if not 0.0 <= self.p < 1.0:
                 raise ValueError("p must lie in [0, 1)")
         elif self.fn is None:

@@ -30,6 +30,7 @@ from .algebra import (
     odd_polynomial_algebra,
     trivial_matrix_algebra,
 )
+from .control import ControlFunction
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -42,6 +43,7 @@ from .module import self_module
 from .serialize import (
     _int_at_least,
     _number,
+    _power_law,
     _typed,
     algebra_from_json,
     control_from_json,
@@ -88,8 +90,8 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.theta < 0:
-            raise ValueError("theta must be nonnegative")
+        if not (math.isfinite(self.theta) and self.theta >= 0):
+            raise ValueError("theta must be finite and nonnegative")
         if not 0.0 <= self.p < 1.0:
             raise ValueError("p must lie in [0, 1)")
         if self.direction not in _DIRECTIONS:
@@ -197,7 +199,7 @@ class ExperimentConfig:
     map_candidates: list
     signs: SignConvention
     mode: str
-    control_spec: dict
+    control: ControlFunction
     perturbations: dict
     tol: float
     max_iter: int
@@ -318,31 +320,17 @@ def _positive_float(value, name: str) -> float:
     return number
 
 
-def _power_law(spec: dict, name: str, default) -> tuple:
-    """``theta`` (finite, nonnegative) and ``p`` (in [0, 1)) of ``spec``."""
-    theta = _number(spec.get("theta", default), f"{name}.theta")
-    p = _number(spec.get("p", default), f"{name}.p")
-    if not (math.isfinite(theta) and theta >= 0):
-        raise ConfigError(f"{name}.theta must be finite and nonnegative, got {theta}")
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"{name}.p must lie in [0, 1), got {p}")
-    return theta, p
-
-
 def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     try:
         algebra = _build_algebra(raw["algebra"], base_dir)
     except KeyError:
         raise ConfigError("config needs an 'algebra' section") from None
     mode = _choice(raw.get("mode", "lie"), "mode", ("lie", "jordan"))
-    control_spec = _typed(raw.get("control", {"kind": "power", "theta": 0.0, "p": 0.0}), "control")
     expected_arity = 5 if mode == "lie" else 3
-    arity = _int_at_least(control_spec.get("arity", expected_arity), "control.arity", None)
-    if arity != expected_arity:
+    spec = _typed(raw.get("control", {"kind": "power", "theta": 0.0, "p": 0.0}), "control")
+    control = control_from_json({"arity": expected_arity, **spec}, norm=algebra.norm_of)
+    if control.arity != expected_arity:
         raise ConfigError(f"{mode} mode needs a control of arity {expected_arity}")
-    control_spec = {**control_spec, "arity": expected_arity}
-    if control_spec.get("kind") == "power":
-        _power_law(control_spec, "control", None)
 
     derivation = _typed(raw.get("derivation", {}), "derivation")
     tol = _positive_float(raw.get("tol", 1e-10), "tol")
@@ -385,7 +373,7 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         map_candidates=map_candidates,
         signs=signs,
         mode=mode,
-        control_spec=control_spec,
+        control=control,
         perturbations=perturbations,
         tol=tol,
         max_iter=_int_at_least(raw.get("max_iter", 1000), "max_iter", 0),
@@ -488,7 +476,6 @@ def run_experiment(config, out_dir=None, write_files: bool = True) -> RunResult:
     trace_paths: dict = {}
     if not errors:
         sigma, tau, xi = chosen
-        control = control_from_json(config.control_spec, norm=alg.norm_of)
         evaluables = {}
         for name, base, out_norm in (
             ("f", truth, mod.norm_of),
@@ -506,7 +493,7 @@ def run_experiment(config, out_dir=None, write_files: bool = True) -> RunResult:
                     evaluables["g"],
                     evaluables["h"],
                     evaluables["k"],
-                    control,
+                    config.control,
                     mod,
                     config.signs,
                     lambda_grid=config.lambda_grid,
@@ -519,7 +506,7 @@ def run_experiment(config, out_dir=None, write_files: bool = True) -> RunResult:
                 evaluables["g"],
                 evaluables["h"],
                 evaluables["k"],
-                control,
+                config.control,
                 mod,
                 config.signs,
                 tol=config.tol,
@@ -595,6 +582,9 @@ def run_experiment(config, out_dir=None, write_files: bool = True) -> RunResult:
 
 # ---------------------------------------------------------------------------
 # parameter sweep
+
+#: most points one sweep spec may name
+_MAX_SWEEP_POINTS = 10_000
 
 SWEEP_HEADER = (
     "param",
@@ -674,7 +664,8 @@ def run_sweep(config, param: str, values, out_csv=None) -> list:
 
 
 def parse_sweep_spec(spec: str):
-    """Parse ``name=start:stop:step`` into a name and an inclusive value list."""
+    """Parse ``name=start:stop:step`` into a name and an inclusive value list
+    of at most ``_MAX_SWEEP_POINTS`` values (each one is a full experiment)."""
     try:
         name, rest = spec.split("=", 1)
         start, stop, step = (float(part) for part in rest.split(":"))
@@ -682,11 +673,16 @@ def parse_sweep_spec(spec: str):
         raise ConfigError(
             f"sweep spec must look like p=0.1:0.9:0.1, got {spec!r}"
         ) from None
+    if not all(map(math.isfinite, (start, stop, step))) or start > stop:
+        raise ConfigError(f"sweep start, stop and step must be finite with start <= stop, "
+                          f"got {spec!r}")
     if step <= 0:
         raise ConfigError("sweep step must be positive")
     values = []
     v = start
     while v <= stop + 1e-12:
+        if len(values) == _MAX_SWEEP_POINTS:
+            raise ConfigError(f"sweep spec {spec!r} has more than {_MAX_SWEEP_POINTS} points")
         values.append(round(v, 12))
         v += step
     return name.strip(), values

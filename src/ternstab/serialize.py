@@ -55,6 +55,17 @@ def _number(value, name: str) -> float:
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
+def _power_law(spec: dict, name: str, default) -> tuple:
+    """``theta`` (finite, nonnegative) and ``p`` (in [0, 1)) of ``spec``."""
+    theta = _number(spec.get("theta", default), f"{name}.theta")
+    p = _number(spec.get("p", default), f"{name}.p")
+    if not (math.isfinite(theta) and theta >= 0):
+        raise ConfigError(f"{name}.theta must be finite and nonnegative, got {theta}")
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"{name}.p must lie in [0, 1), got {p}")
+    return theta, p
+
+
 def encode_array(arr: np.ndarray):
     """Nested lists; complex leaves become [re, im] pairs."""
     if np.iscomplexobj(arr):
@@ -72,6 +83,17 @@ def _finite_array(data, name: str) -> np.ndarray:
     if arr is None or not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} must be a nested list of finite numbers")
     return arr
+
+
+def _real_or_pairs(data, shape: tuple, name: str) -> np.ndarray:
+    """``data`` as a real array of ``shape``, or as a complex one when it
+    nests ``[re, im]`` pairs; anything else is a ``ConfigError``."""
+    raw = _finite_array(data, name)
+    if raw.shape == shape:
+        return raw
+    if raw.shape == shape + (2,):
+        return raw[..., 0] + 1j * raw[..., 1]
+    raise ConfigError(f"{name} shape {raw.shape} does not match {shape} (real or [re, im])")
 
 
 def decode_array(data, shape, field_tag):
@@ -136,15 +158,20 @@ def module_to_json(mod: TernaryModule) -> dict:
 
 
 def module_from_json(data: dict) -> TernaryModule:
-    alg = algebra_from_json(data["algebra"])
-    dx, da = int(data["dim"]), alg.dim
-    prods = data["products"]
+    data = _typed(data, "module document")
+    try:
+        alg = algebra_from_json(data["algebra"])
+        dx, da = _int_at_least(data["dim"], "module dim", 1), alg.dim
+        prods = _typed(data["products"], "module products")
+        xab, axb, abx = prods["xab"], prods["axb"], prods["abx"]
+    except KeyError as missing:
+        raise ConfigError(f"module document lacks key {missing}") from None
     return TernaryModule(
         algebra=alg,
         dim=dx,
-        product_xab=decode_array(prods["xab"], (dx, da, da, dx), alg.field),
-        product_axb=decode_array(prods["axb"], (da, dx, da, dx), alg.field),
-        product_abx=decode_array(prods["abx"], (da, da, dx, dx), alg.field),
+        product_xab=decode_array(xab, (dx, da, da, dx), alg.field),
+        product_axb=decode_array(axb, (da, dx, da, dx), alg.field),
+        product_abx=decode_array(abx, (da, da, dx, dx), alg.field),
         norm=alg.norm_of,
     )
 
@@ -154,13 +181,13 @@ def cubic_to_json(cube: CubicMatrix) -> dict:
 
 
 def cubic_from_json(data: dict) -> CubicMatrix:
-    side = int(data["side"])
-    raw = np.asarray(data["entries"], dtype=np.float64)
-    if raw.shape == (side,) * 3:
-        return CubicMatrix(side, raw)
-    if raw.shape == (side,) * 3 + (2,):
-        return CubicMatrix(side, raw[..., 0] + 1j * raw[..., 1])
-    raise ConfigError(f"cubic entries shape {raw.shape} does not match side {side}")
+    data = _typed(data, "cubic document")
+    try:
+        side, entries = data["side"], data["entries"]
+    except KeyError as missing:
+        raise ConfigError(f"cubic document lacks key {missing}") from None
+    side = _int_at_least(side, "cubic side", 1)
+    return CubicMatrix(side, _real_or_pairs(entries, (side,) * 3, "cubic entries"))
 
 
 def linear_map_to_json(lm: LinearMap) -> dict:
@@ -179,31 +206,22 @@ def linear_map_from_json(data: dict) -> LinearMap:
         raise ConfigError(f"map document lacks key {missing}") from None
     out_dim = _int_at_least(out_dim, "map out_dim", 1)
     in_dim = _int_at_least(in_dim, "map in_dim", 1)
-    raw = _finite_array(raw, "map matrix")
-    if raw.shape == (out_dim, in_dim):
-        return LinearMap(raw)
-    if raw.shape == (out_dim, in_dim, 2):
-        return LinearMap(raw[..., 0] + 1j * raw[..., 1])
-    raise ConfigError(
-        f"matrix shape {raw.shape} does not match {out_dim}x{in_dim} (real or [re,im])"
-    )
+    return LinearMap(_real_or_pairs(raw, (out_dim, in_dim), "map matrix"))
 
 
 def control_from_json(data: dict, norm=None) -> ControlFunction:
+    data = _typed(data, "control")
+    arity = _int_at_least(data.get("arity", 5), "control.arity", None)
+    if arity not in (3, 5):
+        raise ConfigError(f"control.arity must be 3 or 5, got {arity}")
     kind = data.get("kind")
     if kind == "power":
-        return power_control(
-            theta=float(data["theta"]),
-            p=float(data["p"]),
-            arity=int(data.get("arity", 5)),
-            norm=norm,
-        )
+        return power_control(*_power_law(data, "control", None), arity=arity, norm=norm)
     if kind == "custom":
         name = data.get("name")
-        if name not in CUSTOM_CONTROLS:
+        if not isinstance(name, str) or name not in CUSTOM_CONTROLS:
             raise ConfigError(f"custom control {name!r} is not registered")
-        fn = CUSTOM_CONTROLS[name]
-        return custom_control(fn, arity=int(data.get("arity", 5)), norm=norm)
+        return custom_control(CUSTOM_CONTROLS[name], arity=arity, norm=norm)
     raise ConfigError(f"control kind must be 'power' or 'custom', got {kind!r}")
 
 

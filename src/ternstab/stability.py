@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .module import TernaryModule, product_abx, product_xab
 
 #: hard iteration cap: 2**n stays inside double range with headroom
 ITERATION_CAP = 1000
+#: doublings per stack under a custom control: a few stacks reach most stops
+_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,18 +115,20 @@ def hyers_limit(
 ) -> tuple:
     """Limit of ``f(2**n x) / 2**n`` with a certified stopping rule.
 
-    For power controls the iteration stops at the first ``n`` whose Cauchy
-    tail bound is at most ``tol`` (an a-priori rule; for ``theta = 0`` that
-    is ``n = 0``).  That ``n`` is found first, and ``f`` is then evaluated
-    once on the stacked dyadic ray ``2**k x, k = 1..n`` (see
+    ``f`` is evaluated on blocks of the dyadic ray ``2**k x`` stacked (see
     :meth:`EvaluableMap.evaluate_stack`); doubling and scaling by ``2**-k``
     are exact in binary floating point, so the limit and the trace equal
-    those of doubling one step at a time.  Custom controls double one step
-    at a time and stop on the empirical criterion
-    ``|f(2**(n+1) x) / 2**(n+1) - f(2**n x) / 2**n| <= tol``.  Returns the
-    scaled iterate and the stopping ``n``.  ``trace``, if a list, receives a
-    row ``(n, successive_difference, tail_bound)`` per iteration, also for
-    the iterations before a failure.
+    those of doubling one step at a time.  For power controls the iteration
+    stops at the first ``n`` whose Cauchy tail bound is at most ``tol`` (an
+    a-priori rule; for ``theta = 0`` that is ``n = 0``).  That ``n`` is
+    found first, and the block is the whole ray ``k = 1..n``.  Custom
+    controls take blocks of 32 doublings and stop at the first ``n`` of the
+    empirical criterion ``|f(2**n x) / 2**n - f(2**(n-1) x) / 2**(n-1)| <=
+    tol``; the rows of the last block past that ``n`` are evaluated and
+    dropped, so a ``tabulated`` map must hold them too.  Returns the scaled
+    iterate and the stopping ``n``.  ``trace``, if a list, receives a row
+    ``(n, successive_difference, tail_bound)`` per iteration, also for the
+    iterations before a failure.
 
     Raises :class:`NonConvergenceError` when an iterate is not finite or past
     ``min(max_iter, 1000)``; the hard cap keeps ``2**n`` inside
@@ -142,44 +146,41 @@ def hyers_limit(
         return current, 0
 
     xn = np.array(x, dtype=np.result_type(x.dtype, np.float64))
-    if control.kind != "power":
-        for n in range(1, max(limit, 0) + 1):
-            np.multiply(xn, 2.0, out=xn)
-            nxt = f(xn) * 2.0**-n
-            if not np.all(np.isfinite(nxt)):
-                raise NonConvergenceError(f"iterate at n={n} overflowed", iterations=n)
-            diff = float(_norms_with(out_norm, nxt - current))
-            if trace is not None:
-                trace.append((n, diff, float("nan")))
-            current = nxt
-            if diff <= tol:
-                return current, n
-        raise _cap_error(limit)
-
-    stop = _a_priori_stop(control, x, tol, limit)
+    empirical = control.kind != "power"
+    stop = None if empirical else _a_priori_stop(control, x, tol, limit)
     if stop == 0:
         return current, 0
-    count = max(limit, 0) if stop is None else stop
-    steps = np.arange(1, count + 1)
-    # the norms recompute rows whose squares overflow, and an iterate that
-    # leaves double range is reported below, so numpy need not warn
-    with np.errstate(over="ignore"):
-        ray = xn * np.ldexp(1.0, steps)[:, None]
-        scaled = f.evaluate_stack(ray) * np.ldexp(1.0, -steps)[:, None]
-    finite = np.isfinite(scaled).all(axis=1)
-    reached = count if finite.all() else int(np.argmin(finite))
-    if trace is not None and reached:
-        tails = cauchy_tail_bound(control, x, range(1, reached + 1))
-        previous = np.concatenate([current[None], scaled[: reached - 1]])
-        diffs = _norms_with(out_norm, scaled[:reached] - previous).tolist()
-        trace.extend(zip(range(1, reached + 1), diffs, tails))
-    if reached < count:
-        raise NonConvergenceError(
-            f"iterate at n={reached + 1} overflowed", iterations=reached + 1
-        )
-    if stop is None:
-        raise _cap_error(limit)
-    return scaled[-1].copy(), count
+    end = max(limit, 0) if stop is None else stop
+    block, done = _BLOCK if empirical else end, 0
+    while done < end:
+        steps = np.arange(done + 1, min(done + block, end) + 1)
+        # the norms recompute rows whose squares overflow, and an iterate that
+        # leaves double range is reported below, so numpy need not warn
+        with np.errstate(over="ignore"):
+            ray = xn * np.ldexp(1.0, steps)[:, None]
+            scaled = f.evaluate_stack(ray) * np.ldexp(1.0, -steps)[:, None]
+        finite = np.isfinite(scaled).all(axis=1)
+        kept = reached = len(steps) if finite.all() else int(np.argmin(finite))
+        if reached and (empirical or trace is not None):
+            previous = np.concatenate([current[None], scaled[: reached - 1]])
+            diffs = _norms_with(out_norm, scaled[:reached] - previous)
+            if empirical and (diffs <= tol).any():
+                kept = int(np.argmax(diffs <= tol)) + 1
+                stop = done + kept
+            if trace is not None:
+                rows = range(done + 1, done + kept + 1)
+                tails = [math.nan] * kept if empirical else cauchy_tail_bound(control, x, rows)
+                trace.extend(zip(rows, diffs[:kept].tolist(), tails))
+        if stop == done + kept:
+            return scaled[kept - 1].copy(), stop
+        if reached < len(steps):
+            n = done + reached + 1
+            raise NonConvergenceError(f"iterate at n={n} overflowed", iterations=n)
+        current, done = scaled[-1], done + len(steps)
+    reason = (f"hard iteration cap {ITERATION_CAP} reached" if limit == ITERATION_CAP
+              else f"max_iter {limit} exceeded")
+    raise NonConvergenceError(f"doubling iteration did not converge: {reason}",
+                              iterations=max(limit, 0))
 
 
 def _a_priori_stop(control: ControlFunction, x, tol: float, limit: int):
@@ -207,17 +208,6 @@ def _a_priori_stop(control: ControlFunction, x, tol: float, limit: int):
             n += 1
 
 
-def _cap_error(limit: int) -> NonConvergenceError:
-    reason = (
-        f"hard iteration cap {ITERATION_CAP} reached"
-        if limit == ITERATION_CAP
-        else f"max_iter {limit} exceeded"
-    )
-    return NonConvergenceError(
-        f"doubling iteration did not converge: {reason}", iterations=max(limit, 0)
-    )
-
-
 @dataclass
 class HypothesisReport:
     """Sampled slack of the defect inequalities: findings, not failures."""
@@ -231,15 +221,7 @@ class HypothesisReport:
     worst: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "tuples_checked": self.tuples_checked,
-            "lambda_count": self.lambda_count,
-            "max_residual": self.max_residual,
-            "min_slack": self.min_slack,
-            "violations": self.violations,
-            "worst": self.worst,
-        }
+        return asdict(self)
 
 
 def _lambda_grid(field_tag: str, count: int):

@@ -323,6 +323,40 @@ class TestStabilize:
         assert ts.load_config(raw).max_iter == 0
 
 
+    @pytest.mark.parametrize(
+        "control, field",
+        [
+            ({"kind": "foo"}, "control kind"),
+            ({"kind": "custom", "name": "unregistered"}, "not registered"),
+            ({"kind": "custom"}, "not registered"),
+            ({"kind": "custom", "name": ["a"]}, "not registered"),
+            ([], "control must be a dict"),
+            ({"kind": "power", "p": 0.5}, "control.theta"),
+            ({"kind": "power", "theta": "abc", "p": 0.5}, "control.theta"),
+            ({"kind": "power", "theta": float("nan"), "p": 0.5}, "control.theta"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["stabilize"], ["derive", "solve"]])
+    def test_bad_control_fails_before_the_solve(self, control, field, command, tmp_path,
+                                                capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the derivation solve ran")
+
+        monkeypatch.setattr("ternstab.cli.solve_exact_derivations", no_solve)
+        monkeypatch.setattr("ternstab.harness.solve_exact_derivations", no_solve)
+        raw = json.loads((CONFIG_DIR / "oddpoly3_p05.json").read_text())
+        raw["control"] = control
+        raw["out"] = {"dir": str(tmp_path / "run")}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        code = cli_main([*command, str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "CONFIG_INVALID" in err and field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+
 class TestSweepCommand:
     def test_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -347,6 +381,20 @@ class TestSweepCommand:
             ["experiment", "sweep", str(CONFIG_DIR / "oddpoly3_p05.json"), "--param", "p=bad"]
         )
         assert code == 1
+
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["p=0.9:0.1:0.1", "p=nan:1:0.1", "p=0.1:nan:0.1", "p=0.1:inf:0.5",
+         "p=-inf:0.5:0.1", "p=0.1:0.9:inf", "p=0:1:1e-300", "p=0:10000:1"],
+    )
+    def test_empty_or_unbounded_spec_is_a_coded_error(self, spec, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = cli_main(["experiment", "sweep", str(CONFIG_DIR / "oddpoly3_p05.json"),
+                         "--param", spec, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and "CONFIG_INVALID" in err and spec in err
+        assert not out.exists()
 
 
 class TestRelativeInputFiles:

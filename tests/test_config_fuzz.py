@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 import ternstab as ts
 from ternstab.errors import ConfigError
-from ternstab.serialize import algebra_from_json, linear_map_from_json
+from ternstab.serialize import algebra_from_json, linear_map_from_json, register_custom_control
+
+register_custom_control("fuzz-zero", lambda *args: 0.0)
 
 WORDS = ["lie", "jordan", "real", "complex", "odd-poly", "trivial-matrix", "octonion",
          "fixed", "hash", "random", "zero", "error", "power", "custom", "identity", ""]
@@ -75,7 +77,8 @@ configs = st.fixed_dictionaries({}, optional={
     "signs": field(st.lists(st.sampled_from([1, -1, 2, 0.5, math.inf]), max_size=4)),
     "mode": field(st.sampled_from(["lie", "jordan", "x"])),
     "control": field(st.fixed_dictionaries({}, optional={
-        "kind": field(st.sampled_from(["power", "custom"])),
+        "kind": field(st.sampled_from(["power", "custom", "foo"])),
+        "name": field(st.sampled_from(["fuzz-zero", "unregistered"])),
         "arity": field(st.sampled_from([3, 5, 4, "5"])),
         **power_law,
     })),
@@ -118,6 +121,12 @@ def test_config_loads_or_is_a_coded_error(empty_cwd, raw):
     assert config.algebra.dim <= 9
     assert config.mode in ("lie", "jordan")
     assert config.on_empty in ("zero", "error")
+    # the control is decoded before work starts: a loaded config holds it built
+    control = config.control
+    assert control.arity == (5 if config.mode == "lie" else 3)
+    assert control.kind == "custom" or (
+        math.isfinite(control.theta) and control.theta >= 0 and 0 <= control.p < 1
+    )
     for spec in config.perturbations.values():
         vector = spec.vector
         assert vector is None or (

@@ -72,6 +72,14 @@ class TestPowerControl:
         with pytest.raises(ValueError):
             ts.power_control(1.0, 0.5, arity=4)
 
+    @pytest.mark.parametrize("theta, p", [(math.inf, 0.5), (math.nan, 0.5), (-math.inf, 0.5),
+                                          (0.1, math.nan)])
+    def test_non_finite_parameters(self, theta, p):
+        with pytest.raises(ValueError):
+            ts.power_control(theta, p)
+        with pytest.raises(ValueError):
+            ts.PerturbationSpec(theta=theta, p=p)
+
     def test_arity_mismatch_on_call(self):
         c = ts.power_control(1.0, 0.5, arity=3)
         with pytest.raises(ValueError):

@@ -280,6 +280,40 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="arity"):
             ts.load_config(raw)
 
+    @pytest.mark.parametrize(
+        "control",
+        [
+            {"kind": "foo", "arity": 5},
+            {"kind": "custom", "name": "unregistered", "arity": 5},
+            {"arity": 5},
+            [],
+            {"kind": "power", "p": 0.5},
+            {"kind": "power", "theta": 0.1},
+            {"kind": "power", "theta": "abc", "p": 0.5},
+            {"kind": "power", "theta": math.nan, "p": 0.5},
+            {"kind": "power", "theta": 0.1, "p": math.nan},
+            {"kind": "power", "theta": 0.1, "p": 0.5, "arity": 4},
+        ],
+    )
+    def test_bad_control_is_reported_on_load(self, control):
+        raw = load_raw("oddpoly3_p05.json")
+        raw["control"] = control
+        with pytest.raises(ConfigError):
+            ts.load_config(raw)
+
+    def test_loaded_control_is_built(self):
+        register_custom_control("test-zero", lambda *args: 0.0)
+        raw = load_raw("oddpoly3_p05.json")
+        cfg = ts.load_config(raw)
+        assert (cfg.control.kind, cfg.control.arity) == ("power", 5)
+        assert (cfg.control.theta, cfg.control.p) == (raw["control"]["theta"],
+                                                      raw["control"]["p"])
+        assert cfg.control.norm == cfg.algebra.norm_of
+        raw["control"] = {"kind": "custom", "name": "test-zero"}
+        raw["mode"] = "jordan"
+        cfg = ts.load_config(raw)
+        assert (cfg.control.kind, cfg.control.arity) == ("custom", 3)
+
     def test_unknown_builder(self):
         raw = load_raw("oddpoly3_p05.json")
         raw["algebra"] = {"builder": "octonion"}
@@ -350,6 +384,21 @@ class TestSweep:
             parse_sweep_spec("p=1:2")
         with pytest.raises(ConfigError):
             parse_sweep_spec("p=0.1:0.9:-0.1")
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["p=0.9:0.1:0.1", "p=nan:1:0.1", "p=0.1:nan:0.1", "p=0.1:0.9:nan", "p=0.1:inf:0.5",
+         "p=-inf:0.5:0.1", "p=0.1:0.9:inf", "p=0:1:1e-300", "p=0:1e300:1e-300"],
+    )
+    def test_parse_sweep_spec_rejects_empty_or_unbounded(self, spec):
+        with pytest.raises(ConfigError):
+            parse_sweep_spec(spec)
+
+    def test_parse_sweep_spec_point_limit(self):
+        assert parse_sweep_spec("p=0:9999:1")[1] == [float(v) for v in range(10_000)]
+        with pytest.raises(ConfigError, match="more than 10000 points"):
+            parse_sweep_spec("p=0:10000:1")
+        assert parse_sweep_spec("tol=0.5:0.5:1") == ("tol", [0.5])
 
     def test_unknown_sweep_param(self):
         raw = load_raw("oddpoly3_p05.json")

@@ -58,6 +58,25 @@ class TestModuleRoundTrip:
         assert back.dim == matrix2_module.dim
 
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            lambda doc: [],
+            lambda doc: {**doc, "dim": "x"},
+            lambda doc: {**doc, "dim": 0},
+            lambda doc: {**doc, "dim": 2.5},
+            lambda doc: {k: v for k, v in doc.items() if k != "products"},
+            lambda doc: {**doc, "products": []},
+            lambda doc: {**doc, "products": {"xab": doc["products"]["xab"]}},
+            lambda doc: {**doc, "products": {**doc["products"], "axb": [[float("nan")]]}},
+            lambda doc: {**doc, "algebra": []},
+        ],
+    )
+    def test_malformed_document_is_a_config_error(self, matrix2_module, patch):
+        with pytest.raises(ConfigError):
+            module_from_json(patch(module_to_json(matrix2_module)))
+
+
 class TestCubicRoundTrip:
     def test_real(self):
         cube = ts.CubicMatrix(2, np.arange(8.0).reshape(2, 2, 2))
@@ -74,6 +93,25 @@ class TestCubicRoundTrip:
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
             cubic_from_json({"side": 2, "entries": [1.0, 2.0]})
+
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [],
+            {"side": "x", "entries": [[[1.0]]]},
+            {"side": 0, "entries": []},
+            {"side": 1.5, "entries": [[[1.0]]]},
+            {"entries": [[[1.0]]]},
+            {"side": 1},
+            {"side": 1, "entries": [[[float("nan")]]]},
+            {"side": 1, "entries": [[["a"]]]},
+            {"side": 1, "entries": [[[1.0, 2.0, 3.0]]]},
+        ],
+    )
+    def test_malformed_document_is_a_config_error(self, document):
+        with pytest.raises(ConfigError):
+            cubic_from_json(document)
 
 
 class TestLinearMapRoundTrip:
@@ -117,6 +155,28 @@ class TestControlConfig:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             control_from_json({"kind": "exponential"})
+
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [],
+            {"kind": "power", "p": 0.5},
+            {"kind": "power", "theta": 0.5},
+            {"kind": "power", "theta": "abc", "p": 0.5},
+            {"kind": "power", "theta": float("inf"), "p": 0.5},
+            {"kind": "power", "theta": float("nan"), "p": 0.5},
+            {"kind": "power", "theta": 0.5, "p": float("nan")},
+            {"kind": "power", "theta": 0.5, "p": 0.5, "arity": 4},
+            {"kind": "power", "theta": 0.5, "p": 0.5, "arity": "x"},
+            {"kind": "custom", "name": ["always-two"]},
+            {"kind": "custom"},
+            {},
+        ],
+    )
+    def test_malformed_document_is_a_config_error(self, document):
+        with pytest.raises(ConfigError):
+            control_from_json(document)
 
 
 class TestWriters:

@@ -20,7 +20,7 @@ from ternstab.algebra import l2_norm
 from ternstab.control import cauchy_tail_bound
 from ternstab.errors import NonConvergenceError
 from ternstab.harness import _hash_units
-from ternstab.stability import ITERATION_CAP, _a_priori_stop
+from ternstab.stability import _BLOCK, ITERATION_CAP, _a_priori_stop
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -277,6 +277,132 @@ class TestStackedHyersLimit:
         got = _outcome(ts.hyers_limit, stacked, control, x, 1e-6)
         want = _outcome(_reference_hyers_limit, pointwise, control, x, 1e-6)
         _assert_same_outcome(got, want)
+
+
+ZERO_CONTROL = ts.custom_control(lambda *args: 0.0)
+
+
+def _max_norm(v):
+    """A norm that is no space's ``norm_of``: one call per row."""
+    return float(np.abs(v).max())
+
+
+def _reference_diffs(pointwise, x, **kwargs):
+    """Successive differences of the one-step loop until it fails or hits 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcome = _outcome(_reference_hyers_limit, pointwise, ZERO_CONTROL, x, 1e-300, **kwargs)
+    return [row[1] for row in outcome[2]]
+
+
+def _assert_custom_equal(stacked, pointwise, x, tol, **kwargs):
+    """Outcomes of both loops under a custom control, bitwise equal; the
+    reference's outcome is returned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _outcome(ts.hyers_limit, stacked, ZERO_CONTROL, x, tol, **kwargs)
+        want = _outcome(_reference_hyers_limit, pointwise, ZERO_CONTROL, x, tol, **kwargs)
+    _assert_same_outcome(got, want)
+    return want
+
+
+class TestOneDoublingPath:
+    """Custom controls run through the stacked ray in blocks of ``_BLOCK``
+    doublings; their outcomes must equal the one-step loop's bitwise."""
+
+    FIELDS = pytest.mark.parametrize("field", ["real", "complex"])
+    DIRECTIONS = pytest.mark.parametrize("direction", ["fixed", "hash"])
+
+    @FIELDS
+    @DIRECTIONS
+    def test_stops_around_block_edges(self, field, direction):
+        alg, stacked, pointwise, _ = _setup(field, direction, 0.5)
+        for x in _points(alg):
+            diffs = _reference_diffs(pointwise, x)
+            stops = [n for n in (1, 5, 31, 32, 33, 64) if n <= len(diffs)]
+            for n in stops:
+                want = _assert_custom_equal(stacked, pointwise, x, diffs[n - 1])
+                if direction == "fixed":
+                    assert want[1] == n
+            _assert_custom_equal(stacked, pointwise, x, 1e-300)
+        assert stops == [1, 5, 31, 32, 33, 64]
+
+    @FIELDS
+    @DIRECTIONS
+    @pytest.mark.parametrize("max_iter", [0, 1, 31, 32, 33, 1000])
+    def test_max_iter(self, field, direction, max_iter):
+        # at p = 0.99 the perturbation shrinks by 2**-0.01 per doubling, so
+        # tol = 1e-9 is not met within 1000 doublings; tol = the 32nd
+        # difference stops at 32 along a fixed direction
+        alg, stacked, pointwise, _ = _setup(field, direction, 0.99)
+        x = alg.basis()[2]
+        want = _assert_custom_equal(stacked, pointwise, x, 1e-9, max_iter=max_iter)
+        assert want[1] == max_iter and "did not converge" in want[0]
+        tol = _reference_diffs(pointwise, x, max_iter=32)[31]
+        want = _assert_custom_equal(stacked, pointwise, x, tol, max_iter=max_iter)
+        if direction == "fixed":
+            assert want[1] == min(max_iter, 32)
+
+    @FIELDS
+    @DIRECTIONS
+    def test_overflow_before_and_after_the_stop(self, field, direction):
+        # 2**k x of x = 2**500 e_0 sends f out of double range at k = 523,
+        # inside the block 513..544; the perturbation keeps the differences
+        # large, so tol picks a stop before the overflow in the same block,
+        # or none
+        alg, stacked, pointwise, _ = _setup(field, direction, 0.99)
+        x = np.ldexp(alg.basis()[0].real, 500).astype(alg.dtype)
+        want = _assert_custom_equal(stacked, pointwise, x, 1e-6)
+        assert want[:2] == ("iterate at n=523 overflowed", 523) and len(want[2]) == 522
+        diffs = [row[1] for row in want[2]]
+        for n in (500, 512, 513, 515, 522):
+            assert _assert_custom_equal(stacked, pointwise, x, diffs[n - 1])[1] == n
+
+    @DIRECTIONS
+    def test_foreign_out_norm(self, direction):
+        alg, stacked, pointwise, _ = _setup("complex", direction, 0.5)
+        for x in _points(alg):
+            diffs = _reference_diffs(pointwise, x, out_norm=_max_norm)
+            for tol in [diffs[n - 1] for n in (1, 32, 33, 64) if n <= len(diffs)] + [1e-300]:
+                _assert_custom_equal(stacked, pointwise, x, tol, out_norm=_max_norm)
+
+    def test_evaluate_stack_calls(self, monkeypatch):
+        # one stack per power-control call; ceil(n / _BLOCK) stacks, of
+        # n rows in all when no stop cuts the last one, per custom call
+        alg, stacked, pointwise, control = _setup("real", "fixed", 0.5)
+        x = alg.basis()[1]
+        diffs = _reference_diffs(pointwise, x)
+        rows = []
+        original = ts.EvaluableMap.evaluate_stack
+
+        def counting(self, xs):
+            rows.append(len(xs))
+            return original(self, xs)
+
+        monkeypatch.setattr(ts.EvaluableMap, "evaluate_stack", counting)
+        for tol in (1e-3, 1e-10, 1e-14):
+            rows.clear()
+            _, n = ts.hyers_limit(stacked, control, x, tol)
+            assert rows == [n]
+        for n in (1, 31, 32, 33, 64, 65):
+            rows.clear()
+            assert ts.hyers_limit(stacked, ZERO_CONTROL, x, diffs[n - 1])[1] == n
+            assert len(rows) == math.ceil(n / _BLOCK)
+        for max_iter in (0, 1, 32, 33, 100):
+            rows.clear()
+            with pytest.raises(NonConvergenceError):
+                ts.hyers_limit(stacked, ZERO_CONTROL, x, 1e-300, max_iter=max_iter)
+            assert len(rows) == math.ceil(max_iter / _BLOCK) and sum(rows) == max_iter
+
+    def test_tabulated_map_holds_the_whole_last_block(self):
+        # f(x) = 3x: the first difference is 0, so the custom rule stops at
+        # n = 1, but the block evaluates the ray up to 2**_BLOCK x
+        x = np.array([1.0, 0.0])
+        ray = [np.ldexp(x, k) for k in range(_BLOCK + 1)]
+        f = ts.EvaluableMap.tabulated([(p, 3.0 * p) for p in ray], 2, 2)
+        value, n = ts.hyers_limit(f, ZERO_CONTROL, x, 1e-12)
+        assert n == 1 and _same(value, 3.0 * x)
+        short = ts.EvaluableMap.tabulated([(p, 3.0 * p) for p in ray[:2]], 2, 2)
+        with pytest.raises(ValueError, match="not tabulated"):
+            ts.hyers_limit(short, ZERO_CONTROL, x, 1e-12)
 
 
 class TestAPrioriStop:
