@@ -28,7 +28,8 @@ from .module import TernaryModule, product_abx, product_xab
 
 #: hard iteration cap: 2**n stays inside double range with headroom
 ITERATION_CAP = 1000
-#: doublings per stack under a custom control: a few stacks reach most stops
+#: doublings per stack when a custom control meets a stacked map; its stop is
+#: not known in advance, so this bounds the rows evaluated past it
 _BLOCK = 32
 
 
@@ -122,12 +123,13 @@ def hyers_limit(
     stops at the first ``n`` whose Cauchy tail bound is at most ``tol`` (an
     a-priori rule; for ``theta = 0`` that is ``n = 0``).  That ``n`` is
     found first, and the block is the whole ray ``k = 1..n``.  Custom
-    controls take blocks of 32 doublings and stop at the first ``n`` of the
-    empirical criterion ``|f(2**n x) / 2**n - f(2**(n-1) x) / 2**(n-1)| <=
-    tol``; the rows of the last block past that ``n`` are evaluated and
-    dropped, so a ``tabulated`` map must hold them too.  Returns the scaled
-    iterate and the stopping ``n``.  ``trace``, if a list, receives a row
-    ``(n, successive_difference, tail_bound)`` per iteration, also for the
+    controls stop at the first ``n`` of the empirical criterion
+    ``|f(2**n x) / 2**n - f(2**(n-1) x) / 2**(n-1)| <= tol``; a
+    ``linear-plus-perturbation`` map takes blocks of 32 doublings, whose
+    rows past the stop are evaluated and dropped, and the other kinds, called
+    once per row anyway, one doubling at a time.  Returns the scaled iterate
+    and the stopping ``n``.  ``trace``, if a list, receives a row ``(n,
+    successive_difference, tail_bound)`` per iteration, also for the
     iterations before a failure.
 
     Raises :class:`NonConvergenceError` when an iterate is not finite or past
@@ -151,16 +153,16 @@ def hyers_limit(
     if stop == 0:
         return current, 0
     end = max(limit, 0) if stop is None else stop
-    block, done = _BLOCK if empirical else end, 0
+    block = end if not empirical else _BLOCK if f.kind == "linear-plus-perturbation" else 1
+    scales, done = np.ldexp(1.0, np.arange(1, end + 1))[:, None], 0
     while done < end:
-        steps = np.arange(done + 1, min(done + block, end) + 1)
-        # the norms recompute rows whose squares overflow, and an iterate that
-        # leaves double range is reported below, so numpy need not warn
-        with np.errstate(over="ignore"):
-            ray = xn * np.ldexp(1.0, steps)[:, None]
-            scaled = f.evaluate_stack(ray) * np.ldexp(1.0, -steps)[:, None]
-        finite = np.isfinite(scaled).all(axis=1)
-        kept = reached = len(steps) if finite.all() else int(np.argmin(finite))
+        scale = scales[done : done + block]
+        # the norms recompute rows whose squares overflow, and a row that leaves
+        # double range is reported below or dropped, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = f.evaluate_stack(xn * scale) / scale
+        finite = np.isfinite(scaled)
+        kept = reached = len(scale) if finite.all() else int(np.argmin(finite.all(axis=1)))
         if reached and (empirical or trace is not None):
             previous = np.concatenate([current[None], scaled[: reached - 1]])
             diffs = _norms_with(out_norm, scaled[:reached] - previous)
@@ -173,10 +175,10 @@ def hyers_limit(
                 trace.extend(zip(rows, diffs[:kept].tolist(), tails))
         if stop == done + kept:
             return scaled[kept - 1].copy(), stop
-        if reached < len(steps):
+        if reached < len(scale):
             n = done + reached + 1
             raise NonConvergenceError(f"iterate at n={n} overflowed", iterations=n)
-        current, done = scaled[-1], done + len(steps)
+        current, done = scaled[-1], done + len(scale)
     reason = (f"hard iteration cap {ITERATION_CAP} reached" if limit == ITERATION_CAP
               else f"max_iter {limit} exceeded")
     raise NonConvergenceError(f"doubling iteration did not converge: {reason}",

@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -295,12 +296,16 @@ def _reference_diffs(pointwise, x, **kwargs):
 
 
 def _assert_custom_equal(stacked, pointwise, x, tol, **kwargs):
-    """Outcomes of both loops under a custom control, bitwise equal; the
-    reference's outcome is returned."""
+    """Outcomes of ``hyers_limit`` on the stacked and the per-row map under
+    a custom control, each bitwise equal to the one-step loop's and without
+    a warning; the reference's outcome is returned."""
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _outcome(ts.hyers_limit, stacked, ZERO_CONTROL, x, tol, **kwargs)
         want = _outcome(_reference_hyers_limit, pointwise, ZERO_CONTROL, x, tol, **kwargs)
-    _assert_same_outcome(got, want)
+    for f in (stacked, pointwise):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(ts.hyers_limit, f, ZERO_CONTROL, x, tol, **kwargs)
+        _assert_same_outcome(got, want)
     return want
 
 
@@ -366,7 +371,8 @@ class TestOneDoublingPath:
 
     def test_evaluate_stack_calls(self, monkeypatch):
         # one stack per power-control call; ceil(n / _BLOCK) stacks, of
-        # n rows in all when no stop cuts the last one, per custom call
+        # n rows in all when no stop cuts the last one, per custom call on
+        # a stacked map
         alg, stacked, pointwise, control = _setup("real", "fixed", 0.5)
         x = alg.basis()[1]
         diffs = _reference_diffs(pointwise, x)
@@ -386,23 +392,30 @@ class TestOneDoublingPath:
             rows.clear()
             assert ts.hyers_limit(stacked, ZERO_CONTROL, x, diffs[n - 1])[1] == n
             assert len(rows) == math.ceil(n / _BLOCK)
+            # a per-row map takes one doubling per stack: nothing past the stop
+            rows.clear()
+            assert ts.hyers_limit(pointwise, ZERO_CONTROL, x, diffs[n - 1])[1] == n
+            assert rows == [1] * n
         for max_iter in (0, 1, 32, 33, 100):
             rows.clear()
             with pytest.raises(NonConvergenceError):
                 ts.hyers_limit(stacked, ZERO_CONTROL, x, 1e-300, max_iter=max_iter)
             assert len(rows) == math.ceil(max_iter / _BLOCK) and sum(rows) == max_iter
 
-    def test_tabulated_map_holds_the_whole_last_block(self):
+    def test_per_row_maps_need_only_the_points_up_to_the_stop(self):
         # f(x) = 3x: the first difference is 0, so the custom rule stops at
-        # n = 1, but the block evaluates the ray up to 2**_BLOCK x
+        # n = 1; neither map is asked for a point past 2x
         x = np.array([1.0, 0.0])
-        ray = [np.ldexp(x, k) for k in range(_BLOCK + 1)]
-        f = ts.EvaluableMap.tabulated([(p, 3.0 * p) for p in ray], 2, 2)
-        value, n = ts.hyers_limit(f, ZERO_CONTROL, x, 1e-12)
-        assert n == 1 and _same(value, 3.0 * x)
-        short = ts.EvaluableMap.tabulated([(p, 3.0 * p) for p in ray[:2]], 2, 2)
-        with pytest.raises(ValueError, match="not tabulated"):
-            ts.hyers_limit(short, ZERO_CONTROL, x, 1e-12)
+        table = ts.EvaluableMap.tabulated([(x, 3.0 * x), (2.0 * x, 6.0 * x)], 2, 2)
+
+        def bounded(v):
+            if l2_norm(v) > 2.0:
+                raise ValueError("outside the domain")
+            return 3.0 * v
+
+        for f in (table, ts.EvaluableMap(2, 2, bounded)):
+            value, n = ts.hyers_limit(f, ZERO_CONTROL, x, 1e-12)
+            assert n == 1 and _same(value, 3.0 * x)
 
 
 class TestAPrioriStop:
