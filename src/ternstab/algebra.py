@@ -25,8 +25,8 @@ FIELDS = (REAL, COMPLEX)
 # exhaustive basis enumeration is used up to this many tuples, seeded
 # subsampling beyond it
 DEFAULT_TUPLE_BUDGET = 1_000_000
-# sampled tuples are evaluated in chunks of this many, bounding the gathered
-# operands to a few tens of MB at d = 16
+# sampled tuples are evaluated in chunks of this many, bounding a chunk's
+# index arrays, gathered rows and values (n x d each) to a few MB at d = 16
 _TUPLE_CHUNK = 20_000
 
 
@@ -183,12 +183,22 @@ def _trilinear(tensor: np.ndarray, a, b, c) -> np.ndarray:
     return out[..., 0, :]
 
 
-def _random_vector(rng, dim: int, field_tag: str, scale: float = 1.0) -> np.ndarray:
-    """Standard normal coordinates; complex fields draw the imaginary part second."""
-    v = rng.standard_normal(dim)
-    if field_tag == COMPLEX:
-        v = v + 1j * rng.standard_normal(dim)
-    return scale * v
+def _random_vector(rng, dim, field_tag: str, scale: float = 1.0, count: int | None = None):
+    """Standard normal coordinates; complex fields draw the imaginary part second.
+
+    With ``count``, a ``(count, dim)`` stack in one draw, in the stream order
+    of ``count`` single draws.  A tuple ``dim`` draws one vector of each
+    length per item, in turn, and gives one stack per length.
+    """
+    single = np.ndim(dim) == 0
+    dims = [dim] if single else dim
+    parts = 2 if field_tag == COMPLEX else 1
+    raw = rng.standard_normal((() if count is None else (count,)) + (parts * sum(dims),))
+    vectors, end = [], 0
+    for n in dims:
+        v, end = raw[..., end:end + parts * n], end + parts * n
+        vectors.append(scale * (v if parts == 1 else v[..., :n] + 1j * v[..., n:]))
+    return vectors[0] if single else vectors
 
 
 def ternary_product(alg: TernaryAlgebra, a, b, c) -> np.ndarray:
@@ -295,36 +305,52 @@ class AssocReport:
     exhaustive: bool
 
 
-# A law is a list of (einsum spec, tensor names) whose values must agree.
-# Each spec contracts its two tensors over q; the output letters name the
-# basis tuple in order, then the output coordinate r.  The first operand
-# ends in q and the second in r.
+# A law is a list of (spec, tensor names) whose values must agree.  Each spec
+# is a matrix product of its two tensors over q: the first one's letters end
+# in q, the second's hold q and end in r, and the output letters name the
+# basis tuple in order, then the output coordinate r.
 _ASSOC_LAW = {
     "assoc": [("abcq,qder->abcder", ("T", "T")), ("bcdq,aqer->abcder", ("T", "T"))],
 }
 
 
 def _law_values(spec: str, t1: np.ndarray, t2: np.ndarray, where) -> np.ndarray:
-    """One law expression at basis tuples.
+    """One law expression at basis tuples, by BLAS matrix products over q.
 
-    An integer ``where`` fixes the first tuple letter (a view of whichever
-    operand carries it) and gives the slice over the other letters, then r.
-    An index array of shape ``(letters, n)`` gathers n tuples: ``(n, dout)``.
+    An integer ``where`` fixes the first tuple letter (a slice of whichever
+    operand carries it) and gives the slice over the other letters, then r,
+    from one product.  An index array of shape ``(letters, n)`` gives n
+    tuples, ``(n, dout)``: the second operand becomes a ``(K, q, r)`` table
+    keyed by its other letters, and one product per key takes its tuples.
     """
     ins, out = spec.split("->")
     first, second = ins.split(",")
     if np.ndim(where) == 0:
+        right, rest = np.moveaxis(t2, second.index("q"), 0), second.replace("q", "")
         lead = out[0]
         if lead in first:
             t1 = t1[(slice(None),) * first.index(lead) + (where,)]
+            first = first.replace(lead, "")
         else:
-            t2 = t2[(slice(None),) * second.index(lead) + (where,)]
-        return np.einsum(spec.replace(lead, ""), t1, t2)
+            right = right[(slice(None),) * (1 + rest.index(lead)) + (where,)]
+            rest = rest.replace(lead, "")
+        vals = t1.reshape(-1, t1.shape[-1]) @ right.reshape(len(right), -1)
+        vals = vals.reshape(t1.shape[:-1] + right.shape[1:])
+        return vals.transpose([(first[:-1] + rest).index(s) for s in out[1:]])
     idx = dict(zip(out, where))
-    left = t1[tuple(idx[s] for s in first[:-1])]
-    # q next to r, so the gathered axes come first: (n, q, r)
-    right = np.moveaxis(t2, second.index("q"), 2)[tuple(idx[s] for s in second[:-1] if s != "q")]
-    return np.einsum("nq,nqr->nr", left, right)
+    right = np.moveaxis(t2, second.index("q"), -2)
+    table = right.reshape(-1, *right.shape[-2:])
+    key = np.ravel_multi_index([idx[s] for s in second[:-1] if s != "q"], right.shape[:-2])
+    # a stable (radix, on the smallest type) sort keeps a key's tuples in draw order
+    order = np.argsort(key.astype(np.min_scalar_type(len(table) - 1)), kind="stable")
+    rows = np.ravel_multi_index([idx[s] for s in first[:-1]], t1.shape[:-1])
+    left = np.take(t1.reshape(-1, t1.shape[-1]), rows[order], axis=0)
+    stops = np.cumsum(np.bincount(key, minlength=len(table))).tolist()
+    vals = np.empty((len(key), table.shape[-1]), np.result_type(t1, t2))
+    for k, (start, stop) in enumerate(itertools.pairwise([0, *stops])):
+        if start < stop:
+            vals[order[start:stop]] = left[start:stop] @ table[k]
+    return vals
 
 
 def _law_residuals(laws: dict, tensors: dict, norms_of, chunks) -> dict:
@@ -453,7 +479,7 @@ def rescale_norm_submultiplicative(
     best_val = 0.0
     top = []
     for _ in range(samples):
-        val, triple = ratio(*(_random_vector(rng, d, alg.field) for _ in range(3)))
+        val, triple = ratio(*_random_vector(rng, (d, d, d), alg.field))
         if triple is None:
             continue
         top.append((val, triple))

@@ -173,9 +173,7 @@ def check_module_axioms(
 
     # a, b and x of each sample drawn in turn, evaluated as three stacks
     rng = np.random.default_rng(seed + 1)
-    dims = (alg.dim, alg.dim, mod.dim)
-    draws = [_random_vector(rng, dim, alg.field) for _ in range(samples) for dim in dims]
-    a, b, x = (np.reshape(draws[s::3], (samples, dim)) for s, dim in enumerate(dims))
+    a, b, x = _random_vector(rng, (alg.dim, alg.dim, mod.dim), alg.field, count=samples)
     products = (_trilinear(mod.product_xab, x, a, b), _trilinear(mod.product_axb, a, x, b),
                 _trilinear(mod.product_abx, a, b, x))
     lhs = np.max([mod.norms_of(v) for v in products], axis=0)

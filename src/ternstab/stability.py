@@ -276,7 +276,7 @@ def check_hypothesis(
 
     def draw():
         scale = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
-        return [_random_vector(rng, alg.dim, alg.field, scale) for _ in range(slots)]
+        return _random_vector(rng, alg.dim, alg.field, scale, count=slots)
 
     drawn = np.reshape([draw() for _ in range(samples)], (samples, slots, alg.dim))
     phi = np.reshape([(control.evaluate(*args), control.evaluate(*args[:2], *zeros))
@@ -473,8 +473,7 @@ def direct_method_stabilize(
     rng = np.random.default_rng([seed, 0x51])
     linearity_max = 0.0
     if not failures:
-        for _ in range(linearity_points):
-            x = _random_vector(rng, alg.dim, alg.field)
+        for x in _random_vector(rng, alg.dim, alg.field, count=linearity_points):
             for name, evaluable, out_norm in named:
                 fresh, _ = hyers_limit(evaluable, control, x, tol, max_iter, out_norm)
                 linearity_max = max(
@@ -483,8 +482,7 @@ def direct_method_stabilize(
 
     rng = np.random.default_rng([seed, 0x52])
     zeros = (np.zeros(alg.dim, dtype=alg.dtype),) * (control.arity - 2)
-    draws = [_random_vector(rng, alg.dim, alg.field) for _ in range(bound_points)]
-    points = np.reshape(draws, (bound_points, alg.dim))
+    points = _random_vector(rng, alg.dim, alg.field, count=bound_points)
     phi_values = [float(summed_majorant(control, (x, x) + zeros)) for x in points]
     max_violation = -float("inf")
     for name, m, out_norm in named:
@@ -495,8 +493,8 @@ def direct_method_stabilize(
     rng = np.random.default_rng([seed, 0x53])
     # drawn a, b, c per triple in turn; a Jordan triple repeats its one draw
     slots = 1 if mode == "jordan" else 3
-    draws = [_random_vector(rng, alg.dim, alg.field) for _ in range(identity_triples * slots)]
-    stack = np.reshape(draws, (identity_triples, slots, alg.dim))
+    stack = _random_vector(rng, alg.dim, alg.field, count=identity_triples * slots)
+    stack = stack.reshape(identity_triples, slots, alg.dim)
     a, b, c = (stack[:, s % slots] for s in range(3))
     res = mod.norms_of(lie_derivation_residual(mod, deriv, a, b, c, sigma, tau, xi, signs))
     scale = 1.0 + alg.norms_of(a) * alg.norms_of(b) * alg.norms_of(c)

@@ -4,6 +4,9 @@
 ``np.linalg.norm`` on that row alone, whatever the layout of the stack; the
 module checks and the hypothesis sampling that now take their norms on
 stacks are compared below with copies of the per-row code they replaced.
+The module check's chains sum over q by matrix products, in another order
+than the reference's einsums: bitwise on exact modules, within the rounding
+bound of ``conftest._law_bound`` on random ones.
 """
 
 import dataclasses
@@ -113,6 +116,35 @@ class TestKernel:
         assert _same(norms[0], np.linalg.norm(stack[0]))
 
 
+def _one_draw(rng, dim, field, scale=1.0):
+    """``_random_vector`` before it drew stacks: one vector per call."""
+    v = rng.standard_normal(dim)
+    if field == "complex":
+        v = v + 1j * rng.standard_normal(dim)
+    return scale * v
+
+
+class TestRandomVectors:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("dim, count, scale", [
+        (3, None, 1.0), (3, 5, 0.7), (3, 0, 1.0), ((3, 3, 2), 4, 1.0), ((2, 5), None, 2.0),
+    ])
+    def test_one_draw_equals_single_draws(self, field, dim, count, scale):
+        mine = np.random.default_rng(1)
+        got = _random_vector(mine, dim, field, scale, count=count)
+        rng = np.random.default_rng(1)
+        lengths = np.atleast_1d(dim)
+        items = [[_one_draw(rng, n, field, scale) for n in lengths]
+                 for _ in range(1 if count is None else count)]
+        want = [np.reshape([item[s] for item in items], (count, n)) if count is not None
+                else items[0][s] for s, n in enumerate(lengths)]
+        dtype = np.complex128 if field == "complex" else np.float64
+        for g, w in zip(got if np.ndim(dim) else [got], want):
+            assert _same(g, w.astype(dtype))
+        # the stream continues where the single draws left it
+        assert mine.standard_normal() == rng.standard_normal()
+
+
 def _scaled(alg, factor):
     return dataclasses.replace(alg, norm_scale=factor)
 
@@ -123,11 +155,18 @@ def _custom_module(alg):
     return ts.TernaryModule(alg, alg.dim, t, t, t, norm=lambda v: float(np.abs(v).sum()))
 
 
-def _random_module(alg, dim, seed):
+def _random_module(alg, dim, seed, integer=False):
+    """Normal entries, or with ``integer`` entries in -2..2 (complex: integer
+    real and imaginary parts), whose sums are exact in any order."""
     rng = np.random.default_rng(seed)
     da = alg.dim
     shapes = ((dim, da, da, dim), (da, dim, da, dim), (da, da, dim, dim))
-    prods = [_stack(rng, shape, alg.field) for shape in shapes]
+    if integer:
+        prods = [rng.integers(-2, 3, shape) + (1j * rng.integers(-2, 3, shape)
+                                               if alg.field == "complex" else 0)
+                 for shape in shapes]
+    else:
+        prods = [_stack(rng, shape, alg.field) for shape in shapes]
     return ts.TernaryModule(alg, dim, *prods)
 
 
@@ -331,25 +370,48 @@ def _modules(field):
         "custom-norm": _custom_module(alg),
         "dX=4": _random_module(alg, 4, seed=9),
         "dX=2": _random_module(ts.trivial_matrix_algebra(2, field), 2, seed=10),
+        "integer dX=4": _random_module(alg, 4, seed=11, integer=True),
     }
+
+
+# modules whose chain values are exact, so that any summation order gives their bits
+EXACT = ("self", "custom-norm", "integer dX=4")
+
+
+def _assert_module_reports_match(got, want, mod, exact, law_close):
+    """Bitwise on an exact module; else each chain within the rounding bound
+    and every other field bitwise."""
+    if exact:
+        assert repr(got) == repr(want)
+        return
+    alg = mod.algebra
+    tensors = {"TA": alg.structure, "Pxab": mod.product_xab, "Paxb": mod.product_axb,
+               "Pabx": mod.product_abx}
+    for name, exprs in _CHAINS.items():
+        law_close((got.chain_residuals[name], None), (want.chain_residuals[name], None),
+                  exprs, tensors)
+    chains = dict(chain_residuals=None, max_chain_residual=0.0)
+    assert max(got.chain_residuals.values()) == got.max_chain_residual
+    assert repr(dataclasses.replace(got, **chains)) == repr(dataclasses.replace(want, **chains))
 
 
 class TestStackedChecksMatchPerRowCode:
     @pytest.mark.parametrize("budget", [1_000_000, 100])
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_module_axioms(self, field, budget):
+    def test_module_axioms(self, field, budget, law_close):
         for name, mod in _modules(field).items():
             kwargs = dict(samples=200, seed=5, budget=budget)
             got = ts.check_module_axioms(mod, 1e-9, **kwargs)
             want = _reference_module_check(mod, 1e-9, **kwargs)
             assert got.exhaustive == (budget > 1000)
-            assert repr(got) == repr(want), name
+            _assert_module_reports_match(got, want, mod, name in EXACT, law_close)
 
-    def test_module_axioms_without_samples(self):
+    def test_module_axioms_without_samples(self, law_close):
         mod = _modules("complex")["dX=4"]
         got = ts.check_module_axioms(mod, 1e-9, samples=0)
         assert got.norm_violation == 0.0
-        assert repr(got) == repr(_reference_module_check(mod, 1e-9, samples=0))
+        want = _reference_module_check(mod, 1e-9, samples=0)
+        _assert_module_reports_match(got, want, mod, False, law_close)
 
     @pytest.mark.parametrize("mode", ["lie", "jordan"])
     @pytest.mark.parametrize("field", ["real", "complex"])
