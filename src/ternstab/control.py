@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentControlError
-from .algebra import l2_norm
+from .algebra import _norms_with, l2_norm
 
 #: consecutive non-decreasing terms before the series is declared divergent
 _DIVERGENCE_WINDOW = 8
@@ -56,20 +56,34 @@ class ControlFunction:
     def norm_of(self, v) -> float:
         return l2_norm(v) if self.norm is None else float(self.norm(v))
 
-    def evaluate(self, *args) -> float:
+    def evaluate(self, *args):
+        """``phi(*args)``, or one value per row of ``(N, d)`` stacks (single
+        vectors broadcast), each bitwise the row's value alone: a power control
+        takes the norms of each dtype's arguments in one call and sums
+        ``|arg|**p`` per row in argument order as Python floats."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        if self.kind == "power":
+        stacked = any(np.ndim(a) > 1 for a in args)
+        if self.kind == "custom":
+            rows = zip(*np.broadcast_arrays(*args)) if stacked else [args]
+            values = [float(self.fn(*row)) for row in rows]
+            if any(val < 0.0 for val in values):
+                raise ValueError("custom control returned a negative value")
+            return np.array(values) if stacked else values[0]
+        rows = np.broadcast_arrays(*args) if stacked else [np.reshape(a, (1, -1)) for a in args]
+        norms: dict = {}
+        for key in dict.fromkeys((a.dtype, a.shape) for a in rows):
+            where = [i for i, a in enumerate(rows) if (a.dtype, a.shape) == key]
+            found = _norms_with(self.norm, np.stack([rows[i] for i in where]))
+            norms.update(zip(where, found.tolist()))
+        values = []
+        for row in zip(*map(norms.get, range(len(rows)))):
             total = 0.0
-            for v in args:
-                nv = self.norm_of(v)
+            for nv in row:
                 if nv > 0.0:
                     total += nv**self.p
-            return self.theta * total
-        val = float(self.fn(*args))
-        if val < 0.0:
-            raise ValueError("custom control returned a negative value")
-        return val
+            values.append(self.theta * total)
+        return np.array(values) if stacked else values[0]
 
     __call__ = evaluate
 
@@ -133,13 +147,13 @@ def summed_majorant(
     tail_tol: float = 1e-14,
     max_terms: int = 256,
     method: str = "auto",
-) -> float:
+):
     """The damped majorant ``(1/2) sum_n 2**(-n) phi(2**n args)``.
 
     ``method="auto"`` uses the exact closed form for power controls and
     numeric summation otherwise; ``"numeric"`` forces term-by-term summation
     with geometric tail completion; ``"partial"`` returns the raw truncated
-    sum.
+    sum.  Stacked ``args`` give one value per row (numeric sums run per row).
     """
     args = tuple(np.asarray(a) for a in args)
     if len(args) != control.arity:
@@ -152,6 +166,9 @@ def summed_majorant(
             return control.evaluate(*args) / (2.0 * denom)
         if method == "closed":
             raise ValueError("closed form only exists for power controls")
+    if any(a.ndim > 1 for a in args):
+        return np.array([summed_majorant(control, row, tail_tol, max_terms, method)
+                         for row in zip(*np.broadcast_arrays(*args))])
 
     scaled = [np.array(a, dtype=np.result_type(a.dtype, np.float64)) for a in args]
 

@@ -98,33 +98,38 @@ class PerturbationSpec:
             raise ValueError("direction must be 'fixed' or 'hash'")
 
 
-def _hash_units(seed: int, xs: np.ndarray, out_dim: int, complex_out: bool, out_norm):
+def _hash_units(seed: int, xs: np.ndarray, out_dim: int, complex_out: bool, out_norm, memo=None):
     """Counter-based unit directions, one per row of ``xs``, each keyed on
     (seed, the row's quantized coordinates).
 
     One Philox generator serves the whole call: resetting it to counter 0
     under a row's key draws the same normals as a fresh ``Philox(key=...)``.
-    It stays local to the call, so concurrent calls share no state.
+    The dict ``memo`` keeps each raw draw's bytes under ``(seed, out_dim,
+    complex_out)`` and the row's bytes, so a row seen before is not hashed
+    again; callers may share it, across threads too (``run_sweep``'s points
+    do), since every value is deterministic.  The generator stays local.
     """
-    flat = np.ascontiguousarray(xs, dtype=np.complex128).view(np.float64)
-    quantized = np.round(flat, 9)
+    flat = np.round(np.ascontiguousarray(xs, dtype=np.complex128).view(np.float64), 9)
+    # each quantized row's bytes, read as one void scalar per row
+    rows = flat.view(f"V{flat.itemsize * flat.shape[1]}")[:, 0].tolist()
     hash_key = (seed % 2**64).to_bytes(8, "little")
     bits = np.random.Philox(key=0)
     gen = np.random.Generator(bits)
     # a fresh generator's state: counter 0, buffer spent, no cached draw
     state = bits.state
-    units = np.empty((len(xs), out_dim), dtype=np.complex128 if complex_out else np.float64)
-    for i, row in enumerate(quantized):
-        digest = hashlib.blake2b(row.tobytes(), key=hash_key, digest_size=16).digest()
-        state["state"]["key"] = np.frombuffer(digest, dtype=np.uint64)
-        bits.state = state
-        v = gen.standard_normal(out_dim)
-        if complex_out:
-            v = v + 1j * gen.standard_normal(out_dim)
-        units[i] = v
+    seen = ({} if memo is None else memo).setdefault((seed, out_dim, complex_out), {})
+    for row in rows:
+        if row not in seen:
+            digest = hashlib.blake2b(row, key=hash_key, digest_size=16).digest()
+            state["state"]["key"] = np.frombuffer(digest, dtype=np.uint64)
+            bits.state = state
+            v = gen.standard_normal(out_dim)
+            seen[row] = (v + 1j * gen.standard_normal(out_dim) if complex_out else v).tobytes()
+    dtype = np.complex128 if complex_out else np.float64
+    units = np.frombuffer(b"".join(map(seen.get, rows)), dtype).reshape(-1, out_dim)
     sizes = _norms_with(out_norm, units)
     if not sizes.all():
-        units[sizes == 0.0] = 1.0
+        units = np.where(sizes[:, None] == 0.0, 1.0, units)
         sizes = _norms_with(out_norm, units)
     return units / sizes[:, None]
 
@@ -134,13 +139,15 @@ def perturb_map(
     spec: PerturbationSpec,
     in_norm=None,
     out_norm=None,
+    hash_memo=None,
 ) -> EvaluableMap:
     """Evaluator ``x -> base(x) + theta |x|**p u(x)`` with unit ``u``.
 
     Maps zero to zero, is deterministic under a fixed seed, and realizes the
     perturbation magnitude exactly in the output norm.  The evaluator takes
     one point or an ``(N, d)`` stack; each row of a stack gets exactly the
-    value it would get alone.
+    value it would get alone.  ``hash_memo`` is the dict of raw hash
+    directions that :func:`_hash_units` fills, None for one of its own per call.
     """
     complex_out = np.iscomplexobj(base.matrix)
     fixed_unit = None
@@ -180,7 +187,7 @@ def perturb_map(
         unit = (
             fixed_unit
             if fixed_unit is not None
-            else _hash_units(spec.seed, x[moved], base.out_dim, complex_out, out_norm)
+            else _hash_units(spec.seed, x[moved], base.out_dim, complex_out, out_norm, hash_memo)
         )
         out[moved] = out[moved] + scale * unit
         return out
@@ -408,7 +415,7 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def run_experiment(config, out_dir=None, write_files: bool = True) -> RunResult:
+def run_experiment(config, out_dir=None, write_files: bool = True, hash_memo=None) -> RunResult:
     """Full pipeline: solve ground truth, perturb, stabilize, verify, emit.
 
     The report is written as JSON (plus one convergence CSV per map) when
@@ -417,7 +424,7 @@ def run_experiment(config, out_dir=None, write_files: bool = True) -> RunResult:
     nonconvergent iteration) are recorded in the report under their codes
     instead of propagating, and force ``all_passed`` to false.  The
     report's ``derivation`` entry is the solver's rank margin for the map
-    candidate used.
+    candidate used.  ``hash_memo`` goes to :func:`perturb_map`.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
@@ -483,9 +490,8 @@ def run_experiment(config, out_dir=None, write_files: bool = True) -> RunResult:
             ("h", tau, alg.norm_of),
             ("k", xi, alg.norm_of),
         ):
-            evaluables[name] = perturb_map(
-                base, config.perturbations[name], in_norm=alg.norm_of, out_norm=out_norm
-            )
+            evaluables[name] = perturb_map(base, config.perturbations[name], in_norm=alg.norm_of,
+                                           out_norm=out_norm, hash_memo=hash_memo)
         try:
             if config.samples["hypothesis_tuples"] > 0:
                 hypo = check_hypothesis(
@@ -618,15 +624,19 @@ def run_sweep(config, param: str, values, out_csv=None) -> list:
     """One experiment per parameter value; one result row per point.
 
     Points run in parallel up to :func:`thread_count` workers; rows are
-    ordered by the input values regardless of completion order.
+    ordered by the input values regardless of completion order.  The points
+    share hash directions: one memo (see :func:`_hash_units`), which lives
+    for this call only, hashes each distinct input once per sweep.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
     values = [float(v) for v in values]
     point_configs = [_sweep_config(config.raw, param, v) for v in values]
+    hash_memo: dict = {}
 
     def run_point(raw):
-        return run_experiment(_parse_config(raw, config.base_dir), write_files=False)
+        return run_experiment(_parse_config(raw, config.base_dir), write_files=False,
+                              hash_memo=hash_memo)
 
     workers = min(thread_count(), max(1, len(point_configs)))
     if workers > 1:

@@ -262,8 +262,9 @@ def check_hypothesis(
     reported either way.
 
     The points are drawn sample by sample, each a scale and then ``x, y, u``
-    (and ``v, w`` in ``lie`` mode), and evaluated together: each map once
-    on one stack, the residuals and slacks as ``(samples, lambdas, 4)``.
+    (and ``v, w`` in ``lie`` mode), and evaluated together: each map and
+    each side of ``phi`` once on one stack, the residuals and slacks as
+    ``(samples, lambdas, 4)``.
     """
     if mode not in ("lie", "jordan"):
         raise ValueError("mode must be 'lie' or 'jordan'")
@@ -279,8 +280,9 @@ def check_hypothesis(
         return _random_vector(rng, alg.dim, alg.field, scale, count=slots)
 
     drawn = np.reshape([draw() for _ in range(samples)], (samples, slots, alg.dim))
-    phi = np.reshape([(control.evaluate(*args), control.evaluate(*args[:2], *zeros))
-                      for args in drawn], (samples, 1, 2))[..., [0, 1, 1, 1]]
+    args = tuple(np.moveaxis(drawn, 1, 0))
+    phi = np.stack([control.evaluate(*args), *[control.evaluate(*args[:2], *zeros)] * 3],
+                   axis=-1)[:, None]
     # rows 0-4 of a sample are x, y, u, v, w (a Jordan sample repeats u as
     # v and w); row 5 + j belongs to lams[j]
     points = drawn[:, np.minimum(np.arange(5), slots - 1)]
@@ -408,7 +410,8 @@ def _rate_estimate(rows) -> float | None:
     """Median successive-error ratio over iterations 3..10 of a trace."""
     by_basis: dict = {}
     for basis_index, n, err, _tail in rows:
-        by_basis.setdefault(basis_index, {})[n] = err
+        if 3 <= n <= 10:
+            by_basis.setdefault(basis_index, {})[n] = err
     ratios = []
     for errs in by_basis.values():
         for n in range(3, 10):
@@ -483,7 +486,7 @@ def direct_method_stabilize(
     rng = np.random.default_rng([seed, 0x52])
     zeros = (np.zeros(alg.dim, dtype=alg.dtype),) * (control.arity - 2)
     points = _random_vector(rng, alg.dim, alg.field, count=bound_points)
-    phi_values = [float(summed_majorant(control, (x, x) + zeros)) for x in points]
+    phi_values = summed_majorant(control, (points, points) + zeros).tolist()
     max_violation = -float("inf")
     for name, m, out_norm in named:
         limit = (recovered[name].matrix @ points[:, :, None])[:, :, 0]

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ternstab as ts
 from ternstab.errors import DivergentControlError
@@ -168,3 +171,106 @@ class TestCauchyTail:
         c = ts.power_control(1.0, 0.5)
         with pytest.raises(ValueError):
             ts.cauchy_tail_bound(c, unit_x(), -1)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def _reference_power(control, args) -> float:
+    """The power family summed one ``norm_of`` call per argument."""
+    total = 0.0
+    for v in args:
+        nv = control.norm_of(v)
+        if nv > 0.0:
+            total += nv**control.p
+    return control.theta * total
+
+
+def _stacked_args(field, arity, rows, zeroed, seed, dim=3):
+    """``arity`` stacks of ``rows`` points of length ``dim``; a ``mixed``
+    field alternates complex and real stacks.  The last argument is a single
+    zero vector, broadcast against the stacks."""
+    rng = np.random.default_rng(seed)
+    args = []
+    for slot in range(arity - 1):
+        stack = rng.standard_normal((rows, dim)) * np.exp(rng.uniform(-3.0, 3.0, (rows, 1)))
+        if field == "complex" or (field == "mixed" and slot % 2 == 0):
+            stack = stack + 1j * rng.standard_normal((rows, dim))
+        for r, s in zeroed:
+            if r < rows and s == slot:
+                stack[r] = 0.0
+        args.append(stack)
+    args.append(np.zeros(dim, dtype=np.complex128 if field == "complex" else np.float64))
+    return args
+
+
+def _row(args, r):
+    return [a[r] if a.ndim == 2 else a for a in args]
+
+
+class TestStackedArguments:
+    """A stack of arguments gives each row bitwise the value it gets alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        field=st.sampled_from(["real", "complex", "mixed"]),
+        dim=st.sampled_from([3, 9]),
+        norm_scale=st.sampled_from([None, 1.0, 0.3, 2.5]),
+        theta=st.sampled_from([0.0, 0.1, 1.7]),
+        p=st.sampled_from([0.0, 0.25, 0.5, 0.9]),
+        arity=st.sampled_from([3, 5]),
+        rows=st.integers(0, 5),
+        zeroed=st.sets(st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_power_stack_equals_rows(self, field, dim, norm_scale, theta, p, arity, rows,
+                                     zeroed, seed):
+        # a real row stacked with complex ones gets other bits from d = 8 on
+        alg = ts.odd_polynomial_algebra(2 * dim - 1, "real" if field == "real" else "complex")
+        if norm_scale is not None:
+            alg = dataclasses.replace(alg, norm_scale=norm_scale)
+        norm = None if norm_scale is None else alg.norm_of
+        control = ts.power_control(theta, p, arity, norm=norm)
+        args = _stacked_args(field, arity, rows, zeroed, seed, dim)
+        values = control.evaluate(*args)
+        majorants = ts.summed_majorant(control, args)
+        assert values.shape == majorants.shape == (rows,)
+        for r in range(rows):
+            row = _row(args, r)
+            assert _bits(values[r]) == _bits(control.evaluate(*row))
+            assert _bits(values[r]) == _bits(_reference_power(control, row))
+            assert _bits(majorants[r]) == _bits(ts.summed_majorant(control, row))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        field=st.sampled_from(["real", "complex", "mixed"]),
+        rows=st.integers(0, 3),
+        zeroed=st.sets(st.tuples(st.integers(0, 2), st.integers(0, 1)), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_custom_stack_calls_fn_per_row(self, field, rows, zeroed, seed):
+        calls = []
+
+        def fn(*args):
+            calls.append(args)
+            return 0.1 * sum(float(np.abs(v).sum()) ** 0.5 for v in args)
+
+        control = ts.custom_control(fn, arity=3)
+        args = _stacked_args(field, 3, rows, zeroed, seed)
+        values = control.evaluate(*args)
+        assert values.shape == (rows,) and len(calls) == rows
+        assert all(v.shape == (3,) for call in calls for v in call)
+        majorants = ts.summed_majorant(control, args)
+        for r in range(rows):
+            row = _row(args, r)
+            assert _bits(values[r]) == _bits(control.evaluate(*row))
+            assert _bits(majorants[r]) == _bits(ts.summed_majorant(control, row))
+
+    def test_single_vectors_give_a_float(self):
+        c = ts.power_control(2.0, 0.5, arity=3)
+        assert type(c.evaluate(unit_x() * 4.0, unit_x(), np.zeros(2))) is float
+        bad = ts.custom_control(lambda *args: -float(args[0].sum()), arity=3)
+        stack = np.ones((2, 2))
+        with pytest.raises(ValueError, match="negative"):
+            bad.evaluate(stack, stack, np.zeros(2))

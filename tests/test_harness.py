@@ -1,11 +1,13 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ternstab as ts
+from ternstab import harness
 from ternstab.errors import ConfigError
 from ternstab.harness import parse_sweep_spec, thread_count
 from ternstab.serialize import register_custom_control
@@ -404,6 +406,105 @@ class TestSweep:
         raw = load_raw("oddpoly3_p05.json")
         with pytest.raises(ConfigError):
             ts.run_sweep(raw, "m", [1.0])
+
+
+def _memo_raw():
+    """``oddpoly3_p05`` (hash directions for g, h and k) with small samples."""
+    raw = load_raw("oddpoly3_p05.json")
+    raw["samples"] = {
+        "bound_points": 10,
+        "identity_triples": 10,
+        "hypothesis_tuples": 10,
+        "linearity_points": 1,
+    }
+    return raw
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value).tobytes()
+
+
+class TestSweepHashMemo:
+    """The points of one sweep share a memo of hash directions."""
+
+    VALUES = [0.2, 0.5, 0.8]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_points_equal_standalone_runs(self, monkeypatch, threads):
+        monkeypatch.setenv("TERNSTAB_THREADS", threads)
+        raw = _memo_raw()
+        run, results = harness.run_experiment, {}
+
+        def recording(config, *args, **kwargs):
+            result = run(config, *args, **kwargs)
+            results[config.raw["control"]["p"]] = result
+            return result
+
+        monkeypatch.setattr(harness, "run_experiment", recording)
+        rows = ts.run_sweep(raw, "p", self.VALUES)
+        for value, row in zip(self.VALUES, rows):
+            alone = run(harness._sweep_config(raw, "p", value), write_files=False)
+            stab, swept = alone.stabilization, results[value].stabilization
+            assert row["all_passed"] == alone.all_passed
+            assert row["max_iterations"] == max(max(its) for its in stab.iterations.values())
+            assert row["max_bound_violation"] == stab.max_bound_violation
+            assert row["max_identity_residual"] == stab.max_identity_residual
+            for name in ("derivation", "sigma", "tau", "xi"):
+                assert _bits(getattr(swept, name).matrix) == _bits(getattr(stab, name).matrix)
+            assert swept.traces.keys() == stab.traces.keys()
+            for name, trace in stab.traces.items():
+                assert _bits(swept.traces[name]) == _bits(trace)
+            assert json.dumps(results[value].report) == json.dumps(alone.report)
+
+    def test_threads_filling_one_memo_under_frequent_switches(self, monkeypatch):
+        # each point runs twice, so threads race to hash the same rows; a
+        # draw stored twice must be the same draw
+        raw, values = _memo_raw(), self.VALUES * 2
+        monkeypatch.setenv("TERNSTAB_THREADS", "1")
+        serial = ts.run_sweep(raw, "p", values)
+        monkeypatch.setenv("TERNSTAB_THREADS", "6")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = ts.run_sweep(raw, "p", values)
+        finally:
+            sys.setswitchinterval(interval)
+        assert repr(threaded) == repr(serial)
+
+    def test_each_distinct_row_is_digested_once_per_sweep(self, monkeypatch):
+        monkeypatch.setenv("TERNSTAB_THREADS", "1")
+        raw = _memo_raw()
+        digested, memos = [], []
+        blake2b, hash_units = harness.hashlib.blake2b, harness._hash_units
+
+        def counting(data, *, key, digest_size):
+            digested.append((key, bytes(data)))
+            return blake2b(data, key=key, digest_size=digest_size)
+
+        def watching(seed, xs, out_dim, complex_out, out_norm, memo=None):
+            memos.append((memo, None if memo is None else len(memo)))
+            return hash_units(seed, xs, out_dim, complex_out, out_norm, memo)
+
+        monkeypatch.setattr(harness.hashlib, "blake2b", counting)
+        monkeypatch.setattr(harness, "_hash_units", watching)
+        ts.run_sweep(raw, "p", self.VALUES)
+        first, first_memos = digested[:], memos[:]
+        # every point's perturbation has the same output size and field, so
+        # (key, row) stands for (seed, out_dim, complex_out, row)
+        assert first and len(set(first)) == len(first)
+        assert len({id(memo) for memo, _ in first_memos}) == 1
+        assert first_memos[0][1] == 0
+        digested.clear()
+        for value in self.VALUES:
+            harness.run_experiment(harness._sweep_config(raw, "p", value), write_files=False)
+        assert len(digested) > len(first)
+        assert set(digested) == set(first)
+
+        digested.clear()
+        memos.clear()
+        ts.run_sweep(raw, "p", self.VALUES)
+        assert memos[0][0] is not first_memos[0][0] and memos[0][1] == 0
+        assert digested == first
 
 
 class TestThreadCount:

@@ -1,10 +1,12 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 
 import ternstab as ts
 from ternstab.errors import NonConvergenceError
+from ternstab.stability import _rate_estimate
 
 
 @pytest.fixture()
@@ -287,3 +289,33 @@ class TestEvaluableMap:
         f = perturbed_oddpoly[0]
         x = np.array([0.37, -1.2])
         np.testing.assert_array_equal(f(x), f(x))
+
+
+def _rate_from_every_row(rows):
+    """The rate estimate over a dict of every trace row, 3..10 picked afterwards."""
+    by_basis: dict = {}
+    for basis_index, n, err, _tail in rows:
+        by_basis.setdefault(basis_index, {})[n] = err
+    ratios = []
+    for errs in by_basis.values():
+        for n in range(3, 10):
+            if n in errs and (n + 1) in errs and errs[n] > 0:
+                ratios.append(errs[n + 1] / errs[n])
+    return statistics.median(ratios) if ratios else None
+
+
+class TestRateEstimate:
+    def test_deep_trace_rate_is_bitwise_unchanged(self, oddpoly3, identity2):
+        spec = ts.PerturbationSpec(theta=0.1, p=0.9, direction="hash", seed=5)
+        g = ts.perturb_map(identity2, spec, oddpoly3.norm_of, oddpoly3.norm_of)
+        control = ts.power_control(0.1, 0.9, arity=5, norm=oddpoly3.norm_of)
+        rows = []
+        for i, x in enumerate(oddpoly3.basis()):
+            trace: list = []
+            ts.hyers_limit(g, control, x, 1e-10, out_norm=oddpoly3.norm_of, trace=trace)
+            rows.extend((i, *row) for row in trace)
+        assert max(row[1] for row in rows) > 300
+        rate = _rate_estimate(rows)
+        assert rate is not None
+        assert np.float64(rate).tobytes() == np.float64(_rate_from_every_row(rows)).tobytes()
+        assert _rate_estimate(rows[:3]) is None
