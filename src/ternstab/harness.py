@@ -33,7 +33,6 @@ from .algebra import (
 from .control import ControlFunction
 from .errors import (
     ConfigError,
-    DimensionMismatch,
     DivergentControlError,
     EmptyDerivationSpaceError,
     NonConvergenceError,
@@ -170,12 +169,7 @@ def perturb_map(
         x = np.asarray(x)
         if x.ndim == 1:
             return evaluate(x[None])[0]
-        if x.shape[-1] != base.in_dim:
-            raise DimensionMismatch(
-                f"input of shape {x.shape} for map with in_dim {base.in_dim}"
-            )
-        # one matrix-vector product per row, bitwise equal to ``base.matrix @ row``
-        out = (base.matrix @ x[:, :, None])[:, :, 0]
+        out = base.apply(x)
         if spec.theta == 0.0:
             return out
         sizes = _norms_with(in_norm, x)
@@ -422,9 +416,11 @@ def run_experiment(config, out_dir=None, write_files: bool = True, hash_memo=Non
     ``write_files`` is set and an output directory is known.  Fatal errors
     (empty derivation space with ``on_empty: error``, divergent control,
     nonconvergent iteration) are recorded in the report under their codes
-    instead of propagating, and force ``all_passed`` to false.  The
-    report's ``derivation`` entry is the solver's rank margin for the map
-    candidate used.  ``hash_memo`` goes to :func:`perturb_map`.
+    instead of propagating, and force ``all_passed`` to false.  A run that
+    writes no files keeps only the trace rows ``n <= 10`` (see
+    :func:`direct_method_stabilize`).  The report's ``derivation`` entry is
+    the solver's rank margin for the map candidate used.  ``hash_memo``
+    goes to :func:`perturb_map`.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
@@ -481,6 +477,8 @@ def run_experiment(config, out_dir=None, write_files: bool = True, hash_memo=Non
     stab = None
     hypo = None
     trace_paths: dict = {}
+    target_dir = Path(out_dir) if out_dir is not None else config.out_dir
+    writes = write_files and target_dir is not None
     if not errors:
         sigma, tau, xi = chosen
         evaluables = {}
@@ -522,6 +520,7 @@ def run_experiment(config, out_dir=None, write_files: bool = True, hash_memo=Non
                 bound_points=config.samples["bound_points"],
                 identity_triples=config.samples["identity_triples"],
                 linearity_points=config.samples["linearity_points"],
+                keep_traces=writes,
             )
         except (DivergentControlError, NonConvergenceError) as exc:
             errors.append({"code": exc.code, "message": str(exc)})
@@ -562,9 +561,8 @@ def run_experiment(config, out_dir=None, write_files: bool = True, hash_memo=Non
         report["hypothesis"] = hypo.to_dict() if hypo is not None else None
         report["all_passed"] = stab.all_passed and not errors
 
-    target_dir = Path(out_dir) if out_dir is not None else config.out_dir
     report_path = None
-    if write_files and target_dir is not None:
+    if writes:
         report_with_stamp = dict(report)
         report_with_stamp["timestamp"] = datetime.datetime.now(
             datetime.timezone.utc

@@ -31,7 +31,11 @@ from .module import TernaryModule, product_abx, product_xab
 
 @dataclass(frozen=True, eq=False)
 class LinearMap:
-    """A matrix acting on coordinate vectors: ``apply(x) = matrix @ x``."""
+    """A matrix acting on coordinate vectors: ``apply(x) = matrix @ x``.
+
+    ``apply`` also takes an ``(N, in_dim)`` stack and then runs one
+    matrix-vector product per row, bitwise equal to each row's alone.
+    """
 
     matrix: np.ndarray
 
@@ -57,11 +61,12 @@ class LinearMap:
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x)
-        if x.shape != (self.in_dim,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.in_dim:
             raise DimensionMismatch(
                 f"input of shape {x.shape} for map with in_dim {self.in_dim}"
             )
-        return self.matrix @ x
+        # ``x @ matrix.T`` on a stack would sum in another order
+        return self.matrix @ x if x.ndim == 1 else (self.matrix @ x[:, :, None])[:, :, 0]
 
     __call__ = apply
 

@@ -9,7 +9,6 @@ rerun with the same seed is byte-identical (the timestamp field aside).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -259,13 +258,23 @@ def read_json(path) -> dict:
 TRACE_HEADER = ("basis_index", "n", "error", "tail_bound")
 
 
+def _float_reprs(values) -> list:
+    """``repr(float(v))`` of every value, cut from one ``repr`` of the list."""
+    text = repr(list(map(float, values)))[1:-1]
+    return text.split(", ") if text else []
+
+
 def write_trace_csv(path, rows) -> Path:
-    """Convergence trace: one row per (basis vector, iteration)."""
+    """Convergence trace: one row per (basis vector, iteration).
+
+    The text is built a column at a time and written at once; it is what
+    ``csv.writer`` writes for ``(basis_index, n, repr(error), repr(tail))``,
+    CRLF line ends included.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for basis_index, n, error, tail in rows:
-            writer.writerow([basis_index, n, repr(float(error)), repr(float(tail))])
+    basis, ns, errors, tails = list(zip(*rows)) or [()] * 4
+    lines = map(",".join, zip(map(str, basis), map(str, ns),
+                              _float_reprs(errors), _float_reprs(tails)))
+    path.write_text("\r\n".join([",".join(TRACE_HEADER), *lines, ""]), newline="")
     return path

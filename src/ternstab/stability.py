@@ -31,6 +31,11 @@ ITERATION_CAP = 1000
 #: doublings per stack when a custom control meets a stacked map; its stop is
 #: not known in advance, so this bounds the rows evaluated past it
 _BLOCK = 32
+#: map kinds whose ``fn`` takes a whole ``(N, in_dim)`` stack
+_STACKED_KINDS = ("linear-plus-perturbation", "exact-linear")
+#: trace rows ``n <= _RATE_ROWS`` are all that ``_rate_estimate`` reads, and
+#: all that a run keeps when it writes no trace file
+_RATE_ROWS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,8 +44,9 @@ class EvaluableMap:
 
     ``map(x)`` evaluates one point and :meth:`evaluate_stack` every row of
     an ``(N, in_dim)`` stack.  A ``linear-plus-perturbation`` map (as built
-    by ``perturb_map``) gets the whole stack in one ``fn`` call, which must
-    return ``(N, out_dim)``; ``exact-linear``, ``tabulated`` and ``custom``
+    by ``perturb_map``) and an ``exact-linear`` one (``LinearMap.apply``,
+    one batched matrix-vector product) get the whole stack in one ``fn``
+    call, which must return ``(N, out_dim)``; ``tabulated`` and ``custom``
     maps are called once per row.  Stack support goes with ``kind``, so a
     map rebuilt from ``(in_dim, out_dim, fn, kind)`` keeps it.
     """
@@ -70,7 +76,7 @@ class EvaluableMap:
             raise DimensionMismatch(
                 f"stack shape {xs.shape} for map with in_dim {self.in_dim}"
             )
-        if self.kind != "linear-plus-perturbation":
+        if self.kind not in _STACKED_KINDS:
             if not len(xs):
                 return np.empty((0, self.out_dim))
             return np.array([self(row) for row in xs])
@@ -113,28 +119,35 @@ def hyers_limit(
     max_iter: int = ITERATION_CAP,
     out_norm=None,
     trace=None,
+    trace_rows=None,
 ) -> tuple:
     """Limit of ``f(2**n x) / 2**n`` with a certified stopping rule.
 
-    ``f`` is evaluated on blocks of the dyadic ray ``2**k x`` stacked (see
+    ``f`` is evaluated on stacks of points ``2**k x`` of the dyadic ray (see
     :meth:`EvaluableMap.evaluate_stack`); doubling and scaling by ``2**-k``
     are exact in binary floating point, so the limit and the trace equal
     those of doubling one step at a time.  For power controls the iteration
     stops at the first ``n`` whose Cauchy tail bound is at most ``tol`` (an
     a-priori rule; for ``theta = 0`` that is ``n = 0``).  That ``n`` is
-    found first, and the block is the whole ray ``k = 1..n``.  Custom
-    controls stop at the first ``n`` of the empirical criterion
-    ``|f(2**n x) / 2**n - f(2**(n-1) x) / 2**(n-1)| <= tol``; a
-    ``linear-plus-perturbation`` map takes blocks of 32 doublings, whose
-    rows past the stop are evaluated and dropped, and the other kinds, called
-    once per row anyway, one doubling at a time.  Returns the scaled iterate
-    and the stopping ``n``.  ``trace``, if a list, receives a row ``(n,
-    successive_difference, tail_bound)`` per iteration, also for the
-    iterations before a failure.
+    found first, and one stack holds only the rows that are read: row ``n``
+    and the traced rows before it, so an untraced call evaluates ``f`` at
+    ``x`` and ``2**n x`` alone.  If a row of that stack is not finite, the
+    whole ray ``k = 1..n`` is evaluated to find the first row that is not;
+    otherwise the rows left out are not checked.  Custom controls stop at
+    the first ``n`` of the empirical criterion
+    ``|f(2**n x) / 2**n - f(2**(n-1) x) / 2**(n-1)| <= tol``; a stacked map
+    (``linear-plus-perturbation`` or ``exact-linear``) takes blocks of 32
+    doublings, whose rows past the stop are evaluated and dropped, and the
+    other kinds, called once per row anyway, one doubling at a time.
+    Returns the scaled iterate and the stopping ``n``.  ``trace``, if a
+    list, receives a row ``(n, successive_difference, tail_bound)`` per
+    iteration, also for the iterations before a failure; with
+    ``trace_rows`` set, only the rows ``n <= trace_rows``.
 
-    Raises :class:`NonConvergenceError` when an iterate is not finite or past
-    ``min(max_iter, 1000)``; the hard cap keeps ``2**n`` inside
-    double-precision range.
+    Raises :class:`NonConvergenceError` when a row that is evaluated is not
+    finite or no ``n`` up to ``min(max_iter, 1000)`` stops; the hard cap
+    keeps ``2**n`` inside double-precision range.  A power control without
+    a stop checks row ``min(max_iter, 1000)`` the same way as row ``n``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -153,32 +166,42 @@ def hyers_limit(
     if stop == 0:
         return current, 0
     end = max(limit, 0) if stop is None else stop
-    block = end if not empirical else _BLOCK if f.kind == "linear-plus-perturbation" else 1
-    scales, done = np.ldexp(1.0, np.arange(1, end + 1))[:, None], 0
-    while done < end:
-        scale = scales[done : done + block]
+    traced = 0 if trace is None else end if trace_rows is None else min(end, trace_rows)
+    ray = np.arange(1, end + 1)
+    rows = ray if empirical or traced == end else np.append(ray[:traced], end)
+    block = end if not empirical else _BLOCK if f.kind in _STACKED_KINDS else 1
+    done = 0
+    while done < len(rows):
+        k = rows[done : done + block]
+        scale = np.ldexp(1.0, k)[:, None]
         # the norms recompute rows whose squares overflow, and a row that leaves
         # double range is reported below or dropped, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = f.evaluate_stack(xn * scale) / scale
         finite = np.isfinite(scaled)
-        kept = reached = len(scale) if finite.all() else int(np.argmin(finite.all(axis=1)))
-        if reached and (empirical or trace is not None):
-            previous = np.concatenate([current[None], scaled[: reached - 1]])
-            diffs = _norms_with(out_norm, scaled[:reached] - previous)
+        kept = reached = len(k) if finite.all() else int(np.argmin(finite.all(axis=1)))
+        if reached < len(k) and len(rows) < end:
+            # a row left out may be the first that is not finite
+            rows = ray
+            continue
+        read = reached if empirical else min(reached, traced)
+        if read:
+            previous = np.concatenate([current[None], scaled[: read - 1]])
+            diffs = _norms_with(out_norm, scaled[:read] - previous)
             if empirical and (diffs <= tol).any():
                 kept = int(np.argmax(diffs <= tol)) + 1
                 stop = done + kept
-            if trace is not None:
-                rows = range(done + 1, done + kept + 1)
-                tails = [math.nan] * kept if empirical else cauchy_tail_bound(control, x, rows)
-                trace.extend(zip(rows, diffs[:kept].tolist(), tails))
-        if stop == done + kept:
+            shown = min(kept, traced - done)
+            if shown > 0:
+                ns = range(done + 1, done + shown + 1)
+                tails = [math.nan] * shown if empirical else cauchy_tail_bound(control, x, ns)
+                trace.extend(zip(ns, diffs[:shown].tolist(), tails))
+        if kept and k[kept - 1] == stop:
             return scaled[kept - 1].copy(), stop
-        if reached < len(scale):
-            n = done + reached + 1
+        if reached < len(k):
+            n = int(k[reached])
             raise NonConvergenceError(f"iterate at n={n} overflowed", iterations=n)
-        current, done = scaled[-1], done + len(scale)
+        current, done = scaled[-1], done + len(k)
     reason = (f"hard iteration cap {ITERATION_CAP} reached" if limit == ITERATION_CAP
               else f"max_iter {limit} exceeded")
     raise NonConvergenceError(f"doubling iteration did not converge: {reason}",
@@ -380,7 +403,7 @@ class StabilizationReport:
 
 
 def _recover_matrix(evaluable, control, alg, tol, max_iter, out_norm, name,
-                    traces, iterations, failures):
+                    traces, iterations, failures, trace_rows):
     columns = []
     iters = []
     rows = []
@@ -390,7 +413,8 @@ def _recover_matrix(evaluable, control, alg, tol, max_iter, out_norm, name,
         local: list = []
         try:
             col, n = hyers_limit(
-                evaluable, control, basis_vec, tol, max_iter, out_norm, trace=local
+                evaluable, control, basis_vec, tol, max_iter, out_norm, trace=local,
+                trace_rows=trace_rows,
             )
         except NonConvergenceError as exc:
             failures.append(
@@ -407,14 +431,14 @@ def _recover_matrix(evaluable, control, alg, tol, max_iter, out_norm, name,
 
 
 def _rate_estimate(rows) -> float | None:
-    """Median successive-error ratio over iterations 3..10 of a trace."""
+    """Median successive-error ratio over iterations ``3.._RATE_ROWS`` of a trace."""
     by_basis: dict = {}
     for basis_index, n, err, _tail in rows:
-        if 3 <= n <= 10:
+        if 3 <= n <= _RATE_ROWS:
             by_basis.setdefault(basis_index, {})[n] = err
     ratios = []
     for errs in by_basis.values():
-        for n in range(3, 10):
+        for n in range(3, _RATE_ROWS):
             if n in errs and (n + 1) in errs and errs[n] > 0:
                 ratios.append(errs[n + 1] / errs[n])
     return statistics.median(ratios) if ratios else None
@@ -436,6 +460,7 @@ def direct_method_stabilize(
     identity_triples: int = 100,
     linearity_points: int = 5,
     identity_tol: float = 1e-8,
+    keep_traces: bool = True,
 ) -> StabilizationReport:
     """Recover ``(D, sigma, tau, xi)`` from ``(f, g, h, k)`` and verify them.
 
@@ -451,7 +476,9 @@ def direct_method_stabilize(
       at most ``identity_tol * (1 + |a||b||c|)``.
 
     Per-basis convergence failures are recorded and mark the report as
-    partial instead of aborting the remaining work.
+    partial instead of aborting the remaining work.  ``traces`` holds every
+    doubling of every basis vector, or with ``keep_traces`` false only the
+    rows ``n <= 10`` that ``convergence_rates`` reads.
     """
     if mode not in ("lie", "jordan"):
         raise ValueError("mode must be 'lie' or 'jordan'")
@@ -466,9 +493,10 @@ def direct_method_stabilize(
     traces: dict = {}
     iterations: dict = {}
     failures: list = []
+    trace_rows = None if keep_traces else _RATE_ROWS
     recovered = {
         name: _recover_matrix(evaluable, control, alg, tol, max_iter, out_norm, name,
-                              traces, iterations, failures)
+                              traces, iterations, failures, trace_rows)
         for name, evaluable, out_norm in named
     }
     deriv, sigma, tau, xi = (recovered[n] for n in "fghk")
@@ -489,8 +517,7 @@ def direct_method_stabilize(
     phi_values = summed_majorant(control, (points, points) + zeros).tolist()
     max_violation = -float("inf")
     for name, m, out_norm in named:
-        limit = (recovered[name].matrix @ points[:, :, None])[:, :, 0]
-        gaps = _norms_with(out_norm, m.evaluate_stack(points) - limit)
+        gaps = _norms_with(out_norm, m.evaluate_stack(points) - recovered[name].apply(points))
         max_violation = max(max_violation, float(np.max(gaps - phi_values, initial=-np.inf)))
 
     rng = np.random.default_rng([seed, 0x53])

@@ -1,9 +1,13 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 
 import ternstab as ts
 from ternstab.errors import ConfigError
 from ternstab.serialize import (
+    TRACE_HEADER,
     algebra_from_json,
     algebra_to_json,
     control_from_json,
@@ -192,3 +196,28 @@ class TestWriters:
         assert lines[0] == "basis_index,n,error,tail_bound"
         assert lines[1] == "0,1,0.5,0.25"
         assert lines[2].startswith("1,1,0.125,nan")
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(0, 1, 0.5, 0.25), (1, 1, 0.125, math.nan), (1, 2, math.nan, math.nan)],
+        [(0, n, 2.0**-n * 0.3, math.nan) for n in range(1, 40)],
+        [(2, 1, 5e-324, 2.2250738585072014e-308), (2, 2, 1e-310, -0.0),
+         (3, 3, 1.7976931348623157e308, math.inf), (3, 4, -math.inf, 1e300),
+         (10, 1000, 0.1 + 0.2, 1.0 / 3.0), (0, 0, 0.0, 1e22), (0, 0, 1e16, 123456789.0)],
+        # numpy scalars, as a caller may pass them
+        [(np.int64(4), np.int64(7), np.float64(0.1), np.float32(0.1)),
+         (5, 8, np.float64(-0.0), np.float64("nan"))],
+    ], ids=["empty", "nan-tails", "long", "extremes", "numpy-scalars"])
+    def test_trace_csv_equals_csv_writer(self, tmp_path, rows):
+        def reference(path, rows):
+            # the row-by-row csv.writer version the one-write version replaced
+            with path.open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(TRACE_HEADER)
+                for basis_index, n, error, tail in rows:
+                    writer.writerow([basis_index, n, repr(float(error)), repr(float(tail))])
+
+        reference(tmp_path / "want.csv", rows)
+        got = write_trace_csv(tmp_path / "got.csv", rows).read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\r\n") == len(rows) + 1

@@ -113,7 +113,7 @@ def _same(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _setup(field, direction, p, norm_scale=1.0, theta=0.1):
+def _setup(field, direction, p, norm_scale=1.0, theta=0.1, exponent=0):
     alg = ts.odd_polynomial_algebra(5, field)
     if norm_scale != 1.0:
         alg = dataclasses.replace(alg, norm_scale=norm_scale)
@@ -121,7 +121,8 @@ def _setup(field, direction, p, norm_scale=1.0, theta=0.1):
     matrix = rng.standard_normal((alg.dim, alg.dim))
     if field == "complex":
         matrix = matrix + 1j * rng.standard_normal((alg.dim, alg.dim))
-    base = ts.LinearMap(matrix)
+    # scaled by 2**exponent, real and imaginary parts alike
+    base = ts.LinearMap(np.ldexp(matrix.view(np.float64), exponent).view(matrix.dtype))
     spec = ts.PerturbationSpec(theta=theta, p=p, direction=direction, seed=17)
     stacked = ts.perturb_map(base, spec, alg.norm_of, alg.norm_of)
     pointwise = _reference_perturb(base, spec, alg.norm_of, alg.norm_of)
@@ -280,6 +281,108 @@ class TestStackedHyersLimit:
         _assert_same_outcome(got, want)
 
 
+def _untraced(fn, *args, **kwargs):
+    """(value, n, []) on success, (message, iterations, []) on failure."""
+    try:
+        value, n = fn(*args, **kwargs)
+    except NonConvergenceError as exc:
+        return str(exc), exc.iterations, []
+    return value, n, []
+
+
+def _quiet(fn, *args, **kwargs):
+    """``fn``'s outcome with numpy's overflow warnings silenced, as the
+    reference's one-row norms warn before their rescale."""
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fn(*args, **kwargs)
+
+
+def _loud(fn, *args, **kwargs):
+    """``fn``'s outcome; a warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fn(*args, **kwargs)
+
+
+class TestRowsRead:
+    """A power control evaluates row ``n`` and the traced rows before it
+    alone; outcomes must equal the one-step loop's bitwise."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 0.95])
+    @pytest.mark.parametrize("direction", ["fixed", "hash"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_untraced_equals_one_step_loop(self, p, direction, field):
+        # f leaves double range on the ray of x = 2**500 e_0 at row 523,
+        # past the stop at p = 0.1 and before it from p = 0.5 on; the maps
+        # scaled by 2**512 do so at row 512 or so, before the stop only at
+        # p = 0.95
+        alg, stacked, pointwise, control = _setup(field, direction, p)
+        big = np.ldexp(alg.basis()[0].real, 500).astype(alg.dtype)
+        cases = [(stacked, pointwise, x) for x in _points(alg) + [big]]
+        _, scaled, scaled_pointwise, _ = _setup(field, direction, p, exponent=512)
+        cases += [(scaled, scaled_pointwise, x) for x in alg.basis()]
+        outcomes = []
+        for max_iter in (0, 1, 7, 20, 1000):
+            for f, reference, x in cases:
+                args = (control, x, 1e-10, max_iter, alg.norm_of)
+                want = _quiet(_untraced, _reference_hyers_limit, reference, *args)
+                _assert_same_outcome(_loud(_untraced, ts.hyers_limit, f, *args), want)
+                outcomes.append(want[0] if isinstance(want[0], str) else "converged")
+        far = _quiet(_untraced, _reference_hyers_limit, pointwise, control, big, 1e-10)
+        if p > 0.1:
+            assert far[:2] == ("iterate at n=523 overflowed", 523)
+        assert "converged" in outcomes and "max_iter 20 exceeded" in " ".join(outcomes)
+        assert any("overflowed" in outcome for outcome in outcomes) == (p > 0.1)
+
+    def test_tabulated_map_needs_only_x_and_row_n(self):
+        control = ts.power_control(0.1, 0.5)
+        x = np.array([1.0, 0.0])
+        n = _a_priori_stop(control, x, 1e-10, ITERATION_CAP)
+        far = np.ldexp(x, n)
+        table = ts.EvaluableMap.tabulated([(x, 3.0 * x), (far, 3.0 * far)], 2, 2)
+        value, stop = ts.hyers_limit(table, control, x, 1e-10)
+        assert stop == n and _same(value, 3.0 * x)
+        with pytest.raises(ValueError, match="not tabulated"):
+            ts.hyers_limit(table, control, x, 1e-10, trace=[])
+
+    @pytest.mark.parametrize("p", [0.1, 0.9, 0.95])
+    @pytest.mark.parametrize("direction", ["fixed", "hash"])
+    def test_bounded_trace_is_the_head_of_the_full_trace(self, p, direction):
+        alg, stacked, _, control = _setup("complex", direction, p)
+        big = np.ldexp(alg.basis()[0].real, 500).astype(alg.dtype)
+        for x in _points(alg) + [big]:
+            for max_iter in (0, 7, 1000):
+                args = (stacked, control, x, 1e-10, max_iter)
+                full = _loud(_outcome, ts.hyers_limit, *args)
+                for rows in (0, 1, 10, 1000):
+                    head = _loud(_outcome, ts.hyers_limit, *args, trace_rows=rows)
+                    _assert_same_outcome(head, full[:2] + (full[2][:rows],))
+
+    @pytest.mark.parametrize("exponent", [0, 512])
+    @pytest.mark.parametrize("mode", ["lie", "jordan"])
+    def test_stabilize_without_traces(self, exponent, mode):
+        # at p = 0.95 the maps scaled by 2**512 fail on every basis vector
+        alg = ts.odd_polynomial_algebra(5, "complex")
+        mod = ts.self_module(alg)
+        ident = ts.LinearMap(np.ldexp(np.eye(alg.dim), exponent).astype(alg.dtype))
+        maps = [ts.perturb_map(ident, ts.PerturbationSpec(0.1, p, "hash", seed), alg.norm_of,
+                               alg.norm_of)
+                for seed, p in enumerate((0.95, 0.5, 0.5, 0.95))]
+        control = ts.power_control(0.1, 0.95, arity=5 if mode == "lie" else 3, norm=alg.norm_of)
+        kwargs = dict(mode=mode, bound_points=3, identity_triples=2, seed=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = ts.direct_method_stabilize(*maps, control, mod, **kwargs)
+            kept = ts.direct_method_stabilize(*maps, control, mod, keep_traces=False, **kwargs)
+        assert bool(full.failures) == (exponent == 512)
+        for field in ("convergence_rates", "iterations", "failures", "phi_tilde_values",
+                      "max_bound_violation", "max_identity_residual", "linearity_max"):
+            assert repr(getattr(kept, field)) == repr(getattr(full, field)), field
+        for name, rows in full.traces.items():
+            assert kept.traces[name] == [row for row in rows if row[1] <= 10]
+            assert max(row[1] for row in rows) > 10
+
+
 ZERO_CONTROL = ts.custom_control(lambda *args: 0.0)
 
 
@@ -370,9 +473,9 @@ class TestOneDoublingPath:
                 _assert_custom_equal(stacked, pointwise, x, tol, out_norm=_max_norm)
 
     def test_evaluate_stack_calls(self, monkeypatch):
-        # one stack per power-control call; ceil(n / _BLOCK) stacks, of
-        # n rows in all when no stop cuts the last one, per custom call on
-        # a stacked map
+        # one stack per power-control call, of row n alone untraced and of
+        # the whole ray traced; ceil(n / _BLOCK) stacks, of n rows in all
+        # when no stop cuts the last one, per custom call on a stacked map
         alg, stacked, pointwise, control = _setup("real", "fixed", 0.5)
         x = alg.basis()[1]
         diffs = _reference_diffs(pointwise, x)
@@ -387,6 +490,9 @@ class TestOneDoublingPath:
         for tol in (1e-3, 1e-10, 1e-14):
             rows.clear()
             _, n = ts.hyers_limit(stacked, control, x, tol)
+            assert rows == [1]
+            rows.clear()
+            assert ts.hyers_limit(stacked, control, x, tol, trace=[])[1] == n
             assert rows == [n]
         for n in (1, 31, 32, 33, 64, 65):
             rows.clear()
@@ -401,6 +507,11 @@ class TestOneDoublingPath:
             with pytest.raises(NonConvergenceError):
                 ts.hyers_limit(stacked, ZERO_CONTROL, x, 1e-300, max_iter=max_iter)
             assert len(rows) == math.ceil(max_iter / _BLOCK) and sum(rows) == max_iter
+        # an exact-linear map is stacked too: its first difference is 0
+        rows.clear()
+        exact = ts.EvaluableMap.from_linear(ts.LinearMap(np.eye(alg.dim)))
+        value, n = ts.hyers_limit(exact, ZERO_CONTROL, x, 1e-300)
+        assert n == 1 and _same(value, x) and rows == [_BLOCK]
 
     def test_per_row_maps_need_only_the_points_up_to_the_stop(self):
         # f(x) = 3x: the first difference is 0, so the custom rule stops at
@@ -485,6 +596,33 @@ class TestStackedEvaluation:
         assert len(shapes) > 1 and set(shapes) == {(2,)}
         np.testing.assert_array_equal(f.evaluate_stack(np.eye(2)), 2.0 * np.eye(2))
         assert set(shapes) == {(2,)}
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_exact_linear_map_takes_the_stack_in_one_call(self, field, order):
+        alg = ts.odd_polynomial_algebra(5, field)
+        rng = np.random.default_rng(4)
+        matrix = rng.standard_normal((3, alg.dim))
+        if field == "complex":
+            matrix = matrix + 1j * rng.standard_normal((3, alg.dim))
+        lm = ts.LinearMap(matrix)
+        xs = np.asarray(np.stack(_points(alg) * 3), order=order)
+        shapes = []
+
+        def counting(x):
+            shapes.append(np.shape(x))
+            return lm.apply(x)
+
+        counted = ts.EvaluableMap(lm.in_dim, lm.out_dim, counting, kind="exact-linear")
+        values = counted.evaluate_stack(xs)
+        assert shapes == [xs.shape]
+        assert _same(values, ts.EvaluableMap.from_linear(lm).evaluate_stack(xs))
+        for x, value in zip(xs, values):
+            assert _same(value, lm(x))
+        assert counted.evaluate_stack(xs[:0]).shape == (0, 3)
+        for bad in (np.zeros((2, alg.dim + 1)), np.zeros((1, 2, alg.dim)), np.float64(1.0)):
+            with pytest.raises(ts.DimensionMismatch):
+                lm.apply(bad)
 
     def test_tabulated_map_evaluates_rows_and_raises_off_table(self):
         points = [(np.array([1.0, 0.0]), np.array([3.0, 4.0])),

@@ -1,10 +1,13 @@
-"""The traced benchmark wraps library functions by module and name.
+"""The benchmark's own code, run against the library.
 
 ``perfbench/tracing.py`` replaces each ``(module, attr)`` of its ``SITES``
 with a recording wrapper and rebuilds the maps of ``harness.perturb_map``;
 the traced sweep span reads ``harness.thread_count()``.  A refactor that
 moves or renames one of these fails here instead of silently dropping a
-span from the benchmark.
+span from the benchmark.  ``perfbench/workloads.py`` checks every op's
+output (a sweep's iteration counts against ``SWEEP_ITERATIONS``, a bundled
+report against the op before it); one full-size op of each is run here, so
+that a change that fails those checks fails the tests first.
 """
 
 import importlib.util
@@ -14,17 +17,17 @@ import pytest
 
 from ternstab import harness
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    loaded = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loaded)
+    return loaded
 
 
-SITES = [(site, attr) for site, attr, _, _ in _load_tracing().SITES]
+SITES = [(site, attr) for site, attr, _, _ in _load("tracing").SITES]
 
 
 @pytest.mark.parametrize(
@@ -38,3 +41,20 @@ def test_harness_hooks_exist(monkeypatch):
     assert callable(harness.perturb_map)
     monkeypatch.setenv("TERNSTAB_THREADS", "1")
     assert harness.thread_count() == 1
+
+
+def test_sweep_op_passes_its_check(tmp_path):
+    workloads = _load("workloads")
+    sweep = workloads.Sweep(7, False, tmp_path)
+    assert [round(v, 1) for v in sweep.values] == sorted(workloads.SWEEP_ITERATIONS)
+    sweeps = sweep.op()
+    assert len(sweeps) == 2
+    sweep.check(sweeps)
+
+
+def test_bundled_op_passes_its_check(tmp_path):
+    experiments = _load("workloads").bundled(7, False, tmp_path)
+    for _ in range(2):  # the second op's reports must equal the first's
+        results = experiments.op()
+        assert len(results) == 3
+        experiments.check(results)
