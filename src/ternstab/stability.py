@@ -4,8 +4,9 @@ Given a map ``f`` whose derivation defect is bounded by a summable control
 function, the exact derivation is the limit of the doubling iteration
 ``f(2**n x) / 2**n``.  ``hyers_limit`` runs that iteration for one point;
 ``direct_method_stabilize`` runs it over a basis for the four maps
-``(f, g, h, k)``, assembles the recovered linear maps, and verifies the
-distance bounds and the derivation identity.  ``check_hypothesis`` samples
+``(f, g, h, k)``, each map's basis in one stacked evaluation, assembles the
+recovered linear maps, and verifies linearity, the distance bounds and the
+derivation identity.  ``check_hypothesis`` samples
 the defect inequalities themselves and reports violations as findings
 rather than failures.  It draws its points sample by sample, in a fixed
 order, and evaluates all of them in one stacked pass.
@@ -124,88 +125,162 @@ def hyers_limit(
     """Limit of ``f(2**n x) / 2**n`` with a certified stopping rule.
 
     ``f`` is evaluated on stacks of points ``2**k x`` of the dyadic ray (see
-    :meth:`EvaluableMap.evaluate_stack`); doubling and scaling by ``2**-k``
-    are exact in binary floating point, so the limit and the trace equal
-    those of doubling one step at a time.  For power controls the iteration
-    stops at the first ``n`` whose Cauchy tail bound is at most ``tol`` (an
-    a-priori rule; for ``theta = 0`` that is ``n = 0``).  That ``n`` is
-    found first, and one stack holds only the rows that are read: row ``n``
-    and the traced rows before it, so an untraced call evaluates ``f`` at
-    ``x`` and ``2**n x`` alone.  If a row of that stack is not finite, the
-    whole ray ``k = 1..n`` is evaluated to find the first row that is not;
-    otherwise the rows left out are not checked.  Custom controls stop at
-    the first ``n`` of the empirical criterion
-    ``|f(2**n x) / 2**n - f(2**(n-1) x) / 2**(n-1)| <= tol``; a stacked map
-    (``linear-plus-perturbation`` or ``exact-linear``) takes blocks of 32
-    doublings, whose rows past the stop are evaluated and dropped, and the
-    other kinds, called once per row anyway, one doubling at a time.
-    Returns the scaled iterate and the stopping ``n``.  ``trace``, if a
-    list, receives a row ``(n, successive_difference, tail_bound)`` per
-    iteration, also for the iterations before a failure; with
-    ``trace_rows`` set, only the rows ``n <= trace_rows``.
+    :meth:`EvaluableMap.evaluate_stack`), ``x`` itself in the first;
+    doubling and scaling by ``2**-k`` are exact in binary floating point,
+    so the limit and the trace equal those of doubling one step at a time.
+    For power controls the iteration stops at the first ``n`` whose Cauchy
+    tail bound is at most ``tol`` (an a-priori rule; for ``theta = 0`` that
+    is ``n = 0``).  That ``n`` is found first, and one stack holds only the
+    rows that are read: ``x``, row ``n`` and the traced rows between, so an
+    untraced call evaluates ``f`` at ``x`` and ``2**n x`` alone.  If a row
+    of that stack is not finite, the whole ray ``k = 1..n`` is evaluated to
+    find the first row that is not; otherwise the rows left out are not
+    checked.  Custom controls stop at the first ``n`` of the empirical
+    criterion ``|f(2**n x) / 2**n - f(2**(n-1) x) / 2**(n-1)| <= tol``; a
+    stacked map (``linear-plus-perturbation`` or ``exact-linear``) takes
+    blocks of 32 doublings, whose rows past the stop are evaluated and
+    dropped, and the other kinds, called once per row anyway, one doubling
+    at a time.  Returns the scaled iterate and the stopping ``n``.
+    ``trace``, if a list, receives a row ``(n, successive_difference,
+    tail_bound)`` per iteration, also for the iterations before a failure;
+    with ``trace_rows`` set, only the rows ``n <= trace_rows``.  This is
+    the one-point case of the stacked core that
+    :func:`direct_method_stabilize` runs over many points at once.
 
     Raises :class:`NonConvergenceError` when a row that is evaluated is not
     finite or no ``n`` up to ``min(max_iter, 1000)`` stops; the hard cap
     keeps ``2**n`` inside double-precision range.  A power control without
     a stop checks row ``min(max_iter, 1000)`` the same way as row ``n``.
     """
+    x = np.asarray(x)
+    if x.shape != (f.in_dim,):
+        raise DimensionMismatch(f"input shape {x.shape} for map with in_dim {f.in_dim}")
+    (outcome,) = _hyers_limits(f, control, x[None], tol, max_iter, out_norm,
+                               None if trace is None else [trace], trace_rows)
+    if isinstance(outcome, NonConvergenceError):
+        raise outcome
+    return outcome
+
+
+@dataclass(eq=False)
+class _Ray:
+    """One point's doubling ray in :func:`_hyers_limits`."""
+
+    x: np.ndarray
+    stop: int | None
+    end: int
+    rows: np.ndarray  # the rows k >= 1 to evaluate, in order
+    trace: list | None
+    traced: int  # rows 1..traced go to ``trace``
+    tails: list | None  # their tail bounds; NaN under a custom control
+    done: int = 0  # rows taken so far
+    current: np.ndarray | None = None  # f(x), then the last iterate taken
+    outcome: object = None
+
+
+def _hyers_limits(f, control, xs, tol, max_iter=ITERATION_CAP, out_norm=None,
+                  traces=None, trace_rows=None) -> list:
+    """:func:`hyers_limit` for every row ``x`` of an ``(P, d)`` stack ``xs``.
+
+    Returns, per row, ``(limit, n)`` or the :class:`NonConvergenceError`
+    that the row alone raises, and ``traces``, if given, holds one trace
+    list per row.  Under a power control the stop of each row is searched
+    once per distinct ``control.norm_of(x)`` (the tail bound depends on
+    ``x`` through that norm alone), and ``f`` is evaluated once on one
+    stack of every row that any ray reads, ``x`` included; a ray with a row
+    that is not finite is evaluated again, whole, in the next stack, which
+    leaves the other rays' outcomes alone.  Under a custom control the rays
+    run one after another, block by block.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x = np.asarray(x)
+    xs = np.asarray(xs)
     limit = min(int(max_iter), ITERATION_CAP)
-
-    current = f(x)
-    if not np.all(np.isfinite(current)):
-        raise NonConvergenceError("f(x) is not finite", iterations=0)
-    if not np.any(x):
-        return current, 0
-
-    xn = np.array(x, dtype=np.result_type(x.dtype, np.float64))
     empirical = control.kind != "power"
-    stop = None if empirical else _a_priori_stop(control, x, tol, limit)
-    if stop == 0:
-        return current, 0
-    end = max(limit, 0) if stop is None else stop
-    traced = 0 if trace is None else end if trace_rows is None else min(end, trace_rows)
-    ray = np.arange(1, end + 1)
-    rows = ray if empirical or traced == end else np.append(ray[:traced], end)
-    block = end if not empirical else _BLOCK if f.kind in _STACKED_KINDS else 1
-    done = 0
-    while done < len(rows):
-        k = rows[done : done + block]
-        scale = np.ldexp(1.0, k)[:, None]
-        # the norms recompute rows whose squares overflow, and a row that leaves
-        # double range is reported below or dropped, so numpy need not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = f.evaluate_stack(xn * scale) / scale
+    # every row of a power ray fits in one block
+    block = ITERATION_CAP if not empirical else _BLOCK if f.kind in _STACKED_KINDS else 1
+    xn = np.array(xs, dtype=np.result_type(xs.dtype, np.float64))
+    norms = [None] * len(xn) if empirical else _norms_with(control.norm, xn).tolist()
+    stops: dict = {}
+    tails: dict = {}
+    rays = []
+    for x, nx, trace in zip(xn, norms, [None] * len(xn) if traces is None else traces):
+        if not x.any():
+            stop = 0
+        elif empirical:
+            stop = None
+        elif nx not in stops:
+            stop = stops[nx] = _a_priori_stop(control, x, tol, limit)
+        else:
+            stop = stops[nx]
+        end = max(limit, 0) if stop is None else stop
+        traced = 0 if trace is None else end if trace_rows is None else min(end, trace_rows)
+        if traced and nx not in tails:
+            tails[nx] = ([math.nan] * traced if empirical
+                         else cauchy_tail_bound(control, x, range(1, traced + 1)))
+        ray = np.arange(1, end + 1)
+        rows = ray if empirical or traced == end else np.append(ray[:traced], end)
+        rays.append(_Ray(x, stop, end, rows, trace, traced, tails.get(nx)))
+
+    def advance(ray, scaled):
+        """Take one stack's values of ``ray``'s rows: its outcome, or None
+        while rows are left."""
+        if ray.current is None:
+            ray.current, scaled = scaled[0], scaled[1:]
+            if not np.all(np.isfinite(ray.current)):
+                return NonConvergenceError("f(x) is not finite", iterations=0)
+            if ray.stop == 0:
+                return ray.current.copy(), 0
+        done = ray.done
+        k = ray.rows[done : done + block]
         finite = np.isfinite(scaled)
         kept = reached = len(k) if finite.all() else int(np.argmin(finite.all(axis=1)))
-        if reached < len(k) and len(rows) < end:
+        if reached < len(k) and len(ray.rows) < ray.end:
             # a row left out may be the first that is not finite
-            rows = ray
-            continue
-        read = reached if empirical else min(reached, traced)
+            ray.rows = np.arange(1, ray.end + 1)
+            return None
+        read = reached if empirical else min(reached, ray.traced)
         if read:
-            previous = np.concatenate([current[None], scaled[: read - 1]])
+            previous = np.concatenate([ray.current[None], scaled[: read - 1]])
             diffs = _norms_with(out_norm, scaled[:read] - previous)
             if empirical and (diffs <= tol).any():
                 kept = int(np.argmax(diffs <= tol)) + 1
-                stop = done + kept
-            shown = min(kept, traced - done)
+                ray.stop = done + kept
+            shown = min(kept, ray.traced - done)
             if shown > 0:
                 ns = range(done + 1, done + shown + 1)
-                tails = [math.nan] * shown if empirical else cauchy_tail_bound(control, x, ns)
-                trace.extend(zip(ns, diffs[:shown].tolist(), tails))
-        if kept and k[kept - 1] == stop:
-            return scaled[kept - 1].copy(), stop
+                ray.trace.extend(zip(ns, diffs[:shown].tolist(), ray.tails[done : done + shown]))
+        if kept and k[kept - 1] == ray.stop:
+            return scaled[kept - 1].copy(), ray.stop
         if reached < len(k):
             n = int(k[reached])
-            raise NonConvergenceError(f"iterate at n={n} overflowed", iterations=n)
-        current, done = scaled[-1], done + len(k)
-    reason = (f"hard iteration cap {ITERATION_CAP} reached" if limit == ITERATION_CAP
-              else f"max_iter {limit} exceeded")
-    raise NonConvergenceError(f"doubling iteration did not converge: {reason}",
-                              iterations=max(limit, 0))
+            return NonConvergenceError(f"iterate at n={n} overflowed", iterations=n)
+        if len(k):
+            ray.current, ray.done = scaled[-1], done + len(k)
+        if ray.done < len(ray.rows):
+            return None
+        reason = (f"hard iteration cap {ITERATION_CAP} reached" if limit == ITERATION_CAP
+                  else f"max_iter {limit} exceeded")
+        return NonConvergenceError(f"doubling iteration did not converge: {reason}",
+                                   iterations=max(limit, 0))
+
+    pending = rays
+    while pending:
+        group = pending[:1] if empirical else pending
+        # a ray's first stack starts with x itself
+        ks = [r.rows[r.done : r.done + block] if r.current is not None
+              else np.append(0, r.rows[: block]) for r in group]
+        sizes = [len(k) for k in ks]
+        scale = np.ldexp(1.0, np.concatenate(ks))[:, None]
+        points = np.repeat(np.stack([r.x for r in group]), sizes, axis=0)
+        # the norms recompute rows whose squares overflow, and a row that leaves
+        # double range is reported or dropped, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = f.evaluate_stack(points * scale) / scale
+        for ray, part in zip(group, np.split(scaled, np.cumsum(sizes)[:-1])):
+            ray.outcome = advance(ray, part)
+        pending = [r for r in pending if r.outcome is None]
+    return [r.outcome for r in rays]
 
 
 def _a_priori_stop(control: ControlFunction, x, tol: float, limit: int):
@@ -404,29 +479,25 @@ class StabilizationReport:
 
 def _recover_matrix(evaluable, control, alg, tol, max_iter, out_norm, name,
                     traces, iterations, failures, trace_rows):
+    """The limits at every basis vector, from one :func:`_hyers_limits` call,
+    as the columns of a matrix; a basis vector whose limit fails gets a zero
+    column, and its failure and iteration count are recorded."""
+    local: list = [[] for _ in range(alg.dim)]
+    outcomes = _hyers_limits(evaluable, control, alg.basis(), tol, max_iter, out_norm,
+                             local, trace_rows)
     columns = []
     iters = []
-    rows = []
-    for i in range(alg.dim):
-        basis_vec = np.zeros(alg.dim, dtype=alg.dtype)
-        basis_vec[i] = 1.0
-        local: list = []
-        try:
-            col, n = hyers_limit(
-                evaluable, control, basis_vec, tol, max_iter, out_norm, trace=local,
-                trace_rows=trace_rows,
-            )
-        except NonConvergenceError as exc:
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, NonConvergenceError):
             failures.append(
-                {"map": name, "basis_index": i, "code": exc.code, "message": str(exc)}
+                {"map": name, "basis_index": i, "code": outcome.code, "message": str(outcome)}
             )
-            col = np.zeros(evaluable.out_dim, dtype=alg.dtype)
-            n = exc.iterations if exc.iterations is not None else 0
+            outcome = np.zeros(evaluable.out_dim, dtype=alg.dtype), outcome.iterations or 0
+        col, n = outcome
         columns.append(col)
         iters.append(n)
-        rows.extend((i, *row) for row in local)
     iterations[name] = iters
-    traces[name] = rows
+    traces[name] = [(i, *row) for i, rows in enumerate(local) for row in rows]
     return LinearMap(np.column_stack(columns))
 
 
@@ -464,19 +535,26 @@ def direct_method_stabilize(
 ) -> StabilizationReport:
     """Recover ``(D, sigma, tau, xi)`` from ``(f, g, h, k)`` and verify them.
 
-    Applies :func:`hyers_limit` to every basis vector of the algebra for each
-    of the four maps and assembles the limits into matrices.  Then:
+    Runs the doubling iteration of :func:`hyers_limit` at every basis vector
+    of the algebra for each of the four maps and assembles the limits into
+    matrices.  Under a power control each map is evaluated once for its
+    whole basis: the unit vectors share one stop search, and one stack holds
+    every row their rays read; a ray with a row that is not finite is
+    evaluated again, alone and whole, and fails as it would alone.  Then:
 
     * linearity: at seeded non-basis points the recovered matrix must agree
-      with a fresh limit to ``10 * tol``;
+      with a fresh limit to ``10 * tol``; each map's limits at all the
+      points come from one evaluation as well, and the first failure, in
+      point order and then map order, is raised;
     * distance bounds: each original map must stay within the summed
       majorant of its recovered limit at seeded points;
     * derivation identity: the recovered maps must satisfy the twisted
       derivation identity (diagonal only in ``jordan`` mode) with residual
       at most ``identity_tol * (1 + |a||b||c|)``.
 
-    Per-basis convergence failures are recorded and mark the report as
-    partial instead of aborting the remaining work.  ``traces`` holds every
+    A NaN gap makes ``max_bound_violation`` or ``linearity_max`` NaN, and
+    that check fails.  Per-basis convergence failures are recorded and mark
+    the report as partial instead of aborting the remaining work.  ``traces`` holds every
     doubling of every basis vector, or with ``keep_traces`` false only the
     rows ``n <= 10`` that ``convergence_rates`` reads.
     """
@@ -504,21 +582,26 @@ def direct_method_stabilize(
     rng = np.random.default_rng([seed, 0x51])
     linearity_max = 0.0
     if not failures:
-        for x in _random_vector(rng, alg.dim, alg.field, count=linearity_points):
-            for name, evaluable, out_norm in named:
-                fresh, _ = hyers_limit(evaluable, control, x, tol, max_iter, out_norm)
-                linearity_max = max(
-                    linearity_max, float(out_norm(recovered[name](x) - fresh))
-                )
+        xs = _random_vector(rng, alg.dim, alg.field, count=linearity_points)
+        fresh = [_hyers_limits(m, control, xs, tol, max_iter, out_norm)
+                 for _, m, out_norm in named]
+        # the first failure in point order, then map order
+        for outcome in (o for by_map in zip(*fresh) for o in by_map):
+            if isinstance(outcome, NonConvergenceError):
+                raise outcome
+        gaps = [_norms_with(out_norm, recovered[name].apply(xs)
+                            - np.reshape([value for value, _ in limits], (-1, m.out_dim)))
+                for (name, m, out_norm), limits in zip(named, fresh)]
+        # np.max, unlike max(), keeps a NaN
+        linearity_max = np.max(gaps, initial=0.0)
 
     rng = np.random.default_rng([seed, 0x52])
     zeros = (np.zeros(alg.dim, dtype=alg.dtype),) * (control.arity - 2)
     points = _random_vector(rng, alg.dim, alg.field, count=bound_points)
     phi_values = summed_majorant(control, (points, points) + zeros).tolist()
-    max_violation = -float("inf")
-    for name, m, out_norm in named:
-        gaps = _norms_with(out_norm, m.evaluate_stack(points) - recovered[name].apply(points))
-        max_violation = max(max_violation, float(np.max(gaps - phi_values, initial=-np.inf)))
+    gaps = [_norms_with(out_norm, m.evaluate_stack(points) - recovered[name].apply(points))
+            for name, m, out_norm in named]
+    max_violation = np.max(np.subtract(gaps, phi_values), initial=-np.inf)
 
     rng = np.random.default_rng([seed, 0x53])
     # drawn a, b, c per triple in turn; a Jordan triple repeats its one draw

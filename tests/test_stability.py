@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import statistics
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import ternstab as ts
+from ternstab.algebra import _random_vector
 from ternstab.errors import NonConvergenceError
 from ternstab.stability import _rate_estimate
 
@@ -215,6 +217,37 @@ class TestDirectMethodStabilize:
         assert {f["map"] for f in report.failures} == set("fghk")
         assert report.derivation.matrix.shape == (3, 2)
         assert report.sigma.matrix.shape == (2, 2)
+
+    def test_nan_gap_fails_the_bounds(self, oddpoly3, oddpoly3_module, oddpoly_derivation,
+                                      identity2):
+        # f is the exact derivation but NaN at the 5 bound points; a running
+        # max() started from -inf dropped f's NaN and reported g's gap
+        points = _random_vector(np.random.default_rng([0, 0x52]), 2, oddpoly3.field, count=5)
+
+        def nan_at_bound_points(x):
+            if (x == points).all(axis=1).any():
+                return np.full(2, math.nan)
+            return oddpoly_derivation(x)
+
+        f = ts.EvaluableMap(2, 2, nan_at_bound_points)
+        g = ts.EvaluableMap.from_linear(identity2)
+        control = ts.power_control(0.1, 0.5, arity=5, norm=oddpoly3.norm_of)
+        report = ts.direct_method_stabilize(f, g, g, g, control, oddpoly3_module,
+                                            bound_points=5, seed=0)
+        assert math.isnan(report.max_bound_violation)
+        assert not report.bounds_ok and not report.all_passed
+        assert report.linearity_ok and report.identity_ok and report.converged
+
+    def test_nan_gap_fails_linearity(self, oddpoly3_module, identity2):
+        # a module norm that returns NaN makes every gap of f NaN; a running
+        # max() started from 0.0 dropped them
+        mod = dataclasses.replace(oddpoly3_module, norm=lambda v: math.nan)
+        g = ts.EvaluableMap.from_linear(identity2)
+        control = ts.power_control(0.1, 0.5, arity=5, norm=mod.algebra.norm_of)
+        report = ts.direct_method_stabilize(g, g, g, g, control, mod, seed=0)
+        assert math.isnan(report.linearity_max) and not report.linearity_ok
+        assert math.isnan(report.max_bound_violation) and not report.bounds_ok
+        assert report.converged and not report.all_passed
 
 
 class TestCheckHypothesis:

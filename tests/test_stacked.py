@@ -1,9 +1,11 @@
 """Cross-checks of the stacked direct method against the one-step loop.
 
-``hyers_limit`` evaluates a power-controlled doubling ray as one stack, and
-``perturb_map``'s evaluator takes ``(N, d)`` stacks.  The references below
-are the step-by-step iteration and the single-point perturbation evaluator
-they replaced, kept verbatim; results must agree bitwise.
+``hyers_limit`` evaluates a power-controlled doubling ray as one stack,
+the direct method evaluates all the rays of a map's basis or linearity
+points as one stack, and ``perturb_map``'s evaluator takes ``(N, d)``
+stacks.  The references below are the step-by-step iteration, the
+single-point perturbation evaluator and the per-point basis and linearity
+loops they replaced, kept verbatim; results must agree bitwise.
 """
 
 import dataclasses
@@ -17,11 +19,19 @@ import numpy as np
 import pytest
 
 import ternstab as ts
-from ternstab.algebra import l2_norm
+from ternstab import stability
+from ternstab.algebra import _random_vector, l2_norm
 from ternstab.control import cauchy_tail_bound
 from ternstab.errors import NonConvergenceError
 from ternstab.harness import _hash_units
-from ternstab.stability import _BLOCK, ITERATION_CAP, _a_priori_stop
+from ternstab.stability import (
+    _BLOCK,
+    ITERATION_CAP,
+    _a_priori_stop,
+    _hyers_limits,
+    _rate_estimate,
+    _recover_matrix,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -473,9 +483,10 @@ class TestOneDoublingPath:
                 _assert_custom_equal(stacked, pointwise, x, tol, out_norm=_max_norm)
 
     def test_evaluate_stack_calls(self, monkeypatch):
-        # one stack per power-control call, of row n alone untraced and of
-        # the whole ray traced; ceil(n / _BLOCK) stacks, of n rows in all
-        # when no stop cuts the last one, per custom call on a stacked map
+        # one stack per power-control call, of x and row n untraced and of x
+        # and the whole ray traced; ceil(n / _BLOCK) stacks, x in the first,
+        # of n + 1 rows in all when no stop cuts the last one, per custom call
+        # on a stacked map
         alg, stacked, pointwise, control = _setup("real", "fixed", 0.5)
         x = alg.basis()[1]
         diffs = _reference_diffs(pointwise, x)
@@ -490,10 +501,10 @@ class TestOneDoublingPath:
         for tol in (1e-3, 1e-10, 1e-14):
             rows.clear()
             _, n = ts.hyers_limit(stacked, control, x, tol)
-            assert rows == [1]
+            assert rows == [2]
             rows.clear()
             assert ts.hyers_limit(stacked, control, x, tol, trace=[])[1] == n
-            assert rows == [n]
+            assert rows == [n + 1]
         for n in (1, 31, 32, 33, 64, 65):
             rows.clear()
             assert ts.hyers_limit(stacked, ZERO_CONTROL, x, diffs[n - 1])[1] == n
@@ -501,17 +512,18 @@ class TestOneDoublingPath:
             # a per-row map takes one doubling per stack: nothing past the stop
             rows.clear()
             assert ts.hyers_limit(pointwise, ZERO_CONTROL, x, diffs[n - 1])[1] == n
-            assert rows == [1] * n
+            assert rows == [2] + [1] * (n - 1)
         for max_iter in (0, 1, 32, 33, 100):
             rows.clear()
             with pytest.raises(NonConvergenceError):
                 ts.hyers_limit(stacked, ZERO_CONTROL, x, 1e-300, max_iter=max_iter)
-            assert len(rows) == math.ceil(max_iter / _BLOCK) and sum(rows) == max_iter
+            assert len(rows) == max(1, math.ceil(max_iter / _BLOCK))
+            assert sum(rows) == max_iter + 1
         # an exact-linear map is stacked too: its first difference is 0
         rows.clear()
         exact = ts.EvaluableMap.from_linear(ts.LinearMap(np.eye(alg.dim)))
         value, n = ts.hyers_limit(exact, ZERO_CONTROL, x, 1e-300)
-        assert n == 1 and _same(value, x) and rows == [_BLOCK]
+        assert n == 1 and _same(value, x) and rows == [_BLOCK + 1]
 
     def test_per_row_maps_need_only_the_points_up_to_the_stop(self):
         # f(x) = 3x: the first difference is 0, so the custom rule stops at
@@ -693,3 +705,297 @@ class TestStackedChecks:
             mode="lie", tuples_checked=0, lambda_count=2, max_residual=0.0,
             min_slack=math.inf, violations=0, worst=None,
         )
+
+
+def _reference_recover_matrix(evaluable, control, alg, tol, max_iter, out_norm, name,
+                              traces, iterations, failures, trace_rows):
+    """The per-basis-vector loop: one ``hyers_limit`` call per column."""
+    columns = []
+    iters = []
+    rows = []
+    for i in range(alg.dim):
+        basis_vec = np.zeros(alg.dim, dtype=alg.dtype)
+        basis_vec[i] = 1.0
+        local: list = []
+        try:
+            col, n = ts.hyers_limit(
+                evaluable, control, basis_vec, tol, max_iter, out_norm, trace=local,
+                trace_rows=trace_rows,
+            )
+        except NonConvergenceError as exc:
+            failures.append(
+                {"map": name, "basis_index": i, "code": exc.code, "message": str(exc)}
+            )
+            col = np.zeros(evaluable.out_dim, dtype=alg.dtype)
+            n = exc.iterations if exc.iterations is not None else 0
+        columns.append(col)
+        iters.append(n)
+        rows.extend((i, *row) for row in local)
+    iterations[name] = iters
+    traces[name] = rows
+    return ts.LinearMap(np.column_stack(columns))
+
+
+def _reference_linearity(named, recovered, control, alg, tol, max_iter, seed, count):
+    """The per-point linearity loop, points outside and maps inside: the
+    running maximum, or the first error as ``(message, iterations)``."""
+    rng = np.random.default_rng([seed, 0x51])
+    linearity_max = 0.0
+    try:
+        for x in _random_vector(rng, alg.dim, alg.field, count=count):
+            for name, evaluable, out_norm in named:
+                fresh, _ = ts.hyers_limit(evaluable, control, x, tol, max_iter, out_norm)
+                linearity_max = max(
+                    linearity_max, float(out_norm(recovered[name](x) - fresh))
+                )
+    except NonConvergenceError as exc:
+        return str(exc), exc.iterations
+    return linearity_max
+
+
+def _core(f, control, xs, tol, max_iter=ITERATION_CAP, out_norm=None, traced=True,
+          trace_rows=None):
+    """``_hyers_limits``'s outcomes in the form of ``_outcome``."""
+    traces = [[] for _ in xs] if traced else None
+    outcomes = _hyers_limits(f, control, xs, tol, max_iter, out_norm, traces, trace_rows)
+    return [
+        (str(got), got.iterations, trace) if isinstance(got, NonConvergenceError)
+        else (*got, trace)
+        for got, trace in zip(outcomes, traces or [[]] * len(xs))
+    ]
+
+
+def _per_point(f, control, xs, tol, max_iter=ITERATION_CAP, out_norm=None, traced=True,
+               trace_rows=None):
+    """``hyers_limit``'s outcome at each point alone."""
+    args = (f, control)
+    if traced:
+        return [_outcome(ts.hyers_limit, *args, x, tol, max_iter, out_norm,
+                         trace_rows=trace_rows) for x in xs]
+    return [_untraced(ts.hyers_limit, *args, x, tol, max_iter, out_norm) for x in xs]
+
+
+def _assert_core_equals_per_point(f, control, xs, tol, **kwargs):
+    """The stacked core's outcomes, bitwise equal to ``hyers_limit``'s at
+    each point alone and without a warning."""
+    got = _loud(_core, f, control, xs, tol, **kwargs)
+    want = _loud(_per_point, f, control, xs, tol, **kwargs)
+    assert len(got) == len(want) == len(xs)
+    for one, other in zip(got, want):
+        _assert_same_outcome(one, other)
+    return got
+
+
+TRACE_MODES = [dict(traced=False), dict(traced=True), dict(traced=True, trace_rows=10)]
+
+
+def _blocks(alg):
+    """Unit vectors (one norm), points of mixed norms with a zero row, and the
+    unit vectors beside ``2**500 e_0``, whose ray leaves double range."""
+    big = np.ldexp(alg.basis()[0].real, 500).astype(alg.dtype)
+    rng = np.random.default_rng(21)
+    return [alg.basis(), np.stack(_points(alg)), np.vstack([alg.basis(), big[None]]),
+            _random_vector(rng, alg.dim, alg.field, count=5)]
+
+
+class TestStackedCore:
+    """``_hyers_limits`` evaluates every ray of a block in one stack; each
+    outcome must equal ``hyers_limit``'s at its point alone, which the tests
+    above hold to the one-step loop, and the direct method's basis and
+    linearity results must equal the per-point loops they replaced."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 0.95])
+    @pytest.mark.parametrize("direction", ["fixed", "hash"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_block_equals_per_point(self, p, direction, field):
+        alg, stacked, _, control = _setup(field, direction, p)
+        flat = ts.power_control(0.0, p, arity=5, norm=alg.norm_of)
+        for xs in _blocks(alg):
+            for max_iter in (0, 1, 7, 1000):
+                for mode in TRACE_MODES:
+                    for ctrl in (control, flat):
+                        _assert_core_equals_per_point(stacked, ctrl, xs, 1e-10,
+                                                      max_iter=max_iter,
+                                                      out_norm=alg.norm_of, **mode)
+
+    @pytest.mark.parametrize("p", [0.5, 0.95])
+    def test_one_overflowing_ray_leaves_the_others(self, p):
+        # x = 2**500 e_0 leaves double range at row 523, before its stop; the
+        # unit vectors beside it converge, and a zero row returns f(0)
+        alg, stacked, _, control = _setup("real", "hash", p)
+        big = np.ldexp(alg.basis()[0], 500)
+        xs = np.vstack([alg.basis()[:1], big, np.zeros(alg.dim), alg.basis()[1:]])
+        for mode in TRACE_MODES:
+            got = _assert_core_equals_per_point(stacked, control, xs, 1e-10, **mode)
+            assert got[1][:2] == ("iterate at n=523 overflowed", 523)
+            assert len(got[1][2]) == (0 if not mode["traced"] else
+                                      522 if "trace_rows" not in mode else 10)
+            stop = _a_priori_stop(control, alg.basis()[0], 1e-10, ITERATION_CAP)
+            assert [outcome[1] for outcome in got] == [stop, 523, 0] + [stop] * (alg.dim - 1)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_per_row_maps_and_custom_controls(self, field):
+        alg, stacked, pointwise, control = _setup(field, "hash", 0.5)
+        custom = ts.custom_control(lambda *args: 0.1 * sum(l2_norm(a) ** 0.5 for a in args))
+        for xs in _blocks(alg):
+            for max_iter in (0, 7, 1000):
+                for mode in TRACE_MODES:
+                    _assert_core_equals_per_point(pointwise, control, xs, 1e-10,
+                                                  max_iter=max_iter, **mode)
+                    for f in (stacked, pointwise):
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            _assert_core_equals_per_point(f, custom, xs, 1e-6,
+                                                          max_iter=max_iter, **mode)
+
+    def test_tabulated_block_needs_only_x_and_row_n(self):
+        # the table holds each point and its row n alone: an untraced block
+        # must not ask for any other point
+        control = ts.power_control(0.1, 0.5)
+        xs = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, -0.8], [3.0, 4.0], [0.0, 0.0]])
+        stops = [_a_priori_stop(control, x, 1e-10, ITERATION_CAP) for x in xs[:4]]
+        table = [(x, 3.0 * x) for x in xs]
+        table += [(np.ldexp(x, n), np.ldexp(3.0 * x, n)) for x, n in zip(xs, stops)]
+        f = ts.EvaluableMap.tabulated(table, 2, 2)
+        got = _assert_core_equals_per_point(f, control, xs, 1e-10, traced=False)
+        assert [n for _, n, _ in got] == stops + [0]
+        for x, (value, _, _) in zip(xs, got):
+            assert _same(value, 3.0 * x)
+        with pytest.raises(ValueError, match="not tabulated"):
+            _core(f, control, xs, 1e-10)
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 0.95])
+    @pytest.mark.parametrize("direction", ["fixed", "hash"])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_recover_matrix_equals_per_basis_loop(self, p, direction, field):
+        alg, stacked, pointwise, control = _setup(field, direction, p)
+        _, scaled, _, _ = _setup(field, direction, p, exponent=512)
+        flat = ts.power_control(0.0, p, arity=5, norm=alg.norm_of)
+        custom = ts.custom_control(lambda *args: 0.1 * sum(l2_norm(a) ** 0.5 for a in args))
+        cases = [(stacked, control), (scaled, control), (stacked, flat), (pointwise, control)]
+        if p == 0.5:
+            cases.append((stacked, custom))
+        for f, ctrl in cases:
+            for max_iter in (0, 1, 7, 1000):
+                for trace_rows in (None, 10):
+                    got, want = ({}, {}, []), ({}, {}, [])
+                    args = (ctrl, alg, 1e-10, max_iter, alg.norm_of, "g")
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        m_got = _recover_matrix(f, *args, *got, trace_rows)
+                        m_want = _reference_recover_matrix(f, *args, *want, trace_rows)
+                    assert _same(m_got.matrix, m_want.matrix)
+                    assert got[0]["g"] == want[0]["g"] and got[1] == want[1]
+                    assert got[2] == want[2]
+                    assert repr(_rate_estimate(got[0]["g"])) == repr(
+                        _rate_estimate(want[0]["g"]))
+
+    @pytest.mark.parametrize("keep_traces", [True, False])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_direct_method_equals_per_point_loops(self, field, keep_traces):
+        alg, _, _, _ = _setup(field, "hash", 0.5)
+        mod = ts.self_module(alg)
+        rng = np.random.default_rng(6)
+        maps = []
+        for seed, p in enumerate((0.5, 0.9, 0.1, 0.5)):
+            matrix = rng.standard_normal((alg.dim, alg.dim)).astype(alg.dtype)
+            spec = ts.PerturbationSpec(theta=0.1, p=p, direction="hash", seed=seed)
+            maps.append(ts.perturb_map(ts.LinearMap(matrix), spec, alg.norm_of, alg.norm_of))
+        named = list(zip("fghk", maps, (mod.norm_of,) + (alg.norm_of,) * 3))
+        for p in (0.1, 0.5, 0.95):
+            control = ts.power_control(0.1, p, arity=5, norm=alg.norm_of)
+            for max_iter in (1, 1000):
+                for count in (0, 1, 5, 20):
+                    kwargs = dict(max_iter=max_iter, seed=3, bound_points=2,
+                                  identity_triples=2, linearity_points=count,
+                                  keep_traces=keep_traces)
+                    report = ts.direct_method_stabilize(*maps, control, mod, **kwargs)
+                    traces, iterations, failures = {}, {}, []
+                    recovered = {
+                        name: _reference_recover_matrix(
+                            m, control, alg, 1e-10, max_iter, norm, name, traces,
+                            iterations, failures, None if keep_traces else 10)
+                        for name, m, norm in named
+                    }
+                    assert repr(report.traces) == repr(traces)
+                    assert report.iterations == iterations and report.failures == failures
+                    assert repr(report.convergence_rates) == repr(
+                        {name: _rate_estimate(rows) for name, rows in traces.items()})
+                    for name, lm in zip("fghk", (report.derivation, report.sigma, report.tau,
+                                                 report.xi)):
+                        assert _same(lm.matrix, recovered[name].matrix)
+                    want = (_reference_linearity(named, recovered, control, alg, 1e-10,
+                                                 max_iter, 3, count) if not failures else 0.0)
+                    assert repr(report.linearity_max) == repr(want)
+                    assert bool(failures) == (max_iter == 1)
+
+    def test_linearity_raises_the_first_error_in_point_then_map_order(self):
+        # g and h leave double range on the ray of one linearity point each,
+        # from a row of their own, which the error names
+        alg = ts.odd_polynomial_algebra(5)
+        mod = ts.self_module(alg)
+        control = ts.power_control(0.1, 0.5, arity=5, norm=alg.norm_of)
+        points = _random_vector(np.random.default_rng([0, 0x51]), alg.dim, alg.field, count=5)
+
+        def breaks(point, row):
+            def fn(x):
+                k = round(math.log2(l2_norm(x) / l2_norm(point))) if x.any() else 0
+                if k >= row and np.array_equal(x, np.ldexp(point, k)):
+                    return np.full(alg.dim, math.inf)
+                return x.copy()
+
+            return ts.EvaluableMap(alg.dim, alg.dim, fn)
+
+        ident = ts.EvaluableMap.from_linear(ts.LinearMap.identity(alg.dim))
+        recovered = {name: ts.LinearMap.identity(alg.dim) for name in "fghk"}
+        # (g's point and row, h's point and row, the row named)
+        for (g_at, g_row), (h_at, h_row), row in (((1, 5), (0, 3), 3), ((0, 5), (0, 3), 5),
+                                                  ((2, 7), (3, 4), 7)):
+            maps = [ident, breaks(points[g_at], g_row), breaks(points[h_at], h_row), ident]
+            named = list(zip("fghk", maps, (mod.norm_of,) + (alg.norm_of,) * 3))
+            want = _reference_linearity(named, recovered, control, alg, 1e-10,
+                                        ITERATION_CAP, 0, 5)
+            assert want == (f"iterate at n={row} overflowed", row)
+            with pytest.raises(NonConvergenceError) as exc:
+                ts.direct_method_stabilize(*maps, control, mod, seed=0, bound_points=2,
+                                           identity_triples=2)
+            assert (str(exc.value), exc.value.iterations) == want
+
+    def test_evaluations_per_map_do_not_grow_with_dim_or_points(self, monkeypatch):
+        # origin check, basis, linearity and bounds: one evaluator call each
+        # per map, whatever dim and linearity_points; the unit vectors of the
+        # basis share one stop search and one call for their traced tails
+        bounds = []
+        original = stability.cauchy_tail_bound
+
+        def counting_bound(control, x, q, *args, **kwargs):
+            bounds.append(np.count_nonzero(x) == 1)
+            return original(control, x, q, *args, **kwargs)
+
+        monkeypatch.setattr(stability, "cauchy_tail_bound", counting_bound)
+        spec = ts.PerturbationSpec(theta=0.1, p=0.5, direction="hash", seed=2)
+        for alg in (ts.odd_polynomial_algebra(3), ts.trivial_matrix_algebra(2),
+                    ts.trivial_matrix_algebra(3)):
+            control = ts.power_control(0.1, 0.5, arity=5, norm=alg.norm_of)
+            bounds.clear()
+            _a_priori_stop(control, alg.basis()[0], 1e-10, ITERATION_CAP)
+            search = len(bounds)
+            mod = ts.self_module(alg)
+            for count in (1, 5, 20):
+                calls = []
+
+                def counted(name, base):
+                    m = ts.perturb_map(base, spec, alg.norm_of, alg.norm_of)
+
+                    def fn(xs):
+                        calls.append(name)
+                        return m.fn(xs)
+
+                    return ts.EvaluableMap(m.in_dim, m.out_dim, fn, m.kind)
+
+                ident = ts.LinearMap.identity(alg.dim)
+                maps = [counted(name, ident) for name in "fghk"]
+                bounds.clear()
+                report = ts.direct_method_stabilize(*maps, control, mod, linearity_points=count,
+                                                    bound_points=3, identity_triples=2)
+                assert report.converged and report.linearity_points == count
+                assert {name: calls.count(name) for name in "fghk"} == dict.fromkeys("fghk", 4)
+                assert sum(bounds) == 4 * (search + 1)

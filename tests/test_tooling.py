@@ -58,3 +58,22 @@ def test_bundled_op_passes_its_check(tmp_path):
         results = experiments.op()
         assert len(results) == 3
         experiments.check(results)
+
+
+def test_traced_sweep_sees_the_stacked_work(tmp_path, monkeypatch):
+    # a sweep point evaluates each of its four maps once for the origin
+    # check, the hypothesis sample, the basis, the linearity points and the
+    # bounds, and the tracer still sees one direct-method span per point
+    monkeypatch.setenv("TERNSTAB_THREADS", "1")
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        sweep = _load("workloads").Sweep(7, True, tmp_path)
+        tracer.op = 0
+        sweeps = sweep.op()
+    sweep.check(sweeps)
+    totals = tracing.layer_totals([span for span in tracer.take() if span[5] == 0])
+    points = sum(len(rows) for rows in sweeps.values())
+    assert points == 4
+    assert totals["harness.perturb_eval"]["calls"] <= 20 * points
+    assert totals["stability.direct_method"]["calls"] == points
