@@ -146,8 +146,8 @@ class TernaryAlgebra(_Space):
             raise ValueError("dim must be a positive integer")
         if self.field not in FIELDS:
             raise ValueError(f"field must be one of {FIELDS}")
-        if self.norm_scale <= 0:
-            raise ValueError("norm_scale must be positive")
+        if not (math.isfinite(self.norm_scale) and self.norm_scale > 0):
+            raise ValueError("norm_scale must be finite and positive")
         t = np.asarray(self.structure, dtype=dtype_for(self.field))
         if t.shape != (self.dim,) * 4:
             raise DimensionMismatch(
@@ -400,7 +400,8 @@ def check_ternary_associativity(
         )
     found = _law_residuals(_ASSOC_LAW, {"T": alg.structure}, alg.norms_of, chunks)
     max_res, worst = found["assoc"]
-    return AssocReport(max_res, float(tol), max_res <= tol, worst or (0,) * 5, checked, exhaustive)
+    passed = checked > 0 and max_res <= tol
+    return AssocReport(max_res, float(tol), passed, worst or (0,) * 5, checked, exhaustive)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,6 @@ import csv
 import datetime
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,17 +57,12 @@ _DIRECTIONS = ("fixed", "hash")
 
 
 def thread_count() -> int:
-    """Parallelism cap from TERNSTAB_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("TERNSTAB_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"TERNSTAB_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ConfigError("TERNSTAB_THREADS must be >= 0")
-    return value if value > 0 else (os.cpu_count() or 1)
+    """Sweep points run one at a time on the calling thread, so always 1.
+
+    Nothing in the library calls this; the benchmark's tracer reads it for a
+    sweep span's worker count, and it goes when that tracer stops doing so.
+    """
+    return 1
 
 
 @dataclass(frozen=True)
@@ -105,8 +98,8 @@ def _hash_units(seed: int, xs: np.ndarray, out_dim: int, complex_out: bool, out_
     under a row's key draws the same normals as a fresh ``Philox(key=...)``.
     The dict ``memo`` keeps each raw draw's bytes under ``(seed, out_dim,
     complex_out)`` and the row's bytes, so a row seen before is not hashed
-    again; callers may share it, across threads too (``run_sweep``'s points
-    do), since every value is deterministic.  The generator stays local.
+    again; callers may share it (``run_sweep``'s points do, one after
+    another), since every value is deterministic.  The generator stays local.
     """
     flat = np.round(np.ascontiguousarray(xs, dtype=np.complex128).view(np.float64), 9)
     # each quantized row's bytes, read as one void scalar per row
@@ -602,14 +595,10 @@ SWEEP_HEADER = (
 
 def _sweep_config(raw: dict, param: str, value: float) -> dict:
     clone = copy.deepcopy(raw)
-    if param == "p":
-        clone.setdefault("control", {})["p"] = value
+    if param in ("p", "theta"):
+        clone.setdefault("control", {})[param] = value
         for name in MAP_NAMES:
-            clone.setdefault("perturbation", {}).setdefault(name, {})["p"] = value
-    elif param == "theta":
-        clone.setdefault("control", {})["theta"] = value
-        for name in MAP_NAMES:
-            clone.setdefault("perturbation", {}).setdefault(name, {})["theta"] = value
+            clone.setdefault("perturbation", {}).setdefault(name, {})[param] = value
     elif param == "tol":
         clone["tol"] = value
     else:
@@ -621,27 +610,20 @@ def _sweep_config(raw: dict, param: str, value: float) -> dict:
 def run_sweep(config, param: str, values, out_csv=None) -> list:
     """One experiment per parameter value; one result row per point.
 
-    Points run in parallel up to :func:`thread_count` workers; rows are
-    ordered by the input values regardless of completion order.  The points
-    share hash directions: one memo (see :func:`_hash_units`), which lives
-    for this call only, hashes each distinct input once per sweep.
+    Points run one after another on the calling thread, in the order of
+    ``values``.  They share hash directions: one memo (see
+    :func:`_hash_units`), which lives for this call only, hashes each
+    distinct input once per sweep.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
     values = [float(v) for v in values]
-    point_configs = [_sweep_config(config.raw, param, v) for v in values]
     hash_memo: dict = {}
-
-    def run_point(raw):
-        return run_experiment(_parse_config(raw, config.base_dir), write_files=False,
-                              hash_memo=hash_memo)
-
-    workers = min(thread_count(), max(1, len(point_configs)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_point, point_configs))
-    else:
-        results = [run_point(raw) for raw in point_configs]
+    results = [
+        run_experiment(_parse_config(_sweep_config(config.raw, param, v), config.base_dir),
+                       write_files=False, hash_memo=hash_memo)
+        for v in values
+    ]
 
     rows = []
     for value, result in zip(values, results):

@@ -181,7 +181,7 @@ def check_module_axioms(
     violation = float(np.max(lhs - rhs, initial=0.0))
 
     max_chain = max(chain_residuals.values())
-    passed = max_chain <= tol and violation <= tol
+    passed = tuples_checked > 0 and max_chain <= tol and violation <= tol
     return ModuleReport(
         chain_residuals=chain_residuals,
         max_chain_residual=max_chain,

@@ -565,7 +565,7 @@ def direct_method_stabilize(
              ("k", k, alg.norm_of))
     for name, m, _ in named:
         origin = m(np.zeros(m.in_dim, dtype=alg.dtype))
-        if l2_norm(origin) > 1e-12:
+        if not l2_norm(origin) <= 1e-12:
             raise ValueError(f"{name}(0) != 0; the direct method requires it")
 
     traces: dict = {}

@@ -180,6 +180,11 @@ class TestAssociativityChecker:
         sampled = ts.check_ternary_associativity(matrix2, 1e-12, samples=5000)
         assert sampled.passed and not sampled.exhaustive and sampled.checked == 5000
 
+    @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"budget": 0}])
+    def test_zero_tuples_do_not_pass(self, kwargs):
+        report = ts.check_ternary_associativity(ts.trivial_matrix_algebra(2), 1e-12, **kwargs)
+        assert report.checked == 0 and not report.passed
+
     def test_m3_exhaustive(self):
         alg = ts.trivial_matrix_algebra(3)
         report = ts.check_ternary_associativity(alg, 1e-12)
@@ -258,6 +263,11 @@ class TestAlgebraValidation:
         t[0, 0, 0, 0] = np.inf
         with pytest.raises(ValueError):
             ts.TernaryAlgebra(1, "real", t)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_norm_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="norm_scale"):
+            ts.TernaryAlgebra(1, "real", np.ones((1, 1, 1, 1)), norm_scale=scale)
 
     def test_structure_is_immutable(self, matrix2):
         with pytest.raises(ValueError):

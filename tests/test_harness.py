@@ -1,6 +1,6 @@
 import json
 import math
-import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +9,7 @@ import pytest
 import ternstab as ts
 from ternstab import harness
 from ternstab.errors import ConfigError
-from ternstab.harness import parse_sweep_spec, thread_count
+from ternstab.harness import parse_sweep_spec
 from ternstab.serialize import register_custom_control
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -431,6 +431,7 @@ class TestSweepHashMemo:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_points_equal_standalone_runs(self, monkeypatch, threads):
+        # TERNSTAB_THREADS left in the environment is not read
         monkeypatch.setenv("TERNSTAB_THREADS", threads)
         raw = _memo_raw()
         run, results = harness.run_experiment, {}
@@ -456,23 +457,7 @@ class TestSweepHashMemo:
                 assert _bits(swept.traces[name]) == _bits(trace)
             assert json.dumps(results[value].report) == json.dumps(alone.report)
 
-    def test_threads_filling_one_memo_under_frequent_switches(self, monkeypatch):
-        # each point runs twice, so threads race to hash the same rows; a
-        # draw stored twice must be the same draw
-        raw, values = _memo_raw(), self.VALUES * 2
-        monkeypatch.setenv("TERNSTAB_THREADS", "1")
-        serial = ts.run_sweep(raw, "p", values)
-        monkeypatch.setenv("TERNSTAB_THREADS", "6")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = ts.run_sweep(raw, "p", values)
-        finally:
-            sys.setswitchinterval(interval)
-        assert repr(threaded) == repr(serial)
-
     def test_each_distinct_row_is_digested_once_per_sweep(self, monkeypatch):
-        monkeypatch.setenv("TERNSTAB_THREADS", "1")
         raw = _memo_raw()
         digested, memos = [], []
         blake2b, hash_units = harness.hashlib.blake2b, harness._hash_units
@@ -507,26 +492,10 @@ class TestSweepHashMemo:
         assert digested == first
 
 
-class TestThreadCount:
-    def test_unset_is_auto(self, monkeypatch):
-        monkeypatch.delenv("TERNSTAB_THREADS", raising=False)
-        assert thread_count() >= 1
-
-    def test_zero_is_auto(self, monkeypatch):
-        monkeypatch.setenv("TERNSTAB_THREADS", "0")
-        assert thread_count() >= 1
-
-    def test_explicit_value(self, monkeypatch):
-        monkeypatch.setenv("TERNSTAB_THREADS", "3")
-        assert thread_count() == 3
-
-    def test_invalid_value(self, monkeypatch):
-        monkeypatch.setenv("TERNSTAB_THREADS", "many")
-        with pytest.raises(ConfigError):
-            thread_count()
-
-    def test_sweep_runs_serial_when_capped(self, monkeypatch):
-        monkeypatch.setenv("TERNSTAB_THREADS", "1")
+class TestSweepIsSerial:
+    def test_points_run_in_order_on_the_calling_thread(self, monkeypatch):
+        # TERNSTAB_THREADS left in the environment is not read
+        monkeypatch.setenv("TERNSTAB_THREADS", "6")
         raw = load_raw("oddpoly3_p05.json")
         raw["samples"] = {
             "bound_points": 2,
@@ -534,5 +503,17 @@ class TestThreadCount:
             "hypothesis_tuples": 0,
             "linearity_points": 0,
         }
-        rows = ts.run_sweep(raw, "p", [0.3, 0.6])
-        assert [row["value"] for row in rows] == [0.3, 0.6]
+        run, calls = harness.run_experiment, []
+
+        def recording(config, *args, **kwargs):
+            calls.append((config.raw["control"]["p"], threading.get_ident()))
+            return run(config, *args, **kwargs)
+
+        def no_start(thread):
+            raise AssertionError(f"run_sweep started thread {thread.name}")
+
+        monkeypatch.setattr(harness, "run_experiment", recording)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        rows = ts.run_sweep(raw, "p", [0.6, 0.3, 0.45])
+        assert [row["value"] for row in rows] == [0.6, 0.3, 0.45]
+        assert calls == [(v, threading.get_ident()) for v in (0.6, 0.3, 0.45)]

@@ -107,7 +107,9 @@ def _reference_associativity(alg, tol, budget=1_000_000, seed=0, samples=None):
                 worst = tuple(int(idx[s, pos]) for s in range(5))
             done += n
         exhaustive = False
-    return ts.AssocReport(max_res, float(tol), max_res <= tol, worst, checked, exhaustive)
+    # a check of no tuples does not pass
+    passed = checked > 0 and max_res <= tol
+    return ts.AssocReport(max_res, float(tol), passed, worst, checked, exhaustive)
 
 
 def _algebras(field):

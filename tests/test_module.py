@@ -71,6 +71,10 @@ class TestSampledModulePath:
         assert report.passed
         assert report.max_chain_residual <= 1e-12
 
+    def test_no_tuples_checked_does_not_pass(self, matrix2_module):
+        report = ts.check_module_axioms(matrix2_module, 1e-12, samples=0, budget=0)
+        assert report.tuples_checked == 0 and not report.passed
+
 
 class TestModuleValidation:
     def test_shape_mismatch(self, matrix2):

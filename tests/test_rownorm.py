@@ -282,7 +282,7 @@ def _reference_module_check(mod, tol, samples=1000, seed=0, budget=1_000_000):
         tuples_checked=tuples_checked,
         exhaustive=exhaustive,
         tol=float(tol),
-        passed=max_chain <= tol and violation <= tol,
+        passed=tuples_checked > 0 and max_chain <= tol and violation <= tol,
     )
 
 

@@ -188,6 +188,17 @@ class TestDirectMethodStabilize:
                 shifted, g, g, g, control, oddpoly3_module, tol=1e-10
             )
 
+    def test_rejects_nan_at_origin(self, oddpoly3_module, identity2):
+        # NaN compares False with the 1e-12 bound, so a NaN origin must not
+        # pass for zero
+        nan_at_zero = ts.EvaluableMap(2, 2, lambda x: x if np.any(x) else np.full(2, np.nan))
+        g = ts.EvaluableMap.from_linear(identity2)
+        control = ts.power_control(0.1, 0.5)
+        with pytest.raises(ValueError, match="f\\(0\\)"):
+            ts.direct_method_stabilize(
+                nan_at_zero, g, g, g, control, oddpoly3_module, tol=1e-10
+            )
+
     def test_partial_failure_is_recorded(self, oddpoly3_module, identity2):
         # a map that diverges on every nonzero input, under a custom control
         # (empirical stopping): per-basis failures, not an exception

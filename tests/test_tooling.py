@@ -2,9 +2,9 @@
 
 ``perfbench/tracing.py`` replaces each ``(module, attr)`` of its ``SITES``
 with a recording wrapper and rebuilds the maps of ``harness.perturb_map``;
-the traced sweep span reads ``harness.thread_count()``.  A refactor that
-moves or renames one of these fails here instead of silently dropping a
-span from the benchmark.  ``perfbench/workloads.py`` checks every op's
+the traced sweep span reads ``harness.thread_count()``, which is always 1.
+A refactor that moves or renames one of these fails here instead of
+silently dropping a span from the benchmark.  ``perfbench/workloads.py`` checks every op's
 output (a sweep's iteration counts against ``SWEEP_ITERATIONS``, a bundled
 report against the op before it); one full-size op of each is run here, so
 that a change that fails those checks fails the tests first.
@@ -39,7 +39,7 @@ def test_traced_site_exists(site, attr):
 
 def test_harness_hooks_exist(monkeypatch):
     assert callable(harness.perturb_map)
-    monkeypatch.setenv("TERNSTAB_THREADS", "1")
+    monkeypatch.delenv("TERNSTAB_THREADS", raising=False)
     assert harness.thread_count() == 1
 
 
@@ -60,11 +60,10 @@ def test_bundled_op_passes_its_check(tmp_path):
         experiments.check(results)
 
 
-def test_traced_sweep_sees_the_stacked_work(tmp_path, monkeypatch):
+def test_traced_sweep_sees_the_stacked_work(tmp_path):
     # a sweep point evaluates each of its four maps once for the origin
     # check, the hypothesis sample, the basis, the linearity points and the
     # bounds, and the tracer still sees one direct-method span per point
-    monkeypatch.setenv("TERNSTAB_THREADS", "1")
     tracing = _load("tracing")
     tracer = tracing.Tracer()
     with tracing.patched(tracer):
