@@ -387,6 +387,8 @@ def check_ternary_associativity(
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
+    if budget < 0 or (samples is not None and samples < 0):
+        raise ValueError("samples and budget must be nonnegative")
     d = alg.dim
     exhaustive = d**5 <= budget and samples is None
     if exhaustive:

@@ -99,6 +99,8 @@ def _cmd_algebra_check(args) -> int:
         raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol}")
     if args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     if args.target:
         alg = algebra_from_json(read_json(args.target))
         label = args.target

@@ -67,8 +67,9 @@ class ControlFunction:
         if self.kind == "custom":
             rows = zip(*np.broadcast_arrays(*args)) if stacked else [args]
             values = [float(self.fn(*row)) for row in rows]
-            if any(val < 0.0 for val in values):
-                raise ValueError("custom control returned a negative value")
+            # inf passes: the majorant series reports it as divergent
+            if not all(val >= 0.0 for val in values):
+                raise ValueError("custom control returned a negative or NaN value")
             return np.array(values) if stacked else values[0]
         rows = np.broadcast_arrays(*args) if stacked else [np.reshape(a, (1, -1)) for a in args]
         norms: dict = {}

@@ -150,10 +150,13 @@ def check_module_axioms(
 
     Chains run over all basis tuples ``(a, b, c, d, x)`` when
     ``dA**4 * dX <= budget``, otherwise over a seeded subsample of the same
-    size cap.  The norm inequality is checked on ``samples`` random tuples.
+    size cap.  The norm inequality is checked on ``samples`` random tuples;
+    a check of no tuple or no sample does not pass.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
+    if samples < 0 or budget < 0:
+        raise ValueError("samples and budget must be nonnegative")
     alg = mod.algebra
     tensors = dict(
         TA=alg.structure, Pxab=mod.product_xab, Paxb=mod.product_axb, Pabx=mod.product_abx
@@ -181,7 +184,7 @@ def check_module_axioms(
     violation = float(np.max(lhs - rhs, initial=0.0))
 
     max_chain = max(chain_residuals.values())
-    passed = tuples_checked > 0 and max_chain <= tol and violation <= tol
+    passed = tuples_checked > 0 and samples > 0 and max_chain <= tol and violation <= tol
     return ModuleReport(
         chain_residuals=chain_residuals,
         max_chain_residual=max_chain,

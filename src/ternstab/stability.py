@@ -4,12 +4,12 @@ Given a map ``f`` whose derivation defect is bounded by a summable control
 function, the exact derivation is the limit of the doubling iteration
 ``f(2**n x) / 2**n``.  ``hyers_limit`` runs that iteration for one point;
 ``direct_method_stabilize`` runs it over a basis for the four maps
-``(f, g, h, k)``, each map's basis in one stacked evaluation, assembles the
-recovered linear maps, and verifies linearity, the distance bounds and the
-derivation identity.  ``check_hypothesis`` samples
-the defect inequalities themselves and reports violations as findings
-rather than failures.  It draws its points sample by sample, in a fixed
-order, and evaluates all of them in one stacked pass.
+``(f, g, h, k)``, each map's basis and linearity points in one stacked
+evaluation, assembles the recovered linear maps, and verifies linearity,
+the distance bounds and the derivation identity.  ``check_hypothesis``
+samples the defect inequalities themselves and reports violations as
+findings rather than failures.  It draws its points sample by sample, in a
+fixed order, and evaluates all of them in one stacked pass.
 """
 
 from __future__ import annotations
@@ -179,18 +179,22 @@ class _Ray:
 
 
 def _hyers_limits(f, control, xs, tol, max_iter=ITERATION_CAP, out_norm=None,
-                  traces=None, trace_rows=None) -> list:
+                  traces=None, trace_rows=None, plan=None) -> list:
     """:func:`hyers_limit` for every row ``x`` of an ``(P, d)`` stack ``xs``.
 
     Returns, per row, ``(limit, n)`` or the :class:`NonConvergenceError`
     that the row alone raises, and ``traces``, if given, holds one trace
-    list per row.  Under a power control the stop of each row is searched
-    once per distinct ``control.norm_of(x)`` (the tail bound depends on
-    ``x`` through that norm alone), and ``f`` is evaluated once on one
-    stack of every row that any ray reads, ``x`` included; a ray with a row
-    that is not finite is evaluated again, whole, in the next stack, which
-    leaves the other rays' outcomes alone.  Under a custom control the rays
-    run one after another, block by block.
+    list, or None for an untraced row, per row.  Under a power control the
+    stop of each row is searched once per distinct ``control.norm_of(x)``
+    (the tail bound depends on ``x`` through that norm alone), and ``f`` is
+    evaluated once on one stack of every row that any ray reads, ``x``
+    included; a ray with a row that is not finite is evaluated again,
+    whole, in the next stack, which leaves the other rays' outcomes alone.
+    Under a custom control the rays run one after another, block by block.
+    ``plan``, a pair of dicts, keeps the stops and traced tails by norm
+    across calls with the same ``control``, ``tol``, ``max_iter`` and
+    ``trace_rows``, whatever ``f`` is: a norm met again is not searched
+    again.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -201,8 +205,7 @@ def _hyers_limits(f, control, xs, tol, max_iter=ITERATION_CAP, out_norm=None,
     block = ITERATION_CAP if not empirical else _BLOCK if f.kind in _STACKED_KINDS else 1
     xn = np.array(xs, dtype=np.result_type(xs.dtype, np.float64))
     norms = [None] * len(xn) if empirical else _norms_with(control.norm, xn).tolist()
-    stops: dict = {}
-    tails: dict = {}
+    stops, tails = ({}, {}) if plan is None else plan
     rays = []
     for x, nx, trace in zip(xn, norms, [None] * len(xn) if traces is None else traces):
         if not x.any():
@@ -477,30 +480,6 @@ class StabilizationReport:
         return self.bounds_ok and self.identity_ok and self.linearity_ok and self.converged
 
 
-def _recover_matrix(evaluable, control, alg, tol, max_iter, out_norm, name,
-                    traces, iterations, failures, trace_rows):
-    """The limits at every basis vector, from one :func:`_hyers_limits` call,
-    as the columns of a matrix; a basis vector whose limit fails gets a zero
-    column, and its failure and iteration count are recorded."""
-    local: list = [[] for _ in range(alg.dim)]
-    outcomes = _hyers_limits(evaluable, control, alg.basis(), tol, max_iter, out_norm,
-                             local, trace_rows)
-    columns = []
-    iters = []
-    for i, outcome in enumerate(outcomes):
-        if isinstance(outcome, NonConvergenceError):
-            failures.append(
-                {"map": name, "basis_index": i, "code": outcome.code, "message": str(outcome)}
-            )
-            outcome = np.zeros(evaluable.out_dim, dtype=alg.dtype), outcome.iterations or 0
-        col, n = outcome
-        columns.append(col)
-        iters.append(n)
-    iterations[name] = iters
-    traces[name] = [(i, *row) for i, rows in enumerate(local) for row in rows]
-    return LinearMap(np.column_stack(columns))
-
-
 def _rate_estimate(rows) -> float | None:
     """Median successive-error ratio over iterations ``3.._RATE_ROWS`` of a trace."""
     by_basis: dict = {}
@@ -537,15 +516,19 @@ def direct_method_stabilize(
 
     Runs the doubling iteration of :func:`hyers_limit` at every basis vector
     of the algebra for each of the four maps and assembles the limits into
-    matrices.  Under a power control each map is evaluated once for its
-    whole basis: the unit vectors share one stop search, and one stack holds
+    matrices.  Each map takes one stacked call for its basis and the
+    linearity points together, and under a power control one stack holds
     every row their rays read; a ray with a row that is not finite is
-    evaluated again, alone and whole, and fails as it would alone.  Then:
+    evaluated again, alone and whole, and fails as it would alone.  The
+    stop depends on the control, ``tol`` and ``|x|`` alone, not on the map,
+    so the four maps share one stop plan: each distinct norm is searched
+    once per run (the unit vectors share one search), and the unit vectors'
+    traced tail bounds are computed once.  Then:
 
     * linearity: at seeded non-basis points the recovered matrix must agree
-      with a fresh limit to ``10 * tol``; each map's limits at all the
-      points come from one evaluation as well, and the first failure, in
-      point order and then map order, is raised;
+      with a fresh limit to ``10 * tol``; the first failure, in point order
+      and then map order, is raised.  The points are drawn and evaluated
+      even when a basis vector failed, and their outcomes then dropped;
     * distance bounds: each original map must stay within the summed
       majorant of its recovered limit at seeded points;
     * derivation identity: the recovered maps must satisfy the twisted
@@ -568,23 +551,32 @@ def direct_method_stabilize(
         if not l2_norm(origin) <= 1e-12:
             raise ValueError(f"{name}(0) != 0; the direct method requires it")
 
-    traces: dict = {}
-    iterations: dict = {}
-    failures: list = []
-    trace_rows = None if keep_traces else _RATE_ROWS
-    recovered = {
-        name: _recover_matrix(evaluable, control, alg, tol, max_iter, out_norm, name,
-                              traces, iterations, failures, trace_rows)
-        for name, evaluable, out_norm in named
-    }
+    traces, iterations, failures, recovered, fresh = {}, {}, [], {}, []
+    rng = np.random.default_rng([seed, 0x51])
+    xs = _random_vector(rng, alg.dim, alg.field, count=linearity_points)
+    # the basis rays, traced, then the linearity rays; the maps share one plan
+    rays = np.concatenate([alg.basis(), xs])
+    plan = ({}, {})
+    for name, m, out_norm in named:
+        local = [[] for _ in range(alg.dim)]
+        outcomes = _hyers_limits(m, control, rays, tol, max_iter, out_norm,
+                                 local + [None] * len(xs),
+                                 None if keep_traces else _RATE_ROWS, plan)
+        basis = outcomes[: alg.dim]
+        # a basis vector whose limit fails gets a zero column
+        for i, outcome in enumerate(basis):
+            if isinstance(outcome, NonConvergenceError):
+                failures.append({"map": name, "basis_index": i, "code": outcome.code,
+                                 "message": str(outcome)})
+                basis[i] = np.zeros(m.out_dim, dtype=alg.dtype), outcome.iterations or 0
+        recovered[name] = LinearMap(np.column_stack([col for col, _ in basis]))
+        iterations[name] = [n for _, n in basis]
+        traces[name] = [(i, *row) for i, rows in enumerate(local) for row in rows]
+        fresh.append(outcomes[alg.dim :])
     deriv, sigma, tau, xi = (recovered[n] for n in "fghk")
 
-    rng = np.random.default_rng([seed, 0x51])
     linearity_max = 0.0
     if not failures:
-        xs = _random_vector(rng, alg.dim, alg.field, count=linearity_points)
-        fresh = [_hyers_limits(m, control, xs, tol, max_iter, out_norm)
-                 for _, m, out_norm in named]
         # the first failure in point order, then map order
         for outcome in (o for by_map in zip(*fresh) for o in by_map):
             if isinstance(outcome, NonConvergenceError):
@@ -601,7 +593,7 @@ def direct_method_stabilize(
     phi_values = summed_majorant(control, (points, points) + zeros).tolist()
     gaps = [_norms_with(out_norm, m.evaluate_stack(points) - recovered[name].apply(points))
             for name, m, out_norm in named]
-    max_violation = np.max(np.subtract(gaps, phi_values), initial=-np.inf)
+    max_violation = np.max(np.subtract(gaps, phi_values)) if bound_points else 0.0
 
     rng = np.random.default_rng([seed, 0x53])
     # drawn a, b, c per triple in turn; a Jordan triple repeats its one draw
@@ -613,8 +605,6 @@ def direct_method_stabilize(
     scale = 1.0 + alg.norms_of(a) * alg.norms_of(b) * alg.norms_of(c)
     max_identity = float(np.max(res / scale, initial=0.0))
 
-    if max_violation == -float("inf"):
-        max_violation = 0.0
     rates = {name: _rate_estimate(rows) for name, rows in traces.items()}
     return StabilizationReport(
         derivation=deriv,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ternstab as ts
+from ternstab import algebra
 from ternstab.errors import DimensionMismatch
 
 
@@ -184,6 +185,16 @@ class TestAssociativityChecker:
     def test_zero_tuples_do_not_pass(self, kwargs):
         report = ts.check_ternary_associativity(ts.trivial_matrix_algebra(2), 1e-12, **kwargs)
         assert report.checked == 0 and not report.passed
+
+    @pytest.mark.parametrize("kwargs", [{"samples": -3}, {"budget": -3},
+                                        {"samples": 5, "budget": -3}])
+    def test_negative_counts_rejected_before_any_work(self, monkeypatch, kwargs):
+        def no_work(*args, **kw):
+            raise AssertionError("checked tuples before rejecting a negative count")
+
+        monkeypatch.setattr(algebra, "_law_residuals", no_work)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ts.check_ternary_associativity(ts.trivial_matrix_algebra(2), 1e-12, **kwargs)
 
     def test_m3_exhaustive(self):
         alg = ts.trivial_matrix_algebra(3)

@@ -162,7 +162,7 @@ def test_malformed_map_document_is_a_coded_error(patch, drop, tmp_path, capsys):
 
 @pytest.mark.parametrize("option, value", [
     ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"),
-    ("--samples", "0"), ("--samples", "-1"),
+    ("--samples", "0"), ("--samples", "-1"), ("--seed", "-5"),
 ])
 def test_algebra_check_rejects_bad_tol_and_samples(option, value, capsys):
     argv = ["algebra", "check", "--builder", "odd-poly", option, value]

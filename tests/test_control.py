@@ -112,6 +112,21 @@ class TestCustomControl:
         with pytest.raises(ValueError):
             c.evaluate(unit_x(), unit_x(), unit_x())
 
+    def test_nan_value_rejected(self, oddpoly3_module, identity2):
+        c = ts.custom_control(lambda *a: math.nan, arity=5)
+        with pytest.raises(ValueError, match="NaN"):
+            c.evaluate(*five_args(unit_x()))
+        # so a NaN control cannot make the hypothesis hold unchecked
+        f = ts.EvaluableMap.from_linear(identity2)
+        with pytest.raises(ValueError, match="NaN"):
+            ts.check_hypothesis(f, f, f, f, c, oddpoly3_module, samples=3)
+
+    def test_inf_value_is_divergent(self):
+        c = ts.custom_control(lambda *a: math.inf, arity=5)
+        assert c.evaluate(*five_args(unit_x())) == math.inf
+        with pytest.raises(DivergentControlError):
+            ts.summed_majorant(c, five_args(unit_x()), method="numeric")
+
     def test_divergent_series_raises(self):
         c = ts.custom_control(lambda *a: float(np.linalg.norm(a[0]) ** 2), arity=5)
         with pytest.raises(DivergentControlError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ternstab as ts
+from ternstab import module
 from ternstab.errors import DimensionMismatch
 from ternstab.module import product_abx, product_axb, product_xab
 
@@ -74,6 +75,23 @@ class TestSampledModulePath:
     def test_no_tuples_checked_does_not_pass(self, matrix2_module):
         report = ts.check_module_axioms(matrix2_module, 1e-12, samples=0, budget=0)
         assert report.tuples_checked == 0 and not report.passed
+
+    def test_no_norm_sample_does_not_pass(self, matrix2_module):
+        # the chains hold exhaustively, but the norm inequality saw nothing
+        report = ts.check_module_axioms(matrix2_module, 1e-12, samples=0)
+        assert report.exhaustive and report.max_chain_residual <= 1e-12
+        assert report.norm_samples == 0 and not report.passed
+
+    @pytest.mark.parametrize("kwargs", [{"samples": -3}, {"budget": -3}])
+    def test_negative_counts_rejected_before_any_work(self, matrix2_module, monkeypatch,
+                                                      kwargs):
+        def no_work(*args, **kw):
+            raise AssertionError("checked tuples before rejecting a negative count")
+
+        monkeypatch.setattr(module, "_law_residuals", no_work)
+        monkeypatch.setattr(module, "_random_vector", no_work)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ts.check_module_axioms(matrix2_module, 1e-12, **kwargs)
 
 
 class TestModuleValidation:
