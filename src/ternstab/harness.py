@@ -13,7 +13,6 @@ from __future__ import annotations
 import copy
 import csv
 import datetime
-import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,8 +70,9 @@ class PerturbationSpec:
 
     ``direction`` is either ``fixed`` (one unit vector for every point,
     defaulting to normalized all-ones) or ``hash`` (a deterministic
-    pseudo-random unit vector keyed on the seed and the quantized input
-    coordinates, so evaluation stays pure).
+    pseudo-random unit vector, a pure function of the seed and the input
+    coordinates rounded to 9 decimals, so evaluation stays pure; see
+    :func:`_hash_units`).
     """
 
     theta: float
@@ -90,35 +90,31 @@ class PerturbationSpec:
             raise ValueError("direction must be 'fixed' or 'hash'")
 
 
-def _hash_units(seed: int, xs: np.ndarray, out_dim: int, complex_out: bool, out_norm, memo=None):
-    """Counter-based unit directions, one per row of ``xs``, each keyed on
-    (seed, the row's quantized coordinates).
+def _hash_units(seed: int, xs: np.ndarray, out_dim: int, complex_out: bool, out_norm):
+    """Counter-based unit directions, one per row of ``xs``, each a pure
+    function of (seed, the row's coordinates rounded to 9 decimals).
 
-    One Philox generator serves the whole call: resetting it to counter 0
-    under a row's key draws the same normals as a fresh ``Philox(key=...)``.
-    The dict ``memo`` keeps each raw draw's bytes under ``(seed, out_dim,
-    complex_out)`` and the row's bytes, so a row seen before is not hashed
-    again; callers may share it (``run_sweep``'s points do, one after
-    another), since every value is deterministic.  The generator stays local.
+    The splitmix64 finaliser ``mix`` folds a row's float64 lanes, one after
+    another, into a key that starts at ``seed mod 2**64``.  Output
+    coordinate ``c`` (real and imaginary parts counted apart) is
+    ``mix(key + c * 0x9E3779B97F4A7C15)``, whose top 53 bits map onto
+    [-1, 1).  The rows are then normalized by ``out_norm``.
     """
-    flat = np.round(np.ascontiguousarray(xs, dtype=np.complex128).view(np.float64), 9)
-    # each quantized row's bytes, read as one void scalar per row
-    rows = flat.view(f"V{flat.itemsize * flat.shape[1]}")[:, 0].tolist()
-    hash_key = (seed % 2**64).to_bytes(8, "little")
-    bits = np.random.Philox(key=0)
-    gen = np.random.Generator(bits)
-    # a fresh generator's state: counter 0, buffer spent, no cached draw
-    state = bits.state
-    seen = ({} if memo is None else memo).setdefault((seed, out_dim, complex_out), {})
-    for row in rows:
-        if row not in seen:
-            digest = hashlib.blake2b(row, key=hash_key, digest_size=16).digest()
-            state["state"]["key"] = np.frombuffer(digest, dtype=np.uint64)
-            bits.state = state
-            v = gen.standard_normal(out_dim)
-            seen[row] = (v + 1j * gen.standard_normal(out_dim) if complex_out else v).tobytes()
-    dtype = np.complex128 if complex_out else np.float64
-    units = np.frombuffer(b"".join(map(seen.get, rows)), dtype).reshape(-1, out_dim)
+    def mix(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    # + 0.0 turns -0.0 into 0.0, so rows that round to one point share a key
+    flat = np.round(np.ascontiguousarray(xs, dtype=np.complex128).view(np.float64), 9) + 0.0
+    key = np.full(len(flat), seed % 2**64, dtype=np.uint64)
+    for lane in flat.view(np.uint64).T:
+        key = mix(key ^ lane)
+    counters = np.arange(2 * out_dim if complex_out else out_dim, dtype=np.uint64)
+    units = (mix(key[:, None] + counters * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(11))
+    units = units * 2.0**-52 - 1.0
+    if complex_out:
+        units = units.view(np.complex128)
     sizes = _norms_with(out_norm, units)
     if not sizes.all():
         units = np.where(sizes[:, None] == 0.0, 1.0, units)
@@ -131,15 +127,14 @@ def perturb_map(
     spec: PerturbationSpec,
     in_norm=None,
     out_norm=None,
-    hash_memo=None,
 ) -> EvaluableMap:
     """Evaluator ``x -> base(x) + theta |x|**p u(x)`` with unit ``u``.
 
     Maps zero to zero, is deterministic under a fixed seed, and realizes the
     perturbation magnitude exactly in the output norm.  The evaluator takes
     one point or an ``(N, d)`` stack; each row of a stack gets exactly the
-    value it would get alone.  ``hash_memo`` is the dict of raw hash
-    directions that :func:`_hash_units` fills, None for one of its own per call.
+    value it would get alone.  ``hash`` directions come from
+    :func:`_hash_units`.
     """
     complex_out = np.iscomplexobj(base.matrix)
     fixed_unit = None
@@ -174,7 +169,7 @@ def perturb_map(
         unit = (
             fixed_unit
             if fixed_unit is not None
-            else _hash_units(spec.seed, x[moved], base.out_dim, complex_out, out_norm, hash_memo)
+            else _hash_units(spec.seed, x[moved], base.out_dim, complex_out, out_norm)
         )
         out[moved] = out[moved] + scale * unit
         return out
@@ -402,7 +397,7 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def run_experiment(config, out_dir=None, write_files: bool = True, hash_memo=None) -> RunResult:
+def run_experiment(config, out_dir=None, write_files: bool = True) -> RunResult:
     """Full pipeline: solve ground truth, perturb, stabilize, verify, emit.
 
     The report is written as JSON (plus one convergence CSV per map) when
@@ -412,8 +407,7 @@ def run_experiment(config, out_dir=None, write_files: bool = True, hash_memo=Non
     instead of propagating, and force ``all_passed`` to false.  A run that
     writes no files keeps only the trace rows ``n <= 10`` (see
     :func:`direct_method_stabilize`).  The report's ``derivation`` entry is
-    the solver's rank margin for the map candidate used.  ``hash_memo``
-    goes to :func:`perturb_map`.
+    the solver's rank margin for the map candidate used.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
@@ -482,7 +476,7 @@ def run_experiment(config, out_dir=None, write_files: bool = True, hash_memo=Non
             ("k", xi, alg.norm_of),
         ):
             evaluables[name] = perturb_map(base, config.perturbations[name], in_norm=alg.norm_of,
-                                           out_norm=out_norm, hash_memo=hash_memo)
+                                           out_norm=out_norm)
         try:
             if config.samples["hypothesis_tuples"] > 0:
                 hypo = check_hypothesis(
@@ -611,17 +605,15 @@ def run_sweep(config, param: str, values, out_csv=None) -> list:
     """One experiment per parameter value; one result row per point.
 
     Points run one after another on the calling thread, in the order of
-    ``values``.  They share hash directions: one memo (see
-    :func:`_hash_units`), which lives for this call only, hashes each
-    distinct input once per sweep.
+    ``values``; each point is the standalone run of its config, written to
+    no file.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
     values = [float(v) for v in values]
-    hash_memo: dict = {}
     results = [
         run_experiment(_parse_config(_sweep_config(config.raw, param, v), config.base_dir),
-                       write_files=False, hash_memo=hash_memo)
+                       write_files=False)
         for v in values
     ]
 

@@ -190,7 +190,8 @@ def _hyers_limits(f, control, xs, tol, max_iter=ITERATION_CAP, out_norm=None,
     evaluated once on one stack of every row that any ray reads, ``x``
     included; a ray with a row that is not finite is evaluated again,
     whole, in the next stack, which leaves the other rays' outcomes alone.
-    Under a custom control the rays run one after another, block by block.
+    Under a custom control each stack holds the next block of every ray
+    that has not stopped.
     ``plan``, a pair of dicts, keeps the stops and traced tails by norm
     across calls with the same ``control``, ``tol``, ``max_iter`` and
     ``trace_rows``, whatever ``f`` is: a norm met again is not searched
@@ -269,18 +270,17 @@ def _hyers_limits(f, control, xs, tol, max_iter=ITERATION_CAP, out_norm=None,
 
     pending = rays
     while pending:
-        group = pending[:1] if empirical else pending
         # a ray's first stack starts with x itself
         ks = [r.rows[r.done : r.done + block] if r.current is not None
-              else np.append(0, r.rows[: block]) for r in group]
+              else np.append(0, r.rows[: block]) for r in pending]
         sizes = [len(k) for k in ks]
         scale = np.ldexp(1.0, np.concatenate(ks))[:, None]
-        points = np.repeat(np.stack([r.x for r in group]), sizes, axis=0)
+        points = np.repeat(np.stack([r.x for r in pending]), sizes, axis=0)
         # the norms recompute rows whose squares overflow, and a row that leaves
         # double range is reported or dropped, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = f.evaluate_stack(points * scale) / scale
-        for ray, part in zip(group, np.split(scaled, np.cumsum(sizes)[:-1])):
+        for ray, part in zip(pending, np.split(scaled, np.cumsum(sizes)[:-1])):
             ray.outcome = advance(ray, part)
         pending = [r for r in pending if r.outcome is None]
     return [r.outcome for r in rays]
@@ -365,10 +365,13 @@ def check_hypothesis(
     The points are drawn sample by sample, each a scale and then ``x, y, u``
     (and ``v, w`` in ``lie`` mode), and evaluated together: each map and
     each side of ``phi`` once on one stack, the residuals and slacks as
-    ``(samples, lambdas, 4)``.
+    ``(samples, lambdas, 4)``.  A negative ``samples`` raises ``ValueError``
+    before any map is evaluated.
     """
     if mode not in ("lie", "jordan"):
         raise ValueError("mode must be 'lie' or 'jordan'")
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     alg = mod.algebra
     lams = _lambda_grid(alg.field, lambda_grid)
     lam_col = lams[:, None]
@@ -517,13 +520,15 @@ def direct_method_stabilize(
     Runs the doubling iteration of :func:`hyers_limit` at every basis vector
     of the algebra for each of the four maps and assembles the limits into
     matrices.  Each map takes one stacked call for its basis and the
-    linearity points together, and under a power control one stack holds
+    linearity points together.  Under a power control one stack holds
     every row their rays read; a ray with a row that is not finite is
-    evaluated again, alone and whole, and fails as it would alone.  The
-    stop depends on the control, ``tol`` and ``|x|`` alone, not on the map,
-    so the four maps share one stop plan: each distinct norm is searched
-    once per run (the unit vectors share one search), and the unit vectors'
-    traced tail bounds are computed once.  Then:
+    evaluated again, alone and whole, and fails as it would alone.  Under
+    a custom control each stack holds the next block of every ray that has
+    not stopped.  The stop depends on the control, ``tol`` and ``|x|``
+    alone, not on the map, so the four maps share one stop plan: each
+    distinct norm is searched once per run (the unit vectors share one
+    search), and the unit vectors' traced tail bounds are computed once.
+    Negative counts raise ``ValueError`` before any map is evaluated.  Then:
 
     * linearity: at seeded non-basis points the recovered matrix must agree
       with a fresh limit to ``10 * tol``; the first failure, in point order
@@ -543,6 +548,8 @@ def direct_method_stabilize(
     """
     if mode not in ("lie", "jordan"):
         raise ValueError("mode must be 'lie' or 'jordan'")
+    if min(bound_points, identity_triples, linearity_points) < 0:
+        raise ValueError("bound_points, identity_triples and linearity_points must be nonnegative")
     alg = mod.algebra
     named = (("f", f, mod.norm_of), ("g", g, alg.norm_of), ("h", h, alg.norm_of),
              ("k", k, alg.norm_of))

@@ -408,7 +408,7 @@ class TestSweep:
             ts.run_sweep(raw, "m", [1.0])
 
 
-def _memo_raw():
+def _small_raw():
     """``oddpoly3_p05`` (hash directions for g, h and k) with small samples."""
     raw = load_raw("oddpoly3_p05.json")
     raw["samples"] = {
@@ -425,7 +425,8 @@ def _bits(value) -> bytes:
 
 
 class TestSweepHashMemo:
-    """The points of one sweep share a memo of hash directions."""
+    """A sweep point, hash directions included, equals the standalone run of
+    its config: the sweep keeps no state between points."""
 
     VALUES = [0.2, 0.5, 0.8]
 
@@ -433,7 +434,7 @@ class TestSweepHashMemo:
     def test_points_equal_standalone_runs(self, monkeypatch, threads):
         # TERNSTAB_THREADS left in the environment is not read
         monkeypatch.setenv("TERNSTAB_THREADS", threads)
-        raw = _memo_raw()
+        raw = _small_raw()
         run, results = harness.run_experiment, {}
 
         def recording(config, *args, **kwargs):
@@ -456,40 +457,6 @@ class TestSweepHashMemo:
             for name, trace in stab.traces.items():
                 assert _bits(swept.traces[name]) == _bits(trace)
             assert json.dumps(results[value].report) == json.dumps(alone.report)
-
-    def test_each_distinct_row_is_digested_once_per_sweep(self, monkeypatch):
-        raw = _memo_raw()
-        digested, memos = [], []
-        blake2b, hash_units = harness.hashlib.blake2b, harness._hash_units
-
-        def counting(data, *, key, digest_size):
-            digested.append((key, bytes(data)))
-            return blake2b(data, key=key, digest_size=digest_size)
-
-        def watching(seed, xs, out_dim, complex_out, out_norm, memo=None):
-            memos.append((memo, None if memo is None else len(memo)))
-            return hash_units(seed, xs, out_dim, complex_out, out_norm, memo)
-
-        monkeypatch.setattr(harness.hashlib, "blake2b", counting)
-        monkeypatch.setattr(harness, "_hash_units", watching)
-        ts.run_sweep(raw, "p", self.VALUES)
-        first, first_memos = digested[:], memos[:]
-        # every point's perturbation has the same output size and field, so
-        # (key, row) stands for (seed, out_dim, complex_out, row)
-        assert first and len(set(first)) == len(first)
-        assert len({id(memo) for memo, _ in first_memos}) == 1
-        assert first_memos[0][1] == 0
-        digested.clear()
-        for value in self.VALUES:
-            harness.run_experiment(harness._sweep_config(raw, "p", value), write_files=False)
-        assert len(digested) > len(first)
-        assert set(digested) == set(first)
-
-        digested.clear()
-        memos.clear()
-        ts.run_sweep(raw, "p", self.VALUES)
-        assert memos[0][0] is not first_memos[0][0] and memos[0][1] == 0
-        assert digested == first
 
 
 class TestSweepIsSerial:

@@ -29,6 +29,15 @@ def perturbed_oddpoly(oddpoly3, oddpoly3_module, oddpoly_derivation, identity2):
     return f, g, h, k, control
 
 
+def _counted(calls, name):
+    """The identity on the 2-dim algebra, logging ``name`` on every evaluation."""
+    def fn(x):
+        calls.append(name)
+        return np.array(x, dtype=float)
+
+    return ts.EvaluableMap(2, 2, fn)
+
+
 class TestHyersLimit:
     def test_exact_linear_stops_immediately(self, oddpoly_derivation):
         f = ts.EvaluableMap.from_linear(oddpoly_derivation)
@@ -199,6 +208,15 @@ class TestDirectMethodStabilize:
                 nan_at_zero, g, g, g, control, oddpoly3_module, tol=1e-10
             )
 
+    @pytest.mark.parametrize("count", ["bound_points", "identity_triples", "linearity_points"])
+    def test_negative_counts_rejected_before_any_evaluation(self, oddpoly3_module, count):
+        calls = []
+        maps = [_counted(calls, name) for name in "fghk"]
+        control = ts.power_control(0.1, 0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ts.direct_method_stabilize(*maps, control, oddpoly3_module, **{count: -1})
+        assert calls == []
+
     def test_partial_failure_is_recorded(self, oddpoly3_module, identity2):
         # a map that diverges on every nonzero input, under a custom control
         # (empirical stopping): per-basis failures, not an exception
@@ -274,6 +292,14 @@ class TestCheckHypothesis:
             )
             assert report.violations == 0
             assert report.max_residual <= 1e-10
+
+    def test_negative_samples_rejected_before_any_evaluation(self, oddpoly3_module):
+        calls = []
+        maps = [_counted(calls, name) for name in "fghk"]
+        control = ts.power_control(0.1, 0.5, arity=5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ts.check_hypothesis(*maps, control, oddpoly3_module, samples=-1)
+        assert calls == []
 
     def test_complex_lambda_grid(self, identity2):
         alg = ts.odd_polynomial_algebra(3, "complex")

@@ -5,11 +5,11 @@ the direct method evaluates all the rays of a map's basis and linearity
 points as one stack, and ``perturb_map``'s evaluator takes ``(N, d)``
 stacks.  The references below are the step-by-step iteration, the
 single-point perturbation evaluator and the per-point basis and linearity
-loops they replaced, kept verbatim; results must agree bitwise.
+loops they replaced, kept verbatim, and a one-row hash direction in Python
+integers; results must agree bitwise.
 """
 
 import dataclasses
-import hashlib
 import json
 import math
 import warnings
@@ -20,7 +20,7 @@ import pytest
 
 import ternstab as ts
 from ternstab import stability
-from ternstab.algebra import _random_vector, l2_norm
+from ternstab.algebra import _norms_with, _random_vector, l2_norm
 from ternstab.control import cauchy_tail_bound
 from ternstab.errors import NonConvergenceError
 from ternstab.harness import _hash_units
@@ -75,17 +75,26 @@ def _reference_hyers_limit(f, control, x, tol, max_iter=ITERATION_CAP, out_norm=
             return current, n
 
 
+_MASK = 2**64 - 1
+
+
+def _reference_mix(z: int) -> int:
+    """The splitmix64 finaliser in Python integers."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
 def _reference_hash_unit(seed, x, out_dim, complex_out, out_norm):
-    """One fresh Philox generator per direction."""
-    flat = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
-    quantized = np.round(flat, 9)
-    digest = hashlib.blake2b(
-        quantized.tobytes(), key=(seed % 2**64).to_bytes(8, "little"), digest_size=16
-    ).digest()
-    gen = np.random.Generator(np.random.Philox(key=np.frombuffer(digest, dtype=np.uint64)))
-    v = gen.standard_normal(out_dim)
-    if complex_out:
-        v = v + 1j * gen.standard_normal(out_dim)
+    """One direction at a time, in Python integers and floats."""
+    key = seed % 2**64
+    for value in np.asarray(x, dtype=np.complex128).view(np.float64):
+        # numpy's rounding (scale, round half to even, unscale), not round()'s
+        lane = int((np.round(value, 9) + 0.0).view(np.uint64))
+        key = _reference_mix(key ^ lane)
+    parts = [(_reference_mix((key + c * 0x9E3779B97F4A7C15) & _MASK) >> 11) * 2.0**-52 - 1.0
+             for c in range(2 * out_dim if complex_out else out_dim)]
+    v = np.array(parts).view(np.complex128) if complex_out else np.array(parts)
     nv = out_norm(v)
     if nv == 0.0:
         v = np.ones(out_dim, dtype=v.dtype)
@@ -570,15 +579,16 @@ class TestAPrioriStop:
 
 
 class TestStackedEvaluation:
+    @pytest.mark.parametrize("norm_scale", [1.0, 2.5])
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_hash_units_equal_fresh_generators(self, field):
-        alg = ts.odd_polynomial_algebra(5, field)
+    def test_hash_units_equal_integer_reference(self, field, norm_scale):
+        alg = dataclasses.replace(ts.odd_polynomial_algebra(5, field), norm_scale=norm_scale)
         rng = np.random.default_rng(8)
         xs = rng.standard_normal((20, alg.dim)).astype(alg.dtype)
         if field == "complex":
             xs = xs + 1j * rng.standard_normal((20, alg.dim))
         complex_out = field == "complex"
-        for seed in (0, 24, 2**70 + 3):
+        for seed in (0, 24, -5, 2**70 + 3):
             units = _hash_units(seed, xs, 4, complex_out, alg.norm_of)
             for row, unit in zip(xs, units):
                 assert _same(unit, _reference_hash_unit(seed, row, 4, complex_out, alg.norm_of))
@@ -651,6 +661,73 @@ class TestStackedEvaluation:
             stacked.evaluate_stack(np.zeros((3, alg.dim + 1)))
         with pytest.raises(ts.DimensionMismatch):
             stacked.evaluate_stack(np.zeros(alg.dim))
+
+
+class TestHashDirections:
+    """A hash direction is a pure function of (seed, the point rounded to 9
+    decimals), of unit norm, whatever else is evaluated beside it."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_one_row_gets_one_unit_in_any_stack_or_call(self, field):
+        alg = ts.odd_polynomial_algebra(5, field)
+        rng = np.random.default_rng(9)
+        xs = _random_vector(rng, alg.dim, alg.field, count=12)
+        complex_out = field == "complex"
+        alone = [_hash_units(3, row[None], 3, complex_out, alg.norm_of)[0] for row in xs]
+        order = rng.permutation(len(xs))
+        for stack, rows in ((xs, range(len(xs))), (xs[order], order),
+                            (np.vstack([xs, xs]), list(range(len(xs))) * 2)):
+            for unit, i in zip(_hash_units(3, stack, 3, complex_out, alg.norm_of), rows):
+                assert _same(unit, alone[i])
+        # two maps built apart, one evaluated point by point
+        spec = ts.PerturbationSpec(theta=1.0, p=0.0, direction="hash", seed=3)
+        zero = ts.LinearMap.zero(alg.dim, alg.dim, alg.dtype)
+        first, second = (ts.perturb_map(zero, spec, alg.norm_of, alg.norm_of) for _ in "ab")
+        stacked = first.evaluate_stack(xs)
+        for x, value in zip(xs, stacked):
+            assert _same(second(x), value)
+        assert _same(stacked, np.array(alone))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_rows_that_round_to_one_point_share_a_unit(self, field):
+        alg = ts.odd_polynomial_algebra(5, field)
+        rng = np.random.default_rng(10)
+        grid = np.round(_random_vector(rng, alg.dim, alg.field, count=8), 9)
+        grid[:, 0] = 0.0
+        complex_out = field == "complex"
+        want = _hash_units(7, grid, 3, complex_out, alg.norm_of)
+        for shift in (1e-11, -1e-11, 3e-10, -3e-10):
+            near = grid + shift
+            if complex_out:
+                near = near + 1j * shift
+            # the zero coordinates now round to +0.0 or -0.0
+            assert np.array_equal(np.round(near, 9), grid)
+            assert _same(_hash_units(7, near, 3, complex_out, alg.norm_of), want)
+        moved = grid + 2e-9
+        assert not (_hash_units(7, moved, 3, complex_out, alg.norm_of) == want).all(axis=1).any()
+
+    def test_seeds_give_different_units(self):
+        alg = ts.odd_polynomial_algebra(5, "complex")
+        xs = _random_vector(np.random.default_rng(12), alg.dim, alg.field, count=6)
+        seeds = [0, 1, 2, 7, -1, 2**63, 2**64 + 5]
+        units = np.stack([_hash_units(seed, xs, 3, True, alg.norm_of) for seed in seeds])
+        for i in range(len(seeds)):
+            for j in range(i):
+                assert not (units[i] == units[j]).all(axis=-1).any()
+        # a seed is read mod 2**64
+        assert _same(_hash_units(-1, xs, 3, True, alg.norm_of),
+                     _hash_units(2**64 - 1, xs, 3, True, alg.norm_of))
+
+    @pytest.mark.parametrize("norm_scale", [1.0, 0.3, 2.5])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_units_have_norm_one(self, field, norm_scale):
+        alg = dataclasses.replace(ts.odd_polynomial_algebra(9, field), norm_scale=norm_scale)
+        xs = _random_vector(np.random.default_rng(13), alg.dim, alg.field, count=500)
+        for out_dim in (1, 5, 40):
+            for norm in (alg.norm_of, None):
+                units = _hash_units(11, xs, out_dim, field == "complex", norm)
+                sizes = _norms_with(norm, units)
+                assert np.abs(sizes - 1.0).max() <= 1e-15
 
 
 class TestStackedChecks:
@@ -881,6 +958,33 @@ class TestStackedCore:
                         with np.errstate(over="ignore", invalid="ignore"):
                             _assert_core_equals_per_point(f, custom, xs, 1e-6,
                                                           max_iter=max_iter, **mode)
+
+    @pytest.mark.parametrize("kind", ["stacked", "pointwise"])
+    def test_custom_control_advances_every_ray_per_stack(self, monkeypatch, kind):
+        # each stack holds the next block of every ray still running, so a
+        # block of rays takes as many stacks as its longest ray alone
+        alg, stacked, pointwise, _ = _setup("real", "hash", 0.5)
+        f = stacked if kind == "stacked" else pointwise
+        custom = ts.custom_control(lambda *args: 0.1 * sum(l2_norm(a) ** 0.5 for a in args))
+        stacks = []
+        original = ts.EvaluableMap.evaluate_stack
+
+        def counting(self, xs):
+            stacks.append(len(xs))
+            return original(self, xs)
+
+        monkeypatch.setattr(ts.EvaluableMap, "evaluate_stack", counting)
+        for xs in _blocks(alg):
+            alone = []
+            for x in xs:
+                stacks.clear()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _outcome(ts.hyers_limit, f, custom, x, 1e-6)
+                alone.append(len(stacks))
+            stacks.clear()
+            with np.errstate(over="ignore", invalid="ignore"):
+                _core(f, custom, xs, 1e-6)
+            assert len(stacks) == max(alone) > 1
 
     def test_tabulated_block_needs_only_x_and_row_n(self):
         # the table holds each point and its row n alone: an untraced block

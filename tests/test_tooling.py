@@ -6,8 +6,9 @@ the traced sweep span reads ``harness.thread_count()``, which is always 1.
 A refactor that moves or renames one of these fails here instead of
 silently dropping a span from the benchmark.  ``perfbench/workloads.py`` checks every op's
 output (a sweep's iteration counts against ``SWEEP_ITERATIONS``, a bundled
-report against the op before it); one full-size op of each is run here, so
-that a change that fails those checks fails the tests first.
+report against the op before it); full-size ops of each, under several
+workload seeds, are run here, so that a change that fails those checks
+fails the tests first.
 """
 
 import importlib.util
@@ -43,21 +44,27 @@ def test_harness_hooks_exist(monkeypatch):
     assert harness.thread_count() == 1
 
 
+#: workload seeds: the benchmark reseeds every perturbation, hash directions included
+SEEDS = (1, 7, 21)
+
+
 def test_sweep_op_passes_its_check(tmp_path):
     workloads = _load("workloads")
-    sweep = workloads.Sweep(7, False, tmp_path)
-    assert [round(v, 1) for v in sweep.values] == sorted(workloads.SWEEP_ITERATIONS)
-    sweeps = sweep.op()
-    assert len(sweeps) == 2
-    sweep.check(sweeps)
+    for seed in SEEDS:
+        sweep = workloads.Sweep(seed, False, tmp_path / str(seed))
+        assert [round(v, 1) for v in sweep.values] == sorted(workloads.SWEEP_ITERATIONS)
+        sweeps = sweep.op()
+        assert len(sweeps) == 2
+        sweep.check(sweeps)
 
 
 def test_bundled_op_passes_its_check(tmp_path):
-    experiments = _load("workloads").bundled(7, False, tmp_path)
-    for _ in range(2):  # the second op's reports must equal the first's
-        results = experiments.op()
-        assert len(results) == 3
-        experiments.check(results)
+    for seed in SEEDS:
+        experiments = _load("workloads").bundled(seed, False, tmp_path / str(seed))
+        for _ in range(2):  # the second op's reports must equal the first's
+            results = experiments.op()
+            assert len(results) == 3
+            experiments.check(results)
 
 
 def test_traced_sweep_sees_the_stacked_work(tmp_path):
