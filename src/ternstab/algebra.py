@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +46,8 @@ def l2_norm(v) -> float:
 @np.errstate(over="ignore")  # rows whose squares overflow are recomputed below
 def _row_norms(vectors) -> np.ndarray:
     """2-norm along the last axis, each bitwise equal to ``np.linalg.norm`` of
-    its row alone: on a C-contiguous copy ``vecdot`` sums a row's squares in
+    its row alone: on rows of unit stride (a stack whose last axis is
+    strided is copied to C order first) ``vecdot`` sums a row's squares in
     the order of ``norm``'s dot product (``norm(axis=-1)`` and ``einsum``
     reorder them).  Rows whose squares overflow although their entries are
     finite are recomputed after an exact power-of-two rescale, without a
@@ -54,7 +56,8 @@ def _row_norms(vectors) -> np.ndarray:
     v = np.asarray(vectors)
     if not issubclass(v.dtype.type, np.inexact):
         v = v.astype(np.float64)
-    v = np.ascontiguousarray(v)
+    if v.ndim == 0 or v.strides[-1] != v.itemsize:
+        v = np.ascontiguousarray(v)
     if v.ndim == 1:
         # one vector: the dot product of ``norm``; math.sqrt rounds as
         # np.sqrt does at a fraction of its call cost on a scalar
@@ -114,6 +117,38 @@ class _Space:
         return v
 
 
+class _Plan(NamedTuple):
+    """A ``(d1, d2, d3, dout)`` tensor with the slabs its contractions run
+    over, found once from ``tensor != 0`` by the algebra or module that
+    holds the tensor.
+
+    ``pairs`` holds the flat indices ``k * dout + l`` of the live pairs, those
+    with a nonzero ``T[i, j, k, l]``, or is None when every pair is live;
+    ``stage1`` is the ``(d1, d2 * pairs)`` matrix of ``_trilinear``'s first
+    stage over them; ``rows`` marks the live rows ``T[i, j, k, :]``, which
+    ``_law_values`` multiplies, or is None when every row is live.
+    """
+
+    tensor: np.ndarray
+    pairs: np.ndarray | None
+    stage1: np.ndarray
+    rows: np.ndarray | None
+
+    @classmethod
+    def of(cls, tensor: np.ndarray) -> _Plan:
+        d1, d2, d3, dout = tensor.shape
+        live = tensor != 0
+        pairs = np.flatnonzero(live.any(axis=(0, 1)))
+        if len(pairs) == d3 * dout:
+            pairs, stage1 = None, tensor.reshape(d1, -1)
+        else:
+            stage1 = tensor.reshape(d1, d2, -1)[:, :, pairs].reshape(d1, -1)
+        rows = live.any(axis=-1)
+        for v in (stage1, rows):
+            v.setflags(write=False)
+        return cls(tensor, pairs, stage1, None if rows.all() else rows)
+
+
 @dataclass(frozen=True, eq=False)
 class TernaryAlgebra(_Space):
     """A coordinatized ternary algebra.
@@ -158,6 +193,7 @@ class TernaryAlgebra(_Space):
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "structure", t)
+        object.__setattr__(self, "_plan", _Plan.of(t))
         object.__setattr__(self, "flags", frozenset(self.flags))
 
     @property
@@ -168,17 +204,27 @@ class TernaryAlgebra(_Space):
         return np.eye(self.dim, dtype=self.dtype)
 
 
-def _trilinear(tensor: np.ndarray, a, b, c) -> np.ndarray:
-    """Contract slots 1-3 of a ``(d1, d2, d3, dout)`` tensor with ``a, b, c``.
+def _trilinear(plan: _Plan, a, b, c) -> np.ndarray:
+    """Contract slots 1-3 of a planned ``(d1, d2, d3, dout)`` tensor with ``a, b, c``.
 
-    Three staged matrix products, one slot at a time.  The leading axes of
-    ``a``, ``b`` and ``c`` broadcast against each other, so the same call
-    serves one vector, an ``(N, d)`` stack and a grid of basis vectors; the
-    result has the broadcast leading shape followed by ``dout``.
+    Three staged matrix products, one slot at a time, over the live slabs
+    of a plan built once per tensor: the first two run over the live
+    ``(k, l)`` pairs only and fill their columns of a zero ``(d3, dout)``
+    block before the third (all of it when every pair is live).  Fewer
+    columns can move the last bit of an inexact sum, as BLAS may order a
+    column's sum by its place among them.  The leading axes of ``a``, ``b``
+    and ``c`` broadcast against each other, so the same call serves one
+    vector, an ``(N, d)`` stack and a grid of basis vectors, each row with
+    the bits it has alone; the result has the broadcast leading shape
+    followed by ``dout``.
     """
-    d1, d2, d3, dout = tensor.shape
-    out = a[..., None, :] @ tensor.reshape(d1, d2 * d3 * dout)
-    out = b[..., None, :] @ out.reshape(*out.shape[:-2], d2, d3 * dout)
+    d1, d2, d3, dout = plan.tensor.shape
+    out = a[..., None, :] @ plan.stage1
+    out = b[..., None, :] @ out.reshape(*out.shape[:-2], d2, plan.stage1.shape[1] // d2)
+    if plan.pairs is not None:
+        full = np.zeros(out.shape[:-1] + (d3 * dout,), out.dtype)
+        full[..., plan.pairs] = out
+        out = full
     out = c[..., None, :] @ out.reshape(*out.shape[:-2], d3, dout)
     return out[..., 0, :]
 
@@ -203,7 +249,7 @@ def _random_vector(rng, dim, field_tag: str, scale: float = 1.0, count: int | No
 
 def ternary_product(alg: TernaryAlgebra, a, b, c) -> np.ndarray:
     """Triple product ``[abc]`` of coordinate vectors, exactly trilinear."""
-    return _trilinear(alg.structure, alg.vector(a), alg.vector(b), alg.vector(c))
+    return _trilinear(alg._plan, alg.vector(a), alg.vector(b), alg.vector(c))
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +305,10 @@ def trivial_matrix_algebra(m: int, field: str = REAL) -> TernaryAlgebra:
     if m < 1:
         raise ValueError("m must be >= 1")
     d = m * m
-    dt = dtype_for(field)
-    units = np.zeros((d, m, m), dtype=dt)
-    for i in range(d):
-        units[i].flat[i] = 1.0
-    tensor = np.zeros((d, d, d, d), dtype=dt)
-    for i, j, k in itertools.product(range(d), repeat=3):
-        tensor[i, j, k, :] = (units[i] @ units[j] @ units[k]).reshape(-1)
+    # E_aq E_qr E_rs = E_as: one unit entry per index quadruple, none elsewhere
+    a, q, r, s = np.indices((m,) * 4).reshape(4, -1)
+    tensor = np.zeros((d, d, d, d), dtype=dtype_for(field))
+    tensor[a * m + q, q * m + r, r * m + s, a * m + s] = 1.0
     return TernaryAlgebra(d, field, tensor, flags=frozenset({"associative"}))
 
 
@@ -280,14 +323,13 @@ def odd_polynomial_algebra(degree_cap: int, field: str = REAL) -> TernaryAlgebra
     """
     if degree_cap < 1 or degree_cap % 2 == 0:
         raise ValueError("degree_cap must be an odd positive integer")
-    degrees = list(range(1, degree_cap + 1, 2))
-    index = {deg: n for n, deg in enumerate(degrees)}
-    d = len(degrees)
+    d = (degree_cap + 1) // 2
+    # monomial n is x^(2n + 1), so monomials i, j, k multiply to monomial i + j + k + 1
+    i, j, k = np.indices((d,) * 3).reshape(3, -1)
+    kept = i + j + k + 1 < d
+    i, j, k = i[kept], j[kept], k[kept]
     tensor = np.zeros((d, d, d, d), dtype=dtype_for(field))
-    for i, j, k in itertools.product(range(d), repeat=3):
-        total = degrees[i] + degrees[j] + degrees[k]
-        if total <= degree_cap:
-            tensor[i, j, k, index[total]] = 1.0
+    tensor[i, j, k, i + j + k + 1] = 1.0
     return TernaryAlgebra(d, field, tensor, flags=frozenset({"partial"}))
 
 
@@ -314,15 +356,17 @@ _ASSOC_LAW = {
 }
 
 
-def _law_values(spec: str, t1: np.ndarray, t2: np.ndarray, where) -> np.ndarray:
+def _law_values(spec: str, p1: _Plan, p2: _Plan, where) -> np.ndarray:
     """One law expression at basis tuples, by BLAS matrix products over q.
 
     An integer ``where`` fixes the first tuple letter (a slice of whichever
     operand carries it) and gives the slice over the other letters, then r,
     from one product.  An index array of shape ``(letters, n)`` gives n
     tuples, ``(n, dout)``: the second operand becomes a ``(K, q, r)`` table
-    keyed by its other letters, and one product per key takes its tuples.
+    keyed by its other letters, and one product per key takes its tuples
+    whose row of the first operand is live; the other tuples are zero.
     """
+    t1, t2 = p1.tensor, p2.tensor
     ins, out = spec.split("->")
     first, second = ins.split(",")
     if np.ndim(where) == 0:
@@ -344,24 +388,29 @@ def _law_values(spec: str, t1: np.ndarray, t2: np.ndarray, where) -> np.ndarray:
     # a stable (radix, on the smallest type) sort keeps a key's tuples in draw order
     order = np.argsort(key.astype(np.min_scalar_type(len(table) - 1)), kind="stable")
     rows = np.ravel_multi_index([idx[s] for s in first[:-1]], t1.shape[:-1])
+    if p1.rows is not None:  # only tuples whose row of the first operand is live
+        live = p1.rows.reshape(-1)[rows]
+        order, key = order[live[order]], key[live]
     left = np.take(t1.reshape(-1, t1.shape[-1]), rows[order], axis=0)
     stops = np.cumsum(np.bincount(key, minlength=len(table))).tolist()
-    vals = np.empty((len(key), table.shape[-1]), np.result_type(t1, t2))
+    vals = (np.empty if len(order) == len(rows) else np.zeros)(
+        (len(rows), table.shape[-1]), np.result_type(t1, t2))
     for k, (start, stop) in enumerate(itertools.pairwise([0, *stops])):
         if start < stop:
             vals[order[start:stop]] = left[start:stop] @ table[k]
     return vals
 
 
-def _law_residuals(laws: dict, tensors: dict, norms_of, chunks) -> dict:
+def _law_residuals(laws: dict, plans: dict, norms_of, chunks) -> dict:
     """Per law, the largest norm of a difference of consecutive expressions
     over ``chunks`` (each a ``where`` of ``_law_values``) and the tuple where
-    it occurs (None while every difference is zero)."""
+    it occurs (None while every difference is zero); ``plans`` maps the
+    laws' tensor names to their plans."""
     found = dict.fromkeys(laws, (0.0, None))
     for where in chunks:
         for name, exprs in laws.items():
             # lazily, so at most two values of the law are alive at a time
-            vals = (_law_values(spec, tensors[a], tensors[b], where) for spec, (a, b) in exprs)
+            vals = (_law_values(spec, plans[a], plans[b], where) for spec, (a, b) in exprs)
             norms = np.max([norms_of(u - v) for u, v in itertools.pairwise(vals)], axis=0)
             pos = np.unravel_index(int(np.argmax(norms)), norms.shape)
             if norms[pos] > found[name][0]:
@@ -400,7 +449,7 @@ def check_ternary_associativity(
             rng.integers(0, d, size=(5, min(_TUPLE_CHUNK, checked - done)))
             for done in range(0, checked, _TUPLE_CHUNK)
         )
-    found = _law_residuals(_ASSOC_LAW, {"T": alg.structure}, alg.norms_of, chunks)
+    found = _law_residuals(_ASSOC_LAW, {"T": alg._plan}, alg.norms_of, chunks)
     max_res, worst = found["assoc"]
     passed = checked > 0 and max_res <= tol
     return AssocReport(max_res, float(tol), passed, worst or (0,) * 5, checked, exhaustive)
@@ -428,7 +477,7 @@ def verify_identity_and_reduce(alg: TernaryAlgebra, e, tol: float) -> BinaryRedu
     basis vector otherwise.
     """
     e = alg.vector(e)
-    t = alg.structure
+    t = alg._plan
     eye = alg.basis()
     sides = [_trilinear(t, eye, e, e), _trilinear(t, e, eye, e), _trilinear(t, e, e, eye)]
     per_basis = alg.norms_of(np.stack(sides) - eye).max(axis=0)
@@ -467,8 +516,8 @@ def rescale_norm_submultiplicative(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     d = alg.dim
-    t = alg.structure
-    if not np.any(t):
+    t = alg._plan
+    if not np.any(alg.structure):
         return alg
     rng = np.random.default_rng(seed)
 

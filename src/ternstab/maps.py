@@ -124,7 +124,7 @@ def _bracket(mod: TernaryModule, x, tb, xc, sc) -> np.ndarray:
     """The twisted bracket ``[x, tb, xc] - [sc, tb, x]`` from the already
     twisted values ``tb = tau(b)``, ``xc = xi(c)`` and ``sc = sigma(c)``;
     leading axes broadcast as in ``_trilinear``."""
-    return _trilinear(mod.product_xab, x, tb, xc) - _trilinear(mod.product_abx, sc, tb, x)
+    return _trilinear(mod._plans["Pxab"], x, tb, xc) - _trilinear(mod._plans["Pabx"], sc, tb, x)
 
 
 def twisted_bracket(
@@ -173,7 +173,7 @@ def lie_derivation_residual(
     def bracket(x, b, c):
         return _bracket(mod, x, apply(tau, b), apply(xi, c), apply(sigma, c))
 
-    res = apply(deriv, _trilinear(alg.structure, a, b, c))
+    res = apply(deriv, _trilinear(alg._plan, a, b, c))
     res = res - signs.s1 * bracket(apply(deriv, a), b, c)
     res = res - signs.s2 * bracket(apply(deriv, b), a, c)
     res = res - signs.s3 * bracket(apply(deriv, c), b, a)

@@ -22,6 +22,7 @@ from .algebra import (
     _TUPLE_CHUNK,
     DEFAULT_TUPLE_BUDGET,
     TernaryAlgebra,
+    _Plan,
     _Space,
     _law_residuals,
     _random_vector,
@@ -50,13 +51,21 @@ class TernaryModule(_Space):
             "product_axb": (da, dx, da, dx),
             "product_abx": (da, da, dx, dx),
         }
+        plans = {}  # keyed by the tensor names of the chain laws below
         for name, shape in shapes.items():
             t = np.asarray(getattr(self, name), dtype=self.dtype)
             if t.shape != shape:
                 raise DimensionMismatch(f"{name} has shape {t.shape}, expected {shape}")
-            t = t.copy()
-            t.setflags(write=False)
+            if t is self.algebra.structure:
+                # already a frozen copy: shared, with the algebra's plan
+                plan = self.algebra._plan
+            else:
+                t = t.copy()
+                t.setflags(write=False)
+                plan = _Plan.of(t)
             object.__setattr__(self, name, t)
+            plans["P" + name[-3:]] = plan
+        object.__setattr__(self, "_plans", plans)
         object.__setattr__(self, "flags", frozenset(self.flags))
 
     @property
@@ -80,19 +89,19 @@ def self_module(alg: TernaryAlgebra) -> TernaryModule:
 
 def product_xab(mod: TernaryModule, x, a, b) -> np.ndarray:
     return _trilinear(
-        mod.product_xab, mod.vector(x), mod.algebra.vector(a), mod.algebra.vector(b)
+        mod._plans["Pxab"], mod.vector(x), mod.algebra.vector(a), mod.algebra.vector(b)
     )
 
 
 def product_axb(mod: TernaryModule, a, x, b) -> np.ndarray:
     return _trilinear(
-        mod.product_axb, mod.algebra.vector(a), mod.vector(x), mod.algebra.vector(b)
+        mod._plans["Paxb"], mod.algebra.vector(a), mod.vector(x), mod.algebra.vector(b)
     )
 
 
 def product_abx(mod: TernaryModule, a, b, x) -> np.ndarray:
     return _trilinear(
-        mod.product_abx, mod.algebra.vector(a), mod.algebra.vector(b), mod.vector(x)
+        mod._plans["Pabx"], mod.algebra.vector(a), mod.algebra.vector(b), mod.vector(x)
     )
 
 
@@ -158,9 +167,6 @@ def check_module_axioms(
     if samples < 0 or budget < 0:
         raise ValueError("samples and budget must be nonnegative")
     alg = mod.algebra
-    tensors = dict(
-        TA=alg.structure, Pxab=mod.product_xab, Paxb=mod.product_axb, Pabx=mod.product_abx
-    )
     total = alg.dim**4 * mod.dim
     exhaustive = total <= budget
     if exhaustive:
@@ -171,14 +177,15 @@ def check_module_axioms(
         where = np.vstack([rng.integers(0, alg.dim, size=(4, tuples_checked)),
                            rng.integers(0, mod.dim, size=tuples_checked)])
         chunks = (where[:, s:s + _TUPLE_CHUNK] for s in range(0, tuples_checked, _TUPLE_CHUNK))
-    found = _law_residuals(_CHAINS, tensors, mod.norms_of, chunks)
+    found = _law_residuals(_CHAINS, dict(TA=alg._plan, **mod._plans), mod.norms_of, chunks)
     chain_residuals = {name: res for name, (res, _) in found.items()}
 
     # a, b and x of each sample drawn in turn, evaluated as three stacks
     rng = np.random.default_rng(seed + 1)
     a, b, x = _random_vector(rng, (alg.dim, alg.dim, mod.dim), alg.field, count=samples)
-    products = (_trilinear(mod.product_xab, x, a, b), _trilinear(mod.product_axb, a, x, b),
-                _trilinear(mod.product_abx, a, b, x))
+    plans = mod._plans
+    products = (_trilinear(plans["Pxab"], x, a, b), _trilinear(plans["Paxb"], a, x, b),
+                _trilinear(plans["Pabx"], a, b, x))
     lhs = np.max([mod.norms_of(v) for v in products], axis=0)
     rhs = alg.norms_of(a) * alg.norms_of(b) * mod.norms_of(x)
     violation = float(np.max(lhs - rhs, initial=0.0))

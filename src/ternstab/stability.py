@@ -391,7 +391,7 @@ def check_hypothesis(
     # v and w); row 5 + j belongs to lams[j]
     points = drawn[:, np.minimum(np.arange(5), slots - 1)]
     sums = lam_col * points[:, :1] + lam_col * points[:, 1:2]
-    triple = _trilinear(alg.structure, *np.moveaxis(points[:, 2:], 1, 0))[:, None]
+    triple = _trilinear(alg._plan, *np.moveaxis(points[:, 2:], 1, 0))[:, None]
     f_at, g_at, h_at, k_at = (
         m.evaluate_stack(np.concatenate([points, tails], axis=1).reshape(-1, alg.dim))
         .reshape(samples, 5 + len(lams), m.out_dim)

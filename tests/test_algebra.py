@@ -82,6 +82,48 @@ class TestTrivialMatrixAlgebra:
             ts.trivial_matrix_algebra(0)
 
 
+def loop_trivial_matrix_tensor(m, field):
+    """``trivial_matrix_algebra``'s tensor as built before: one matrix triple
+    product per basis triple."""
+    d = m * m
+    dt = algebra.dtype_for(field)
+    units = np.zeros((d, m, m), dtype=dt)
+    for i in range(d):
+        units[i].flat[i] = 1.0
+    tensor = np.zeros((d, d, d, d), dtype=dt)
+    for i, j, k in itertools.product(range(d), repeat=3):
+        tensor[i, j, k, :] = (units[i] @ units[j] @ units[k]).reshape(-1)
+    return tensor
+
+
+def loop_odd_polynomial_tensor(cap, field):
+    """``odd_polynomial_algebra``'s tensor as built before: one degree sum per
+    basis triple."""
+    degrees = list(range(1, cap + 1, 2))
+    index = {deg: n for n, deg in enumerate(degrees)}
+    d = len(degrees)
+    tensor = np.zeros((d, d, d, d), dtype=algebra.dtype_for(field))
+    for i, j, k in itertools.product(range(d), repeat=3):
+        total = degrees[i] + degrees[j] + degrees[k]
+        if total <= cap:
+            tensor[i, j, k, index[total]] = 1.0
+    return tensor
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_builders_match_their_loops(field):
+    for m in range(1, 6):
+        assert _same(ts.trivial_matrix_algebra(m, field).structure,
+                     loop_trivial_matrix_tensor(m, field)), m
+    for cap in range(1, 32, 2):
+        assert _same(ts.odd_polynomial_algebra(cap, field).structure,
+                     loop_odd_polynomial_tensor(cap, field)), cap
+
+
 class TestCubicMatrices:
     def test_scalar_case(self):
         a = ts.CubicMatrix(1, np.full((1, 1, 1), 2.0))

@@ -2,9 +2,10 @@
 replaced.
 
 Each reference below is the earlier direct formula, kept here verbatim in
-spirit: a four-operand ``np.einsum`` per product, the six-einsum basis
-residual of the derivation solver, and the per-tuple loop over the five
-module chains.
+spirit: a four-operand ``np.einsum`` per product, the dense three-stage
+kernel before it ran over the live slabs of its tensor, the six-einsum
+basis residual of the derivation solver, and the per-tuple loop over the
+five module chains.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import pytest
 
 import ternstab as ts
 from ternstab import module as module_mod
-from ternstab.algebra import _trilinear
+from ternstab.algebra import _Plan, _trilinear
 from ternstab.errors import DimensionMismatch
 
 ALL_SIGNS = [ts.SignConvention(*s) for s in itertools.product((1, -1), repeat=3)]
@@ -29,6 +30,19 @@ def random_array(rng, shape, field):
 
 def einsum_product(tensor, a, b, c):
     return np.einsum("i,j,k,ijkl->l", a, b, c, tensor)
+
+
+def planned(tensor, a, b, c):
+    return _trilinear(_Plan.of(tensor), a, b, c)
+
+
+def dense_trilinear(tensor, a, b, c):
+    """``_trilinear`` before its plan: three products over every slab."""
+    d1, d2, d3, dout = tensor.shape
+    out = a[..., None, :] @ tensor.reshape(d1, d2 * d3 * dout)
+    out = b[..., None, :] @ out.reshape(*out.shape[:-2], d2, d3 * dout)
+    out = c[..., None, :] @ out.reshape(*out.shape[:-2], d3, dout)
+    return out[..., 0, :]
 
 
 def random_module(rng, da, dx, field, scale=1.0):
@@ -59,7 +73,7 @@ class TestKernel:
         t = random_array(rng, shape, field)
         for _ in range(5):
             a, b, c = (random_array(rng, n, field) for n in shape[:3])
-            close(_trilinear(t, a, b, c), einsum_product(t, a, b, c))
+            close(planned(t, a, b, c), einsum_product(t, a, b, c))
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("shape", SHAPES)
@@ -67,7 +81,7 @@ class TestKernel:
         rng = np.random.default_rng(2)
         t = random_array(rng, shape, field)
         a, b, c = (random_array(rng, (7, n), field) for n in shape[:3])
-        got = _trilinear(t, a, b, c)
+        got = planned(t, a, b, c)
         assert got.shape == (7, shape[3])
         for n in range(7):
             close(got[n], einsum_product(t, a[n], b[n], c[n]))
@@ -80,28 +94,35 @@ class TestKernel:
         a = random_array(rng, (4, 1, shape[0]), field)
         b = random_array(rng, (1, 3, shape[1]), field)
         c = random_array(rng, shape[2], field)
-        got = _trilinear(t, a, b, c)
+        got = planned(t, a, b, c)
         assert got.shape == (4, 3, shape[3])
         for i, j in itertools.product(range(4), range(3)):
             close(got[i, j], einsum_product(t, a[i, 0], b[0, j], c))
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("shape", SHAPES + ["trivial-matrix m=3"])
     def test_stack_is_bitwise_per_row(self, shape, field):
         # the stacked hypothesis sampling relies on this, not just on closeness
         rng = np.random.default_rng(6)
-        t = random_array(rng, shape, field)
+        if shape == "trivial-matrix m=3":
+            t = ts.trivial_matrix_algebra(3, field).structure
+            shape = t.shape
+        else:
+            t = random_array(rng, shape, field)
+        plan = _Plan.of(t)
         a, b, c = (random_array(rng, (40, n), field) for n in shape[:3])
-        got = _trilinear(t, a, b, c)
+        got = _trilinear(plan, a, b, c)
         for n in range(40):
-            assert got[n].tobytes() == _trilinear(t, a[n], b[n], c[n]).tobytes()
+            assert got[n].tobytes() == _trilinear(plan, a[n], b[n], c[n]).tobytes()
 
     def test_basis_grid_is_the_tensor(self):
         rng = np.random.default_rng(4)
-        t = rng.standard_normal((3, 2, 2, 3))
-        e3, e2 = np.eye(3), np.eye(2)
-        got = _trilinear(t, e3[:, None, None, :], e2[None, :, None, :], e2[None, None, :, :])
-        np.testing.assert_array_equal(got, t)
+        for t in (random_array(rng, (3, 2, 2, 3), "real"), *tensors("real").values(),
+                  *tensors("complex").values()):
+            eyes = [np.eye(n, dtype=t.dtype) for n in t.shape[:3]]
+            got = planned(t, eyes[0][:, None, None, :], eyes[1][None, :, None, :],
+                          eyes[2][None, None, :, :])
+            assert got.tobytes() == t.tobytes()
 
     def test_module_products_match_einsum(self):
         rng = np.random.default_rng(5)
@@ -111,6 +132,114 @@ class TestKernel:
         close(ts.product_xab(mod, x, a, b), einsum_product(mod.product_xab, x, a, b))
         close(ts.product_axb(mod, a, x, b), einsum_product(mod.product_axb, a, x, b))
         close(ts.product_abx(mod, a, b, x), einsum_product(mod.product_abx, a, b, x))
+
+
+def integer_array(rng, shape, field):
+    """Entries in -3..3 (complex: integer real and imaginary parts), so that
+    every staged sum is exact in any order."""
+    out = rng.integers(-3, 4, shape).astype(np.float64)
+    if field == "complex":
+        out = out + 1j * rng.integers(-3, 4, shape)
+    return out
+
+
+def tensors(field, draw=random_array):
+    """Builder tensors, a dense one, one with a zero ``(k, l)`` slab, one
+    with most of its pairs zero, and the zero tensor; ``draw`` fills the
+    ones that are not builders'."""
+    rng = np.random.default_rng(12)
+    slab, sparse = draw(rng, (4, 3, 5, 4), field), draw(rng, (9, 9, 9, 9), field)
+    slab[:, :, 2, 1] = 0
+    sparse[:, :, rng.random((9, 9)) < 0.7] = 0
+    return {
+        "trivial m=2": ts.trivial_matrix_algebra(2, field).structure,
+        "trivial m=3": ts.trivial_matrix_algebra(3, field).structure,
+        "trivial m=4": ts.trivial_matrix_algebra(4, field).structure,
+        "odd-poly cap=7": ts.odd_polynomial_algebra(7, field).structure,
+        "odd-poly cap=13": ts.odd_polynomial_algebra(13, field).structure,
+        "dense": draw(rng, (3, 4, 2, 5), field),
+        "dense d=9": draw(rng, (9, 9, 9, 9), field),
+        "zero slab": slab,
+        "sparse pairs": sparse,
+        "zero": np.zeros((3, 2, 4, 3), dtype=np.result_type(slab)),
+    }
+
+
+def operands(rng, shape, field, draw):
+    """``a, b, c`` as single vectors, as 6-row stacks, and as a broadcast grid
+    of basis vectors against a stack and a single vector."""
+    d1, d2, d3 = shape[:3]
+    yield tuple(draw(rng, n, field) for n in (d1, d2, d3))
+    yield tuple(draw(rng, (6, n), field) for n in (d1, d2, d3))
+    yield np.eye(d1)[:, None, :], draw(rng, (1, 5, d2), field), draw(rng, d3, field)
+
+
+class TestLiveSlabs:
+    """``_trilinear`` over its plan against the dense three-stage kernel.
+
+    Only the order of each staged sum can differ: the first two products
+    run over fewer columns, and a BLAS kernel may sum an output column in
+    another order depending on where it lies among them.  So the two are
+    bitwise equal wherever the sums are exact (small integer tensors and
+    operands), and on a tensor whose pairs are all live, which takes the
+    dense products whole; on random entries they agree within the rounding
+    bound of the three staged sums.
+    """
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_exact_sums_are_bitwise(self, field):
+        rng = np.random.default_rng(13)
+        for name, t in tensors(field, integer_array).items():
+            for a, b, c in operands(rng, t.shape, field, integer_array):
+                got, want = planned(t, a, b, c), dense_trilinear(t, a, b, c)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_all_live_pairs_take_the_dense_products(self, field):
+        rng = np.random.default_rng(14)
+        for name, t in tensors(field).items():
+            plan = _Plan.of(t)
+            assert (plan.pairs is None) == name.startswith("dense"), name
+            if plan.pairs is None:
+                assert plan.rows is None and np.shares_memory(plan.stage1, t)
+                for a, b, c in operands(rng, t.shape, field, random_array):
+                    got, want = _trilinear(plan, a, b, c), dense_trilinear(t, a, b, c)
+                    assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_random_sums_within_the_rounding_bound(self, field):
+        # each entry is a sum of d1 d2 d3 products taken in three staged
+        # sums; either order lies within gamma_n of its absolute sum, n the
+        # three lengths plus two per complex product (Higham, Accuracy and
+        # Stability of Numerical Algorithms, 2nd ed., section 3.1 and 3.6)
+        rng = np.random.default_rng(15)
+        u = np.finfo(np.float64).eps / 2
+        for name, t in tensors(field).items():
+            n = sum(t.shape[:3]) + (6 if field == "complex" else 0)
+            for a, b, c in operands(rng, t.shape, field, random_array):
+                got, want = planned(t, a, b, c), dense_trilinear(t, a, b, c)
+                scale = dense_trilinear(abs(t), abs(a), abs(b), abs(c))
+                assert np.all(abs(got - want) <= 2 * n * u / (1 - n * u) * scale), name
+
+    def test_plan_keeps_the_live_slabs(self):
+        t = tensors("real")["trivial m=4"]
+        plan = _Plan.of(t)
+        # E_aq E_qr E_rs = E_as: the pair ((r, s), (a, s)) is live for any q
+        assert len(plan.pairs) == 4**3 and plan.stage1.shape == (16, 16 * 4**3)
+        assert plan.rows.sum() == 4**4 == np.count_nonzero(t)
+        empty = _Plan.of(np.zeros((2, 2, 2, 2)))
+        assert len(empty.pairs) == 0 and empty.stage1.shape == (2, 0) and not empty.rows.any()
+
+    def test_self_module_shares_the_algebra_plan(self):
+        alg = ts.trivial_matrix_algebra(2)
+        mod = ts.self_module(alg)
+        for name in ("xab", "axb", "abx"):
+            assert getattr(mod, f"product_{name}") is alg.structure
+            assert mod._plans[f"P{name}"] is alg._plan
+        # any other array is copied and frozen, with a plan of its own
+        other = ts.TernaryModule(alg, 4, *[alg.structure.copy()] * 3)
+        assert other.product_xab is not alg.structure and not other.product_xab.flags.writeable
+        assert other._plans["Pxab"] is not alg._plan
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

@@ -6,10 +6,15 @@ chunk).  The evaluator sums over q by BLAS matrix products, in another order
 than einsum: reports on exactly representable algebras (0/1 tensors, small
 integers) are bitwise equal, and on random real or complex tensors they lie
 within the rounding bound of ``conftest._law_bound``.
+The sampled evaluator is also compared with its own earlier version, which
+took every tuple through the products: skipping the tuples whose row of the
+first operand is zero keeps the bits of the others wherever the products of
+a key keep their rows.
 ``verify_identity_and_reduce`` and the rescale ascent are compared with the
 einsums they used before the contraction kernel took them over.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +26,7 @@ from ternstab import module as module_mod
 from ternstab.algebra import (
     _ASSOC_LAW,
     _law_residuals,
+    _Plan,
     _law_values,
     _random_vector,
     ternary_product,
@@ -193,6 +199,10 @@ def _law_tensors(field, draw=_random_array):
                       "Paxb": mod.product_axb, "Pabx": mod.product_abx}
 
 
+def _plans(tensors):
+    return {name: _Plan.of(t) for name, t in tensors.items()}
+
+
 EXPRESSIONS = [expr for law in (_ASSOC_LAW, _CHAINS) for exprs in law.values() for expr in exprs]
 
 
@@ -207,7 +217,7 @@ class TestLawValues:
             # both sums lie within the entry bound of the exact value
             tol = 2 * entry_bound(spec, *operands)
             for where in range(full.shape[0]):
-                got = _law_values(spec, *operands, where)
+                got = _law_values(spec, *map(_Plan.of, operands), where)
                 assert got.shape == full.shape[1:]
                 if draw is _integer_array:
                     np.testing.assert_array_equal(got, full[where])
@@ -221,7 +231,7 @@ class TestLawValues:
         full = np.einsum(spec, *(tensors[n] for n in names))
         rng = np.random.default_rng(9)
         where = np.stack([rng.integers(0, size, 40) for size in full.shape[:-1]])
-        got = _law_values(spec, *(tensors[n] for n in names), where)
+        got = _law_values(spec, *(_Plan.of(tensors[n]) for n in names), where)
         assert got.shape == (40, full.shape[-1])
         np.testing.assert_allclose(got, full[tuple(where)], rtol=1e-14, atol=1e-14)
 
@@ -239,7 +249,9 @@ class TestLawValues:
                 seen.append((ufunc, plain))
                 return getattr(ufunc, method)(*plain, **kwargs)
 
-        got = _law_values(spec, tensors["TA"].view(Spy), tensors["Pxab"].view(Spy), 1)
+        plans = [_Plan.of(tensors[n].view(Spy)) for n in ("TA", "Pxab")]
+        seen.clear()
+        got = _law_values(spec, *plans, 1)
         [(ufunc, (left, right))] = seen
         assert ufunc is np.matmul
         assert left.shape == (27, 3) and np.shares_memory(left, tensors["TA"])
@@ -247,12 +259,92 @@ class TestLawValues:
         np.testing.assert_array_equal(got, np.einsum(spec, tensors["TA"], tensors["Pxab"])[1])
 
 
+def _reference_sampled_values(spec, t1, t2, where):
+    """The sampled branch of ``_law_values`` before its plan: every tuple
+    through the products."""
+    ins, out = spec.split("->")
+    first, second = ins.split(",")
+    idx = dict(zip(out, where))
+    right = np.moveaxis(t2, second.index("q"), -2)
+    table = right.reshape(-1, *right.shape[-2:])
+    key = np.ravel_multi_index([idx[s] for s in second[:-1] if s != "q"], right.shape[:-2])
+    order = np.argsort(key.astype(np.min_scalar_type(len(table) - 1)), kind="stable")
+    rows = np.ravel_multi_index([idx[s] for s in first[:-1]], t1.shape[:-1])
+    left = np.take(t1.reshape(-1, t1.shape[-1]), rows[order], axis=0)
+    stops = np.cumsum(np.bincount(key, minlength=len(table))).tolist()
+    vals = np.empty((len(key), table.shape[-1]), np.result_type(t1, t2))
+    for k, (start, stop) in enumerate(itertools.pairwise([0, *stops])):
+        if start < stop:
+            vals[order[start:stop]] = left[start:stop] @ table[k]
+    return vals
+
+
+def _square_tensors(field):
+    """Builder tensors, a dense one, one with a zero ``(k, l)`` slab, the
+    zero tensor, and one with zero rows ``T[i, j, k, :]`` between random
+    ones."""
+    rng = np.random.default_rng(16)
+    slab, rows = _random_array(rng, (4,) * 4, field), _random_array(rng, (4,) * 4, field)
+    slab[:, :, 1, 3] = 0
+    rows[rng.random((4, 4, 4)) < 0.5] = 0
+    return {
+        "trivial m=2": ts.trivial_matrix_algebra(2, field).structure,
+        "trivial m=3": ts.trivial_matrix_algebra(3, field).structure,
+        "odd-poly cap=13": ts.odd_polynomial_algebra(13, field).structure,
+        "dense": _random_array(rng, (5,) * 4, field),
+        "zero slab": slab,
+        "zero": np.zeros((3,) * 4, dtype=slab.dtype),
+        "zero rows": rows,
+    }
+
+
+class TestLiveRows:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("spec, names", EXPRESSIONS, ids=[s for s, _ in EXPRESSIONS])
+    def test_sampled_values_match_the_earlier_evaluator(self, spec, names, field, entry_bound):
+        # every tensor name of the laws stands for one square tensor here; the
+        # draws give keys of no tuple, of one (a gemv) and of many (a gemm)
+        rng = np.random.default_rng(17)
+        for name, t in _square_tensors(field).items():
+            plan = _Plan.of(t)
+            d = len(t)
+            for n in (1, 40, 3 * d**5):
+                where = rng.integers(0, d, size=(5, n))
+                got = _law_values(spec, plan, plan, where)
+                want = _reference_sampled_values(spec, t, t, where)
+                if name == "zero rows":
+                    # the products of a key lose the zero rows, and one that
+                    # keeps a single row runs as gemv, not gemm
+                    tol = 2 * entry_bound(spec, t, t)[tuple(where)]
+                    assert got.shape == want.shape and np.all(abs(got - want) <= tol)
+                else:
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    def test_dead_tuples_skip_the_products(self, monkeypatch):
+        # trivial m = 2 has 16 live rows of 64: only their tuples are multiplied
+        t = ts.trivial_matrix_algebra(2).structure
+        plan = _Plan.of(t)
+        where = np.random.default_rng(18).integers(0, 4, size=(5, 400))
+        rows = np.ravel_multi_index(where[:3], (4, 4, 4))
+        multiplied = []
+        real_take = np.take
+
+        def counting_take(a, indices, *args, **kwargs):
+            multiplied.append(len(indices))
+            return real_take(a, indices, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counting_take)
+        got = _law_values("abcq,qder->abcder", plan, plan, where)
+        assert multiplied == [int(plan.rows.reshape(-1)[rows].sum())] and multiplied[0] < 400
+        assert not got[~plan.rows.reshape(-1)[rows]].any()
+
+
 class TestLawResiduals:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_exhaustive_maximum_and_tuple(self, field, law_close):
         for draw in (_integer_array, _random_array):
             alg, mod, tensors = _law_tensors(field, draw)
-            found = _law_residuals(_CHAINS, tensors, mod.norms_of, range(alg.dim))
+            found = _law_residuals(_CHAINS, _plans(tensors), mod.norms_of, range(alg.dim))
             for name, exprs in _CHAINS.items():
                 vals = [np.einsum(spec, *(tensors[n] for n in names)) for spec, names in exprs]
                 norms = np.maximum(mod.norms_of(vals[0] - vals[1]),
@@ -269,7 +361,8 @@ class TestLawResiduals:
         rng = np.random.default_rng(4)
         where = rng.integers(0, alg.dim, size=(5, 50))
         chunks = [where[:, :20], where[:, 20:]]
-        residual, worst = _law_residuals(_ASSOC_LAW, tensors, alg.norms_of, chunks)["assoc"]
+        residual, worst = _law_residuals(_ASSOC_LAW, _plans(tensors), alg.norms_of,
+                                         chunks)["assoc"]
         vals = [np.einsum(s, tensors["T"], tensors["T"]) for s, _ in _ASSOC_LAW["assoc"]]
         norms = alg.norms_of(vals[0] - vals[1])[tuple(where)]
         assert residual == pytest.approx(norms.max(), rel=1e-14)
@@ -277,7 +370,7 @@ class TestLawResiduals:
 
     def test_zero_differences_keep_no_tuple(self):
         alg = ts.trivial_matrix_algebra(2)
-        found = _law_residuals(_ASSOC_LAW, {"T": alg.structure}, alg.norms_of, range(4))
+        found = _law_residuals(_ASSOC_LAW, {"T": alg._plan}, alg.norms_of, range(4))
         assert found == {"assoc": (0.0, None)}
         report = ts.check_ternary_associativity(alg, 0.0)
         assert report.worst == (0, 0, 0, 0, 0) and report.passed

@@ -58,6 +58,11 @@ class TestKernel:
                 "reversed": a[:, ::-1],
                 "fortran": np.asfortranarray(a),
                 "3-d": _stack(rng, (3, 4, d), field, scale),
+                # a chain difference: leading axes transposed, rows of unit stride
+                "transposed leading axes": _stack(rng, (3, 2, 4, d), field, scale)
+                .transpose(2, 0, 1, 3),
+                "transposed, row-strided": _stack(rng, (4, 6, d), field, scale)[:, ::2]
+                .transpose(1, 0, 2),
                 "empty": a[:0],
             }
             for name, stack in layouts.items():
@@ -100,6 +105,11 @@ class TestKernel:
         assert norms[5] == np.inf  # the norm itself leaves double range
         with np.errstate(over="ignore"):
             assert l2_norm(stack[1]) == norms[1]
+        # the same rows in a stack whose leading axes are transposed
+        view = np.stack([stack, stack[::-1]]).transpose(1, 0, 2)
+        assert not view.flags.c_contiguous and view.strides[-1] == view.itemsize
+        with np.errstate(over="ignore"):
+            assert _same(_row_norms(view), np.stack([norms, norms[::-1]], axis=1))
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_rescaled_overflow_does_not_warn(self, field):
