@@ -11,7 +11,6 @@ byte-identical reports up to the timestamp field.
 from __future__ import annotations
 
 import copy
-import csv
 import datetime
 import math
 from dataclasses import dataclass
@@ -37,10 +36,12 @@ from .errors import (
 from .maps import LinearMap, SignConvention, solve_exact_derivations
 from .module import self_module
 from .serialize import (
+    _csv_text,
     _int_at_least,
     _number,
     _power_law,
     _typed,
+    _write_text,
     algebra_from_json,
     control_from_json,
     linear_map_from_json,
@@ -555,11 +556,12 @@ def run_experiment(config, out_dir=None, write_files: bool = True) -> RunResult:
             datetime.timezone.utc
         ).isoformat()
         report_path = write_json(target_dir / "report.json", report_with_stamp)
-        if stab is not None:
-            for name, rows in stab.traces.items():
-                trace_paths[name] = write_trace_csv(
-                    target_dir / f"trace_{name}.csv", rows
-                )
+        for name in MAP_NAMES:
+            trace_path = target_dir / f"trace_{name}.csv"
+            if stab is not None:
+                trace_paths[name] = write_trace_csv(trace_path, stab.traces[name])
+            else:  # a previous run's traces must not pass for this run's
+                trace_path.unlink(missing_ok=True)
 
     return RunResult(
         config=config,
@@ -635,13 +637,8 @@ def run_sweep(config, param: str, values, out_csv=None) -> list:
         )
 
     if out_csv is not None:
-        path = Path(out_csv)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_HEADER)
-            for row in rows:
-                writer.writerow([row[key] for key in SWEEP_HEADER])
+        lines = ([str(row[key]) for key in SWEEP_HEADER] for row in rows)
+        _write_text(out_csv, _csv_text(SWEEP_HEADER, lines), newline="")
     return rows
 
 

@@ -239,11 +239,18 @@ def dump_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
-def write_json(path, data: dict) -> Path:
+def _write_text(path, text: str, newline=None) -> Path:
+    """``text`` at ``path``, parent directories made first; the one writer
+    behind reports, traces and the sweep CSV."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dump_json(data))
+    path.write_text(text, newline=newline)
     return path
+
+
+def write_json(path, data: dict) -> Path:
+    """``data`` as :func:`dump_json` text at ``path``."""
+    return _write_text(path, dump_json(data))
 
 
 def read_json(path) -> dict:
@@ -259,9 +266,22 @@ TRACE_HEADER = ("basis_index", "n", "error", "tail_bound")
 
 
 def _float_reprs(values) -> list:
-    """``repr(float(v))`` of every value, cut from one ``repr`` of the list."""
-    text = repr(list(map(float, values)))[1:-1]
-    return text.split(", ") if text else []
+    """``repr(float(v))`` of every value, printed once per distinct value.
+
+    Values are keyed by bit pattern, so ``0.0`` and ``-0.0`` stay apart and
+    every NaN prints ``nan``.  Trace columns repeat a lot: fixed-direction
+    errors and all tail bounds depend only on ``n`` and ``|x|``.
+    """
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    text = repr(keys.view(np.float64).tolist())[1:-1].split(", ")
+    return [text[i] for i in inverse.tolist()]
+
+
+def _csv_text(header, rows) -> str:
+    """What ``csv.writer`` writes for ``header`` and the string ``rows``,
+    CRLF line ends included, when no field needs quoting."""
+    return "\r\n".join([",".join(header), *map(",".join, rows), ""])
 
 
 def write_trace_csv(path, rows) -> Path:
@@ -271,10 +291,6 @@ def write_trace_csv(path, rows) -> Path:
     ``csv.writer`` writes for ``(basis_index, n, repr(error), repr(tail))``,
     CRLF line ends included.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     basis, ns, errors, tails = list(zip(*rows)) or [()] * 4
-    lines = map(",".join, zip(map(str, basis), map(str, ns),
-                              _float_reprs(errors), _float_reprs(tails)))
-    path.write_text("\r\n".join([",".join(TRACE_HEADER), *lines, ""]), newline="")
-    return path
+    lines = zip(map(str, basis), map(str, ns), _float_reprs(errors), _float_reprs(tails))
+    return _write_text(path, _csv_text(TRACE_HEADER, lines), newline="")

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import threading
@@ -207,6 +208,22 @@ class TestRunExperiment:
             header = trace.read_text().splitlines()[0]
             assert header == "basis_index,n,error,tail_bound"
 
+    def test_failed_rerun_removes_stale_traces(self, tmp_path):
+        raw = load_raw("trivial2x2_p05.json")
+        first = ts.run_experiment(raw, out_dir=tmp_path)
+        assert sorted(p.name for p in first.trace_paths.values()) == [
+            f"trace_{name}.csv" for name in "fghk"]
+        traces = {name: path.read_bytes() for name, path in first.trace_paths.items()}
+        raw["derivation"]["on_empty"] = "error"
+        failed = ts.run_experiment(raw, out_dir=tmp_path)
+        assert failed.report["errors"][0]["code"] == "EMPTY_DERIVATION_SPACE"
+        assert failed.trace_paths == {}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+        # a successful rerun writes the same traces again
+        raw["derivation"]["on_empty"] = "zero"
+        again = ts.run_experiment(raw, out_dir=tmp_path)
+        assert {name: path.read_bytes() for name, path in again.trace_paths.items()} == traces
+
     def test_determinism_byte_identical_reports(self, tmp_path):
         ts.run_experiment(CONFIG_DIR / "oddpoly3_p05.json", out_dir=tmp_path / "a")
         ts.run_experiment(CONFIG_DIR / "oddpoly3_p05.json", out_dir=tmp_path / "b")
@@ -377,6 +394,25 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert lines[0] == "param,value,all_passed,max_iterations,max_bound_violation,max_identity_residual"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("on_empty", ["zero", "error"])
+    def test_csv_equals_csv_writer(self, tmp_path, on_empty):
+        # with on_empty "error" every point fails: False, -1 and nan rows
+        raw = load_raw("trivial2x2_p05.json")
+        raw["derivation"]["on_empty"] = on_empty
+        raw["samples"] = {"bound_points": 3, "identity_triples": 3,
+                          "hypothesis_tuples": 0, "linearity_points": 1}
+        out = tmp_path / "sweep.csv"
+        out.write_text("a previous, longer file\n" * 40)
+        rows = ts.run_sweep(raw, "p", [0.3, 0.5], out_csv=out)
+        with (tmp_path / "want.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(harness.SWEEP_HEADER)
+            for row in rows:
+                writer.writerow([row[key] for key in harness.SWEEP_HEADER])
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert [row["all_passed"] for row in rows] == [on_empty == "zero"] * 2
+        assert all(math.isnan(row["max_bound_violation"]) for row in rows) == (on_empty == "error")
 
     def test_parse_sweep_spec(self):
         name, values = parse_sweep_spec("p=0.1:0.9:0.2")

@@ -1,5 +1,9 @@
 import csv
+import json
 import math
+import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import ternstab as ts
 from ternstab.errors import ConfigError
 from ternstab.serialize import (
     TRACE_HEADER,
+    _float_reprs,
     algebra_from_json,
     algebra_to_json,
     control_from_json,
@@ -20,8 +25,11 @@ from ternstab.serialize import (
     module_from_json,
     module_to_json,
     register_custom_control,
+    write_json,
     write_trace_csv,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestAlgebraRoundTrip:
@@ -207,7 +215,10 @@ class TestWriters:
         # numpy scalars, as a caller may pass them
         [(np.int64(4), np.int64(7), np.float64(0.1), np.float32(0.1)),
          (5, 8, np.float64(-0.0), np.float64("nan"))],
-    ], ids=["empty", "nan-tails", "long", "extremes", "numpy-scalars"])
+        # a direct-method trace: errors and tails depend on n and |x| only
+        [(i, n, 0.3 * 0.5 ** (n / 2) * (1 + i % 3), 0.6 * 0.5 ** (n / 2) * (1 + i % 3))
+         for i in range(16) for n in range(1, 65)],
+    ], ids=["empty", "nan-tails", "long", "extremes", "numpy-scalars", "repetitive"])
     def test_trace_csv_equals_csv_writer(self, tmp_path, rows):
         def reference(path, rows):
             # the row-by-row csv.writer version the one-write version replaced
@@ -221,3 +232,80 @@ class TestWriters:
         got = write_trace_csv(tmp_path / "got.csv", rows).read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert got.count(b"\r\n") == len(rows) + 1
+
+
+def _nan(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+class TestFloatReprs:
+    @pytest.mark.parametrize("values", [
+        (),
+        [0.1 * k for k in range(64)] * 64,
+        [0.0, -0.0, 0.0, -0.0, 1.0],
+        [math.nan, -math.nan, _nan(0x7FF0000000000001), _nan(0xFFF8000000000123),
+         _nan(0x7FFFFFFFFFFFFFFF), math.nan],
+        [math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308,
+         2.2250738585072014e-308, 1.7976931348623157e308],
+        [np.float32(0.1), np.float64(0.1), np.float32(-0.0), np.float64(1e16),
+         np.float32(3.4028235e38), np.float64(123456789.0)],
+    ], ids=["empty", "64-distinct-over-4096", "signed-zeros", "nan-payloads",
+            "inf-and-subnormals", "numpy-scalars"])
+    def test_equals_repr_of_each_value(self, values):
+        assert _float_reprs(values) == [repr(float(v)) for v in values]
+
+
+def _json_or_trace(path: Path, data) -> Path:
+    return write_json(path, data) if isinstance(data, dict) else write_trace_csv(path, data)
+
+
+class TestRewrites:
+    LONG = {"values": [0.1 * k for k in range(500)]}
+    SHORT = {"values": [1.5]}
+
+    @pytest.mark.parametrize("long, short", [
+        (LONG, SHORT),
+        ([(0, n, 0.5**n, 0.25**n) for n in range(1, 300)], [(0, 1, 0.5, math.nan)]),
+    ], ids=["json", "trace"])
+    def test_shorter_rewrite_leaves_only_the_new_bytes(self, tmp_path, long, short):
+        _json_or_trace(tmp_path / "want", short)
+        path = _json_or_trace(tmp_path / "got", long)
+        _json_or_trace(path, short)
+        assert path.read_bytes() == (tmp_path / "want").read_bytes()
+
+    def test_write_through_a_symlink_updates_the_target(self, tmp_path):
+        target = write_json(tmp_path / "target.json", self.LONG)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        write_json(link, self.SHORT)
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_text() == dump_json(self.SHORT)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_matches_write_text(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            ours = write_json(tmp_path / "sub" / "ours.json", self.SHORT)
+            theirs = tmp_path / "theirs.json"
+            theirs.write_text(dump_json(self.SHORT))
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(ours.stat().st_mode) == stat.S_IMODE(theirs.stat().st_mode)
+        assert stat.S_IMODE(ours.stat().st_mode) == 0o666 & ~umask
+
+    def test_rerun_into_a_used_directory_equals_a_fresh_one(self, tmp_path):
+        # the first run into "used" has a smaller tol: longer traces
+        raw = json.loads((CONFIG_DIR / "trivial2x2_p05.json").read_text())
+        longer = dict(raw, tol=raw["tol"] * 1e-3)
+        ts.run_experiment(longer, out_dir=tmp_path / "used")
+        ts.run_experiment(raw, out_dir=tmp_path / "used")
+        ts.run_experiment(raw, out_dir=tmp_path / "fresh")
+
+        def contents(run_dir):
+            return {path.name: [line for line in path.read_bytes().splitlines(keepends=True)
+                                if b'"timestamp"' not in line]
+                    for path in sorted(run_dir.iterdir())}
+
+        fresh = contents(tmp_path / "fresh")
+        assert sorted(fresh) == ["report.json", *(f"trace_{n}.csv" for n in "fghk")]
+        assert contents(tmp_path / "used") == fresh

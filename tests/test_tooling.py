@@ -6,10 +6,9 @@ the traced sweep span reads ``harness.thread_count()``, which is always 1.
 A refactor that moves or renames one of these fails here instead of
 silently dropping a span from the benchmark.  ``perfbench/workloads.py`` checks every op's
 output (a sweep's iteration counts against ``SWEEP_ITERATIONS``, a bundled
-report or an axiom checker's verdicts against the op before it); full-size
-ops of the sweep, bundled and axioms workloads, under several workload
-seeds, are run here, so that a change that fails those checks fails the
-tests first.
+or large_d report or an axiom checker's verdicts against the op before it);
+full-size ops of all four workloads, under several workload seeds, are run
+here, so that a change that fails those checks fails the tests first.
 """
 
 import importlib.util
@@ -65,6 +64,15 @@ def test_bundled_op_passes_its_check(tmp_path):
         for _ in range(2):  # the second op's reports must equal the first's
             results = experiments.op()
             assert len(results) == 3
+            experiments.check(results)
+
+
+def test_large_d_op_passes_its_check(tmp_path):
+    for seed in SEEDS:
+        experiments = _load("workloads").large_d(seed, False, tmp_path / str(seed))
+        for _ in range(2):  # the second op's reports must equal the first's
+            results = experiments.op()
+            assert len(results) == 2
             experiments.check(results)
 
 
