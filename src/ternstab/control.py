@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -97,38 +98,41 @@ def custom_control(fn, arity: int = 5, norm=None) -> ControlFunction:
     return ControlFunction(kind="custom", arity=arity, fn=fn, norm=norm)
 
 
-def _series_sum(term_at, tail_tol: float, max_terms: int, complete_tail: bool) -> float:
-    """Sum ``term_at(n)`` for n = 0.. with divergence detection.
+def _series(control: ControlFunction, args, tail_tol: float, max_terms: int):
+    """The terms ``2**-(n+1) phi(2**n args)`` for n = 0.., with divergence
+    detection, and an estimate of the rest.
 
-    ``term_at`` must yield nonnegative floats.  Divergence (a full window of
-    non-decreasing terms above ``tail_tol``) raises; otherwise the partial
-    sum is returned, plus a geometric tail estimate when ``complete_tail``
-    and the trailing term ratios agree.
+    Terms are summed until one is at most ``tail_tol``, and the rest is then
+    0.0, or for ``max_terms`` terms.  Divergence (a full window of
+    non-decreasing terms above ``tail_tol``, or a term that is not finite)
+    raises.  Past ``max_terms`` the rest is a geometric tail estimate when
+    the trailing term ratios agree, else 0.0: an estimate, not a bound.
     """
-    total = 0.0
-    window: list = []
+    # terms are taken in order; double each distinct argument in place, once
+    copies: dict = {}
+    scaled = [copies.setdefault(id(a), np.array(a, dtype=np.result_type(a.dtype, np.float64)))
+              for a in args]
     terms: list = []
+    rising = 0  # non-decreasing steps in a row
     for n in range(max_terms):
-        t = term_at(n)
+        if n > 0:
+            for a in copies.values():
+                a *= 2.0
+        t = math.ldexp(control.evaluate(*scaled), -(n + 1))
         if not math.isfinite(t):
             raise DivergentControlError(
                 f"series term at n={n} is not finite; control function diverges"
             )
-        total += t
+        rising = rising + 1 if terms and t >= terms[-1] else 0
         terms.append(t)
-        window.append(t)
-        if len(window) > _DIVERGENCE_WINDOW:
-            window.pop(0)
         if t <= tail_tol:
-            return total
-        if len(window) == _DIVERGENCE_WINDOW and all(
-            window[i + 1] >= window[i] for i in range(_DIVERGENCE_WINDOW - 1)
-        ):
+            return terms, 0.0
+        if rising == _DIVERGENCE_WINDOW - 1:
             raise DivergentControlError(
                 f"series terms non-decreasing over {_DIVERGENCE_WINDOW} steps "
                 f"(last term {t:.3e}); control function does not decay"
             )
-    if complete_tail and len(terms) > _RATIO_WINDOW:
+    if len(terms) > _RATIO_WINDOW:
         ratios = [
             terms[i + 1] / terms[i]
             for i in range(len(terms) - _RATIO_WINDOW - 1, len(terms) - 1)
@@ -138,8 +142,8 @@ def _series_sum(term_at, tail_tol: float, max_terms: int, complete_tail: bool) -
             mean = sum(ratios) / len(ratios)
             spread = max(ratios) - min(ratios)
             if 0.0 < mean < 1.0 and spread <= 1e-6 * mean:
-                total += terms[-1] * mean / (1.0 - mean)
-    return total
+                return terms, terms[-1] * mean / (1.0 - mean)
+    return terms, 0.0
 
 
 def summed_majorant(
@@ -171,33 +175,33 @@ def summed_majorant(
         return np.array([summed_majorant(control, row, tail_tol, max_terms, method)
                          for row in zip(*np.broadcast_arrays(*args))])
 
-    scaled = [np.array(a, dtype=np.result_type(a.dtype, np.float64)) for a in args]
-
-    def term_at(n):
-        # terms are consumed in order; double the arguments in place
-        if n > 0:
-            for a in scaled:
-                a *= 2.0
-        return math.ldexp(control.evaluate(*scaled), -(n + 1))
-
-    return _series_sum(term_at, tail_tol, max_terms, complete_tail=method != "partial")
+    terms, rest = _series(control, args, tail_tol, max_terms)
+    total = 0.0
+    for t in terms:
+        total += t
+    return total if method == "partial" else total + rest
 
 
 def cauchy_tail_bound(
     control: ControlFunction,
     x,
     q,
-    terms: int = 256,
+    terms: int = 1001,
     tail_tol: float = 1e-30,
 ):
     """Tail majorant ``sum_{k>=q} (1/2) 2**(-k) phi(2**k x, 2**k x, 0, ...)``.
 
     Bounds the distance between the scaled iterates at steps ``q`` and any
-    later step, hence the distance to the limit.  Power controls use the
-    closed form ``theta |x|**p 2**(q(p-1)) / (1 - 2**(p-1))``; custom
-    controls are summed numerically with the same divergence detection as
-    :func:`summed_majorant`.  For power controls ``q`` may also be a
-    sequence; the result is then a list with one bound per entry.
+    later step, hence the distance to the limit.  ``q`` may be one step or
+    a sequence of steps; the result is then a list with one bound per
+    entry.  Power controls use the closed form ``theta |x|**p 2**(q(p-1)) /
+    (1 - 2**(p-1))``.  A custom control's series is summed once per call,
+    from ``k = 0``, with the divergence detection of
+    :func:`summed_majorant`, for at most ``terms`` terms (``k <= 1000`` by
+    default, the rows the direct method reaches) and while ``2**k x`` stays
+    below ``2**1000``; every ``q`` is read from its suffix sums.  The rest
+    past the last term summed is a geometric tail estimate, not a bound, and
+    it is the tail at every later ``q``.
     """
     many = isinstance(q, Iterable)
     qs = list(q) if many else [q]
@@ -214,16 +218,11 @@ def cauchy_tail_bound(
                 control.theta * nx**control.p * 2.0 ** (k * (control.p - 1.0)) / denom
                 for k in qs
             ]
-        return bounds if many else bounds[0]
-    if many:
-        raise ValueError("a sequence of q needs a power control")
-
-    zeros = tuple(np.zeros_like(x) for _ in range(control.arity - 2))
-    scaled = np.array(x * 2.0**q, dtype=np.result_type(x.dtype, np.float64))
-
-    def term_at(n):
-        if n > 0:
-            np.multiply(scaled, 2.0, out=scaled)
-        return math.ldexp(control.evaluate(scaled, scaled, *zeros), -(q + n + 1))
-
-    return _series_sum(term_at, tail_tol, terms, complete_tail=True)
+    else:
+        # 2**k max |x_i| < 2**1000 while k <= 1000 - e, where max |x_i| < 2**e
+        _, e = math.frexp(float(np.max(np.abs([x.real, x.imag]), initial=0.0)))
+        zeros = (np.zeros_like(x),) * (control.arity - 2)
+        found, rest = _series(control, (x, x, *zeros), tail_tol, min(terms, 1001 - e))
+        suffix = list(accumulate(reversed(found), initial=rest))[::-1]
+        bounds = [suffix[min(k, len(found))] for k in qs]
+    return bounds if many else bounds[0]

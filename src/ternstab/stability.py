@@ -29,9 +29,6 @@ from .module import TernaryModule, product_abx, product_xab
 
 #: hard iteration cap: 2**n stays inside double range with headroom
 ITERATION_CAP = 1000
-#: doublings per stack when a custom control meets a stacked map; its stop is
-#: not known in advance, so this bounds the rows evaluated past it
-_BLOCK = 32
 #: map kinds whose ``fn`` takes a whole ``(N, in_dim)`` stack
 _STACKED_KINDS = ("linear-plus-perturbation", "exact-linear")
 #: trace rows ``n <= _RATE_ROWS`` are all that ``_rate_estimate`` reads, and
@@ -124,33 +121,32 @@ def hyers_limit(
 ) -> tuple:
     """Limit of ``f(2**n x) / 2**n`` with a certified stopping rule.
 
-    ``f`` is evaluated on stacks of points ``2**k x`` of the dyadic ray (see
-    :meth:`EvaluableMap.evaluate_stack`), ``x`` itself in the first;
-    doubling and scaling by ``2**-k`` are exact in binary floating point,
-    so the limit and the trace equal those of doubling one step at a time.
-    For power controls the iteration stops at the first ``n`` whose Cauchy
-    tail bound is at most ``tol`` (an a-priori rule; for ``theta = 0`` that
-    is ``n = 0``).  That ``n`` is found first, and one stack holds only the
-    rows that are read: ``x``, row ``n`` and the traced rows between, so an
-    untraced call evaluates ``f`` at ``x`` and ``2**n x`` alone.  If a row
-    of that stack is not finite, the whole ray ``k = 1..n`` is evaluated to
-    find the first row that is not; otherwise the rows left out are not
-    checked.  Custom controls stop at the first ``n`` of the empirical
-    criterion ``|f(2**n x) / 2**n - f(2**(n-1) x) / 2**(n-1)| <= tol``; a
-    stacked map (``linear-plus-perturbation`` or ``exact-linear``) takes
-    blocks of 32 doublings, whose rows past the stop are evaluated and
-    dropped, and the other kinds, called once per row anyway, one doubling
-    at a time.  Returns the scaled iterate and the stopping ``n``.
-    ``trace``, if a list, receives a row ``(n, successive_difference,
-    tail_bound)`` per iteration, also for the iterations before a failure;
-    with ``trace_rows`` set, only the rows ``n <= trace_rows``.  This is
-    the one-point case of the stacked core that
-    :func:`direct_method_stabilize` runs over many points at once.
+    The iteration stops at the first ``n`` whose Cauchy tail bound (see
+    :func:`cauchy_tail_bound`) is at most ``tol``; for ``theta = 0`` or a
+    zero custom control that is ``n = 0``.  That ``n`` is found before
+    ``f`` is evaluated, and one stack of points ``2**k x`` (see
+    :meth:`EvaluableMap.evaluate_stack`) holds only the rows that are
+    read: ``x``, row ``n`` and the traced rows between, so an untraced call
+    evaluates ``f`` at ``x`` and ``2**n x`` alone.  Doubling and scaling by
+    ``2**-k`` are exact in binary floating point, so the limit and the
+    trace equal those of doubling one step at a time.  If a row of that
+    stack is not finite, the whole ray ``k = 1..n`` is evaluated to find
+    the first row that is not; otherwise the rows left out are not
+    checked.  A custom control's tail is summed numerically, and past the
+    terms summed it is a geometric estimate, not a bound.  Returns the
+    scaled iterate and the stopping ``n``.  ``trace``, if a list, receives
+    a row ``(n, successive_difference, tail_bound)`` per iteration, also
+    for the iterations before a failure; with ``trace_rows`` set, only the
+    rows ``n <= trace_rows``.  This is the one-point case of the stacked
+    core that :func:`direct_method_stabilize` runs over many points at
+    once.
 
     Raises :class:`NonConvergenceError` when a row that is evaluated is not
     finite or no ``n`` up to ``min(max_iter, 1000)`` stops; the hard cap
-    keeps ``2**n`` inside double-precision range.  A power control without
-    a stop checks row ``min(max_iter, 1000)`` the same way as row ``n``.
+    keeps ``2**n`` inside double-precision range.  Without a stop, row
+    ``min(max_iter, 1000)`` is checked the same way as row ``n``.  A custom
+    control whose series does not decay raises
+    :class:`DivergentControlError` before ``f`` is evaluated.
     """
     x = np.asarray(x)
     if x.shape != (f.in_dim,):
@@ -172,9 +168,8 @@ class _Ray:
     rows: np.ndarray  # the rows k >= 1 to evaluate, in order
     trace: list | None
     traced: int  # rows 1..traced go to ``trace``
-    tails: list | None  # their tail bounds; NaN under a custom control
-    done: int = 0  # rows taken so far
-    current: np.ndarray | None = None  # f(x), then the last iterate taken
+    tails: list | None  # their tail bounds
+    fx: np.ndarray | None = None  # f(x), from the ray's first stack
     outcome: object = None
 
 
@@ -184,85 +179,66 @@ def _hyers_limits(f, control, xs, tol, max_iter=ITERATION_CAP, out_norm=None,
 
     Returns, per row, ``(limit, n)`` or the :class:`NonConvergenceError`
     that the row alone raises, and ``traces``, if given, holds one trace
-    list, or None for an untraced row, per row.  Under a power control the
-    stop of each row is searched once per distinct ``control.norm_of(x)``
-    (the tail bound depends on ``x`` through that norm alone), and ``f`` is
-    evaluated once on one stack of every row that any ray reads, ``x``
-    included; a ray with a row that is not finite is evaluated again,
-    whole, in the next stack, which leaves the other rays' outcomes alone.
-    Under a custom control each stack holds the next block of every ray
-    that has not stopped.
-    ``plan``, a pair of dicts, keeps the stops and traced tails by norm
-    across calls with the same ``control``, ``tol``, ``max_iter`` and
-    ``trace_rows``, whatever ``f`` is: a norm met again is not searched
-    again.
+    list, or None for an untraced row, per row.  The stop of each row is
+    searched once per key: ``control.norm_of(x)`` under a power control,
+    whose tail bound depends on ``x`` through that norm alone, and the
+    bytes of ``x`` under a custom one.  Then ``f`` is evaluated once on one
+    stack of every row that any ray reads, ``x`` included; a ray with a row
+    that is not finite is evaluated again, whole, in the next stack, which
+    leaves the other rays' outcomes alone.  ``plan``, a pair of dicts,
+    keeps the stops and traced tails by key across calls with the same
+    ``control``, ``tol``, ``max_iter`` and ``trace_rows``, whatever ``f``
+    is: a key met again is not searched again.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     xs = np.asarray(xs)
     limit = min(int(max_iter), ITERATION_CAP)
-    empirical = control.kind != "power"
-    # every row of a power ray fits in one block
-    block = ITERATION_CAP if not empirical else _BLOCK if f.kind in _STACKED_KINDS else 1
     xn = np.array(xs, dtype=np.result_type(xs.dtype, np.float64))
-    norms = [None] * len(xn) if empirical else _norms_with(control.norm, xn).tolist()
+    keys = (_norms_with(control.norm, xn).tolist() if control.kind == "power"
+            else [x.tobytes() for x in xn])
     stops, tails = ({}, {}) if plan is None else plan
     rays = []
-    for x, nx, trace in zip(xn, norms, [None] * len(xn) if traces is None else traces):
-        if not x.any():
-            stop = 0
-        elif empirical:
-            stop = None
-        elif nx not in stops:
-            stop = stops[nx] = _a_priori_stop(control, x, tol, limit)
-        else:
-            stop = stops[nx]
+    for x, key, trace in zip(xn, keys, [None] * len(xn) if traces is None else traces):
+        if x.any() and key not in stops:
+            stops[key], bounds = _a_priori_stop(control, x, tol, limit)
+            if bounds is not None:
+                tails[key] = bounds[1:]
+        # a zero x is not searched: it stops at 0
+        stop = stops.get(key, 0)
         end = max(limit, 0) if stop is None else stop
         traced = 0 if trace is None else end if trace_rows is None else min(end, trace_rows)
-        if traced and nx not in tails:
-            tails[nx] = ([math.nan] * traced if empirical
-                         else cauchy_tail_bound(control, x, range(1, traced + 1)))
+        if traced and key not in tails:
+            tails[key] = cauchy_tail_bound(control, x, range(1, traced + 1))
         ray = np.arange(1, end + 1)
-        rows = ray if empirical or traced == end else np.append(ray[:traced], end)
-        rays.append(_Ray(x, stop, end, rows, trace, traced, tails.get(nx)))
+        rows = ray if traced == end else np.append(ray[:traced], end)
+        rays.append(_Ray(x, stop, end, rows, trace, traced, tails.get(key)))
 
     def advance(ray, scaled):
         """Take one stack's values of ``ray``'s rows: its outcome, or None
-        while rows are left."""
-        if ray.current is None:
-            ray.current, scaled = scaled[0], scaled[1:]
-            if not np.all(np.isfinite(ray.current)):
+        when the whole ray is to be evaluated."""
+        if ray.fx is None:
+            ray.fx, scaled = scaled[0], scaled[1:]
+            if not np.all(np.isfinite(ray.fx)):
                 return NonConvergenceError("f(x) is not finite", iterations=0)
             if ray.stop == 0:
-                return ray.current.copy(), 0
-        done = ray.done
-        k = ray.rows[done : done + block]
+                return ray.fx.copy(), 0
         finite = np.isfinite(scaled)
-        kept = reached = len(k) if finite.all() else int(np.argmin(finite.all(axis=1)))
-        if reached < len(k) and len(ray.rows) < ray.end:
+        reached = len(scaled) if finite.all() else int(np.argmin(finite.all(axis=1)))
+        if reached < len(scaled) and len(ray.rows) < ray.end:
             # a row left out may be the first that is not finite
             ray.rows = np.arange(1, ray.end + 1)
             return None
-        read = reached if empirical else min(reached, ray.traced)
+        read = min(reached, ray.traced)
         if read:
-            previous = np.concatenate([ray.current[None], scaled[: read - 1]])
+            previous = np.concatenate([ray.fx[None], scaled[: read - 1]])
             diffs = _norms_with(out_norm, scaled[:read] - previous)
-            if empirical and (diffs <= tol).any():
-                kept = int(np.argmax(diffs <= tol)) + 1
-                ray.stop = done + kept
-            shown = min(kept, ray.traced - done)
-            if shown > 0:
-                ns = range(done + 1, done + shown + 1)
-                ray.trace.extend(zip(ns, diffs[:shown].tolist(), ray.tails[done : done + shown]))
-        if kept and k[kept - 1] == ray.stop:
-            return scaled[kept - 1].copy(), ray.stop
-        if reached < len(k):
-            n = int(k[reached])
+            ray.trace.extend(zip(range(1, read + 1), diffs.tolist(), ray.tails))
+        if reached < len(scaled):
+            n = int(ray.rows[reached])
             return NonConvergenceError(f"iterate at n={n} overflowed", iterations=n)
-        if len(k):
-            ray.current, ray.done = scaled[-1], done + len(k)
-        if ray.done < len(ray.rows):
-            return None
+        if ray.stop is not None:
+            return scaled[-1].copy(), ray.stop
         reason = (f"hard iteration cap {ITERATION_CAP} reached" if limit == ITERATION_CAP
                   else f"max_iter {limit} exceeded")
         return NonConvergenceError(f"doubling iteration did not converge: {reason}",
@@ -271,8 +247,7 @@ def _hyers_limits(f, control, xs, tol, max_iter=ITERATION_CAP, out_norm=None,
     pending = rays
     while pending:
         # a ray's first stack starts with x itself
-        ks = [r.rows[r.done : r.done + block] if r.current is not None
-              else np.append(0, r.rows[: block]) for r in pending]
+        ks = [r.rows if r.fx is not None else np.append(0, r.rows) for r in pending]
         sizes = [len(k) for k in ks]
         scale = np.ldexp(1.0, np.concatenate(ks))[:, None]
         points = np.repeat(np.stack([r.x for r in pending]), sizes, axis=0)
@@ -288,13 +263,18 @@ def _hyers_limits(f, control, xs, tol, max_iter=ITERATION_CAP, out_norm=None,
 
 def _a_priori_stop(control: ControlFunction, x, tol: float, limit: int):
     """First ``n`` in ``0..limit`` whose Cauchy tail bound is at most ``tol``,
-    or None.  A log2 estimate of ``n`` is confirmed with the bound itself at
+    or None, and the bounds at ``0..limit`` when all were computed, else
+    None.  A custom control's bounds all come from one series.  For a power
+    control a log2 estimate of ``n`` is confirmed with the bound itself at
     ``n - 1`` and ``n``, because rounding can put the estimate a step off."""
+    if control.kind != "power":
+        bounds = cauchy_tail_bound(control, x, range(max(limit, 0) + 1))
+        return next((n for n, b in enumerate(bounds) if b <= tol), None), bounds
     head = cauchy_tail_bound(control, x, 0)
     if head <= tol:
-        return 0
+        return 0, None
     if limit <= 0:
-        return None
+        return None, None
     ratio = head / tol
     n = limit
     if math.isfinite(ratio):
@@ -304,9 +284,9 @@ def _a_priori_stop(control: ControlFunction, x, tol: float, limit: int):
         if before <= tol:
             n -= 1
         elif at <= tol:
-            return n
+            return n, None
         elif n >= limit:
-            return None
+            return None, None
         else:
             n += 1
 
@@ -520,15 +500,15 @@ def direct_method_stabilize(
     Runs the doubling iteration of :func:`hyers_limit` at every basis vector
     of the algebra for each of the four maps and assembles the limits into
     matrices.  Each map takes one stacked call for its basis and the
-    linearity points together.  Under a power control one stack holds
-    every row their rays read; a ray with a row that is not finite is
-    evaluated again, alone and whole, and fails as it would alone.  Under
-    a custom control each stack holds the next block of every ray that has
-    not stopped.  The stop depends on the control, ``tol`` and ``|x|``
-    alone, not on the map, so the four maps share one stop plan: each
-    distinct norm is searched once per run (the unit vectors share one
-    search), and the unit vectors' traced tail bounds are computed once.
-    Negative counts raise ``ValueError`` before any map is evaluated.  Then:
+    linearity points together, and one stack holds every row their rays
+    read; a ray with a row that is not finite is evaluated again, alone and
+    whole, and fails as it would alone.  The a-priori stop depends on the
+    control, ``tol`` and ``x``, not on the map, so the four maps share one
+    stop plan.  Under a power control each distinct norm is searched once
+    per run (the unit vectors share one search), and the unit vectors'
+    traced tail bounds are computed once; under a custom control each
+    distinct ``x`` sums its tail series once per run.  Negative counts
+    raise ``ValueError`` before any map is evaluated.  Then:
 
     * linearity: at seeded non-basis points the recovered matrix must agree
       with a fresh limit to ``10 * tol``; the first failure, in point order

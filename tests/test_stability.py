@@ -87,34 +87,38 @@ class TestHyersLimit:
         assert np.linalg.norm(at_2x / 2 - at_x) <= 10 * tol
 
     def test_max_iter_exceeded(self):
-        # homogeneous of degree 1.2: the scaled iterates diverge
+        # homogeneous of degree 1.2: the scaled iterates diverge; the
+        # a-priori stop at tol = 1e-12 lies near n = 76
         fn = lambda x: np.linalg.norm(x) ** 1.2 * np.ones(2)
         f = ts.EvaluableMap(2, 2, fn)
-        control = ts.custom_control(lambda *a: 0.0, arity=5)
+        control = ts.power_control(0.1, 0.5, arity=5)
         with pytest.raises(NonConvergenceError) as err:
             ts.hyers_limit(f, control, np.ones(2), tol=1e-12, max_iter=25)
+        assert "max_iter 25 exceeded" in str(err.value)
         assert err.value.iterations == 25
 
     def test_hard_cap_reported(self):
         # scaled iterates oscillate between two values forever: bounded but
-        # never Cauchy, so the hard cap is what stops the loop
+        # never Cauchy; at p = 0.99 the a-priori stop lies past 1000, so the
+        # hard cap is what stops the loop
         def fn(x):
             lead = float(x[0])
             return np.full(2, lead * np.sin(np.pi * np.log2(abs(lead))))
 
         f = ts.EvaluableMap(2, 2, fn)
-        control = ts.custom_control(lambda *a: 0.0, arity=5)
+        control = ts.power_control(1.0, 0.99, arity=5)
         with pytest.raises(NonConvergenceError) as err:
             ts.hyers_limit(f, control, np.full(2, 0.7), tol=1e-12, max_iter=10**9)
         assert "cap 1000" in str(err.value)
         assert err.value.iterations == 1000
 
-    def test_empirical_criterion_for_custom_control(self, oddpoly_derivation):
+    def test_zero_custom_control_stops_at_zero(self, oddpoly_derivation):
+        # its tail bound is 0 from n = 0 on, as for theta = 0
         f = ts.EvaluableMap.from_linear(oddpoly_derivation)
         control = ts.custom_control(lambda *a: 0.0, arity=5)
         value, n = ts.hyers_limit(f, control, np.array([1.0, 2.0]), tol=1e-12)
-        assert n == 1  # one doubling step confirms the empirical criterion
-        np.testing.assert_allclose(value, oddpoly_derivation([1.0, 2.0]), atol=1e-14)
+        assert n == 0
+        np.testing.assert_array_equal(value, oddpoly_derivation([1.0, 2.0]))
 
 
 class TestDirectMethodStabilize:
@@ -218,27 +222,29 @@ class TestDirectMethodStabilize:
         assert calls == []
 
     def test_partial_failure_is_recorded(self, oddpoly3_module, identity2):
-        # a map that diverges on every nonzero input, under a custom control
-        # (empirical stopping): per-basis failures, not an exception
-        bad = ts.EvaluableMap(2, 2, lambda x: np.linalg.norm(x) ** 1.5 * np.ones(2))
+        # f, scaled by 2**1020, leaves double range at row 4 of every basis
+        # ray, before the a-priori stop: per-basis failures, not an exception
+        bad = ts.EvaluableMap(2, 2, lambda x: np.ldexp(x, 1020))
         g = ts.EvaluableMap.from_linear(identity2)
-        control = ts.custom_control(lambda *a: 0.0, arity=5)
+        control = ts.power_control(0.1, 0.5, arity=5)
         report = ts.direct_method_stabilize(
-            bad, g, g, g, control, oddpoly3_module, tol=1e-12, max_iter=20, seed=1,
+            bad, g, g, g, control, oddpoly3_module, tol=1e-12, seed=1,
             bound_points=5, identity_triples=5, linearity_points=0,
         )
         assert not report.all_passed
         assert {f["map"] for f in report.failures} == {"f"}
+        assert {f["message"] for f in report.failures} == {"iterate at n=4 overflowed"}
 
     def test_failed_columns_have_the_maps_out_dim(self, oddpoly3, identity2):
         # f maps the 2-dim algebra into a 3-dim module: its zero columns
-        # for failed basis vectors are 3 long, those of g, h, k 2 long
+        # for failed basis vectors are 3 long, those of g, h, k 2 long; the
+        # a-priori stop lies past max_iter, so every basis vector fails
         rng = np.random.default_rng(4)
         mod = ts.TernaryModule(oddpoly3, 3, rng.standard_normal((3, 2, 2, 3)),
                                rng.standard_normal((2, 3, 2, 3)), rng.standard_normal((2, 2, 3, 3)))
         bad = ts.EvaluableMap(2, 3, lambda x: np.linalg.norm(x) ** 1.5 * np.ones(3))
         g = ts.EvaluableMap(2, 2, lambda x: np.linalg.norm(x) ** 1.5 * np.ones(2))
-        control = ts.custom_control(lambda *a: 0.0, arity=5)
+        control = ts.power_control(0.1, 0.5, arity=5)
         report = ts.direct_method_stabilize(
             bad, g, g, g, control, mod, tol=1e-12, max_iter=5, seed=1,
             bound_points=2, identity_triples=2, linearity_points=0,

@@ -1,6 +1,6 @@
 """Cross-checks of the stacked direct method against the one-step loop.
 
-``hyers_limit`` evaluates a power-controlled doubling ray as one stack,
+``hyers_limit`` evaluates a doubling ray as one stack under any control,
 the direct method evaluates all the rays of a map's basis and linearity
 points as one stack, and ``perturb_map``'s evaluator takes ``(N, d)``
 stacks.  The references below are the step-by-step iteration, the
@@ -22,10 +22,10 @@ import ternstab as ts
 from ternstab import stability
 from ternstab.algebra import _norms_with, _random_vector, l2_norm
 from ternstab.control import cauchy_tail_bound
-from ternstab.errors import NonConvergenceError
+from ternstab.errors import DivergentControlError, NonConvergenceError
 from ternstab.harness import _hash_units
+from ternstab.serialize import register_custom_control
 from ternstab.stability import (
-    _BLOCK,
     ITERATION_CAP,
     _a_priori_stop,
     _hyers_limits,
@@ -37,20 +37,22 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def _reference_hyers_limit(f, control, x, tol, max_iter=ITERATION_CAP, out_norm=None,
                            trace=None):
-    """The one-doubling-per-step iteration."""
+    """The one-doubling-per-step iteration, stopped at the first ``n`` whose
+    Cauchy tail bound is at most ``tol``."""
     norm = l2_norm if out_norm is None else out_norm
     x = np.asarray(x)
     limit = min(int(max_iter), ITERATION_CAP)
-    a_priori = control.kind == "power"
     current = f(x)
     if not np.all(np.isfinite(current)):
         raise NonConvergenceError("f(x) is not finite", iterations=0)
     if not np.any(x):
         return current, 0
+    # the bounds at 0..limit in one call: a custom control sums its series once
+    tails = cauchy_tail_bound(control, x, range(max(limit, 0) + 1))
     xn = np.array(x, dtype=np.result_type(x.dtype, np.float64))
     n = 0
     while True:
-        if a_priori and cauchy_tail_bound(control, x, n) <= tol:
+        if tails[n] <= tol:
             return current, n
         if n >= limit:
             reason = (
@@ -67,12 +69,9 @@ def _reference_hyers_limit(f, control, x, tol, max_iter=ITERATION_CAP, out_norm=
             raise NonConvergenceError(f"iterate at n={n + 1} overflowed", iterations=n + 1)
         diff = float(norm(nxt - current))
         if trace is not None:
-            tail = cauchy_tail_bound(control, x, n + 1) if a_priori else float("nan")
-            trace.append((n + 1, diff, tail))
+            trace.append((n + 1, diff, tails[n + 1]))
         current = nxt
         n += 1
-        if not a_priori and diff <= tol:
-            return current, n
 
 
 _MASK = 2**64 - 1
@@ -146,6 +145,27 @@ def _setup(field, direction, p, norm_scale=1.0, theta=0.1, exponent=0):
     pointwise = _reference_perturb(base, spec, alg.norm_of, alg.norm_of)
     control = ts.power_control(theta, p, arity=5, norm=alg.norm_of)
     return alg, stacked, pointwise, control
+
+
+def _hypot(v) -> float:
+    """The 2-norm in Python floats: l2_norm up to rounding, at a fraction of
+    its call cost."""
+    return math.hypot(*np.abs(v).tolist())
+
+
+def _custom(theta, p, norm=l2_norm):
+    """``theta * sum_i norm(a_i)**p`` as a custom control: with ``l2_norm``
+    the custom twin of ``power_control(theta, p)``, the same ``phi``."""
+    return ts.custom_control(lambda *args: theta * sum(norm(a) ** p for a in args))
+
+
+SQRT_CONTROL = _custom(0.1, 0.5, _hypot)
+
+
+def _tol_at(x, n, control=SQRT_CONTROL):
+    """A ``tol`` that stops the ray of ``x`` at ``n``: its tail bound there
+    (any ``tol`` stops a zero ``x`` at 0)."""
+    return cauchy_tail_bound(control, x, n) or 1.0
 
 
 def _points(alg):
@@ -244,7 +264,7 @@ class TestStackedHyersLimit:
         # 2-norm; the stop lies near n = 700
         alg, stacked, pointwise, control = _setup("real", direction, 0.95)
         for x in alg.basis():
-            stop = _a_priori_stop(control, x, 1e-10, ITERATION_CAP)
+            stop = _a_priori_stop(control, x, 1e-10, ITERATION_CAP)[0]
             assert 512 < stop < ITERATION_CAP
             got = _outcome(ts.hyers_limit, stacked, control, x, 1e-10, out_norm=alg.norm_of)
             with np.errstate(over="ignore"):  # one-row norms warn before their rescale
@@ -264,8 +284,28 @@ class TestStackedHyersLimit:
         result = ts.run_experiment(raw, write_files=False)
         assert result.all_passed, result.report["errors"]
         control = ts.power_control(0.1, 0.95, arity=5)
-        stops = [_a_priori_stop(control, e, 1e-10, ITERATION_CAP) for e in np.eye(2)]
+        stops = [_a_priori_stop(control, e, 1e-10, ITERATION_CAP)[0] for e in np.eye(2)]
         assert result.report["recovered"]["iterations"] == {name: stops for name in "fghk"}
+
+    def test_custom_control_experiment_passes(self):
+        # odd-poly cap 5 under the custom 0.1 * sum |a_i|**0.5 with fixed
+        # perturbations: the tail bound stops at 51, where the recovered maps
+        # lie within tol of the truth; a stop at the first successive
+        # difference <= tol (n = 44) left 1.4 tol and failed the identity
+        register_custom_control("sqrt-tenth", lambda *args: 0.1 * sum(
+            l2_norm(a) ** 0.5 for a in args))
+        raw = json.loads((CONFIGS / "oddpoly3_p05.json").read_text())
+        raw.pop("out")
+        raw["algebra"]["cap"] = 5
+        raw["control"] = {"kind": "custom", "name": "sqrt-tenth", "arity": 5}
+        for spec in raw["perturbation"].values():
+            spec.update(theta=0.1, p=0.5, direction="fixed")
+        raw["samples"]["identity_triples"] = 20
+        raw["tol"] = 1e-8
+        report = ts.run_experiment(raw, write_files=False).report
+        assert report["recovered"]["iterations"] == {name: [51] * 3 for name in "fghk"}
+        assert max(report["recovered"]["truth_error"].values()) <= 1e-8
+        assert report["identity_residuals"]["passed"] and report["all_passed"]
 
     def test_recover_matrix_keeps_partial_rows(self, oddpoly3_module, oddpoly_derivation,
                                                identity2):
@@ -291,12 +331,15 @@ class TestStackedHyersLimit:
             ]
 
     def test_custom_control_keeps_the_loop(self):
+        # the trace carries the custom tail bounds, not NaN
         alg, stacked, pointwise, _ = _setup("real", "hash", 0.5)
-        control = ts.custom_control(lambda *args: 0.1 * sum(l2_norm(a) ** 0.5 for a in args))
         x = alg.basis()[2]
-        got = _outcome(ts.hyers_limit, stacked, control, x, 1e-6)
-        want = _outcome(_reference_hyers_limit, pointwise, control, x, 1e-6)
+        got = _outcome(ts.hyers_limit, stacked, SQRT_CONTROL, x, 1e-6)
+        want = _outcome(_reference_hyers_limit, pointwise, SQRT_CONTROL, x, 1e-6)
         _assert_same_outcome(got, want)
+        n = got[1]
+        assert [row[2] for row in got[2]] == cauchy_tail_bound(SQRT_CONTROL, x, range(1, n + 1))
+        assert all(math.isfinite(row[2]) for row in got[2])
 
 
 def _untraced(fn, *args, **kwargs):
@@ -356,7 +399,7 @@ class TestRowsRead:
     def test_tabulated_map_needs_only_x_and_row_n(self):
         control = ts.power_control(0.1, 0.5)
         x = np.array([1.0, 0.0])
-        n = _a_priori_stop(control, x, 1e-10, ITERATION_CAP)
+        n = _a_priori_stop(control, x, 1e-10, ITERATION_CAP)[0]
         far = np.ldexp(x, n)
         table = ts.EvaluableMap.tabulated([(x, 3.0 * x), (far, 3.0 * far)], 2, 2)
         value, stop = ts.hyers_limit(table, control, x, 1e-10)
@@ -401,103 +444,83 @@ class TestRowsRead:
             assert max(row[1] for row in rows) > 10
 
 
-ZERO_CONTROL = ts.custom_control(lambda *args: 0.0)
-
-
 def _max_norm(v):
     """A norm that is no space's ``norm_of``: one call per row."""
     return float(np.abs(v).max())
 
 
-def _reference_diffs(pointwise, x, **kwargs):
-    """Successive differences of the one-step loop until it fails or hits 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        outcome = _outcome(_reference_hyers_limit, pointwise, ZERO_CONTROL, x, 1e-300, **kwargs)
-    return [row[1] for row in outcome[2]]
-
-
-def _assert_custom_equal(stacked, pointwise, x, tol, **kwargs):
+def _assert_custom_equal(stacked, pointwise, x, tol, control=SQRT_CONTROL, **kwargs):
     """Outcomes of ``hyers_limit`` on the stacked and the per-row map under
     a custom control, each bitwise equal to the one-step loop's and without
     a warning; the reference's outcome is returned."""
     with np.errstate(over="ignore", invalid="ignore"):
-        want = _outcome(_reference_hyers_limit, pointwise, ZERO_CONTROL, x, tol, **kwargs)
+        want = _outcome(_reference_hyers_limit, pointwise, control, x, tol, **kwargs)
     for f in (stacked, pointwise):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _outcome(ts.hyers_limit, f, ZERO_CONTROL, x, tol, **kwargs)
+            got = _outcome(ts.hyers_limit, f, control, x, tol, **kwargs)
         _assert_same_outcome(got, want)
     return want
 
 
 class TestOneDoublingPath:
-    """Custom controls run through the stacked ray in blocks of ``_BLOCK``
-    doublings; their outcomes must equal the one-step loop's bitwise."""
+    """Custom controls take the power controls' path: the stop is the first
+    ``n`` whose Cauchy tail bound is at most ``tol``, found before one stack
+    of the rows read; outcomes must equal the one-step loop's bitwise."""
 
     FIELDS = pytest.mark.parametrize("field", ["real", "complex"])
     DIRECTIONS = pytest.mark.parametrize("direction", ["fixed", "hash"])
 
     @FIELDS
     @DIRECTIONS
-    def test_stops_around_block_edges(self, field, direction):
+    def test_stops_at_chosen_rows(self, field, direction):
         alg, stacked, pointwise, _ = _setup(field, direction, 0.5)
         for x in _points(alg):
-            diffs = _reference_diffs(pointwise, x)
-            stops = [n for n in (1, 5, 31, 32, 33, 64) if n <= len(diffs)]
-            for n in stops:
-                want = _assert_custom_equal(stacked, pointwise, x, diffs[n - 1])
-                if direction == "fixed":
-                    assert want[1] == n
-            _assert_custom_equal(stacked, pointwise, x, 1e-300)
-        assert stops == [1, 5, 31, 32, 33, 64]
+            for n in (0, 1, 5, 33, 64):
+                want = _assert_custom_equal(stacked, pointwise, x, _tol_at(x, n))
+                assert want[1] == (n if x.any() else 0)
 
     @FIELDS
     @DIRECTIONS
     @pytest.mark.parametrize("max_iter", [0, 1, 31, 32, 33, 1000])
     def test_max_iter(self, field, direction, max_iter):
-        # at p = 0.99 the perturbation shrinks by 2**-0.01 per doubling, so
-        # tol = 1e-9 is not met within 1000 doublings; tol = the 32nd
-        # difference stops at 32 along a fixed direction
+        # a custom p = 0.99 control's tail bound stays above 1e-9 past row
+        # 1000, so no row up to max_iter stops; tol = the tail bound of the
+        # p = 0.5 one at row 32 stops at 32
         alg, stacked, pointwise, _ = _setup(field, direction, 0.99)
         x = alg.basis()[2]
-        want = _assert_custom_equal(stacked, pointwise, x, 1e-9, max_iter=max_iter)
+        want = _assert_custom_equal(stacked, pointwise, x, 1e-9, _custom(0.1, 0.99, _hypot),
+                                    max_iter=max_iter)
         assert want[1] == max_iter and "did not converge" in want[0]
-        tol = _reference_diffs(pointwise, x, max_iter=32)[31]
-        want = _assert_custom_equal(stacked, pointwise, x, tol, max_iter=max_iter)
-        if direction == "fixed":
-            assert want[1] == min(max_iter, 32)
+        want = _assert_custom_equal(stacked, pointwise, x, _tol_at(x, 32), max_iter=max_iter)
+        assert want[1] == min(max_iter, 32)
 
     @FIELDS
     @DIRECTIONS
     def test_overflow_before_and_after_the_stop(self, field, direction):
-        # 2**k x of x = 2**500 e_0 sends f out of double range at k = 523,
-        # inside the block 513..544; the perturbation keeps the differences
-        # large, so tol picks a stop before the overflow in the same block,
-        # or none
+        # 2**k x of x = 2**500 e_0 sends f out of double range at k = 523;
+        # the tail bound is summed up to k = 499 and stays above 1e-6 up to
+        # 1000, so the ray fails there, and tol = the bound at n stops before
         alg, stacked, pointwise, _ = _setup(field, direction, 0.99)
         x = np.ldexp(alg.basis()[0].real, 500).astype(alg.dtype)
         want = _assert_custom_equal(stacked, pointwise, x, 1e-6)
         assert want[:2] == ("iterate at n=523 overflowed", 523) and len(want[2]) == 522
-        diffs = [row[1] for row in want[2]]
-        for n in (500, 512, 513, 515, 522):
-            assert _assert_custom_equal(stacked, pointwise, x, diffs[n - 1])[1] == n
+        for n in (300, 499, 500):
+            assert _assert_custom_equal(stacked, pointwise, x, _tol_at(x, n))[1] == n
 
     @DIRECTIONS
     def test_foreign_out_norm(self, direction):
         alg, stacked, pointwise, _ = _setup("complex", direction, 0.5)
         for x in _points(alg):
-            diffs = _reference_diffs(pointwise, x, out_norm=_max_norm)
-            for tol in [diffs[n - 1] for n in (1, 32, 33, 64) if n <= len(diffs)] + [1e-300]:
+            for tol in [_tol_at(x, n) for n in (1, 32, 33, 64)] + [1e-20]:
                 _assert_custom_equal(stacked, pointwise, x, tol, out_norm=_max_norm)
 
     def test_evaluate_stack_calls(self, monkeypatch):
-        # one stack per power-control call, of x and row n untraced and of x
-        # and the whole ray traced; ceil(n / _BLOCK) stacks, x in the first,
-        # of n + 1 rows in all when no stop cuts the last one, per custom call
-        # on a stacked map
+        # one stack per call, power or custom control, stacked or per-row
+        # map: x and row n untraced, x and the whole ray traced, and x and
+        # row max_iter when no row up to max_iter stops
         alg, stacked, pointwise, control = _setup("real", "fixed", 0.5)
         x = alg.basis()[1]
-        diffs = _reference_diffs(pointwise, x)
         rows = []
         original = ts.EvaluableMap.evaluate_stack
 
@@ -506,36 +529,29 @@ class TestOneDoublingPath:
             return original(self, xs)
 
         monkeypatch.setattr(ts.EvaluableMap, "evaluate_stack", counting)
-        for tol in (1e-3, 1e-10, 1e-14):
-            rows.clear()
-            _, n = ts.hyers_limit(stacked, control, x, tol)
-            assert rows == [2]
-            rows.clear()
-            assert ts.hyers_limit(stacked, control, x, tol, trace=[])[1] == n
-            assert rows == [n + 1]
-        for n in (1, 31, 32, 33, 64, 65):
-            rows.clear()
-            assert ts.hyers_limit(stacked, ZERO_CONTROL, x, diffs[n - 1])[1] == n
-            assert len(rows) == math.ceil(n / _BLOCK)
-            # a per-row map takes one doubling per stack: nothing past the stop
-            rows.clear()
-            assert ts.hyers_limit(pointwise, ZERO_CONTROL, x, diffs[n - 1])[1] == n
-            assert rows == [2] + [1] * (n - 1)
+        for ctrl in (control, SQRT_CONTROL):
+            for f in (stacked, pointwise):
+                for tol in (1e-3, 1e-10, 1e-14):
+                    rows.clear()
+                    _, n = ts.hyers_limit(f, ctrl, x, tol)
+                    assert rows == [2]
+                    rows.clear()
+                    assert ts.hyers_limit(f, ctrl, x, tol, trace=[])[1] == n
+                    assert rows == [n + 1]
+        # the tail bound at 1e-20 stops past row 100
         for max_iter in (0, 1, 32, 33, 100):
             rows.clear()
             with pytest.raises(NonConvergenceError):
-                ts.hyers_limit(stacked, ZERO_CONTROL, x, 1e-300, max_iter=max_iter)
-            assert len(rows) == max(1, math.ceil(max_iter / _BLOCK))
-            assert sum(rows) == max_iter + 1
-        # an exact-linear map is stacked too: its first difference is 0
+                ts.hyers_limit(stacked, SQRT_CONTROL, x, 1e-20, max_iter=max_iter)
+            assert rows == [2 if max_iter else 1]
         rows.clear()
         exact = ts.EvaluableMap.from_linear(ts.LinearMap(np.eye(alg.dim)))
-        value, n = ts.hyers_limit(exact, ZERO_CONTROL, x, 1e-300)
-        assert n == 1 and _same(value, x) and rows == [_BLOCK + 1]
+        value, _ = ts.hyers_limit(exact, SQRT_CONTROL, x, 1e-10)
+        assert _same(value, x) and rows == [2]
 
     def test_per_row_maps_need_only_the_points_up_to_the_stop(self):
-        # f(x) = 3x: the first difference is 0, so the custom rule stops at
-        # n = 1; neither map is asked for a point past 2x
+        # f(x) = 3x at the tol that stops at n = 1: neither map is asked for
+        # a point past 2x
         x = np.array([1.0, 0.0])
         table = ts.EvaluableMap.tabulated([(x, 3.0 * x), (2.0 * x, 6.0 * x)], 2, 2)
 
@@ -545,8 +561,24 @@ class TestOneDoublingPath:
             return 3.0 * v
 
         for f in (table, ts.EvaluableMap(2, 2, bounded)):
-            value, n = ts.hyers_limit(f, ZERO_CONTROL, x, 1e-12)
-            assert n == 1 and _same(value, 3.0 * x)
+            for trace in (None, []):
+                value, n = ts.hyers_limit(f, SQRT_CONTROL, x, _tol_at(x, 1), trace=trace)
+                assert n == 1 and _same(value, 3.0 * x)
+
+    def test_divergent_control_raises_before_any_doubling(self):
+        # |a|**2 doubles its terms 2**-(k+1) phi(2**k x, ...) per row
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return 3.0 * v
+
+        f = ts.EvaluableMap(2, 2, counted)
+        x = np.array([0.6, 0.8])
+        with pytest.raises(DivergentControlError):
+            ts.hyers_limit(f, ts.custom_control(lambda *args: sum(l2_norm(a) ** 2 for a in args)),
+                           x, 1e-10)
+        assert calls == []
 
 
 class TestAPrioriStop:
@@ -564,18 +596,30 @@ class TestAPrioriStop:
                              if cauchy_tail_bound(control, x, n) <= tol),
                             None,
                         )
-                        assert _a_priori_stop(control, x, tol, limit) == scan
+                        assert _a_priori_stop(control, x, tol, limit) == (scan, None)
+
+    def test_custom_twin_gets_the_power_stop(self):
+        rng = np.random.default_rng(8)
+        points = [*np.eye(3), rng.standard_normal(3)]
+        for p in (0.1, 0.5, 0.9):
+            for theta in (0.1, 3.0):
+                power, custom = ts.power_control(theta, p), _custom(theta, p)
+                for tol in (1e-6, 1e-10):
+                    for x in points:
+                        stop, bounds = _a_priori_stop(custom, x, tol, ITERATION_CAP)
+                        assert stop == _a_priori_stop(power, x, tol, ITERATION_CAP)[0]
+                        assert len(bounds) == ITERATION_CAP + 1 and bounds[stop] <= tol
 
     def test_tail_bound_sequence_equals_scalar_calls(self):
-        control = ts.power_control(0.1, 0.7, arity=5)
         x = np.array([0.3, -2.0])
         qs = range(0, 40, 3)
-        assert cauchy_tail_bound(control, x, qs) == [cauchy_tail_bound(control, x, q) for q in qs]
-        with pytest.raises(ValueError):
-            cauchy_tail_bound(control, x, [2, -1])
-        custom = ts.custom_control(lambda *args: 0.0)
-        with pytest.raises(ValueError, match="power control"):
-            cauchy_tail_bound(custom, x, [1, 2])
+        for control in (ts.power_control(0.1, 0.7, arity=5), _custom(0.1, 0.7)):
+            got = cauchy_tail_bound(control, x, qs)
+            assert got == [cauchy_tail_bound(control, x, q) for q in qs]
+            assert all(b < a for a, b in zip(got, got[1:]))
+            with pytest.raises(ValueError):
+                cauchy_tail_bound(control, x, [2, -1])
+        assert cauchy_tail_bound(ts.custom_control(lambda *args: 0.0), x, [0, 5]) == [0.0, 0.0]
 
 
 class TestStackedEvaluation:
@@ -942,13 +986,13 @@ class TestStackedCore:
             assert got[1][:2] == ("iterate at n=523 overflowed", 523)
             assert len(got[1][2]) == (0 if not mode["traced"] else
                                       522 if "trace_rows" not in mode else 10)
-            stop = _a_priori_stop(control, alg.basis()[0], 1e-10, ITERATION_CAP)
+            stop = _a_priori_stop(control, alg.basis()[0], 1e-10, ITERATION_CAP)[0]
             assert [outcome[1] for outcome in got] == [stop, 523, 0] + [stop] * (alg.dim - 1)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_per_row_maps_and_custom_controls(self, field):
         alg, stacked, pointwise, control = _setup(field, "hash", 0.5)
-        custom = ts.custom_control(lambda *args: 0.1 * sum(l2_norm(a) ** 0.5 for a in args))
+        custom = SQRT_CONTROL
         for xs in _blocks(alg):
             for max_iter in (0, 7, 1000):
                 for mode in TRACE_MODES:
@@ -961,11 +1005,12 @@ class TestStackedCore:
 
     @pytest.mark.parametrize("kind", ["stacked", "pointwise"])
     def test_custom_control_advances_every_ray_per_stack(self, monkeypatch, kind):
-        # each stack holds the next block of every ray still running, so a
-        # block of rays takes as many stacks as its longest ray alone
+        # one stack holds every ray's rows, as under a power control, and a
+        # second one the whole ray of a ray with a row that is not finite
+        # (here 2**500 e_0), so a block of rays takes as many stacks as its
+        # longest ray alone
         alg, stacked, pointwise, _ = _setup("real", "hash", 0.5)
         f = stacked if kind == "stacked" else pointwise
-        custom = ts.custom_control(lambda *args: 0.1 * sum(l2_norm(a) ** 0.5 for a in args))
         stacks = []
         original = ts.EvaluableMap.evaluate_stack
 
@@ -979,19 +1024,19 @@ class TestStackedCore:
             for x in xs:
                 stacks.clear()
                 with np.errstate(over="ignore", invalid="ignore"):
-                    _outcome(ts.hyers_limit, f, custom, x, 1e-6)
+                    _untraced(ts.hyers_limit, f, SQRT_CONTROL, x, 1e-6)
                 alone.append(len(stacks))
             stacks.clear()
             with np.errstate(over="ignore", invalid="ignore"):
-                _core(f, custom, xs, 1e-6)
-            assert len(stacks) == max(alone) > 1
+                _core(f, SQRT_CONTROL, xs, 1e-6, traced=False)
+            assert len(stacks) == max(alone) == 1 + bool(np.abs(xs).max() > 2.0**400)
 
     def test_tabulated_block_needs_only_x_and_row_n(self):
         # the table holds each point and its row n alone: an untraced block
         # must not ask for any other point
         control = ts.power_control(0.1, 0.5)
         xs = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, -0.8], [3.0, 4.0], [0.0, 0.0]])
-        stops = [_a_priori_stop(control, x, 1e-10, ITERATION_CAP) for x in xs[:4]]
+        stops = [_a_priori_stop(control, x, 1e-10, ITERATION_CAP)[0] for x in xs[:4]]
         table = [(x, 3.0 * x) for x in xs]
         table += [(np.ldexp(x, n), np.ldexp(3.0 * x, n)) for x, n in zip(xs, stops)]
         f = ts.EvaluableMap.tabulated(table, 2, 2)
@@ -1015,7 +1060,7 @@ class TestStackedCore:
         _, scaled, _, _ = _setup(field, direction, p, exponent=512)
         mod = ts.self_module(alg)
         flat = ts.power_control(0.0, p, arity=5, norm=alg.norm_of)
-        custom = ts.custom_control(lambda *args: 0.1 * sum(l2_norm(a) ** 0.5 for a in args))
+        custom = SQRT_CONTROL
         cases = [(stacked, control), (scaled, control), (stacked, flat), (pointwise, control)]
         if p == 0.5:
             cases.append((stacked, custom))
