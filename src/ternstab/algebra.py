@@ -126,13 +126,16 @@ class _Plan(NamedTuple):
     with a nonzero ``T[i, j, k, l]``, or is None when every pair is live;
     ``stage1`` is the ``(d1, d2 * pairs)`` matrix of ``_trilinear``'s first
     stage over them; ``rows`` marks the live rows ``T[i, j, k, :]``, which
-    ``_law_values`` multiplies, or is None when every row is live.
+    ``_law_values`` multiplies, or is None when every row is live;
+    ``nonzeros`` lists the nonzero entries as index arrays ``(i, j, k, l)``
+    and values ``v``, in C order, for the derivation solver's assembly.
     """
 
     tensor: np.ndarray
     pairs: np.ndarray | None
     stage1: np.ndarray
     rows: np.ndarray | None
+    nonzeros: tuple
 
     @classmethod
     def of(cls, tensor: np.ndarray) -> _Plan:
@@ -144,9 +147,11 @@ class _Plan(NamedTuple):
         else:
             stage1 = tensor.reshape(d1, d2, -1)[:, :, pairs].reshape(d1, -1)
         rows = live.any(axis=-1)
-        for v in (stage1, rows):
+        where = np.nonzero(live)
+        nonzeros = (*where, tensor[where])
+        for v in (stage1, rows, *nonzeros):
             v.setflags(write=False)
-        return cls(tensor, pairs, stage1, None if rows.all() else rows)
+        return cls(tensor, pairs, stage1, None if rows.all() else rows, nonzeros)
 
 
 @dataclass(frozen=True, eq=False)

@@ -64,7 +64,7 @@ class ControlFunction:
         ``|arg|**p`` per row in argument order as Python floats."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        stacked = any(np.ndim(a) > 1 for a in args)
+        stacked = max([a.ndim if type(a) is np.ndarray else np.ndim(a) for a in args]) > 1
         if self.kind == "custom":
             rows = zip(*np.broadcast_arrays(*args)) if stacked else [args]
             values = [float(self.fn(*row)) for row in rows]
@@ -132,6 +132,13 @@ def _series(control: ControlFunction, args, tail_tol: float, max_terms: int):
                 f"series terms non-decreasing over {_DIVERGENCE_WINDOW} steps "
                 f"(last term {t:.3e}); control function does not decay"
             )
+    rate = _geometric_rate(terms)
+    return terms, 0.0 if rate is None else terms[-1] * rate / (1.0 - rate)
+
+
+def _geometric_rate(terms: list):
+    """The common ratio of the last ``_RATIO_WINDOW`` term ratios when they
+    agree and lie in (0, 1), else None."""
     if len(terms) > _RATIO_WINDOW:
         ratios = [
             terms[i + 1] / terms[i]
@@ -142,8 +149,8 @@ def _series(control: ControlFunction, args, tail_tol: float, max_terms: int):
             mean = sum(ratios) / len(ratios)
             spread = max(ratios) - min(ratios)
             if 0.0 < mean < 1.0 and spread <= 1e-6 * mean:
-                return terms, terms[-1] * mean / (1.0 - mean)
-    return terms, 0.0
+                return mean
+    return None
 
 
 def summed_majorant(
@@ -200,8 +207,10 @@ def cauchy_tail_bound(
     :func:`summed_majorant`, for at most ``terms`` terms (``k <= 1000`` by
     default, the rows the direct method reaches) and while ``2**k x`` stays
     below ``2**1000``; every ``q`` is read from its suffix sums.  The rest
-    past the last term summed is a geometric tail estimate, not a bound, and
-    it is the tail at every later ``q``.
+    past the last term summed, also past a term at most ``tail_tol``, is a
+    geometric estimate, not a bound: the series continued at the common
+    ratio of the trailing terms, for every later ``q`` too, or 0.0 when
+    their ratios do not agree.
     """
     many = isinstance(q, Iterable)
     qs = list(q) if many else [q]
@@ -222,7 +231,11 @@ def cauchy_tail_bound(
         # 2**k max |x_i| < 2**1000 while k <= 1000 - e, where max |x_i| < 2**e
         _, e = math.frexp(float(np.max(np.abs([x.real, x.imag]), initial=0.0)))
         zeros = (np.zeros_like(x),) * (control.arity - 2)
-        found, rest = _series(control, (x, x, *zeros), tail_tol, min(terms, 1001 - e))
+        found, _ = _series(control, (x, x, *zeros), tail_tol, min(terms, 1001 - e))
+        # a term below tail_tol ends the sum, not the series: its rest is
+        # completed at the trailing ratio, as past the last of ``terms``
+        rate = _geometric_rate(found) or 0.0
+        rest = found[-1] * rate / (1.0 - rate) if rate else 0.0
         suffix = list(accumulate(reversed(found), initial=rest))[::-1]
-        bounds = [suffix[min(k, len(found))] for k in qs]
+        bounds = [suffix[k] if k <= len(found) else rest * rate ** (k - len(found)) for k in qs]
     return bounds if many else bounds[0]

@@ -207,6 +207,9 @@ def residual_on_basis(
     return lie_derivation_residual(mod, deriv, *grid, sigma, tau, xi, signs)
 
 
+#: entries of one dense row chunk of a component before an R-only QR step
+_CHUNK_ENTRIES = 1 << 16
+
 #: a column of the null rows becomes a pivot of the canonical basis when its
 #: part outside the span of the pivots already taken is longer than this
 _PIVOT_TOL = 1e-8
@@ -226,30 +229,120 @@ class DerivationBasis(list):
     margin: dict
 
 
-def _twisted_bracket_table(mod: TernaryModule, sigma, tau, xi) -> np.ndarray:
-    """``G[u, b, c, w]``: coordinate ``w`` of the twisted bracket ``[e_u b c]``
-    at basis vectors, ``sum tau[q,b] xi[r,c] Pxab[u,q,r,w] -
-    sum sigma[p,c] tau[q,b] Pabx[p,q,u,w]``."""
-    ex = np.eye(mod.dim, dtype=mod.dtype)[:, None, None, :]
-    return _bracket(mod, ex, tau.matrix.T[None, :, None, :], xi.matrix.T[None, None, :, :],
-                    sigma.matrix.T[None, None, :, :])
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Marks the first of each run of equal keys in sorted ``keys``."""
+    first = np.ones(len(keys), bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
 
 
-def _jacobian_block(structure, table, i: int, signs: SignConvention) -> np.ndarray:
-    """Rows ``(i, j, k, w)`` of the derivation system for one first index ``i``.
+def _twist_rows(matrix: np.ndarray, keys: np.ndarray):
+    """One copy of item ``n`` per nonzero ``matrix[keys[n], j]``: the copies'
+    item indices, their ``j`` and the entries."""
+    rows, cols = np.nonzero(matrix)
+    ends = np.cumsum(np.bincount(rows, minlength=len(matrix)))
+    last = ends[keys]
+    per_item = last - np.append(0, ends)[keys]
+    total = np.cumsum(per_item)
+    item = np.repeat(np.arange(len(keys)), per_item)
+    at = np.arange(len(item)) + np.repeat(last - total, per_item)
+    return item, cols[at], matrix[rows[at], cols[at]]
 
-    Column ``(u, v)`` is the entry ``D[u, v]``; the defect is linear in it:
-    ``J[(i,j,k,w),(u,v)] = delta_wu T[i,j,k,v] - s1 delta_iv G[u,j,k,w]
-    - s2 delta_jv G[u,i,k,w] - s3 delta_kv G[u,j,i,w]``.
+
+def _bracket_entries(mod: TernaryModule, sigma, tau, xi):
+    """The nonzeros ``(u, b, c, w, g)`` of ``G[u, b, c, w]``, coordinate ``w``
+    of the twisted bracket ``[e_u b c]`` at basis vectors, ``sum tau[q,b]
+    xi[r,c] Pxab[u,q,r,w] - sum sigma[p,c] tau[q,b] Pabx[p,q,u,w]``.
+
+    Each nonzero of a module product is copied once per nonzero of the two
+    twist rows it meets; copies that land on one entry are summed in a
+    fixed order.
     """
-    dx, da = table.shape[0], structure.shape[0]
-    block = np.zeros((da, da, dx, dx, da), dtype=table.dtype)  # [j, k, w, u, v]
-    w, a = np.arange(dx), np.arange(da)
-    block[:, :, w, w, :] = structure[i][:, :, None, :]
-    block[:, :, :, :, i] -= signs.s1 * table.transpose(1, 2, 3, 0)
-    block[a, :, :, :, a] -= signs.s2 * table[:, i].transpose(1, 2, 0)
-    block[:, a, :, :, a] -= signs.s3 * table[:, :, i].transpose(1, 2, 0)[None]
-    return block.reshape(da * da * dx, dx * da)
+    da, dx = mod.algebra.dim, mod.dim
+    u1, q1, r, w1, t1 = mod._plans["Pxab"].nonzeros
+    p, q2, u2, w2, t2 = mod._plans["Pabx"].nonzeros
+    # both products meet tau over q; Pxab meets xi over r, Pabx sigma over p
+    u, q, w = np.concatenate([u1, u2]), np.concatenate([q1, q2]), np.concatenate([w1, w2])
+    one, b, tb = _twist_rows(tau.matrix, q)
+    two, c, tc = _twist_rows(np.vstack([xi.matrix, sigma.matrix]),
+                             np.concatenate([r, p + da])[one])
+    one = one[two]
+    keys = ((u[one] * da + b[two]) * da + c) * dx + w[one]
+    values = np.concatenate([t1, -t2])[one] * tb[two] * tc
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(_run_starts(keys))
+    g = np.add.reduceat(values[order], starts)
+    live = g != 0
+    return (*np.unravel_index(keys[starts[live]], (dx, da, da, dx)), g[live])
+
+
+def _jacobian_entries(mod: TernaryModule, bracket, signs: SignConvention):
+    """The nonzeros of the derivation system, as flat keys ``row * columns +
+    col`` in increasing order and their values.
+
+    Row ``(i, j, k, w)``, column ``(u, v)`` (the entry ``D[u, v]``) holds
+    ``delta_wu T[i,j,k,v] - s1 delta_iv G[u,j,k,w] - s2 delta_jv G[u,i,k,w]
+    - s3 delta_kv G[u,j,i,w]``, assembled from the nonzeros of ``T`` and of
+    the bracket table ``G`` (``bracket``, from ``_bracket_entries``).  The
+    terms that land on one entry are summed in that order, and entries
+    whose sum is zero are dropped.
+    """
+    da, dx = mod.algebra.dim, mod.dim
+    columns = dx * da
+    i, j, k, v, t = mod.algebra._plan.nonzeros
+    w = np.arange(dx)
+    keys = [((((i * da + j) * da + k) * dx)[:, None] + w) * columns + (w * da + v[:, None])]
+    u, b, c, w, g = bracket
+    a = np.arange(da)[:, None]  # the index that delta ties to the column
+    col = u * da + a
+    for row in ((a * da + b) * da + c, (b * da + a) * da + c, (c * da + b) * da + a):
+        keys.append((row * dx + w) * columns + col)
+    g = np.repeat(g[None], da, axis=0).ravel()
+    terms = (np.repeat(t, dx), -signs.s1 * g, -signs.s2 * g, -signs.s3 * g)
+    flat = np.concatenate([key.ravel() for key in keys])
+    values = np.concatenate(terms)
+    order = flat.argsort(kind="stable")  # equal keys stay in term order
+    flat, values = flat[order], values[order]
+    first = _run_starts(flat)
+    repeats = np.flatnonzero(~first)
+    slot = np.cumsum(first)[repeats] - 1
+    rank = repeats - np.flatnonzero(first)[slot]
+    flat, summed = flat[first], values[first]
+    for r in range(1, len(terms)):  # no key repeats within a term
+        later = rank == r
+        summed[slot[later]] += values[repeats[later]]
+    live = summed != 0
+    return flat[live], summed[live]
+
+
+def _column_components(cols: np.ndarray, counts: np.ndarray, columns: int) -> np.ndarray:
+    """One label per column, shared by the columns that rows connect.
+
+    ``cols`` holds the columns of one or more rows, row after row,
+    ``counts`` of them per row.  Each round gives every column the least label among its
+    rows, then follows labels to their fixed point; a label is always a
+    column of the same component, at most the column itself.
+    """
+    labels = np.arange(columns)
+    starts = np.cumsum(counts) - counts
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, cols, np.repeat(np.minimum.reduceat(labels[cols], starts), counts))
+        while not np.array_equal(hop := new[new], new):
+            new = hop
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def _ranks(groups: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The place of each item among the items of its group, in item order,
+    given each item's group and every group's size."""
+    order = np.argsort(groups, kind="stable")
+    ranks = np.empty(len(groups), np.intp)
+    ranks[order] = np.arange(len(groups)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return ranks
 
 
 def _canonical_null_basis(rows: np.ndarray) -> np.ndarray:
@@ -283,6 +376,84 @@ def _canonical_null_basis(rows: np.ndarray) -> np.ndarray:
     return ortho * (np.abs(at_pivot) / at_pivot)[:, None]
 
 
+def _component_factors(entries, count: int, height: int, width: int, dtype) -> np.ndarray:
+    """``count`` matrices of at most ``width`` rows and ``width`` columns, each
+    with the Gram matrix of one of ``count`` components of ``height`` rows.
+
+    ``entries`` are ``(row, component, col, value)``, sorted by row.  The rows
+    are stacked in chunks of about ``_CHUNK_ENTRIES`` entries, and of at
+    least ``4 * width`` rows so that each QR step is mostly new rows, under
+    the running triangular factors, which an R-only QR replaces whenever
+    they have more than ``width`` rows.
+    """
+    rows, comps, cols, values = entries
+    step = max(4 * width, _CHUNK_ENTRIES // (count * width))
+    factor = np.zeros((count, 0, width), dtype)
+    for first in range(0, height, step):
+        lo, hi = np.searchsorted(rows, [first, first + step])
+        top = factor.shape[1]
+        block = np.zeros((count, top + min(step, height - first), width), dtype)
+        block[:, :top] = factor
+        block[comps[lo:hi], top + rows[lo:hi] - first, cols[lo:hi]] = values[lo:hi]
+        factor = np.linalg.qr(block, mode="r") if block.shape[1] > width else block
+    return factor
+
+
+def _component_spectra(cols, values, counts, folded, dtype) -> list:
+    """The SVDs of the column components, one triple per component shape:
+    the columns ``(K, n)`` of its ``K`` components, their singular values
+    ``(K, n)``, padded with zeros for the rank deficit of a component with
+    fewer rows than columns, and their right singular vectors ``(K, n, n)``.
+
+    ``cols`` and ``values`` hold the entries of the rows with two or more,
+    row after row, ``counts`` of them per row.  A connected column's folded
+    root ``folded`` joins its component as one more row.
+    """
+    columns = len(folded)
+    if not len(counts):
+        return []
+    labels = _column_components(cols, counts, columns)
+    joined = np.zeros(columns, bool)
+    joined[cols] = True
+    members = np.flatnonzero(joined)
+    # a label is a root of its component, labelled by itself
+    comp = (np.cumsum(joined & (labels == np.arange(columns))) - 1)[labels]
+    width = np.bincount(comp[members])
+    local = np.zeros(columns, np.intp)
+    local[members] = _ranks(comp[members], width)
+    extra = np.flatnonzero(joined & (folded > 0))
+    cols = np.concatenate([cols, extra])
+    values = np.concatenate([values, folded[extra]])
+    counts = np.concatenate([counts, np.ones(len(extra), np.intp)])
+    row_comp = comp[cols[np.cumsum(counts) - counts]]
+    height = np.bincount(row_comp, minlength=len(width))
+    rows = np.repeat(_ranks(row_comp, height), counts)
+
+    # components of one shape are factored together
+    shapes: dict = {}
+    for c, key in enumerate(zip(height.tolist(), width.tolist())):
+        shapes.setdefault(key, []).append(c)
+    group, place = np.empty((2, len(width)), np.intp)
+    for g, found in enumerate(shapes.values()):
+        group[found], place[found] = g, np.arange(len(found))
+    entry_group = group[comp[cols]]
+    # each component's entries are in row order already
+    order = np.argsort(entry_group * (int(height.max()) + 1) + rows, kind="stable")
+    bounds = np.searchsorted(entry_group[order], np.arange(len(shapes) + 1))
+    by_comp = members[np.argsort(comp[members], kind="stable")]
+    starts = np.cumsum(width) - width
+    spectra = []
+    for (h, n), found, lo, hi in zip(shapes, shapes.values(), bounds[:-1], bounds[1:]):
+        at = order[lo:hi]
+        entries = (rows[at], place[comp[cols[at]]], local[cols[at]], values[at])
+        factor = _component_factors(entries, len(found), h, n, dtype)
+        _, found_svals, vh = np.linalg.svd(factor)
+        svals = np.zeros((len(found), n))
+        svals[:, :found_svals.shape[1]] = found_svals
+        spectra.append((by_comp[starts[found][:, None] + np.arange(n)], svals, vh))
+    return spectra
+
+
 def solve_exact_derivations(
     mod: TernaryModule,
     sigma: LinearMap,
@@ -294,54 +465,64 @@ def solve_exact_derivations(
     """Orthonormal basis of the space of exact twisted derivations.
 
     The derivation defect over all basis triples is linear in the entries
-    of ``D``.  Its Jacobian is written in closed form from the structure
-    tensor and the twisted bracket at basis vectors (``_jacobian_block``),
-    one row block per first index ``i``, so the whole system never exists
-    at once.  Each block loses its all-zero rows and is stacked under the
-    running triangular factor, which an R-only QR then replaces: a
-    tall-skinny QR (TSQR).  The null space comes from the right singular
-    vectors of the final small ``R``.  Directions with singular value at
-    most ``rank_tol`` times the largest count as null, and so does the rank
-    deficit when fewer nonzero rows than columns remain.
+    of ``D``.  Its Jacobian's nonzeros are assembled in coordinate form from
+    the nonzeros of the structure tensor and of the twisted bracket at basis
+    vectors (``_jacobian_entries``); no dense block of it is built.  Rows
+    with a single nonzero entry fold into one row per column, the root sum
+    of their squares.  The other rows connect columns into components
+    (``_column_components``).  Each component's small dense matrix, with
+    the folded rows of its columns, is reduced by an R-only QR in bounded
+    row chunks and then by an SVD, components of one shape together.  A
+    column with folded rows only has its root as singular value, and a
+    column in no row has 0.  The singular values of the whole system are
+    the union of these, so the rank is decided globally: directions with
+    singular value at most ``rank_tol`` times the largest count as null,
+    and so does the rank deficit of a component with fewer rows than
+    columns.
 
     The null rows then go through ``_canonical_null_basis`` (reduced
     echelon form with pivots taken from the last entry down, orthonormalised
-    in that order), so the basis does not depend on which rotation of the
-    null space the factorisation returned.  Each vector is oriented so its
-    largest entry is positive real.  The zero map is always a solution and
-    is not part of the returned basis; an empty list means it is the only
-    one.  The list's ``margin`` reports the rank decision
-    (``DerivationBasis``).
+    in that order), so the basis does not depend on how the factorisation
+    rotated the null space.  Each vector is oriented so its largest entry
+    is positive real.  The zero map is always a solution and is not part of
+    the returned basis; an empty list means it is the only one.  The list's
+    ``margin`` reports the rank decision (``DerivationBasis``).
     """
     _check_twist_maps(mod, sigma, tau, xi)
     da, dx = mod.algebra.dim, mod.dim
     dtype = mod.dtype
-    table = _twisted_bracket_table(mod, sigma, tau, xi)
     columns = dx * da
-    r_factor = np.zeros((0, columns), dtype=dtype)
-    pending: list = []
-    single_sq = np.zeros(columns)
-    nonzero_rows = 0
-    for i in range(da):
-        block = _jacobian_block(mod.algebra.structure, table, i, signs)
-        entries = np.count_nonzero(block, axis=1)
-        nonzero_rows += int(np.count_nonzero(entries))
-        # rows with a single nonzero entry fold into one row per column, the
-        # root sum of their squares: an exact orthogonal reduction, as any
-        # QR step is, and most rows of a sparse structure tensor are such
-        single_sq += np.sum(np.abs(block[entries == 1]) ** 2, axis=0)
-        pending.append(block[entries > 1])
-        if sum(map(len, pending)) >= columns:
-            r_factor = np.linalg.qr(np.vstack([r_factor, *pending]), mode="r")
-            pending = []
-    folded = np.diag(np.sqrt(single_sq))[single_sq > 0]
-    r_factor = np.linalg.qr(np.vstack([r_factor, *pending, folded]), mode="r")
-    _, svals, vh = np.linalg.svd(r_factor)
-    sigma_max = float(svals[0]) if svals.size else 0.0
-    rank = int(np.count_nonzero(svals > rank_tol * sigma_max))
+    flat, values = _jacobian_entries(mod, _bracket_entries(mod, sigma, tau, xi), signs)
+    rows, cols = np.divmod(flat, columns)
+    counts = np.diff(np.flatnonzero(_run_starts(rows)), append=len(rows))
+    # rows with a single nonzero entry fold into one row per column, the
+    # root sum of their squares: an exact orthogonal reduction, as any QR
+    # step is, and most rows of a sparse structure tensor are such
+    single = np.repeat(counts == 1, counts)
+    folded = np.sqrt(np.bincount(cols[single], np.abs(values[single]) ** 2, minlength=columns))
+    spectra = _component_spectra(cols[~single], values[~single], counts[counts > 1], folded, dtype)
+    # every other column is a component of its own, with its folded root,
+    # or 0, as singular value
+    alone = np.ones(columns, bool)
+    for spots, _, _ in spectra:
+        alone[spots] = False
+    alone = np.flatnonzero(alone)
+    spectra.append((alone[:, None], folded[alone, None], np.ones((len(alone), 1, 1), dtype)))
+    svals = np.sort(np.concatenate([sv.ravel() for _, sv, _ in spectra]))[::-1]
+    sigma_max = float(svals[0])
+    cut = rank_tol * sigma_max
+    rank = int(np.count_nonzero(svals > cut))
+
+    null_rows = []
+    for spots, sv, vh in spectra:
+        which, at = np.nonzero(sv <= cut)
+        embedded = np.zeros((len(which), columns), dtype)
+        embedded[np.arange(len(which))[:, None], spots[which]] = vh[which, at].conj()
+        null_rows.append(embedded)
+    null_rows = np.concatenate(null_rows)
 
     basis = DerivationBasis()
-    for row in _canonical_null_basis(vh[rank:].conj()):
+    for row in (_canonical_null_basis(null_rows) if len(null_rows) else []):
         mat = row.reshape(dx, da)
         anchor = mat.flat[int(np.argmax(np.abs(mat)))]
         if anchor != 0:
@@ -350,13 +531,11 @@ def solve_exact_derivations(
             mat = mat.real
         basis.append(LinearMap(mat))
 
-    sigma_null = None
-    if rank < columns:
-        sigma_null = float(svals[rank]) if rank < svals.size else 0.0
+    sigma_null = float(svals[rank]) if rank < columns else None
     sigma_kept = float(svals[rank - 1]) if rank else None
     basis.margin = {
         "rows": da**3 * dx,
-        "nonzero_rows": nonzero_rows,
+        "nonzero_rows": len(counts),
         "columns": columns,
         "null_dim": columns - rank,
         "sigma_max": sigma_max,

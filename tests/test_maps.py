@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,9 +10,10 @@ import pytest
 
 import ternstab as ts
 from ternstab.errors import DimensionMismatch
-from ternstab.maps import _canonical_null_basis
+from ternstab.maps import _bracket, _bracket_entries, _canonical_null_basis
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def unit_vec(dim, index, dtype=np.float64):
@@ -264,6 +269,60 @@ def column_by_column_solver(mod, sigma, tau, xi, signs=ts.LIE_SIGNS, rank_tol=1e
     return basis
 
 
+def bracket_table(mod, sigma, tau, xi) -> np.ndarray:
+    """``G[u, b, c, w]``: coordinate ``w`` of the twisted bracket ``[e_u b c]``
+    at basis vectors, dense, from the module products' contraction kernel."""
+    ex = np.eye(mod.dim, dtype=mod.dtype)[:, None, None, :]
+    return _bracket(mod, ex, tau.matrix.T[None, :, None, :], xi.matrix.T[None, None, :, :],
+                    sigma.matrix.T[None, None, :, :])
+
+
+def _jacobian_block(structure, table, i: int, signs) -> np.ndarray:
+    """Rows ``(i, j, k, w)`` of the derivation system for one first index ``i``,
+    dense: ``J[(i,j,k,w),(u,v)] = delta_wu T[i,j,k,v] - s1 delta_iv G[u,j,k,w]
+    - s2 delta_jv G[u,i,k,w] - s3 delta_kv G[u,j,i,w]``."""
+    dx, da = table.shape[0], structure.shape[0]
+    block = np.zeros((da, da, dx, dx, da), dtype=table.dtype)  # [j, k, w, u, v]
+    w, a = np.arange(dx), np.arange(da)
+    block[:, :, w, w, :] = structure[i][:, :, None, :]
+    block[:, :, :, :, i] -= signs.s1 * table.transpose(1, 2, 3, 0)
+    block[a, :, :, :, a] -= signs.s2 * table[:, i].transpose(1, 2, 0)
+    block[:, a, :, :, a] -= signs.s3 * table[:, :, i].transpose(1, 2, 0)[None]
+    return block.reshape(da * da * dx, dx * da)
+
+
+def tsqr_solver(mod, sigma, tau, xi, signs=ts.LIE_SIGNS, rank_tol=1e-10):
+    """The solver before the sparse assembly, kept as the second reference:
+    one dense Jacobian block per first index ``i``, its single-entry rows
+    folded into one root-sum-of-squares row per column, the others stacked
+    under a running triangular factor and reduced by an R-only QR (a
+    tall-skinny QR), then an SVD of the final ``R``.  Returns the canonical
+    null basis as flat rows and the system's nonzero row count."""
+    da, dx = mod.algebra.dim, mod.dim
+    table = bracket_table(mod, sigma, tau, xi)
+    columns = dx * da
+    r_factor = np.zeros((0, columns), dtype=mod.dtype)
+    pending = []
+    single_sq = np.zeros(columns)
+    nonzero_rows = 0
+    for i in range(da):
+        block = _jacobian_block(mod.algebra.structure, table, i, signs)
+        entries = np.count_nonzero(block, axis=1)
+        nonzero_rows += int(np.count_nonzero(entries))
+        single_sq += np.sum(np.abs(block[entries == 1]) ** 2, axis=0)
+        pending.append(block[entries > 1])
+        if sum(map(len, pending)) >= columns:
+            r_factor = np.linalg.qr(np.vstack([r_factor, *pending]), mode="r")
+            pending = []
+    folded = np.diag(np.sqrt(single_sq))[single_sq > 0]
+    r_factor = np.linalg.qr(np.vstack([r_factor, *pending, folded]), mode="r")
+    _, svals, vh = np.linalg.svd(r_factor)
+    sigma_max = float(svals[0]) if svals.size else 0.0
+    rank = int(np.count_nonzero(svals > rank_tol * sigma_max))
+    null = vh[rank:].conj()
+    return (_canonical_null_basis(null) if len(null) else null), nonzero_rows
+
+
 def subspace_distance(one, two) -> float:
     """Spectral norm of the difference of the orthogonal projectors onto the
     spans of two orthonormal bases of linear maps."""
@@ -274,12 +333,22 @@ def subspace_distance(one, two) -> float:
     return float(np.linalg.norm(projector(one) - projector(two), 2))
 
 
-def assert_same_space(mod, sigma, tau, xi, signs=ts.LIE_SIGNS, rank_tol=1e-10):
+def assert_same_space(mod, sigma, tau, xi, signs=ts.LIE_SIGNS, rank_tol=1e-10, columns=True):
+    """The solver's space against the TSQR reference and, unless ``columns``
+    is False, the column-by-column one: the same dimension, spans at most
+    1e-10 apart."""
     new = ts.solve_exact_derivations(mod, sigma, tau, xi, signs, rank_tol)
-    old = column_by_column_solver(mod, sigma, tau, xi, signs, rank_tol)
-    assert len(new) == len(old) == new.margin["null_dim"]
-    if old:
-        assert subspace_distance(new, old) <= 1e-10
+    null, nonzero_rows = tsqr_solver(mod, sigma, tau, xi, signs, rank_tol)
+    assert len(new) == len(null) == new.margin["null_dim"]
+    assert new.margin["nonzero_rows"] == nonzero_rows
+    shape = (mod.dim, mod.algebra.dim)
+    if len(null):
+        assert subspace_distance(new, [ts.LinearMap(row.reshape(shape)) for row in null]) <= 1e-10
+    if columns:
+        old = column_by_column_solver(mod, sigma, tau, xi, signs, rank_tol)
+        assert len(new) == len(old)
+        if old:
+            assert subspace_distance(new, old) <= 1e-10
     return new
 
 
@@ -291,8 +360,9 @@ def random_twist(rng, dim, field_tag, kind):
 
 
 class TestSolverAgainstColumnReference:
-    """The closed-form TSQR solver finds the null space of the column-by-column
-    system: the same dimension, and spans at most 1e-10 apart."""
+    """The sparse component solver finds the null space of the dense TSQR
+    system and of the column-by-column one: the same dimension, and spans
+    at most 1e-10 apart."""
 
     @pytest.mark.parametrize("name", ["oddpoly3_p05", "trivial2x2_p05", "oddpoly3_jordan"])
     def test_bundled_configs(self, name):
@@ -325,6 +395,56 @@ class TestSolverAgainstColumnReference:
         mod = ts.TernaryModule(alg, 2, *products)
         twists = [random_twist(rng, 3, field_tag, "dense") for _ in range(3)]
         assert_same_space(mod, *twists, ts.MIXED_SIGNS)
+
+    @pytest.mark.parametrize("field_tag", ["real", "complex"])
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "dense"])
+    def test_bracket_entries_match_the_dense_table(self, field_tag, kind):
+        alg = ts.trivial_matrix_algebra(2, field_tag)
+        mod = ts.TernaryModule(alg, 4, alg.structure, alg.structure, 2 * alg.structure)
+        rng = np.random.default_rng([len(kind), len(field_tag)])
+        twists = ([ts.LinearMap.identity(4, alg.dtype)] * 3 if kind == "identity"
+                  else [random_twist(rng, 4, field_tag, kind) for _ in range(3)])
+        want = bracket_table(mod, *twists)
+        *where, g = _bracket_entries(mod, *twists)
+        got = np.zeros_like(want)
+        got[tuple(where)] = g
+        assert np.count_nonzero(got) == len(g)
+        if kind == "identity":  # integer sums, exact in any order
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("builder, size", [("matrix", 4), ("odd", 41)])
+    def test_larger_ladder_cases(self, builder, size):
+        # too large for the column-by-column system; the TSQR blocks still fit
+        alg = (ts.odd_polynomial_algebra(size) if builder == "odd"
+               else ts.trivial_matrix_algebra(size))
+        ident = ts.LinearMap.identity(alg.dim)
+        assert_same_space(ts.self_module(alg), ident, ident, ident, columns=False)
+
+    def test_d36_solve_stays_small(self):
+        # trivial-matrix m = 6: one dense Jacobian block would hold d**5
+        # entries, 484 MB; the sparse assembly stays far below that
+        alg = ts.trivial_matrix_algebra(6)
+        mod, ident = ts.self_module(alg), ts.LinearMap.identity(36)
+        tracemalloc.start()
+        try:
+            basis = ts.solve_exact_derivations(mod, ident, ident, ident)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis == [] and basis.margin["null_dim"] == 0
+        assert (basis.margin["rows"], basis.margin["nonzero_rows"]) == (36**4, 275076)
+        assert peak < 150e6, peak
+
+    def test_solver_imports_numpy_only(self):
+        code = ("import sys, ternstab as ts\n"
+                "i = ts.LinearMap.identity(9)\n"
+                "ts.solve_exact_derivations(ts.self_module(ts.trivial_matrix_algebra(3)), i, i, i)\n"
+                "assert 'scipy' not in sys.modules, sorted(sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_rank_deficient_oddpoly3(self, oddpoly3_module, identity2):
         # 2 nonzero rows for 4 columns: the rank deficit is null

@@ -610,6 +610,16 @@ class TestAPrioriStop:
                         assert stop == _a_priori_stop(power, x, tol, ITERATION_CAP)[0]
                         assert len(bounds) == ITERATION_CAP + 1 and bounds[stop] <= tol
 
+    def test_custom_tail_goes_on_past_its_last_summed_term(self):
+        # the custom series ends on a term below 1e-30; the tail past it is
+        # not 0, so a tol at or below that scale does not stop early
+        x = np.array([1.0, 0.0])
+        ident = ts.EvaluableMap(2, 2, lambda v: v)
+        power, custom = ts.power_control(0.1, 0.5), _custom(0.1, 0.5)
+        for tol, stop in ((1e-30, 197), (1e-40, 263)):
+            assert ts.hyers_limit(ident, power, x, tol)[1] == stop
+            assert ts.hyers_limit(ident, custom, x, tol)[1] >= stop
+
     def test_tail_bound_sequence_equals_scalar_calls(self):
         x = np.array([0.3, -2.0])
         qs = range(0, 40, 3)
