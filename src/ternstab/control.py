@@ -64,7 +64,7 @@ class ControlFunction:
         ``|arg|**p`` per row in argument order as Python floats."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        stacked = max([a.ndim if type(a) is np.ndarray else np.ndim(a) for a in args]) > 1
+        stacked = any(np.ndim(a) > 1 for a in args)
         if self.kind == "custom":
             rows = zip(*np.broadcast_arrays(*args)) if stacked else [args]
             values = [float(self.fn(*row)) for row in rows]
@@ -100,13 +100,13 @@ def custom_control(fn, arity: int = 5, norm=None) -> ControlFunction:
 
 def _series(control: ControlFunction, args, tail_tol: float, max_terms: int):
     """The terms ``2**-(n+1) phi(2**n args)`` for n = 0.., with divergence
-    detection, and an estimate of the rest.
+    detection, and the common ratio of the trailing terms.
 
-    Terms are summed until one is at most ``tail_tol``, and the rest is then
-    0.0, or for ``max_terms`` terms.  Divergence (a full window of
-    non-decreasing terms above ``tail_tol``, or a term that is not finite)
-    raises.  Past ``max_terms`` the rest is a geometric tail estimate when
-    the trailing term ratios agree, else 0.0: an estimate, not a bound.
+    Terms are taken until one is at most ``tail_tol``, or for ``max_terms``
+    terms.  Divergence (a full window of non-decreasing terms above
+    ``tail_tol``, or a term that is not finite) raises.  The ratio is the
+    mean of the last ``_RATIO_WINDOW`` term ratios when they agree and lie
+    in (0, 1), else None; ``_rest`` completes the series with it.
     """
     # terms are taken in order; double each distinct argument in place, once
     copies: dict = {}
@@ -126,19 +126,12 @@ def _series(control: ControlFunction, args, tail_tol: float, max_terms: int):
         rising = rising + 1 if terms and t >= terms[-1] else 0
         terms.append(t)
         if t <= tail_tol:
-            return terms, 0.0
+            break
         if rising == _DIVERGENCE_WINDOW - 1:
             raise DivergentControlError(
                 f"series terms non-decreasing over {_DIVERGENCE_WINDOW} steps "
                 f"(last term {t:.3e}); control function does not decay"
             )
-    rate = _geometric_rate(terms)
-    return terms, 0.0 if rate is None else terms[-1] * rate / (1.0 - rate)
-
-
-def _geometric_rate(terms: list):
-    """The common ratio of the last ``_RATIO_WINDOW`` term ratios when they
-    agree and lie in (0, 1), else None."""
     if len(terms) > _RATIO_WINDOW:
         ratios = [
             terms[i + 1] / terms[i]
@@ -149,8 +142,14 @@ def _geometric_rate(terms: list):
             mean = sum(ratios) / len(ratios)
             spread = max(ratios) - min(ratios)
             if 0.0 < mean < 1.0 and spread <= 1e-6 * mean:
-                return mean
-    return None
+                return terms, mean
+    return terms, None
+
+
+def _rest(terms: list, rate) -> float:
+    """The series past its last term, continued at the common ratio
+    ``rate``: a geometric estimate, not a bound; 0.0 without a ratio."""
+    return terms[-1] * rate / (1.0 - rate) if rate else 0.0
 
 
 def summed_majorant(
@@ -182,11 +181,13 @@ def summed_majorant(
         return np.array([summed_majorant(control, row, tail_tol, max_terms, method)
                          for row in zip(*np.broadcast_arrays(*args))])
 
-    terms, rest = _series(control, args, tail_tol, max_terms)
+    terms, rate = _series(control, args, tail_tol, max_terms)
     total = 0.0
     for t in terms:
         total += t
-    return total if method == "partial" else total + rest
+    if terms and terms[-1] <= tail_tol:  # nothing is added past tail_tol
+        rate = None
+    return total if method == "partial" else total + _rest(terms, rate)
 
 
 def cauchy_tail_bound(
@@ -231,11 +232,11 @@ def cauchy_tail_bound(
         # 2**k max |x_i| < 2**1000 while k <= 1000 - e, where max |x_i| < 2**e
         _, e = math.frexp(float(np.max(np.abs([x.real, x.imag]), initial=0.0)))
         zeros = (np.zeros_like(x),) * (control.arity - 2)
-        found, _ = _series(control, (x, x, *zeros), tail_tol, min(terms, 1001 - e))
+        found, rate = _series(control, (x, x, *zeros), tail_tol, min(terms, 1001 - e))
         # a term below tail_tol ends the sum, not the series: its rest is
         # completed at the trailing ratio, as past the last of ``terms``
-        rate = _geometric_rate(found) or 0.0
-        rest = found[-1] * rate / (1.0 - rate) if rate else 0.0
+        rest = _rest(found, rate)
         suffix = list(accumulate(reversed(found), initial=rest))[::-1]
-        bounds = [suffix[k] if k <= len(found) else rest * rate ** (k - len(found)) for k in qs]
+        bounds = [suffix[k] if k <= len(found) else rest * (rate or 0.0) ** (k - len(found))
+                  for k in qs]
     return bounds if many else bounds[0]

@@ -210,6 +210,10 @@ def residual_on_basis(
 #: entries of one dense row chunk of a component before an R-only QR step
 _CHUNK_ENTRIES = 1 << 16
 
+#: terms of the Jacobian assembled at once: the rows of consecutive first
+#: indices are taken together up to this many, one index at least
+_BLOCK_TERMS = 1 << 17
+
 #: a column of the null rows becomes a pivot of the canonical basis when its
 #: part outside the span of the pivots already taken is longer than this
 _PIVOT_TOL = 1e-8
@@ -236,50 +240,39 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def _twist_rows(matrix: np.ndarray, keys: np.ndarray):
-    """One copy of item ``n`` per nonzero ``matrix[keys[n], j]``: the copies'
-    item indices, their ``j`` and the entries."""
-    rows, cols = np.nonzero(matrix)
-    ends = np.cumsum(np.bincount(rows, minlength=len(matrix)))
-    last = ends[keys]
-    per_item = last - np.append(0, ends)[keys]
-    total = np.cumsum(per_item)
-    item = np.repeat(np.arange(len(keys)), per_item)
-    at = np.arange(len(item)) + np.repeat(last - total, per_item)
-    return item, cols[at], matrix[rows[at], cols[at]]
-
-
 def _bracket_entries(mod: TernaryModule, sigma, tau, xi):
     """The nonzeros ``(u, b, c, w, g)`` of ``G[u, b, c, w]``, coordinate ``w``
-    of the twisted bracket ``[e_u b c]`` at basis vectors, ``sum tau[q,b]
-    xi[r,c] Pxab[u,q,r,w] - sum sigma[p,c] tau[q,b] Pabx[p,q,u,w]``.
-
-    Each nonzero of a module product is copied once per nonzero of the two
-    twist rows it meets; copies that land on one entry are summed in a
-    fixed order.
-    """
-    da, dx = mod.algebra.dim, mod.dim
-    u1, q1, r, w1, t1 = mod._plans["Pxab"].nonzeros
-    p, q2, u2, w2, t2 = mod._plans["Pabx"].nonzeros
-    # both products meet tau over q; Pxab meets xi over r, Pabx sigma over p
-    u, q, w = np.concatenate([u1, u2]), np.concatenate([q1, q2]), np.concatenate([w1, w2])
-    one, b, tb = _twist_rows(tau.matrix, q)
-    two, c, tc = _twist_rows(np.vstack([xi.matrix, sigma.matrix]),
-                             np.concatenate([r, p + da])[one])
-    one = one[two]
-    keys = ((u[one] * da + b[two]) * da + c) * dx + w[one]
-    values = np.concatenate([t1, -t2])[one] * tb[two] * tc
-    order = keys.argsort(kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(_run_starts(keys))
-    g = np.add.reduceat(values[order], starts)
-    live = g != 0
-    return (*np.unravel_index(keys[starts[live]], (dx, da, da, dx)), g[live])
+    of the twisted bracket ``[e_u b c]`` at basis vectors."""
+    ex = np.eye(mod.dim, dtype=mod.dtype)[:, None, None, :]
+    table = _bracket(mod, ex, tau.matrix.T[None, :, None, :], xi.matrix.T[None, None, :, :],
+                     sigma.matrix.T[None, None, :, :])
+    where = np.nonzero(table)
+    return (*where, table[where])
 
 
-def _jacobian_entries(mod: TernaryModule, bracket, signs: SignConvention):
-    """The nonzeros of the derivation system, as flat keys ``row * columns +
-    col`` in increasing order and their values.
+def _row_blocks(mod: TernaryModule, bracket) -> list:
+    """Ranges ``(lo, hi)`` of first indices ``i`` whose rows ``(i, j, k, w)``
+    hold at most ``_BLOCK_TERMS`` terms of ``_jacobian_entries`` together,
+    or one index."""
+    da, first = mod.algebra.dim, mod.algebra._plan.nonzeros[0]
+    _, b, c, _, g = bracket
+    if mod.dim * len(first) + 3 * da * len(g) <= _BLOCK_TERMS:  # all terms
+        return [(0, da)]
+    terms = (mod.dim * np.bincount(first, minlength=da) + len(g)
+             + da * (np.bincount(b, minlength=da) + np.bincount(c, minlength=da)))
+    blocks, lo, held = [], 0, 0
+    for i, n in enumerate(terms.tolist()):
+        if held + n > _BLOCK_TERMS and i > lo:
+            blocks.append((lo, i))
+            lo, held = i, 0
+        held += n
+    return blocks + [(lo, da)]
+
+
+def _jacobian_entries(mod: TernaryModule, bracket, signs: SignConvention, lo: int, hi: int):
+    """The nonzero rows ``(i, j, k, w)`` of the derivation system with ``lo
+    <= i < hi``, in order: the columns and values of their entries, row
+    after row and in column order, and the number of entries of each row.
 
     Row ``(i, j, k, w)``, column ``(u, v)`` (the entry ``D[u, v]``) holds
     ``delta_wu T[i,j,k,v] - s1 delta_iv G[u,j,k,w] - s2 delta_jv G[u,i,k,w]
@@ -290,18 +283,24 @@ def _jacobian_entries(mod: TernaryModule, bracket, signs: SignConvention):
     """
     da, dx = mod.algebra.dim, mod.dim
     columns = dx * da
-    i, j, k, v, t = mod.algebra._plan.nonzeros
+    nonzeros = mod.algebra._plan.nonzeros  # in C order, so sorted by i
+    start, stop = np.searchsorted(nonzeros[0], (lo, hi))
+    i, j, k, v, t = (x[start:stop] for x in nonzeros)
     w = np.arange(dx)
     keys = [((((i * da + j) * da + k) * dx)[:, None] + w) * columns + (w * da + v[:, None])]
+    terms = [np.repeat(t, dx)]
     u, b, c, w, g = bracket
     a = np.arange(da)[:, None]  # the index that delta ties to the column
-    col = u * da + a
-    for row in ((a * da + b) * da + c, (b * da + a) * da + c, (c * da + b) * da + a):
-        keys.append((row * dx + w) * columns + col)
-    g = np.repeat(g[None], da, axis=0).ravel()
-    terms = (np.repeat(t, dx), -signs.s1 * g, -signs.s2 * g, -signs.s3 * g)
-    flat = np.concatenate([key.ravel() for key in keys])
-    values = np.concatenate(terms)
+    # the rows of the s2 and s3 terms start with the entry's b, or c
+    two, three = ((lo <= x) & (x < hi) if hi - lo < da else slice(None) for x in (b, c))
+    mine = a[lo:hi]
+    for sign, row, at, tied in ((signs.s1, (mine * da + b) * da + c, slice(None), mine),
+                                (signs.s2, (b[two] * da + a) * da + c[two], two, a),
+                                (signs.s3, (c[three] * da + b[three]) * da + a, three, a)):
+        keys.append((row * dx + w[at]) * columns + u[at] * da + tied)
+        terms.append(np.repeat(-sign * g[at][None], len(tied), axis=0))
+    flat, values = (np.concatenate([x.ravel() for x in part]) for part in (keys, terms))
+    del keys, terms  # a block's peak holds the sorted copies, not these too
     order = flat.argsort(kind="stable")  # equal keys stay in term order
     flat, values = flat[order], values[order]
     first = _run_starts(flat)
@@ -309,26 +308,29 @@ def _jacobian_entries(mod: TernaryModule, bracket, signs: SignConvention):
     slot = np.cumsum(first)[repeats] - 1
     rank = repeats - np.flatnonzero(first)[slot]
     flat, summed = flat[first], values[first]
-    for r in range(1, len(terms)):  # no key repeats within a term
+    for r in (1, 2, 3):  # the s1, s2 and s3 terms; no key repeats within a term
         later = rank == r
         summed[slot[later]] += values[repeats[later]]
     live = summed != 0
-    return flat[live], summed[live]
+    rows, cols = np.divmod(flat[live], columns)
+    return cols, summed[live], np.diff(np.flatnonzero(_run_starts(rows)), append=len(rows))
 
 
-def _column_components(cols: np.ndarray, counts: np.ndarray, columns: int) -> np.ndarray:
-    """One label per column, shared by the columns that rows connect.
+def _column_components(cols: np.ndarray, counts: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``labels`` with the components that rows connect merged.
 
-    ``cols`` holds the columns of one or more rows, row after row,
-    ``counts`` of them per row.  Each round gives every column the least label among its
-    rows, then follows labels to their fixed point; a label is always a
-    column of the same component, at most the column itself.
+    A label is the least column of its component.  ``cols`` holds the
+    columns of the rows, row after row, ``counts`` of them per row.  Each
+    round points the label of every column in a row at the least label
+    among the row's columns, then follows labels to their fixed point.
     """
-    labels = np.arange(columns)
+    if not len(counts):
+        return labels
     starts = np.cumsum(counts) - counts
     while True:
+        roots = labels[cols]
         new = labels.copy()
-        np.minimum.at(new, cols, np.repeat(np.minimum.reduceat(labels[cols], starts), counts))
+        np.minimum.at(new, roots, np.repeat(np.minimum.reduceat(roots, starts), counts))
         while not np.array_equal(hop := new[new], new):
             new = hop
         if np.array_equal(new, labels):
@@ -376,82 +378,85 @@ def _canonical_null_basis(rows: np.ndarray) -> np.ndarray:
     return ortho * (np.abs(at_pivot) / at_pivot)[:, None]
 
 
-def _component_factors(entries, count: int, height: int, width: int, dtype) -> np.ndarray:
-    """``count`` matrices of at most ``width`` rows and ``width`` columns, each
-    with the Gram matrix of one of ``count`` components of ``height`` rows.
+def _stack_rows(factor: np.ndarray, entries, height: int) -> np.ndarray:
+    """The running triangular factors ``factor`` ``(K, top, n)`` of ``K``
+    components with ``height`` more rows of each stacked under them.
 
     ``entries`` are ``(row, component, col, value)``, sorted by row.  The rows
     are stacked in chunks of about ``_CHUNK_ENTRIES`` entries, and of at
-    least ``4 * width`` rows so that each QR step is mostly new rows, under
-    the running triangular factors, which an R-only QR replaces whenever
-    they have more than ``width`` rows.
+    least ``4 * n`` rows so that each QR step is mostly new rows; an R-only
+    QR replaces the stack whenever it has more than ``n`` rows.
     """
     rows, comps, cols, values = entries
+    count, _, width = factor.shape
     step = max(4 * width, _CHUNK_ENTRIES // (count * width))
-    factor = np.zeros((count, 0, width), dtype)
     for first in range(0, height, step):
         lo, hi = np.searchsorted(rows, [first, first + step])
         top = factor.shape[1]
-        block = np.zeros((count, top + min(step, height - first), width), dtype)
+        block = np.zeros((count, top + min(step, height - first), width), factor.dtype)
         block[:, :top] = factor
         block[comps[lo:hi], top + rows[lo:hi] - first, cols[lo:hi]] = values[lo:hi]
         factor = np.linalg.qr(block, mode="r") if block.shape[1] > width else block
     return factor
 
 
-def _component_spectra(cols, values, counts, folded, dtype) -> list:
-    """The SVDs of the column components, one triple per component shape:
-    the columns ``(K, n)`` of its ``K`` components, their singular values
-    ``(K, n)``, padded with zeros for the rank deficit of a component with
-    fewer rows than columns, and their right singular vectors ``(K, n, n)``.
+class _Components:
+    """The column components of the rows with two or more entries, with one
+    running triangular factor per component, those of one width stacked.
 
-    ``cols`` and ``values`` hold the entries of the rows with two or more,
-    row after row, ``counts`` of them per row.  A connected column's folded
-    root ``folded`` joins its component as one more row.
+    ``labels`` come from ``_column_components``; ``joined`` marks the
+    columns in such rows.  Every other column is a component of its own.
     """
-    columns = len(folded)
-    if not len(counts):
-        return []
-    labels = _column_components(cols, counts, columns)
-    joined = np.zeros(columns, bool)
-    joined[cols] = True
-    members = np.flatnonzero(joined)
-    # a label is a root of its component, labelled by itself
-    comp = (np.cumsum(joined & (labels == np.arange(columns))) - 1)[labels]
-    width = np.bincount(comp[members])
-    local = np.zeros(columns, np.intp)
-    local[members] = _ranks(comp[members], width)
-    extra = np.flatnonzero(joined & (folded > 0))
-    cols = np.concatenate([cols, extra])
-    values = np.concatenate([values, folded[extra]])
-    counts = np.concatenate([counts, np.ones(len(extra), np.intp)])
-    row_comp = comp[cols[np.cumsum(counts) - counts]]
-    height = np.bincount(row_comp, minlength=len(width))
-    rows = np.repeat(_ranks(row_comp, height), counts)
 
-    # components of one shape are factored together
-    shapes: dict = {}
-    for c, key in enumerate(zip(height.tolist(), width.tolist())):
-        shapes.setdefault(key, []).append(c)
-    group, place = np.empty((2, len(width)), np.intp)
-    for g, found in enumerate(shapes.values()):
-        group[found], place[found] = g, np.arange(len(found))
-    entry_group = group[comp[cols]]
-    # each component's entries are in row order already
-    order = np.argsort(entry_group * (int(height.max()) + 1) + rows, kind="stable")
-    bounds = np.searchsorted(entry_group[order], np.arange(len(shapes) + 1))
-    by_comp = members[np.argsort(comp[members], kind="stable")]
-    starts = np.cumsum(width) - width
-    spectra = []
-    for (h, n), found, lo, hi in zip(shapes, shapes.values(), bounds[:-1], bounds[1:]):
-        at = order[lo:hi]
-        entries = (rows[at], place[comp[cols[at]]], local[cols[at]], values[at])
-        factor = _component_factors(entries, len(found), h, n, dtype)
-        _, found_svals, vh = np.linalg.svd(factor)
-        svals = np.zeros((len(found), n))
-        svals[:, :found_svals.shape[1]] = found_svals
-        spectra.append((by_comp[starts[found][:, None] + np.arange(n)], svals, vh))
-    return spectra
+    def __init__(self, labels: np.ndarray, joined: np.ndarray, dtype):
+        columns = len(labels)
+        self.members = np.flatnonzero(joined)
+        # a label is a root of its component, labelled by itself
+        self.comp = (np.cumsum(joined & (labels == np.arange(columns))) - 1)[labels]
+        self.width = np.bincount(self.comp[self.members])
+        self.local = np.zeros(columns, np.intp)
+        self.local[self.members] = _ranks(self.comp[self.members], self.width)
+        widths = np.flatnonzero(np.bincount(self.width))  # np.unique would import numpy.ma
+        self.group = np.searchsorted(widths, self.width)
+        sizes = np.bincount(self.group, minlength=len(widths))
+        self.place = _ranks(self.group, sizes)
+        self.factors = [np.zeros((k, 0, n), dtype) for k, n in zip(sizes, widths)]
+
+    def stack(self, *parts):
+        """Stacks rows of joined columns under the factors of their
+        components; each part is ``(cols, values, counts)``, the entries of
+        its rows, row after row, ``counts`` of them per row."""
+        cols, values, counts = (np.concatenate(part) for part in zip(*parts))
+        if not len(counts):
+            return
+        row_comp = self.comp[cols[np.cumsum(counts) - counts]]
+        ranks = _ranks(row_comp, np.bincount(row_comp, minlength=len(self.width)))
+        comp, rows = np.repeat(row_comp, counts), np.repeat(ranks, counts)
+        group = self.group[comp]
+        order = np.argsort(group * (int(ranks.max()) + 1) + rows, kind="stable")
+        bounds = np.searchsorted(group[order], np.arange(len(self.factors) + 1))
+        for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if lo < hi:
+                at = order[lo:hi]
+                entries = (rows[at], self.place[comp[at]], self.local[cols[at]], values[at])
+                self.factors[g] = _stack_rows(self.factors[g], entries, int(rows[at[-1]]) + 1)
+
+    def spectra(self) -> list:
+        """One triple per width ``n``: the columns ``(K, n)`` of its ``K``
+        components, their singular values ``(K, n)``, padded with zeros for
+        the rank deficit of a component with fewer rows than columns, and
+        their right singular vectors ``(K, n, n)``."""
+        by_comp = self.members[np.argsort(self.comp[self.members], kind="stable")]
+        starts = np.cumsum(self.width) - self.width
+        found = []
+        for g, factor in enumerate(self.factors):
+            count, _, n = factor.shape
+            _, svals, vh = np.linalg.svd(factor)
+            padded = np.zeros((count, n))
+            padded[:, :svals.shape[1]] = svals
+            comps = np.flatnonzero(self.group == g)
+            found.append((by_comp[starts[comps][:, None] + np.arange(n)], padded, vh))
+        return found
 
 
 def solve_exact_derivations(
@@ -467,18 +472,20 @@ def solve_exact_derivations(
     The derivation defect over all basis triples is linear in the entries
     of ``D``.  Its Jacobian's nonzeros are assembled in coordinate form from
     the nonzeros of the structure tensor and of the twisted bracket at basis
-    vectors (``_jacobian_entries``); no dense block of it is built.  Rows
-    with a single nonzero entry fold into one row per column, the root sum
-    of their squares.  The other rows connect columns into components
-    (``_column_components``).  Each component's small dense matrix, with
-    the folded rows of its columns, is reduced by an R-only QR in bounded
-    row chunks and then by an SVD, components of one shape together.  A
-    column with folded rows only has its root as singular value, and a
-    column in no row has 0.  The singular values of the whole system are
-    the union of these, so the rank is decided globally: directions with
-    singular value at most ``rank_tol`` times the largest count as null,
-    and so does the rank deficit of a component with fewer rows than
-    columns.
+    vectors (``_jacobian_entries``), a block of rows at a time
+    (``_row_blocks``); no dense block of it is built.  Rows with a single
+    nonzero entry fold into one row per column, the root sum of their
+    squares.  The other rows connect columns into components
+    (``_column_components``).  A second pass over the blocks, assembled
+    again unless there is only one, stacks each component's rows, after the
+    folded rows of its columns, under its own dense triangular factor,
+    reduced by R-only QRs in bounded row chunks, and ends with an SVD,
+    components of one width together (``_Components``).  A column with
+    folded rows only has its root as singular value, and a column in no row
+    has 0.  The singular values of the whole system are the union of these,
+    so the rank is decided globally: directions with singular value at most
+    ``rank_tol`` times the largest count as null, and so does the rank
+    deficit of a component with fewer rows than columns.
 
     The null rows then go through ``_canonical_null_basis`` (reduced
     echelon form with pivots taken from the last entry down, orthonormalised
@@ -492,21 +499,39 @@ def solve_exact_derivations(
     da, dx = mod.algebra.dim, mod.dim
     dtype = mod.dtype
     columns = dx * da
-    flat, values = _jacobian_entries(mod, _bracket_entries(mod, sigma, tau, xi), signs)
-    rows, cols = np.divmod(flat, columns)
-    counts = np.diff(np.flatnonzero(_run_starts(rows)), append=len(rows))
+    bracket = _bracket_entries(mod, sigma, tau, xi)
+    ranges = _row_blocks(mod, bracket)
     # rows with a single nonzero entry fold into one row per column, the
     # root sum of their squares: an exact orthogonal reduction, as any QR
     # step is, and most rows of a sparse structure tensor are such
-    single = np.repeat(counts == 1, counts)
-    folded = np.sqrt(np.bincount(cols[single], np.abs(values[single]) ** 2, minlength=columns))
-    spectra = _component_spectra(cols[~single], values[~single], counts[counts > 1], folded, dtype)
+    squares = np.zeros(columns)
+    labels, joined = np.arange(columns), np.zeros(columns, bool)
+    nonzero_rows = 0
+    kept = []  # a single block is kept for the second pass, more are assembled again
+    for lo, hi in ranges:
+        cols, values, counts = entries = _jacobian_entries(mod, bracket, signs, lo, hi)
+        if len(ranges) == 1:
+            kept.append(entries)
+        nonzero_rows += len(counts)
+        single = np.repeat(counts == 1, counts)
+        squares += np.bincount(cols[single], np.abs(values[single]) ** 2, minlength=columns)
+        labels = _column_components(cols[~single], counts[counts > 1], labels)
+        joined[cols[~single]] = True
+    folded = np.sqrt(squares)
+    spectra = []
+    if joined.any():
+        components = _Components(labels, joined, dtype)
+        extra = np.flatnonzero(joined & (folded > 0))
+        first = [(extra, folded[extra], np.ones(len(extra), np.intp))]  # the folded rows
+        again = (_jacobian_entries(mod, bracket, signs, lo, hi) for lo, hi in ranges)
+        for cols, values, counts in kept or again:
+            multi = np.repeat(counts > 1, counts)
+            components.stack(*first, (cols[multi], values[multi], counts[counts > 1]))
+            first = []
+        spectra = components.spectra()
     # every other column is a component of its own, with its folded root,
     # or 0, as singular value
-    alone = np.ones(columns, bool)
-    for spots, _, _ in spectra:
-        alone[spots] = False
-    alone = np.flatnonzero(alone)
+    alone = np.flatnonzero(~joined)
     spectra.append((alone[:, None], folded[alone, None], np.ones((len(alone), 1, 1), dtype)))
     svals = np.sort(np.concatenate([sv.ravel() for _, sv, _ in spectra]))[::-1]
     sigma_max = float(svals[0])
@@ -535,7 +560,7 @@ def solve_exact_derivations(
     sigma_kept = float(svals[rank - 1]) if rank else None
     basis.margin = {
         "rows": da**3 * dx,
-        "nonzero_rows": len(counts),
+        "nonzero_rows": nonzero_rows,
         "columns": columns,
         "null_dim": columns - rank,
         "sigma_max": sigma_max,

@@ -10,7 +10,8 @@ import pytest
 
 import ternstab as ts
 from ternstab.errors import DimensionMismatch
-from ternstab.maps import _bracket, _bracket_entries, _canonical_null_basis
+from ternstab import maps
+from ternstab.maps import _bracket, _canonical_null_basis
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -396,22 +397,26 @@ class TestSolverAgainstColumnReference:
         twists = [random_twist(rng, 3, field_tag, "dense") for _ in range(3)]
         assert_same_space(mod, *twists, ts.MIXED_SIGNS)
 
+    @pytest.mark.parametrize("builder, size, kind", [("matrix", 2, "dense"), ("matrix", 3, "diagonal"),
+                                                     ("odd", 9, "dense"), ("odd", 15, "identity")])
     @pytest.mark.parametrize("field_tag", ["real", "complex"])
-    @pytest.mark.parametrize("kind", ["identity", "diagonal", "dense"])
-    def test_bracket_entries_match_the_dense_table(self, field_tag, kind):
-        alg = ts.trivial_matrix_algebra(2, field_tag)
-        mod = ts.TernaryModule(alg, 4, alg.structure, alg.structure, 2 * alg.structure)
-        rng = np.random.default_rng([len(kind), len(field_tag)])
-        twists = ([ts.LinearMap.identity(4, alg.dtype)] * 3 if kind == "identity"
-                  else [random_twist(rng, 4, field_tag, kind) for _ in range(3)])
-        want = bracket_table(mod, *twists)
-        *where, g = _bracket_entries(mod, *twists)
-        got = np.zeros_like(want)
-        got[tuple(where)] = g
-        assert np.count_nonzero(got) == len(g)
-        if kind == "identity":  # integer sums, exact in any order
-            np.testing.assert_array_equal(got, want)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    def test_one_index_per_block(self, monkeypatch, builder, size, kind, field_tag):
+        # every first index its own block: the second pass assembles the
+        # blocks again instead of keeping the only one
+        alg = (ts.odd_polynomial_algebra(size, field_tag) if builder == "odd"
+               else ts.trivial_matrix_algebra(size, field_tag))
+        rng = np.random.default_rng([size, len(kind), len(field_tag)])
+        twists = ([ts.LinearMap.identity(alg.dim, alg.dtype)] * 3 if kind == "identity"
+                  else [random_twist(rng, alg.dim, field_tag, kind) for _ in range(3)])
+        mod = ts.self_module(alg)
+        whole = ts.solve_exact_derivations(mod, *twists, ts.MIXED_SIGNS)
+        monkeypatch.setattr(maps, "_BLOCK_TERMS", 1)
+        assert len(maps._row_blocks(mod, maps._bracket_entries(mod, *twists))) == alg.dim
+        split = assert_same_space(mod, *twists, ts.MIXED_SIGNS, columns=False)
+        assert split.margin["nonzero_rows"] == whole.margin["nonzero_rows"]
+        assert len(split) == len(whole)
+        if whole:
+            assert subspace_distance(split, whole) <= 1e-12
 
     @pytest.mark.parametrize("builder, size", [("matrix", 4), ("odd", 41)])
     def test_larger_ladder_cases(self, builder, size):
@@ -435,6 +440,24 @@ class TestSolverAgainstColumnReference:
         assert basis == [] and basis.margin["null_dim"] == 0
         assert (basis.margin["rows"], basis.margin["nonzero_rows"]) == (36**4, 275076)
         assert peak < 150e6, peak
+
+    def test_dense_twists_stay_below_the_dense_reference(self):
+        # dense random twists join every column into one component; the
+        # Jacobian is assembled one block of rows at a time, so the solve
+        # holds less than the TSQR reference, whose peak is set by its
+        # dense blocks of d**5 entries and their copies (19 MB against 36)
+        alg = ts.trivial_matrix_algebra(4)
+        mod = ts.self_module(alg)
+        twists = [random_twist(np.random.default_rng(k), 16, "real", "dense") for k in range(3)]
+        peaks = []
+        for solve in (ts.solve_exact_derivations, tsqr_solver):
+            tracemalloc.start()
+            try:
+                solve(mod, *twists)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.75 * peaks[1], peaks
 
     def test_solver_imports_numpy_only(self):
         code = ("import sys, ternstab as ts\n"
