@@ -10,8 +10,10 @@ condition ``|[abc]| <= |a| |b| |c|`` can be enforced by rescaling.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -125,16 +127,17 @@ class _Plan(NamedTuple):
     ``pairs`` holds the flat indices ``k * dout + l`` of the live pairs, those
     with a nonzero ``T[i, j, k, l]``, or is None when every pair is live;
     ``stage1`` is the ``(d1, d2 * pairs)`` matrix of ``_trilinear``'s first
-    stage over them; ``rows`` marks the live rows ``T[i, j, k, :]``, which
-    ``_law_values`` multiplies, or is None when every row is live;
-    ``nonzeros`` lists the nonzero entries as index arrays ``(i, j, k, l)``
-    and values ``v``, in C order, for the derivation solver's assembly.
+    stage over them; ``counts`` is the ``(d1, d2, d3)`` number of nonzeros in
+    each row ``T[i, j, k, :]``, which the law evaluator reads; ``nonzeros``
+    lists the nonzero entries as index arrays ``(i, j, k, l)`` and values
+    ``v``, in C order, for the derivation solver's assembly and the law
+    evaluator.
     """
 
     tensor: np.ndarray
     pairs: np.ndarray | None
     stage1: np.ndarray
-    rows: np.ndarray | None
+    counts: np.ndarray
     nonzeros: tuple
 
     @classmethod
@@ -146,12 +149,13 @@ class _Plan(NamedTuple):
             pairs, stage1 = None, tensor.reshape(d1, -1)
         else:
             stage1 = tensor.reshape(d1, d2, -1)[:, :, pairs].reshape(d1, -1)
-        rows = live.any(axis=-1)
         where = np.nonzero(live)
         nonzeros = (*where, tensor[where])
-        for v in (stage1, rows, *nonzeros):
+        row = np.ravel_multi_index(where[:3], (d1, d2, d3))
+        counts = np.bincount(row, minlength=d1 * d2 * d3).reshape(d1, d2, d3)
+        for v in (stage1, counts, *nonzeros):
             v.setflags(write=False)
-        return cls(tensor, pairs, stage1, None if rows.all() else rows, nonzeros)
+        return cls(tensor, pairs, stage1, counts, nonzeros)
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,67 +365,193 @@ _ASSOC_LAW = {
 }
 
 
+def _operands(spec: str, t1, t2, where: int):
+    """Slice ``where`` of one law expression as one matrix product over q.
+
+    The lead tuple letter is fixed at ``where`` in whichever operand carries
+    it.  Returns the first operand's rows over q, the second operand's
+    ``(q, columns)`` matrix, the shape of their product over the letters of
+    its rows then its columns, and the axes that put that shape in the
+    output's letter order.  Arrays with a unit q axis slice alike.
+    """
+    ins, out = spec.split("->")
+    first, second = ins.split(",")
+    q = second.index("q")
+    right, rest = t2.transpose(q, *(a for a in range(4) if a != q)), second.replace("q", "")
+    lead = out[0]
+    if lead in first:
+        t1 = t1[(slice(None),) * first.index(lead) + (where,)]
+        first = first.replace(lead, "")
+    else:
+        right = right[(slice(None),) * (1 + rest.index(lead)) + (where,)]
+        rest = rest.replace(lead, "")
+    axes = [(first[:-1] + rest).index(s) for s in out[1:]]
+    shape = t1.shape[:-1] + right.shape[1:]
+    return t1.reshape(-1, t1.shape[-1]), right.reshape(len(right), -1), shape, axes
+
+
 def _law_values(spec: str, p1: _Plan, p2: _Plan, where) -> np.ndarray:
     """One law expression at basis tuples, by BLAS matrix products over q.
 
-    An integer ``where`` fixes the first tuple letter (a slice of whichever
-    operand carries it) and gives the slice over the other letters, then r,
-    from one product.  An index array of shape ``(letters, n)`` gives n
-    tuples, ``(n, dout)``: the second operand becomes a ``(K, q, r)`` table
-    keyed by its other letters, and one product per key takes its tuples
-    whose row of the first operand is live; the other tuples are zero.
+    An integer ``where`` fixes the first tuple letter and gives the whole
+    slice over the other letters, then r, from one product.  An index array
+    of shape ``(letters, n)`` gives n tuples, ``(n, dout)``: the second
+    operand becomes a ``(K, q, r)`` table keyed by its other letters.  A
+    tuple whose row of the first operand holds one nonzero ``v`` at ``q``
+    takes ``v`` times row ``q`` of its key's table; the tuples whose row holds
+    more take one product per key; the other tuples are zero.
     """
+    if np.ndim(where) == 0:
+        left, right, shape, axes = _operands(spec, p1.tensor, p2.tensor, where)
+        return (left @ right).reshape(shape).transpose(axes)
     t1, t2 = p1.tensor, p2.tensor
     ins, out = spec.split("->")
     first, second = ins.split(",")
-    if np.ndim(where) == 0:
-        right, rest = np.moveaxis(t2, second.index("q"), 0), second.replace("q", "")
-        lead = out[0]
-        if lead in first:
-            t1 = t1[(slice(None),) * first.index(lead) + (where,)]
-            first = first.replace(lead, "")
-        else:
-            right = right[(slice(None),) * (1 + rest.index(lead)) + (where,)]
-            rest = rest.replace(lead, "")
-        vals = t1.reshape(-1, t1.shape[-1]) @ right.reshape(len(right), -1)
-        vals = vals.reshape(t1.shape[:-1] + right.shape[1:])
-        return vals.transpose([(first[:-1] + rest).index(s) for s in out[1:]])
     idx = dict(zip(out, where))
     right = np.moveaxis(t2, second.index("q"), -2)
     table = right.reshape(-1, *right.shape[-2:])
     key = np.ravel_multi_index([idx[s] for s in second[:-1] if s != "q"], right.shape[:-2])
-    # a stable (radix, on the smallest type) sort keeps a key's tuples in draw order
-    order = np.argsort(key.astype(np.min_scalar_type(len(table) - 1)), kind="stable")
     rows = np.ravel_multi_index([idx[s] for s in first[:-1]], t1.shape[:-1])
-    if p1.rows is not None:  # only tuples whose row of the first operand is live
-        live = p1.rows.reshape(-1)[rows]
-        order, key = order[live[order]], key[live]
-    left = np.take(t1.reshape(-1, t1.shape[-1]), rows[order], axis=0)
-    stops = np.cumsum(np.bincount(key, minlength=len(table))).tolist()
-    vals = (np.empty if len(order) == len(rows) else np.zeros)(
-        (len(rows), table.shape[-1]), np.result_type(t1, t2))
-    for k, (start, stop) in enumerate(itertools.pairwise([0, *stops])):
-        if start < stop:
-            vals[order[start:stop]] = left[start:stop] @ table[k]
+    counts = p1.counts.reshape(-1)
+    count = counts[rows]
+    vals = np.zeros((len(rows), table.shape[-1]), np.result_type(t1, t2))
+    one = np.flatnonzero(count == 1)
+    if len(one):
+        # the nonzeros run in C order, so a row's one nonzero is the last up to it
+        at = np.cumsum(counts)[rows[one]] - 1
+        vals[one] = p1.nonzeros[4][at, None] * table[key[one], p1.nonzeros[3][at]]
+    many = np.flatnonzero(count > 1)
+    if len(many):
+        # a stable (radix, on the smallest type) sort keeps a key's tuples in draw order
+        small = key[many].astype(np.min_scalar_type(len(table) - 1))
+        order = many[np.argsort(small, kind="stable")]
+        left = np.take(t1.reshape(-1, t1.shape[-1]), rows[order], axis=0)
+        stops = np.cumsum(np.bincount(small, minlength=len(table))).tolist()
+        for k, (start, stop) in enumerate(itertools.pairwise([0, *stops])):
+            if start < stop:
+                vals[order[start:stop]] = left[start:stop] @ table[k]
     return vals
+
+
+class _Expression:
+    """One law expression ``spec`` over the plans of its two tensors, with
+    what its slices share, found on the first slice of a check."""
+
+    def __init__(self, spec: str, p1: _Plan, p2: _Plan):
+        self.spec, self.p1, self.p2 = spec, p1, p2
+
+    def live_rows(self, where) -> np.ndarray:
+        """Whether the first operand's row ``(i, j, k)`` is live at each tuple
+        of ``where``."""
+        ins, out = self.spec.split("->")
+        i, j, k = (where[out.index(s)] for s in ins[:3])
+        _, d2, d3 = self.p1.counts.shape
+        return self.p1.counts.reshape(-1)[(i * d2 + j) * d3 + k] != 0
+
+    @functools.cached_property
+    def grid(self) -> tuple | None:
+        """Both operands' live entries reduced over q to a unit axis, so that
+        ``_operands`` slices them as it slices the tensors; the flat tuple,
+        in the output's C order, of each row and column group of r of a
+        slice's product; and the shape of the slice's tuples.  None when
+        both tensors are nonzero everywhere."""
+        p1, p2 = self.p1, self.p2
+        if len(p1.nonzeros[4]) == p1.tensor.size and len(p2.nonzeros[4]) == p2.tensor.size:
+            return None
+        q = self.spec.split(",")[1].index("q")
+        live = ((p1.counts != 0)[..., None], (p2.tensor != 0).any(axis=q, keepdims=True))
+        rows, _, shape, axes = _operands(self.spec, *live, 0)
+        tuple_shape = [shape[a] for a in axes[:-1]]
+        flat = np.arange(math.prod(tuple_shape)).reshape(tuple_shape)
+        return live, flat.transpose(np.argsort(axes[:-1])).reshape(len(rows), -1), tuple_shape
+
+
+def _difference_norms(vals, norms_of) -> np.ndarray:
+    """Per tuple, the largest norm of a difference of consecutive values;
+    ``vals`` may be lazy, so at most two values are alive at a time."""
+    return np.max([norms_of(u - v) for u, v in itertools.pairwise(vals)], axis=0)
+
+
+def _slice_norms(exprs: list, where: int, norms_of):
+    """A law's residual norms at slice ``where``, and a map from a norm's
+    place to its tuple.
+
+    Each expression is one product over the live rows and live columns of
+    its slice.  The residual is taken only on the tuples where some block
+    holds a nonzero, in C order: every expression is zero elsewhere.  When
+    some expression has every row and column live, each expression takes
+    the whole slice's product instead.
+    """
+    entries = []
+    for e in exprs:
+        if e.grid is None:
+            break
+        live, flat, tuple_shape = e.grid
+        rows, cols, shape, _ = _operands(e.spec, *live, where)
+        if rows.all() and cols.all():
+            break
+        rows, cols = np.flatnonzero(rows), np.flatnonzero(cols)
+        left, right, _, _ = _operands(e.spec, e.p1.tensor, e.p2.tensor, where)
+        block = left[rows] @ right[:, cols]
+        i, j = np.nonzero(block)
+        dout = shape[-1]
+        entries.append((flat[rows[i], cols[j] // dout], cols[j] % dout, block[i, j]))
+    else:  # every expression has a dead row or column
+        covered = np.zeros(flat.size, bool)
+        for tuples, _, _ in entries:
+            covered[tuples] = True
+        covered = np.flatnonzero(covered)
+        vals = []
+        for tuples, r, v in entries:
+            vals.append(np.zeros((len(covered), dout), v.dtype))
+            vals[-1][np.searchsorted(covered, tuples), r] = v
+        return _difference_norms(vals, norms_of), lambda pos: (
+            where, *np.unravel_index(covered[pos], tuple_shape))
+    norms = _difference_norms((_law_values(e.spec, e.p1, e.p2, where) for e in exprs), norms_of)
+    return norms.ravel(), lambda pos: (where, *np.unravel_index(pos, norms.shape))
+
+
+def _sampled_norms(exprs: list, where, norms_of):
+    """A law's residual norms at the tuples ``where`` whose row of some
+    expression's first operand is live, and a map from a norm's place to its
+    tuple; every other tuple's residual is zero."""
+    if not all(e.p1.counts.all() for e in exprs):
+        live = np.logical_or.reduce([e.live_rows(where) for e in exprs])
+        where = where.compress(live, axis=1)
+    vals = (_law_values(e.spec, e.p1, e.p2, where) for e in exprs)
+    return _difference_norms(vals, norms_of), lambda pos: where[:, pos]
 
 
 def _law_residuals(laws: dict, plans: dict, norms_of, chunks) -> dict:
     """Per law, the largest norm of a difference of consecutive expressions
     over ``chunks`` (each a ``where`` of ``_law_values``) and the tuple where
     it occurs (None while every difference is zero); ``plans`` maps the
-    laws' tensor names to their plans."""
+    laws' tensor names to their plans.  Only tuples where some expression
+    can be nonzero are evaluated: the residual of any other is zero, as
+    ``norms_of`` of a zero vector is."""
     found = dict.fromkeys(laws, (0.0, None))
+    exprs = {name: [_Expression(spec, plans[a], plans[b]) for spec, (a, b) in law]
+             for name, law in laws.items()}
     for where in chunks:
-        for name, exprs in laws.items():
-            # lazily, so at most two values of the law are alive at a time
-            vals = (_law_values(spec, plans[a], plans[b], where) for spec, (a, b) in exprs)
-            norms = np.max([norms_of(u - v) for u, v in itertools.pairwise(vals)], axis=0)
-            pos = np.unravel_index(int(np.argmax(norms)), norms.shape)
-            if norms[pos] > found[name][0]:
-                at = (where, *pos) if np.ndim(where) == 0 else where[:, pos[0]]
-                found[name] = (float(norms[pos]), tuple(map(int, at)))
+        norms_at = _slice_norms if np.ndim(where) == 0 else _sampled_norms
+        for name, law in exprs.items():
+            norms, tuple_at = norms_at(law, where, norms_of)
+            if norms.size:
+                pos = int(np.argmax(norms))
+                if norms[pos] > found[name][0]:
+                    found[name] = (float(norms[pos]), tuple(map(int, tuple_at(pos))))
     return found
+
+
+def _check_arguments(tol, **counts) -> None:
+    """Raise ValueError, before a checker does any work, unless ``tol`` is
+    finite and nonnegative and each count (None: not given) is a
+    nonnegative integer."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    for name, n in counts.items():
+        if n is not None and not (isinstance(n, numbers.Integral) and n >= 0):
+            raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
 
 
 def check_ternary_associativity(
@@ -439,10 +569,7 @@ def check_ternary_associativity(
     regardless of the budget.  The report carries the maximum residual norm,
     the worst tuple and a pass flag against ``tol``.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    if budget < 0 or (samples is not None and samples < 0):
-        raise ValueError("samples and budget must be nonnegative")
+    _check_arguments(tol, budget=budget, samples=samples)
     d = alg.dim
     exhaustive = d**5 <= budget and samples is None
     if exhaustive:

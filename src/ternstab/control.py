@@ -64,7 +64,12 @@ class ControlFunction:
         ``|arg|**p`` per row in argument order as Python floats."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        stacked = any(np.ndim(a) > 1 for a in args)
+        return self._evaluate(args, any(np.ndim(a) > 1 for a in args))
+
+    __call__ = evaluate
+
+    def _evaluate(self, args, stacked: bool):
+        """``evaluate`` on ``arity`` arguments, told whether they are stacked."""
         if self.kind == "custom":
             rows = zip(*np.broadcast_arrays(*args)) if stacked else [args]
             values = [float(self.fn(*row)) for row in rows]
@@ -86,8 +91,6 @@ class ControlFunction:
                     total += nv**self.p
             values.append(self.theta * total)
         return np.array(values) if stacked else values[0]
-
-    __call__ = evaluate
 
 
 def power_control(theta: float, p: float, arity: int = 5, norm=None) -> ControlFunction:
@@ -112,13 +115,14 @@ def _series(control: ControlFunction, args, tail_tol: float, max_terms: int):
     copies: dict = {}
     scaled = [copies.setdefault(id(a), np.array(a, dtype=np.result_type(a.dtype, np.float64)))
               for a in args]
+    stacked = any(a.ndim > 1 for a in scaled)  # the doubling keeps every shape
     terms: list = []
     rising = 0  # non-decreasing steps in a row
     for n in range(max_terms):
         if n > 0:
             for a in copies.values():
                 a *= 2.0
-        t = math.ldexp(control.evaluate(*scaled), -(n + 1))
+        t = math.ldexp(control._evaluate(scaled, stacked), -(n + 1))
         if not math.isfinite(t):
             raise DivergentControlError(
                 f"series term at n={n} is not finite; control function diverges"

@@ -24,6 +24,7 @@ from .algebra import (
     TernaryAlgebra,
     _Plan,
     _Space,
+    _check_arguments,
     _law_residuals,
     _random_vector,
     _trilinear,
@@ -162,10 +163,7 @@ def check_module_axioms(
     size cap.  The norm inequality is checked on ``samples`` random tuples;
     a check of no tuple or no sample does not pass.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    if samples < 0 or budget < 0:
-        raise ValueError("samples and budget must be nonnegative")
+    _check_arguments(tol, samples=samples, budget=budget)
     alg = mod.algebra
     total = alg.dim**4 * mod.dim
     exhaustive = total <= budget

@@ -201,7 +201,7 @@ class TestLiveSlabs:
             plan = _Plan.of(t)
             assert (plan.pairs is None) == name.startswith("dense"), name
             if plan.pairs is None:
-                assert plan.rows is None and np.shares_memory(plan.stage1, t)
+                assert plan.counts.all() and np.shares_memory(plan.stage1, t)
                 for a, b, c in operands(rng, t.shape, field, random_array):
                     got, want = _trilinear(plan, a, b, c), dense_trilinear(t, a, b, c)
                     assert got.tobytes() == want.tobytes(), name
@@ -226,9 +226,13 @@ class TestLiveSlabs:
         plan = _Plan.of(t)
         # E_aq E_qr E_rs = E_as: the pair ((r, s), (a, s)) is live for any q
         assert len(plan.pairs) == 4**3 and plan.stage1.shape == (16, 16 * 4**3)
-        assert plan.rows.sum() == 4**4 == np.count_nonzero(t)
+        # one nonzero in each of the 4**4 live rows (i, j, k)
+        assert plan.counts.shape == (16, 16, 16) and plan.counts.max() == 1
+        assert np.count_nonzero(plan.counts) == plan.counts.sum() == 4**4 == np.count_nonzero(t)
+        np.testing.assert_array_equal(plan.counts, np.count_nonzero(t, axis=-1))
         empty = _Plan.of(np.zeros((2, 2, 2, 2)))
-        assert len(empty.pairs) == 0 and empty.stage1.shape == (2, 0) and not empty.rows.any()
+        assert len(empty.pairs) == 0 and empty.stage1.shape == (2, 0)
+        assert empty.counts.shape == (2, 2, 2) and not empty.counts.any()
 
     def test_self_module_shares_the_algebra_plan(self):
         alg = ts.trivial_matrix_algebra(2)

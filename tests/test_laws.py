@@ -6,15 +6,18 @@ chunk).  The evaluator sums over q by BLAS matrix products, in another order
 than einsum: reports on exactly representable algebras (0/1 tensors, small
 integers) are bitwise equal, and on random real or complex tensors they lie
 within the rounding bound of ``conftest._law_bound``.
-The sampled evaluator is also compared with its own earlier version, which
-took every tuple through the products: skipping the tuples whose row of the
-first operand is zero keeps the bits of the others wherever the products of
-a key keep their rows.
+Both checkers are also compared with a copy of the evaluator before its
+work followed the structure tensors' nonzeros (whole exhaustive slices, and
+one product per key for every sampled tuple with a live row): reports are
+bitwise equal on builder tensors, on the benchmark's axiom checks and on
+dense tensors, and within the rounding bound on tensors that mix rows of
+one inexact nonzero, of several and of none.
 ``verify_identity_and_reduce`` and the rescale ascent are compared with the
 einsums they used before the contraction kernel took them over.
 """
 
 import itertools
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -118,6 +121,70 @@ def _reference_associativity(alg, tol, budget=1_000_000, seed=0, samples=None):
     return ts.AssocReport(max_res, float(tol), passed, worst, checked, exhaustive)
 
 
+def _reference_law_values(spec, p1, p2, where):
+    """``algebra._law_values`` before its work followed the nonzeros: a
+    whole slice from one product, and sampled tuples with a live row of the
+    first operand through one product per key."""
+    t1, t2 = p1.tensor, p2.tensor
+    live_rows = (t1 != 0).any(axis=-1)
+    ins, out = spec.split("->")
+    first, second = ins.split(",")
+    if np.ndim(where) == 0:
+        right, rest = np.moveaxis(t2, second.index("q"), 0), second.replace("q", "")
+        lead = out[0]
+        if lead in first:
+            t1 = t1[(slice(None),) * first.index(lead) + (where,)]
+            first = first.replace(lead, "")
+        else:
+            right = right[(slice(None),) * (1 + rest.index(lead)) + (where,)]
+            rest = rest.replace(lead, "")
+        vals = t1.reshape(-1, t1.shape[-1]) @ right.reshape(len(right), -1)
+        vals = vals.reshape(t1.shape[:-1] + right.shape[1:])
+        return vals.transpose([(first[:-1] + rest).index(s) for s in out[1:]])
+    idx = dict(zip(out, where))
+    right = np.moveaxis(t2, second.index("q"), -2)
+    table = right.reshape(-1, *right.shape[-2:])
+    key = np.ravel_multi_index([idx[s] for s in second[:-1] if s != "q"], right.shape[:-2])
+    order = np.argsort(key.astype(np.min_scalar_type(len(table) - 1)), kind="stable")
+    rows = np.ravel_multi_index([idx[s] for s in first[:-1]], t1.shape[:-1])
+    if not live_rows.all():
+        live = live_rows.reshape(-1)[rows]
+        order, key = order[live[order]], key[live]
+    left = np.take(t1.reshape(-1, t1.shape[-1]), rows[order], axis=0)
+    stops = np.cumsum(np.bincount(key, minlength=len(table))).tolist()
+    vals = (np.empty if len(order) == len(rows) else np.zeros)(
+        (len(rows), table.shape[-1]), np.result_type(t1, t2))
+    for k, (start, stop) in enumerate(itertools.pairwise([0, *stops])):
+        if start < stop:
+            vals[order[start:stop]] = left[start:stop] @ table[k]
+    return vals
+
+
+def _reference_law_residuals(laws, plans, norms_of, chunks):
+    """``algebra._law_residuals`` before its work followed the nonzeros."""
+    found = dict.fromkeys(laws, (0.0, None))
+    for where in chunks:
+        for name, exprs in laws.items():
+            vals = (_reference_law_values(spec, plans[a], plans[b], where)
+                    for spec, (a, b) in exprs)
+            norms = np.max([norms_of(u - v) for u, v in itertools.pairwise(vals)], axis=0)
+            pos = np.unravel_index(int(np.argmax(norms)), norms.shape)
+            if norms[pos] > found[name][0]:
+                at = (where, *pos) if np.ndim(where) == 0 else where[:, pos[0]]
+                found[name] = (float(norms[pos]), tuple(map(int, at)))
+    return found
+
+
+def _with_reference(monkeypatch, check, *args, **kwargs):
+    """``check``'s report now and with the reference evaluator."""
+    got = check(*args, **kwargs)
+    with monkeypatch.context() as mp:
+        mp.setattr(algebra_mod, "_law_residuals", _reference_law_residuals)
+        mp.setattr(module_mod, "_law_residuals", _reference_law_residuals)
+        want = check(*args, **kwargs)
+    return got, want
+
+
 def _algebras(field):
     perturbed = ts.trivial_matrix_algebra(2, field)
     bump = 1e-6 * _random_array(np.random.default_rng(3), perturbed.structure.shape, field)
@@ -129,11 +196,12 @@ def _algebras(field):
         "random5": _random_algebra(5, field, 2),
         "scalar": ts.TernaryAlgebra(1, field, np.full((1, 1, 1, 1), 0.5)),
         "integer4": _random_algebra(4, field, 11, draw=_integer_array),
+        "zero": ts.TernaryAlgebra(3, field, np.zeros((3,) * 4)),
     }
 
 
 # algebras whose law values are exact, so that any summation order gives their bits
-EXACT = ("matrix2", "oddpoly7", "scalar", "integer4")
+EXACT = ("matrix2", "oddpoly7", "scalar", "integer4", "zero")
 
 
 ASSOC_RUNS = {
@@ -298,6 +366,22 @@ def _square_tensors(field):
     }
 
 
+def _mixed_tensor(rng, shape, field):
+    """A random tensor whose rows ``T[i, j, k, :]`` hold one nonzero, several
+    or none, in about equal shares, and with dead columns: no row reaches
+    the last output coordinate, and index 1 of the third slot is zero."""
+    t = _random_array(rng, shape, field)
+    share = rng.random(shape[:3])
+    t[share < 1 / 3] = 0
+    one = share > 2 / 3
+    keep = np.zeros(shape, bool)
+    keep[one, rng.integers(0, shape[3], int(one.sum()))] = True
+    t[one] *= keep[one]
+    t[..., -1] = 0
+    t[:, :, 1] = 0
+    return t
+
+
 class TestLiveRows:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("spec, names", EXPRESSIONS, ids=[s for s, _ in EXPRESSIONS])
@@ -320,12 +404,16 @@ class TestLiveRows:
                 else:
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
-    def test_dead_tuples_skip_the_products(self, monkeypatch):
-        # trivial m = 2 has 16 live rows of 64: only their tuples are multiplied
-        t = ts.trivial_matrix_algebra(2).structure
+    def test_dead_tuples_skip_the_products(self, monkeypatch, entry_bound):
+        # only tuples whose row of the first operand holds several nonzeros
+        # are gathered for the products; a row of one nonzero v at q takes v
+        # times row q of its key's table, a zero row gives zeros
+        rng = np.random.default_rng(18)
+        t = _mixed_tensor(rng, (4,) * 4, "complex")
         plan = _Plan.of(t)
-        where = np.random.default_rng(18).integers(0, 4, size=(5, 400))
-        rows = np.ravel_multi_index(where[:3], (4, 4, 4))
+        where = rng.integers(0, 4, size=(5, 400))
+        count = np.count_nonzero(t, axis=-1)[tuple(where[:3])]
+        assert (count == 0).any() and (count == 1).any() and (count > 1).any()
         multiplied = []
         real_take = np.take
 
@@ -333,10 +421,22 @@ class TestLiveRows:
             multiplied.append(len(indices))
             return real_take(a, indices, *args, **kwargs)
 
+        spec = "abcq,qder->abcder"
         monkeypatch.setattr(np, "take", counting_take)
-        got = _law_values("abcq,qder->abcder", plan, plan, where)
-        assert multiplied == [int(plan.rows.reshape(-1)[rows].sum())] and multiplied[0] < 400
-        assert not got[~plan.rows.reshape(-1)[rows]].any()
+        got = _law_values(spec, plan, plan, where)
+        assert multiplied == [int((count > 1).sum())]
+        assert not got[count == 0].any()
+        one = np.flatnonzero(count == 1)
+        i, j, k, d, e = where[:, one]
+        q = np.argmax(t[i, j, k] != 0, axis=-1)
+        np.testing.assert_array_equal(got[one], t[i, j, k, q][:, None] * t[q, d, e])
+        want = _reference_sampled_values(spec, t, t, where)
+        assert np.all(abs(got - want) <= 2 * entry_bound(spec, t, t)[tuple(where)])
+        # a builder's rows hold one nonzero each: no tuple is multiplied
+        multiplied.clear()
+        builder = _Plan.of(ts.trivial_matrix_algebra(2).structure)
+        _law_values(spec, builder, builder, where)
+        assert multiplied == []
 
 
 class TestLawResiduals:
@@ -413,6 +513,234 @@ class TestNoEinsum:
         assert not ts.check_ternary_associativity(alg, 1e-9, samples=500).exhaustive
         assert ts.check_module_axioms(mod, 1e-9, samples=5).exhaustive
         assert not ts.check_module_axioms(mod, 1e-9, samples=5, budget=100).exhaustive
+
+
+def _builder(kind, size, field):
+    if kind == "trivial-matrix":
+        return ts.trivial_matrix_algebra(size, field)
+    return ts.odd_polynomial_algebra(size, field)
+
+
+LADDER = [("trivial-matrix", m) for m in (2, 3, 4)] + [("odd-poly", c) for c in range(3, 16, 2)]
+# an exhaustive run where the default budget holds every tuple; a sampled
+# module check draws half the tuples, at most 2000; the norm inequality's
+# samples do not go through the law evaluator
+CHECK_RUNS = {
+    "exhaustive": ({}, {"samples": 5}),
+    "sampled": ({"samples": 3000, "seed": 5}, {"samples": 5, "seed": 6, "budget": 2000}),
+}
+
+
+def _run_kwargs(run, d):
+    assoc_kwargs, module_kwargs = CHECK_RUNS[run]
+    if "budget" in module_kwargs:
+        module_kwargs = {**module_kwargs, "budget": min(module_kwargs["budget"], d**5 // 2)}
+    return assoc_kwargs, module_kwargs
+
+
+def _ladder_runs():
+    for kind, size in LADDER:
+        d = _builder(kind, size, "real").dim
+        for run in CHECK_RUNS:
+            if run == "sampled" or d**5 <= algebra_mod.DEFAULT_TUPLE_BUDGET:
+                yield pytest.param(kind, size, run, id=f"{kind}-{size}-{run}")
+
+
+class TestEarlierEvaluator:
+    """Reports against the evaluator before its work followed the nonzeros."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind, size, run", list(_ladder_runs()))
+    def test_builder_ladder_is_bitwise(self, kind, size, run, field, monkeypatch):
+        alg = _builder(kind, size, field)
+        assoc_kwargs, module_kwargs = _run_kwargs(run, alg.dim)
+        got, want = _with_reference(monkeypatch, ts.check_ternary_associativity, alg, 1e-12,
+                                    **assoc_kwargs)
+        assert got.exhaustive == (run == "exhaustive") and repr(got) == repr(want)
+        got, want = _with_reference(monkeypatch, ts.check_module_axioms, ts.self_module(alg),
+                                    1e-12, **module_kwargs)
+        assert got.exhaustive == (run == "exhaustive") and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("seed", [1, 7, 21])
+    def test_benchmark_axiom_checks_are_bitwise(self, seed, monkeypatch):
+        # the four checks of perfbench's ``axioms`` workload at this seed
+        rng = random.Random(seed)
+        seeds = [rng.randrange(2**31) for _ in range(4)]
+        sampled, exhaustive = ts.trivial_matrix_algebra(4), ts.trivial_matrix_algebra(3, "complex")
+        checks = [
+            (ts.check_ternary_associativity, sampled, {"budget": 200_000, "seed": seeds[0]}),
+            (ts.check_module_axioms, ts.self_module(sampled), {"budget": 200, "seed": seeds[1]}),
+            (ts.check_ternary_associativity, exhaustive, {"seed": seeds[2]}),
+            (ts.check_module_axioms, ts.self_module(exhaustive), {"seed": seeds[3]}),
+        ]
+        for check, target, kwargs in checks:
+            got, want = _with_reference(monkeypatch, check, target, 1e-9, **kwargs)
+            assert got.passed and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("run", list(CHECK_RUNS))
+    def test_dense_tensors_are_bitwise(self, field, run, monkeypatch):
+        assoc_kwargs, module_kwargs = _run_kwargs(run, 4)
+        alg = _random_algebra(4, field, 21)
+        for mod in (ts.self_module(alg), _random_module(alg, 3, 22)):
+            got, want = _with_reference(monkeypatch, ts.check_module_axioms, mod, 1e-9,
+                                        **module_kwargs)
+            assert repr(got) == repr(want)
+        got, want = _with_reference(monkeypatch, ts.check_ternary_associativity, alg, 1e-9,
+                                    **assoc_kwargs)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("run", list(CHECK_RUNS))
+    def test_mixed_tensors_within_the_rounding_bound(self, field, run, monkeypatch, law_close):
+        rng = np.random.default_rng(23)
+        d = 4
+        alg = ts.TernaryAlgebra(d, field, _mixed_tensor(rng, (d,) * 4, field))
+        assoc_kwargs, module_kwargs = _run_kwargs(run, d)
+        got, want = _with_reference(monkeypatch, ts.check_ternary_associativity, alg, 1e-9,
+                                    **assoc_kwargs)
+        assert want.max_residual > 0
+        law_close((got.max_residual, got.worst), (want.max_residual, want.worst),
+                  _ASSOC_LAW["assoc"], {"T": alg.structure}, _assoc_norms(alg))
+        assert repr(replace(got, max_residual=0.0, worst=None)) == repr(
+            replace(want, max_residual=0.0, worst=None))
+        dx = 3
+        mod = ts.TernaryModule(alg, dx, *(_mixed_tensor(rng, shape, field) for shape in (
+            (dx, d, d, dx), (d, dx, d, dx), (d, d, dx, dx))))
+        tensors = {"TA": alg.structure, "Pxab": mod.product_xab, "Paxb": mod.product_axb,
+                   "Pabx": mod.product_abx}
+        got, want = _with_reference(monkeypatch, ts.check_module_axioms, mod, 1e-9,
+                                    **module_kwargs)
+        assert want.max_chain_residual > 0
+        for name, exprs in _CHAINS.items():
+            law_close((got.chain_residuals[name], None), (want.chain_residuals[name], None),
+                      exprs, tensors)
+        assert repr(replace(got, chain_residuals=None, max_chain_residual=0.0)) == repr(
+            replace(want, chain_residuals=None, max_chain_residual=0.0))
+
+
+class _MatmulSpy(np.ndarray):
+    """A tensor view that records the operands of every matrix product."""
+
+    seen: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [np.asarray(v) for v in inputs]
+        if ufunc is np.matmul:
+            _MatmulSpy.seen.append(plain)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def _slice_operands(spec, t1, t2, where):
+    """The einsum's operands at slice ``where`` of its lead letter, as the
+    first operand's rows over q and the second's ``(q, columns)`` matrix."""
+    ins, out = spec.split("->")
+    first, second = ins.split(",")
+    lead = out[0]
+    left = np.take(t1, where, axis=first.index(lead)) if lead in first else t1
+    right = np.moveaxis(t2, second.index("q"), 0)
+    if lead in second:
+        right = np.take(right, where, axis=1 + second.replace("q", "").index(lead))
+    q = t1.shape[-1]
+    return left.reshape(-1, q), right.reshape(q, -1)
+
+
+class TestWorkFollowsNonzeros:
+    @pytest.fixture(autouse=True)
+    def _clear(self):
+        _MatmulSpy.seen = []
+
+    def test_exhaustive_module_multiplies_live_blocks_only(self):
+        # trivial m = 3: each slice of each chain expression is one product
+        # of its live rows by its live columns, a ninth of the entries of the
+        # whole slice's operands
+        t = ts.trivial_matrix_algebra(3).structure
+        plans = dict.fromkeys(("TA", "Pxab", "Paxb", "Pabx"), _Plan.of(t.view(_MatmulSpy)))
+        norms_of = ts.self_module(ts.trivial_matrix_algebra(3)).norms_of
+        found = _law_residuals(_CHAINS, plans, norms_of, range(9))
+        assert found == dict.fromkeys(_CHAINS, (0.0, None))
+        live = whole = 0
+        expected = []
+        for where in range(9):
+            for exprs in _CHAINS.values():
+                for spec, _ in exprs:
+                    left, right = _slice_operands(spec, t, t, where)
+                    rows, cols = left.any(axis=1), right.any(axis=0)
+                    expected.append((int(rows.sum()), int(cols.sum())))
+                    live += left[rows].size + right[:, cols].size
+                    whole += left.size + right.size
+        got = [(len(left), right.shape[1]) for left, right in _MatmulSpy.seen]
+        assert sorted(got) == sorted(expected)
+        for left, right in _MatmulSpy.seen:
+            assert left.any(axis=1).all() and right.any(axis=0).all()
+        assert sum(a.size + b.size for a, b in _MatmulSpy.seen) == live and 9 * live == whole
+
+    def test_all_live_slices_take_the_whole_products(self):
+        # some entries are zero, but every row and every column of a slice
+        # holds a nonzero T[i, j, k, (i + j + k) mod 3]
+        t = _integer_array(np.random.default_rng(24), (3,) * 4, "real")
+        i, j, k = np.indices((3, 3, 3))
+        t[i, j, k, (i + j + k) % 3] = 1.0
+        alg = ts.TernaryAlgebra(3, "real", t)
+        assert not alg.structure.all()
+        _law_residuals(_ASSOC_LAW, {"T": _Plan.of(alg.structure.view(_MatmulSpy))},
+                       alg.norms_of, range(3))
+        want = [_slice_operands(spec, alg.structure, alg.structure, where)
+                for where in range(3) for spec, _ in _ASSOC_LAW["assoc"]]
+        assert len(_MatmulSpy.seen) == len(want)
+        for (left, right), (want_left, want_right) in zip(_MatmulSpy.seen, want):
+            np.testing.assert_array_equal(left, want_left)
+            np.testing.assert_array_equal(right, want_right)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind, size", [("trivial-matrix", 3), ("odd-poly", 13)])
+    def test_builder_sampled_check_takes_no_per_key_product(self, kind, size, field):
+        alg = _builder(kind, size, field)
+        plan = _Plan.of(alg.structure.view(_MatmulSpy))
+        rng = np.random.default_rng(25)
+        for laws, plans in ((_ASSOC_LAW, {"T": plan}),
+                            (_CHAINS, dict.fromkeys(("TA", "Pxab", "Paxb", "Pabx"), plan))):
+            chunks = [rng.integers(0, alg.dim, size=(5, 500)) for _ in range(2)]
+            found = _law_residuals(laws, plans, alg.norms_of, chunks)
+            assert _MatmulSpy.seen == []
+            want = _reference_law_residuals(laws, dict.fromkeys(plans, alg._plan), alg.norms_of,
+                                            chunks)
+            assert found == want
+
+
+class TestCheckerArguments:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"tol": -1.0}, "tol"),
+        ({"samples": 2.5}, "samples"),
+        ({"budget": 2.5}, "budget"),
+        ({"budget": 100.0}, "budget"),
+        ({"samples": "3"}, "samples"),
+    ], ids=["nan-tol", "inf-tol", "negative-tol", "float-samples", "float-budget",
+            "integral-float-budget", "str-samples"])
+    @pytest.mark.parametrize("checker", ["associativity", "module"])
+    def test_rejected_before_any_work(self, checker, kwargs, message, monkeypatch):
+        def no_work(*args, **kw):
+            raise AssertionError("checked tuples before rejecting an argument")
+
+        monkeypatch.setattr(algebra_mod, "_law_residuals", no_work)
+        monkeypatch.setattr(module_mod, "_law_residuals", no_work)
+        monkeypatch.setattr(module_mod, "_random_vector", no_work)
+        monkeypatch.setattr(np.random, "default_rng", no_work)
+        alg = ts.trivial_matrix_algebra(2)
+        kwargs = {"tol": 1e-9, **kwargs}
+        check = (ts.check_ternary_associativity if checker == "associativity"
+                 else ts.check_module_axioms)
+        with pytest.raises(ValueError, match=message):
+            check(alg if checker == "associativity" else ts.self_module(alg), **kwargs)
+
+    @pytest.mark.parametrize("count", [np.int64(40), 40])
+    def test_integer_counts_of_any_type_pass(self, count):
+        alg = ts.trivial_matrix_algebra(2)
+        assert ts.check_ternary_associativity(alg, 1e-9, samples=count).checked == 40
+        assert ts.check_module_axioms(ts.self_module(alg), 1e-9, samples=count,
+                                      budget=count).tuples_checked == 40
 
 
 def _reference_reduction(alg, e):
