@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import datetime
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -310,18 +310,28 @@ def _positive_float(value, name: str) -> float:
     return number
 
 
+def _parse_control(raw: dict, mode: str, algebra: TernaryAlgebra) -> ControlFunction:
+    expected_arity = 5 if mode == "lie" else 3
+    spec = _typed(raw.get("control", {"kind": "power", "theta": 0.0, "p": 0.0}), "control")
+    control = control_from_json({"arity": expected_arity, **spec}, norm=algebra.norm_of)
+    if control.arity != expected_arity:
+        raise ConfigError(f"{mode} mode needs a control of arity {expected_arity}")
+    return control
+
+
+def _parse_perturbations(raw: dict, dim: int) -> dict:
+    spec = _typed(raw.get("perturbation", {}), "perturbation")
+    return {name: _parse_perturbation(spec.get(name, {}), f"perturbation.{name}", dim)
+            for name in MAP_NAMES}
+
+
 def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     try:
         algebra = _build_algebra(raw["algebra"], base_dir)
     except KeyError:
         raise ConfigError("config needs an 'algebra' section") from None
     mode = _choice(raw.get("mode", "lie"), "mode", ("lie", "jordan"))
-    expected_arity = 5 if mode == "lie" else 3
-    spec = _typed(raw.get("control", {"kind": "power", "theta": 0.0, "p": 0.0}), "control")
-    control = control_from_json({"arity": expected_arity, **spec}, norm=algebra.norm_of)
-    if control.arity != expected_arity:
-        raise ConfigError(f"{mode} mode needs a control of arity {expected_arity}")
-
+    control = _parse_control(raw, mode, algebra)
     derivation = _typed(raw.get("derivation", {}), "derivation")
     tol = _positive_float(raw.get("tol", 1e-10), "tol")
     rank_tol = _positive_float(derivation.get("rank_tol", 1e-10), "derivation.rank_tol")
@@ -337,12 +347,7 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
                   for n in ("sigma", "tau", "xi"))
         )
 
-    pert_raw = _typed(raw.get("perturbation", {}), "perturbation")
-    perturbations = {
-        name: _parse_perturbation(pert_raw.get(name, {}), f"perturbation.{name}", algebra.dim)
-        for name in MAP_NAMES
-    }
-
+    perturbations = _parse_perturbations(raw, algebra.dim)
     samples = {**DEFAULT_SAMPLES, **_typed(raw.get("samples", {}), "samples")}
     for key in DEFAULT_SAMPLES:
         samples[key] = _int_at_least(samples[key], f"samples.{key}", 0)
@@ -398,7 +403,38 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def run_experiment(config, out_dir=None, write_files: bool = True) -> RunResult:
+def _ground_truth(config: ExperimentConfig) -> tuple:
+    """The self-module, the exact derivation used as ground truth (None when
+    there is none), the twist maps it was solved for, the solver's margin,
+    and the errors and notes of the solve.  None of it reads ``p``,
+    ``theta`` or ``tol``, so a sweep builds it once."""
+    mod = self_module(config.algebra)
+    errors, notes, truth = [], [], None
+    for chosen in config.map_candidates:
+        basis = solve_exact_derivations(mod, *chosen, config.signs, config.rank_tol)
+        if basis:
+            if config.pick >= len(basis):
+                errors.append({"code": "CONFIG_INVALID",
+                               "message": f"derivation pick {config.pick} out of range "
+                                          f"(space dimension {len(basis)})"})
+            else:
+                truth = basis[config.pick]
+            break
+    if truth is None and not errors:
+        if config.on_empty == "error":
+            exc = EmptyDerivationSpaceError(
+                "no nonzero exact derivation for the configured maps and signs"
+            )
+            errors.append({"code": exc.code, "message": str(exc)})
+        else:
+            notes.append({"code": EmptyDerivationSpaceError.code,
+                          "message": "derivation space is trivial; using the zero map "
+                                     "as ground truth"})
+            truth = LinearMap.zero(mod.dim, config.algebra.dim, config.algebra.dtype)
+    return mod, truth, chosen, basis.margin, errors, notes
+
+
+def run_experiment(config, out_dir=None, write_files: bool = True, *, _truth=None) -> RunResult:
     """Full pipeline: solve ground truth, perturb, stabilize, verify, emit.
 
     The report is written as JSON (plus one convergence CSV per map) when
@@ -413,46 +449,13 @@ def run_experiment(config, out_dir=None, write_files: bool = True) -> RunResult:
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
     alg = config.algebra
-    mod = self_module(alg)
-    errors: list = []
-    notes: list = []
-
-    truth = None
-    chosen = None
-    for sigma, tau, xi in config.map_candidates:
-        basis = solve_exact_derivations(mod, sigma, tau, xi, config.signs, config.rank_tol)
-        chosen = (sigma, tau, xi)
-        if basis:
-            if config.pick >= len(basis):
-                errors.append(
-                    {
-                        "code": "CONFIG_INVALID",
-                        "message": f"derivation pick {config.pick} out of range "
-                        f"(space dimension {len(basis)})",
-                    }
-                )
-            else:
-                truth = basis[config.pick]
-            break
-    if truth is None and not errors:
-        if config.on_empty == "error":
-            exc = EmptyDerivationSpaceError(
-                "no nonzero exact derivation for the configured maps and signs"
-            )
-            errors.append({"code": exc.code, "message": str(exc)})
-        else:
-            notes.append(
-                {
-                    "code": EmptyDerivationSpaceError.code,
-                    "message": "derivation space is trivial; using the zero map "
-                    "as ground truth",
-                }
-            )
-            truth = LinearMap.zero(mod.dim, alg.dim, alg.dtype)
+    mod, truth, chosen, margin, errors, notes = _truth or _ground_truth(config)
+    # a sweep's points share one ground truth, but no report shares a list
+    errors, notes = copy.deepcopy(errors), copy.deepcopy(notes)
 
     report: dict = {
         "config_echo": config.raw,
-        "derivation": basis.margin,
+        "derivation": dict(margin),
         "recovered": None,
         "bounds": None,
         "hypothesis": None,
@@ -603,21 +606,34 @@ def _sweep_config(raw: dict, param: str, value: float) -> dict:
     return clone
 
 
+def _sweep_point(config: ExperimentConfig, param: str, value: float) -> ExperimentConfig:
+    """``config`` with ``param`` set to ``value``: the control, the
+    perturbations and ``tol`` are parsed again, in ``_parse_config``'s
+    order and by its validators, and the rest is shared."""
+    raw = _sweep_config(config.raw, param, value)
+    return replace(config, raw=raw, control=_parse_control(raw, config.mode, config.algebra),
+                   tol=_positive_float(raw.get("tol", 1e-10), "tol"),
+                   perturbations=_parse_perturbations(raw, config.algebra.dim), out_dir=None)
+
+
 def run_sweep(config, param: str, values, out_csv=None) -> list:
     """One experiment per parameter value; one result row per point.
 
-    Points run one after another on the calling thread, in the order of
-    ``values``; each point is the standalone run of its config, written to
-    no file.
+    Every point's config is built, and validated, before the first point
+    runs, so a bad value raises its ``ConfigError`` before any work.  The
+    points share what no swept parameter reads: the algebra, the twist
+    maps, and the self-module, solved ground truth and solver margin of
+    one solve per map candidate tried, all left unmodified.  Points then
+    run one after another on the calling thread, in the order of
+    ``values``, each written to no file; each point's result equals the
+    standalone run of its config.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
     values = [float(v) for v in values]
-    results = [
-        run_experiment(_parse_config(_sweep_config(config.raw, param, v), config.base_dir),
-                       write_files=False)
-        for v in values
-    ]
+    points = [_sweep_point(config, param, v) for v in values]
+    truth = _ground_truth(config) if points else None
+    results = [run_experiment(point, write_files=False, _truth=truth) for point in points]
 
     rows = []
     for value, result in zip(values, results):

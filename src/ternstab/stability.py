@@ -4,8 +4,8 @@ Given a map ``f`` whose derivation defect is bounded by a summable control
 function, the exact derivation is the limit of the doubling iteration
 ``f(2**n x) / 2**n``.  ``hyers_limit`` runs that iteration for one point;
 ``direct_method_stabilize`` runs it over a basis for the four maps
-``(f, g, h, k)``, each map's basis and linearity points in one stacked
-evaluation, assembles the recovered linear maps, and verifies linearity,
+``(f, g, h, k)``, each map evaluated once on one shared stack of its basis
+and linearity rays, assembles the recovered linear maps, and verifies linearity,
 the distance bounds and the derivation identity.  ``check_hypothesis``
 samples the defect inequalities themselves and reports violations as
 findings rather than failures.  It draws its points sample by sample, in a
@@ -151,45 +151,55 @@ def hyers_limit(
     x = np.asarray(x)
     if x.shape != (f.in_dim,):
         raise DimensionMismatch(f"input shape {x.shape} for map with in_dim {f.in_dim}")
-    (outcome,) = _hyers_limits(f, control, x[None], tol, max_iter, out_norm,
-                               None if trace is None else [trace], trace_rows)
+    layout = _ray_layout(control, x[None], tol, max_iter, [trace is not None], trace_rows)
+    (outcome,), (rows,) = _hyers_limits(f, layout, out_norm)
+    if trace is not None:
+        trace.extend(rows)
     if isinstance(outcome, NonConvergenceError):
         raise outcome
     return outcome
 
 
 @dataclass(eq=False)
-class _Ray:
-    """One point's doubling ray in :func:`_hyers_limits`."""
+class _Layout:
+    """The rays of one doubling run, laid out before any map is evaluated:
+    ray ``r`` reads ``f`` at ``x`` and at ``2**k x`` for each ``k`` of
+    ``rows[r]``, rows ``start[r]..last[r]`` of one ``points`` stack whose
+    ``2**k`` factors are ``scale``.  Its first ``traced[r]`` rows go to its
+    trace, with the tail bounds ``tails[r]``, and ``current`` indexes every
+    traced row of the stack, ray by ray."""
 
-    x: np.ndarray
-    stop: int | None
-    end: int
-    rows: np.ndarray  # the rows k >= 1 to evaluate, in order
-    trace: list | None
-    traced: int  # rows 1..traced go to ``trace``
-    tails: list | None  # their tail bounds
-    fx: np.ndarray | None = None  # f(x), from the ray's first stack
-    outcome: object = None
+    limit: int
+    stops: list
+    rows: list
+    traced: list
+    tails: list
+    points: np.ndarray
+    scale: np.ndarray
+    start: np.ndarray
+    last: np.ndarray
+    current: np.ndarray
 
 
-def _hyers_limits(f, control, xs, tol, max_iter=ITERATION_CAP, out_norm=None,
-                  traces=None, trace_rows=None, plan=None) -> list:
-    """:func:`hyers_limit` for every row ``x`` of an ``(P, d)`` stack ``xs``.
+def _stack(xs, ks) -> tuple:
+    """The points ``2**k x``, for each row ``x`` of ``xs`` and each ``k`` of
+    its entry in ``ks``, and the ``2**k`` column; the four maps of a run
+    share it, so it is read-only."""
+    scale = np.ldexp(1.0, np.concatenate(ks))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = np.repeat(xs, [len(k) for k in ks], axis=0) * scale
+    points.flags.writeable = False
+    return points, scale
 
-    Returns, per row, ``(limit, n)`` or the :class:`NonConvergenceError`
-    that the row alone raises, and ``traces``, if given, holds one trace
-    list, or None for an untraced row, per row.  The stop of each row is
+
+def _ray_layout(control, xs, tol, max_iter, traced, trace_rows=None) -> _Layout:
+    """The :class:`_Layout` of the rays at the rows ``x`` of an ``(P, d)``
+    stack ``xs``, ray ``r`` traced if ``traced[r]``.  A ray reads ``x``, its
+    stop row (or row ``min(max_iter, 1000)`` when no row stops) and its
+    traced rows, ``n <= trace_rows`` when that is set.  The stops are
     searched once per key: ``control.norm_of(x)`` under a power control,
-    whose tail bound depends on ``x`` through that norm alone, and the
-    bytes of ``x`` under a custom one.  Then ``f`` is evaluated once on one
-    stack of every row that any ray reads, ``x`` included; a ray with a row
-    that is not finite is evaluated again, whole, in the next stack, which
-    leaves the other rays' outcomes alone.  ``plan``, a pair of dicts,
-    keeps the stops and traced tails by key across calls with the same
-    ``control``, ``tol``, ``max_iter`` and ``trace_rows``, whatever ``f``
-    is: a key met again is not searched again.
-    """
+    whose tail bound depends on ``x`` through that norm alone, and the bytes
+    of ``x`` under a custom one."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     xs = np.asarray(xs)
@@ -197,68 +207,102 @@ def _hyers_limits(f, control, xs, tol, max_iter=ITERATION_CAP, out_norm=None,
     xn = np.array(xs, dtype=np.result_type(xs.dtype, np.float64))
     keys = (_norms_with(control.norm, xn).tolist() if control.kind == "power"
             else [x.tobytes() for x in xn])
-    stops, tails = ({}, {}) if plan is None else plan
-    rays = []
-    for x, key, trace in zip(xn, keys, [None] * len(xn) if traces is None else traces):
-        if x.any() and key not in stops:
-            stops[key], bounds = _a_priori_stop(control, x, tol, limit)
+    searched, tails_of = {}, {}
+    stops, rows, counts, tails = [], [], [], []
+    for x, key, wanted in zip(xn, keys, traced):
+        if x.any() and key not in searched:
+            searched[key], bounds = _a_priori_stop(control, x, tol, limit)
             if bounds is not None:
-                tails[key] = bounds[1:]
+                tails_of[key] = bounds[1:]
         # a zero x is not searched: it stops at 0
-        stop = stops.get(key, 0)
+        stop = searched.get(key, 0)
         end = max(limit, 0) if stop is None else stop
-        traced = 0 if trace is None else end if trace_rows is None else min(end, trace_rows)
-        if traced and key not in tails:
-            tails[key] = cauchy_tail_bound(control, x, range(1, traced + 1))
+        count = 0 if not wanted else end if trace_rows is None else min(end, trace_rows)
+        if count and key not in tails_of:
+            tails_of[key] = cauchy_tail_bound(control, x, range(1, count + 1))
         ray = np.arange(1, end + 1)
-        rows = ray if traced == end else np.append(ray[:traced], end)
-        rays.append(_Ray(x, stop, end, rows, trace, traced, tails.get(key)))
+        stops.append(stop)
+        rows.append(ray if count == end else np.append(ray[:count], end))
+        counts.append(count)
+        tails.append(tails_of.get(key))
+    sizes = np.array([len(r) + 1 for r in rows])
+    last = np.cumsum(sizes) - 1
+    start = last - sizes + 1
+    current = np.concatenate([np.arange(s + 1, s + c + 1) for s, c in zip(start, counts)])
+    return _Layout(limit, stops, rows, counts, tails,
+                   *_stack(xn, [np.append(0, r) for r in rows]), start, last, current)
 
-    def advance(ray, scaled):
-        """Take one stack's values of ``ray``'s rows: its outcome, or None
-        when the whole ray is to be evaluated."""
-        if ray.fx is None:
-            ray.fx, scaled = scaled[0], scaled[1:]
-            if not np.all(np.isfinite(ray.fx)):
-                return NonConvergenceError("f(x) is not finite", iterations=0)
-            if ray.stop == 0:
-                return ray.fx.copy(), 0
-        finite = np.isfinite(scaled)
-        reached = len(scaled) if finite.all() else int(np.argmin(finite.all(axis=1)))
-        if reached < len(scaled) and len(ray.rows) < ray.end:
-            # a row left out may be the first that is not finite
-            ray.rows = np.arange(1, ray.end + 1)
-            return None
-        read = min(reached, ray.traced)
-        if read:
-            previous = np.concatenate([ray.fx[None], scaled[: read - 1]])
-            diffs = _norms_with(out_norm, scaled[:read] - previous)
-            ray.trace.extend(zip(range(1, read + 1), diffs.tolist(), ray.tails))
-        if reached < len(scaled):
-            n = int(ray.rows[reached])
-            return NonConvergenceError(f"iterate at n={n} overflowed", iterations=n)
-        if ray.stop is not None:
-            return scaled[-1].copy(), ray.stop
-        reason = (f"hard iteration cap {ITERATION_CAP} reached" if limit == ITERATION_CAP
-                  else f"max_iter {limit} exceeded")
-        return NonConvergenceError(f"doubling iteration did not converge: {reason}",
-                                   iterations=max(limit, 0))
 
-    pending = rays
-    while pending:
-        # a ray's first stack starts with x itself
-        ks = [r.rows if r.fx is not None else np.append(0, r.rows) for r in pending]
-        sizes = [len(k) for k in ks]
-        scale = np.ldexp(1.0, np.concatenate(ks))[:, None]
-        points = np.repeat(np.stack([r.x for r in pending]), sizes, axis=0)
-        # the norms recompute rows whose squares overflow, and a row that leaves
-        # double range is reported or dropped, so numpy need not warn
+def _hyers_limits(f, layout: _Layout, out_norm=None) -> tuple:
+    """:func:`hyers_limit` for every ray of ``layout``, from one
+    :meth:`EvaluableMap.evaluate_stack` call on its stack.
+
+    Returns, per ray, ``(limit, n)`` or the :class:`NonConvergenceError`
+    that the ray alone raises, and, per ray, its trace rows.  When every
+    ray stops and every row is finite, each limit is read at the ray's last
+    row and every traced difference comes from one norm call.  Otherwise
+    each ray is read alone: a ray with a row that is not finite is
+    evaluated again, whole, in one more stack shared by such rays, which
+    leaves the other rays' outcomes alone, and a ray with no stop fails at
+    the cap.
+    """
+    # the norms recompute rows whose squares overflow, and a row that leaves
+    # double range is reported or dropped, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = f.evaluate_stack(layout.points) / layout.scale
+    traces = [[] for _ in layout.rows]
+    if None not in layout.stops and np.isfinite(scaled).all():
+        current = layout.current
+        diffs = _norms_with(out_norm, scaled[current] - scaled[current - 1]).tolist()
+        read = 0
+        for trace, count, tails in zip(traces, layout.traced, layout.tails):
+            if count:
+                trace.extend(zip(range(1, count + 1), diffs[read : read + count], tails))
+                read += count
+        return [(scaled[i].copy(), n) for i, n in zip(layout.last, layout.stops)], traces
+
+    outcomes = [_ray_outcome(layout, r, scaled[i : j + 1], rows, out_norm, traces[r])
+                for r, (i, j, rows) in enumerate(zip(layout.start, layout.last, layout.rows))]
+    again = [r for r, outcome in enumerate(outcomes) if outcome is None]
+    if again:
+        ks = [np.arange(1, layout.rows[r][-1] + 1) for r in again]
+        # row start[r] of the stack is x itself
+        points, scale = _stack(layout.points[layout.start[again]], ks)
         with np.errstate(over="ignore", invalid="ignore"):
-            scaled = f.evaluate_stack(points * scale) / scale
-        for ray, part in zip(pending, np.split(scaled, np.cumsum(sizes)[:-1])):
-            ray.outcome = advance(ray, part)
-        pending = [r for r in pending if r.outcome is None]
-    return [r.outcome for r in rays]
+            whole = f.evaluate_stack(points) / scale
+        for r, rows, part in zip(again, ks, np.split(whole, np.cumsum([len(k) for k in ks])[:-1])):
+            values = np.concatenate([scaled[layout.start[r]][None], part])
+            outcomes[r] = _ray_outcome(layout, r, values, rows, out_norm, traces[r])
+    return outcomes, traces
+
+
+def _ray_outcome(layout, r, values, rows, out_norm, trace):
+    """Ray ``r``'s outcome from ``f(x)`` and the scaled values at ``rows``,
+    ``values`` in that order, or None when the whole ray is to be
+    evaluated; its traced rows go to ``trace``."""
+    if not np.all(np.isfinite(values[0])):
+        return NonConvergenceError("f(x) is not finite", iterations=0)
+    stop = layout.stops[r]
+    if stop == 0:
+        return values[0].copy(), 0
+    finite = np.isfinite(values[1:])
+    reached = len(rows) if finite.all() else int(np.argmin(finite.all(axis=1)))
+    if reached < len(rows) and rows[-1] > len(rows):
+        # a row left out may be the first that is not finite
+        return None
+    read = min(reached, layout.traced[r])
+    if read:
+        diffs = _norms_with(out_norm, values[1 : read + 1] - values[:read])
+        trace.extend(zip(range(1, read + 1), diffs.tolist(), layout.tails[r]))
+    if reached < len(rows):
+        n = int(rows[reached])
+        return NonConvergenceError(f"iterate at n={n} overflowed", iterations=n)
+    if stop is not None:
+        return values[-1].copy(), stop
+    reason = (f"hard iteration cap {ITERATION_CAP} reached" if layout.limit == ITERATION_CAP
+              else f"max_iter {layout.limit} exceeded")
+    return NonConvergenceError(f"doubling iteration did not converge: {reason}",
+                               iterations=max(layout.limit, 0))
 
 
 def _a_priori_stop(control: ControlFunction, x, tol: float, limit: int):
@@ -499,15 +543,16 @@ def direct_method_stabilize(
 
     Runs the doubling iteration of :func:`hyers_limit` at every basis vector
     of the algebra for each of the four maps and assembles the limits into
-    matrices.  Each map takes one stacked call for its basis and the
-    linearity points together, and one stack holds every row their rays
-    read; a ray with a row that is not finite is evaluated again, alone and
-    whole, and fails as it would alone.  The a-priori stop depends on the
-    control, ``tol`` and ``x``, not on the map, so the four maps share one
-    stop plan.  Under a power control each distinct norm is searched once
-    per run (the unit vectors share one search), and the unit vectors'
-    traced tail bounds are computed once; under a custom control each
-    distinct ``x`` sums its tail series once per run.  Negative counts
+    matrices.  The a-priori stop depends on the control, ``tol`` and ``x``,
+    not on the map, so one ray layout of the basis and the linearity
+    points, built before any map is evaluated, serves all four maps: its
+    stops, the rows read and one stack of scaled points (see
+    :func:`_ray_layout`).  Under a power control each distinct norm is
+    searched once per run (the unit vectors share one search), and the unit
+    vectors' traced tail bounds are computed once; under a custom control
+    each distinct ``x`` sums its tail series once per run.  Each map is
+    evaluated once on that stack; a ray with a row that is not finite is
+    evaluated again, whole, and fails as it would alone.  Negative counts
     raise ``ValueError`` before any map is evaluated.  Then:
 
     * linearity: at seeded non-basis points the recovered matrix must agree
@@ -541,14 +586,12 @@ def direct_method_stabilize(
     traces, iterations, failures, recovered, fresh = {}, {}, [], {}, []
     rng = np.random.default_rng([seed, 0x51])
     xs = _random_vector(rng, alg.dim, alg.field, count=linearity_points)
-    # the basis rays, traced, then the linearity rays; the maps share one plan
-    rays = np.concatenate([alg.basis(), xs])
-    plan = ({}, {})
+    # the basis rays, traced, then the linearity rays: one layout for the four maps
+    layout = _ray_layout(control, np.concatenate([alg.basis(), xs]), tol, max_iter,
+                         [True] * alg.dim + [False] * len(xs),
+                         None if keep_traces else _RATE_ROWS)
     for name, m, out_norm in named:
-        local = [[] for _ in range(alg.dim)]
-        outcomes = _hyers_limits(m, control, rays, tol, max_iter, out_norm,
-                                 local + [None] * len(xs),
-                                 None if keep_traces else _RATE_ROWS, plan)
+        outcomes, local = _hyers_limits(m, layout, out_norm)
         basis = outcomes[: alg.dim]
         # a basis vector whose limit fails gets a zero column
         for i, outcome in enumerate(basis):
@@ -558,7 +601,7 @@ def direct_method_stabilize(
                 basis[i] = np.zeros(m.out_dim, dtype=alg.dtype), outcome.iterations or 0
         recovered[name] = LinearMap(np.column_stack([col for col, _ in basis]))
         iterations[name] = [n for _, n in basis]
-        traces[name] = [(i, *row) for i, rows in enumerate(local) for row in rows]
+        traces[name] = [(i, *row) for i, rows in enumerate(local[: alg.dim]) for row in rows]
         fresh.append(outcomes[alg.dim :])
     deriv, sigma, tau, xi = (recovered[n] for n in "fghk")
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ternstab as ts
+from ternstab import harness
 from ternstab.cli import cli_main
 from ternstab.serialize import algebra_to_json, write_json
 
@@ -381,6 +382,20 @@ class TestSweepCommand:
             ["experiment", "sweep", str(CONFIG_DIR / "oddpoly3_p05.json"), "--param", "p=bad"]
         )
         assert code == 1
+
+    def test_bad_value_fails_before_the_first_point(self, tmp_path, capsys, monkeypatch):
+        # p = 0.4 and 0.7 are valid, 1.0 is not: no point runs
+        def no_run(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        out = tmp_path / "sweep.csv"
+        code = cli_main(["experiment", "sweep", str(CONFIG_DIR / "oddpoly3_p05.json"),
+                         "--param", "p=0.4:1.0:0.3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and "CONFIG_INVALID" in captured.err
+        assert "control.p must lie in [0, 1), got 1.0" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
     @pytest.mark.parametrize(

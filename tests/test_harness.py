@@ -443,6 +443,57 @@ class TestSweep:
         with pytest.raises(ConfigError):
             ts.run_sweep(raw, "m", [1.0])
 
+    @pytest.mark.parametrize(
+        "param, values, message",
+        [("p", [0.3, 0.6, 1.0], "control.p must lie in [0, 1), got 1.0"),
+         ("theta", [0.1, -0.5], "control.theta must be finite and nonnegative, got -0.5"),
+         ("tol", [1e-8, -1.0], "tolerances must be positive and finite: tol is -1.0")],
+    )
+    def test_bad_value_raises_before_any_point(self, monkeypatch, param, values, message):
+        # the standalone parse of the bad point's config gives the same error
+        raw = load_raw("oddpoly3_p05.json")
+        with pytest.raises(ConfigError) as alone:
+            harness.load_config(harness._sweep_config(raw, param, values[-1]))
+        assert str(alone.value) == message
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the sweep started work")
+
+        monkeypatch.setattr(harness, "run_experiment", no_work)
+        monkeypatch.setattr(harness, "solve_exact_derivations", no_work)
+        with pytest.raises(ConfigError) as swept:
+            ts.run_sweep(raw, param, values)
+        assert str(swept.value) == message
+
+    @pytest.mark.parametrize(
+        "name, fallback, solves",
+        [("oddpoly3_p05.json", False, 1), ("trivial2x2_p05.json", False, 1),
+         ("trivial2x2_p05.json", True, 2)],
+    )
+    def test_one_solve_per_map_candidate_per_sweep(self, monkeypatch, name, fallback, solves):
+        # trivial-matrix m = 2 has an empty space under random and identity
+        # twists, so with the fallback both candidates are tried: two solves
+        # per sweep, as in one standalone run
+        raw = load_raw(name)
+        raw["samples"] = {"bound_points": 3, "identity_triples": 3,
+                          "hypothesis_tuples": 0, "linearity_points": 1}
+        if fallback:
+            raw["maps"] = {"sigma": {"random_seed": 9}, "tau": {"random_seed": 10},
+                           "xi": {"random_seed": 11}}
+            raw["fallback_maps"] = [{"sigma": "identity", "tau": "identity", "xi": "identity"}]
+        solve, calls = harness.solve_exact_derivations, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:4])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_exact_derivations", counting)
+        ts.run_experiment(raw, write_files=False)
+        assert len(calls) == solves
+        calls.clear()
+        rows = ts.run_sweep(raw, "p", [0.2, 0.4, 0.6, 0.8])
+        assert len(calls) == solves and all(row["all_passed"] for row in rows)
+
 
 def _small_raw():
     """``oddpoly3_p05`` (hash directions for g, h and k) with small samples."""
@@ -460,9 +511,43 @@ def _bits(value) -> bytes:
     return np.asarray(value).tobytes()
 
 
+def _assert_points_equal_standalone_runs(monkeypatch, raw, param, values):
+    """Each point of a sweep of ``param`` over ``values``: its row, recovered
+    matrices, traces and report, equal to the standalone run of its config."""
+    run, results = harness.run_experiment, []
+
+    def recording(config, *args, **kwargs):
+        result = run(config, *args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(harness, "run_experiment", recording)
+    rows = ts.run_sweep(raw, param, values)
+    assert len(results) == len(rows) == len(values)
+    for value, row, result in zip(values, rows, results):
+        alone = run(harness._sweep_config(raw, param, value), write_files=False)
+        assert row["value"] == value and result.config.raw == alone.config.raw
+        stab, swept = alone.stabilization, result.stabilization
+        assert row["all_passed"] == alone.all_passed
+        assert row["max_iterations"] == max(max(its) for its in stab.iterations.values())
+        assert row["max_bound_violation"] == stab.max_bound_violation
+        assert row["max_identity_residual"] == stab.max_identity_residual
+        for name in ("derivation", "sigma", "tau", "xi"):
+            assert _bits(getattr(swept, name).matrix) == _bits(getattr(stab, name).matrix)
+        assert swept.traces.keys() == stab.traces.keys()
+        for name, trace in stab.traces.items():
+            assert _bits(swept.traces[name]) == _bits(trace)
+        assert json.dumps(result.report) == json.dumps(alone.report)
+    # no point's report shares a margin, error or note list with another's
+    for key in ("derivation", "errors", "notes"):
+        assert len({id(result.report[key]) for result in results}) == len(results)
+
+
 class TestSweepHashMemo:
     """A sweep point, hash directions included, equals the standalone run of
-    its config: the sweep keeps no state between points."""
+    its config.  The points share the algebra, the twist maps and one solved
+    ground truth, which no swept parameter reads and no point modifies;
+    everything else is the point's own."""
 
     VALUES = [0.2, 0.5, 0.8]
 
@@ -470,29 +555,31 @@ class TestSweepHashMemo:
     def test_points_equal_standalone_runs(self, monkeypatch, threads):
         # TERNSTAB_THREADS left in the environment is not read
         monkeypatch.setenv("TERNSTAB_THREADS", threads)
+        _assert_points_equal_standalone_runs(monkeypatch, _small_raw(), "p", self.VALUES)
+
+    @pytest.mark.parametrize("param, values", [("theta", [0.0, 0.05, 0.3]),
+                                               ("tol", [1e-6, 1e-9, 1e-12])])
+    def test_theta_and_tol_points_equal_standalone_runs(self, monkeypatch, param, values):
+        _assert_points_equal_standalone_runs(monkeypatch, _small_raw(), param, values)
+
+    def test_points_of_a_failing_truth_equal_standalone_runs(self, monkeypatch):
+        # on_empty "error": every point reports the solve's error, none runs
         raw = _small_raw()
-        run, results = harness.run_experiment, {}
+        raw["algebra"] = {"builder": "trivial-matrix", "m": 2}
+        raw["derivation"]["on_empty"] = "error"
+        run, results = harness.run_experiment, []
 
         def recording(config, *args, **kwargs):
-            result = run(config, *args, **kwargs)
-            results[config.raw["control"]["p"]] = result
-            return result
+            results.append(run(config, *args, **kwargs))
+            return results[-1]
 
         monkeypatch.setattr(harness, "run_experiment", recording)
-        rows = ts.run_sweep(raw, "p", self.VALUES)
-        for value, row in zip(self.VALUES, rows):
+        ts.run_sweep(raw, "p", self.VALUES)
+        for value, result in zip(self.VALUES, results):
             alone = run(harness._sweep_config(raw, "p", value), write_files=False)
-            stab, swept = alone.stabilization, results[value].stabilization
-            assert row["all_passed"] == alone.all_passed
-            assert row["max_iterations"] == max(max(its) for its in stab.iterations.values())
-            assert row["max_bound_violation"] == stab.max_bound_violation
-            assert row["max_identity_residual"] == stab.max_identity_residual
-            for name in ("derivation", "sigma", "tau", "xi"):
-                assert _bits(getattr(swept, name).matrix) == _bits(getattr(stab, name).matrix)
-            assert swept.traces.keys() == stab.traces.keys()
-            for name, trace in stab.traces.items():
-                assert _bits(swept.traces[name]) == _bits(trace)
-            assert json.dumps(results[value].report) == json.dumps(alone.report)
+            assert result.report["errors"][0]["code"] == "EMPTY_DERIVATION_SPACE"
+            assert json.dumps(result.report) == json.dumps(alone.report)
+        assert len({id(result.report["errors"]) for result in results}) == len(results)
 
 
 class TestSweepIsSerial:

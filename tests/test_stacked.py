@@ -30,6 +30,7 @@ from ternstab.stability import (
     _a_priori_stop,
     _hyers_limits,
     _rate_estimate,
+    _ray_layout,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -886,12 +887,12 @@ def _reference_linearity(named, recovered, control, alg, tol, max_iter, seed, co
 def _core(f, control, xs, tol, max_iter=ITERATION_CAP, out_norm=None, traced=True,
           trace_rows=None):
     """``_hyers_limits``'s outcomes in the form of ``_outcome``."""
-    traces = [[] for _ in xs] if traced else None
-    outcomes = _hyers_limits(f, control, xs, tol, max_iter, out_norm, traces, trace_rows)
+    layout = _ray_layout(control, xs, tol, max_iter, [traced] * len(xs), trace_rows)
+    outcomes, traces = _hyers_limits(f, layout, out_norm)
     return [
         (str(got), got.iterations, trace) if isinstance(got, NonConvergenceError)
         else (*got, trace)
-        for got, trace in zip(outcomes, traces or [[]] * len(xs))
+        for got, trace in zip(outcomes, traces)
     ]
 
 
@@ -963,12 +964,36 @@ def _blocks(alg):
             _random_vector(rng, alg.dim, alg.field, count=5)]
 
 
+def _random_maps(alg):
+    """Four perturbed random linear maps with hash directions."""
+    rng = np.random.default_rng(6)
+    maps = []
+    for seed, p in enumerate((0.5, 0.9, 0.1, 0.5)):
+        matrix = rng.standard_normal((alg.dim, alg.dim)).astype(alg.dtype)
+        spec = ts.PerturbationSpec(theta=0.1, p=p, direction="hash", seed=seed)
+        maps.append(ts.perturb_map(ts.LinearMap(matrix), spec, alg.norm_of, alg.norm_of))
+    return maps
+
+
+def _overflowing(m, row):
+    """The stacked map ``m``, but infinite at ``2**k e_0`` for ``k >= row``."""
+    def fn(xs):
+        xs = np.asarray(xs)
+        if xs.ndim == 1:
+            return fn(xs[None])[0]
+        out = m.fn(xs)
+        out[(xs[:, 1:] == 0).all(axis=1) & (xs[:, 0].real >= 2.0**row)] = np.inf
+        return out
+
+    return ts.EvaluableMap(m.in_dim, m.out_dim, fn, m.kind)
+
+
 class TestStackedCore:
     """``_hyers_limits`` evaluates every ray of a block in one stack; each
     outcome must equal ``hyers_limit``'s at its point alone, which the tests
     above hold to the one-step loop, and the direct method's basis and
-    linearity results, one call per map with one stop plan per run, must
-    equal the per-point loops they replaced."""
+    linearity results, one evaluation per map on one ray layout per run,
+    must equal the per-point loops they replaced."""
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 0.95])
     @pytest.mark.parametrize("direction", ["fixed", "hash"])
@@ -1089,12 +1114,7 @@ class TestStackedCore:
     def test_direct_method_equals_per_point_loops(self, field, keep_traces):
         alg, _, _, _ = _setup(field, "hash", 0.5)
         mod = ts.self_module(alg)
-        rng = np.random.default_rng(6)
-        maps = []
-        for seed, p in enumerate((0.5, 0.9, 0.1, 0.5)):
-            matrix = rng.standard_normal((alg.dim, alg.dim)).astype(alg.dtype)
-            spec = ts.PerturbationSpec(theta=0.1, p=p, direction="hash", seed=seed)
-            maps.append(ts.perturb_map(ts.LinearMap(matrix), spec, alg.norm_of, alg.norm_of))
+        maps = _random_maps(alg)
         for p in (0.1, 0.5, 0.95):
             control = ts.power_control(0.1, p, arity=5, norm=alg.norm_of)
             for max_iter in (1, 1000):
@@ -1103,6 +1123,54 @@ class TestStackedCore:
                         maps, control, mod, max_iter=max_iter, keep_traces=keep_traces,
                         count=count)
                     assert bool(failures) == (max_iter == 1)
+
+    @pytest.mark.parametrize("keep_traces", [True, False])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_layout_fallback_equals_per_point_loops(self, monkeypatch, field, keep_traces):
+        # g leaves double range on the ray of e_0 from row 20 on, before the
+        # stop at 64, while f, h, k and g's other rays stay finite.  Traced
+        # to row 10 only, that ray reads rows 1..10 and its last row (64, or
+        # 30 under max_iter 30, which leaves every ray without a stop) and
+        # is evaluated again, whole.  One layout per run, one evaluation per
+        # map on its stack, and one more for g's ray when it was cut
+        alg, _, _, _ = _setup(field, "hash", 0.5)
+        mod = ts.self_module(alg)
+        control = ts.power_control(0.1, 0.5, arity=5, norm=alg.norm_of)
+        maps = _random_maps(alg)
+        maps[1] = _overflowing(maps[1], 20)
+        overflow = {"map": "g", "basis_index": 0, "code": "NONCONVERGENT",
+                    "message": "iterate at n=20 overflowed"}
+        capped = [{"map": name, "basis_index": i, "code": "NONCONVERGENT",
+                   "message": "doubling iteration did not converge: max_iter 30 exceeded"}
+                  for name in "fghk" for i in range(alg.dim)]
+        capped[alg.dim] = overflow
+        for max_iter, want in ((1000, [overflow]), (30, capped)):
+            assert _assert_direct_method_equals_loops(
+                maps, control, mod, max_iter=max_iter, keep_traces=keep_traces) == want
+
+        layouts, stacks = [], []
+        layout, evaluate = stability._ray_layout, ts.EvaluableMap.evaluate_stack
+
+        def counting_layout(*args, **kwargs):
+            layouts.append(len(args[1]))
+            return layout(*args, **kwargs)
+
+        def counting_stack(self, xs):
+            stacks.append("fghk"[[m is self for m in maps].index(True)])
+            return evaluate(self, xs)
+
+        monkeypatch.setattr(stability, "_ray_layout", counting_layout)
+        monkeypatch.setattr(ts.EvaluableMap, "evaluate_stack", counting_stack)
+        for max_iter in (1000, 30):
+            layouts.clear()
+            stacks.clear()
+            ts.direct_method_stabilize(*maps, control, mod, max_iter=max_iter,
+                                       keep_traces=keep_traces, seed=3, bound_points=2,
+                                       identity_triples=2)
+            assert layouts == [alg.dim + 5]
+            # the doubling, g's whole ray when it was cut, and the bounds
+            assert {name: stacks.count(name) for name in "fghk"} == {
+                "f": 2, "g": 2 if keep_traces else 3, "h": 2, "k": 2}
 
     def test_linearity_raises_the_first_error_in_point_then_map_order(self):
         # g and h leave double range on the ray of one linearity point each,

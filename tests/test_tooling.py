@@ -88,8 +88,9 @@ def test_axioms_op_passes_its_check(tmp_path):
 def test_traced_sweep_sees_the_stacked_work(tmp_path):
     # a sweep point evaluates each of its four maps once for the origin
     # check, the hypothesis sample, the basis and linearity points together
-    # and the bounds, and the tracer still sees one direct-method span per
-    # point
+    # and the bounds, and the tracer still sees one experiment span and one
+    # direct-method span per point; the derivation system is solved once
+    # per sweep config, not per point
     tracing = _load("tracing")
     tracer = tracing.Tracer()
     with tracing.patched(tracer):
@@ -102,3 +103,5 @@ def test_traced_sweep_sees_the_stacked_work(tmp_path):
     assert points == 4
     assert totals["harness.perturb_eval"]["calls"] <= 16 * points
     assert totals["stability.direct_method"]["calls"] == points
+    assert totals["harness.run_experiment"]["calls"] == points
+    assert totals["maps.solve"]["calls"] == len(sweeps) == 2
