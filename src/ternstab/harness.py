@@ -40,6 +40,7 @@ from .serialize import (
     _int_at_least,
     _number,
     _power_law,
+    _trace_texts,
     _typed,
     _write_text,
     algebra_from_json,
@@ -559,10 +560,13 @@ def run_experiment(config, out_dir=None, write_files: bool = True, *, _truth=Non
             datetime.timezone.utc
         ).isoformat()
         report_path = write_json(target_dir / "report.json", report_with_stamp)
-        for name in MAP_NAMES:
+        # the four traces share their columns, so they are rendered together
+        texts = ([None] * len(MAP_NAMES) if stab is None
+                 else _trace_texts([stab.traces[name] for name in MAP_NAMES]))
+        for name, text in zip(MAP_NAMES, texts):
             trace_path = target_dir / f"trace_{name}.csv"
-            if stab is not None:
-                trace_paths[name] = write_trace_csv(trace_path, stab.traces[name])
+            if text is not None:
+                trace_paths[name] = write_trace_csv(trace_path, text)
             else:  # a previous run's traces must not pass for this run's
                 trace_path.unlink(missing_ok=True)
 

@@ -284,13 +284,46 @@ def _csv_text(header, rows) -> str:
     return "\r\n".join([",".join(header), *map(",".join, rows), ""])
 
 
-def write_trace_csv(path, rows) -> Path:
-    """Convergence trace: one row per (basis vector, iteration).
+def _trace_texts(traces) -> list:
+    """The CSV text of each trace of integer ``basis_index`` and ``n``: what
+    ``csv.writer`` writes for ``(basis_index, n, repr(error), repr(tail))``
+    under :data:`TRACE_HEADER`, CRLF line ends included.
 
-    The text is built a column at a time and written at once; it is what
-    ``csv.writer`` writes for ``(basis_index, n, repr(error), repr(tail))``,
-    CRLF line ends included.
+    When every trace's ``basis_index``, ``n`` and ``tail_bound`` columns
+    equal the first's, tails by bit pattern, as a run's do unless a basis
+    ray failed, the ``"i,n,"`` prefixes and ``",tail\\r\\n"`` suffixes are
+    built once, all errors go through one :func:`_float_reprs` call, and
+    each text is one join over the interleaved strings.  Otherwise each
+    trace is rendered alone.
     """
-    basis, ns, errors, tails = list(zip(*rows)) or [()] * 4
-    lines = zip(map(str, basis), map(str, ns), _float_reprs(errors), _float_reprs(tails))
-    return _write_text(path, _csv_text(TRACE_HEADER, lines), newline="")
+    columns = [list(zip(*rows)) or [()] * 4 for rows in traces]
+    if not columns:
+        return []
+    basis, ns, _, tails = columns[0]
+    bits = np.asarray(tails, dtype=np.float64).view(np.int64)
+    if any(c[0] != basis or c[1] != ns
+           or not np.array_equal(np.asarray(c[3], dtype=np.float64).view(np.int64), bits)
+           for c in columns[1:]):
+        return [_trace_texts([rows])[0] for rows in traces]
+    size = len(basis)
+    parts = [""] * (3 * size)
+    parts[::3] = [f"{i},{n}," for i, n in zip(basis, ns)]
+    parts[2::3] = [f",{tail}\r\n" for tail in _float_reprs(tails)]
+    errors = _float_reprs([error for c in columns for error in c[2]])
+    head = ",".join(TRACE_HEADER) + "\r\n"
+    texts = []
+    for k in range(len(columns)):
+        parts[1::3] = errors[k * size : (k + 1) * size]
+        texts.append(head + "".join(parts))
+    return texts
+
+
+def write_trace_csv(path, rows) -> Path:
+    """Convergence trace at ``path``: one row per (basis vector, iteration).
+
+    ``rows`` is a trace, rendered by :func:`_trace_texts` as the one-trace
+    case, or the text that function rendered for it; a run renders its four
+    traces together and writes each text here.
+    """
+    text = rows if isinstance(rows, str) else _trace_texts([rows])[0]
+    return _write_text(path, text, newline="")

@@ -152,9 +152,9 @@ def hyers_limit(
     if x.shape != (f.in_dim,):
         raise DimensionMismatch(f"input shape {x.shape} for map with in_dim {f.in_dim}")
     layout = _ray_layout(control, x[None], tol, max_iter, [trace is not None], trace_rows)
-    (outcome,), (rows,) = _hyers_limits(f, layout, out_norm)
+    (outcome,), rows = _hyers_limits(f, layout, out_norm)
     if trace is not None:
-        trace.extend(rows)
+        trace.extend(row[1:] for row in rows)
     if isinstance(outcome, NonConvergenceError):
         raise outcome
     return outcome
@@ -167,7 +167,10 @@ class _Layout:
     ``rows[r]``, rows ``start[r]..last[r]`` of one ``points`` stack whose
     ``2**k`` factors are ``scale``.  Its first ``traced[r]`` rows go to its
     trace, with the tail bounds ``tails[r]``, and ``current`` indexes every
-    traced row of the stack, ray by ray."""
+    traced row of the stack, ray by ray.  ``columns`` holds the ray index,
+    ``n`` and tail bound of those rows, in that order, which every map's
+    trace shares, and ``rated`` indexes the rows with ``3 <= n <=
+    _RATE_ROWS``."""
 
     limit: int
     stops: list
@@ -179,6 +182,8 @@ class _Layout:
     start: np.ndarray
     last: np.ndarray
     current: np.ndarray
+    columns: tuple
+    rated: list
 
 
 def _stack(xs, ks) -> tuple:
@@ -199,7 +204,9 @@ def _ray_layout(control, xs, tol, max_iter, traced, trace_rows=None) -> _Layout:
     traced rows, ``n <= trace_rows`` when that is set.  The stops are
     searched once per key: ``control.norm_of(x)`` under a power control,
     whose tail bound depends on ``x`` through that norm alone, and the bytes
-    of ``x`` under a custom one."""
+    of ``x`` under a custom one.  The traced rows' ray index, ``n`` and tail
+    bound columns are built here, once for every map of the run, and so are
+    the indexes of the rows ``_rate_estimate`` reads."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     xs = np.asarray(xs)
@@ -229,8 +236,13 @@ def _ray_layout(control, xs, tol, max_iter, traced, trace_rows=None) -> _Layout:
     last = np.cumsum(sizes) - 1
     start = last - sizes + 1
     current = np.concatenate([np.arange(s + 1, s + c + 1) for s, c in zip(start, counts)])
+    columns = ([r for r, c in enumerate(counts) for _ in range(c)],
+               [n for c in counts for n in range(1, c + 1)],
+               [t for tail, c in zip(tails, counts) if c for t in tail[:c]])
+    rated = [j for j, n in enumerate(columns[1]) if 3 <= n <= _RATE_ROWS]
     return _Layout(limit, stops, rows, counts, tails,
-                   *_stack(xn, [np.append(0, r) for r in rows]), start, last, current)
+                   *_stack(xn, [np.append(0, r) for r in rows]), start, last, current,
+                   columns, rated)
 
 
 def _hyers_limits(f, layout: _Layout, out_norm=None) -> tuple:
@@ -238,29 +250,29 @@ def _hyers_limits(f, layout: _Layout, out_norm=None) -> tuple:
     :meth:`EvaluableMap.evaluate_stack` call on its stack.
 
     Returns, per ray, ``(limit, n)`` or the :class:`NonConvergenceError`
-    that the ray alone raises, and, per ray, its trace rows.  When every
-    ray stops and every row is finite, each limit is read at the ray's last
-    row and every traced difference comes from one norm call.  Otherwise
-    each ray is read alone: a ray with a row that is not finite is
-    evaluated again, whole, in one more stack shared by such rays, which
+    that the ray alone raises, and the map's trace: rows ``(ray index, n,
+    successive_difference, tail_bound)``, ray by ray.  When every ray stops
+    and every row is finite, each limit is read at the ray's last row,
+    every traced difference comes from one norm call, and the trace is one
+    ``zip`` of the layout's shared columns with those differences.
+    Otherwise each ray is read alone: a ray with a row that is not finite
+    is evaluated again, whole, in one more stack shared by such rays, which
     leaves the other rays' outcomes alone, and a ray with no stop fails at
-    the cap.
+    the cap; a ray's trace then ends before its first row that is not
+    finite.
     """
     # the norms recompute rows whose squares overflow, and a row that leaves
     # double range is reported or dropped, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = f.evaluate_stack(layout.points) / layout.scale
-    traces = [[] for _ in layout.rows]
     if None not in layout.stops and np.isfinite(scaled).all():
         current = layout.current
         diffs = _norms_with(out_norm, scaled[current] - scaled[current - 1]).tolist()
-        read = 0
-        for trace, count, tails in zip(traces, layout.traced, layout.tails):
-            if count:
-                trace.extend(zip(range(1, count + 1), diffs[read : read + count], tails))
-                read += count
-        return [(scaled[i].copy(), n) for i, n in zip(layout.last, layout.stops)], traces
+        rays, ns, tails = layout.columns
+        return ([(scaled[i].copy(), n) for i, n in zip(layout.last, layout.stops)],
+                list(zip(rays, ns, diffs, tails)))
 
+    traces = [[] for _ in layout.rows]
     outcomes = [_ray_outcome(layout, r, scaled[i : j + 1], rows, out_norm, traces[r])
                 for r, (i, j, rows) in enumerate(zip(layout.start, layout.last, layout.rows))]
     again = [r for r, outcome in enumerate(outcomes) if outcome is None]
@@ -273,7 +285,7 @@ def _hyers_limits(f, layout: _Layout, out_norm=None) -> tuple:
         for r, rows, part in zip(again, ks, np.split(whole, np.cumsum([len(k) for k in ks])[:-1])):
             values = np.concatenate([scaled[layout.start[r]][None], part])
             outcomes[r] = _ray_outcome(layout, r, values, rows, out_norm, traces[r])
-    return outcomes, traces
+    return outcomes, [row for trace in traces for row in trace]
 
 
 def _ray_outcome(layout, r, values, rows, out_norm, trace):
@@ -293,7 +305,7 @@ def _ray_outcome(layout, r, values, rows, out_norm, trace):
     read = min(reached, layout.traced[r])
     if read:
         diffs = _norms_with(out_norm, values[1 : read + 1] - values[:read])
-        trace.extend(zip(range(1, read + 1), diffs.tolist(), layout.tails[r]))
+        trace.extend(zip([r] * read, range(1, read + 1), diffs.tolist(), layout.tails[r]))
     if reached < len(rows):
         n = int(rows[reached])
         return NonConvergenceError(f"iterate at n={n} overflowed", iterations=n)
@@ -550,7 +562,10 @@ def direct_method_stabilize(
     :func:`_ray_layout`).  Under a power control each distinct norm is
     searched once per run (the unit vectors share one search), and the unit
     vectors' traced tail bounds are computed once; under a custom control
-    each distinct ``x`` sums its tail series once per run.  Each map is
+    each distinct ``x`` sums its tail series once per run.  The traced rows'
+    ``basis_index``, ``n`` and ``tail_bound`` columns come from that layout
+    too, so the four maps' traces share them unless a basis ray failed, and
+    ``convergence_rates`` reads only the rows ``3 <= n <= 10``.  Each map is
     evaluated once on that stack; a ray with a row that is not finite is
     evaluated again, whole, and fails as it would alone.  Negative counts
     raise ``ValueError`` before any map is evaluated.  Then:
@@ -591,7 +606,7 @@ def direct_method_stabilize(
                          [True] * alg.dim + [False] * len(xs),
                          None if keep_traces else _RATE_ROWS)
     for name, m, out_norm in named:
-        outcomes, local = _hyers_limits(m, layout, out_norm)
+        outcomes, traces[name] = _hyers_limits(m, layout, out_norm)
         basis = outcomes[: alg.dim]
         # a basis vector whose limit fails gets a zero column
         for i, outcome in enumerate(basis):
@@ -601,7 +616,6 @@ def direct_method_stabilize(
                 basis[i] = np.zeros(m.out_dim, dtype=alg.dtype), outcome.iterations or 0
         recovered[name] = LinearMap(np.column_stack([col for col, _ in basis]))
         iterations[name] = [n for _, n in basis]
-        traces[name] = [(i, *row) for i, rows in enumerate(local[: alg.dim]) for row in rows]
         fresh.append(outcomes[alg.dim :])
     deriv, sigma, tau, xi = (recovered[n] for n in "fghk")
 
@@ -635,7 +649,11 @@ def direct_method_stabilize(
     scale = 1.0 + alg.norms_of(a) * alg.norms_of(b) * alg.norms_of(c)
     max_identity = float(np.max(res / scale, initial=0.0))
 
-    rates = {name: _rate_estimate(rows) for name, rows in traces.items()}
+    # a trace as long as the layout's columns has all of their rows; a ray
+    # cut short by a row that is not finite leaves a shorter one
+    rates = {name: _rate_estimate([rows[j] for j in layout.rated]
+                                  if len(rows) == len(layout.current) else rows)
+             for name, rows in traces.items()}
     return StabilizationReport(
         derivation=deriv,
         sigma=sigma,

@@ -357,14 +357,39 @@ class TestConfigLoading:
         assert not np.array_equal(sigma.matrix, np.eye(2))
         np.testing.assert_array_equal(xi.matrix, [[1.0, 0.0], [0.0, 2.0]])
 
-    def test_fallback_maps_are_tried_in_order(self, tmp_path):
-        # first candidate has an empty space, the fallback has a nontrivial one
+    def test_fallback_maps_are_tried_in_order(self, monkeypatch):
+        # no shipped builder has an empty space under one twist and a
+        # nonempty one under another (odd-poly spaces never are empty,
+        # trivial-matrix ones always are), so the first candidate's solve is
+        # made to find nothing: the run must then solve the fallback and
+        # recover the fallback's twists
         raw = load_raw("oddpoly3_p05.json")
         raw["maps"] = {"sigma": {"random_seed": 9}, "tau": {"random_seed": 10}, "xi": {"random_seed": 11}}
         raw["fallback_maps"] = [{"sigma": "identity", "tau": "identity", "xi": "identity"}]
-        result = ts.run_experiment(raw, write_files=False)
+        config = ts.load_config(raw)
+        first, fallback = config.map_candidates
+        solve, tried = harness.solve_exact_derivations, []
+
+        def first_finds_nothing(mod, sigma, tau, xi, *args):
+            tried.append((sigma, tau, xi))
+            basis = solve(mod, sigma, tau, xi, *args)
+            if len(tried) > 1:
+                return basis
+            assert len(basis) == 1  # the space the stub hides is not empty
+            empty = type(basis)()
+            empty.margin = dict(basis.margin, null_dim=0)
+            return empty
+
+        monkeypatch.setattr(harness, "solve_exact_derivations", first_finds_nothing)
+        result = ts.run_experiment(config, write_files=False)
+        assert [[id(m) for m in maps] for maps in tried] == [
+            [id(m) for m in maps] for maps in (first, fallback)]
         assert result.all_passed
-        assert result.report["notes"] == []
+        assert result.report["notes"] == [] and result.report["errors"] == []
+        stab = result.stabilization
+        for got, want, other in zip((stab.sigma, stab.tau, stab.xi), fallback, first):
+            assert np.max(np.abs(got.matrix - want.matrix)) <= 10 * config.tol
+            assert np.max(np.abs(got.matrix - other.matrix)) > 0.1
 
 
 class TestSweep:

@@ -13,6 +13,7 @@ from ternstab.errors import ConfigError
 from ternstab.serialize import (
     TRACE_HEADER,
     _float_reprs,
+    _trace_texts,
     algebra_from_json,
     algebra_to_json,
     control_from_json,
@@ -191,6 +192,30 @@ class TestControlConfig:
             control_from_json(document)
 
 
+def _csv_writer_reference(path, rows) -> Path:
+    """The row-by-row ``csv.writer`` version of a trace file, which the
+    one-write versions replaced."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_HEADER)
+        for basis_index, n, error, tail in rows:
+            writer.writerow([basis_index, n, repr(float(error)), repr(float(tail))])
+    return path
+
+
+EXTREMES = (math.nan, -0.0, 0.0, 5e-324, -1e-310, 2.2250738585072009e-308, math.inf,
+            -math.inf, 1.7976931348623157e308, 0.1)
+
+
+def _run_trace(scale, tail=None):
+    """A direct-method trace of 4 basis vectors, 30 rows each: the errors
+    depend on ``n`` and the basis vector, the tails on ``n`` alone, so the
+    traces of one run share them."""
+    return [(i, n, scale * 0.5 ** (n / 2) * (1 + i % 3),
+             0.6 * 0.5 ** (n / 2) if tail is None else tail)
+            for i in range(4) for n in range(1, 31)]
+
+
 class TestWriters:
     def test_dump_json_is_stable(self):
         a = dump_json({"b": 1, "a": [1.5, 2.25]})
@@ -220,18 +245,35 @@ class TestWriters:
          for i in range(16) for n in range(1, 65)],
     ], ids=["empty", "nan-tails", "long", "extremes", "numpy-scalars", "repetitive"])
     def test_trace_csv_equals_csv_writer(self, tmp_path, rows):
-        def reference(path, rows):
-            # the row-by-row csv.writer version the one-write version replaced
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(TRACE_HEADER)
-                for basis_index, n, error, tail in rows:
-                    writer.writerow([basis_index, n, repr(float(error)), repr(float(tail))])
-
-        reference(tmp_path / "want.csv", rows)
+        _csv_writer_reference(tmp_path / "want.csv", rows)
         got = write_trace_csv(tmp_path / "got.csv", rows).read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert got.count(b"\r\n") == len(rows) + 1
+
+    @pytest.mark.parametrize("traces", [
+        [_run_trace(errors) for errors in (0.5, 0.25, 0.125, 3.0)],
+        # g's ray of basis vector 0 overflowed at n = 3, so its rows differ
+        [_run_trace(0.5), [row for row in _run_trace(0.25) if row[0] or row[1] <= 2],
+         _run_trace(0.125), _run_trace(3.0)],
+        # the same tails but for the sign of a zero, which prints apart
+        [_run_trace(0.5, tail=0.0), _run_trace(0.25, tail=0.0),
+         _run_trace(0.125, tail=-0.0), _run_trace(3.0, tail=0.0)],
+        [[(i, n, EXTREMES[(j + k) % len(EXTREMES)], EXTREMES[j % len(EXTREMES)])
+          for j, (i, n, _, _) in enumerate(_run_trace(0.5))] for k in range(4)],
+        # a custom control: each ray sums its own tail series
+        [[(i, n, error * 2.0**-n, (1 + i) * 0.7**n) for i in range(3) for n in range(1, 20)]
+         for error in (0.5, 0.25, 0.125, 3.0)],
+        [[], [], [], []],
+        [],
+    ], ids=["shared", "fallback", "signed-zero-tails", "extreme-errors", "custom-tails",
+            "empty", "no-maps"])
+    def test_run_traces_equal_csv_writer(self, tmp_path, traces):
+        texts = _trace_texts(traces)
+        assert len(texts) == len(traces)
+        for k, (rows, text) in enumerate(zip(traces, texts)):
+            want = _csv_writer_reference(tmp_path / f"want{k}.csv", rows).read_bytes()
+            assert text.encode() == want
+            assert write_trace_csv(tmp_path / f"got{k}.csv", text).read_bytes() == want
 
 
 def _nan(bits: int) -> float:

@@ -886,9 +886,13 @@ def _reference_linearity(named, recovered, control, alg, tol, max_iter, seed, co
 
 def _core(f, control, xs, tol, max_iter=ITERATION_CAP, out_norm=None, traced=True,
           trace_rows=None):
-    """``_hyers_limits``'s outcomes in the form of ``_outcome``."""
+    """``_hyers_limits``'s outcomes in the form of ``_outcome``, the map's
+    one trace split into the rows of each ray as ``hyers_limit`` keeps them."""
     layout = _ray_layout(control, xs, tol, max_iter, [traced] * len(xs), trace_rows)
-    outcomes, traces = _hyers_limits(f, layout, out_norm)
+    outcomes, trace = _hyers_limits(f, layout, out_norm)
+    # ray by ray: a stable sort by ray index leaves it as it is
+    assert trace == sorted(trace, key=lambda row: row[0])
+    traces = [[row[1:] for row in trace if row[0] == r] for r in range(len(xs))]
     return [
         (str(got), got.iterations, trace) if isinstance(got, NonConvergenceError)
         else (*got, trace)

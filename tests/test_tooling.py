@@ -105,3 +105,24 @@ def test_traced_sweep_sees_the_stacked_work(tmp_path):
     assert totals["stability.direct_method"]["calls"] == points
     assert totals["harness.run_experiment"]["calls"] == points
     assert totals["maps.solve"]["calls"] == len(sweeps) == 2
+
+
+def test_traced_large_d_sees_every_file_written(tmp_path):
+    # a large_d op writes two runs, each a report and four trace files; the
+    # traced run's serialize.write spans must count every one of them, with
+    # the bytes that reached the disk, in the order the run writes them
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        experiments = _load("workloads").large_d(7, True, tmp_path)
+        tracer.op = 0
+        results = experiments.op()
+    experiments.check(results)
+    spans = [span for span in tracer.take() if span[5] == 0]
+    written = [span[6]["bytes"] for span in spans if span[1] == "serialize.write"]
+    files = [tmp_path / name / file for name in results
+             for file in ("report.json", *(f"trace_{m}.csv" for m in "fghk"))]
+    assert len(results) == 2 and len(written) == 10
+    assert written == [path.stat().st_size for path in files]
+    totals = tracing.layer_totals(spans)["serialize.write"]
+    assert (totals["calls"], totals["bytes"]) == (10, sum(written))
