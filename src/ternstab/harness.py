@@ -51,7 +51,13 @@ from .serialize import (
     write_json,
     write_trace_csv,
 )
-from .stability import EvaluableMap, check_hypothesis, direct_method_stabilize
+from .stability import (
+    EvaluableMap,
+    _check_points,
+    _hypothesis_points,
+    check_hypothesis,
+    direct_method_stabilize,
+)
 
 MAP_NAMES = ("f", "g", "h", "k")
 _DIRECTIONS = ("fixed", "hash")
@@ -435,7 +441,23 @@ def _ground_truth(config: ExperimentConfig) -> tuple:
     return mod, truth, chosen, basis.margin, errors, notes
 
 
-def run_experiment(config, out_dir=None, write_files: bool = True, *, _truth=None) -> RunResult:
+def _draw_points(config: ExperimentConfig) -> tuple:
+    """The seeded samples of the hypothesis check (None when it samples no
+    tuple) and of the direct method's linearity, bound and identity checks.
+    None of them reads ``p``, ``theta`` or ``tol``, so a sweep draws them
+    once; the arrays are read-only."""
+    alg, samples = config.algebra, config.samples
+    hypothesis = None
+    if samples["hypothesis_tuples"] > 0:
+        hypothesis = _hypothesis_points(alg, samples["hypothesis_tuples"], config.seed,
+                                        config.mode, config.lambda_grid)
+    checks = _check_points(alg, config.seed, samples["linearity_points"],
+                           samples["bound_points"], samples["identity_triples"], config.mode)
+    return hypothesis, checks
+
+
+def run_experiment(config, out_dir=None, write_files: bool = True, *, _truth=None,
+                   _points=None) -> RunResult:
     """Full pipeline: solve ground truth, perturb, stabilize, verify, emit.
 
     The report is written as JSON (plus one convergence CSV per map) when
@@ -473,6 +495,7 @@ def run_experiment(config, out_dir=None, write_files: bool = True, *, _truth=Non
     writes = write_files and target_dir is not None
     if not errors:
         sigma, tau, xi = chosen
+        hypothesis_points, check_points = _points or _draw_points(config)
         evaluables = {}
         for name, base, out_norm in (
             ("f", truth, mod.norm_of),
@@ -496,6 +519,7 @@ def run_experiment(config, out_dir=None, write_files: bool = True, *, _truth=Non
                     samples=config.samples["hypothesis_tuples"],
                     seed=config.seed,
                     mode=config.mode,
+                    _points=hypothesis_points,
                 )
             stab = direct_method_stabilize(
                 evaluables["f"],
@@ -513,6 +537,7 @@ def run_experiment(config, out_dir=None, write_files: bool = True, *, _truth=Non
                 identity_triples=config.samples["identity_triples"],
                 linearity_points=config.samples["linearity_points"],
                 keep_traces=writes,
+                _points=check_points,
             )
         except (DivergentControlError, NonConvergenceError) as exc:
             errors.append({"code": exc.code, "message": str(exc)})
@@ -626,8 +651,10 @@ def run_sweep(config, param: str, values, out_csv=None) -> list:
     Every point's config is built, and validated, before the first point
     runs, so a bad value raises its ``ConfigError`` before any work.  The
     points share what no swept parameter reads: the algebra, the twist
-    maps, and the self-module, solved ground truth and solver margin of
-    one solve per map candidate tried, all left unmodified.  Points then
+    maps, the self-module, solved ground truth and solver margin of one
+    solve per map candidate tried, and one draw of the seeded samples of
+    the hypothesis, linearity, bound and identity checks, all left
+    unmodified (the samples are read-only arrays).  Points then
     run one after another on the calling thread, in the order of
     ``values``, each written to no file; each point's result equals the
     standalone run of its config.
@@ -637,7 +664,9 @@ def run_sweep(config, param: str, values, out_csv=None) -> list:
     values = [float(v) for v in values]
     points = [_sweep_point(config, param, v) for v in values]
     truth = _ground_truth(config) if points else None
-    results = [run_experiment(point, write_files=False, _truth=truth) for point in points]
+    drawn = _draw_points(config) if points else None
+    results = [run_experiment(point, write_files=False, _truth=truth, _points=drawn)
+               for point in points]
 
     rows = []
     for value, result in zip(values, results):

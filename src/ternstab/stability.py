@@ -8,8 +8,10 @@ function, the exact derivation is the limit of the doubling iteration
 and linearity rays, assembles the recovered linear maps, and verifies linearity,
 the distance bounds and the derivation identity.  ``check_hypothesis``
 samples the defect inequalities themselves and reports violations as
-findings rather than failures.  It draws its points sample by sample, in a
-fixed order, and evaluates all of them in one stacked pass.
+findings rather than failures.  Each group of seeded samples, the
+hypothesis tuples and the linearity, bound and identity points, is drawn in
+one pass, into read-only arrays that a sweep's points share, and each map
+is evaluated on all of a check's points in one stacked pass.
 """
 
 from __future__ import annotations
@@ -372,6 +374,83 @@ def _lambda_grid(field_tag: str, count: int):
     return np.array([1.0, -1.0])
 
 
+@dataclass(frozen=True, eq=False)
+class _HypothesisPoints:
+    """What :func:`check_hypothesis` derives from its draws alone, all
+    read-only: the drawn ``(samples, slots, d)`` tuples, the lambda grid, and
+    the maps' two stacked inputs.  Sample ``i`` of an input is rows ``x, y,
+    u, v, w`` (a Jordan sample repeats ``u`` as ``v`` and ``w``) and then,
+    per lambda, ``lam x + lam y + [uvw]`` in ``f_input`` and ``lam x + lam
+    y`` in ``shared_input``, which ``g``, ``h`` and ``k`` share."""
+
+    drawn: np.ndarray
+    lams: np.ndarray
+    f_input: np.ndarray
+    shared_input: np.ndarray
+
+
+def _hypothesis_points(alg, samples: int, seed: int, mode: str,
+                       lambda_grid: int) -> _HypothesisPoints:
+    """The :class:`_HypothesisPoints` of ``samples`` tuples from the stream
+    ``[seed, 0x48]``.  Each tuple takes one ``uniform`` log-scale in
+    ``[log 1/4, log 4)`` and then one standard normal draw of all its
+    slots' coordinates (see :func:`_random_vector`), in that order, so the
+    tuples equal those of drawing them one at a time; the scales and the
+    complex parts are applied afterwards, to all tuples at once."""
+    lams = _lambda_grid(alg.field, lambda_grid)
+    rng = np.random.default_rng([seed, 0x48])
+    slots = 5 if mode == "lie" else 3
+    parts = 2 if alg.field == COMPLEX else 1
+    low, high = np.log(0.25), np.log(4.0)
+    logs, raw = np.empty(samples), np.empty((samples, slots, parts * alg.dim))
+    for i in range(samples):
+        logs[i] = rng.uniform(low, high)
+        rng.standard_normal(out=raw[i])
+    if parts == 2:
+        raw = raw[..., : alg.dim] + 1j * raw[..., alg.dim :]
+    drawn = np.exp(logs)[:, None, None] * raw
+    points = drawn[:, np.minimum(np.arange(5), slots - 1)]
+    lam_col = lams[:, None]
+    sums = lam_col * points[:, :1] + lam_col * points[:, 1:2]
+    triple = _trilinear(alg._plan, *np.moveaxis(points[:, 2:], 1, 0))[:, None]
+    record = _HypothesisPoints(
+        drawn, lams,
+        np.concatenate([points, sums + triple], axis=1).reshape(-1, alg.dim),
+        np.concatenate([points, sums], axis=1).reshape(-1, alg.dim))
+    for array in vars(record).values():
+        array.flags.writeable = False
+    return record
+
+
+@dataclass(frozen=True, eq=False)
+class _CheckPoints:
+    """The seeded points of :func:`direct_method_stabilize`'s checks, all
+    read-only: ``linearity`` and ``bounds`` are ``(count, d)`` stacks and
+    ``identity`` the ``a``, ``b`` and ``c`` stacks of the identity triples."""
+
+    linearity: np.ndarray
+    bounds: np.ndarray
+    identity: tuple
+
+
+def _check_points(alg, seed: int, linearity_points: int, bound_points: int,
+                  identity_triples: int, mode: str) -> _CheckPoints:
+    """The :class:`_CheckPoints` drawn from the streams ``[seed, 0x51]``
+    (linearity), ``0x52`` (bounds) and ``0x53`` (identity), each in one
+    :func:`_random_vector` call."""
+    def draw(stream, count):
+        rng = np.random.default_rng([seed, stream])
+        points = _random_vector(rng, alg.dim, alg.field, count=count)
+        points.flags.writeable = False
+        return points
+
+    # drawn a, b, c per triple in turn; a Jordan triple repeats its one draw
+    slots = 1 if mode == "jordan" else 3
+    stack = draw(0x53, identity_triples * slots).reshape(identity_triples, slots, alg.dim)
+    return _CheckPoints(draw(0x51, linearity_points), draw(0x52, bound_points),
+                        tuple(stack[:, s % slots] for s in range(3)))
+
+
 def check_hypothesis(
     f: EvaluableMap,
     g: EvaluableMap,
@@ -384,6 +463,8 @@ def check_hypothesis(
     samples: int = 50,
     seed: int = 0,
     mode: str = "lie",
+    *,
+    _points: _HypothesisPoints | None = None,
 ) -> HypothesisReport:
     """Sample the defect inequalities of the four maps.
 
@@ -398,40 +479,30 @@ def check_hypothesis(
     rounding allowance of ``1e-12 * (1 + phi)``; the raw worst slack is
     reported either way.
 
-    The points are drawn sample by sample, each a scale and then ``x, y, u``
-    (and ``v, w`` in ``lie`` mode), and evaluated together: each map and
-    each side of ``phi`` once on one stack, the residuals and slacks as
-    ``(samples, lambdas, 4)``.  A negative ``samples`` raises ``ValueError``
-    before any map is evaluated.
+    The points are drawn by :func:`_hypothesis_points`, a scale and then
+    ``x, y, u`` (and ``v, w`` in ``lie`` mode) per sample, and evaluated
+    together: each map and each side of ``phi`` once on one stack, the
+    residuals and slacks as ``(samples, lambdas, 4)``.  A sweep draws them
+    once and passes them to each point as ``_points``.  A negative
+    ``samples`` raises ``ValueError`` before any map is evaluated.
     """
     if mode not in ("lie", "jordan"):
         raise ValueError("mode must be 'lie' or 'jordan'")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     alg = mod.algebra
-    lams = _lambda_grid(alg.field, lambda_grid)
+    if _points is None:
+        _points = _hypothesis_points(alg, samples, seed, mode, lambda_grid)
+    lams = _points.lams
     lam_col = lams[:, None]
-    rng = np.random.default_rng([seed, 0x48])
-    slots = 5 if mode == "lie" else 3
-    zeros = (np.zeros(alg.dim, dtype=alg.dtype),) * (slots - 2)
-
-    def draw():
-        scale = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
-        return _random_vector(rng, alg.dim, alg.field, scale, count=slots)
-
-    drawn = np.reshape([draw() for _ in range(samples)], (samples, slots, alg.dim))
-    args = tuple(np.moveaxis(drawn, 1, 0))
+    args = tuple(np.moveaxis(_points.drawn, 1, 0))
+    zeros = (np.zeros(alg.dim, dtype=alg.dtype),) * (len(args) - 2)
     phi = np.stack([control.evaluate(*args), *[control.evaluate(*args[:2], *zeros)] * 3],
                    axis=-1)[:, None]
-    # rows 0-4 of a sample are x, y, u, v, w (a Jordan sample repeats u as
-    # v and w); row 5 + j belongs to lams[j]
-    points = drawn[:, np.minimum(np.arange(5), slots - 1)]
-    sums = lam_col * points[:, :1] + lam_col * points[:, 1:2]
-    triple = _trilinear(alg._plan, *np.moveaxis(points[:, 2:], 1, 0))[:, None]
     f_at, g_at, h_at, k_at = (
-        m.evaluate_stack(np.concatenate([points, tails], axis=1).reshape(-1, alg.dim))
-        .reshape(samples, 5 + len(lams), m.out_dim)
-        for m, tails in ((f, sums + triple), (g, sums), (h, sums), (k, sums))
+        m.evaluate_stack(xs).reshape(samples, 5 + len(lams), m.out_dim)
+        for m, xs in ((f, _points.f_input), (g, _points.shared_input),
+                      (h, _points.shared_input), (k, _points.shared_input))
     )
     bracket_sum = (
         signs.s1 * _bracket(mod, f_at[:, 2], h_at[:, 3], k_at[:, 4], g_at[:, 4])
@@ -550,6 +621,8 @@ def direct_method_stabilize(
     linearity_points: int = 5,
     identity_tol: float = 1e-8,
     keep_traces: bool = True,
+    *,
+    _points: _CheckPoints | None = None,
 ) -> StabilizationReport:
     """Recover ``(D, sigma, tau, xi)`` from ``(f, g, h, k)`` and verify them.
 
@@ -585,6 +658,10 @@ def direct_method_stabilize(
     the report as partial instead of aborting the remaining work.  ``traces`` holds every
     doubling of every basis vector, or with ``keep_traces`` false only the
     rows ``n <= 10`` that ``convergence_rates`` reads.
+
+    The seeded points of the three checks are drawn by
+    :func:`_check_points`, each group in one call; a sweep draws them once
+    and passes them to each point as ``_points``.
     """
     if mode not in ("lie", "jordan"):
         raise ValueError("mode must be 'lie' or 'jordan'")
@@ -598,9 +675,11 @@ def direct_method_stabilize(
         if not l2_norm(origin) <= 1e-12:
             raise ValueError(f"{name}(0) != 0; the direct method requires it")
 
+    if _points is None:
+        _points = _check_points(alg, seed, linearity_points, bound_points, identity_triples,
+                                mode)
     traces, iterations, failures, recovered, fresh = {}, {}, [], {}, []
-    rng = np.random.default_rng([seed, 0x51])
-    xs = _random_vector(rng, alg.dim, alg.field, count=linearity_points)
+    xs = _points.linearity
     # the basis rays, traced, then the linearity rays: one layout for the four maps
     layout = _ray_layout(control, np.concatenate([alg.basis(), xs]), tol, max_iter,
                          [True] * alg.dim + [False] * len(xs),
@@ -631,20 +710,14 @@ def direct_method_stabilize(
         # np.max, unlike max(), keeps a NaN
         linearity_max = np.max(gaps, initial=0.0)
 
-    rng = np.random.default_rng([seed, 0x52])
     zeros = (np.zeros(alg.dim, dtype=alg.dtype),) * (control.arity - 2)
-    points = _random_vector(rng, alg.dim, alg.field, count=bound_points)
+    points = _points.bounds
     phi_values = summed_majorant(control, (points, points) + zeros).tolist()
     gaps = [_norms_with(out_norm, m.evaluate_stack(points) - recovered[name].apply(points))
             for name, m, out_norm in named]
     max_violation = np.max(np.subtract(gaps, phi_values)) if bound_points else 0.0
 
-    rng = np.random.default_rng([seed, 0x53])
-    # drawn a, b, c per triple in turn; a Jordan triple repeats its one draw
-    slots = 1 if mode == "jordan" else 3
-    stack = _random_vector(rng, alg.dim, alg.field, count=identity_triples * slots)
-    stack = stack.reshape(identity_triples, slots, alg.dim)
-    a, b, c = (stack[:, s % slots] for s in range(3))
+    a, b, c = _points.identity
     res = mod.norms_of(lie_derivation_residual(mod, deriv, a, b, c, sigma, tau, xi, signs))
     scale = 1.0 + alg.norms_of(a) * alg.norms_of(b) * alg.norms_of(c)
     max_identity = float(np.max(res / scale, initial=0.0))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ternstab as ts
-from ternstab import harness
+from ternstab import harness, stability
 from ternstab.errors import ConfigError
 from ternstab.harness import parse_sweep_spec
 from ternstab.serialize import register_custom_control
@@ -519,6 +519,42 @@ class TestSweep:
         rows = ts.run_sweep(raw, "p", [0.2, 0.4, 0.6, 0.8])
         assert len(calls) == solves and all(row["all_passed"] for row in rows)
 
+    def test_one_draw_of_the_samples_per_sweep(self, monkeypatch):
+        # the hypothesis tuples and the linearity, bound and identity points
+        # read no swept parameter: a sweep draws them once, as does one
+        # standalone run, and its points share them read-only
+        raw = load_raw("oddpoly3_p05.json")
+        raw["samples"] = {"bound_points": 3, "identity_triples": 3,
+                          "hypothesis_tuples": 4, "linearity_points": 1}
+        records = {}
+
+        def counting(name):
+            draw, records[name] = getattr(stability, name), []
+
+            def recording(*args, **kwargs):
+                records[name].append(draw(*args, **kwargs))
+                return records[name][-1]
+
+            return recording
+
+        for name in ("_hypothesis_points", "_check_points"):
+            recording = counting(name)
+            monkeypatch.setattr(harness, name, recording)
+            monkeypatch.setattr(stability, name, recording)
+        ts.run_experiment(raw, write_files=False)
+        assert [len(drawn) for drawn in records.values()] == [1, 1]
+        for drawn in records.values():
+            drawn.clear()
+        rows = ts.run_sweep(raw, "p", [round(0.1 * i, 1) for i in range(1, 10)])
+        assert len(rows) == 9 and all(row["all_passed"] for row in rows)
+        assert [len(drawn) for drawn in records.values()] == [1, 1]
+        (hypothesis,), (checks,) = records.values()
+        arrays = [*vars(hypothesis).values(), checks.linearity, checks.bounds, *checks.identity]
+        assert len(arrays) == 9
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
+
 
 def _small_raw():
     """``oddpoly3_p05`` (hash directions for g, h and k) with small samples."""
@@ -586,6 +622,20 @@ class TestSweepHashMemo:
                                                ("tol", [1e-6, 1e-9, 1e-12])])
     def test_theta_and_tol_points_equal_standalone_runs(self, monkeypatch, param, values):
         _assert_points_equal_standalone_runs(monkeypatch, _small_raw(), param, values)
+
+    @pytest.mark.parametrize("shape", ["jordan", "complex", "no-hypothesis-or-linearity"])
+    def test_points_of_other_draw_shapes_equal_standalone_runs(self, monkeypatch, shape):
+        # jordan: 3-slot tuples, a repeated identity draw and an arity-3
+        # control; complex: the two-part draw and the 16-point lambda grid;
+        # and a sweep that draws no hypothesis tuple and no linearity point
+        raw = _small_raw()
+        if shape == "jordan":
+            raw = {**load_raw("oddpoly3_jordan.json"), "samples": raw["samples"]}
+        elif shape == "complex":
+            raw["algebra"]["field"] = "complex"
+        else:
+            raw["samples"].update(hypothesis_tuples=0, linearity_points=0)
+        _assert_points_equal_standalone_runs(monkeypatch, raw, "p", self.VALUES)
 
     def test_points_of_a_failing_truth_equal_standalone_runs(self, monkeypatch):
         # on_empty "error": every point reports the solve's error, none runs

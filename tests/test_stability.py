@@ -8,7 +8,8 @@ import pytest
 import ternstab as ts
 from ternstab.algebra import _random_vector
 from ternstab.errors import NonConvergenceError
-from ternstab.stability import _rate_estimate
+from ternstab.algebra import _trilinear
+from ternstab.stability import _hypothesis_points, _lambda_grid, _rate_estimate
 
 
 @pytest.fixture()
@@ -346,6 +347,46 @@ class TestCheckHypothesis:
             f, g, h, k, control, oddpoly3_module, lambda_grid=16, samples=5, seed=6
         )
         assert report.lambda_count == 2
+
+
+def _hypothesis_points_one_by_one(alg, samples, seed, mode, lambda_grid):
+    """The tuples and map inputs of ``check_hypothesis`` as it once drew them:
+    one ``draw()`` per tuple, a scale and then its slots."""
+    rng = np.random.default_rng([seed, 0x48])
+    slots = 5 if mode == "lie" else 3
+
+    def draw():
+        scale = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
+        return _random_vector(rng, alg.dim, alg.field, scale, count=slots)
+
+    drawn = np.reshape([draw() for _ in range(samples)], (samples, slots, alg.dim))
+    lam_col = _lambda_grid(alg.field, lambda_grid)[:, None]
+    points = drawn[:, np.minimum(np.arange(5), slots - 1)]
+    sums = lam_col * points[:, :1] + lam_col * points[:, 1:2]
+    triple = _trilinear(alg._plan, *np.moveaxis(points[:, 2:], 1, 0))[:, None]
+    inputs = [np.concatenate([points, tails], axis=1).reshape(-1, alg.dim)
+              for tails in (sums + triple, sums)]
+    return drawn, inputs
+
+
+class TestHypothesisPoints:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("mode", ["lie", "jordan"])
+    @pytest.mark.parametrize("samples", [0, 1, 40])
+    def test_one_pass_draw_keeps_the_stream(self, field, mode, samples):
+        # the generator is called in the per-tuple order, so every tuple,
+        # and every map input built from them, is bitwise the one-by-one one
+        algebras = (ts.odd_polynomial_algebra(3, field), ts.trivial_matrix_algebra(2, field))
+        for seed, alg in ((seed, alg) for seed in range(20) for alg in algebras):
+            record = _hypothesis_points(alg, samples, seed, mode, 16)
+            drawn, inputs = _hypothesis_points_one_by_one(alg, samples, seed, mode, 16)
+            assert record.drawn.shape == drawn.shape == (samples, 5 if mode == "lie" else 3,
+                                                         alg.dim)
+            assert record.drawn.tobytes() == drawn.tobytes()
+            for got, want in zip((record.f_input, record.shared_input), inputs):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert len(record.lams) == (16 if field == "complex" else 2)
+            assert not any(a.flags.writeable for a in vars(record).values())
 
 
 class TestEvaluableMap:

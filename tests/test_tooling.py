@@ -126,3 +126,25 @@ def test_traced_large_d_sees_every_file_written(tmp_path):
     assert written == [path.stat().st_size for path in files]
     totals = tracing.layer_totals(spans)["serialize.write"]
     assert (totals["calls"], totals["bytes"]) == (10, sum(written))
+
+
+def test_traced_sweep_sees_each_points_checks(tmp_path):
+    # a sweep draws its samples once, but every point still runs its
+    # hypothesis check and its direct method through the traced names: one
+    # span of each below each point's experiment span, and 16 map
+    # evaluations per point (the origin check, the hypothesis sample, the
+    # basis and linearity rays, and the bounds, for each of four maps)
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        sweep = _load("workloads").Sweep(7, True, tmp_path)
+        tracer.op = 0
+        sweeps = sweep.op()
+    sweep.check(sweeps)
+    spans = [span for span in tracer.take() if span[5] == 0]
+    points = sum(len(rows) for rows in sweeps.values())
+    runs = [span[0] for span in spans if span[1] == "harness.run_experiment"]
+    assert points == len(runs) == 4
+    for name in ("stability.check_hypothesis", "stability.direct_method"):
+        assert sorted(span[4] for span in spans if span[1] == name) == sorted(runs)
+    assert tracing.layer_totals(spans)["harness.perturb_eval"]["calls"] == 16 * points
