@@ -30,6 +30,10 @@ from .algebra import _norms_with, l2_norm
 _DIVERGENCE_WINDOW = 8
 #: trailing ratios that must agree for the geometric tail completion
 _RATIO_WINDOW = 5
+#: a majorant series stops at a term at most this, or after this many terms
+_MAJORANT_TOL, _MAJORANT_TERMS = 1e-14, 256
+#: a tail series stops at a term at most this, or past ``k = 1000``
+_TAIL_TOL, _TAIL_TERMS = 1e-30, 1001
 
 
 @dataclass(frozen=True)
@@ -156,51 +160,34 @@ def _rest(terms: list, rate) -> float:
     return terms[-1] * rate / (1.0 - rate) if rate else 0.0
 
 
-def summed_majorant(
-    control: ControlFunction,
-    args,
-    tail_tol: float = 1e-14,
-    max_terms: int = 256,
-    method: str = "auto",
-):
+def summed_majorant(control: ControlFunction, args):
     """The damped majorant ``(1/2) sum_n 2**(-n) phi(2**n args)``.
 
-    ``method="auto"`` uses the exact closed form for power controls and
-    numeric summation otherwise; ``"numeric"`` forces term-by-term summation
-    with geometric tail completion; ``"partial"`` returns the raw truncated
-    sum.  Stacked ``args`` give one value per row (numeric sums run per row).
+    Power controls use the exact closed form.  A custom control's series is
+    summed until a term is at most ``1e-14`` or for 256 terms, then continued
+    at the trailing terms' common ratio (an estimate) unless it ended on such
+    a term.  Stacked ``args`` give one value per row.
     """
     args = tuple(np.asarray(a) for a in args)
     if len(args) != control.arity:
         raise ValueError(f"expected {control.arity} arguments, got {len(args)}")
-    if method not in ("auto", "closed", "numeric", "partial"):
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "closed"):
-        if control.kind == "power":
-            denom = 1.0 - 2.0 ** (control.p - 1.0)
-            return control.evaluate(*args) / (2.0 * denom)
-        if method == "closed":
-            raise ValueError("closed form only exists for power controls")
+    if control.kind == "power":
+        denom = 1.0 - 2.0 ** (control.p - 1.0)
+        return control.evaluate(*args) / (2.0 * denom)
     if any(a.ndim > 1 for a in args):
-        return np.array([summed_majorant(control, row, tail_tol, max_terms, method)
+        return np.array([summed_majorant(control, row)
                          for row in zip(*np.broadcast_arrays(*args))])
 
-    terms, rate = _series(control, args, tail_tol, max_terms)
+    terms, rate = _series(control, args, _MAJORANT_TOL, _MAJORANT_TERMS)
     total = 0.0
     for t in terms:
         total += t
-    if terms and terms[-1] <= tail_tol:  # nothing is added past tail_tol
+    if terms[-1] <= _MAJORANT_TOL:  # nothing is added past the tolerance
         rate = None
-    return total if method == "partial" else total + _rest(terms, rate)
+    return total + _rest(terms, rate)
 
 
-def cauchy_tail_bound(
-    control: ControlFunction,
-    x,
-    q,
-    terms: int = 1001,
-    tail_tol: float = 1e-30,
-):
+def cauchy_tail_bound(control: ControlFunction, x, q):
     """Tail majorant ``sum_{k>=q} (1/2) 2**(-k) phi(2**k x, 2**k x, 0, ...)``.
 
     Bounds the distance between the scaled iterates at steps ``q`` and any
@@ -209,11 +196,11 @@ def cauchy_tail_bound(
     entry.  Power controls use the closed form ``theta |x|**p 2**(q(p-1)) /
     (1 - 2**(p-1))``.  A custom control's series is summed once per call,
     from ``k = 0``, with the divergence detection of
-    :func:`summed_majorant`, for at most ``terms`` terms (``k <= 1000`` by
-    default, the rows the direct method reaches) and while ``2**k x`` stays
-    below ``2**1000``; every ``q`` is read from its suffix sums.  The rest
-    past the last term summed, also past a term at most ``tail_tol``, is a
-    geometric estimate, not a bound: the series continued at the common
+    :func:`summed_majorant`, for ``k <= 1000`` (the rows the direct method
+    reaches) and while ``2**k x`` stays below ``2**1000``, or until a term
+    is at most ``1e-30``; every ``q`` is read from its suffix sums.  The
+    rest past the last term summed, also past a term at most ``1e-30``, is
+    a geometric estimate, not a bound: the series continued at the common
     ratio of the trailing terms, for every later ``q`` too, or 0.0 when
     their ratios do not agree.
     """
@@ -236,9 +223,9 @@ def cauchy_tail_bound(
         # 2**k max |x_i| < 2**1000 while k <= 1000 - e, where max |x_i| < 2**e
         _, e = math.frexp(float(np.max(np.abs([x.real, x.imag]), initial=0.0)))
         zeros = (np.zeros_like(x),) * (control.arity - 2)
-        found, rate = _series(control, (x, x, *zeros), tail_tol, min(terms, 1001 - e))
-        # a term below tail_tol ends the sum, not the series: its rest is
-        # completed at the trailing ratio, as past the last of ``terms``
+        found, rate = _series(control, (x, x, *zeros), _TAIL_TOL, min(_TAIL_TERMS, 1001 - e))
+        # a term below the tolerance ends the sum, not the series: its rest
+        # is completed at the trailing ratio, as past the last term
         rest = _rest(found, rate)
         suffix = list(accumulate(reversed(found), initial=rest))[::-1]
         bounds = [suffix[k] if k <= len(found) else rest * (rate or 0.0) ** (k - len(found))

@@ -19,6 +19,7 @@ about the signs, so the convention is an explicit parameter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -493,8 +494,11 @@ def solve_exact_derivations(
     rotated the null space.  Each vector is oriented so its largest entry
     is positive real.  The zero map is always a solution and is not part of
     the returned basis; an empty list means it is the only one.  The list's
-    ``margin`` reports the rank decision (``DerivationBasis``).
+    ``margin`` reports the rank decision (``DerivationBasis``).  A NaN,
+    infinite or negative ``rank_tol`` raises ``ValueError`` before any work.
     """
+    if not (math.isfinite(rank_tol) and rank_tol >= 0):
+        raise ValueError(f"rank_tol must be finite and nonnegative, got {rank_tol!r}")
     _check_twist_maps(mod, sigma, tau, xi)
     da, dx = mod.algebra.dim, mod.dim
     dtype = mod.dtype

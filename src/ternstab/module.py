@@ -32,6 +32,9 @@ from .algebra import (
 )
 from .errors import DimensionMismatch
 
+#: the sampled chain check draws at most this many tuples, whatever the budget
+_SAMPLED_CHAIN_CAP = 100_000
+
 
 @dataclass(frozen=True, eq=False)
 class TernaryModule(_Space):
@@ -159,9 +162,10 @@ def check_module_axioms(
     """Evaluate the five compatibility chains and the norm inequality.
 
     Chains run over all basis tuples ``(a, b, c, d, x)`` when
-    ``dA**4 * dX <= budget``, otherwise over a seeded subsample of the same
-    size cap.  The norm inequality is checked on ``samples`` random tuples;
-    a check of no tuple or no sample does not pass.
+    ``dA**4 * dX <= budget``, otherwise over ``min(budget, 100_000)`` seeded
+    tuples (the associativity check draws its whole budget).  The norm
+    inequality is checked on ``samples`` random tuples; a check of no tuple
+    or no sample does not pass.
     """
     _check_arguments(tol, samples=samples, budget=budget)
     alg = mod.algebra
@@ -171,7 +175,7 @@ def check_module_axioms(
         tuples_checked, chunks = total, range(alg.dim)
     else:
         rng = np.random.default_rng(seed)
-        tuples_checked = min(budget, 100_000)
+        tuples_checked = min(budget, _SAMPLED_CHAIN_CAP)
         where = np.vstack([rng.integers(0, alg.dim, size=(4, tuples_checked)),
                            rng.integers(0, mod.dim, size=tuples_checked)])
         chunks = (where[:, s:s + _TUPLE_CHUNK] for s in range(0, tuples_checked, _TUPLE_CHUNK))

@@ -318,12 +318,10 @@ def _trace_texts(traces) -> list:
     return texts
 
 
-def write_trace_csv(path, rows) -> Path:
+def write_trace_csv(path, text: str) -> Path:
     """Convergence trace at ``path``: one row per (basis vector, iteration).
 
-    ``rows`` is a trace, rendered by :func:`_trace_texts` as the one-trace
-    case, or the text that function rendered for it; a run renders its four
-    traces together and writes each text here.
+    ``text`` is a trace as :func:`_trace_texts` renders it; a run renders
+    its four traces together and writes each text here.
     """
-    text = rows if isinstance(rows, str) else _trace_texts([rows])[0]
     return _write_text(path, text, newline="")

@@ -148,7 +148,8 @@ def hyers_limit(
     keeps ``2**n`` inside double-precision range.  Without a stop, row
     ``min(max_iter, 1000)`` is checked the same way as row ``n``.  A custom
     control whose series does not decay raises
-    :class:`DivergentControlError` before ``f`` is evaluated.
+    :class:`DivergentControlError`, and a ``tol`` that is not finite and
+    positive ``ValueError``, before ``f`` is evaluated.
     """
     x = np.asarray(x)
     if x.shape != (f.in_dim,):
@@ -208,9 +209,10 @@ def _ray_layout(control, xs, tol, max_iter, traced, trace_rows=None) -> _Layout:
     whose tail bound depends on ``x`` through that norm alone, and the bytes
     of ``x`` under a custom one.  The traced rows' ray index, ``n`` and tail
     bound columns are built here, once for every map of the run, and so are
-    the indexes of the rows ``_rate_estimate`` reads."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    the indexes of the rows ``_rate_estimate`` reads.  A ``tol`` that is not
+    finite and positive raises: a NaN would stop no ray, and inf every one."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     xs = np.asarray(xs)
     limit = min(int(max_iter), ITERATION_CAP)
     xn = np.array(xs, dtype=np.result_type(xs.dtype, np.float64))
@@ -641,7 +643,9 @@ def direct_method_stabilize(
     ``convergence_rates`` reads only the rows ``3 <= n <= 10``.  Each map is
     evaluated once on that stack; a ray with a row that is not finite is
     evaluated again, whole, and fails as it would alone.  Negative counts
-    raise ``ValueError`` before any map is evaluated.  Then:
+    and a ``tol`` that is not finite and positive raise ``ValueError``, and
+    a custom control whose series does not decay
+    :class:`DivergentControlError`, before any map is evaluated.  Then:
 
     * linearity: at seeded non-basis points the recovered matrix must agree
       with a fresh limit to ``10 * tol``; the first failure, in point order
@@ -668,6 +672,14 @@ def direct_method_stabilize(
     if min(bound_points, identity_triples, linearity_points) < 0:
         raise ValueError("bound_points, identity_triples and linearity_points must be nonnegative")
     alg = mod.algebra
+    if _points is None:
+        _points = _check_points(alg, seed, linearity_points, bound_points, identity_triples,
+                                mode)
+    xs = _points.linearity
+    # the basis rays, traced, then the linearity rays: one layout for the four maps
+    layout = _ray_layout(control, np.concatenate([alg.basis(), xs]), tol, max_iter,
+                         [True] * alg.dim + [False] * len(xs),
+                         None if keep_traces else _RATE_ROWS)
     named = (("f", f, mod.norm_of), ("g", g, alg.norm_of), ("h", h, alg.norm_of),
              ("k", k, alg.norm_of))
     for name, m, _ in named:
@@ -675,15 +687,7 @@ def direct_method_stabilize(
         if not l2_norm(origin) <= 1e-12:
             raise ValueError(f"{name}(0) != 0; the direct method requires it")
 
-    if _points is None:
-        _points = _check_points(alg, seed, linearity_points, bound_points, identity_triples,
-                                mode)
     traces, iterations, failures, recovered, fresh = {}, {}, [], {}, []
-    xs = _points.linearity
-    # the basis rays, traced, then the linearity rays: one layout for the four maps
-    layout = _ray_layout(control, np.concatenate([alg.basis(), xs]), tol, max_iter,
-                         [True] * alg.dim + [False] * len(xs),
-                         None if keep_traces else _RATE_ROWS)
     for name, m, out_norm in named:
         outcomes, traces[name] = _hyers_limits(m, layout, out_norm)
         basis = outcomes[: alg.dim]

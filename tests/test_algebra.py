@@ -298,8 +298,10 @@ class TestNormRescaling:
         assert worst <= 1e-9
 
     def test_rescale_validates_samples(self, matrix2):
-        with pytest.raises(ValueError):
-            ts.rescale_norm_submultiplicative(matrix2, samples=0)
+        # a non-integer count once ended in range()'s TypeError
+        for samples in (0, -1, 2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+                ts.rescale_norm_submultiplicative(matrix2, samples=samples)
 
 
 class TestAlgebraValidation:

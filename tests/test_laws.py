@@ -794,7 +794,7 @@ class TestIdentityReduction:
         _rel_close(info.value.residual, per_basis.max())
 
 
-def _reference_rescale(alg, samples, seed=0, ascent_rounds=4):
+def _reference_rescale(alg, samples, seed=0):
     """The rescale with its per-slot einsums."""
     d = alg.dim
     t = alg.structure
@@ -823,7 +823,7 @@ def _reference_rescale(alg, samples, seed=0, ascent_rounds=4):
         slot_einsum = ("j,k,ijkl->li", "i,k,ijkl->lj", "i,j,ijkl->lk")
         for val, (a, b, c) in top:
             vecs = [a.copy(), b.copy(), c.copy()]
-            for _ in range(ascent_rounds):
+            for _ in range(4):
                 for slot in range(3):
                     others = [vecs[s] for s in range(3) if s != slot]
                     mat = np.einsum(slot_einsum[slot], others[0], others[1], t)

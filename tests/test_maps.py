@@ -211,6 +211,18 @@ class TestDerivationSolver:
             )
             assert basis == []
 
+    @pytest.mark.parametrize("rank_tol", [np.nan, np.inf, -np.inf, -1.0])
+    def test_bad_rank_tol_rejected_before_any_work(self, matrix2_module, identity4,
+                                                   monkeypatch, rank_tol):
+        # the true space is empty; a NaN rank_tol reported null_dim 16 with
+        # an empty basis, inf returned 16 maps and -1 kept every direction
+        calls = []
+        monkeypatch.setattr(maps, "_bracket_entries", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="rank_tol"):
+            ts.solve_exact_derivations(matrix2_module, identity4, identity4, identity4,
+                                       rank_tol=rank_tol)
+        assert calls == []
+
     def test_residual_on_basis_matches_pointwise(self, oddpoly3_module, identity2):
         rng = np.random.default_rng(21)
         deriv = ts.LinearMap(rng.standard_normal((2, 2)))

@@ -85,25 +85,6 @@ def test_unimodular_split_invariants(re, im):
     assert abs(l1 + l2 - 2 * gamma / n) <= 1e-12
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    theta=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
-    p=st.floats(min_value=0.0, max_value=0.95, allow_nan=False),
-)
-def test_partial_sums_monotone(theta, p):
-    control = ts.power_control(theta, p)
-    x = np.array([1.0, 0.5])
-    z = np.zeros(2)
-    args = (x, x, z, z, z)
-    previous = -1.0
-    for terms in (1, 4, 16, 64):
-        value = ts.summed_majorant(control, args, method="partial", max_terms=terms)
-        assert value >= previous
-        previous = value
-    closed = ts.summed_majorant(control, args)
-    assert previous <= closed * (1 + 1e-12) + 1e-15
-
-
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 def test_recovered_limit_additive_on_dyadic_ray(seed):

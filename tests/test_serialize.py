@@ -203,6 +203,11 @@ def _csv_writer_reference(path, rows) -> Path:
     return path
 
 
+def _write_rows(path, rows) -> Path:
+    """One trace written as a run writes it: rendered, then written."""
+    return write_trace_csv(path, _trace_texts([rows])[0])
+
+
 EXTREMES = (math.nan, -0.0, 0.0, 5e-324, -1e-310, 2.2250738585072009e-308, math.inf,
             -math.inf, 1.7976931348623157e308, 0.1)
 
@@ -224,7 +229,7 @@ class TestWriters:
         assert a.endswith("\n")
 
     def test_trace_csv(self, tmp_path):
-        path = write_trace_csv(tmp_path / "t.csv", [(0, 1, 0.5, 0.25), (1, 1, 0.125, float("nan"))])
+        path = _write_rows(tmp_path / "t.csv", [(0, 1, 0.5, 0.25), (1, 1, 0.125, float("nan"))])
         lines = path.read_text().splitlines()
         assert lines[0] == "basis_index,n,error,tail_bound"
         assert lines[1] == "0,1,0.5,0.25"
@@ -246,7 +251,7 @@ class TestWriters:
     ], ids=["empty", "nan-tails", "long", "extremes", "numpy-scalars", "repetitive"])
     def test_trace_csv_equals_csv_writer(self, tmp_path, rows):
         _csv_writer_reference(tmp_path / "want.csv", rows)
-        got = write_trace_csv(tmp_path / "got.csv", rows).read_bytes()
+        got = _write_rows(tmp_path / "got.csv", rows).read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert got.count(b"\r\n") == len(rows) + 1
 
@@ -298,7 +303,7 @@ class TestFloatReprs:
 
 
 def _json_or_trace(path: Path, data) -> Path:
-    return write_json(path, data) if isinstance(data, dict) else write_trace_csv(path, data)
+    return write_json(path, data) if isinstance(data, dict) else _write_rows(path, data)
 
 
 class TestRewrites:

@@ -7,7 +7,7 @@ import pytest
 
 import ternstab as ts
 from ternstab.algebra import _random_vector
-from ternstab.errors import NonConvergenceError
+from ternstab.errors import DivergentControlError, NonConvergenceError
 from ternstab.algebra import _trilinear
 from ternstab.stability import _hypothesis_points, _lambda_grid, _rate_estimate
 
@@ -39,7 +39,18 @@ def _counted(calls, name):
     return ts.EvaluableMap(2, 2, fn)
 
 
+BAD_TOLS = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+
 class TestHyersLimit:
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_bad_tol_rejected_before_any_evaluation(self, tol):
+        # a NaN tol stopped no ray, inf stopped every ray at n = 0
+        calls = []
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            ts.hyers_limit(_counted(calls, "f"), ts.power_control(0.1, 0.5), np.ones(2), tol)
+        assert calls == []
+
     def test_exact_linear_stops_immediately(self, oddpoly_derivation):
         f = ts.EvaluableMap.from_linear(oddpoly_derivation)
         control = ts.power_control(0.0, 0.5)
@@ -222,6 +233,23 @@ class TestDirectMethodStabilize:
             ts.direct_method_stabilize(*maps, control, oddpoly3_module, **{count: -1})
         assert calls == []
 
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_bad_tol_rejected_before_any_evaluation(self, oddpoly3_module, tol):
+        calls = []
+        maps = [_counted(calls, name) for name in "fghk"]
+        control = ts.power_control(0.1, 0.5)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            ts.direct_method_stabilize(*maps, control, oddpoly3_module, tol=tol)
+        assert calls == []
+
+    def test_divergent_control_raises_before_any_evaluation(self, oddpoly3_module):
+        calls = []
+        maps = [_counted(calls, name) for name in "fghk"]
+        control = ts.custom_control(lambda *a: float(np.linalg.norm(a[0]) ** 2))
+        with pytest.raises(DivergentControlError):
+            ts.direct_method_stabilize(*maps, control, oddpoly3_module)
+        assert calls == []
+
     def test_partial_failure_is_recorded(self, oddpoly3_module, identity2):
         # f, scaled by 2**1020, leaves double range at row 4 of every basis
         # ray, before the a-priori stop: per-basis failures, not an exception
@@ -357,7 +385,7 @@ def _hypothesis_points_one_by_one(alg, samples, seed, mode, lambda_grid):
 
     def draw():
         scale = float(np.exp(rng.uniform(np.log(0.25), np.log(4.0))))
-        return _random_vector(rng, alg.dim, alg.field, scale, count=slots)
+        return scale * _random_vector(rng, alg.dim, alg.field, count=slots)
 
     drawn = np.reshape([draw() for _ in range(samples)], (samples, slots, alg.dim))
     lam_col = _lambda_grid(alg.field, lambda_grid)[:, None]
