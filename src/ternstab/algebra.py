@@ -34,11 +34,59 @@ _TUPLE_CHUNK = 20_000
 
 
 def dtype_for(field_tag):
+    """The dtype of a field's coordinates; the one home of the field rule."""
     if field_tag == REAL:
         return np.float64
     if field_tag == COMPLEX:
         return np.complex128
-    raise ValueError(f"unknown field tag {field_tag!r}, expected one of {FIELDS}")
+    _choice("field", field_tag, FIELDS)
+
+
+def _choice(name: str, value, options: tuple) -> None:
+    """Raise ValueError unless the argument ``name`` is one of ``options``."""
+    if value not in options:
+        raise ValueError(f"{name} must be one of {options}, got {value!r}")
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite real number; any other value is not."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+#: the least value of each count that must exceed 0, by argument name
+_LEAST = {"dim": 1, "m": 1, "degree_cap": 1, "lambda_grid": 2}
+
+
+def _check_arguments(*, positive: tuple = (), least: dict | None = None, **values) -> None:
+    """Raise ValueError, before an entry point does any work, unless each
+    argument of ``values`` keeps the rule its name selects:
+
+    * a tolerance, a name ending in ``tol``, is a finite number, and
+      nonnegative, or positive when ``positive`` names it;
+    * ``mode`` is ``"lie"`` or ``"jordan"``;
+    * any other is a count: an integer, not a bool, of at least what
+      ``least`` or ``_LEAST`` give for its name, else 0.
+
+    Each message starts with the argument's name, so that the config loader
+    reports the same rule under the field's path.
+    """
+    least = {**_LEAST, **(least or {})}
+    for name, value in values.items():
+        if name.endswith("tol"):
+            sign = "positive" if name in positive else "nonnegative"
+            if not (_finite(value) and (value > 0 if name in positive else value >= 0)):
+                raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
+        elif name == "mode":
+            _choice(name, value, ("lie", "jordan"))
+        else:
+            low = least.get(name, 0)
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                               and value >= low):
+                kind = "a nonnegative integer" if low == 0 else f"an integer >= {low}"
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def l2_norm(v) -> float:
@@ -186,13 +234,11 @@ class TernaryAlgebra(_Space):
     flags: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
-        if self.field not in FIELDS:
-            raise ValueError(f"field must be one of {FIELDS}")
-        if not (math.isfinite(self.norm_scale) and self.norm_scale > 0):
-            raise ValueError("norm_scale must be finite and positive")
-        t = np.asarray(self.structure, dtype=dtype_for(self.field))
+        _check_arguments(dim=self.dim)
+        dtype = dtype_for(self.field)
+        if not (_finite(self.norm_scale) and self.norm_scale > 0):
+            raise ValueError(f"norm_scale must be finite and positive, got {self.norm_scale!r}")
+        t = np.asarray(self.structure, dtype=dtype)
         if t.shape != (self.dim,) * 4:
             raise DimensionMismatch(
                 f"structure tensor shape {t.shape} does not match dim {self.dim}"
@@ -312,8 +358,7 @@ def trivial_matrix_algebra(m: int, field: str = REAL) -> TernaryAlgebra:
     ``[abc] = a @ b @ c`` satisfies the associativity law exactly, hence the
     ``associative`` flag, and the Frobenius norm is submultiplicative for it.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_arguments(m=m)
     d = m * m
     # E_aq E_qr E_rs = E_as: one unit entry per index quadruple, none elsewhere
     a, q, r, s = np.indices((m,) * 4).reshape(4, -1)
@@ -331,8 +376,9 @@ def odd_polynomial_algebra(degree_cap: int, field: str = REAL) -> TernaryAlgebra
     stay below the cap (the checker reports the empirical answer beyond
     that).
     """
-    if degree_cap < 1 or degree_cap % 2 == 0:
-        raise ValueError("degree_cap must be an odd positive integer")
+    _check_arguments(degree_cap=degree_cap)
+    if degree_cap % 2 == 0:
+        raise ValueError(f"degree_cap must be odd, got {degree_cap}")
     d = (degree_cap + 1) // 2
     # monomial n is x^(2n + 1), so monomials i, j, k multiply to monomial i + j + k + 1
     i, j, k = np.indices((d,) * 3).reshape(3, -1)
@@ -544,17 +590,6 @@ def _law_residuals(laws: dict, plans: dict, norms_of, chunks) -> dict:
     return found
 
 
-def _check_arguments(tol, **counts) -> None:
-    """Raise ValueError, before a checker does any work, unless ``tol`` is
-    finite and nonnegative and each count (None: not given) is a
-    nonnegative integer."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    for name, n in counts.items():
-        if n is not None and not (isinstance(n, numbers.Integral) and n >= 0):
-            raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
-
-
 def check_ternary_associativity(
     alg: TernaryAlgebra,
     tol: float,
@@ -568,9 +603,11 @@ def check_ternary_associativity(
     otherwise ``budget`` tuples are drawn with a seeded generator.  Passing
     ``samples`` forces a seeded draw of that many tuples (with replacement)
     regardless of the budget.  The report carries the maximum residual norm,
-    the worst tuple and a pass flag against ``tol``.
+    the worst tuple and a pass flag against ``tol``.  A ``tol`` that is not
+    finite and nonnegative, or a count or ``seed`` that is not a nonnegative
+    integer, raises ``ValueError`` before any work.
     """
-    _check_arguments(tol, budget=budget, samples=samples)
+    _check_arguments(tol=tol, budget=budget, seed=seed, samples=0 if samples is None else samples)
     d = alg.dim
     exhaustive = d**5 <= budget and samples is None
     if exhaustive:
@@ -609,6 +646,7 @@ def verify_identity_and_reduce(alg: TernaryAlgebra, e, tol: float) -> BinaryRedu
     triples.  Raises :class:`IdentityCheckError` naming the worst-violating
     basis vector otherwise.
     """
+    _check_arguments(tol=tol)
     e = alg.vector(e)
     t = alg._plan
     eye = alg.basis()
@@ -642,11 +680,10 @@ def rescale_norm_submultiplicative(
     returned algebra carries ``norm_scale`` multiplied by
     ``max(1, sqrt(c))``, which bounds the product ratio by
     ``c / kappa**2 <= 1`` on the sample.  A zero tensor yields the input
-    unchanged.  A ``samples`` that is not an integer of at least 1 raises
-    ``ValueError``.
+    unchanged.  A ``samples`` that is not an integer of at least 1, or a
+    ``seed`` that is not a nonnegative integer, raises ``ValueError``.
     """
-    if not (isinstance(samples, numbers.Integral) and samples >= 1):
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    _check_arguments(least={"samples": 1}, samples=samples, seed=seed)
     d = alg.dim
     t = alg._plan
     if not np.any(alg.structure):

@@ -13,11 +13,10 @@ Exit status: 0 on pass, 1 on a failed check or run, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-from .algebra import check_ternary_associativity
+from .algebra import FIELDS, _check_arguments, check_ternary_associativity
 from .errors import ConfigError, TernstabError
 from .harness import (
     _build_algebra,
@@ -30,7 +29,7 @@ from .harness import (
 )
 from .maps import SignConvention, solve_exact_derivations
 from .module import check_module_axioms, self_module
-from .serialize import algebra_from_json, read_json
+from .serialize import _checked, algebra_from_json, read_json
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--builder", choices=["trivial-matrix", "odd-poly"])
     check.add_argument("--m", type=int, default=2, help="matrix size for trivial-matrix")
     check.add_argument("--cap", type=int, default=3, help="degree cap for odd-poly")
-    check.add_argument("--field", choices=["real", "complex"], default="real")
+    check.add_argument("--field", choices=FIELDS, default="real")
     check.add_argument("--tol", type=float, default=1e-10)
     check.add_argument("--samples", type=int, default=1000)
     check.add_argument("--seed", type=int, default=0)
@@ -95,12 +94,9 @@ def _load_overridden(path, overrides: dict):
 
 
 def _cmd_algebra_check(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol}")
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    # the checkers' own rules, and at least one norm sample, so that a pass checked something
+    with _checked("--"):
+        _check_arguments(least={"samples": 1}, tol=args.tol, samples=args.samples, seed=args.seed)
     if args.target:
         alg = algebra_from_json(read_json(args.target))
         label = args.target

@@ -24,7 +24,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DivergentControlError
-from .algebra import _norms_with, l2_norm
+from .algebra import _choice, _finite, _norms_with, l2_norm
 
 #: consecutive non-decreasing terms before the series is declared divergent
 _DIVERGENCE_WINDOW = 8
@@ -34,6 +34,15 @@ _RATIO_WINDOW = 5
 _MAJORANT_TOL, _MAJORANT_TERMS = 1e-14, 256
 #: a tail series stops at a term at most this, or past ``k = 1000``
 _TAIL_TOL, _TAIL_TERMS = 1e-30, 1001
+
+
+def _check_power_law(theta, p) -> None:
+    """Raise ValueError unless ``theta |x|**p`` is a power law this package
+    handles: ``theta`` finite and nonnegative, ``p`` in [0, 1)."""
+    if not (_finite(theta) and theta >= 0):
+        raise ValueError(f"theta must be finite and nonnegative, got {theta!r}")
+    if not (_finite(p) and 0.0 <= p < 1.0):
+        raise ValueError(f"p must lie in [0, 1), got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -46,15 +55,10 @@ class ControlFunction:
     norm: object = None
 
     def __post_init__(self):
-        if self.kind not in ("power", "custom"):
-            raise ValueError("kind must be 'power' or 'custom'")
-        if self.arity not in (3, 5):
-            raise ValueError("arity must be 3 or 5")
+        _choice("kind", self.kind, ("power", "custom"))
+        _choice("arity", self.arity, (3, 5))
         if self.kind == "power":
-            if not (math.isfinite(self.theta) and self.theta >= 0):
-                raise ValueError("theta must be finite and nonnegative")
-            if not 0.0 <= self.p < 1.0:
-                raise ValueError("p must lie in [0, 1)")
+            _check_power_law(self.theta, self.p)
         elif self.fn is None:
             raise ValueError("custom control needs an evaluator")
 

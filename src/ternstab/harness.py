@@ -20,15 +20,17 @@ import numpy as np
 
 from .algebra import (
     COMPLEX,
-    FIELDS,
     TernaryAlgebra,
+    _check_arguments,
+    _choice,
     _norms_with,
     odd_polynomial_algebra,
     trivial_matrix_algebra,
 )
-from .control import ControlFunction
+from .control import ControlFunction, _check_power_law
 from .errors import (
     ConfigError,
+    DimensionMismatch,
     DivergentControlError,
     EmptyDerivationSpaceError,
     NonConvergenceError,
@@ -36,10 +38,10 @@ from .errors import (
 from .maps import LinearMap, SignConvention, solve_exact_derivations
 from .module import self_module
 from .serialize import (
+    _checked,
     _csv_text,
-    _int_at_least,
+    _integer,
     _number,
-    _power_law,
     _trace_texts,
     _typed,
     _write_text,
@@ -77,10 +79,11 @@ class PerturbationSpec:
     """Defect added around a linear map: ``|b(x)| = theta |x|**p`` exactly.
 
     ``direction`` is either ``fixed`` (one unit vector for every point,
-    defaulting to normalized all-ones) or ``hash`` (a deterministic
-    pseudo-random unit vector, a pure function of the seed and the input
-    coordinates rounded to 9 decimals, so evaluation stays pure; see
-    :func:`_hash_units`).
+    ``vector`` normalized, defaulting to all-ones) or ``hash`` (a
+    deterministic pseudo-random unit vector, a pure function of the seed and
+    the input coordinates rounded to 9 decimals, so evaluation stays pure;
+    see :func:`_hash_units`).  A ``vector`` must be a nonzero list of finite
+    numbers; its length is checked against the map by :func:`perturb_map`.
     """
 
     theta: float
@@ -90,12 +93,17 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and self.theta >= 0):
-            raise ValueError("theta must be finite and nonnegative")
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError("p must lie in [0, 1)")
-        if self.direction not in _DIRECTIONS:
-            raise ValueError("direction must be 'fixed' or 'hash'")
+        _check_power_law(self.theta, self.p)
+        _choice("direction", self.direction, _DIRECTIONS)
+        if self.vector is not None:
+            try:
+                vector = np.asarray(self.vector)
+                ok = vector.ndim == 1 and np.isfinite(vector).all() and vector.any()
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(f"vector must be a nonzero list of finite numbers, "
+                                 f"got {self.vector!r}")
 
 
 def _hash_units(seed: int, xs: np.ndarray, out_dim: int, complex_out: bool, out_norm):
@@ -153,13 +161,14 @@ def perturb_map(
             else np.asarray(spec.vector, dtype=base.matrix.dtype)
         )
         if raw.shape != (base.out_dim,):
-            raise ConfigError(
+            raise DimensionMismatch(
                 f"fixed direction has shape {raw.shape}, expected ({base.out_dim},)"
             )
-        nv = float(_norms_with(out_norm, raw))
-        if nv == 0.0:
-            raise ConfigError("fixed direction must be a nonzero vector")
-        fixed_unit = raw / nv
+        size = float(_norms_with(out_norm, raw))
+        if size == 0.0:  # every square underflowed: bring the largest entry to 1 first
+            raw = raw / np.abs(raw).max()
+            size = float(_norms_with(out_norm, raw))
+        fixed_unit = raw / size
 
     def evaluate(x):
         x = np.asarray(x)
@@ -227,15 +236,15 @@ def _read_document(base_dir: Path, file, name: str, decode):
 def _build_algebra(spec: dict, base_dir: Path) -> TernaryAlgebra:
     if "file" in _typed(spec, "algebra"):
         return _read_document(base_dir, spec["file"], "algebra.file", algebra_from_json)
-    builder = spec.get("builder")
-    field_tag = _choice(spec.get("field", "real"), "algebra.field", FIELDS)
+    builder, field_tag = spec.get("builder"), spec.get("field", "real")
     if builder == "trivial-matrix":
-        return trivial_matrix_algebra(_int_at_least(spec.get("m", 2), "algebra.m", 1), field_tag)
+        m = _integer(spec.get("m", 2), "algebra.m")
+        with _checked("algebra."):
+            return trivial_matrix_algebra(m, field_tag)
     if builder == "odd-poly":
-        cap = _int_at_least(spec.get("cap", 3), "algebra.cap", 1)
-        if cap % 2 == 0:
-            raise ConfigError(f"algebra.cap must be odd, got {cap}")
-        return odd_polynomial_algebra(cap, field_tag)
+        cap = _integer(spec.get("cap", 3), "algebra.cap")
+        with _checked("algebra.", degree_cap="cap"):
+            return odd_polynomial_algebra(cap, field_tag)
     raise ConfigError(f"unknown algebra builder {builder!r}")
 
 
@@ -253,7 +262,9 @@ def _build_map(spec, alg: TernaryAlgebra, base_dir: Path, name: str) -> LinearMa
             except ConfigError as exc:
                 raise ConfigError(f"{name}.matrix: {exc}") from None
         if "random_seed" in spec:
-            seed = _int_at_least(spec["random_seed"], f"{name}.random_seed", 0)
+            seed = _integer(spec["random_seed"], f"{name}.random_seed")
+            with _checked(f"{name}.", seed="random_seed"):
+                _check_arguments(seed=seed)
             rng = np.random.default_rng(seed)
             m = rng.standard_normal((alg.dim, alg.dim))
             if alg.field == COMPLEX:
@@ -263,21 +274,18 @@ def _build_map(spec, alg: TernaryAlgebra, base_dir: Path, name: str) -> LinearMa
 
 
 def _parse_perturbation(spec: dict, name: str, dim: int) -> PerturbationSpec:
-    theta, p = _power_law(_typed(spec, name), name, 0.0)
+    spec = _typed(spec, name)
+    theta, p = (_number(spec.get(key, 0.0), f"{name}.{key}") for key in ("theta", "p"))
     vector = spec.get("vector")
     if vector is not None:
         where = f"{name}.vector"
         vector = [_number(x, where) for x in _typed(vector, where, list)]
-        if len(vector) != dim or not all(map(math.isfinite, vector)) or not any(vector):
-            raise ConfigError(f"{where} must be a nonzero list of {dim} finite numbers, "
-                              f"got {spec['vector']!r}")
-    return PerturbationSpec(
-        theta=theta,
-        p=p,
-        direction=_choice(spec.get("direction", "fixed"), f"{name}.direction", _DIRECTIONS),
-        vector=vector,
-        seed=_int_at_least(spec.get("seed", 0), f"{name}.seed", None),
-    )
+        if len(vector) != dim:
+            raise ConfigError(f"{where} must hold {dim} numbers, got {spec['vector']!r}")
+    seed = _integer(spec.get("seed", 0), f"{name}.seed")
+    with _checked(f"{name}."):
+        return PerturbationSpec(theta=theta, p=p, direction=spec.get("direction", "fixed"),
+                                vector=vector, seed=seed)
 
 
 DEFAULT_SAMPLES = {
@@ -304,17 +312,11 @@ def _read_config(source) -> tuple:
     return dict(source), Path.cwd()
 
 
-def _choice(value, name: str, options: tuple):
-    if value not in options:
-        raise ConfigError(f"{name} must be one of {options}, got {value!r}")
-    return value
-
-
-def _positive_float(value, name: str) -> float:
-    number = _number(value, name)
-    if not (math.isfinite(number) and number > 0):
-        raise ConfigError(f"tolerances must be positive and finite: {name} is {number}")
-    return number
+def _parse_tol(raw: dict) -> float:
+    tol = _number(raw.get("tol", 1e-10), "tol")
+    with _checked(""):
+        _check_arguments(positive=("tol",), tol=tol)
+    return tol
 
 
 def _parse_control(raw: dict, mode: str, algebra: TernaryAlgebra) -> ControlFunction:
@@ -337,11 +339,20 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         algebra = _build_algebra(raw["algebra"], base_dir)
     except KeyError:
         raise ConfigError("config needs an 'algebra' section") from None
-    mode = _choice(raw.get("mode", "lie"), "mode", ("lie", "jordan"))
+    mode = raw.get("mode", "lie")
+    runs = {key: _integer(raw.get(key, default), key)
+            for key, default in (("max_iter", 1000), ("seed", 0), ("lambda_grid", 16))}
+    with _checked(""):
+        _check_arguments(mode=mode, **runs)
     control = _parse_control(raw, mode, algebra)
     derivation = _typed(raw.get("derivation", {}), "derivation")
-    tol = _positive_float(raw.get("tol", 1e-10), "tol")
-    rank_tol = _positive_float(derivation.get("rank_tol", 1e-10), "derivation.rank_tol")
+    tol = _parse_tol(raw)
+    rank_tol = _number(derivation.get("rank_tol", 1e-10), "derivation.rank_tol")
+    pick = _integer(derivation.get("pick", 0), "derivation.pick")
+    on_empty = derivation.get("on_empty", "zero")
+    with _checked("derivation."):
+        _check_arguments(rank_tol=rank_tol, pick=pick)
+        _choice("on_empty", on_empty, ("zero", "error"))
 
     fallbacks = _typed(raw.get("fallback_maps", []), "fallback_maps", list)
     candidates = {"maps": raw.get("maps", {})}
@@ -356,8 +367,9 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
     perturbations = _parse_perturbations(raw, algebra.dim)
     samples = {**DEFAULT_SAMPLES, **_typed(raw.get("samples", {}), "samples")}
-    for key in DEFAULT_SAMPLES:
-        samples[key] = _int_at_least(samples[key], f"samples.{key}", 0)
+    samples = {key: _integer(samples[key], f"samples.{key}") for key in DEFAULT_SAMPLES}
+    with _checked("samples."):
+        _check_arguments(**samples)
     try:
         signs = SignConvention.from_sequence(raw.get("signs", [1, 1, 1]))
     except (TypeError, ValueError, OverflowError):
@@ -378,15 +390,11 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         control=control,
         perturbations=perturbations,
         tol=tol,
-        max_iter=_int_at_least(raw.get("max_iter", 1000), "max_iter", 0),
-        seed=_int_at_least(raw.get("seed", 0), "seed", 0),
-        lambda_grid=_int_at_least(raw.get("lambda_grid", 16), "lambda_grid", 2),
+        **runs,
         samples=samples,
         rank_tol=rank_tol,
-        pick=_int_at_least(derivation.get("pick", 0), "derivation.pick", 0),
-        on_empty=_choice(
-            derivation.get("on_empty", "zero"), "derivation.on_empty", ("zero", "error")
-        ),
+        pick=pick,
+        on_empty=on_empty,
         out_dir=out_dir,
         base_dir=base_dir,
     )
@@ -641,8 +649,8 @@ def _sweep_point(config: ExperimentConfig, param: str, value: float) -> Experime
     order and by its validators, and the rest is shared."""
     raw = _sweep_config(config.raw, param, value)
     return replace(config, raw=raw, control=_parse_control(raw, config.mode, config.algebra),
-                   tol=_positive_float(raw.get("tol", 1e-10), "tol"),
-                   perturbations=_parse_perturbations(raw, config.algebra.dim), out_dir=None)
+                   tol=_parse_tol(raw), perturbations=_parse_perturbations(raw, config.algebra.dim),
+                   out_dir=None)
 
 
 def run_sweep(config, param: str, values, out_csv=None) -> list:

@@ -19,12 +19,11 @@ about the signs, so the convention is an explicit parameter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _trilinear
+from .algebra import _check_arguments, _trilinear
 from .errors import DimensionMismatch
 # product_* are only imported here: the traced benchmark wraps them at this module
 from .module import TernaryModule, product_abx, product_xab
@@ -497,8 +496,7 @@ def solve_exact_derivations(
     ``margin`` reports the rank decision (``DerivationBasis``).  A NaN,
     infinite or negative ``rank_tol`` raises ``ValueError`` before any work.
     """
-    if not (math.isfinite(rank_tol) and rank_tol >= 0):
-        raise ValueError(f"rank_tol must be finite and nonnegative, got {rank_tol!r}")
+    _check_arguments(rank_tol=rank_tol)
     _check_twist_maps(mod, sigma, tau, xi)
     da, dx = mod.algebra.dim, mod.dim
     dtype = mod.dtype

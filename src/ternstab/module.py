@@ -47,8 +47,7 @@ class TernaryModule(_Space):
     flags: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("module dim must be positive")
+        _check_arguments(dim=self.dim)
         da, dx = self.algebra.dim, self.dim
         shapes = {
             "product_xab": (dx, da, da, dx),
@@ -165,9 +164,11 @@ def check_module_axioms(
     ``dA**4 * dX <= budget``, otherwise over ``min(budget, 100_000)`` seeded
     tuples (the associativity check draws its whole budget).  The norm
     inequality is checked on ``samples`` random tuples; a check of no tuple
-    or no sample does not pass.
+    or no sample does not pass.  A ``tol`` that is not finite and
+    nonnegative, or a count or ``seed`` that is not a nonnegative integer,
+    raises ``ValueError`` before any work.
     """
-    _check_arguments(tol, samples=samples, budget=budget)
+    _check_arguments(tol=tol, samples=samples, seed=seed, budget=budget)
     alg = mod.algebra
     total = alg.dim**4 * mod.dim
     exhaustive = total <= budget

@@ -1,25 +1,28 @@
 """JSON and CSV interchange.
 
 Conventions: complex entries are encoded as two-element ``[re, im]`` lists,
-real entries as plain numbers.  Algebras carry their field tag; matrices and
-cubic arrays are decoded by probing the nesting depth against the declared
-shape.  Reports are written with sorted keys and fixed separators so that a
-rerun with the same seed is byte-identical (the timestamp field aside).
+real entries as plain numbers.  Algebras carry their field tag; arrays are
+decoded by probing the nesting depth against the declared shape.  Reports
+are written with sorted keys and fixed separators so that a rerun with the
+same seed is byte-identical (the timestamp field aside).
+
+Decoders only type what they read and check what the document alone can
+know (keys, shapes, registered names); every range rule is the library's,
+reported as a ``ConfigError`` under the field's name (:func:`_checked`).
 """
 
 from __future__ import annotations
 
 import json
-import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import COMPLEX, REAL, CubicMatrix, TernaryAlgebra
-from .control import ControlFunction, custom_control, power_control
-from .errors import ConfigError
+from .algebra import COMPLEX, TernaryAlgebra
+from .control import ControlFunction
+from .errors import ConfigError, TernstabError
 from .maps import LinearMap
-from .module import TernaryModule
 
 #: registry for named custom control functions usable from config files
 CUSTOM_CONTROLS: dict = {}
@@ -35,15 +38,13 @@ def _typed(value, name: str, kind: type = dict):
     return value
 
 
-def _int_at_least(value, name: str, minimum: int | None) -> int:
+def _integer(value, name: str) -> int:
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or (isinstance(value, float) and number != value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and number < minimum:
-        raise ConfigError(f"{name} must be at least {minimum}, got {number}")
     return number
 
 
@@ -54,15 +55,24 @@ def _number(value, name: str) -> float:
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
-def _power_law(spec: dict, name: str, default) -> tuple:
-    """``theta`` (finite, nonnegative) and ``p`` (in [0, 1)) of ``spec``."""
-    theta = _number(spec.get("theta", default), f"{name}.theta")
-    p = _number(spec.get("p", default), f"{name}.p")
-    if not (math.isfinite(theta) and theta >= 0):
-        raise ConfigError(f"{name}.theta must be finite and nonnegative, got {theta}")
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"{name}.p must lie in [0, 1), got {p}")
-    return theta, p
+@contextmanager
+def _checked(prefix: str, **renamed):
+    """Turn a ``ValueError`` raised inside into a ``ConfigError`` prefixed
+    with ``prefix``, the path of the section whose values the library
+    checked.  A library message starts with the argument's name, so the
+    prefix ``control.`` and the message ``p must ...`` give ``control.p must
+    ...``; ``renamed`` maps an argument to the field that holds it where
+    their names differ.  Every ``TernstabError`` passes unchanged."""
+    try:
+        yield
+    except TernstabError:
+        raise
+    except ValueError as exc:
+        message = str(exc)
+        for argument, name in renamed.items():
+            if message.startswith(argument + " "):
+                message = name + message[len(argument):]
+        raise ConfigError(prefix + message) from None
 
 
 def encode_array(arr: np.ndarray):
@@ -73,40 +83,21 @@ def encode_array(arr: np.ndarray):
     return np.asarray(arr, dtype=np.float64).tolist()
 
 
-def _finite_array(data, name: str) -> np.ndarray:
-    """``data`` as a float array whose entries are all finite numbers."""
-    try:
-        arr = np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        arr = None
-    if arr is None or not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{name} must be a nested list of finite numbers")
-    return arr
-
-
 def _real_or_pairs(data, shape: tuple, name: str) -> np.ndarray:
     """``data`` as a real array of ``shape``, or as a complex one when it
-    nests ``[re, im]`` pairs; anything else is a ``ConfigError``."""
-    raw = _finite_array(data, name)
+    nests ``[re, im]`` pairs; anything else, also a leaf that is not a
+    finite number, is a ``ConfigError``."""
+    try:
+        raw = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raw = None
+    if raw is None or not np.all(np.isfinite(raw)):
+        raise ConfigError(f"{name} must be a nested list of finite numbers")
     if raw.shape == shape:
         return raw
     if raw.shape == shape + (2,):
         return raw[..., 0] + 1j * raw[..., 1]
     raise ConfigError(f"{name} shape {raw.shape} does not match {shape} (real or [re, im])")
-
-
-def decode_array(data, shape, field_tag):
-    arr = _finite_array(data, "array")
-    if field_tag == COMPLEX:
-        if arr.shape != tuple(shape) + (2,):
-            raise ConfigError(
-                f"complex array of shape {shape} must nest [re, im] pairs, "
-                f"got shape {arr.shape}"
-            )
-        return (arr[..., 0] + 1j * arr[..., 1]).astype(np.complex128)
-    if arr.shape != tuple(shape):
-        raise ConfigError(f"array shape {arr.shape} does not match expected {shape}")
-    return arr
 
 
 def algebra_to_json(alg: TernaryAlgebra) -> dict:
@@ -122,71 +113,21 @@ def algebra_to_json(alg: TernaryAlgebra) -> dict:
 def algebra_from_json(data: dict) -> TernaryAlgebra:
     data = _typed(data, "algebra document")
     try:
-        dim = _int_at_least(data["dim"], "algebra dim", 1)
+        dim = _integer(data["dim"], "algebra dim")
         field_tag = data["field"]
-        structure = data["structure"]
+        structure = _real_or_pairs(data["structure"], (dim,) * 4, "algebra structure")
     except KeyError as missing:
         raise ConfigError(f"algebra document lacks key {missing}") from None
-    if field_tag not in (REAL, COMPLEX):
-        raise ConfigError(f"unknown field tag {field_tag!r}")
+    if np.iscomplexobj(structure) != (field_tag == COMPLEX):
+        raise ConfigError(f"algebra structure must nest [re, im] pairs exactly when the "
+                          f"field is complex, got field {field_tag!r}")
     norm_scale = _number(data.get("norm_scale", 1.0), "algebra norm_scale")
-    if not (math.isfinite(norm_scale) and norm_scale > 0):
-        raise ConfigError(f"algebra norm_scale must be positive and finite, got {norm_scale}")
     flags = _typed(data.get("flags", []), "algebra flags", list)
     if not all(isinstance(flag, str) for flag in flags):
         raise ConfigError(f"algebra flags must be strings, got {flags!r}")
-    return TernaryAlgebra(
-        dim=dim,
-        field=field_tag,
-        structure=decode_array(structure, (dim,) * 4, field_tag),
-        norm_scale=norm_scale,
-        flags=frozenset(flags),
-    )
-
-
-def module_to_json(mod: TernaryModule) -> dict:
-    return {
-        "algebra": algebra_to_json(mod.algebra),
-        "dim": mod.dim,
-        "products": {
-            "xab": encode_array(mod.product_xab),
-            "axb": encode_array(mod.product_axb),
-            "abx": encode_array(mod.product_abx),
-        },
-    }
-
-
-def module_from_json(data: dict) -> TernaryModule:
-    data = _typed(data, "module document")
-    try:
-        alg = algebra_from_json(data["algebra"])
-        dx, da = _int_at_least(data["dim"], "module dim", 1), alg.dim
-        prods = _typed(data["products"], "module products")
-        xab, axb, abx = prods["xab"], prods["axb"], prods["abx"]
-    except KeyError as missing:
-        raise ConfigError(f"module document lacks key {missing}") from None
-    return TernaryModule(
-        algebra=alg,
-        dim=dx,
-        product_xab=decode_array(xab, (dx, da, da, dx), alg.field),
-        product_axb=decode_array(axb, (da, dx, da, dx), alg.field),
-        product_abx=decode_array(abx, (da, da, dx, dx), alg.field),
-        norm=alg.norm_of,
-    )
-
-
-def cubic_to_json(cube: CubicMatrix) -> dict:
-    return {"side": cube.side, "entries": encode_array(cube.entries)}
-
-
-def cubic_from_json(data: dict) -> CubicMatrix:
-    data = _typed(data, "cubic document")
-    try:
-        side, entries = data["side"], data["entries"]
-    except KeyError as missing:
-        raise ConfigError(f"cubic document lacks key {missing}") from None
-    side = _int_at_least(side, "cubic side", 1)
-    return CubicMatrix(side, _real_or_pairs(entries, (side,) * 3, "cubic entries"))
+    with _checked("algebra "):
+        return TernaryAlgebra(dim=dim, field=field_tag, structure=structure,
+                              norm_scale=norm_scale, flags=frozenset(flags))
 
 
 def linear_map_to_json(lm: LinearMap) -> dict:
@@ -203,25 +144,23 @@ def linear_map_from_json(data: dict) -> LinearMap:
         out_dim, in_dim, raw = data["out_dim"], data["in_dim"], data["matrix"]
     except KeyError as missing:
         raise ConfigError(f"map document lacks key {missing}") from None
-    out_dim = _int_at_least(out_dim, "map out_dim", 1)
-    in_dim = _int_at_least(in_dim, "map in_dim", 1)
-    return LinearMap(_real_or_pairs(raw, (out_dim, in_dim), "map matrix"))
+    shape = (_integer(out_dim, "map out_dim"), _integer(in_dim, "map in_dim"))
+    return LinearMap(_real_or_pairs(raw, shape, "map matrix"))
 
 
 def control_from_json(data: dict, norm=None) -> ControlFunction:
     data = _typed(data, "control")
-    arity = _int_at_least(data.get("arity", 5), "control.arity", None)
-    if arity not in (3, 5):
-        raise ConfigError(f"control.arity must be 3 or 5, got {arity}")
-    kind = data.get("kind")
+    arity = _integer(data.get("arity", 5), "control.arity")
+    kind, theta, p, fn = data.get("kind"), 0.0, 0.0, None
     if kind == "power":
-        return power_control(*_power_law(data, "control", None), arity=arity, norm=norm)
-    if kind == "custom":
+        theta, p = (_number(data.get(key), f"control.{key}") for key in ("theta", "p"))
+    elif kind == "custom":
         name = data.get("name")
         if not isinstance(name, str) or name not in CUSTOM_CONTROLS:
             raise ConfigError(f"custom control {name!r} is not registered")
-        return custom_control(CUSTOM_CONTROLS[name], arity=arity, norm=norm)
-    raise ConfigError(f"control kind must be 'power' or 'custom', got {kind!r}")
+        fn = CUSTOM_CONTROLS[name]
+    with _checked("control."):
+        return ControlFunction(kind=kind, arity=arity, theta=theta, p=p, fn=fn, norm=norm)
 
 
 def control_to_json(control: ControlFunction, name: str | None = None) -> dict:

@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 # ternary_product and product_* are only imported: the traced benchmark wraps them here
-from .algebra import COMPLEX, _norms_with, _random_vector, _trilinear, l2_norm, ternary_product
+from .algebra import (COMPLEX, _check_arguments, _norms_with, _random_vector, _trilinear,
+                      l2_norm, ternary_product)
 from .control import ControlFunction, cauchy_tail_bound, summed_majorant
 from .errors import DimensionMismatch, NonConvergenceError
 from .maps import LinearMap, SignConvention, LIE_SIGNS, _bracket, lie_derivation_residual
@@ -149,8 +150,10 @@ def hyers_limit(
     ``min(max_iter, 1000)`` is checked the same way as row ``n``.  A custom
     control whose series does not decay raises
     :class:`DivergentControlError`, and a ``tol`` that is not finite and
-    positive ``ValueError``, before ``f`` is evaluated.
+    positive or a ``max_iter`` that is not a nonnegative integer
+    ``ValueError``, before ``f`` is evaluated.
     """
+    _check_arguments(positive=("tol",), tol=tol, max_iter=max_iter)
     x = np.asarray(x)
     if x.shape != (f.in_dim,):
         raise DimensionMismatch(f"input shape {x.shape} for map with in_dim {f.in_dim}")
@@ -209,10 +212,8 @@ def _ray_layout(control, xs, tol, max_iter, traced, trace_rows=None) -> _Layout:
     whose tail bound depends on ``x`` through that norm alone, and the bytes
     of ``x`` under a custom one.  The traced rows' ray index, ``n`` and tail
     bound columns are built here, once for every map of the run, and so are
-    the indexes of the rows ``_rate_estimate`` reads.  A ``tol`` that is not
-    finite and positive raises: a NaN would stop no ray, and inf every one."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    the indexes of the rows ``_rate_estimate`` reads.  Its callers have
+    checked ``tol`` and ``max_iter``."""
     xs = np.asarray(xs)
     limit = min(int(max_iter), ITERATION_CAP)
     xn = np.array(xs, dtype=np.result_type(xs.dtype, np.float64))
@@ -368,8 +369,6 @@ class HypothesisReport:
 
 
 def _lambda_grid(field_tag: str, count: int):
-    if count < 2:
-        raise ValueError("lambda grid needs at least 2 points")
     if field_tag == COMPLEX:
         angles = 2.0 * np.pi * np.arange(count) / count
         return np.exp(1j * angles)
@@ -485,13 +484,12 @@ def check_hypothesis(
     ``x, y, u`` (and ``v, w`` in ``lie`` mode) per sample, and evaluated
     together: each map and each side of ``phi`` once on one stack, the
     residuals and slacks as ``(samples, lambdas, 4)``.  A sweep draws them
-    once and passes them to each point as ``_points``.  A negative
-    ``samples`` raises ``ValueError`` before any map is evaluated.
+    once and passes them to each point as ``_points``.  A ``samples`` or
+    ``seed`` that is not a nonnegative integer, a ``lambda_grid`` that is
+    not an integer of at least 2, or a ``mode`` other than ``lie`` and
+    ``jordan`` raises ``ValueError`` before any map is evaluated.
     """
-    if mode not in ("lie", "jordan"):
-        raise ValueError("mode must be 'lie' or 'jordan'")
-    if samples < 0:
-        raise ValueError("samples must be nonnegative")
+    _check_arguments(mode=mode, samples=samples, seed=seed, lambda_grid=lambda_grid)
     alg = mod.algebra
     if _points is None:
         _points = _hypothesis_points(alg, samples, seed, mode, lambda_grid)
@@ -642,9 +640,11 @@ def direct_method_stabilize(
     too, so the four maps' traces share them unless a basis ray failed, and
     ``convergence_rates`` reads only the rows ``3 <= n <= 10``.  Each map is
     evaluated once on that stack; a ray with a row that is not finite is
-    evaluated again, whole, and fails as it would alone.  Negative counts
-    and a ``tol`` that is not finite and positive raise ``ValueError``, and
-    a custom control whose series does not decay
+    evaluated again, whole, and fails as it would alone.  A count,
+    ``max_iter`` or ``seed`` that is not a nonnegative integer, a ``tol``
+    that is not finite and positive, an ``identity_tol`` that is not finite
+    and nonnegative, or a ``mode`` other than ``lie`` and ``jordan`` raises
+    ``ValueError``, and a custom control whose series does not decay
     :class:`DivergentControlError`, before any map is evaluated.  Then:
 
     * linearity: at seeded non-basis points the recovered matrix must agree
@@ -667,10 +667,9 @@ def direct_method_stabilize(
     :func:`_check_points`, each group in one call; a sweep draws them once
     and passes them to each point as ``_points``.
     """
-    if mode not in ("lie", "jordan"):
-        raise ValueError("mode must be 'lie' or 'jordan'")
-    if min(bound_points, identity_triples, linearity_points) < 0:
-        raise ValueError("bound_points, identity_triples and linearity_points must be nonnegative")
+    _check_arguments(positive=("tol",), tol=tol, identity_tol=identity_tol, mode=mode,
+                     max_iter=max_iter, seed=seed, bound_points=bound_points,
+                     identity_triples=identity_triples, linearity_points=linearity_points)
     alg = mod.algebra
     if _points is None:
         _points = _check_points(alg, seed, linearity_points, bound_points, identity_triples,

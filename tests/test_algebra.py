@@ -228,8 +228,11 @@ class TestAssociativityChecker:
         report = ts.check_ternary_associativity(ts.trivial_matrix_algebra(2), 1e-12, **kwargs)
         assert report.checked == 0 and not report.passed
 
+    # a fractional seed once ended in numpy's TypeError, and a negative seed
+    # passed unnoticed whenever the check was exhaustive
     @pytest.mark.parametrize("kwargs", [{"samples": -3}, {"budget": -3},
-                                        {"samples": 5, "budget": -3}])
+                                        {"samples": 5, "budget": -3}, {"seed": -1},
+                                        {"seed": 2.5}, {"budget": 100, "seed": -1}])
     def test_negative_counts_rejected_before_any_work(self, monkeypatch, kwargs):
         def no_work(*args, **kw):
             raise AssertionError("checked tuples before rejecting a negative count")
@@ -258,6 +261,12 @@ class TestIdentityReduction:
             np.testing.assert_allclose(
                 red.table[i, j], (units[i] @ units[j]).reshape(-1), atol=1e-14
             )
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_bad_tol_rejected(self, matrix2, tol):
+        # a NaN tol once passed every identity residual
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            ts.verify_identity_and_reduce(matrix2, np.eye(2).reshape(-1), tol)
 
     def test_zero_identity_fails_with_max_basis_norm(self, matrix2):
         with pytest.raises(ts.IdentityCheckError) as err:
@@ -302,6 +311,9 @@ class TestNormRescaling:
         for samples in (0, -1, 2.5, 3.0, "3", None):
             with pytest.raises(ValueError, match="samples must be an integer >= 1"):
                 ts.rescale_norm_submultiplicative(matrix2, samples=samples)
+        for seed in (-1, 2.5, None):
+            with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+                ts.rescale_norm_submultiplicative(matrix2, samples=3, seed=seed)
 
 
 class TestAlgebraValidation:

@@ -327,7 +327,7 @@ class TestStabilize:
     @pytest.mark.parametrize(
         "control, field",
         [
-            ({"kind": "foo"}, "control kind"),
+            ({"kind": "foo"}, "control.kind"),
             ({"kind": "custom", "name": "unregistered"}, "not registered"),
             ({"kind": "custom"}, "not registered"),
             ({"kind": "custom", "name": ["a"]}, "not registered"),

@@ -4,11 +4,16 @@ one either loads or is a coded error.
 The generated values mix plausible values for every field with arbitrary
 JSON-like values in their place.  Algebra sizes stay small (m <= 3,
 cap <= 9, dim <= 2), so a config that loads builds its algebra quickly.
+
+The library's own entry points get junk numbers in their numeric
+arguments: each call returns or raises ``ValueError``, never ``TypeError``
+or ``OverflowError``.
 """
 
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,3 +195,76 @@ def test_map_document_decodes_or_is_a_coded_error(document):
     except ConfigError:
         return
     assert (lm.out_dim, lm.in_dim) == (document["out_dim"], document["in_dim"])
+
+
+# the library entry points' numeric arguments, each called with one junk
+# number in its place; exact maps under a zero control stop every ray at
+# n = 0, so a valid value returns
+_ALG = ts.odd_polynomial_algebra(3)
+_MOD = ts.self_module(_ALG)
+_ID = ts.LinearMap.identity(2)
+_MAPS = (ts.EvaluableMap.from_linear(ts.solve_exact_derivations(_MOD, _ID, _ID, _ID)[0]),
+         *[ts.EvaluableMap.from_linear(_ID)] * 3)
+_ZERO = ts.power_control(0.0, 0.5)
+_SMALL_COUNTS = {"bound_points": 2, "identity_triples": 2, "linearity_points": 1}
+ENTRY_POINTS = {
+    "hyers_limit": lambda **kw: ts.hyers_limit(_MAPS[0], _ZERO, np.ones(2),
+                                               **{"tol": 1e-10, **kw}),
+    "direct_method_stabilize": lambda **kw: ts.direct_method_stabilize(
+        *_MAPS, _ZERO, _MOD, **{**_SMALL_COUNTS, **kw}),
+    "check_hypothesis": lambda **kw: ts.check_hypothesis(*_MAPS, _ZERO, _MOD,
+                                                         **{"samples": 2, **kw}),
+    "check_ternary_associativity": lambda **kw: ts.check_ternary_associativity(
+        _ALG, **{"tol": 1e-9, **kw}),
+    "check_module_axioms": lambda **kw: ts.check_module_axioms(
+        _MOD, **{"tol": 1e-9, "samples": 2, **kw}),
+    "solve_exact_derivations": lambda **kw: ts.solve_exact_derivations(_MOD, _ID, _ID, _ID,
+                                                                       **kw),
+    "rescale_norm_submultiplicative": lambda **kw: ts.rescale_norm_submultiplicative(
+        _ALG, **{"samples": 2, **kw}),
+    "verify_identity_and_reduce": lambda **kw: ts.verify_identity_and_reduce(
+        ts.trivial_matrix_algebra(1), np.ones(1), **kw),
+    "power_control": lambda **kw: ts.power_control(**{"theta": 0.1, "p": 0.5, **kw}),
+    "PerturbationSpec": lambda **kw: ts.PerturbationSpec(**{"theta": 0.1, "p": 0.5, **kw}),
+    "TernaryAlgebra": lambda **kw: ts.TernaryAlgebra(2, "real", _ALG.structure, **kw),
+    "trivial_matrix_algebra": lambda **kw: ts.trivial_matrix_algebra(**kw),
+    "odd_polynomial_algebra": lambda **kw: ts.odd_polynomial_algebra(**kw),
+}
+# a count may be any integer up to 5: a larger one is real work, as asking
+# for 10**20 sampled tuples is
+NUMERIC_ARGUMENTS = [
+    *[("hyers_limit", name, False) for name in ("tol", "max_iter")],
+    *[("direct_method_stabilize", name, name in _SMALL_COUNTS)
+      for name in ("tol", "identity_tol", "max_iter", "seed", *_SMALL_COUNTS)],
+    *[("check_hypothesis", name, name != "seed") for name in ("samples", "seed", "lambda_grid")],
+    *[(checker, name, name == "samples") for checker in ("check_ternary_associativity",
+                                                          "check_module_axioms")
+      for name in ("tol", "samples", "budget", "seed")],
+    ("solve_exact_derivations", "rank_tol", False),
+    ("rescale_norm_submultiplicative", "samples", True),
+    ("rescale_norm_submultiplicative", "seed", False),
+    ("verify_identity_and_reduce", "tol", False),
+    ("power_control", "theta", False),
+    ("power_control", "p", False),
+    ("power_control", "arity", False),
+    ("PerturbationSpec", "theta", False),
+    ("PerturbationSpec", "p", False),
+    ("TernaryAlgebra", "norm_scale", False),
+    ("trivial_matrix_algebra", "m", True),
+    ("odd_polynomial_algebra", "degree_cap", True),
+]
+junk_numbers = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                         st.sampled_from([0, 1, 2, 3, -1, 0.5, 5e-324, 1e308, True]),
+                         st.integers(-10**400, 10**400))
+
+
+@settings(max_examples=400, deadline=None)
+@given(argument=st.sampled_from(NUMERIC_ARGUMENTS), value=junk_numbers)
+def test_library_numbers_return_or_are_a_value_error(argument, value):
+    entry, name, counted = argument
+    if counted and isinstance(value, int) and value > 5:
+        value = 5
+    try:
+        ENTRY_POINTS[entry](**{name: value})
+    except ValueError:
+        pass

@@ -9,7 +9,7 @@ import pytest
 
 import ternstab as ts
 from ternstab import harness, stability
-from ternstab.errors import ConfigError
+from ternstab.errors import ConfigError, DimensionMismatch
 from ternstab.harness import parse_sweep_spec
 from ternstab.serialize import register_custom_control
 
@@ -78,6 +78,25 @@ class TestPerturbMap:
             ts.PerturbationSpec(theta=0.1, p=1.0)
         with pytest.raises(ValueError):
             ts.PerturbationSpec(theta=0.1, p=0.5, direction="sideways")
+
+    @pytest.mark.parametrize("vector", [[np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0], [],
+                                        [[1.0, 0.0]], ["a", 1.0], 3.0])
+    def test_spec_rejects_a_bad_vector(self, vector):
+        # [nan, 1] once gave [nan, nan] and [inf, 1] gave [nan, 1] from
+        # perturb_map, and [0, 0] failed only there
+        with pytest.raises(ValueError, match="vector must be a nonzero list of finite numbers"):
+            ts.PerturbationSpec(theta=0.1, p=0.5, vector=vector)
+
+    def test_vector_whose_squares_underflow_gets_its_direction(self):
+        # its 2-norm rounds to 0; it once raised ConfigError from perturb_map
+        spec = ts.PerturbationSpec(theta=0.5, p=0.0, vector=[5e-324, 0.0])
+        f = ts.perturb_map(ts.LinearMap.identity(2), spec)
+        np.testing.assert_array_equal(f(np.array([1.0, 2.0])), [1.5, 2.0])
+
+    def test_wrong_vector_length_is_a_dimension_mismatch(self):
+        spec = ts.PerturbationSpec(theta=0.1, p=0.5, vector=[1.0, 2.0, 3.0])
+        with pytest.raises(DimensionMismatch, match="fixed direction has shape"):
+            ts.perturb_map(ts.LinearMap.identity(2), spec)
 
     def test_complex_base_map(self):
         base = ts.LinearMap(np.eye(2, dtype=np.complex128))
@@ -258,7 +277,7 @@ class TestConfigLoading:
     def test_bad_tolerance(self):
         raw = load_raw("oddpoly3_p05.json")
         raw["tol"] = 0.0
-        with pytest.raises(ConfigError, match="tolerances"):
+        with pytest.raises(ConfigError, match="tol must be finite and positive"):
             ts.load_config(raw)
 
     @pytest.mark.parametrize(
@@ -472,7 +491,7 @@ class TestSweep:
         "param, values, message",
         [("p", [0.3, 0.6, 1.0], "control.p must lie in [0, 1), got 1.0"),
          ("theta", [0.1, -0.5], "control.theta must be finite and nonnegative, got -0.5"),
-         ("tol", [1e-8, -1.0], "tolerances must be positive and finite: tol is -1.0")],
+         ("tol", [1e-8, -1.0], "tol must be finite and positive, got -1.0")],
     )
     def test_bad_value_raises_before_any_point(self, monkeypatch, param, values, message):
         # the standalone parse of the bad point's config gives the same error

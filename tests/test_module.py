@@ -82,7 +82,9 @@ class TestSampledModulePath:
         assert report.exhaustive and report.max_chain_residual <= 1e-12
         assert report.norm_samples == 0 and not report.passed
 
-    @pytest.mark.parametrize("kwargs", [{"samples": -3}, {"budget": -3}])
+    # a fractional seed once ended in numpy's TypeError
+    @pytest.mark.parametrize("kwargs", [{"samples": -3}, {"budget": -3}, {"seed": -1},
+                                        {"seed": 2.5}])
     def test_negative_counts_rejected_before_any_work(self, matrix2_module, monkeypatch,
                                                       kwargs):
         def no_work(*args, **kw):

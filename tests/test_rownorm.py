@@ -20,7 +20,6 @@ from ternstab import algebra as algebra_mod
 from ternstab.algebra import _random_vector, _row_norms, l2_norm, ternary_product
 from ternstab.control import summed_majorant
 from ternstab.module import _CHAINS, product_abx, product_axb, product_xab
-from ternstab.serialize import module_from_json, module_to_json
 from ternstab.stability import _lambda_grid
 
 DIMS = list(range(1, 41)) + [64, 81, 256]
@@ -183,12 +182,17 @@ def _random_module(alg, dim, seed, integer=False):
     return ts.TernaryModule(alg, dim, *prods)
 
 
+def _copied_self_module(alg):
+    """The self-module of ``alg`` on copies of its tensor, with plans of its own."""
+    return ts.TernaryModule(alg, alg.dim, *[alg.structure.copy()] * 3, norm=alg.norm_of)
+
+
 class TestNormsOf:
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_stacked_norms_equal_norm_of_rows(self, field):
         alg = _scaled(ts.trivial_matrix_algebra(2, field), 1.7)
         stack = _stack(np.random.default_rng(1), (3, 5, alg.dim), field)
-        modules = [ts.self_module(alg), module_from_json(module_to_json(ts.self_module(alg))),
+        modules = [ts.self_module(alg), _copied_self_module(alg),
                    _custom_module(alg)]
         for space in [alg] + modules:
             loop = np.array([[space.norm_of(row) for row in block] for block in stack])
@@ -206,7 +210,7 @@ class TestNormsOf:
         monkeypatch.setattr(ts.TernaryAlgebra, "norm_of", counting)
         alg = ts.trivial_matrix_algebra(2, "complex")
         stack = np.ones((50, alg.dim))
-        for mod in (ts.self_module(alg), module_from_json(module_to_json(ts.self_module(alg)))):
+        for mod in (ts.self_module(alg), _copied_self_module(alg)):
             assert mod.norms_of(stack).shape == (50,)
             ts.check_module_axioms(mod, 1e-9, samples=20)
         assert calls == []

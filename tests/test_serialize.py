@@ -18,13 +18,9 @@ from ternstab.serialize import (
     algebra_to_json,
     control_from_json,
     control_to_json,
-    cubic_from_json,
-    cubic_to_json,
     dump_json,
     linear_map_from_json,
     linear_map_to_json,
-    module_from_json,
-    module_to_json,
     register_custom_control,
     write_json,
     write_trace_csv,
@@ -61,70 +57,6 @@ class TestAlgebraRoundTrip:
     def test_bad_field_tag(self):
         with pytest.raises(ConfigError):
             algebra_from_json({"dim": 1, "field": "rational", "structure": [[[[1.0]]]]})
-
-
-class TestModuleRoundTrip:
-    def test_self_module(self, matrix2_module):
-        back = module_from_json(module_to_json(matrix2_module))
-        np.testing.assert_array_equal(back.product_xab, matrix2_module.product_xab)
-        np.testing.assert_array_equal(back.product_abx, matrix2_module.product_abx)
-        assert back.dim == matrix2_module.dim
-
-
-    @pytest.mark.parametrize(
-        "patch",
-        [
-            lambda doc: [],
-            lambda doc: {**doc, "dim": "x"},
-            lambda doc: {**doc, "dim": 0},
-            lambda doc: {**doc, "dim": 2.5},
-            lambda doc: {k: v for k, v in doc.items() if k != "products"},
-            lambda doc: {**doc, "products": []},
-            lambda doc: {**doc, "products": {"xab": doc["products"]["xab"]}},
-            lambda doc: {**doc, "products": {**doc["products"], "axb": [[float("nan")]]}},
-            lambda doc: {**doc, "algebra": []},
-        ],
-    )
-    def test_malformed_document_is_a_config_error(self, matrix2_module, patch):
-        with pytest.raises(ConfigError):
-            module_from_json(patch(module_to_json(matrix2_module)))
-
-
-class TestCubicRoundTrip:
-    def test_real(self):
-        cube = ts.CubicMatrix(2, np.arange(8.0).reshape(2, 2, 2))
-        back = cubic_from_json(cubic_to_json(cube))
-        np.testing.assert_array_equal(back.entries, cube.entries)
-
-    def test_complex(self):
-        rng = np.random.default_rng(1)
-        entries = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-        cube = ts.CubicMatrix(2, entries)
-        back = cubic_from_json(cubic_to_json(cube))
-        np.testing.assert_array_equal(back.entries, cube.entries)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigError):
-            cubic_from_json({"side": 2, "entries": [1.0, 2.0]})
-
-
-    @pytest.mark.parametrize(
-        "document",
-        [
-            [],
-            {"side": "x", "entries": [[[1.0]]]},
-            {"side": 0, "entries": []},
-            {"side": 1.5, "entries": [[[1.0]]]},
-            {"entries": [[[1.0]]]},
-            {"side": 1},
-            {"side": 1, "entries": [[[float("nan")]]]},
-            {"side": 1, "entries": [[["a"]]]},
-            {"side": 1, "entries": [[[1.0, 2.0, 3.0]]]},
-        ],
-    )
-    def test_malformed_document_is_a_config_error(self, document):
-        with pytest.raises(ConfigError):
-            cubic_from_json(document)
 
 
 class TestLinearMapRoundTrip:

@@ -40,6 +40,9 @@ def _counted(calls, name):
 
 
 BAD_TOLS = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+# inf once ended in OverflowError, NaN in int()'s ValueError, 2.5 ran as 2 and
+# -3 ran until a NonConvergenceError
+BAD_MAX_ITERS = [math.inf, math.nan, 2.5, -3, "10"]
 
 
 class TestHyersLimit:
@@ -49,6 +52,14 @@ class TestHyersLimit:
         calls = []
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             ts.hyers_limit(_counted(calls, "f"), ts.power_control(0.1, 0.5), np.ones(2), tol)
+        assert calls == []
+
+    @pytest.mark.parametrize("max_iter", BAD_MAX_ITERS)
+    def test_bad_max_iter_rejected_before_any_evaluation(self, max_iter):
+        calls = []
+        with pytest.raises(ValueError, match="max_iter must be a nonnegative integer"):
+            ts.hyers_limit(_counted(calls, "f"), ts.power_control(0.1, 0.5), np.ones(2), 1e-10,
+                           max_iter=max_iter)
         assert calls == []
 
     def test_exact_linear_stops_immediately(self, oddpoly_derivation):
@@ -242,6 +253,27 @@ class TestDirectMethodStabilize:
             ts.direct_method_stabilize(*maps, control, oddpoly3_module, tol=tol)
         assert calls == []
 
+    @pytest.mark.parametrize("kwargs, message", [
+        *[({"max_iter": value}, "max_iter must be a nonnegative integer")
+          for value in BAD_MAX_ITERS],
+        # a non-integer count or seed once ended in numpy's TypeError
+        ({"seed": 2.5}, "seed must be a nonnegative integer"),
+        ({"seed": -1}, "seed must be a nonnegative integer"),
+        ({"bound_points": 2.5}, "bound_points must be a nonnegative integer"),
+        ({"identity_triples": 1.5}, "identity_triples must be a nonnegative integer"),
+        ({"linearity_points": 5.0}, "linearity_points must be a nonnegative integer"),
+        ({"identity_tol": math.nan}, "identity_tol must be finite and nonnegative"),
+        ({"mode": "skew"}, "mode must be one of"),
+    ])
+    def test_bad_numbers_rejected_before_any_evaluation(self, oddpoly3_module, kwargs,
+                                                        message):
+        calls = []
+        maps = [_counted(calls, name) for name in "fghk"]
+        with pytest.raises(ValueError, match=message):
+            ts.direct_method_stabilize(*maps, ts.power_control(0.1, 0.5), oddpoly3_module,
+                                       **kwargs)
+        assert calls == []
+
     def test_divergent_control_raises_before_any_evaluation(self, oddpoly3_module):
         calls = []
         maps = [_counted(calls, name) for name in "fghk"]
@@ -334,6 +366,25 @@ class TestCheckHypothesis:
         control = ts.power_control(0.1, 0.5, arity=5)
         with pytest.raises(ValueError, match="nonnegative"):
             ts.check_hypothesis(*maps, control, oddpoly3_module, samples=-1)
+        assert calls == []
+
+    @pytest.mark.parametrize("kwargs, message", [
+        # lambda_grid 2.5 once ran, and on a complex algebra built 3 multipliers
+        # that are not roots of unity
+        ({"lambda_grid": 2.5}, "lambda_grid must be an integer >= 2"),
+        ({"lambda_grid": 1}, "lambda_grid must be an integer >= 2"),
+        ({"lambda_grid": math.nan}, "lambda_grid must be an integer >= 2"),
+        # a non-integer count or seed once ended in numpy's TypeError
+        ({"samples": 2.5}, "samples must be a nonnegative integer"),
+        ({"seed": 2.5}, "seed must be a nonnegative integer"),
+        ({"seed": -1}, "seed must be a nonnegative integer"),
+    ])
+    def test_bad_numbers_rejected_before_any_evaluation(self, kwargs, message):
+        calls = []
+        maps = [_counted(calls, name) for name in "fghk"]
+        mod = ts.self_module(ts.odd_polynomial_algebra(3, "complex"))
+        with pytest.raises(ValueError, match=message):
+            ts.check_hypothesis(*maps, ts.power_control(0.1, 0.5), mod, **kwargs)
         assert calls == []
 
     def test_complex_lambda_grid(self, identity2):

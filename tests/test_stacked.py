@@ -428,7 +428,7 @@ class TestRowsRead:
         alg = ts.odd_polynomial_algebra(5, "complex")
         mod = ts.self_module(alg)
         ident = ts.LinearMap(np.ldexp(np.eye(alg.dim), exponent).astype(alg.dtype))
-        maps = [ts.perturb_map(ident, ts.PerturbationSpec(0.1, p, "hash", seed), alg.norm_of,
+        maps = [ts.perturb_map(ident, ts.PerturbationSpec(0.1, p, "hash", seed=seed), alg.norm_of,
                                alg.norm_of)
                 for seed, p in enumerate((0.95, 0.5, 0.5, 0.95))]
         control = ts.power_control(0.1, 0.95, arity=5 if mode == "lie" else 3, norm=alg.norm_of)
