@@ -1,39 +1,28 @@
-"""Control functions and their damped majorant series.
+"""Control functions and the closed-form bounds of their damped series.
 
 A control function bounds the defect of an approximate derivation.  The
 power family is ``theta * sum_i |arg_i|**p`` with ``p in [0, 1)``; the zero
 vector contributes zero to the sum for every ``p``, including ``p = 0``.
-The summed majorant is the damped series
-
-    (1/2) * sum_{n>=0} 2**(-n) * phi(2**n * args)
-
-which for the power family telescopes to the closed form
-``theta * sum_i |arg_i|**p / (2 * (1 - 2**(p-1)))``.  Numeric summation adds
-a geometric tail estimate once the term ratio stabilizes, and raises
-:class:`DivergentControlError` instead of returning a silently truncated
-value when terms stop decaying.
+Every control has a ratio ``L`` in [0, 1) with ``phi(2 args) <= 2 L
+phi(args)`` (Cadariu and Radu, J. Inequal. Pure Appl. Math. 4(1), 2003):
+``L = 2**(p-1)`` for the power family, declared by a custom control.  Then
+the damped majorant ``(1/2) sum_n 2**(-n) phi(2**n args)`` is at most
+``phi(args) / (2 (1 - L))``, and its tail from step ``q`` on the ray ``(x,
+x, 0, ...)`` at most ``h L**q / (1 - L)`` with ``h = phi(x, x, 0, ...) /
+2``; for the power family both are exact sums.  A custom control is checked
+against its ``L`` at the arguments each bound is taken at, which can refute
+a declared ``L`` but never prove it (:func:`_checked_phi`).
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .errors import DivergentControlError
-from .algebra import _choice, _finite, _norms_with, l2_norm
-
-#: consecutive non-decreasing terms before the series is declared divergent
-_DIVERGENCE_WINDOW = 8
-#: trailing ratios that must agree for the geometric tail completion
-_RATIO_WINDOW = 5
-#: a majorant series stops at a term at most this, or after this many terms
-_MAJORANT_TOL, _MAJORANT_TERMS = 1e-14, 256
-#: a tail series stops at a term at most this, or past ``k = 1000``
-_TAIL_TOL, _TAIL_TERMS = 1e-30, 1001
+from .algebra import _choice, _finite, _norms_with
 
 
 def _check_power_law(theta, p) -> None:
@@ -53,17 +42,21 @@ class ControlFunction:
     p: float = 0.0
     fn: object = None
     norm: object = None
+    ratio: float | None = None
 
     def __post_init__(self):
+        """Check the arguments; a power control's ratio is ``2**(p-1)``, a
+        custom control's must be given, finite and in [0, 1)."""
         _choice("kind", self.kind, ("power", "custom"))
         _choice("arity", self.arity, (3, 5))
         if self.kind == "power":
             _check_power_law(self.theta, self.p)
-        elif self.fn is None:
+            object.__setattr__(self, "ratio", 2.0 ** (self.p - 1.0))
+            return
+        if self.fn is None:
             raise ValueError("custom control needs an evaluator")
-
-    def norm_of(self, v) -> float:
-        return l2_norm(v) if self.norm is None else float(self.norm(v))
+        if isinstance(self.ratio, bool) or not (_finite(self.ratio) and 0.0 <= self.ratio < 1.0):
+            raise ValueError(f"ratio must lie in [0, 1), got {self.ratio!r}")
 
     def evaluate(self, *args):
         """``phi(*args)``, or one value per row of ``(N, d)`` stacks (single
@@ -72,16 +65,11 @@ class ControlFunction:
         ``|arg|**p`` per row in argument order as Python floats."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        return self._evaluate(args, any(np.ndim(a) > 1 for a in args))
-
-    __call__ = evaluate
-
-    def _evaluate(self, args, stacked: bool):
-        """``evaluate`` on ``arity`` arguments, told whether they are stacked."""
+        stacked = any(np.ndim(a) > 1 for a in args)
         if self.kind == "custom":
             rows = zip(*np.broadcast_arrays(*args)) if stacked else [args]
             values = [float(self.fn(*row)) for row in rows]
-            # inf passes: the majorant series reports it as divergent
+            # inf passes: the ratio check reports it as divergent
             if not all(val >= 0.0 for val in values):
                 raise ValueError("custom control returned a negative or NaN value")
             return np.array(values) if stacked else values[0]
@@ -100,138 +88,70 @@ class ControlFunction:
             values.append(self.theta * total)
         return np.array(values) if stacked else values[0]
 
+    __call__ = evaluate
+
 
 def power_control(theta: float, p: float, arity: int = 5, norm=None) -> ControlFunction:
     return ControlFunction(kind="power", arity=arity, theta=theta, p=p, norm=norm)
 
 
-def custom_control(fn, arity: int = 5, norm=None) -> ControlFunction:
-    return ControlFunction(kind="custom", arity=arity, fn=fn, norm=norm)
+def custom_control(fn, arity: int = 5, norm=None, *, ratio: float) -> ControlFunction:
+    """The control ``fn(*args)`` with the declared ratio ``L``: ``fn(2 args)
+    <= 2 L fn(args)`` must hold at every ``args``."""
+    return ControlFunction(kind="custom", arity=arity, fn=fn, norm=norm, ratio=ratio)
 
 
-def _series(control: ControlFunction, args, tail_tol: float, max_terms: int):
-    """The terms ``2**-(n+1) phi(2**n args)`` for n = 0.., with divergence
-    detection, and the common ratio of the trailing terms.
+def _checked_phi(control: ControlFunction, args):
+    """``control.evaluate(*args)``, one value per row of stacked ``args``.
 
-    Terms are taken until one is at most ``tail_tol``, or for ``max_terms``
-    terms.  Divergence (a full window of non-decreasing terms above
-    ``tail_tol``, or a term that is not finite) raises.  The ratio is the
-    mean of the last ``_RATIO_WINDOW`` term ratios when they agree and lie
-    in (0, 1), else None; ``_rest`` completes the series with it.
+    A custom control is evaluated at ``2 args`` too, and raises
+    :class:`DivergentControlError` unless every value is finite and
+    ``phi(2 args) <= 2 L phi(args) (1 + 1e-12)``; the power family meets its
+    ratio by construction and is evaluated once.
     """
-    # terms are taken in order; double each distinct argument in place, once
-    copies: dict = {}
-    scaled = [copies.setdefault(id(a), np.array(a, dtype=np.result_type(a.dtype, np.float64)))
-              for a in args]
-    stacked = any(a.ndim > 1 for a in scaled)  # the doubling keeps every shape
-    terms: list = []
-    rising = 0  # non-decreasing steps in a row
-    for n in range(max_terms):
-        if n > 0:
-            for a in copies.values():
-                a *= 2.0
-        t = math.ldexp(control._evaluate(scaled, stacked), -(n + 1))
-        if not math.isfinite(t):
-            raise DivergentControlError(
-                f"series term at n={n} is not finite; control function diverges"
-            )
-        rising = rising + 1 if terms and t >= terms[-1] else 0
-        terms.append(t)
-        if t <= tail_tol:
-            break
-        if rising == _DIVERGENCE_WINDOW - 1:
-            raise DivergentControlError(
-                f"series terms non-decreasing over {_DIVERGENCE_WINDOW} steps "
-                f"(last term {t:.3e}); control function does not decay"
-            )
-    if len(terms) > _RATIO_WINDOW:
-        ratios = [
-            terms[i + 1] / terms[i]
-            for i in range(len(terms) - _RATIO_WINDOW - 1, len(terms) - 1)
-            if terms[i] > 0.0
-        ]
-        if len(ratios) == _RATIO_WINDOW:
-            mean = sum(ratios) / len(ratios)
-            spread = max(ratios) - min(ratios)
-            if 0.0 < mean < 1.0 and spread <= 1e-6 * mean:
-                return terms, mean
-    return terms, None
+    values = control.evaluate(*args)
+    if control.kind == "custom":
+        with np.errstate(over="ignore"):
+            doubled = control.evaluate(*(np.multiply(2.0, a) for a in args))
+        if not (np.all(np.isfinite(values))
+                and np.all(doubled <= 2.0 * control.ratio * values * (1.0 + 1e-12))):
+            raise DivergentControlError(f"control breaks its declared ratio {control.ratio!r}: "
+                                        "phi is not finite, or phi(2 args) > 2 L phi(args)")
+    return values
 
 
-def _rest(terms: list, rate) -> float:
-    """The series past its last term, continued at the common ratio
-    ``rate``: a geometric estimate, not a bound; 0.0 without a ratio."""
-    return terms[-1] * rate / (1.0 - rate) if rate else 0.0
+def _tail(control: ControlFunction, h: float, q) -> float:
+    """The Cauchy tail bound ``h L**q / (1 - L)`` at step ``q`` of a ray with
+    ``h = phi(x, x, 0, ...) / 2``; the power family's ``L**q`` is ``2**(q
+    (p-1))``."""
+    decay = 2.0 ** (q * (control.p - 1.0)) if control.kind == "power" else control.ratio**q
+    return h * decay / (1.0 - control.ratio)
 
 
 def summed_majorant(control: ControlFunction, args):
-    """The damped majorant ``(1/2) sum_n 2**(-n) phi(2**n args)``.
-
-    Power controls use the exact closed form.  A custom control's series is
-    summed until a term is at most ``1e-14`` or for 256 terms, then continued
-    at the trailing terms' common ratio (an estimate) unless it ended on such
-    a term.  Stacked ``args`` give one value per row.
-    """
-    args = tuple(np.asarray(a) for a in args)
-    if len(args) != control.arity:
-        raise ValueError(f"expected {control.arity} arguments, got {len(args)}")
-    if control.kind == "power":
-        denom = 1.0 - 2.0 ** (control.p - 1.0)
-        return control.evaluate(*args) / (2.0 * denom)
-    if any(a.ndim > 1 for a in args):
-        return np.array([summed_majorant(control, row)
-                         for row in zip(*np.broadcast_arrays(*args))])
-
-    terms, rate = _series(control, args, _MAJORANT_TOL, _MAJORANT_TERMS)
-    total = 0.0
-    for t in terms:
-        total += t
-    if terms[-1] <= _MAJORANT_TOL:  # nothing is added past the tolerance
-        rate = None
-    return total + _rest(terms, rate)
+    """The damped majorant ``(1/2) sum_n 2**(-n) phi(2**n args)``, bounded
+    by ``phi(args) / (2 (1 - L))`` (the exact sum for a power control).
+    Stacked ``args`` give one value per row.  A custom control that breaks
+    its ratio at ``args`` raises :class:`DivergentControlError`."""
+    return _checked_phi(control, [np.asarray(a) for a in args]) / (2.0 * (1.0 - control.ratio))
 
 
 def cauchy_tail_bound(control: ControlFunction, x, q):
     """Tail majorant ``sum_{k>=q} (1/2) 2**(-k) phi(2**k x, 2**k x, 0, ...)``.
 
     Bounds the distance between the scaled iterates at steps ``q`` and any
-    later step, hence the distance to the limit.  ``q`` may be one step or
-    a sequence of steps; the result is then a list with one bound per
-    entry.  Power controls use the closed form ``theta |x|**p 2**(q(p-1)) /
-    (1 - 2**(p-1))``.  A custom control's series is summed once per call,
-    from ``k = 0``, with the divergence detection of
-    :func:`summed_majorant`, for ``k <= 1000`` (the rows the direct method
-    reaches) and while ``2**k x`` stays below ``2**1000``, or until a term
-    is at most ``1e-30``; every ``q`` is read from its suffix sums.  The
-    rest past the last term summed, also past a term at most ``1e-30``, is
-    a geometric estimate, not a bound: the series continued at the common
-    ratio of the trailing terms, for every later ``q`` too, or 0.0 when
-    their ratios do not agree.
+    later step, hence the distance to the limit, by ``h L**q / (1 - L)``
+    with ``h = phi(x, x, 0, ...) / 2`` (see :func:`_tail`): for a power
+    control ``theta |x|**p 2**(q(p-1)) / (1 - 2**(p-1))``.  ``q`` may be
+    one step or a sequence of steps; the result is then a list with one
+    bound per entry.  A custom control that breaks its ratio at ``(x, x,
+    0, ...)`` raises :class:`DivergentControlError`.
     """
     many = isinstance(q, Iterable)
     qs = list(q) if many else [q]
     if any(k < 0 for k in qs):
         raise ValueError("q must be nonnegative")
     x = np.asarray(x)
-    if control.kind == "power":
-        nx = control.norm_of(x)
-        if nx == 0.0 or control.theta == 0.0:
-            bounds = [0.0] * len(qs)
-        else:
-            denom = 1.0 - 2.0 ** (control.p - 1.0)
-            bounds = [
-                control.theta * nx**control.p * 2.0 ** (k * (control.p - 1.0)) / denom
-                for k in qs
-            ]
-    else:
-        # 2**k max |x_i| < 2**1000 while k <= 1000 - e, where max |x_i| < 2**e
-        _, e = math.frexp(float(np.max(np.abs([x.real, x.imag]), initial=0.0)))
-        zeros = (np.zeros_like(x),) * (control.arity - 2)
-        found, rate = _series(control, (x, x, *zeros), _TAIL_TOL, min(_TAIL_TERMS, 1001 - e))
-        # a term below the tolerance ends the sum, not the series: its rest
-        # is completed at the trailing ratio, as past the last term
-        rest = _rest(found, rate)
-        suffix = list(accumulate(reversed(found), initial=rest))[::-1]
-        bounds = [suffix[k] if k <= len(found) else rest * (rate or 0.0) ** (k - len(found))
-                  for k in qs]
+    h = _checked_phi(control, (x, x) + (np.zeros_like(x),) * (control.arity - 2)) / 2.0
+    bounds = [_tail(control, h, k) for k in qs]
     return bounds if many else bounds[0]

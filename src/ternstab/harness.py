@@ -370,12 +370,12 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     samples = {key: _integer(samples[key], f"samples.{key}") for key in DEFAULT_SAMPLES}
     with _checked("samples."):
         _check_arguments(**samples)
+    entries = raw.get("signs", [1, 1, 1])
     try:
-        signs = SignConvention.from_sequence(raw.get("signs", [1, 1, 1]))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(
-            f"signs must be three entries of +1 or -1, got {raw['signs']!r}"
-        ) from None
+        signs = SignConvention.from_sequence(
+            _integer(s, "signs") for s in _typed(entries, "signs", list))
+    except ValueError:
+        raise ConfigError(f"signs must be three entries of +1 or -1, got {entries!r}") from None
     # input files resolve against the config's directory, output paths
     # against the working directory
     out_spec = _typed(raw.get("out", {}), "out")

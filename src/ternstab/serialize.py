@@ -14,6 +14,7 @@ reported as a ``ConfigError`` under the field's name (:func:`_checked`).
 from __future__ import annotations
 
 import json
+import numbers
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -24,12 +25,15 @@ from .control import ControlFunction
 from .errors import ConfigError, TernstabError
 from .maps import LinearMap
 
-#: registry for named custom control functions usable from config files
+#: registry for named custom control functions usable from config files:
+#: each name holds the function and its declared ratio
 CUSTOM_CONTROLS: dict = {}
 
 
-def register_custom_control(name: str, factory) -> None:
-    CUSTOM_CONTROLS[name] = factory
+def register_custom_control(name: str, fn, ratio: float) -> None:
+    """``fn``, with the ratio it declares (see :func:`custom_control`), as the
+    config control ``{"kind": "custom", "name": name}``."""
+    CUSTOM_CONTROLS[name] = (fn, ratio)
 
 
 def _typed(value, name: str, kind: type = dict):
@@ -38,21 +42,26 @@ def _typed(value, name: str, kind: type = dict):
     return value
 
 
+def _is_number(value) -> bool:
+    """Whether ``value`` is a JSON number: a real number, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _integer(value, name: str) -> int:
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (isinstance(value, float) and number != value):
+    """``value`` as an int: an integer, or a float with an integral value."""
+    if not (_is_number(value)
+            and (isinstance(value, numbers.Integral) or float(value).is_integer())):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return number
+    return int(value)
 
 
 def _number(value, name: str) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        if _is_number(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 @contextmanager
@@ -86,9 +95,12 @@ def encode_array(arr: np.ndarray):
 def _real_or_pairs(data, shape: tuple, name: str) -> np.ndarray:
     """``data`` as a real array of ``shape``, or as a complex one when it
     nests ``[re, im]`` pairs; anything else, also a leaf that is not a
-    finite number, is a ``ConfigError``."""
+    finite number (a string or a bool too), is a ``ConfigError``."""
+    def numbers_only(node) -> bool:
+        return all(map(numbers_only, node)) if isinstance(node, list) else _is_number(node)
+
     try:
-        raw = np.asarray(data, dtype=np.float64)
+        raw = np.asarray(data, dtype=np.float64) if numbers_only(data) else None
     except (TypeError, ValueError, OverflowError):
         raw = None
     if raw is None or not np.all(np.isfinite(raw)):
@@ -151,16 +163,17 @@ def linear_map_from_json(data: dict) -> LinearMap:
 def control_from_json(data: dict, norm=None) -> ControlFunction:
     data = _typed(data, "control")
     arity = _integer(data.get("arity", 5), "control.arity")
-    kind, theta, p, fn = data.get("kind"), 0.0, 0.0, None
+    kind, theta, p, fn, ratio = data.get("kind"), 0.0, 0.0, None, None
     if kind == "power":
         theta, p = (_number(data.get(key), f"control.{key}") for key in ("theta", "p"))
     elif kind == "custom":
         name = data.get("name")
         if not isinstance(name, str) or name not in CUSTOM_CONTROLS:
             raise ConfigError(f"custom control {name!r} is not registered")
-        fn = CUSTOM_CONTROLS[name]
+        fn, ratio = CUSTOM_CONTROLS[name]
     with _checked("control."):
-        return ControlFunction(kind=kind, arity=arity, theta=theta, p=p, fn=fn, norm=norm)
+        return ControlFunction(kind=kind, arity=arity, theta=theta, p=p, fn=fn, norm=norm,
+                               ratio=ratio)
 
 
 def control_to_json(control: ControlFunction, name: str | None = None) -> dict:

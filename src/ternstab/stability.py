@@ -25,7 +25,8 @@ import numpy as np
 # ternary_product and product_* are only imported: the traced benchmark wraps them here
 from .algebra import (COMPLEX, _check_arguments, _norms_with, _random_vector, _trilinear,
                       l2_norm, ternary_product)
-from .control import ControlFunction, cauchy_tail_bound, summed_majorant
+# cauchy_tail_bound is only imported: the traced benchmark wraps it here
+from .control import ControlFunction, _checked_phi, _tail, cauchy_tail_bound, summed_majorant
 from .errors import DimensionMismatch, NonConvergenceError
 from .maps import LinearMap, SignConvention, LIE_SIGNS, _bracket, lie_derivation_residual
 from .module import TernaryModule, product_abx, product_xab
@@ -124,10 +125,12 @@ def hyers_limit(
 ) -> tuple:
     """Limit of ``f(2**n x) / 2**n`` with a certified stopping rule.
 
-    The iteration stops at the first ``n`` whose Cauchy tail bound (see
-    :func:`cauchy_tail_bound`) is at most ``tol``; for ``theta = 0`` or a
-    zero custom control that is ``n = 0``.  That ``n`` is found before
-    ``f`` is evaluated, and one stack of points ``2**k x`` (see
+    The iteration stops at the first ``n`` whose Cauchy tail bound ``h
+    L**n / (1 - L)`` (see :func:`cauchy_tail_bound`), from the control's
+    ratio ``L`` and ``h = phi(x, x, 0, ...) / 2``, is at most ``tol``; for
+    ``theta = 0``, a zero custom control or a zero ``x`` that is ``n = 0``.
+    That ``n`` is found from one value of ``phi`` before ``f`` is
+    evaluated, and one stack of points ``2**k x`` (see
     :meth:`EvaluableMap.evaluate_stack`) holds only the rows that are
     read: ``x``, row ``n`` and the traced rows between, so an untraced call
     evaluates ``f`` at ``x`` and ``2**n x`` alone.  Doubling and scaling by
@@ -135,20 +138,18 @@ def hyers_limit(
     trace equal those of doubling one step at a time.  If a row of that
     stack is not finite, the whole ray ``k = 1..n`` is evaluated to find
     the first row that is not; otherwise the rows left out are not
-    checked.  A custom control's tail is summed numerically, and past the
-    terms summed it is a geometric estimate, not a bound.  Returns the
-    scaled iterate and the stopping ``n``.  ``trace``, if a list, receives
-    a row ``(n, successive_difference, tail_bound)`` per iteration, also
-    for the iterations before a failure; with ``trace_rows`` set, only the
-    rows ``n <= trace_rows``.  This is the one-point case of the stacked
-    core that :func:`direct_method_stabilize` runs over many points at
-    once.
+    checked.  Returns the scaled iterate and the stopping ``n``.
+    ``trace``, if a list, receives a row ``(n, successive_difference,
+    tail_bound)`` per iteration, also for the iterations before a failure;
+    with ``trace_rows`` set, only the rows ``n <= trace_rows``.  This is
+    the one-point case of the stacked core that
+    :func:`direct_method_stabilize` runs over many points at once.
 
     Raises :class:`NonConvergenceError` when a row that is evaluated is not
     finite or no ``n`` up to ``min(max_iter, 1000)`` stops; the hard cap
     keeps ``2**n`` inside double-precision range.  Without a stop, row
     ``min(max_iter, 1000)`` is checked the same way as row ``n``.  A custom
-    control whose series does not decay raises
+    control that breaks its declared ratio at ``(x, x, 0, ...)`` raises
     :class:`DivergentControlError`, and a ``tol`` that is not finite and
     positive or a ``max_iter`` that is not a nonnegative integer
     ``ValueError``, before ``f`` is evaluated.
@@ -207,36 +208,34 @@ def _ray_layout(control, xs, tol, max_iter, traced, trace_rows=None) -> _Layout:
     """The :class:`_Layout` of the rays at the rows ``x`` of an ``(P, d)``
     stack ``xs``, ray ``r`` traced if ``traced[r]``.  A ray reads ``x``, its
     stop row (or row ``min(max_iter, 1000)`` when no row stops) and its
-    traced rows, ``n <= trace_rows`` when that is set.  The stops are
-    searched once per key: ``control.norm_of(x)`` under a power control,
-    whose tail bound depends on ``x`` through that norm alone, and the bytes
-    of ``x`` under a custom one.  The traced rows' ray index, ``n`` and tail
-    bound columns are built here, once for every map of the run, and so are
-    the indexes of the rows ``_rate_estimate`` reads.  Its callers have
-    checked ``tol`` and ``max_iter``."""
+    traced rows, ``n <= trace_rows`` when that is set.  A ray's bounds depend
+    on ``x`` only through ``h = phi(x, x, 0, ...) / 2``, evaluated (and a
+    custom ratio checked) for all rays in one call, so the stop is searched
+    once per distinct ``h``; a zero ``x`` stops at 0.  The traced rows' ray
+    index, ``n`` and tail bound columns are built here, once for every map
+    of the run, and so are the indexes of the rows ``_rate_estimate`` reads.
+    Its callers have checked ``tol`` and ``max_iter``."""
     xs = np.asarray(xs)
     limit = min(int(max_iter), ITERATION_CAP)
     xn = np.array(xs, dtype=np.result_type(xs.dtype, np.float64))
-    keys = (_norms_with(control.norm, xn).tolist() if control.kind == "power"
-            else [x.tobytes() for x in xn])
+    zeros = (np.zeros(xn.shape[1], dtype=xn.dtype),) * (control.arity - 2)
+    heads = (_checked_phi(control, (xn, xn, *zeros)) / 2.0).tolist()
     searched, tails_of = {}, {}
     stops, rows, counts, tails = [], [], [], []
-    for x, key, wanted in zip(xn, keys, traced):
-        if x.any() and key not in searched:
-            searched[key], bounds = _a_priori_stop(control, x, tol, limit)
-            if bounds is not None:
-                tails_of[key] = bounds[1:]
+    for x, h, wanted in zip(xn, heads, traced):
+        if x.any() and h not in searched:
+            searched[h] = _a_priori_stop(control, h, tol, limit)
         # a zero x is not searched: it stops at 0
-        stop = searched.get(key, 0)
+        stop = searched[h] if x.any() else 0
         end = max(limit, 0) if stop is None else stop
         count = 0 if not wanted else end if trace_rows is None else min(end, trace_rows)
-        if count and key not in tails_of:
-            tails_of[key] = cauchy_tail_bound(control, x, range(1, count + 1))
+        if count and h not in tails_of:
+            tails_of[h] = [_tail(control, h, k) for k in range(1, count + 1)]
         ray = np.arange(1, end + 1)
         stops.append(stop)
         rows.append(ray if count == end else np.append(ray[:count], end))
         counts.append(count)
-        tails.append(tails_of.get(key))
+        tails.append(tails_of.get(h))
     sizes = np.array([len(r) + 1 for r in rows])
     last = np.cumsum(sizes) - 1
     start = last - sizes + 1
@@ -322,32 +321,30 @@ def _ray_outcome(layout, r, values, rows, out_norm, trace):
                                iterations=max(layout.limit, 0))
 
 
-def _a_priori_stop(control: ControlFunction, x, tol: float, limit: int):
-    """First ``n`` in ``0..limit`` whose Cauchy tail bound is at most ``tol``,
-    or None, and the bounds at ``0..limit`` when all were computed, else
-    None.  A custom control's bounds all come from one series.  For a power
-    control a log2 estimate of ``n`` is confirmed with the bound itself at
-    ``n - 1`` and ``n``, because rounding can put the estimate a step off."""
-    if control.kind != "power":
-        bounds = cauchy_tail_bound(control, x, range(max(limit, 0) + 1))
-        return next((n for n, b in enumerate(bounds) if b <= tol), None), bounds
-    head = cauchy_tail_bound(control, x, 0)
+def _a_priori_stop(control: ControlFunction, h: float, tol: float, limit: int):
+    """First ``n`` in ``0..limit`` whose Cauchy tail bound ``h L**n / (1 -
+    L)`` (see :func:`_tail`) is at most ``tol``, or None.  A log2 estimate
+    of ``n``, with ``-log2 L`` steps per doubling, is confirmed with the
+    bound itself at ``n - 1`` and ``n``, because rounding can put the
+    estimate a step off."""
+    head = _tail(control, h, 0)
     if head <= tol:
-        return 0, None
+        return 0
     if limit <= 0:
-        return None, None
-    ratio = head / tol
+        return None
     n = limit
-    if math.isfinite(ratio):
-        n = min(limit, max(1, math.ceil(math.log2(ratio) / (1.0 - control.p))))
+    if math.isfinite(head / tol):
+        # a ratio of 0 leaves no tail past n = 0
+        steps = math.log2(head / tol) / -math.log2(control.ratio) if control.ratio else 1.0
+        n = min(limit, max(1, math.ceil(steps)))
     while True:
-        before, at = cauchy_tail_bound(control, x, (n - 1, n))
+        before, at = _tail(control, h, n - 1), _tail(control, h, n)
         if before <= tol:
             n -= 1
         elif at <= tol:
-            return n, None
+            return n
         elif n >= limit:
-            return None, None
+            return None
         else:
             n += 1
 
@@ -632,10 +629,11 @@ def direct_method_stabilize(
     not on the map, so one ray layout of the basis and the linearity
     points, built before any map is evaluated, serves all four maps: its
     stops, the rows read and one stack of scaled points (see
-    :func:`_ray_layout`).  Under a power control each distinct norm is
-    searched once per run (the unit vectors share one search), and the unit
-    vectors' traced tail bounds are computed once; under a custom control
-    each distinct ``x`` sums its tail series once per run.  The traced rows'
+    :func:`_ray_layout`).  Every bound comes from the control's ratio ``L``
+    and one value of ``phi`` per ray, or per bound point: each distinct
+    ``h = phi(x, x, 0, ...) / 2`` is searched once per run (the unit
+    vectors of a power control share one search), and its traced tail
+    bounds are computed once.  The traced rows'
     ``basis_index``, ``n`` and ``tail_bound`` columns come from that layout
     too, so the four maps' traces share them unless a basis ray failed, and
     ``convergence_rates`` reads only the rows ``3 <= n <= 10``.  Each map is
@@ -644,15 +642,17 @@ def direct_method_stabilize(
     ``max_iter`` or ``seed`` that is not a nonnegative integer, a ``tol``
     that is not finite and positive, an ``identity_tol`` that is not finite
     and nonnegative, or a ``mode`` other than ``lie`` and ``jordan`` raises
-    ``ValueError``, and a custom control whose series does not decay
-    :class:`DivergentControlError`, before any map is evaluated.  Then:
+    ``ValueError``, and a custom control that breaks its declared ratio at
+    a ray or a bound point :class:`DivergentControlError`, before any map is
+    evaluated.  Then:
 
     * linearity: at seeded non-basis points the recovered matrix must agree
       with a fresh limit to ``10 * tol``; the first failure, in point order
       and then map order, is raised.  The points are drawn and evaluated
       even when a basis vector failed, and their outcomes then dropped;
-    * distance bounds: each original map must stay within the summed
-      majorant of its recovered limit at seeded points;
+    * distance bounds: each original map must stay within the majorant
+      ``phi(x, x, 0, ...) / (2 (1 - L))`` of its recovered limit at seeded
+      points;
     * derivation identity: the recovered maps must satisfy the twisted
       derivation identity (diagonal only in ``jordan`` mode) with residual
       at most ``identity_tol * (1 + |a||b||c|)``.
@@ -679,6 +679,9 @@ def direct_method_stabilize(
     layout = _ray_layout(control, np.concatenate([alg.basis(), xs]), tol, max_iter,
                          [True] * alg.dim + [False] * len(xs),
                          None if keep_traces else _RATE_ROWS)
+    zeros = (np.zeros(alg.dim, dtype=alg.dtype),) * (control.arity - 2)
+    points = _points.bounds
+    phi_values = summed_majorant(control, (points, points) + zeros).tolist()
     named = (("f", f, mod.norm_of), ("g", g, alg.norm_of), ("h", h, alg.norm_of),
              ("k", k, alg.norm_of))
     for name, m, _ in named:
@@ -713,9 +716,6 @@ def direct_method_stabilize(
         # np.max, unlike max(), keeps a NaN
         linearity_max = np.max(gaps, initial=0.0)
 
-    zeros = (np.zeros(alg.dim, dtype=alg.dtype),) * (control.arity - 2)
-    points = _points.bounds
-    phi_values = summed_majorant(control, (points, points) + zeros).tolist()
     gaps = [_norms_with(out_norm, m.evaluate_stack(points) - recovered[name].apply(points))
             for name, m, out_norm in named]
     max_violation = np.max(np.subtract(gaps, phi_values)) if bound_points else 0.0

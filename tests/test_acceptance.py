@@ -52,17 +52,26 @@ def test_criterion_2_module_axioms_of_m2_self_module():
 
 
 def test_criterion_3_majorant_closed_form():
-    """Numeric sum of the power control's custom twin vs theta |x|^p / (1 - 2^(p-1)),
-    relative 1e-10."""
+    """The damped series (1/2) sum_n 2^-n phi(2^n x, 2^n x, 0, ...) summed
+    term by term vs theta |x|^p / (1 - 2^(p-1)), relative 1e-10; the
+    majorants of the power control and of its custom twin, which declares
+    the ratio 2^(p-1), equal that closed form."""
     x = np.array([1.0, 0.0])
     z = np.zeros(2)
     for p in (0.0, 0.25, 0.5, 0.75):
         twin = ts.custom_control(
-            lambda *args, p=p: sum(np.linalg.norm(a) ** p for a in args if np.linalg.norm(a) > 0)
+            lambda *args, p=p: sum(np.linalg.norm(a) ** p for a in args if np.linalg.norm(a) > 0),
+            ratio=2.0 ** (p - 1.0),
         )
-        numeric = ts.summed_majorant(twin, (x, x, z, z, z))
+        # 480 terms leave under 2^-119 of the series at p = 0.75
+        numeric = 0.0
+        for n in range(480):
+            numeric += 2.0 ** -(n + 1) * twin.evaluate(*(a * 2.0**n for a in (x, x, z, z, z)))
         closed = 1.0 * np.linalg.norm(x) ** p / (1 - 2 ** (p - 1))
         assert abs(numeric - closed) <= 1e-10 * closed, p
+        for control in (twin, ts.power_control(1.0, p)):
+            majorant = ts.summed_majorant(control, (x, x, z, z, z))
+            assert abs(majorant - closed) <= 1e-13 * closed, p
     value = ts.summed_majorant(ts.power_control(1.0, 0.5), (x, x, z, z, z))
     assert abs(value - (2 + math.sqrt(2))) <= 1e-12
 

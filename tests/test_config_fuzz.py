@@ -7,11 +7,15 @@ cap <= 9, dim <= 2), so a config that loads builds its algebra quickly.
 
 The library's own entry points get junk numbers in their numeric
 arguments: each call returns or raises ``ValueError``, never ``TypeError``
-or ``OverflowError``.
+or ``OverflowError``.  A string or a bool at any numeric field of a config
+or document is a coded error that names the field.
 """
 
+import copy
+import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ import ternstab as ts
 from ternstab.errors import ConfigError
 from ternstab.serialize import algebra_from_json, linear_map_from_json, register_custom_control
 
-register_custom_control("fuzz-zero", lambda *args: 0.0)
+register_custom_control("fuzz-zero", lambda *args: 0.0, 0.5)
 
 WORDS = ["lie", "jordan", "real", "complex", "odd-poly", "trivial-matrix", "octonion",
          "fixed", "hash", "random", "zero", "error", "power", "custom", "identity", ""]
@@ -225,6 +229,7 @@ ENTRY_POINTS = {
     "verify_identity_and_reduce": lambda **kw: ts.verify_identity_and_reduce(
         ts.trivial_matrix_algebra(1), np.ones(1), **kw),
     "power_control": lambda **kw: ts.power_control(**{"theta": 0.1, "p": 0.5, **kw}),
+    "custom_control": lambda **kw: ts.custom_control(lambda *args: 0.0, **kw),
     "PerturbationSpec": lambda **kw: ts.PerturbationSpec(**{"theta": 0.1, "p": 0.5, **kw}),
     "TernaryAlgebra": lambda **kw: ts.TernaryAlgebra(2, "real", _ALG.structure, **kw),
     "trivial_matrix_algebra": lambda **kw: ts.trivial_matrix_algebra(**kw),
@@ -247,6 +252,7 @@ NUMERIC_ARGUMENTS = [
     ("power_control", "theta", False),
     ("power_control", "p", False),
     ("power_control", "arity", False),
+    ("custom_control", "ratio", False),
     ("PerturbationSpec", "theta", False),
     ("PerturbationSpec", "p", False),
     ("TernaryAlgebra", "norm_scale", False),
@@ -268,3 +274,81 @@ def test_library_numbers_return_or_are_a_value_error(argument, value):
         ENTRY_POINTS[entry](**{name: value})
     except ValueError:
         pass
+
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "oddpoly3_p05.json"
+# every numeric field of a config, as a path into it; an integer step picks
+# an entry of a list, and the field is named up to its last key
+NUMERIC_FIELDS = [
+    ("algebra", "cap"), ("algebra", "m"), ("tol",), ("max_iter",), ("seed",), ("lambda_grid",),
+    ("control", "theta"), ("control", "p"), ("control", "arity"),
+    *[("perturbation", "f", key) for key in ("theta", "p", "seed")],
+    ("perturbation", "g", "vector", 1),
+    *[("samples", key) for key in ("bound_points", "identity_triples", "hypothesis_tuples",
+                                   "linearity_points")],
+    ("derivation", "rank_tol"), ("derivation", "pick"), ("signs", 0), ("signs", 2),
+    ("maps", "sigma", "random_seed"), ("maps", "tau", "matrix", 1, 0),
+    ("fallback_maps", 0, "xi", "random_seed"),
+]
+NOT_NUMBERS = ["1", "0.5", "abc", True, False]
+
+
+def _full_config(path) -> dict:
+    """The bundled odd-poly config (d = 2) with every numeric field present,
+    or on the trivial-matrix builder (d = 1) when ``path`` is ``algebra.m``."""
+    raw = json.loads(CONFIG.read_text())
+    raw.pop("out")
+    matrix = [[1, 0], [0.0, 1.0]]
+    if path == ("algebra", "m"):
+        raw["algebra"], matrix = {"builder": "trivial-matrix", "m": 1}, [[1]]
+    raw["perturbation"]["g"]["vector"] = [1.0] + [0.0] * (len(matrix) - 1)
+    raw["maps"] = {"sigma": {"random_seed": 1}, "tau": {"matrix": matrix}}
+    raw["fallback_maps"] = [{"xi": {"random_seed": 2}}]
+    return raw
+
+
+@pytest.mark.parametrize("path", NUMERIC_FIELDS, ids=lambda path: ".".join(map(str, path)))
+def test_string_or_bool_at_a_numeric_field_is_a_coded_error(path):
+    assert ts.load_config(_full_config(path)).algebra.dim >= 1
+    named = max(i for i, step in enumerate(path) if isinstance(step, str))
+    name = ".".join(map(str, path[: named + 1]))
+    for value in NOT_NUMBERS:
+        raw = copy.deepcopy(_full_config(path))
+        *outer, last = path
+        node = raw
+        for step in outer:
+            node = node[step]
+        node[last] = value
+        with pytest.raises(ConfigError) as err:
+            ts.load_config(raw)
+        assert err.value.code == "CONFIG_INVALID"
+        assert name in str(err.value), (value, str(err.value))
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_string_or_bool_in_a_document_is_a_coded_error(value):
+    algebra = {"dim": 1, "field": "real", "structure": [[[[1.0]]]], "norm_scale": 1.0}
+    linear = {"in_dim": 1, "out_dim": 1, "matrix": [[1.0]]}
+    algebra_from_json(algebra)
+    linear_map_from_json(linear)
+    for decode, document, key, name in (
+            (algebra_from_json, algebra, "dim", "algebra dim"),
+            (algebra_from_json, algebra, "norm_scale", "algebra norm_scale"),
+            (algebra_from_json, algebra, "structure", "algebra structure"),
+            (linear_map_from_json, linear, "in_dim", "map in_dim"),
+            (linear_map_from_json, linear, "out_dim", "map out_dim"),
+            (linear_map_from_json, linear, "matrix", "map matrix")):
+        # a list field gets the value at its one leaf
+        bad = [[[[value]]]] if key == "structure" else [[value]] if key == "matrix" else value
+        with pytest.raises(ConfigError, match=name):
+            decode({**document, key: bad})
+
+
+def test_integral_floats_still_load():
+    raw = _full_config(())
+    raw["algebra"]["cap"] = 3.0
+    raw["max_iter"], raw["signs"] = 1000.0, [1.0, -1, 1]
+    config = ts.load_config(raw)
+    assert config.algebra.dim == 2 and config.max_iter == 1000 and type(config.max_iter) is int
+    assert config.signs.as_tuple() == (1, -1, 1)
+    assert all(type(s) is int for s in config.signs.as_tuple())

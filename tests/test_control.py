@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ternstab as ts
+from ternstab.algebra import l2_norm
 from ternstab.errors import DivergentControlError
 
 
@@ -22,13 +23,30 @@ def five_args(x):
 
 
 def custom_twin(theta, p):
-    """The power control ``theta * sum |arg|**p`` as a custom control, whose
-    majorant is summed term by term."""
+    """The power control ``theta * sum |arg|**p`` as a custom control that
+    declares the power family's ratio ``2**(p-1)``."""
 
     def fn(*args):
         return theta * sum(np.linalg.norm(a) ** p for a in args if np.linalg.norm(a) > 0)
 
-    return ts.custom_control(fn, arity=5)
+    return ts.custom_control(fn, arity=5, ratio=2.0 ** (p - 1.0))
+
+
+def series(control, args, start=0, terms=480):
+    """The damped series ``sum_{start <= n < terms} 2**-(n+1) phi(2**n args)``
+    summed term by term: the reference the closed forms are checked against.
+    Past 480 terms a ratio of 2**-0.25 leaves less than 2**-119 of it, and
+    the squares of ``2**479 args`` stay finite for ``|args| < 2**32``."""
+    total = 0.0
+    for n in range(start, terms):
+        total += math.ldexp(control.evaluate(*(a * 2.0**n for a in args)), -(n + 1))
+    return total
+
+
+def tail_series(control, x, q):
+    """The Cauchy tail ``sum_{k >= q} (1/2) 2**-k phi(2**k x, 2**k x, 0, ...)``
+    summed term by term from ``q``."""
+    return series(control, five_args(x), start=q)
 
 
 class TestPowerControl:
@@ -47,8 +65,9 @@ class TestPowerControl:
         c = ts.power_control(1.0, 0.0)
         val = ts.summed_majorant(c, five_args(unit_x()))
         assert val == pytest.approx(2.0, abs=1e-12)
-        numeric = ts.summed_majorant(custom_twin(1.0, 0.0), five_args(unit_x()))
-        assert numeric == pytest.approx(2.0, rel=1e-12)
+        assert series(c, five_args(unit_x())) == pytest.approx(2.0, rel=1e-12)
+        twin = ts.summed_majorant(custom_twin(1.0, 0.0), five_args(unit_x()))
+        assert twin == pytest.approx(2.0, rel=1e-13)
 
     def test_evaluate_examples(self):
         c = ts.power_control(2.0, 0.5)
@@ -59,11 +78,14 @@ class TestPowerControl:
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75])
     def test_numeric_64_terms_matches_closed_form(self, p):
+        # the closed forms of the power control and its custom twin against
+        # the series summed term by term
         c = ts.power_control(1.0, p)
         args = five_args(unit_x())
         closed = ts.summed_majorant(c, args)
-        numeric = ts.summed_majorant(custom_twin(1.0, p), args)
-        assert numeric == pytest.approx(closed, rel=1e-10)
+        assert series(c, args) == pytest.approx(closed, rel=1e-10)
+        assert series(custom_twin(1.0, p), args) == pytest.approx(closed, rel=1e-10)
+        assert ts.summed_majorant(custom_twin(1.0, p), args) == pytest.approx(closed, rel=1e-13)
 
     def test_closed_form_general_arguments(self):
         rng = np.random.default_rng(0)
@@ -74,8 +96,9 @@ class TestPowerControl:
             2 * (1 - 2 ** (0.3 - 1))
         )
         assert closed == pytest.approx(expected, rel=1e-13)
-        numeric = ts.summed_majorant(custom_twin(0.7, 0.3), args)
-        assert numeric == pytest.approx(closed, rel=1e-10)
+        assert series(c, args) == pytest.approx(closed, rel=1e-10)
+        twin = ts.summed_majorant(custom_twin(0.7, 0.3), args)
+        assert twin == pytest.approx(closed, rel=1e-13)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -106,24 +129,25 @@ class TestCustomControl:
         def fn(*args):
             return sum(np.linalg.norm(a) ** p if np.linalg.norm(a) > 0 else 0.0 for a in args)
 
-        custom = ts.custom_control(fn, arity=5)
+        custom = ts.custom_control(fn, arity=5, ratio=2.0 ** (p - 1.0))
         power = ts.power_control(1.0, p)
         args = five_args(unit_x())
         got = ts.summed_majorant(custom, args)
         want = ts.summed_majorant(power, args)
-        assert got == pytest.approx(want, rel=1e-10)
+        assert got == pytest.approx(want, rel=1e-13)
+        assert series(custom, args) == pytest.approx(want, rel=1e-10)
 
     def test_zero_everywhere(self):
-        c = ts.custom_control(lambda *a: 0.0, arity=5)
+        c = ts.custom_control(lambda *a: 0.0, arity=5, ratio=0.5)
         assert ts.summed_majorant(c, five_args(unit_x())) == 0.0
 
     def test_negative_value_rejected(self):
-        c = ts.custom_control(lambda *a: -1.0, arity=3)
+        c = ts.custom_control(lambda *a: -1.0, arity=3, ratio=0.5)
         with pytest.raises(ValueError):
             c.evaluate(unit_x(), unit_x(), unit_x())
 
     def test_nan_value_rejected(self, oddpoly3_module, identity2):
-        c = ts.custom_control(lambda *a: math.nan, arity=5)
+        c = ts.custom_control(lambda *a: math.nan, arity=5, ratio=0.5)
         with pytest.raises(ValueError, match="NaN"):
             c.evaluate(*five_args(unit_x()))
         # so a NaN control cannot make the hypothesis hold unchecked
@@ -132,15 +156,49 @@ class TestCustomControl:
             ts.check_hypothesis(f, f, f, f, c, oddpoly3_module, samples=3)
 
     def test_inf_value_is_divergent(self):
-        c = ts.custom_control(lambda *a: math.inf, arity=5)
+        c = ts.custom_control(lambda *a: math.inf, arity=5, ratio=0.5)
         assert c.evaluate(*five_args(unit_x())) == math.inf
         with pytest.raises(DivergentControlError):
             ts.summed_majorant(c, five_args(unit_x()))
 
     def test_divergent_series_raises(self):
-        c = ts.custom_control(lambda *a: float(np.linalg.norm(a[0]) ** 2), arity=5)
+        # |a|**2 gives phi(2 args) = 4 phi(args), above 2 L phi(args) for any L < 1
+        c = ts.custom_control(lambda *a: float(np.linalg.norm(a[0]) ** 2), arity=5, ratio=0.9)
         with pytest.raises(DivergentControlError):
             ts.summed_majorant(c, five_args(unit_x()))
+        with pytest.raises(DivergentControlError):
+            ts.cauchy_tail_bound(c, unit_x(), 3)
+
+    def test_ratio_is_required(self):
+        with pytest.raises(TypeError, match="ratio"):
+            ts.custom_control(lambda *a: 0.0)
+        with pytest.raises(ValueError, match="ratio must lie in"):
+            ts.ControlFunction(kind="custom", arity=5, fn=lambda *a: 0.0)
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf, -0.1, 1.0, 1.5, True,
+                                       False, "0.5", None])
+    def test_bad_ratio_rejected(self, ratio):
+        with pytest.raises(ValueError, match="ratio must lie in"):
+            ts.custom_control(lambda *a: 0.0, ratio=ratio)
+
+    def test_power_ratio_is_derived(self):
+        for p in (0.0, 0.3, 0.5, 0.99):
+            assert ts.power_control(0.1, p).ratio == 2.0 ** (p - 1.0)
+
+    def test_declared_ratio_is_checked_at_the_arguments(self):
+        # sqrt meets L = 2**-0.5 with equality and any larger L; a smaller
+        # one is refuted wherever phi is not 0
+        def fn(*args):
+            return sum(np.linalg.norm(a) ** 0.5 for a in args)
+
+        args = five_args(unit_x())
+        for ratio in (2.0**-0.5, 0.9):
+            ts.summed_majorant(ts.custom_control(fn, ratio=ratio), args)
+        low = ts.custom_control(fn, ratio=0.7)
+        with pytest.raises(DivergentControlError):
+            ts.summed_majorant(low, args)
+        # zero arguments give phi = 0, which no ratio refutes
+        assert ts.summed_majorant(low, five_args(np.zeros(2))) == 0.0
 
 
 class TestCauchyTail:
@@ -166,13 +224,14 @@ class TestCauchyTail:
         def fn(*args):
             return sum(np.linalg.norm(a) ** p if np.linalg.norm(a) > 0 else 0.0 for a in args)
 
-        custom = ts.custom_control(fn, arity=5)
+        custom = ts.custom_control(fn, arity=5, ratio=2.0 ** (p - 1.0))
         power = ts.power_control(1.0, p)
         x = unit_x()
         for q in (0, 3, 10):
             got = ts.cauchy_tail_bound(custom, x, q)
             want = ts.cauchy_tail_bound(power, x, q)
-            assert got == pytest.approx(want, rel=1e-10)
+            assert got == pytest.approx(want, rel=1e-13)
+            assert tail_series(power, x, q) == pytest.approx(want, rel=1e-10)
 
     def test_rejects_negative_q(self):
         c = ts.power_control(1.0, 0.5)
@@ -185,10 +244,10 @@ def _bits(value) -> bytes:
 
 
 def _reference_power(control, args) -> float:
-    """The power family summed one ``norm_of`` call per argument."""
+    """The power family summed one norm call per argument."""
     total = 0.0
     for v in args:
-        nv = control.norm_of(v)
+        nv = l2_norm(v) if control.norm is None else float(control.norm(v))
         if nv > 0.0:
             total += nv**control.p
     return control.theta * total
@@ -263,7 +322,7 @@ class TestStackedArguments:
             calls.append(args)
             return 0.1 * sum(float(np.abs(v).sum()) ** 0.5 for v in args)
 
-        control = ts.custom_control(fn, arity=3)
+        control = ts.custom_control(fn, arity=3, ratio=2.0**-0.5)
         args = _stacked_args(field, 3, rows, zeroed, seed)
         values = control.evaluate(*args)
         assert values.shape == (rows,) and len(calls) == rows
@@ -277,7 +336,7 @@ class TestStackedArguments:
     def test_single_vectors_give_a_float(self):
         c = ts.power_control(2.0, 0.5, arity=3)
         assert type(c.evaluate(unit_x() * 4.0, unit_x(), np.zeros(2))) is float
-        bad = ts.custom_control(lambda *args: -float(args[0].sum()), arity=3)
+        bad = ts.custom_control(lambda *args: -float(args[0].sum()), arity=3, ratio=0.5)
         stack = np.ones((2, 2))
         with pytest.raises(ValueError, match="negative"):
             bad.evaluate(stack, stack, np.zeros(2))

@@ -204,7 +204,7 @@ class TestRunExperiment:
 
     def test_divergent_control_reported(self):
         register_custom_control(
-            "test-divergent", lambda *args: float(sum(np.linalg.norm(a) ** 2 for a in args))
+            "test-divergent", lambda *args: float(sum(np.linalg.norm(a) ** 2 for a in args)), 0.9
         )
         raw = load_raw("oddpoly3_p05.json")
         raw["control"] = {"kind": "custom", "name": "test-divergent", "arity": 5}
@@ -340,7 +340,7 @@ class TestConfigLoading:
             ts.load_config(raw)
 
     def test_loaded_control_is_built(self):
-        register_custom_control("test-zero", lambda *args: 0.0)
+        register_custom_control("test-zero", lambda *args: 0.0, 0.5)
         raw = load_raw("oddpoly3_p05.json")
         cfg = ts.load_config(raw)
         assert (cfg.control.kind, cfg.control.arity) == ("power", 5)

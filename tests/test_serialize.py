@@ -93,9 +93,20 @@ class TestControlConfig:
             control_from_json({"kind": "custom", "name": "nope", "arity": 5})
 
     def test_registered_custom(self):
-        register_custom_control("always-two", lambda *args: 2.0)
+        register_custom_control("always-two", lambda *args: 2.0, 0.5)
         c = control_from_json({"kind": "custom", "name": "always-two", "arity": 3})
         assert c.evaluate(np.zeros(1), np.zeros(1), np.zeros(1)) == 2.0
+        assert c.ratio == 0.5
+        assert control_to_json(c, "always-two") == {"kind": "custom", "name": "always-two",
+                                                    "arity": 3}
+
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"), -0.5, 1.0, 2.0, True, None,
+                                       "0.5"])
+    def test_registered_custom_with_a_bad_ratio(self, ratio):
+        register_custom_control("bad-ratio", lambda *args: 0.0, ratio)
+        with pytest.raises(ConfigError, match="control.ratio must lie in") as err:
+            control_from_json({"kind": "custom", "name": "bad-ratio", "arity": 5})
+        assert err.value.code == "CONFIG_INVALID"
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):

@@ -138,7 +138,7 @@ class TestHyersLimit:
     def test_zero_custom_control_stops_at_zero(self, oddpoly_derivation):
         # its tail bound is 0 from n = 0 on, as for theta = 0
         f = ts.EvaluableMap.from_linear(oddpoly_derivation)
-        control = ts.custom_control(lambda *a: 0.0, arity=5)
+        control = ts.custom_control(lambda *a: 0.0, arity=5, ratio=0.5)
         value, n = ts.hyers_limit(f, control, np.array([1.0, 2.0]), tol=1e-12)
         assert n == 0
         np.testing.assert_array_equal(value, oddpoly_derivation([1.0, 2.0]))
@@ -277,7 +277,7 @@ class TestDirectMethodStabilize:
     def test_divergent_control_raises_before_any_evaluation(self, oddpoly3_module):
         calls = []
         maps = [_counted(calls, name) for name in "fghk"]
-        control = ts.custom_control(lambda *a: float(np.linalg.norm(a[0]) ** 2))
+        control = ts.custom_control(lambda *a: float(np.linalg.norm(a[0]) ** 2), ratio=0.9)
         with pytest.raises(DivergentControlError):
             ts.direct_method_stabilize(*maps, control, oddpoly3_module)
         assert calls == []

@@ -48,7 +48,6 @@ def _reference_hyers_limit(f, control, x, tol, max_iter=ITERATION_CAP, out_norm=
         raise NonConvergenceError("f(x) is not finite", iterations=0)
     if not np.any(x):
         return current, 0
-    # the bounds at 0..limit in one call: a custom control sums its series once
     tails = cauchy_tail_bound(control, x, range(max(limit, 0) + 1))
     xn = np.array(x, dtype=np.result_type(x.dtype, np.float64))
     n = 0
@@ -155,12 +154,26 @@ def _hypot(v) -> float:
 
 
 def _custom(theta, p, norm=l2_norm):
-    """``theta * sum_i norm(a_i)**p`` as a custom control: with ``l2_norm``
-    the custom twin of ``power_control(theta, p)``, the same ``phi``."""
-    return ts.custom_control(lambda *args: theta * sum(norm(a) ** p for a in args))
+    """``theta * sum_i norm(a_i)**p`` as a custom control that declares the
+    ratio ``2**(p-1)``: with ``l2_norm`` the custom twin of
+    ``power_control(theta, p)``, the same ``phi``."""
+    return ts.custom_control(lambda *args: theta * sum(norm(a) ** p for a in args),
+                             ratio=2.0 ** (p - 1.0))
 
 
 SQRT_CONTROL = _custom(0.1, 0.5, _hypot)
+
+
+def _head(control, x) -> float:
+    """``h = phi(x, x, 0, ...) / 2``, from which every bound of the ray of
+    ``x`` follows."""
+    x = np.asarray(x)
+    return control.evaluate(x, x, *[np.zeros_like(x)] * (control.arity - 2)) / 2.0
+
+
+def _stop(control, x, tol=1e-10):
+    """The a-priori stop of the ray of ``x``, as a run's layout finds it."""
+    return _ray_layout(control, np.asarray(x)[None], tol, ITERATION_CAP, [False]).stops[0]
 
 
 def _tol_at(x, n, control=SQRT_CONTROL):
@@ -265,7 +278,7 @@ class TestStackedHyersLimit:
         # 2-norm; the stop lies near n = 700
         alg, stacked, pointwise, control = _setup("real", direction, 0.95)
         for x in alg.basis():
-            stop = _a_priori_stop(control, x, 1e-10, ITERATION_CAP)[0]
+            stop = _stop(control, x)
             assert 512 < stop < ITERATION_CAP
             got = _outcome(ts.hyers_limit, stacked, control, x, 1e-10, out_norm=alg.norm_of)
             with np.errstate(over="ignore"):  # one-row norms warn before their rescale
@@ -285,7 +298,7 @@ class TestStackedHyersLimit:
         result = ts.run_experiment(raw, write_files=False)
         assert result.all_passed, result.report["errors"]
         control = ts.power_control(0.1, 0.95, arity=5)
-        stops = [_a_priori_stop(control, e, 1e-10, ITERATION_CAP)[0] for e in np.eye(2)]
+        stops = [_stop(control, e) for e in np.eye(2)]
         assert result.report["recovered"]["iterations"] == {name: stops for name in "fghk"}
 
     def test_custom_control_experiment_passes(self):
@@ -294,7 +307,7 @@ class TestStackedHyersLimit:
         # lie within tol of the truth; a stop at the first successive
         # difference <= tol (n = 44) left 1.4 tol and failed the identity
         register_custom_control("sqrt-tenth", lambda *args: 0.1 * sum(
-            l2_norm(a) ** 0.5 for a in args))
+            l2_norm(a) ** 0.5 for a in args), 2.0**-0.5)
         raw = json.loads((CONFIGS / "oddpoly3_p05.json").read_text())
         raw.pop("out")
         raw["algebra"]["cap"] = 5
@@ -400,7 +413,7 @@ class TestRowsRead:
     def test_tabulated_map_needs_only_x_and_row_n(self):
         control = ts.power_control(0.1, 0.5)
         x = np.array([1.0, 0.0])
-        n = _a_priori_stop(control, x, 1e-10, ITERATION_CAP)[0]
+        n = _stop(control, x)
         far = np.ldexp(x, n)
         table = ts.EvaluableMap.tabulated([(x, 3.0 * x), (far, 3.0 * far)], 2, 2)
         value, stop = ts.hyers_limit(table, control, x, 1e-10)
@@ -577,8 +590,8 @@ class TestOneDoublingPath:
         f = ts.EvaluableMap(2, 2, counted)
         x = np.array([0.6, 0.8])
         with pytest.raises(DivergentControlError):
-            ts.hyers_limit(f, ts.custom_control(lambda *args: sum(l2_norm(a) ** 2 for a in args)),
-                           x, 1e-10)
+            ts.hyers_limit(f, ts.custom_control(lambda *args: sum(l2_norm(a) ** 2 for a in args),
+                                                ratio=0.9), x, 1e-10)
         assert calls == []
 
 
@@ -597,29 +610,57 @@ class TestAPrioriStop:
                              if cauchy_tail_bound(control, x, n) <= tol),
                             None,
                         )
-                        assert _a_priori_stop(control, x, tol, limit) == (scan, None)
+                        stop = _a_priori_stop(control, _head(control, x), tol, limit)
+                        assert stop == scan
 
     def test_custom_twin_gets_the_power_stop(self):
+        # the twin declares L = 2**(p-1): on the whole grid, down to tol
+        # 1e-40, it stops where the power control does, and its traced tails
+        # and majorants agree with the power control's
         rng = np.random.default_rng(8)
-        points = [*np.eye(3), rng.standard_normal(3)]
+        points = np.stack([*np.eye(3), rng.standard_normal(3), np.zeros(3)])
+        z = np.zeros(3)
         for p in (0.1, 0.5, 0.9):
             for theta in (0.1, 3.0):
                 power, custom = ts.power_control(theta, p), _custom(theta, p)
-                for tol in (1e-6, 1e-10):
-                    for x in points:
-                        stop, bounds = _a_priori_stop(custom, x, tol, ITERATION_CAP)
-                        assert stop == _a_priori_stop(power, x, tol, ITERATION_CAP)[0]
-                        assert len(bounds) == ITERATION_CAP + 1 and bounds[stop] <= tol
-
-    def test_custom_tail_goes_on_past_its_last_summed_term(self):
-        # the custom series ends on a term below 1e-30; the tail past it is
-        # not 0, so a tol at or below that scale does not stop early
+                np.testing.assert_allclose(
+                    ts.summed_majorant(custom, (points, points, z, z, z)),
+                    ts.summed_majorant(power, (points, points, z, z, z)), rtol=1e-13)
+                for tol in (1e-6, 1e-10, 1e-30, 1e-40):
+                    want, got = (_ray_layout(c, points, tol, ITERATION_CAP, [True] * len(points))
+                                 for c in (power, custom))
+                    assert got.stops == want.stops
+                    assert want.stops[-1] == 0
+                    for mine, theirs in zip(got.tails, want.tails):
+                        np.testing.assert_allclose(mine or [], theirs or [], rtol=1e-13)
+        # a tol far below any term a series summed to 1e-30 would reach
         x = np.array([1.0, 0.0])
         ident = ts.EvaluableMap(2, 2, lambda v: v)
-        power, custom = ts.power_control(0.1, 0.5), _custom(0.1, 0.5)
         for tol, stop in ((1e-30, 197), (1e-40, 263)):
-            assert ts.hyers_limit(ident, power, x, tol)[1] == stop
-            assert ts.hyers_limit(ident, custom, x, tol)[1] >= stop
+            for control in (ts.power_control(0.1, 0.5), _custom(0.1, 0.5)):
+                assert ts.hyers_limit(ident, control, x, tol)[1] == stop
+
+    def test_custom_control_takes_a_few_calls_per_ray(self):
+        # phi at (x, x, 0, ...) and at twice that, once per ray, give the
+        # stop, the traced tails and the ratio check; each bound point takes
+        # two calls for its majorant.  A summed series took 200 to 1,000
+        # calls per ray.
+        calls = []
+
+        def fn(*args):
+            calls.append(len(args))
+            return 0.1 * sum(l2_norm(a) ** 0.5 for a in args)
+
+        alg = ts.odd_polynomial_algebra(5)
+        mod = ts.self_module(alg)
+        spec = ts.PerturbationSpec(theta=0.1, p=0.5, direction="fixed", seed=2)
+        ident = ts.LinearMap.identity(alg.dim)
+        maps = [ts.perturb_map(ident, spec, alg.norm_of, alg.norm_of)] * 4
+        control = ts.custom_control(fn, ratio=2.0**-0.5)
+        report = ts.direct_method_stabilize(*maps, control, mod, tol=1e-8, bound_points=4,
+                                            identity_triples=2, linearity_points=3)
+        assert report.converged and min(report.iterations["f"]) > 30
+        assert len(calls) == 2 * (alg.dim + 3) + 2 * 4
 
     def test_tail_bound_sequence_equals_scalar_calls(self):
         x = np.array([0.3, -2.0])
@@ -630,7 +671,8 @@ class TestAPrioriStop:
             assert all(b < a for a, b in zip(got, got[1:]))
             with pytest.raises(ValueError):
                 cauchy_tail_bound(control, x, [2, -1])
-        assert cauchy_tail_bound(ts.custom_control(lambda *args: 0.0), x, [0, 5]) == [0.0, 0.0]
+        zero = ts.custom_control(lambda *args: 0.0, ratio=0.5)
+        assert cauchy_tail_bound(zero, x, [0, 5]) == [0.0, 0.0]
 
 
 class TestStackedEvaluation:
@@ -1025,7 +1067,7 @@ class TestStackedCore:
             assert got[1][:2] == ("iterate at n=523 overflowed", 523)
             assert len(got[1][2]) == (0 if not mode["traced"] else
                                       522 if "trace_rows" not in mode else 10)
-            stop = _a_priori_stop(control, alg.basis()[0], 1e-10, ITERATION_CAP)[0]
+            stop = _stop(control, alg.basis()[0])
             assert [outcome[1] for outcome in got] == [stop, 523, 0] + [stop] * (alg.dim - 1)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -1075,7 +1117,7 @@ class TestStackedCore:
         # must not ask for any other point
         control = ts.power_control(0.1, 0.5)
         xs = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, -0.8], [3.0, 4.0], [0.0, 0.0]])
-        stops = [_a_priori_stop(control, x, 1e-10, ITERATION_CAP)[0] for x in xs[:4]]
+        stops = [_stop(control, x) for x in xs[:4]]
         table = [(x, 3.0 * x) for x in xs]
         table += [(np.ldexp(x, n), np.ldexp(3.0 * x, n)) for x, n in zip(xs, stops)]
         f = ts.EvaluableMap.tabulated(table, 2, 2)
@@ -1211,23 +1253,21 @@ class TestStackedCore:
     def test_evaluations_per_map_do_not_grow_with_dim_or_points(self, monkeypatch):
         # origin check, basis and linearity points together, and bounds: one
         # evaluator call each per map, whatever dim and linearity_points; the
-        # four maps share one stop plan, so the unit vectors of the basis
-        # take one stop search and one call for their traced tails per run
-        bounds = []
-        original = stability.cauchy_tail_bound
+        # four maps share one stop plan, so the unit vectors of the basis,
+        # which share one h, take one stop search per run
+        searches = []
+        original = stability._a_priori_stop
 
-        def counting_bound(control, x, q, *args, **kwargs):
-            bounds.append(np.count_nonzero(x) == 1)
-            return original(control, x, q, *args, **kwargs)
+        def counting_search(control, h, *args):
+            searches.append(h)
+            return original(control, h, *args)
 
-        monkeypatch.setattr(stability, "cauchy_tail_bound", counting_bound)
+        monkeypatch.setattr(stability, "_a_priori_stop", counting_search)
         spec = ts.PerturbationSpec(theta=0.1, p=0.5, direction="hash", seed=2)
         for alg in (ts.odd_polynomial_algebra(3), ts.trivial_matrix_algebra(2),
                     ts.trivial_matrix_algebra(3)):
             control = ts.power_control(0.1, 0.5, arity=5, norm=alg.norm_of)
-            bounds.clear()
-            _a_priori_stop(control, alg.basis()[0], 1e-10, ITERATION_CAP)
-            search = len(bounds)
+            unit = _head(control, alg.basis()[0])
             mod = ts.self_module(alg)
             for count in (1, 5, 20):
                 calls = []
@@ -1243,9 +1283,9 @@ class TestStackedCore:
 
                 ident = ts.LinearMap.identity(alg.dim)
                 maps = [counted(name, ident) for name in "fghk"]
-                bounds.clear()
+                searches.clear()
                 report = ts.direct_method_stabilize(*maps, control, mod, linearity_points=count,
                                                     bound_points=3, identity_triples=2)
                 assert report.converged and report.linearity_points == count
                 assert {name: calls.count(name) for name in "fghk"} == dict.fromkeys("fghk", 3)
-                assert sum(bounds) == search + 1
+                assert searches.count(unit) == 1 and len(searches) == len(set(searches))
