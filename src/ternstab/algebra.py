@@ -31,6 +31,21 @@ DEFAULT_TUPLE_BUDGET = 1_000_000
 # sampled tuples are evaluated in chunks of this many, bounding a chunk's
 # index arrays, gathered rows and values (n x d each) to a few MB at d = 16
 _TUPLE_CHUNK = 20_000
+# a plan contracts stacks over its nonzeros when the staged first product
+# does more than this many multiply-adds per nonzero.  On the builders'
+# tensors the nonzero kernel wins on stacks of a few hundred rows at every
+# ratio, and loses up to about 15 us a call on one vector or 40 rows at
+# d <= 9; at ratios up to 8 (d <= 4) it wins on no stack under about 100
+# rows, which is as large as the stacks of an experiment at that size get
+# (CHANGES.md holds the per-call times)
+_NONZERO_RATIO = 8
+# the nonzero kernel takes a stack's rows in chunks whose rows x nonzeros
+# terms fit in this many bytes, or of 16 rows when one row's terms take more
+# than a sixteenth of it: temporaries under 128 kB come from the allocator's
+# free lists, while larger ones are mapped and faulted in afresh on each call
+# (a pass of the axiom checks on trivial-matrix m = 4 and m = 3 complex took
+# about 4,000 page faults with 4 MB chunks, 500 with these)
+_GATHER_BYTES = 1 << 16
 
 
 def dtype_for(field_tag):
@@ -93,15 +108,21 @@ def l2_norm(v) -> float:
     return float(_row_norms(np.asarray(v).ravel(order="K")))
 
 
-@np.errstate(over="ignore")  # rows whose squares overflow are recomputed below
+#: the square root of the least normal double: a row whose 2-norm is below
+#: it summed its squares below the normal range
+_LEAST_ROOT = 2.0**-511
+
+
+@np.errstate(over="ignore")  # such rows are recomputed below
 def _row_norms(vectors) -> np.ndarray:
     """2-norm along the last axis, each bitwise equal to ``np.linalg.norm`` of
     its row alone: on rows of unit stride (a stack whose last axis is
     strided is copied to C order first) ``vecdot`` sums a row's squares in
     the order of ``norm``'s dot product (``norm(axis=-1)`` and ``einsum``
-    reorder them).  Rows whose squares overflow although their entries are
-    finite are recomputed after an exact power-of-two rescale, without a
-    numpy overflow warning.
+    reorder them).  Rows of finite entries whose sum of squares overflows,
+    or falls below the normal range although some entry is nonzero, are
+    recomputed after an exact power-of-two rescale that brings their
+    largest entry to [0.5, 1), without a numpy warning.
     """
     v = np.asarray(vectors)
     if not issubclass(v.dtype.type, np.inexact):
@@ -113,23 +134,35 @@ def _row_norms(vectors) -> np.ndarray:
         # np.sqrt does at a fraction of its call cost on a scalar
         square = v.dot(v) if v.dtype.kind != "c" else v.real.dot(v.real) + v.imag.dot(v.imag)
         root = math.sqrt(square)
-        if root != math.inf:
+        if _LEAST_ROOT <= root < math.inf or not v.any():
             return np.float64(root)
-        out, over = np.float64(root), np.isfinite(v).all()
+        return _row_norms(v[None])[0]
+    dot = np.vecdot
+    if v.dtype.kind == "c":
+        out = np.sqrt(dot(v.real, v.real) + dot(v.imag, v.imag))
     else:
-        dot = np.vecdot
-        if v.dtype.kind == "c":
-            out = np.sqrt(dot(v.real, v.real) + dot(v.imag, v.imag))
-        else:
-            out = np.sqrt(dot(v, v))
-        over = out == np.inf
-        if not over.any():
-            return out
-        over = over & np.isfinite(v).all(axis=-1)
-    rows = v[over]
-    exp = np.frexp(np.maximum(abs(rows.real).max(-1), abs(rows.imag).max(-1)))[1]
-    out = np.array(out)
-    out[over] = np.ldexp(_row_norms(rows * np.ldexp(1.0, -exp)[:, None]), exp)
+        out = np.sqrt(dot(v, v))
+    low, high = out.min(initial=np.inf), out.max(initial=0.0)
+    if low >= _LEAST_ROOT and high < np.inf:
+        return out
+    # the rows left are mostly zero rows, as the differences of an exact law are
+    if high < _LEAST_ROOT and not v.any():
+        return out
+    odd = out < _LEAST_ROOT
+    if not high < np.inf:  # an infinite norm, or a NaN that hides one from the maximum
+        odd |= out == np.inf
+    rows = v[odd]
+    if not rows.any():
+        return out
+    top = np.maximum(abs(rows.real).max(-1), abs(rows.imag).max(-1))
+    keep = (top > 0) & (top < np.inf)  # zero rows and infinite entries keep ``out``
+    exp = np.frexp(top[keep])[1]
+    # ldexp of the entries, real and imaginary parts alike: 2.0**-exp overflows
+    # when the largest entry is subnormal
+    scaled = np.ldexp(rows[keep].view(rows.real.dtype), -exp[:, None]).view(rows.dtype)
+    fixed = out[odd]
+    fixed[keep] = np.ldexp(_row_norms(scaled), exp)
+    out[odd] = fixed
     return out
 
 
@@ -180,6 +213,15 @@ class _Plan(NamedTuple):
     lists the nonzero entries as index arrays ``(i, j, k, l)`` and values
     ``v``, in C order, for the derivation solver's assembly and the law
     evaluator.
+
+    On a sparse tensor, whose ``stage1`` holds more than ``_NONZERO_RATIO``
+    entries per nonzero, ``terms`` and ``runs`` hold the nonzeros sorted by
+    ``l`` (C order within a run of equal ``l``) for ``_trilinear``'s nonzero
+    kernel: ``terms`` is ``(i, j, pair, k, v)``, where ``i`` and ``j`` list
+    the distinct ``(i, j)`` of the nonzeros in C order, ``pair`` gives each
+    nonzero's place among them, and ``v`` is None when every value is 1;
+    ``runs`` is the start of each run and its ``l``.  Both are None on any
+    other tensor.
     """
 
     tensor: np.ndarray
@@ -187,6 +229,8 @@ class _Plan(NamedTuple):
     stage1: np.ndarray
     counts: np.ndarray
     nonzeros: tuple
+    terms: tuple | None
+    runs: tuple | None
 
     @classmethod
     def of(cls, tensor: np.ndarray) -> _Plan:
@@ -201,9 +245,17 @@ class _Plan(NamedTuple):
         nonzeros = (*where, tensor[where])
         row = np.ravel_multi_index(where[:3], (d1, d2, d3))
         counts = np.bincount(row, minlength=d1 * d2 * d3).reshape(d1, d2, d3)
-        for v in (stage1, counts, *nonzeros):
-            v.setflags(write=False)
-        return cls(tensor, pairs, stage1, counts, nonzeros)
+        terms = runs = None
+        if stage1.size > _NONZERO_RATIO * len(row):
+            i, j, k, out, v = (x[np.argsort(where[3], kind="stable")] for x in nonzeros)
+            ij, pair = np.unique(i * d2 + j, return_inverse=True)
+            starts = np.flatnonzero(np.diff(out, prepend=-1))
+            terms = (ij // d2, ij % d2, pair, k, None if (v == 1).all() else v)
+            runs = (starts, out[starts])
+        for v in (stage1, counts, *nonzeros, *(terms or ()), *(runs or ())):
+            if v is not None:
+                v.setflags(write=False)
+        return cls(tensor, pairs, stage1, counts, nonzeros, terms, runs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,17 +314,25 @@ class TernaryAlgebra(_Space):
 def _trilinear(plan: _Plan, a, b, c) -> np.ndarray:
     """Contract slots 1-3 of a planned ``(d1, d2, d3, dout)`` tensor with ``a, b, c``.
 
-    Three staged matrix products, one slot at a time, over the live slabs
-    of a plan built once per tensor: the first two run over the live
-    ``(k, l)`` pairs only and fill their columns of a zero ``(d3, dout)``
-    block before the third (all of it when every pair is live).  Fewer
-    columns can move the last bit of an inexact sum, as BLAS may order a
-    column's sum by its place among them.  The leading axes of ``a``, ``b``
-    and ``c`` broadcast against each other, so the same call serves one
-    vector, an ``(N, d)`` stack and a grid of basis vectors, each row with
-    the bits it has alone; the result has the broadcast leading shape
-    followed by ``dout``.
+    The leading axes of ``a``, ``b`` and ``c`` broadcast against each other;
+    the result has the broadcast leading shape followed by ``dout``.  A
+    stack, where some operand has the whole leading shape (one vector, an
+    ``(N, d)`` stack, or a stack against single vectors), on a plan with
+    ``runs`` takes ``_by_nonzeros``.  Any other call, such as a grid of
+    basis vectors, whose leading shape is an outer product of the operands',
+    or a call on a dense plan, takes three staged matrix products, one slot
+    at a time, over the live slabs of the plan: the first two run over the
+    live ``(k, l)`` pairs only and fill their columns of a zero
+    ``(d3, dout)`` block before the third (all of it when every pair is
+    live).  Fewer columns can move the last bit of an inexact sum, as BLAS
+    may order a column's sum by its place among them.  Either kernel gives
+    each row of a stack the bits it has alone.
     """
+    if plan.runs is not None:
+        leads = (a.shape[:-1], b.shape[:-1], c.shape[:-1])
+        lead = leads[0] if leads[0] == leads[1] == leads[2] else np.broadcast_shapes(*leads)
+        if lead in leads:
+            return _by_nonzeros(plan, a, b, c, lead)
     d1, d2, d3, dout = plan.tensor.shape
     out = a[..., None, :] @ plan.stage1
     out = b[..., None, :] @ out.reshape(*out.shape[:-2], d2, plan.stage1.shape[1] // d2)
@@ -282,6 +342,44 @@ def _trilinear(plan: _Plan, a, b, c) -> np.ndarray:
         out = full
     out = c[..., None, :] @ out.reshape(*out.shape[:-2], d3, dout)
     return out[..., 0, :]
+
+
+def _by_nonzeros(plan: _Plan, a, b, c, lead: tuple) -> np.ndarray:
+    """``_trilinear`` of a stack over the plan's ``terms``, in the manner of
+    Gustavson's row-wise sparse product (ACM TOMS 4, 1978).
+
+    Each term is ``((a_i * b_j) * c_k) * v`` (``* v`` left out when every
+    value is 1, which is exact), gathered as rows of the transposed
+    operands, with each distinct ``a_i * b_j`` taken once; ``np.add.reduceat``
+    sums each run of one output coordinate in an order fixed by the run
+    alone, and adding 0.0 makes a sum of negative zeros +0, as a BLAS dot
+    product gives it.  The rows are taken in chunks of at most
+    ``_GATHER_BYTES`` of terms (16 rows at least); a row's sums read that
+    row only, so neither the chunks nor the other rows move its bits.
+    """
+    (i, j, pair, k, v), (starts, outs) = plan.terms, plan.runs
+    dtype = np.result_type(a, b, c, plan.tensor)
+    rows = math.prod(lead)
+    flat = []  # each operand as (rows, d), or one (1, d) row for a single vector
+    for x in (a, b, c):
+        if x.size == x.shape[-1]:
+            flat.append(x.reshape(1, -1))
+            continue
+        if x.shape[:-1] != lead:
+            x = np.broadcast_to(x, lead + x.shape[-1:])
+        flat.append(x.reshape(rows, x.shape[-1]))
+    out = np.zeros((rows, plan.tensor.shape[3]), dtype)
+    step = max(16, _GATHER_BYTES // (len(k) * dtype.itemsize))
+    for s in range(0, rows, step):
+        at, bt, ct = (np.ascontiguousarray((x if len(x) == 1 else x[s:s + step]).T, dtype)
+                      for x in flat)
+        terms = (at[i] * bt[j])[pair] * ct[k]
+        if v is not None:
+            terms *= v[:, None]
+        sums = np.add.reduceat(terms, starts, axis=0)
+        sums += 0.0
+        out[s:s + step, outs] = sums.T
+    return out.reshape(lead + out.shape[1:])
 
 
 def _random_vector(rng, dim, field_tag: str, count: int | None = None):

@@ -164,11 +164,7 @@ def perturb_map(
             raise DimensionMismatch(
                 f"fixed direction has shape {raw.shape}, expected ({base.out_dim},)"
             )
-        size = float(_norms_with(out_norm, raw))
-        if size == 0.0:  # every square underflowed: bring the largest entry to 1 first
-            raw = raw / np.abs(raw).max()
-            size = float(_norms_with(out_norm, raw))
-        fixed_unit = raw / size
+        fixed_unit = raw / float(_norms_with(out_norm, raw))
 
     def evaluate(x):
         x = np.asarray(x)

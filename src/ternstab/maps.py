@@ -19,6 +19,7 @@ about the signs, so the convention is an explicit parameter.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +90,12 @@ class SignConvention:
     s3: int = 1
 
     def __post_init__(self):
-        for s in (self.s1, self.s2, self.s3):
-            if s not in (1, -1):
-                raise ValueError("sign entries must be +1 or -1")
+        for name in ("s1", "s2", "s3"):
+            s = getattr(self, name)
+            # an integer, not a bool: True == 1 and 1.0 == 1 would pass the test below
+            if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s not in (1, -1):
+                raise ValueError(f"sign entries must be the integers +1 or -1, got {s!r}")
+            object.__setattr__(self, name, int(s))
 
     def as_tuple(self):
         return (self.s1, self.s2, self.s3)
@@ -101,7 +105,7 @@ class SignConvention:
         seq = list(seq)
         if len(seq) != 3:
             raise ValueError("sign convention needs exactly 3 entries")
-        return SignConvention(*(int(s) for s in seq))
+        return SignConvention(*seq)
 
 
 #: all-plus convention of the derivation identity

@@ -9,11 +9,13 @@ five module chains.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ternstab as ts
+from ternstab import algebra as algebra_mod
 from ternstab import module as module_mod
 from ternstab.algebra import _Plan, _trilinear
 from ternstab.errors import DimensionMismatch
@@ -453,3 +455,142 @@ class TestSampledModuleChains:
             assert value > 1e-6
             # the stacked norm may round differently from the 1-D norm in the last bit
             assert abs(report.chain_residuals[name] - value) <= 1e-14 * value
+
+
+def builder_tensors(field):
+    """The builders' tensors that contract stacks over their nonzeros."""
+    return {
+        **{f"trivial m={m}": ts.trivial_matrix_algebra(m, field).structure for m in (3, 4)},
+        **{f"odd-poly cap={cap}": ts.odd_polynomial_algebra(cap, field).structure
+           for cap in (7, 13, 31)},
+    }
+
+
+class TestNonzeroKernel:
+    """The nonzero kernel of ``_trilinear``: which calls take it, and the
+    bits it gives."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+        kernel = algebra_mod._by_nonzeros
+
+        def counted(*args):
+            calls.append(args[-1])
+            return kernel(*args)
+
+        monkeypatch.setattr(algebra_mod, "_by_nonzeros", counted)
+        return calls
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_builder_stacks_take_it_and_grids_do_not(self, field, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        rng = np.random.default_rng(16)
+        for name, t in builder_tensors(field).items():
+            plan = _Plan.of(t)
+            assert plan.stage1.size > algebra_mod._NONZERO_RATIO * np.count_nonzero(t), name
+            assert plan.terms is not None and plan.runs is not None, name
+            d = t.shape[0]
+            stack, one = random_array(rng, (7, d), field), random_array(rng, d, field)
+            for a, b, c in ((one, one, one), (stack, stack, stack), (stack, one, one),
+                            (one, stack[:, None][:3], stack[:3, None]), (stack[:0], one, one)):
+                calls.clear()
+                got = _trilinear(plan, a, b, c)
+                assert len(calls) == 1, name
+                assert got.shape == np.broadcast_shapes(a.shape, b.shape, c.shape), name
+            eye = np.eye(d, dtype=t.dtype)
+            for grid in ((eye[:, None, None], eye[None, :, None], eye),
+                         (eye[:, None], one, eye), (stack[:, None], eye, one)):
+                calls.clear()
+                _trilinear(plan, *grid)
+                assert not calls, name
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_dense_and_small_plans_stay_staged(self, field, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        rng = np.random.default_rng(17)
+        others = {name: t for name, t in tensors(field).items() if not name.startswith(("triv", "odd"))}
+        # the builders' tensors of ratio 8 or less: 4.0, 6.8 and 8.0
+        others["odd-poly cap=3"] = ts.odd_polynomial_algebra(3, field).structure
+        others["odd-poly cap=5"] = ts.odd_polynomial_algebra(5, field).structure
+        others["trivial m=2"] = ts.trivial_matrix_algebra(2, field).structure
+        for name, t in others.items():
+            plan = _Plan.of(t)
+            assert plan.terms is None and plan.runs is None, name
+            for a, b, c in operands(rng, t.shape, field, random_array):
+                _trilinear(plan, a, b, c)
+        assert not calls
+
+    def test_solver_grids_stay_staged_and_module_stacks_do_not(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        alg = ts.trivial_matrix_algebra(3)
+        mod = ts.self_module(alg)
+        eye = ts.LinearMap.identity(alg.dim)
+        ts.residual_on_basis(mod, eye, eye, eye, eye)
+        ts.solve_exact_derivations(mod, eye, eye, eye)
+        assert not calls
+        ts.check_module_axioms(mod, 1e-9, samples=10, budget=200)
+        assert [len(lead) for lead in calls] == [1, 1, 1]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("name", ["trivial m=4", "odd-poly cap=31"])
+    def test_stack_is_bitwise_per_row(self, name, field):
+        rng = np.random.default_rng(6)
+        t = builder_tensors(field)[name]
+        plan = _Plan.of(t)
+        a, b, c = (random_array(rng, (40, n), field) for n in t.shape[:3])
+        got = _trilinear(plan, a, b, c)
+        # a single vector against the stack gives the rows of its broadcast stack
+        assert got.tobytes() == _trilinear(plan, a, b, c).tobytes()
+        with_one = _trilinear(plan, a, b[0], c)
+        assert with_one.tobytes() == _trilinear(plan, a, np.tile(b[0], (40, 1)), c).tobytes()
+        for n in range(40):
+            assert got[n].tobytes() == _trilinear(plan, a[n], b[n], c[n]).tobytes()
+            assert with_one[n].tobytes() == _trilinear(plan, a[n], b[0], c[n]).tobytes()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("name", ["trivial m=4", "odd-poly cap=31"])
+    def test_chunks_do_not_move_bits(self, name, field, monkeypatch):
+        rng = np.random.default_rng(8)
+        t = builder_tensors(field)[name]
+        plan = _Plan.of(t)
+        a, b, c = (random_array(rng, (3, 17, n), field) for n in t.shape[:3])
+        whole = _trilinear(plan, a, b, c)
+        rows = []
+        # chunks of 16 rows (the least) and a last one of 3, of 20 and 11, and one chunk
+        for budget_rows in (1, 20, 51):
+            monkeypatch.setattr(algebra_mod, "_GATHER_BYTES",
+                                budget_rows * np.count_nonzero(t) * t.itemsize)
+            assert _trilinear(plan, a, b, c).tobytes() == whole.tobytes()
+            rows.append(_trilinear(plan, a[1, 4], b[1, 4], c[1, 4]))
+        assert all(row.tobytes() == whole[1, 4].tobytes() for row in rows)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_sums_of_negative_zeros_are_positive(self, field):
+        for name, t in builder_tensors(field).items():
+            d = t.shape[0]
+            a = np.full((2, d), -0.0, t.dtype)
+            b, c = np.ones((2, d), t.dtype), np.ones((2, d), t.dtype)
+            got, want = planned(t, a, b, c), dense_trilinear(t, a, b, c)
+            assert got.tobytes() == want.tobytes() == np.zeros((2, d), t.dtype).tobytes(), name
+
+    def test_values_other_than_one_are_multiplied(self):
+        rng = np.random.default_rng(9)
+        t = 3.0 * ts.trivial_matrix_algebra(3).structure
+        t[t != 0] *= integer_array(rng, np.count_nonzero(t), "real")
+        plan = _Plan.of(t)
+        assert plan.terms[-1] is not None
+        a, b, c = (integer_array(rng, (5, 9), "real") for _ in range(3))
+        assert planned(t, a, b, c).tobytes() == dense_trilinear(t, a, b, c).tobytes()
+        close(planned(t, a[0], b[0], c[0]), einsum_product(t, a[0], b[0], c[0]))
+
+    def test_module_check_memory_is_bounded(self):
+        # the staged first product alone held 20,000 x 1,024 doubles (164 MB)
+        mod = ts.self_module(ts.trivial_matrix_algebra(4))
+        tracemalloc.start()
+        try:
+            report = ts.check_module_axioms(mod, 1e-9, samples=20_000, budget=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and peak < 64e6

@@ -574,3 +574,22 @@ class TestLinearMapType:
         with pytest.raises(ValueError):
             ts.SignConvention.from_sequence([1, 1])
         assert ts.SignConvention.from_sequence([1, -1, -1]) == ts.MIXED_SIGNS
+
+
+class TestSignEntries:
+    @pytest.mark.parametrize("signs", [(True, True, True), (1, False, 1), (1.0, -1.0, 1),
+                                       (1, 1, -1.0), (np.True_, 1, 1), (1.5, 1, 1), ("1", 1, 1)])
+    def test_bools_floats_and_strings_are_rejected(self, signs):
+        with pytest.raises(ValueError, match="sign entries must be the integers"):
+            ts.SignConvention(*signs)
+
+    @pytest.mark.parametrize("seq", [[1.5, 1, 1], [-1.9, True, 1.0], [True, 1, 1], [1, 1, 1.0]])
+    def test_from_sequence_does_not_truncate(self, seq):
+        with pytest.raises(ValueError, match="sign entries must be the integers"):
+            ts.SignConvention.from_sequence(seq)
+
+    def test_integers_are_stored_as_int(self):
+        signs = ts.SignConvention(np.int64(1), -1, np.int32(-1))
+        assert signs == ts.MIXED_SIGNS and all(type(s) is int for s in signs.as_tuple())
+        signs = ts.SignConvention.from_sequence(np.array([1, -1, -1]))
+        assert signs == ts.MIXED_SIGNS and all(type(s) is int for s in signs.as_tuple())

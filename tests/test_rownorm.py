@@ -10,6 +10,7 @@ bound of ``conftest._law_bound`` on random ones.
 """
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -517,3 +518,57 @@ class TestStackedChecksMatchPerRowCode:
                 worst = max(worst, float(norm(m(x) - limit(x))) - bound)
         assert repr(report.phi_tilde_values) == repr(phis)
         assert repr(report.max_bound_violation) == repr(worst)
+
+
+def _hypot(row) -> float:
+    """The 2-norm of a row by ``math.hypot``, which scales to avoid under- and
+    overflow and is accurate to about one unit in the last place."""
+    row = np.asarray(row)
+    return math.hypot(*row.real.tolist(), *(row.imag.tolist() if row.dtype.kind == "c" else ()))
+
+
+class TestScaledRows:
+    """Rows far from 1 in scale: those whose sum of squares leaves the
+    normal range are rescaled by a power of two, the others keep the bits
+    of ``np.linalg.norm``."""
+
+    EXPONENTS = list(range(-300, 301, 25)) + [-307, -200, -160, -155, -154, 154, 155, 200, 307]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_within_two_eps_from_1e_300_to_1e300(self, field):
+        rng = np.random.default_rng(11)
+        eps = np.finfo(np.float64).eps
+        for d in (1, 2, 3, 7, 16, 40):
+            base = _stack(rng, (len(self.EXPONENTS), d), field)
+            stack = base * 10.0 ** np.array(self.EXPONENTS)[:, None]
+            norms = _row_norms(stack)
+            for row, norm in zip(stack, norms):
+                want = _hypot(row)
+                assert abs(norm - want) <= 2 * eps * want, (d, row)
+                assert _same(_row_norms(row), norm) and l2_norm(row) == norm
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_rows_in_range_keep_their_bits(self, field):
+        rng = np.random.default_rng(12)
+        least = np.sqrt(np.finfo(np.float64).tiny)
+        for d in (1, 2, 5, 16, 64):
+            stack = _stack(rng, (len(self.EXPONENTS), d), field)
+            stack *= 10.0 ** np.array(self.EXPONENTS)[:, None]
+            with np.errstate(over="ignore"):  # the reference overflows on the largest rows
+                norms, want = _row_norms(stack), _per_row(stack)
+            in_range = (want >= least) & (want < np.inf)
+            assert in_range.sum() >= 10
+            assert _same(norms[in_range], want[in_range]), d
+
+    def test_values_from_the_open_finding(self):
+        assert l2_norm([5e-324, 0.0]) == 5e-324
+        assert l2_norm([1e-160, 0.0]) == 1e-160
+        assert l2_norm([3e-160, 4e-160]) == pytest.approx(5e-160, rel=2 * np.finfo(float).eps)
+        assert l2_norm([3e-160j, 4e-160]) == l2_norm([3e-160, 4e-160])
+        # zero rows and rows with an entry that is not finite are left as they are
+        got = _row_norms(np.array([[0.0, 0.0], [np.nan, 1e-300], [np.inf, 1e-300], [1e-300, 0.0]]))
+        assert got[0] == 0.0 and np.isnan(got[1]) and got[2] == np.inf and got[3] == 1e-300
+        # a NaN row does not hide an overflowing row from the rescale
+        got = _row_norms(np.array([[np.nan, 1.0], [3e300, 4e300]]))
+        assert np.isnan(got[0]) and got[1] == 5e300
+        assert l2_norm([0.0, -0.0]) == 0.0 and l2_norm([]) == 0.0
