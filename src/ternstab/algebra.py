@@ -39,6 +39,13 @@ _TUPLE_CHUNK = 20_000
 # rows, which is as large as the stacks of an experiment at that size get
 # (CHANGES.md holds the per-call times)
 _NONZERO_RATIO = 8
+# and when that ratio is also more than a 32nd of the nonzeros per output
+# coordinate.  On random-pattern tensors of density 1/16 at d = 25, about 16
+# entries per nonzero but 980 nonzeros per output, the staged products win
+# by 1.3-1.8x on 1,000-row stacks; every builder's tensor up to d = 25 has a
+# ratio of at least 0.66 times its nonzeros per output (CHANGES.md holds the
+# table)
+_RUN_TERMS = 32
 # the nonzero kernel takes a stack's rows in chunks whose rows x nonzeros
 # terms fit in this many bytes, or of 16 rows when one row's terms take more
 # than a sixteenth of it: temporaries under 128 kB come from the allocator's
@@ -215,7 +222,8 @@ class _Plan(NamedTuple):
     evaluator.
 
     On a sparse tensor, whose ``stage1`` holds more than ``_NONZERO_RATIO``
-    entries per nonzero, ``terms`` and ``runs`` hold the nonzeros sorted by
+    entries per nonzero and more than a ``_RUN_TERMS``-th of the nonzeros
+    per output coordinate, ``terms`` and ``runs`` hold the nonzeros sorted by
     ``l`` (C order within a run of equal ``l``) for ``_trilinear``'s nonzero
     kernel: ``terms`` is ``(i, j, pair, k, v)``, where ``i`` and ``j`` list
     the distinct ``(i, j)`` of the nonzeros in C order, ``pair`` gives each
@@ -250,8 +258,10 @@ class _Plan(NamedTuple):
             i, j, k, out, v = (x[np.argsort(where[3], kind="stable")] for x in nonzeros)
             ij, pair = np.unique(i * d2 + j, return_inverse=True)
             starts = np.flatnonzero(np.diff(out, prepend=-1))
-            terms = (ij // d2, ij % d2, pair, k, None if (v == 1).all() else v)
-            runs = (starts, out[starts])
+            # one run per output coordinate with a nonzero
+            if stage1.size * _RUN_TERMS * len(starts) > len(row) ** 2:
+                terms = (ij // d2, ij % d2, pair, k, None if (v == 1).all() else v)
+                runs = (starts, out[starts])
         for v in (stage1, counts, *nonzeros, *(terms or ()), *(runs or ())):
             if v is not None:
                 v.setflags(write=False)

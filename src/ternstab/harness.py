@@ -138,11 +138,48 @@ def _hash_units(seed: int, xs: np.ndarray, out_dim: int, complex_out: bool, out_
     return units / sizes[:, None]
 
 
+def _fixed_unit(base: LinearMap, spec: PerturbationSpec, out_norm):
+    """The unit vector of a ``fixed`` direction, None for a ``hash`` one."""
+    if spec.direction != "fixed":
+        return None
+    raw = (
+        np.ones(base.out_dim, dtype=base.matrix.dtype)
+        if spec.vector is None
+        else np.asarray(spec.vector, dtype=base.matrix.dtype)
+    )
+    if raw.shape != (base.out_dim,):
+        raise DimensionMismatch(
+            f"fixed direction has shape {raw.shape}, expected ({base.out_dim},)"
+        )
+    return raw / float(_norms_with(out_norm, raw))
+
+
+def _parts_at(base: LinearMap, spec: PerturbationSpec, xs, in_norm, out_norm,
+              fixed_unit) -> tuple:
+    """What the perturbed map reads at the rows of ``xs`` besides ``theta``
+    and ``p``: ``base(xs)``, the indexes of the rows with a nonzero ``|x|``,
+    those ``|x|`` as a tuple of Python floats, and their unit directions,
+    the arrays read-only."""
+    sizes = _norms_with(in_norm, xs)
+    moved = np.flatnonzero(sizes)
+    unit = fixed_unit
+    if unit is None and len(moved):
+        unit = _hash_units(spec.seed, xs[moved], base.out_dim, np.iscomplexobj(base.matrix),
+                           out_norm)
+    parts = base.apply(xs), moved, tuple(sizes[moved].tolist()), unit
+    for array in (parts[0], moved, unit):
+        if array is not None:
+            array.flags.writeable = False
+    return parts
+
+
 def perturb_map(
     base: LinearMap,
     spec: PerturbationSpec,
     in_norm=None,
     out_norm=None,
+    *,
+    _parts=(),
 ) -> EvaluableMap:
     """Evaluator ``x -> base(x) + theta |x|**p u(x)`` with unit ``u``.
 
@@ -150,44 +187,41 @@ def perturb_map(
     perturbation magnitude exactly in the output norm.  The evaluator takes
     one point or an ``(N, d)`` stack; each row of a stack gets exactly the
     value it would get alone.  ``hash`` directions come from
-    :func:`_hash_units`.
+    :func:`_hash_units`.  ``_parts`` pairs stacks with their
+    :func:`_parts_at`, computed once for a sweep: at one of those very
+    stacks the evaluator adds ``theta |x|**p u(x)``, a Python float power
+    per row, to the stored ``base(x)`` instead of computing it all again.
     """
-    complex_out = np.iscomplexobj(base.matrix)
-    fixed_unit = None
-    if spec.direction == "fixed":
-        raw = (
-            np.ones(base.out_dim, dtype=base.matrix.dtype)
-            if spec.vector is None
-            else np.asarray(spec.vector, dtype=base.matrix.dtype)
-        )
-        if raw.shape != (base.out_dim,):
-            raise DimensionMismatch(
-                f"fixed direction has shape {raw.shape}, expected ({base.out_dim},)"
-            )
-        fixed_unit = raw / float(_norms_with(out_norm, raw))
+    fixed_unit = _fixed_unit(base, spec, out_norm)
 
     def evaluate(x):
         x = np.asarray(x)
         if x.ndim == 1:
             return evaluate(x[None])[0]
-        out = base.apply(x)
-        if spec.theta == 0.0:
-            return out
-        sizes = _norms_with(in_norm, x)
-        moved = np.flatnonzero(sizes)
-        if not len(moved):
+        known = next((parts for stack, parts in _parts if stack is x), None)
+        if known is None and spec.theta == 0.0:
+            return base.apply(x)
+        out, moved, sizes, unit = known or _parts_at(base, spec, x, in_norm, out_norm, fixed_unit)
+        out = out.copy()
+        if spec.theta == 0.0 or not len(moved):
             return out
         # Python float ** per row, as for a single point
-        scale = np.array([spec.theta * size**spec.p for size in sizes[moved].tolist()])[:, None]
-        unit = (
-            fixed_unit
-            if fixed_unit is not None
-            else _hash_units(spec.seed, x[moved], base.out_dim, complex_out, out_norm)
-        )
+        scale = np.array([spec.theta * size**spec.p for size in sizes])[:, None]
         out[moved] = out[moved] + scale * unit
         return out
 
     return EvaluableMap(base.in_dim, base.out_dim, evaluate, kind="linear-plus-perturbation")
+
+
+def _map_key(base: LinearMap, spec: PerturbationSpec, in_norm, out_norm) -> tuple:
+    """What a perturbed map's :func:`_parts_at` depend on: the base matrix,
+    the direction, its normalized vector or, for ``hash``, its seed, and the
+    two norms.  Maps with equal keys, ``theta`` and ``p`` are one map."""
+    unit = _fixed_unit(base, spec, out_norm)
+    m = base.matrix
+    return (m.dtype.str, m.shape, m.tobytes(), spec.direction,
+            None if unit is None else unit.tobytes(), spec.seed if unit is None else None,
+            in_norm, out_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +494,46 @@ def _draw_points(config: ExperimentConfig) -> tuple:
     return hypothesis, checks
 
 
-def run_experiment(config, out_dir=None, write_files: bool = True, *, _truth=None,
-                   _points=None) -> RunResult:
+@dataclass(frozen=True, eq=False)
+class _Shared:
+    """What the points of a sweep share, built before the first point and
+    left unmodified: :func:`_ground_truth`, :func:`_draw_points` and, per
+    :func:`_map_key`, the pairs of ``perturb_map``'s ``_parts``, their
+    arrays read-only."""
+
+    truth: tuple
+    points: tuple
+    parts: dict
+
+
+def _bases(mod, truth: LinearMap, chosen: tuple) -> tuple:
+    """``(name, base map, output norm)`` of the four perturbed maps."""
+    norm = mod.algebra.norm_of
+    return (("f", truth, mod.norm_of), *((name, base, norm) for name, base in zip("ghk", chosen)))
+
+
+def _sweep_shared(config: ExperimentConfig) -> _Shared:
+    """The :class:`_Shared` of a sweep of ``config``: each distinct map's
+    parts at the hypothesis input it is evaluated at and at the bound
+    points, none of which reads ``p``, ``theta`` or ``tol``."""
+    truth, points = _ground_truth(config), _draw_points(config)
+    mod, truth_map, chosen, _, errors, _ = truth
+    hypothesis, checks = points
+    in_norm, parts = config.algebra.norm_of, {}
+    for name, base, out_norm in ([] if errors else _bases(mod, truth_map, chosen)):
+        spec = config.perturbations[name]
+        key = _map_key(base, spec, in_norm, out_norm)
+        inputs = [] if hypothesis is None else [
+            hypothesis.f_input if name == "f" else hypothesis.shared_input]
+        for xs in inputs + [checks.bounds]:
+            if all(stack is not xs for stack, _ in parts.get(key, ())):
+                parts[key] = parts.get(key, ()) + ((xs, _parts_at(
+                    base, spec, xs, in_norm, out_norm, _fixed_unit(base, spec, out_norm))),)
+    return _Shared(truth, points, parts)
+
+
+def run_experiment(config, out_dir=None, write_files: bool = True, *,
+                   _shared: _Shared | None = None) -> RunResult:
     """Full pipeline: solve ground truth, perturb, stabilize, verify, emit.
 
     The report is written as JSON (plus one convergence CSV per map) when
@@ -471,12 +543,17 @@ def run_experiment(config, out_dir=None, write_files: bool = True, *, _truth=Non
     instead of propagating, and force ``all_passed`` to false.  A run that
     writes no files keeps only the trace rows ``n <= 10`` (see
     :func:`direct_method_stabilize`).  The report's ``derivation`` entry is
-    the solver's rank margin for the map candidate used.
+    the solver's rank margin for the map candidate used.  One evaluator is
+    built per distinct perturbed map: maps with equal base matrices,
+    ``theta``, ``p``, directions, normalized vectors, norms and, for
+    ``hash``, seeds (see :func:`_map_key`) share it, so that the checks
+    evaluate it once.  A sweep passes each point its :class:`_Shared`.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
     alg = config.algebra
-    mod, truth, chosen, margin, errors, notes = _truth or _ground_truth(config)
+    mod, truth, chosen, margin, errors, notes = (
+        _shared.truth if _shared else _ground_truth(config))
     # a sweep's points share one ground truth, but no report shares a list
     errors, notes = copy.deepcopy(errors), copy.deepcopy(notes)
 
@@ -498,24 +575,20 @@ def run_experiment(config, out_dir=None, write_files: bool = True, *, _truth=Non
     target_dir = Path(out_dir) if out_dir is not None else config.out_dir
     writes = write_files and target_dir is not None
     if not errors:
-        sigma, tau, xi = chosen
-        hypothesis_points, check_points = _points or _draw_points(config)
-        evaluables = {}
-        for name, base, out_norm in (
-            ("f", truth, mod.norm_of),
-            ("g", sigma, alg.norm_of),
-            ("h", tau, alg.norm_of),
-            ("k", xi, alg.norm_of),
-        ):
-            evaluables[name] = perturb_map(base, config.perturbations[name], in_norm=alg.norm_of,
-                                           out_norm=out_norm)
+        hypothesis_points, check_points = _shared.points if _shared else _draw_points(config)
+        parts = _shared.parts if _shared else {}
+        maps, made = [], {}
+        for name, base, out_norm in _bases(mod, truth, chosen):
+            spec = config.perturbations[name]
+            key = _map_key(base, spec, alg.norm_of, out_norm)
+            if (key, spec.theta, spec.p) not in made:
+                made[key, spec.theta, spec.p] = perturb_map(
+                    base, spec, in_norm=alg.norm_of, out_norm=out_norm, _parts=parts.get(key, ()))
+            maps.append(made[key, spec.theta, spec.p])
         try:
             if config.samples["hypothesis_tuples"] > 0:
                 hypo = check_hypothesis(
-                    evaluables["f"],
-                    evaluables["g"],
-                    evaluables["h"],
-                    evaluables["k"],
+                    *maps,
                     config.control,
                     mod,
                     config.signs,
@@ -526,10 +599,7 @@ def run_experiment(config, out_dir=None, write_files: bool = True, *, _truth=Non
                     _points=hypothesis_points,
                 )
             stab = direct_method_stabilize(
-                evaluables["f"],
-                evaluables["g"],
-                evaluables["h"],
-                evaluables["k"],
+                *maps,
                 config.control,
                 mod,
                 config.signs,
@@ -656,21 +726,23 @@ def run_sweep(config, param: str, values, out_csv=None) -> list:
     runs, so a bad value raises its ``ConfigError`` before any work.  The
     points share what no swept parameter reads: the algebra, the twist
     maps, the self-module, solved ground truth and solver margin of one
-    solve per map candidate tried, and one draw of the seeded samples of
-    the hypothesis, linearity, bound and identity checks, all left
-    unmodified (the samples are read-only arrays).  Points then
-    run one after another on the calling thread, in the order of
-    ``values``, each written to no file; each point's result equals the
+    solve per map candidate tried, one draw of the seeded samples of the
+    hypothesis, linearity, bound and identity checks, and each distinct
+    perturbed map's ``base(x)``, ``|x|`` and unit directions at the
+    hypothesis inputs and bound points (see :func:`_parts_at`), so that a
+    point's evaluator adds only ``theta |x|**p u(x)`` there.  All of it is
+    built before the first point, in one :class:`_Shared`, and left
+    unmodified (the arrays are read-only); nothing outlives the sweep.
+    Points then run one after another on the calling thread, in the order
+    of ``values``, each written to no file; each point's result equals the
     standalone run of its config.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
     values = [float(v) for v in values]
     points = [_sweep_point(config, param, v) for v in values]
-    truth = _ground_truth(config) if points else None
-    drawn = _draw_points(config) if points else None
-    results = [run_experiment(point, write_files=False, _truth=truth, _points=drawn)
-               for point in points]
+    shared = _sweep_shared(config) if points else None
+    results = [run_experiment(point, write_files=False, _shared=shared) for point in points]
 
     rows = []
     for value, result in zip(values, results):

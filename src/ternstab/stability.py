@@ -4,9 +4,9 @@ Given a map ``f`` whose derivation defect is bounded by a summable control
 function, the exact derivation is the limit of the doubling iteration
 ``f(2**n x) / 2**n``.  ``hyers_limit`` runs that iteration for one point;
 ``direct_method_stabilize`` runs it over a basis for the four maps
-``(f, g, h, k)``, each map evaluated once on one shared stack of its basis
-and linearity rays, assembles the recovered linear maps, and verifies linearity,
-the distance bounds and the derivation identity.  ``check_hypothesis``
+``(f, g, h, k)``, each distinct map evaluated once on one shared stack of
+its basis and linearity rays, assembles the recovered linear maps, and
+verifies linearity, the distance bounds and the derivation identity.  ``check_hypothesis``
 samples the defect inequalities themselves and reports violations as
 findings rather than failures.  Each group of seeded samples, the
 hypothesis tuples and the linearity, bound and identity points, is drawn in
@@ -479,9 +479,10 @@ def check_hypothesis(
 
     The points are drawn by :func:`_hypothesis_points`, a scale and then
     ``x, y, u`` (and ``v, w`` in ``lie`` mode) per sample, and evaluated
-    together: each map and each side of ``phi`` once on one stack, the
-    residuals and slacks as ``(samples, lambdas, 4)``.  A sweep draws them
-    once and passes them to each point as ``_points``.  A ``samples`` or
+    together: each distinct map object (``g``, ``h`` and ``k`` may be one)
+    and each side of ``phi`` once on one stack, the residuals and slacks as
+    ``(samples, lambdas, 4)``.  A sweep draws them once and passes them to
+    each point as ``_points``.  A ``samples`` or
     ``seed`` that is not a nonnegative integer, a ``lambda_grid`` that is
     not an integer of at least 2, or a ``mode`` other than ``lie`` and
     ``jordan`` raises ``ValueError`` before any map is evaluated.
@@ -496,11 +497,12 @@ def check_hypothesis(
     zeros = (np.zeros(alg.dim, dtype=alg.dtype),) * (len(args) - 2)
     phi = np.stack([control.evaluate(*args), *[control.evaluate(*args[:2], *zeros)] * 3],
                    axis=-1)[:, None]
-    f_at, g_at, h_at, k_at = (
-        m.evaluate_stack(xs).reshape(samples, 5 + len(lams), m.out_dim)
-        for m, xs in ((f, _points.f_input), (g, _points.shared_input),
-                      (h, _points.shared_input), (k, _points.shared_input))
-    )
+    inputs = ((f, _points.f_input), *((m, _points.shared_input) for m in (g, h, k)))
+    at = {}  # one evaluation per distinct map and input: g, h and k may be one map
+    for m, xs in inputs:
+        if (m, id(xs)) not in at:
+            at[m, id(xs)] = m.evaluate_stack(xs).reshape(samples, 5 + len(lams), m.out_dim)
+    f_at, g_at, h_at, k_at = (at[m, id(xs)] for m, xs in inputs)
     bracket_sum = (
         signs.s1 * _bracket(mod, f_at[:, 2], h_at[:, 3], k_at[:, 4], g_at[:, 4])
         + signs.s2 * _bracket(mod, f_at[:, 3], h_at[:, 2], k_at[:, 4], g_at[:, 4])
@@ -636,9 +638,12 @@ def direct_method_stabilize(
     bounds are computed once.  The traced rows'
     ``basis_index``, ``n`` and ``tail_bound`` columns come from that layout
     too, so the four maps' traces share them unless a basis ray failed, and
-    ``convergence_rates`` reads only the rows ``3 <= n <= 10``.  Each map is
-    evaluated once on that stack; a ray with a row that is not finite is
-    evaluated again, whole, and fails as it would alone.  A count,
+    ``convergence_rates`` reads only the rows ``3 <= n <= 10``.  Each
+    distinct map object is evaluated once on that stack, at the bound points
+    and at zero for the ``f(0)`` check: names that share an object and an
+    output norm share its outcomes, recovered matrix and gaps, while
+    failures and traces stay per name.  A ray with a row that is not finite
+    is evaluated again, whole, and fails as it would alone.  A count,
     ``max_iter`` or ``seed`` that is not a nonnegative integer, a ``tol``
     that is not finite and positive, an ``identity_tol`` that is not finite
     and nonnegative, or a ``mode`` other than ``lie`` and ``jordan`` raises
@@ -684,40 +689,50 @@ def direct_method_stabilize(
     phi_values = summed_majorant(control, (points, points) + zeros).tolist()
     named = (("f", f, mod.norm_of), ("g", g, alg.norm_of), ("h", h, alg.norm_of),
              ("k", k, alg.norm_of))
+    distinct = list(dict.fromkeys((m, out_norm) for _, m, out_norm in named))
+    checked = set()
     for name, m, _ in named:
-        origin = m(np.zeros(m.in_dim, dtype=alg.dtype))
-        if not l2_norm(origin) <= 1e-12:
-            raise ValueError(f"{name}(0) != 0; the direct method requires it")
+        if m not in checked:
+            checked.add(m)
+            if not l2_norm(m(np.zeros(m.in_dim, dtype=alg.dtype))) <= 1e-12:
+                raise ValueError(f"{name}(0) != 0; the direct method requires it")
 
-    traces, iterations, failures, recovered, fresh = {}, {}, [], {}, []
-    for name, m, out_norm in named:
-        outcomes, traces[name] = _hyers_limits(m, layout, out_norm)
-        basis = outcomes[: alg.dim]
+    limits, recovered, fresh = {}, {}, {}
+    for key in distinct:
+        m, out_norm = key
+        outcomes, rows = _hyers_limits(m, layout, out_norm)
+        basis, fresh[key] = outcomes[: alg.dim], outcomes[alg.dim :]
+        failed = [(i, outcome) for i, outcome in enumerate(basis)
+                  if isinstance(outcome, NonConvergenceError)]
         # a basis vector whose limit fails gets a zero column
-        for i, outcome in enumerate(basis):
-            if isinstance(outcome, NonConvergenceError):
-                failures.append({"map": name, "basis_index": i, "code": outcome.code,
-                                 "message": str(outcome)})
-                basis[i] = np.zeros(m.out_dim, dtype=alg.dtype), outcome.iterations or 0
-        recovered[name] = LinearMap(np.column_stack([col for col, _ in basis]))
-        iterations[name] = [n for _, n in basis]
-        fresh.append(outcomes[alg.dim :])
-    deriv, sigma, tau, xi = (recovered[n] for n in "fghk")
+        for i, outcome in failed:
+            basis[i] = np.zeros(m.out_dim, dtype=alg.dtype), outcome.iterations or 0
+        recovered[key] = LinearMap(np.column_stack([col for col, _ in basis]))
+        limits[key] = rows, failed, [n for _, n in basis]
+    traces, iterations, failures = {}, {}, []
+    for name, m, out_norm in named:
+        rows, failed, its = limits[m, out_norm]
+        traces[name], iterations[name] = list(rows), list(its)
+        failures += [{"map": name, "basis_index": i, "code": outcome.code,
+                      "message": str(outcome)} for i, outcome in failed]
+    deriv, sigma, tau, xi = (recovered[m, out_norm] for _, m, out_norm in named)
 
     linearity_max = 0.0
     if not failures:
-        # the first failure in point order, then map order
-        for outcome in (o for by_map in zip(*fresh) for o in by_map):
+        # the first failure in point order, then map order; a name that
+        # repeats a map repeats its outcomes
+        for outcome in (o for by_map in zip(*fresh.values()) for o in by_map):
             if isinstance(outcome, NonConvergenceError):
                 raise outcome
-        gaps = [_norms_with(out_norm, recovered[name].apply(xs)
-                            - np.reshape([value for value, _ in limits], (-1, m.out_dim)))
-                for (name, m, out_norm), limits in zip(named, fresh)]
+        gaps = [_norms_with(out_norm, recovered[m, out_norm].apply(xs)
+                            - np.reshape([value for value, _ in fresh[m, out_norm]],
+                                         (-1, m.out_dim)))
+                for m, out_norm in distinct]
         # np.max, unlike max(), keeps a NaN
         linearity_max = np.max(gaps, initial=0.0)
 
-    gaps = [_norms_with(out_norm, m.evaluate_stack(points) - recovered[name].apply(points))
-            for name, m, out_norm in named]
+    gaps = [_norms_with(out_norm, m.evaluate_stack(points) - recovered[m, out_norm].apply(points))
+            for m, out_norm in distinct]
     max_violation = np.max(np.subtract(gaps, phi_values)) if bound_points else 0.0
 
     a, b, c = _points.identity

@@ -521,6 +521,24 @@ class TestNonzeroKernel:
                 _trilinear(plan, a, b, c)
         assert not calls
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_long_output_runs_stay_staged(self, field):
+        # at d = 25 and density 1/16 a random pattern has about 16 staged
+        # entries per nonzero, but about 980 nonzeros per output coordinate,
+        # and the staged products win; at density 1/32, about 490 per
+        # output, the nonzero kernel does.  Every builder up to d = 25 has a
+        # ratio of at least 0.66 times its nonzeros per output.
+        rng = np.random.default_rng(25)
+        shape = (25,) * 4
+        for density, staged in ((1 / 16, True), (1 / 32, False)):
+            t = random_array(rng, shape, field) * (rng.random(shape) < density)
+            plan = _Plan.of(t)
+            assert plan.stage1.size > algebra_mod._NONZERO_RATIO * np.count_nonzero(t)
+            assert (plan.runs is None) is staged, density
+        builders = [ts.trivial_matrix_algebra(m, field) for m in (3, 4, 5)]
+        builders += [ts.odd_polynomial_algebra(cap, field) for cap in range(7, 50, 2)]
+        assert all(alg._plan.runs is not None for alg in builders)
+
     def test_solver_grids_stay_staged_and_module_stacks_do_not(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
         alg = ts.trivial_matrix_algebra(3)

@@ -340,3 +340,27 @@ class TestStackedArguments:
         stack = np.ones((2, 2))
         with pytest.raises(ValueError, match="negative"):
             bad.evaluate(stack, stack, np.zeros(2))
+
+    def test_zero_arguments_are_not_normed(self, monkeypatch):
+        # phi(x, x, 0, 0, 0) norms the two x stacks only; an argument with a
+        # zero row still is, and a stack of zero arguments gives zeros
+        from ternstab import control as control_mod
+
+        normed, norms_with = [], control_mod._norms_with
+
+        def recording(norm, vectors):
+            normed.append(vectors.shape)
+            return norms_with(norm, vectors)
+
+        monkeypatch.setattr(control_mod, "_norms_with", recording)
+        c = ts.power_control(0.1, 0.5, arity=5)
+        xs = np.random.default_rng(3).standard_normal((6, 4))
+        zero, partly = np.zeros(4), np.vstack([np.zeros((1, 4)), xs[1:]])
+        values = c.evaluate(xs, xs, zero, np.zeros((6, 4)), partly)
+        assert normed == [(3, 6, 4)]
+        assert _bits(values) == _bits([_reference_power(c, _row([xs, xs, zero, zero, partly], r))
+                                       for r in range(6)])
+        normed.clear()
+        assert _bits(c.evaluate(*[np.zeros((6, 4))] * 5)) == _bits(np.zeros(6))
+        assert c.evaluate(*[zero] * 5) == 0.0 and type(c.evaluate(*[zero] * 5)) is float
+        assert normed == []

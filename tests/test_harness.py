@@ -701,3 +701,218 @@ class TestSweepIsSerial:
         rows = ts.run_sweep(raw, "p", [0.6, 0.3, 0.45])
         assert [row["value"] for row in rows] == [0.6, 0.3, 0.45]
         assert calls == [(v, threading.get_ident()) for v in (0.6, 0.3, 0.45)]
+
+
+SHIPPED = ("oddpoly3_p05", "trivial2x2_p05", "oddpoly3_jordan")
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+@pytest.mark.parametrize("param, values", [("p", [0.2, 0.5, 0.8]),
+                                           ("theta", [0.0, 0.05, 0.3]),
+                                           ("tol", [1e-6, 1e-9, 1e-12])])
+def test_shipped_sweep_points_equal_standalone_runs(monkeypatch, name, param, values):
+    _assert_points_equal_standalone_runs(monkeypatch, load_raw(f"{name}.json"), param, values)
+
+
+def _counting_maps(monkeypatch):
+    """Patch ``harness.perturb_map`` so that every evaluator it builds
+    counts its calls; returns the list of evaluators built and a counter of
+    their calls by the check that made them."""
+    built, calls, phase = [], {}, ["other"]
+    perturb = harness.perturb_map
+
+    def counting(*args, **kwargs):
+        m = perturb(*args, **kwargs)
+        built.append(m)
+
+        def fn(x):
+            calls[phase[0]] = calls.get(phase[0], 0) + 1
+            return m.fn(x)
+
+        return ts.EvaluableMap(m.in_dim, m.out_dim, fn, m.kind)
+
+    def in_phase(name, check):
+        def wrapped(*args, **kwargs):
+            phase[0] = name
+            try:
+                return check(*args, **kwargs)
+            finally:
+                phase[0] = "other"
+
+        return wrapped
+
+    monkeypatch.setattr(harness, "perturb_map", counting)
+    for name, check in (("hypothesis", harness.check_hypothesis),
+                        ("direct", harness.direct_method_stabilize)):
+        monkeypatch.setattr(harness, check.__name__, in_phase(name, check))
+    return built, calls
+
+
+def _run_outputs(raw, out_dir):
+    """A run's report, without its timestamp, and its trace files' bytes."""
+    result = ts.run_experiment(raw, out_dir=out_dir)
+    report = json.loads(result.report_path.read_text())
+    del report["timestamp"]
+    return report, {name: path.read_bytes() for name, path in result.trace_paths.items()}
+
+
+class TestCoincidingMaps:
+    """A run builds one evaluator per distinct perturbed map, and the checks
+    evaluate each once per stack: four evaluations per map and run (the
+    hypothesis sample, then the ``f(0)`` check, the rays and the bound
+    points).  Its outputs equal those of four distinct evaluators."""
+
+    @staticmethod
+    def _raw(perturbation=None, **maps):
+        raw = load_raw("trivial2x2_p05.json")
+        raw["samples"] = {"bound_points": 10, "identity_triples": 10,
+                          "hypothesis_tuples": 10, "linearity_points": 2}
+        for name, spec in (perturbation or {}).items():
+            raw["perturbation"][name].update(spec)
+        raw["maps"].update(maps)
+        raw.pop("out")
+        return raw
+
+    CASES = {
+        # fixed directions ignore their seeds, which differ in the config
+        "fixed seeds differ": ({}, {}, 2),
+        "fixed vectors normalize alike": ({"g": {"vector": [2.0, 2.0, 2.0, 2.0]}}, {}, 2),
+        "hash seeds equal": (dict.fromkeys("ghk", {"direction": "hash", "seed": 5}), {}, 2),
+        "hash seeds differ": (dict.fromkeys("ghk", {"direction": "hash"}), {}, 4),
+        "vectors differ": ({"g": {"vector": [1.0, 0.0, 0.0, 0.0]}}, {}, 3),
+        "twist matrices differ": ({}, {"tau": {"matrix": [[1, 0, 0, 0], [0, 1, 0, 0],
+                                                         [0, 0, 1, 0], [0, 0, 0, -1]]}}, 3),
+        "theta differs": ({"h": {"theta": 0.05}}, {}, 3),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_coinciding_maps_are_built_and_evaluated_once(self, monkeypatch, tmp_path, case):
+        perturbation, maps, distinct = self.CASES[case]
+        raw = self._raw(perturbation, **maps)
+        with monkeypatch.context() as patch:
+            built, calls = _counting_maps(patch)
+            shared = _run_outputs(raw, tmp_path / "shared")
+        assert len(built) == distinct
+        assert calls == {"hypothesis": distinct, "direct": 3 * distinct}
+        # every name its own evaluator: the same report and traces
+        monkeypatch.setattr(harness, "_map_key", lambda *args: object())
+        built, calls = _counting_maps(monkeypatch)
+        assert _run_outputs(raw, tmp_path / "apart") == shared
+        assert len(built) == 4 and calls == {"hypothesis": 4, "direct": 12}
+
+    def test_one_object_is_evaluated_once_by_each_check(self, oddpoly3, oddpoly3_module,
+                                                        oddpoly_derivation, identity2):
+        evaluations = []
+
+        def counted(base, spec, out_norm):
+            m = ts.perturb_map(base, spec, oddpoly3.norm_of, out_norm)
+
+            def fn(x):
+                evaluations.append(len(x))
+                return m.fn(x)
+
+            return ts.EvaluableMap(m.in_dim, m.out_dim, fn, m.kind)
+
+        spec = ts.PerturbationSpec(theta=0.1, p=0.5, direction="hash", seed=3)
+        f = counted(oddpoly_derivation, spec, oddpoly3_module.norm_of)
+        g = counted(identity2, spec, oddpoly3.norm_of)
+        apart = [counted(identity2, spec, oddpoly3.norm_of) for _ in "hk"]
+        control = ts.power_control(0.1, 0.5, norm=oddpoly3.norm_of)
+        kwargs = dict(bound_points=6, identity_triples=4, linearity_points=2, seed=4)
+        reports = []
+        for maps in ((f, g, g, g), (f, g, *apart)):
+            evaluations.clear()
+            hypothesis = ts.check_hypothesis(*maps, control, oddpoly3_module, samples=5, seed=4)
+            assert len(evaluations) == len(set(map(id, maps)))
+            evaluations.clear()
+            stab = ts.direct_method_stabilize(*maps, control, oddpoly3_module, **kwargs)
+            assert len(evaluations) == 3 * len(set(map(id, maps)))
+            reports.append((hypothesis, stab))
+        (hypo_one, one), (hypo_apart, apart) = reports
+        assert hypo_one == hypo_apart
+        assert one.sigma is one.tau is one.xi
+        for name in ("derivation", "sigma", "tau", "xi"):
+            assert _bits(getattr(one, name).matrix) == _bits(getattr(apart, name).matrix)
+        for name in ("iterations", "traces", "convergence_rates", "phi_tilde_values",
+                     "max_bound_violation", "max_identity_residual", "linearity_max", "failures"):
+            assert getattr(one, name) == getattr(apart, name), name
+        # names share outcomes, not the lists a report holds
+        assert one.traces["g"] is not one.traces["h"]
+        assert one.iterations["g"] is not one.iterations["h"]
+
+
+class TestSweepParts:
+    """A sweep computes each distinct map's parameter-free parts once,
+    before its first point, at the hypothesis inputs and the bound points,
+    into read-only arrays; nothing is kept between sweeps or runs."""
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        made, parts_at, sweep_shared = [], [], harness._sweep_shared
+        original = harness._parts_at
+
+        def recording_shared(config):
+            made.append(sweep_shared(config))
+            return made[-1]
+
+        def recording_parts(base, spec, xs, *args):
+            parts_at.append(xs)
+            return original(base, spec, xs, *args)
+
+        monkeypatch.setattr(harness, "_sweep_shared", recording_shared)
+        monkeypatch.setattr(harness, "_parts_at", recording_parts)
+        return made, parts_at
+
+    @pytest.mark.parametrize("name, distinct", [("oddpoly3_p05", (1, 3)),
+                                                ("trivial2x2_p05", (1, 1))])
+    def test_each_sweep_computes_its_parts_once(self, monkeypatch, name, distinct):
+        made, parts_at = self._recorded(monkeypatch)
+        raw = _small_raw() if name == "oddpoly3_p05" else load_raw(f"{name}.json")
+        for values in ([0.2, 0.5, 0.8], [round(0.1 * i, 1) for i in range(1, 10)]):
+            made.clear()
+            parts_at.clear()
+            rows = ts.run_sweep(raw, "p", values)
+            assert len(rows) == len(values) and all(row["all_passed"] for row in rows)
+            (shared,) = made
+            hypothesis, checks = shared.points
+            stacks = {"f": hypothesis.f_input, "shared": hypothesis.shared_input,
+                      "bounds": checks.bounds}
+            # f at its input and the bounds, each distinct twist map at the
+            # shared input and the bounds, whatever the number of points
+            counts = {key: sum(xs is stack for xs in parts_at) for key, stack in stacks.items()}
+            f_maps, twist_maps = distinct
+            assert counts == {"f": f_maps, "shared": twist_maps,
+                              "bounds": f_maps + twist_maps}
+            assert len(shared.parts) == f_maps + twist_maps
+            for pairs in shared.parts.values():
+                for stack, (out, moved, sizes, unit) in pairs:
+                    assert isinstance(sizes, tuple)
+                    for array in (out, moved, unit):
+                        with pytest.raises(ValueError, match="read-only"):
+                            array[(0,) * array.ndim] = 1
+
+    def test_identical_runs_make_equal_calls(self, monkeypatch):
+        # no cache outlives a run or a sweep: the second of two identical
+        # calls computes everything the first did
+        calls = {"apply": 0, "hash": 0}
+        apply, hash_units = ts.LinearMap.apply, harness._hash_units
+
+        def counting_apply(self, x):
+            calls["apply"] += 1
+            return apply(self, x)
+
+        def counting_hash(*args):
+            calls["hash"] += 1
+            return hash_units(*args)
+
+        monkeypatch.setattr(ts.LinearMap, "apply", counting_apply)
+        monkeypatch.setattr(harness, "_hash_units", counting_hash)
+        raw = _small_raw()
+        for call in (lambda: ts.run_experiment(raw, write_files=False),
+                     lambda: ts.run_sweep(raw, "p", [0.3, 0.6])):
+            seen = []
+            for _ in range(2):
+                calls.update(apply=0, hash=0)
+                call()
+                seen.append(dict(calls))
+            assert seen[0] == seen[1] and seen[0]["hash"] > 0 and seen[0]["apply"] > 0

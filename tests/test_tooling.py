@@ -131,9 +131,11 @@ def test_traced_large_d_sees_every_file_written(tmp_path):
 def test_traced_sweep_sees_each_points_checks(tmp_path):
     # a sweep draws its samples once, but every point still runs its
     # hypothesis check and its direct method through the traced names: one
-    # span of each below each point's experiment span, and 16 map
-    # evaluations per point (the origin check, the hypothesis sample, the
-    # basis and linearity rays, and the bounds, for each of four maps)
+    # span of each below each point's experiment span, and four evaluations
+    # per distinct map per point (the origin check, the hypothesis sample,
+    # the basis and linearity rays, and the bounds).  oddpoly3_p05 has four
+    # distinct maps (g, h and k hash with their own seeds); trivial2x2_p05's
+    # fixed g, h and k are one map, so it has two
     tracing = _load("tracing")
     tracer = tracing.Tracer()
     with tracing.patched(tracer):
@@ -147,4 +149,4 @@ def test_traced_sweep_sees_each_points_checks(tmp_path):
     assert points == len(runs) == 4
     for name in ("stability.check_hypothesis", "stability.direct_method"):
         assert sorted(span[4] for span in spans if span[1] == name) == sorted(runs)
-    assert tracing.layer_totals(spans)["harness.perturb_eval"]["calls"] == 16 * points
+    assert tracing.layer_totals(spans)["harness.perturb_eval"]["calls"] == 4 * (4 + 2) * points // 2
