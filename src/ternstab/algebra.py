@@ -798,38 +798,33 @@ def rescale_norm_submultiplicative(
         return alg
     rng = np.random.default_rng(seed)
 
-    def ratio(a, b, c):
-        na, nb, nc = alg.norm_of(a), alg.norm_of(b), alg.norm_of(c)
-        if na == 0 or nb == 0 or nc == 0:
-            return 0.0, None
-        val = alg.norm_of(ternary_product(alg, a, b, c)) / (na * nb * nc)
-        return val, (a, b, c)
+    def ratios(a, b, c) -> list:
+        """``|[abc]| / (|a| |b| |c|)`` per row of the stacks, each row's
+        value alone, or None where a norm is 0."""
+        norms = alg.norms_of(np.stack([a, b, c]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = alg.norms_of(_trilinear(t, a, b, c)) / (norms[0] * norms[1] * norms[2])
+        return [v if live else None for v, live in zip(vals.tolist(), norms.all(axis=0).tolist())]
 
-    best_val = 0.0
-    top = []
-    for _ in range(samples):
-        val, triple = ratio(*_random_vector(rng, (d, d, d), alg.field))
-        if triple is None:
-            continue
-        top.append((val, triple))
-        best_val = max(best_val, val)
-    top.sort(key=lambda item: -item[0])
-    top = top[: min(5, len(top))]
+    a, b, c = _random_vector(rng, (d, d, d), alg.field, count=samples)
+    vals = ratios(a, b, c)
+    kept = [i for i, val in enumerate(vals) if val is not None]
+    best_val = max([0.0] + [vals[i] for i in kept])
+    top = sorted(kept, key=lambda i: -vals[i])[:5]
 
     if alg.norm is None:
         # alternating ascent: with two slots fixed the third enters through a
         # d x d matrix, whose top right singular vector maximizes the 2-norm
         # ratio exactly
         eye = alg.basis()
-        for val, (a, b, c) in top:
-            vecs = [a.copy(), b.copy(), c.copy()]
+        for i in top:
+            vecs = [a[i], b[i], c[i]]
             for _ in range(4):
                 for slot in range(3):
                     mat = _trilinear(t, *(eye if s == slot else vecs[s] for s in range(3))).T
                     _, _, vh = np.linalg.svd(mat)
                     vecs[slot] = vh[0].conj()
-            val, _ = ratio(*vecs)
-            best_val = max(best_val, val)
+            best_val = max(best_val, ratios(*(v[None] for v in vecs))[0])
 
     kappa = max(1.0, float(np.sqrt(best_val)))
     return replace(alg, norm_scale=alg.norm_scale * kappa)

@@ -61,9 +61,9 @@ class ControlFunction:
     def evaluate(self, *args):
         """``phi(*args)``, or one value per row of ``(N, d)`` stacks (single
         vectors broadcast), each bitwise the row's value alone: a power control
-        takes the norms of each dtype's arguments in one call, leaving out the
-        arguments that are zero throughout, and sums ``|arg|**p`` per row in
-        argument order as Python floats."""
+        takes the norms of each dtype's arguments in one call, each argument
+        object once, leaving out the arguments that are zero throughout, and
+        sums ``|arg|**p`` per row in argument order as Python floats."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
         stacked = any(np.ndim(a) > 1 for a in args)
@@ -75,18 +75,21 @@ class ControlFunction:
                 raise ValueError("custom control returned a negative or NaN value")
             return np.array(values) if stacked else values[0]
         rows = np.broadcast_arrays(*args) if stacked else [np.reshape(a, (1, -1)) for a in args]
-        # a zero argument, such as a zero slot of phi(x, x, 0, ...), adds
-        # nothing for any p
-        live = [i for i, a in enumerate(args) if np.any(a)]
-        if not live:
+        # an argument passed twice, such as x in phi(x, x, 0, ...), is normed
+        # once, and a zero argument, such as its zero slots, adds nothing for
+        # any p
+        ids = [id(a) for a in args]
+        first = [ids.index(i) for i in ids]
+        distinct = [i for i in dict.fromkeys(first) if np.any(args[i])]
+        if not distinct:
             return np.zeros(len(rows[0])) if stacked else 0.0
         norms: dict = {}
-        for key in dict.fromkeys((rows[i].dtype, rows[i].shape) for i in live):
-            where = [i for i in live if (rows[i].dtype, rows[i].shape) == key]
+        for key in dict.fromkeys((rows[i].dtype, rows[i].shape) for i in distinct):
+            where = [i for i in distinct if (rows[i].dtype, rows[i].shape) == key]
             found = _norms_with(self.norm, np.stack([rows[i] for i in where]))
             norms.update(zip(where, found.tolist()))
         values = []
-        for row in zip(*map(norms.get, live)):
+        for row in zip(*(norms[i] for i in first if i in norms)):
             total = 0.0
             for nv in row:
                 if nv > 0.0:

@@ -318,6 +318,9 @@ def _parse_perturbation(spec: dict, name: str, dim: int) -> PerturbationSpec:
                                 vector=vector, seed=seed)
 
 
+# the control of a config without a ``control`` section
+DEFAULT_CONTROL = {"kind": "power", "theta": 0.0, "p": 0.0}
+
 DEFAULT_SAMPLES = {
     "bound_points": 100,
     "identity_triples": 100,
@@ -351,7 +354,7 @@ def _parse_tol(raw: dict) -> float:
 
 def _parse_control(raw: dict, mode: str, algebra: TernaryAlgebra) -> ControlFunction:
     expected_arity = 5 if mode == "lie" else 3
-    spec = _typed(raw.get("control", {"kind": "power", "theta": 0.0, "p": 0.0}), "control")
+    spec = _typed(raw.get("control", DEFAULT_CONTROL), "control")
     control = control_from_json({"arity": expected_arity, **spec}, norm=algebra.norm_of)
     if control.arity != expected_arity:
         raise ConfigError(f"{mode} mode needs a control of arity {expected_arity}")
@@ -696,11 +699,14 @@ SWEEP_HEADER = (
 
 
 def _sweep_config(raw: dict, param: str, value: float) -> dict:
-    clone = copy.deepcopy(raw)
+    """``raw`` with ``param`` set to ``value`` and no ``out``; the sections
+    it sets are copied, the others shared with ``raw``."""
+    clone = dict(raw)
     if param in ("p", "theta"):
-        clone.setdefault("control", {})[param] = value
-        for name in MAP_NAMES:
-            clone.setdefault("perturbation", {}).setdefault(name, {})[param] = value
+        clone["control"] = {**raw.get("control", DEFAULT_CONTROL), param: value}
+        spec = raw.get("perturbation", {})
+        clone["perturbation"] = {**spec, **{name: {**spec.get(name, {}), param: value}
+                                            for name in MAP_NAMES}}
     elif param == "tol":
         clone["tol"] = value
     else:

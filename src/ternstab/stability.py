@@ -16,7 +16,7 @@ is evaluated on all of a check's points in one stacked pass.
 
 from __future__ import annotations
 
-import math
+import bisect
 import statistics
 from dataclasses import asdict, dataclass, field
 
@@ -227,7 +227,7 @@ def _ray_layout(control, xs, tol, max_iter, traced, trace_rows=None) -> _Layout:
             searched[h] = _a_priori_stop(control, h, tol, limit)
         # a zero x is not searched: it stops at 0
         stop = searched[h] if x.any() else 0
-        end = max(limit, 0) if stop is None else stop
+        end = limit if stop is None else stop
         count = 0 if not wanted else end if trace_rows is None else min(end, trace_rows)
         if count and h not in tails_of:
             tails_of[h] = [_tail(control, h, k) for k in range(1, count + 1)]
@@ -318,35 +318,15 @@ def _ray_outcome(layout, r, values, rows, out_norm, trace):
     reason = (f"hard iteration cap {ITERATION_CAP} reached" if layout.limit == ITERATION_CAP
               else f"max_iter {layout.limit} exceeded")
     return NonConvergenceError(f"doubling iteration did not converge: {reason}",
-                               iterations=max(layout.limit, 0))
+                               iterations=layout.limit)
 
 
 def _a_priori_stop(control: ControlFunction, h: float, tol: float, limit: int):
     """First ``n`` in ``0..limit`` whose Cauchy tail bound ``h L**n / (1 -
-    L)`` (see :func:`_tail`) is at most ``tol``, or None.  A log2 estimate
-    of ``n``, with ``-log2 L`` steps per doubling, is confirmed with the
-    bound itself at ``n - 1`` and ``n``, because rounding can put the
-    estimate a step off."""
-    head = _tail(control, h, 0)
-    if head <= tol:
-        return 0
-    if limit <= 0:
-        return None
-    n = limit
-    if math.isfinite(head / tol):
-        # a ratio of 0 leaves no tail past n = 0
-        steps = math.log2(head / tol) / -math.log2(control.ratio) if control.ratio else 1.0
-        n = min(limit, max(1, math.ceil(steps)))
-    while True:
-        before, at = _tail(control, h, n - 1), _tail(control, h, n)
-        if before <= tol:
-            n -= 1
-        elif at <= tol:
-            return n
-        elif n >= limit:
-            return None
-        else:
-            n += 1
+    L)`` (see :func:`_tail`) is at most ``tol``, or None: a bisection, as
+    the bound does not grow with ``n``."""
+    n = bisect.bisect_left(range(limit + 1), True, key=lambda k: _tail(control, h, k) <= tol)
+    return n if n <= limit else None
 
 
 @dataclass

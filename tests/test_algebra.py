@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -15,6 +16,38 @@ def matrix_units(m):
         u.flat[i] = 1.0
         units.append(u)
     return units
+
+
+def _reference_rescale_scale(alg, samples, seed):
+    """The norm scale of ``rescale_norm_submultiplicative``, its samples
+    scored one triple at a time."""
+    d, t = alg.dim, alg._plan
+    rng = np.random.default_rng(seed)
+
+    def ratio(a, b, c):
+        na, nb, nc = alg.norm_of(a), alg.norm_of(b), alg.norm_of(c)
+        if na == 0 or nb == 0 or nc == 0:
+            return 0.0, None
+        return alg.norm_of(ts.ternary_product(alg, a, b, c)) / (na * nb * nc), (a, b, c)
+
+    best_val, top = 0.0, []
+    for _ in range(samples):
+        val, triple = ratio(*algebra._random_vector(rng, (d, d, d), alg.field))
+        if triple is not None:
+            top.append((val, triple))
+            best_val = max(best_val, val)
+    top.sort(key=lambda item: -item[0])
+    if alg.norm is None:
+        eye = alg.basis()
+        for val, (a, b, c) in top[:5]:
+            vecs = [a.copy(), b.copy(), c.copy()]
+            for _ in range(4):
+                for slot in range(3):
+                    mat = algebra._trilinear(t, *(eye if s == slot else vecs[s]
+                                                  for s in range(3))).T
+                    vecs[slot] = np.linalg.svd(mat)[2][0].conj()
+            best_val = max(best_val, ratio(*vecs)[0])
+    return alg.norm_scale * max(1.0, float(np.sqrt(best_val)))
 
 
 class TestTernaryProduct:
@@ -305,6 +338,25 @@ class TestNormRescaling:
             rhs = rescaled.norm_of(a) * rescaled.norm_of(b) * rescaled.norm_of(c)
             worst = max(worst, lhs - rhs)
         assert worst <= 1e-9
+
+    @pytest.mark.parametrize("samples", [1, 7, 200])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_stacked_samples_match_one_at_a_time(self, samples, seed):
+        # the samples are scored as one stack; the scale is bitwise the one
+        # scored a triple at a time, with a stable top five
+        rng = np.random.default_rng(2)
+        random3 = ts.TernaryAlgebra(3, "real", rng.standard_normal((3, 3, 3, 3)))
+        algebras = [
+            ts.trivial_matrix_algebra(2),
+            ts.trivial_matrix_algebra(3, "complex"),
+            ts.odd_polynomial_algebra(7, "complex"),
+            ts.odd_polynomial_algebra(31, "complex"),
+            random3,
+            dataclasses.replace(random3, norm=lambda v: float(np.abs(v).sum())),
+        ]
+        for alg in algebras:
+            got = ts.rescale_norm_submultiplicative(alg, samples=samples, seed=seed)
+            assert got.norm_scale == _reference_rescale_scale(alg, samples, seed)
 
     def test_rescale_validates_samples(self, matrix2):
         # a non-integer count once ended in range()'s TypeError

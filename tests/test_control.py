@@ -342,8 +342,8 @@ class TestStackedArguments:
             bad.evaluate(stack, stack, np.zeros(2))
 
     def test_zero_arguments_are_not_normed(self, monkeypatch):
-        # phi(x, x, 0, 0, 0) norms the two x stacks only; an argument with a
-        # zero row still is, and a stack of zero arguments gives zeros
+        # phi(x, x, 0, 0, 0) norms the x stack only, and once; an argument
+        # with a zero row still is, and a stack of zero arguments gives zeros
         from ternstab import control as control_mod
 
         normed, norms_with = [], control_mod._norms_with
@@ -357,7 +357,7 @@ class TestStackedArguments:
         xs = np.random.default_rng(3).standard_normal((6, 4))
         zero, partly = np.zeros(4), np.vstack([np.zeros((1, 4)), xs[1:]])
         values = c.evaluate(xs, xs, zero, np.zeros((6, 4)), partly)
-        assert normed == [(3, 6, 4)]
+        assert normed == [(2, 6, 4)]
         assert _bits(values) == _bits([_reference_power(c, _row([xs, xs, zero, zero, partly], r))
                                        for r in range(6)])
         normed.clear()

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -655,6 +656,19 @@ class TestSweepHashMemo:
         else:
             raw["samples"].update(hypothesis_tuples=0, linearity_points=0)
         _assert_points_equal_standalone_runs(monkeypatch, raw, "p", self.VALUES)
+
+    @pytest.mark.parametrize("param, values", [("p", [0.2, 0.5, 0.8]),
+                                               ("theta", [0.0, 0.05, 0.3]),
+                                               ("tol", [1e-6, 1e-9, 1e-12])])
+    def test_points_without_a_control_section_equal_standalone_runs(self, monkeypatch, param,
+                                                                     values):
+        # the default control is swept like a written one, and the sweep
+        # leaves the raw config as it was
+        raw = _small_raw()
+        del raw["control"], raw["out"]
+        before = copy.deepcopy(raw)
+        _assert_points_equal_standalone_runs(monkeypatch, raw, param, values)
+        assert raw == before
 
     def test_points_of_a_failing_truth_equal_standalone_runs(self, monkeypatch):
         # on_empty "error": every point reports the solve's error, none runs

@@ -612,6 +612,17 @@ class TestAPrioriStop:
                         )
                         stop = _a_priori_stop(control, _head(control, x), tol, limit)
                         assert stop == scan
+        # custom ratios down to 0 and up to 1 - 1e-6, and heads from 0 to inf
+        # and NaN, against a scan over the tail bound itself
+        controls = [ts.power_control(0.1, 0.5)] + [ts.custom_control(lambda *args: 0.0, ratio=r)
+                                                   for r in (0.0, 1e-9, 0.5, 0.999999)]
+        for control in controls:
+            for h in (0.0, 5e-324, 1e-10, 1.0, 1e308, math.inf, math.nan):
+                for tol in (1e-300, 1e-10, 1e-3):
+                    for limit in (0, 1, 1000):
+                        scan = next((n for n in range(limit + 1)
+                                     if stability._tail(control, h, n) <= tol), None)
+                        assert _a_priori_stop(control, h, tol, limit) == scan
 
     def test_custom_twin_gets_the_power_stop(self):
         # the twin declares L = 2**(p-1): on the whole grid, down to tol
