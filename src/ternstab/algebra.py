@@ -590,16 +590,17 @@ def _law_values(spec: str, p1: _Plan, p2: _Plan, where) -> np.ndarray:
 
 class _Expression:
     """One law expression ``spec`` over the plans of its two tensors, with
-    what its slices share, found on the first slice of a check."""
+    what its slices or its joins share, found on the first use in a check."""
 
     def __init__(self, spec: str, p1: _Plan, p2: _Plan):
         self.spec, self.p1, self.p2 = spec, p1, p2
+        ins, self.out = spec.split("->")
+        self.first, self.second = ins.split(",")
 
     def live_rows(self, where) -> np.ndarray:
         """Whether the first operand's row ``(i, j, k)`` is live at each tuple
         of ``where``."""
-        ins, out = self.spec.split("->")
-        i, j, k = (where[out.index(s)] for s in ins[:3])
+        i, j, k = (where[self.out.index(s)] for s in self.first[:3])
         _, d2, d3 = self.p1.counts.shape
         return self.p1.counts.reshape(-1)[(i * d2 + j) * d3 + k] != 0
 
@@ -613,18 +614,111 @@ class _Expression:
         p1, p2 = self.p1, self.p2
         if len(p1.nonzeros[4]) == p1.tensor.size and len(p2.nonzeros[4]) == p2.tensor.size:
             return None
-        q = self.spec.split(",")[1].index("q")
+        q = self.second.index("q")
         live = ((p1.counts != 0)[..., None], (p2.tensor != 0).any(axis=q, keepdims=True))
         rows, _, shape, axes = _operands(self.spec, *live, 0)
         tuple_shape = [shape[a] for a in axes[:-1]]
         flat = np.arange(math.prod(tuple_shape)).reshape(tuple_shape)
         return live, flat.transpose(np.argsort(axes[:-1])).reshape(len(rows), -1), tuple_shape
 
+    @functools.cached_property
+    def letters(self) -> dict:
+        """Each letter's operand (0 or 1) and its axis there, the first
+        operand's for a letter both hold (q)."""
+        return {**{s: (1, a) for a, s in enumerate(self.second)},
+                **{s: (0, a) for a, s in enumerate(self.first)}}
+
+    @functools.cached_property
+    def tuple_shape(self) -> tuple:
+        tensors = (self.p1.tensor, self.p2.tensor)
+        return tuple(tensors[side].shape[axis]
+                     for side, axis in map(self.letters.get, self.out[:-1]))
+
+    @functools.cached_property
+    def lead_terms(self) -> np.ndarray:
+        """The join's terms at each value of the lead letter, from the plans
+        alone: a nonzero of the operand that holds the lead letter meets
+        each nonzero of the other with its q."""
+        n1, n2 = self.p1.nonzeros, self.p2.nonzeros
+        q1, q2 = n1[3], n2[self.second.index("q")]
+        side, axis = self.letters[self.out[0]]
+        meets = np.bincount((q1, q2)[1 - side], minlength=self.p1.tensor.shape[3])
+        return np.bincount((n1, n2)[side][axis], meets[(q1, q2)[side]],
+                           minlength=self.tuple_shape[0])
+
+
+def _join(e: _Expression, leads: range) -> tuple:
+    """Expression ``e``'s live entries at the tuples whose lead letter lies in
+    ``leads``, consecutive values, from the join of its operands' nonzeros
+    on q: each pair of a nonzero ``v1`` of the first and ``v2`` of the
+    second with one q is the term ``v1 * v2`` at its flat tuple, in the
+    output's C order, and its ``r``.  Returns the tuples, the ``r`` and the
+    terms.
+
+    When the first operand holds at most one nonzero per row, each ``(tuple,
+    r)`` meets one term, so its value is one rounded product.  A slice's
+    BLAS sum over q, whose other terms are zero, gives its bits on real
+    entries and on exact ones; a BLAS complex product may fuse a multiply
+    and an add, and move the last bit of a part.
+    """
+    nonzeros = (e.p1.nonzeros, e.p2.nonzeros)
+    picks = [np.arange(len(n[4])) for n in nonzeros]
+    side, axis = e.letters[e.out[0]]
+    lead = nonzeros[side][axis]
+    picks[side] = np.flatnonzero((lead >= leads.start) & (lead < leads.stop))
+    q1, q2 = nonzeros[0][3][picks[0]], nonzeros[1][e.second.index("q")][picks[1]]
+    # the picked nonzeros of the second operand in runs of one q: the t-th
+    # term of a nonzero of the first is the t-th nonzero of its q's run
+    order = picks[1][np.argsort(q2, kind="stable")]
+    count = np.bincount(q2, minlength=e.p1.tensor.shape[3])
+    fan = count[q1]
+    within = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
+    at = (np.repeat(picks[0], fan), order[np.repeat((np.cumsum(count) - count)[q1], fan) + within])
+    coords = [nonzeros[side][axis][at[side]] for side, axis in map(e.letters.get, e.out[:-1])]
+    return (np.ravel_multi_index(coords, e.tuple_shape), nonzeros[1][3][at[1]],
+            nonzeros[0][4][at[0]] * nonzeros[1][4][at[1]])
+
+
+def _runs(exprs: list, leads: range) -> list:
+    """``leads`` cut into runs of consecutive values whose join terms, over
+    all of ``exprs``, stay within ``_TUPLE_CHUNK``; a value with more takes
+    a run alone."""
+    terms = np.sum([e.lead_terms for e in exprs], axis=0)[leads].tolist()
+    runs, start, held = [], 0, 0
+    for n, count in enumerate(terms):
+        if n > start and held + count > _TUPLE_CHUNK:
+            runs.append(leads[start:n])
+            start, held = n, 0
+        held += count
+    return runs + [leads[start:]]
+
 
 def _difference_norms(vals, norms_of) -> np.ndarray:
     """Per tuple, the largest norm of a difference of consecutive values;
     ``vals`` may be lazy, so at most two values are alive at a time."""
     return np.max([norms_of(u - v) for u, v in itertools.pairwise(vals)], axis=0)
+
+
+def _covered_norms(entries: list, dout: int, norms_of) -> tuple:
+    """A law's residual norms on the sorted union of the flat tuples that
+    ``entries``, one ``(tuples, r, values)`` per expression, cover, and that
+    union: every expression is zero at each tuple left out."""
+    tuples = np.concatenate([t for t, _, _ in entries])
+    order = np.argsort(tuples)
+    new = np.diff(tuples[order], prepend=-1) != 0
+    covered = tuples[order[new]]
+    place = np.empty_like(order)
+    place[order] = np.cumsum(new) - 1
+
+    def values():
+        start = 0
+        for _, r, v in entries:
+            out = np.zeros((len(covered), dout), v.dtype)
+            out.reshape(-1)[place[start:start + len(v)] * dout + r] = v
+            start += len(v)
+            yield out
+
+    return _difference_norms(values(), norms_of), covered
 
 
 def _slice_norms(exprs: list, where: int, norms_of):
@@ -652,16 +746,8 @@ def _slice_norms(exprs: list, where: int, norms_of):
         dout = shape[-1]
         entries.append((flat[rows[i], cols[j] // dout], cols[j] % dout, block[i, j]))
     else:  # every expression has a dead row or column
-        covered = np.zeros(flat.size, bool)
-        for tuples, _, _ in entries:
-            covered[tuples] = True
-        covered = np.flatnonzero(covered)
-        vals = []
-        for tuples, r, v in entries:
-            vals.append(np.zeros((len(covered), dout), v.dtype))
-            vals[-1][np.searchsorted(covered, tuples), r] = v
-        return _difference_norms(vals, norms_of), lambda pos: (
-            where, *np.unravel_index(covered[pos], tuple_shape))
+        norms, covered = _covered_norms(entries, dout, norms_of)
+        return norms, lambda pos: (where, *np.unravel_index(covered[pos], tuple_shape))
     norms = _difference_norms((_law_values(e.spec, e.p1, e.p2, where) for e in exprs), norms_of)
     return norms.ravel(), lambda pos: (where, *np.unravel_index(pos, norms.shape))
 
@@ -677,24 +763,45 @@ def _sampled_norms(exprs: list, where, norms_of):
     return _difference_norms(vals, norms_of), lambda pos: where[:, pos]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite residuals are reported as inf
 def _law_residuals(laws: dict, plans: dict, norms_of, chunks) -> dict:
     """Per law, the largest norm of a difference of consecutive expressions
-    over ``chunks`` (each a ``where`` of ``_law_values``) and the tuple where
-    it occurs (None while every difference is zero); ``plans`` maps the
-    laws' tensor names to their plans.  Only tuples where some expression
-    can be nonzero are evaluated: the residual of any other is zero, as
+    and the first tuple, in C order or draw order, where it occurs (None
+    while every difference is zero); ``plans`` maps the laws' tensor names
+    to their plans.  A NaN or infinite value or norm counts as an infinite
+    residual.
+
+    ``chunks`` is a ``range`` of lead-letter values for an exhaustive check,
+    or an iterable of ``(letters, n)`` tuple arrays for a sampled one.  An
+    exhaustive check of a law whose expressions' first tensors hold at most
+    one nonzero per row joins the operands' nonzeros on q, over runs of
+    lead values of at most ``_TUPLE_CHUNK`` terms; any other takes
+    ``_slice_norms`` per lead value.  Only tuples where some expression can
+    be nonzero are evaluated: the residual of any other is zero, as
     ``norms_of`` of a zero vector is."""
     found = dict.fromkeys(laws, (0.0, None))
     exprs = {name: [_Expression(spec, plans[a], plans[b]) for spec, (a, b) in law]
              for name, law in laws.items()}
+
+    def keep(name, norms, tuple_at):
+        if norms.size:
+            norms[np.isnan(norms)] = np.inf
+            pos = int(np.argmax(norms))
+            if norms[pos] > found[name][0]:
+                found[name] = (float(norms[pos]), tuple(map(int, tuple_at(pos))))
+
+    if isinstance(chunks, range):
+        for name, law in list(exprs.items()):
+            if all(e.p1.counts.max() <= 1 for e in law):
+                dout, shape = law[0].p2.tensor.shape[3], law[0].tuple_shape
+                for leads in _runs(law, chunks):
+                    norms, covered = _covered_norms([_join(e, leads) for e in law], dout, norms_of)
+                    keep(name, norms, lambda pos: np.unravel_index(covered[pos], shape))
+                del exprs[name]
     for where in chunks:
         norms_at = _slice_norms if np.ndim(where) == 0 else _sampled_norms
         for name, law in exprs.items():
-            norms, tuple_at = norms_at(law, where, norms_of)
-            if norms.size:
-                pos = int(np.argmax(norms))
-                if norms[pos] > found[name][0]:
-                    found[name] = (float(norms[pos]), tuple(map(int, tuple_at(pos))))
+            keep(name, *norms_at(law, where, norms_of))
     return found
 
 
@@ -711,9 +818,14 @@ def check_ternary_associativity(
     otherwise ``budget`` tuples are drawn with a seeded generator.  Passing
     ``samples`` forces a seeded draw of that many tuples (with replacement)
     regardless of the budget.  The report carries the maximum residual norm,
-    the worst tuple and a pass flag against ``tol``.  A ``tol`` that is not
-    finite and nonnegative, or a count or ``seed`` that is not a nonnegative
-    integer, raises ``ValueError`` before any work.
+    the first tuple, in C order or draw order, where it occurs, and a pass
+    flag against ``tol``.  An exhaustive check of a tensor with at most one
+    nonzero per row ``T[i, j, k, :]``, as both builders' are, joins its
+    nonzeros (see ``_law_residuals``); any other walks slices of the first
+    letter.  A product that overflows, or any other non-finite value, gives
+    an infinite residual, which fails.  A ``tol`` that is not finite and
+    nonnegative, or a count or ``seed`` that is not a nonnegative integer,
+    raises ``ValueError`` before any work.
     """
     _check_arguments(tol=tol, budget=budget, seed=seed, samples=0 if samples is None else samples)
     d = alg.dim

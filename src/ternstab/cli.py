@@ -119,6 +119,8 @@ def _cmd_algebra_check(args) -> int:
         f"associativity: max residual {assoc.max_residual:.3e} over "
         f"{assoc.checked} {mode} tuples -> {'pass' if assoc.passed else 'FAIL'}"
     )
+    mode = "exhaustive" if axioms.exhaustive else "sampled"
+    print(f"module chains: over {axioms.tuples_checked} {mode} tuples")
     for chain, residual in axioms.chain_residuals.items():
         print(f"module chain {chain}: max residual {residual:.3e}")
     print(

@@ -162,11 +162,15 @@ def check_module_axioms(
 
     Chains run over all basis tuples ``(a, b, c, d, x)`` when
     ``dA**4 * dX <= budget``, otherwise over ``min(budget, 100_000)`` seeded
-    tuples (the associativity check draws its whole budget).  The norm
-    inequality is checked on ``samples`` random tuples; a check of no tuple
-    or no sample does not pass.  A ``tol`` that is not finite and
-    nonnegative, or a count or ``seed`` that is not a nonnegative integer,
-    raises ``ValueError`` before any work.
+    tuples (the associativity check draws its whole budget).  An exhaustive
+    chain whose expressions' first tensors hold at most one nonzero per row,
+    as every self-module of a builder's algebra does, joins their nonzeros
+    (see ``algebra._law_residuals``); any other walks slices of ``a``.  A
+    non-finite chain value gives that chain an infinite residual, which
+    fails.  The norm inequality is checked on ``samples`` random tuples; a
+    check of no tuple or no sample does not pass.  A ``tol`` that is not
+    finite and nonnegative, or a count or ``seed`` that is not a nonnegative
+    integer, raises ``ValueError`` before any work.
     """
     _check_arguments(tol=tol, samples=samples, seed=seed, budget=budget)
     alg = mod.algebra

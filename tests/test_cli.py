@@ -20,6 +20,19 @@ class TestAlgebraCheck:
         assert "associativity: max residual 0.000e+00" in out
         assert "pass" in out
 
+    @pytest.mark.parametrize("m, line", [
+        (2, "module chains: over 1024 exhaustive tuples"),
+        # d = 16: d**5 exceeds the budget, and the chains draw at most 100,000 tuples
+        (4, "module chains: over 100000 sampled tuples"),
+    ])
+    def test_prints_the_module_tuples_and_mode_once(self, m, line, capsys):
+        code = cli_main(["algebra", "check", "--builder", "trivial-matrix", "--m", str(m)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert [s for s in out if s.startswith("module chains:")] == [line]
+        # the line heads the chains' residuals
+        assert out[out.index(line) + 1].startswith("module chain abc_d_x:")
+
     def test_odd_poly_cap3_passes(self, capsys):
         code = cli_main(["algebra", "check", "--builder", "odd-poly", "--cap", "3"])
         assert code == 0

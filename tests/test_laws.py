@@ -12,12 +12,22 @@ one product per key for every sampled tuple with a live row): reports are
 bitwise equal on builder tensors, on the benchmark's axiom checks and on
 dense tensors, and within the rounding bound on tensors that mix rows of
 one inexact nonzero, of several and of none.
+Exhaustive checks whose first tensors hold at most one nonzero per row join
+the nonzeros on q instead of walking slices: their reports are bitwise
+those of whole slices on builder tensors, on integer tensors and on inexact
+real ones, and within the rounding bound on inexact complex ones, whose
+BLAS products may fuse a multiply and an add.  Spies count the joins'
+terms, their runs of lead values and their memory against the slices'.
+Law values that overflow fail every check with an infinite residual at
+their first tuple.
 ``verify_identity_and_reduce`` and the rescale ascent are compared with the
 einsums they used before the contraction kernel took them over.
 """
 
 import itertools
 import random
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -651,17 +661,21 @@ class TestWorkFollowsNonzeros:
         _MatmulSpy.seen = []
 
     def test_exhaustive_module_multiplies_live_blocks_only(self):
-        # trivial m = 3: each slice of each chain expression is one product
-        # of its live rows by its live columns, a ninth of the entries of the
-        # whole slice's operands
-        t = ts.trivial_matrix_algebra(3).structure
+        # a tensor with rows of several nonzeros keeps the slices: each slice
+        # of each chain expression is one product of its live rows by its
+        # live columns, fewer entries than the whole slice's operands.  Its
+        # integer entries make every sum exact in any order
+        t = _mixed_tensor(np.random.default_rng(26), (4,) * 4, "real")
+        t = np.sign(t) * np.ceil(abs(t))
+        alg = ts.TernaryAlgebra(4, "real", t)
         plans = dict.fromkeys(("TA", "Pxab", "Paxb", "Pabx"), _Plan.of(t.view(_MatmulSpy)))
-        norms_of = ts.self_module(ts.trivial_matrix_algebra(3)).norms_of
-        found = _law_residuals(_CHAINS, plans, norms_of, range(9))
-        assert found == dict.fromkeys(_CHAINS, (0.0, None))
+        norms_of = ts.self_module(alg).norms_of
+        found = _law_residuals(_CHAINS, plans, norms_of, range(4))
+        assert found == _reference_law_residuals(_CHAINS, dict.fromkeys(plans, alg._plan),
+                                                 norms_of, range(4))
         live = whole = 0
         expected = []
-        for where in range(9):
+        for where in range(4):
             for exprs in _CHAINS.values():
                 for spec, _ in exprs:
                     left, right = _slice_operands(spec, t, t, where)
@@ -673,7 +687,7 @@ class TestWorkFollowsNonzeros:
         assert sorted(got) == sorted(expected)
         for left, right in _MatmulSpy.seen:
             assert left.any(axis=1).all() and right.any(axis=0).all()
-        assert sum(a.size + b.size for a, b in _MatmulSpy.seen) == live and 9 * live == whole
+        assert sum(a.size + b.size for a, b in _MatmulSpy.seen) == live and live < whole
 
     def test_all_live_slices_take_the_whole_products(self):
         # some entries are zero, but every row and every column of a slice
@@ -706,6 +720,284 @@ class TestWorkFollowsNonzeros:
             want = _reference_law_residuals(laws, dict.fromkeys(plans, alg._plan), alg.norms_of,
                                             chunks)
             assert found == want
+
+
+def _one_nonzero_tensor(rng, shape, field, draw=_random_array, dead=1 / 3):
+    """A tensor whose rows ``T[i, j, k, :]`` hold one nonzero each, at a
+    random place, but for a share ``dead`` of them, which are zero."""
+    values = draw(rng, shape[:3], field)
+    values[values == 0] = 1
+    values[rng.random(shape[:3]) < dead] = 0
+    t = np.zeros(shape, values.dtype)
+    i, j, k = np.indices(shape[:3])
+    t[i, j, k, rng.integers(0, shape[3], shape[:3])] = values
+    return t
+
+
+def _one_nonzero_algebra(d, field, seed, draw=_random_array, dead=1 / 3):
+    rng = np.random.default_rng(seed)
+    return ts.TernaryAlgebra(d, field, _one_nonzero_tensor(rng, (d,) * 4, field, draw, dead))
+
+
+class _JoinSpy:
+    """Records ``(spec, leads, terms)`` of each ``algebra._join`` call."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        join = algebra_mod._join
+
+        def spy(e, leads):
+            out = join(e, leads)
+            self.calls.append((e.spec, leads, len(out[2])))
+            return out
+
+        monkeypatch.setattr(algebra_mod, "_join", spy)
+
+
+class TestJoin:
+    """Exhaustive checks of laws whose first tensors hold one nonzero per row
+    join the nonzeros on q; the reports keep the bits of whole slices, but
+    for inexact complex entries."""
+
+    @pytest.mark.parametrize("draw, field", [
+        (_integer_array, "real"), (_integer_array, "complex"), (_random_array, "real"),
+    ], ids=["integer-real", "integer-complex", "inexact-real"])
+    def test_one_nonzero_rows_are_bitwise(self, draw, field, monkeypatch):
+        for d, seed in ((2, 30), (3, 31), (5, 32)):
+            alg = _one_nonzero_algebra(d, field, seed, draw)
+            spy = _JoinSpy(monkeypatch)
+            got, want = _with_reference(monkeypatch, ts.check_ternary_associativity, alg, 1e-9)
+            assert spy.calls and got.exhaustive and want.max_residual > 0
+            assert repr(got) == repr(want)
+            got, want = _with_reference(monkeypatch, ts.check_module_axioms,
+                                        ts.self_module(alg), 1e-9, samples=3)
+            assert got.exhaustive and want.max_chain_residual > 0
+            assert repr(got) == repr(want)
+
+    def test_inexact_complex_rows_within_the_rounding_bound(self, monkeypatch, law_close):
+        # a term is one complex product, rounded as numpy multiplies; a BLAS
+        # complex product may fuse its multiply and add, so the whole
+        # slices can differ from it in the last bit of a part
+        for d, seed in ((2, 30), (3, 31), (5, 32)):
+            alg = _one_nonzero_algebra(d, "complex", seed)
+            got, want = _with_reference(monkeypatch, ts.check_ternary_associativity, alg, 1e-9)
+            law_close((got.max_residual, got.worst), (want.max_residual, want.worst),
+                      _ASSOC_LAW["assoc"], {"T": alg.structure}, _assoc_norms(alg))
+            assert repr(replace(got, max_residual=0.0, worst=None)) == repr(
+                replace(want, max_residual=0.0, worst=None))
+            got, want = _with_reference(monkeypatch, ts.check_module_axioms,
+                                        ts.self_module(alg), 1e-9, samples=3)
+            tensors = dict.fromkeys(("TA", "Pxab", "Paxb", "Pabx"), alg.structure)
+            for name, exprs in _CHAINS.items():
+                law_close((got.chain_residuals[name], None), (want.chain_residuals[name], None),
+                          exprs, tensors)
+            assert repr(replace(got, chain_residuals=None, max_chain_residual=0.0)) == repr(
+                replace(want, chain_residuals=None, max_chain_residual=0.0))
+            # each value is the product of the two nonzeros it joins
+            for spec, _ in _ASSOC_LAW["assoc"]:
+                tuples, r, v = algebra_mod._join(
+                    algebra_mod._Expression(spec, alg._plan, alg._plan), range(d))
+                i, j, k, l, m = np.unravel_index(tuples, (d,) * 5)
+                t = alg.structure
+                if spec.startswith("abcq"):
+                    first, second = t[i, j, k], t[:, l, m, r].T
+                else:
+                    first, second = t[j, k, l], t[i, :, m, r]
+                q = np.argmax(first != 0, axis=-1)
+                rows = np.arange(len(q))
+                assert v.tobytes() == (first[rows, q] * second[rows, q]).tobytes()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_module_of_another_dimension_is_bitwise(self, field, monkeypatch):
+        rng = np.random.default_rng(33)
+        d, dx = 4, 3
+        alg = ts.TernaryAlgebra(d, field, _one_nonzero_tensor(rng, (d,) * 4, field))
+        mod = ts.TernaryModule(alg, dx, *(_one_nonzero_tensor(rng, shape, field) for shape in (
+            (dx, d, d, dx), (d, dx, d, dx), (d, d, dx, dx))))
+        spy = _JoinSpy(monkeypatch)
+        got, want = _with_reference(monkeypatch, ts.check_module_axioms, mod, 1e-9, samples=3)
+        assert len(spy.calls) == 15 and got.tuples_checked == d**4 * dx
+        assert all(want.chain_residuals.values()) and repr(got) == repr(want)
+
+    def test_a_row_of_two_nonzeros_keeps_the_slices(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        t = _one_nonzero_tensor(rng, (4,) * 4, "real", _integer_array)
+        t[1, 2, 3] = 0
+        t[1, 2, 3, :2] = (1.0, -2.0)
+        alg = ts.TernaryAlgebra(4, "real", t)
+        spy = _JoinSpy(monkeypatch)
+        got, want = _with_reference(monkeypatch, ts.check_ternary_associativity, alg, 1e-9)
+        assert spy.calls == [] and want.max_residual > 0 and repr(got) == repr(want)
+        # a module whose product_xab holds the row of two: the chains with it
+        # as a first tensor keep the slices, the others join, and every
+        # report keeps its bits
+        one = ts.TernaryAlgebra(4, "real", _one_nonzero_tensor(rng, (4,) * 4, "real",
+                                                               _integer_array))
+        mod = ts.TernaryModule(one, 4, t, *(_one_nonzero_tensor(rng, (4,) * 4, "real",
+                                                                _integer_array) for _ in "ab"))
+        got, want = _with_reference(monkeypatch, ts.check_module_axioms, mod, 1e-9, samples=3)
+        assert all(want.chain_residuals.values()) and repr(got) == repr(want)
+        joined = {spec for spec, _, _ in spy.calls}
+        for name, exprs in _CHAINS.items():
+            specs = {spec for spec, _ in exprs}
+            if any(names[0] == "Pxab" for _, names in exprs):
+                assert not joined & specs, name
+            else:
+                assert specs <= joined, name
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind, size", [("trivial-matrix", 3), ("odd-poly", 13)])
+    def test_builder_checks_join_without_products(self, kind, size, field, monkeypatch):
+        # each expression joins sum_q nnz1(q) nnz2(q) terms, and no BLAS product runs
+        alg = _builder(kind, size, field)
+        t, d = alg.structure, alg.dim
+        plan = _Plan.of(t.view(_MatmulSpy))
+        _MatmulSpy.seen = []
+        for laws, names in ((_ASSOC_LAW, ("T",)), (_CHAINS, ("TA", "Pxab", "Paxb", "Pabx"))):
+            spy = _JoinSpy(monkeypatch)
+            found = _law_residuals(laws, dict.fromkeys(names, plan), alg.norms_of, range(d))
+            assert _MatmulSpy.seen == []
+            assert found == _reference_law_residuals(laws, dict.fromkeys(names, alg._plan),
+                                                     alg.norms_of, range(d))
+            want = {}
+            for spec, _ in itertools.chain(*laws.values()):
+                q = spec.split(",")[1].index("q")
+                by_q = np.count_nonzero(t, axis=(0, 1, 2)), np.count_nonzero(t, axis=tuple(
+                    a for a in range(4) if a != q))
+                want[spec] = int(by_q[0] @ by_q[1])
+            got = dict.fromkeys(want, 0)
+            for spec, _, terms in spy.calls:
+                got[spec] += terms
+            assert got == want
+
+    @pytest.mark.parametrize("chunk", [1, 60, 400, algebra_mod._TUPLE_CHUNK])
+    def test_runs_cover_each_lead_value_once(self, chunk, monkeypatch):
+        alg = _one_nonzero_algebra(5, "real", 35, _integer_array)
+        whole = ts.check_ternary_associativity(alg, 1e-9), ts.check_module_axioms(
+            ts.self_module(alg), 1e-9, samples=3)
+        monkeypatch.setattr(algebra_mod, "_TUPLE_CHUNK", chunk)
+        for law, check, arg in ((_ASSOC_LAW, ts.check_ternary_associativity, alg),
+                                (_CHAINS, ts.check_module_axioms, ts.self_module(alg))):
+            spy = _JoinSpy(monkeypatch)
+            report = check(arg, 1e-9) if law is _ASSOC_LAW else check(arg, 1e-9, samples=3)
+            assert repr(report) == repr(whole[law is _CHAINS])
+            for exprs in law.values():
+                specs = [spec for spec, _ in exprs]
+                calls = [c for c in spy.calls if c[0] in specs]
+                runs = [leads for spec, leads, _ in calls if spec == specs[0]]
+                # the runs cut range(5) in order, and a run of more than one
+                # value holds at most ``chunk`` terms over the law
+                assert [v for leads in runs for v in leads] == list(range(5))
+                for leads in runs:
+                    terms = sum(n for _, at, n in calls if at == leads)
+                    assert len(leads) == 1 or terms <= chunk
+                if chunk == 1:
+                    assert len(runs) == 5
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_peak_stays_within_the_slices(self, field):
+        # every row live and holding one nonzero: each tuple meets one term
+        # of each expression, so a join over every lead value at once would
+        # hold every tuple; the runs keep it within the slices' peak
+        alg = _one_nonzero_algebra(9, field, 36, dead=0.0)
+        mod = ts.self_module(alg)
+        plans = dict(T=alg._plan, TA=alg._plan, **mod._plans)
+
+        def slices(laws, norms_of):
+            for exprs in laws.values():
+                exprs = [algebra_mod._Expression(spec, plans[a], plans[b])
+                         for spec, (a, b) in exprs]
+                for where in range(9):
+                    algebra_mod._slice_norms(exprs, where, norms_of)
+
+        for law, norms_of in ((_ASSOC_LAW, alg.norms_of), (_CHAINS, mod.norms_of)):
+            peaks = []
+            for run in (lambda: _law_residuals(law, plans, norms_of, range(9)),
+                        lambda: slices(law, norms_of)):
+                run()
+                tracemalloc.start()
+                try:
+                    run()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[0] <= peaks[1], peaks
+            found = _law_residuals(law, plans, norms_of, range(9))
+            assert all(res > 0 for res, _ in found.values())
+
+
+def _overflowing(field, join):
+    """trivial-matrix m = 2 with ``T[0, 0, 0, 0] = 2`` (one nonzero per row,
+    so exhaustive checks join) or ``T[0, 0, 0, 1] = 2`` (a row of two, so
+    they take slices), scaled by 1e160: every product of two nonzeros
+    overflows."""
+    t = ts.trivial_matrix_algebra(2, field).structure.copy()
+    t[0, 0, 0, 0 if join else 1] = 2
+    return t
+
+
+def _first_non_finite(laws, tensors, order=None):
+    """Per law, the first tuple, in C order or in the order of the tuple
+    array ``order``, where a difference of consecutive expressions is not
+    finite."""
+    first = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, exprs in laws.items():
+            vals = [np.einsum(spec, *(tensors[n] for n in names)) for spec, names in exprs]
+            bad = np.logical_or.reduce([~np.isfinite(u - v).all(axis=-1)
+                                        for u, v in itertools.pairwise(vals)])
+            if order is None:
+                first[name] = tuple(map(int, np.argwhere(bad)[0]))
+            else:
+                first[name] = tuple(map(int, order[:, int(np.argmax(bad[tuple(order)]))]))
+    return first
+
+
+class TestNonFiniteValues:
+    """Law values that overflow fail the check with an infinite residual at
+    their first tuple, and no numpy warning escapes."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_fail(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("join", [True, False], ids=["join", "slices"])
+    def test_associativity_fails_at_the_first_tuple(self, join, field, monkeypatch):
+        t = _overflowing(field, join)
+        spy = _JoinSpy(monkeypatch)
+        unscaled = ts.check_ternary_associativity(ts.TernaryAlgebra(4, field, t), 1e-9)
+        assert unscaled.max_residual > 0
+        assert bool(spy.calls) == join
+        alg = ts.TernaryAlgebra(4, field, 1e160 * t)
+        first = _first_non_finite(_ASSOC_LAW, {"T": alg.structure})["assoc"]
+        report = ts.check_ternary_associativity(alg, 1e-9)
+        assert (report.max_residual, report.worst, report.passed) == (np.inf, first, False)
+        draws = np.random.default_rng(3).integers(0, 4, size=(5, 500))
+        first = _first_non_finite(_ASSOC_LAW, {"T": alg.structure}, draws)["assoc"]
+        report = ts.check_ternary_associativity(alg, 1e-9, samples=500, seed=3)
+        assert (report.max_residual, report.worst, report.passed) == (np.inf, first, False)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("join", [True, False], ids=["join", "slices"])
+    def test_module_chains_fail_at_the_first_tuple(self, join, field):
+        alg = ts.TernaryAlgebra(4, field, 1e160 * _overflowing(field, join))
+        mod = ts.self_module(alg)
+        tensors = dict.fromkeys(("TA", "Pxab", "Paxb", "Pabx"), alg.structure)
+        plans = dict(TA=alg._plan, **mod._plans)
+        first = _first_non_finite(_CHAINS, tensors)
+        assert _law_residuals(_CHAINS, plans, mod.norms_of, range(4)) == {
+            name: (np.inf, at) for name, at in first.items()}
+        draws = np.random.default_rng(4).integers(0, 4, size=(5, 300))
+        first = _first_non_finite(_CHAINS, tensors, draws)
+        assert _law_residuals(_CHAINS, plans, mod.norms_of, [draws[:, :100], draws[:, 100:]]) == {
+            name: (np.inf, at) for name, at in first.items()}
+        for kwargs in ({}, {"budget": 300, "seed": 5}):
+            report = ts.check_module_axioms(mod, 1e-9, samples=3, **kwargs)
+            assert report.exhaustive == (not kwargs) and not report.passed
+            assert set(report.chain_residuals.values()) == {np.inf}
 
 
 class TestCheckerArguments:
