@@ -607,19 +607,17 @@ class _Expression:
     @functools.cached_property
     def grid(self) -> tuple | None:
         """Both operands' live entries reduced over q to a unit axis, so that
-        ``_operands`` slices them as it slices the tensors; the flat tuple,
-        in the output's C order, of each row and column group of r of a
-        slice's product; and the shape of the slice's tuples.  None when
-        both tensors are nonzero everywhere."""
+        ``_operands`` slices them as it slices the tensors, and the flat
+        tuple, in the output's C order, of each row and column group of r of
+        a slice's product.  None when both tensors are nonzero everywhere."""
         p1, p2 = self.p1, self.p2
         if len(p1.nonzeros[4]) == p1.tensor.size and len(p2.nonzeros[4]) == p2.tensor.size:
             return None
         q = self.second.index("q")
         live = ((p1.counts != 0)[..., None], (p2.tensor != 0).any(axis=q, keepdims=True))
-        rows, _, shape, axes = _operands(self.spec, *live, 0)
-        tuple_shape = [shape[a] for a in axes[:-1]]
-        flat = np.arange(math.prod(tuple_shape)).reshape(tuple_shape)
-        return live, flat.transpose(np.argsort(axes[:-1])).reshape(len(rows), -1), tuple_shape
+        rows, _, _, axes = _operands(self.spec, *live, 0)
+        flat = np.arange(math.prod(self.tuple_shape[1:])).reshape(self.tuple_shape[1:])
+        return live, flat.transpose(np.argsort(axes[:-1])).reshape(len(rows), -1)
 
     @functools.cached_property
     def letters(self) -> dict:
@@ -630,6 +628,7 @@ class _Expression:
 
     @functools.cached_property
     def tuple_shape(self) -> tuple:
+        """The size of each tuple letter, in the output's order."""
         tensors = (self.p1.tensor, self.p2.tensor)
         return tuple(tensors[side].shape[axis]
                      for side, axis in map(self.letters.get, self.out[:-1]))
@@ -735,7 +734,7 @@ def _slice_norms(exprs: list, where: int, norms_of):
     for e in exprs:
         if e.grid is None:
             break
-        live, flat, tuple_shape = e.grid
+        live, flat = e.grid
         rows, cols, shape, _ = _operands(e.spec, *live, where)
         if rows.all() and cols.all():
             break
@@ -747,7 +746,7 @@ def _slice_norms(exprs: list, where: int, norms_of):
         entries.append((flat[rows[i], cols[j] // dout], cols[j] % dout, block[i, j]))
     else:  # every expression has a dead row or column
         norms, covered = _covered_norms(entries, dout, norms_of)
-        return norms, lambda pos: (where, *np.unravel_index(covered[pos], tuple_shape))
+        return norms, lambda pos: (where, *np.unravel_index(covered[pos], e.tuple_shape[1:]))
     norms = _difference_norms((_law_values(e.spec, e.p1, e.p2, where) for e in exprs), norms_of)
     return norms.ravel(), lambda pos: (where, *np.unravel_index(pos, norms.shape))
 
