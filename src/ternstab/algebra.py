@@ -354,6 +354,11 @@ def _trilinear(plan: _Plan, a, b, c) -> np.ndarray:
     return out[..., 0, :]
 
 
+def _joined(arrays) -> np.ndarray:
+    """The arrays concatenated along the first axis; one array as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def _by_nonzeros(plan: _Plan, a, b, c, lead: tuple) -> np.ndarray:
     """``_trilinear`` of a stack over the plan's ``terms``, in the manner of
     Gustavson's row-wise sparse product (ACM TOMS 4, 1978).

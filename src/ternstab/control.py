@@ -74,30 +74,72 @@ class ControlFunction:
             if not all(val >= 0.0 for val in values):
                 raise ValueError("custom control returned a negative or NaN value")
             return np.array(values) if stacked else values[0]
-        rows = np.broadcast_arrays(*args) if stacked else [np.reshape(a, (1, -1)) for a in args]
-        # an argument passed twice, such as x in phi(x, x, 0, ...), is normed
-        # once, and a zero argument, such as its zero slots, adds nothing for
-        # any p
-        ids = [id(a) for a in args]
-        first = [ids.index(i) for i in ids]
-        distinct = [i for i in dict.fromkeys(first) if np.any(args[i])]
-        if not distinct:
-            return np.zeros(len(rows[0])) if stacked else 0.0
-        norms: dict = {}
-        for key in dict.fromkeys((rows[i].dtype, rows[i].shape) for i in distinct):
-            where = [i for i in distinct if (rows[i].dtype, rows[i].shape) == key]
-            found = _norms_with(self.norm, np.stack([rows[i] for i in where]))
-            norms.update(zip(where, found.tolist()))
-        values = []
-        for row in zip(*(norms[i] for i in first if i in norms)):
-            total = 0.0
-            for nv in row:
-                if nv > 0.0:
-                    total += nv**self.p
-            values.append(self.theta * total)
+        sums = _power_sums(_norm_rows(self.norm, args, stacked), self.p)
+        values = [self.theta * total for total in sums]
         return np.array(values) if stacked else values[0]
 
     __call__ = evaluate
+
+
+def _norm_rows(norm, args, stacked: bool) -> list:
+    """Per row of ``args``, the norms of its arguments in argument order, as
+    Python floats: each argument object is normed once, and the arguments
+    that are zero throughout are left out, as they add nothing for any
+    ``p``; such as ``x`` twice and the zero slots of ``phi(x, x, 0, ...)``."""
+    shape = np.broadcast_shapes(*map(np.shape, args)) if stacked else (1, -1)
+    ids = [id(a) for a in args]
+    first = [ids.index(i) for i in ids]
+    distinct = [i for i in dict.fromkeys(first) if np.any(args[i])]
+    if not distinct:
+        return [()] * shape[0]
+    rows = {i: np.reshape(args[i], shape) if not stacked
+            else np.broadcast_to(args[i], shape) if np.shape(args[i]) != shape
+            else np.asarray(args[i]) for i in distinct}
+    norms: dict = {}
+    for key in dict.fromkeys((rows[i].dtype, rows[i].shape) for i in distinct):
+        where = [i for i in distinct if (rows[i].dtype, rows[i].shape) == key]
+        found = _norms_with(norm, np.stack([rows[i] for i in where]))
+        norms.update(zip(where, found.tolist()))
+    return list(zip(*(norms[i] for i in first if i in norms)))
+
+
+def _power_sums(rows, p: float) -> list:
+    """``sum |arg|**p`` over each row of :func:`_norm_rows`, as Python floats."""
+    sums = []
+    for row in rows:
+        total = 0.0
+        for nv in row:
+            if nv > 0.0:
+                total += nv**p
+        sums.append(total)
+    return sums
+
+
+def _phis(controls, args, checked: bool = False) -> list:
+    """``control.evaluate(*args)`` for each of ``controls``, each bitwise
+    that control's own: power controls of equal norms share one
+    :func:`_norm_rows` of ``args``, and those of equal ``p`` one sum of
+    powers, which each scales by its own ``theta``.  With ``checked``, each
+    value is :func:`_checked_phi`'s, and a control that breaks its ratio gets
+    its :class:`DivergentControlError` in place of its values."""
+    stacked = any(np.ndim(a) > 1 for a in args)
+    rows, sums, out = [], {}, []
+    for control in controls:
+        if control.kind != "power" or len(args) != control.arity:
+            try:
+                out.append(_checked_phi(control, args) if checked else control.evaluate(*args))
+            except DivergentControlError as exc:
+                out.append(exc)
+            continue
+        at = next((i for i, (norm, _) in enumerate(rows) if norm == control.norm), None)
+        if at is None:
+            at = len(rows)
+            rows.append((control.norm, _norm_rows(control.norm, args, stacked)))
+        if (at, control.p) not in sums:
+            sums[at, control.p] = _power_sums(rows[at][1], control.p)
+        values = [control.theta * total for total in sums[at, control.p]]
+        out.append(np.array(values) if stacked else values[0])
+    return out
 
 
 def power_control(theta: float, p: float, arity: int = 5, norm=None) -> ControlFunction:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import (
+    _TUPLE_CHUNK,
     COMPLEX,
     TernaryAlgebra,
     _check_arguments,
@@ -54,9 +55,14 @@ from .serialize import (
     write_trace_csv,
 )
 from .stability import (
+    _RATE_ROWS,
     EvaluableMap,
+    StabilizationReport,
+    _check_hypotheses,
     _check_points,
     _hypothesis_points,
+    _lambda_grid,
+    _stabilize,
     check_hypothesis,
     direct_method_stabilize,
 )
@@ -66,7 +72,7 @@ _DIRECTIONS = ("fixed", "hash")
 
 
 def thread_count() -> int:
-    """Sweep points run one at a time on the calling thread, so always 1.
+    """A sweep runs its points on the calling thread, so always 1.
 
     Nothing in the library calls this; the benchmark's tracer reads it for a
     sweep span's worker count, and it goes when that tracer stops doing so.
@@ -194,10 +200,7 @@ def perturb_map(
     """
     fixed_unit = _fixed_unit(base, spec, out_norm)
 
-    def evaluate(x):
-        x = np.asarray(x)
-        if x.ndim == 1:
-            return evaluate(x[None])[0]
+    def evaluate_rows(x):
         known = next((parts for stack, parts in _parts if stack is x), None)
         if known is None and spec.theta == 0.0:
             return base.apply(x)
@@ -210,14 +213,20 @@ def perturb_map(
         out[moved] = out[moved] + scale * unit
         return out
 
+    # evaluate does not call itself: a closure over its own name is a
+    # reference cycle, which would keep the parts alive until a collection
+    def evaluate(x):
+        x = np.asarray(x)
+        return evaluate_rows(x[None])[0] if x.ndim == 1 else evaluate_rows(x)
+
     return EvaluableMap(base.in_dim, base.out_dim, evaluate, kind="linear-plus-perturbation")
 
 
-def _map_key(base: LinearMap, spec: PerturbationSpec, in_norm, out_norm) -> tuple:
+def _map_key(base: LinearMap, spec: PerturbationSpec, in_norm, out_norm, unit) -> tuple:
     """What a perturbed map's :func:`_parts_at` depend on: the base matrix,
-    the direction, its normalized vector or, for ``hash``, its seed, and the
-    two norms.  Maps with equal keys, ``theta`` and ``p`` are one map."""
-    unit = _fixed_unit(base, spec, out_norm)
+    the direction, its normalized vector ``unit`` (see :func:`_fixed_unit`)
+    or, for ``hash``, its seed, and the two norms.  Maps with equal keys,
+    ``theta`` and ``p`` are one map."""
     m = base.matrix
     return (m.dtype.str, m.shape, m.tobytes(), spec.direction,
             None if unit is None else unit.tobytes(), spec.seed if unit is None else None,
@@ -497,69 +506,118 @@ def _draw_points(config: ExperimentConfig) -> tuple:
     return hypothesis, checks
 
 
-@dataclass(frozen=True, eq=False)
-class _Shared:
-    """What the points of a sweep share, built before the first point and
-    left unmodified: :func:`_ground_truth`, :func:`_draw_points` and, per
-    :func:`_map_key`, the pairs of ``perturb_map``'s ``_parts``, their
-    arrays read-only."""
-
-    truth: tuple
-    points: tuple
-    parts: dict
-
-
-def _bases(mod, truth: LinearMap, chosen: tuple) -> tuple:
-    """``(name, base map, output norm)`` of the four perturbed maps."""
-    norm = mod.algebra.norm_of
-    return (("f", truth, mod.norm_of), *((name, base, norm) for name, base in zip("ghk", chosen)))
-
-
-def _sweep_shared(config: ExperimentConfig) -> _Shared:
-    """The :class:`_Shared` of a sweep of ``config``: each distinct map's
-    parts at the hypothesis input it is evaluated at and at the bound
-    points, none of which reads ``p``, ``theta`` or ``tol``."""
-    truth, points = _ground_truth(config), _draw_points(config)
-    mod, truth_map, chosen, _, errors, _ = truth
-    hypothesis, checks = points
-    in_norm, parts = config.algebra.norm_of, {}
-    for name, base, out_norm in ([] if errors else _bases(mod, truth_map, chosen)):
+def _bases(config: ExperimentConfig, mod, truth: LinearMap, chosen: tuple) -> list:
+    """``(name, base map, output norm, fixed unit, map key)`` of the four
+    perturbed maps of ``config``; none of it reads ``p``, ``theta`` or
+    ``tol`` (see :func:`_map_key`)."""
+    norm, bases = mod.algebra.norm_of, []
+    for name, base, out_norm in (("f", truth, mod.norm_of),
+                                 *((name, base, norm) for name, base in zip("ghk", chosen))):
         spec = config.perturbations[name]
-        key = _map_key(base, spec, in_norm, out_norm)
+        unit = _fixed_unit(base, spec, out_norm)
+        key = _map_key(base, spec, config.algebra.norm_of, out_norm, unit)
+        bases.append((name, base, out_norm, unit, key))
+    return bases
+
+
+def _map_parts(config: ExperimentConfig, bases: list, hypothesis, checks) -> dict:
+    """Per map key, the pairs of ``perturb_map``'s ``_parts`` of each
+    distinct map of ``bases``: its parts at the hypothesis input it is
+    evaluated at and at the bound points, none of which reads ``p``,
+    ``theta`` or ``tol``; the arrays read-only."""
+    in_norm, parts = config.algebra.norm_of, {}
+    for name, base, out_norm, unit, key in bases:
+        spec = config.perturbations[name]
         inputs = [] if hypothesis is None else [
             hypothesis.f_input if name == "f" else hypothesis.shared_input]
         for xs in inputs + [checks.bounds]:
             if all(stack is not xs for stack, _ in parts.get(key, ())):
                 parts[key] = parts.get(key, ()) + ((xs, _parts_at(
-                    base, spec, xs, in_norm, out_norm, _fixed_unit(base, spec, out_norm))),)
-    return _Shared(truth, points, parts)
+                    base, spec, xs, in_norm, out_norm, unit)),)
+    return parts
 
 
-def run_experiment(config, out_dir=None, write_files: bool = True, *,
-                   _shared: _Shared | None = None) -> RunResult:
-    """Full pipeline: solve ground truth, perturb, stabilize, verify, emit.
+def _perturbed_maps(config: ExperimentConfig, bases: list, parts: dict) -> list:
+    """The four perturbed maps of ``config``, one evaluator per distinct
+    map: maps with equal keys, ``theta`` and ``p`` share it."""
+    in_norm, maps, made = config.algebra.norm_of, [], {}
+    for name, base, out_norm, _, key in bases:
+        spec = config.perturbations[name]
+        if (key, spec.theta, spec.p) not in made:
+            made[key, spec.theta, spec.p] = perturb_map(
+                base, spec, in_norm=in_norm, out_norm=out_norm, _parts=parts.get(key, ()))
+        maps.append(made[key, spec.theta, spec.p])
+    return maps
 
-    The report is written as JSON (plus one convergence CSV per map) when
-    ``write_files`` is set and an output directory is known.  Fatal errors
-    (empty derivation space with ``on_empty: error``, divergent control,
-    nonconvergent iteration) are recorded in the report under their codes
-    instead of propagating, and force ``all_passed`` to false.  A run that
-    writes no files keeps only the trace rows ``n <= 10`` (see
-    :func:`direct_method_stabilize`).  The report's ``derivation`` entry is
-    the solver's rank margin for the map candidate used.  One evaluator is
-    built per distinct perturbed map: maps with equal base matrices,
-    ``theta``, ``p``, directions, normalized vectors, norms and, for
-    ``hash``, seeds (see :func:`_map_key`) share it, so that the checks
-    evaluate it once.  A sweep passes each point its :class:`_Shared`.
+
+def _checks(configs: list, mod, maps: list, hypothesis, checks, keep_traces: bool) -> tuple:
+    """Per config, its hypothesis report (None when it samples no tuple)
+    and its stabilization report or the error that ends it.  One config
+    runs through ``check_hypothesis`` and ``direct_method_stabilize``,
+    several through their stacked cores, once for all of them."""
+    config, samples = configs[0], configs[0].samples
+    tuples = samples["hypothesis_tuples"]
+    counts = {key: samples[key] for key in ("bound_points", "identity_triples",
+                                            "linearity_points")}
+    if len(configs) == 1:
+        hypo = None
+        try:
+            if tuples > 0:
+                hypo = check_hypothesis(*maps[0], config.control, mod, config.signs,
+                                        lambda_grid=config.lambda_grid, samples=tuples,
+                                        seed=config.seed, mode=config.mode, _points=hypothesis)
+            outcome = direct_method_stabilize(
+                *maps[0], config.control, mod, config.signs, tol=config.tol, mode=config.mode,
+                max_iter=config.max_iter, seed=config.seed, keep_traces=keep_traces,
+                _points=checks, **counts)
+        except (DivergentControlError, NonConvergenceError) as exc:
+            outcome = exc
+        return [hypo], [outcome]
+    hypos = [None] * len(configs)
+    if tuples > 0:
+        hypos = _check_hypotheses([(*m, c.control) for m, c in zip(maps, configs)], mod,
+                                  config.signs, config.lambda_grid, tuples, config.seed,
+                                  config.mode, hypothesis)
+    outcomes = _stabilize([(m, c.control, c.tol) for m, c in zip(maps, configs)], mod,
+                          config.signs, config.mode, config.max_iter, config.seed,
+                          keep_traces=keep_traces, points=checks, **counts)
+    return hypos, outcomes
+
+
+def _run_points(configs: list, keep_traces: bool = False) -> list:
+    """The :class:`RunResult` of each of ``configs``, none written to a file.
+
+    The configs differ in nothing but ``p``, ``theta`` and ``tol``, which
+    no shared part reads: one ground truth is solved (see
+    :func:`_ground_truth`), the seeded samples are drawn once (see
+    :func:`_draw_points`), and each distinct perturbed map's parts at the
+    hypothesis inputs and bound points are computed once (see
+    :func:`_map_parts`), all left unmodified.  Each config then gets its own
+    maps and the checks run once for all configs (see :func:`_checks`).  A
+    fatal error (empty derivation space with ``on_empty: error``, divergent
+    control, nonconvergent iteration) is recorded in its report under its
+    code and forces ``all_passed`` to false.
     """
-    if not isinstance(config, ExperimentConfig):
-        config = load_config(config)
-    alg = config.algebra
-    mod, truth, chosen, margin, errors, notes = (
-        _shared.truth if _shared else _ground_truth(config))
-    # a sweep's points share one ground truth, but no report shares a list
-    errors, notes = copy.deepcopy(errors), copy.deepcopy(notes)
+    mod, truth, chosen, margin, errors, notes = _ground_truth(configs[0])
+    hypos, outcomes = [None] * len(configs), [None] * len(configs)
+    if not errors:
+        hypothesis, checks = _draw_points(configs[0])
+        bases = _bases(configs[0], mod, truth, chosen)
+        parts = _map_parts(configs[0], bases, hypothesis, checks)
+        maps = [_perturbed_maps(config, bases, parts) for config in configs]
+        hypos, outcomes = _checks(configs, mod, maps, hypothesis, checks, keep_traces)
+    return [_result(config, (margin, errors, notes), truth, chosen, hypo, outcome)
+            for config, hypo, outcome in zip(configs, hypos, outcomes)]
 
+
+def _result(config: ExperimentConfig, solve: tuple, truth, chosen: tuple, hypo,
+            outcome) -> RunResult:
+    """The unwritten :class:`RunResult` of ``config`` from its solve's
+    margin, errors and notes, its ground truth and twist maps, its
+    hypothesis report and its stabilization report or fatal error."""
+    margin, errors, notes = solve
+    # the points of a sweep share one ground truth, but no report shares a list
+    errors, notes = copy.deepcopy(errors), copy.deepcopy(notes)
     report: dict = {
         "config_echo": config.raw,
         "derivation": dict(margin),
@@ -571,54 +629,9 @@ def run_experiment(config, out_dir=None, write_files: bool = True, *,
         "notes": notes,
         "all_passed": False,
     }
-
-    stab = None
-    hypo = None
-    trace_paths: dict = {}
-    target_dir = Path(out_dir) if out_dir is not None else config.out_dir
-    writes = write_files and target_dir is not None
-    if not errors:
-        hypothesis_points, check_points = _shared.points if _shared else _draw_points(config)
-        parts = _shared.parts if _shared else {}
-        maps, made = [], {}
-        for name, base, out_norm in _bases(mod, truth, chosen):
-            spec = config.perturbations[name]
-            key = _map_key(base, spec, alg.norm_of, out_norm)
-            if (key, spec.theta, spec.p) not in made:
-                made[key, spec.theta, spec.p] = perturb_map(
-                    base, spec, in_norm=alg.norm_of, out_norm=out_norm, _parts=parts.get(key, ()))
-            maps.append(made[key, spec.theta, spec.p])
-        try:
-            if config.samples["hypothesis_tuples"] > 0:
-                hypo = check_hypothesis(
-                    *maps,
-                    config.control,
-                    mod,
-                    config.signs,
-                    lambda_grid=config.lambda_grid,
-                    samples=config.samples["hypothesis_tuples"],
-                    seed=config.seed,
-                    mode=config.mode,
-                    _points=hypothesis_points,
-                )
-            stab = direct_method_stabilize(
-                *maps,
-                config.control,
-                mod,
-                config.signs,
-                tol=config.tol,
-                mode=config.mode,
-                max_iter=config.max_iter,
-                seed=config.seed,
-                bound_points=config.samples["bound_points"],
-                identity_triples=config.samples["identity_triples"],
-                linearity_points=config.samples["linearity_points"],
-                keep_traces=writes,
-                _points=check_points,
-            )
-        except (DivergentControlError, NonConvergenceError) as exc:
-            errors.append({"code": exc.code, "message": str(exc)})
-
+    stab = outcome if isinstance(outcome, StabilizationReport) else None
+    if outcome is not None and stab is None:
+        errors.append({"code": outcome.code, "message": str(outcome)})
     if stab is not None:
         stab.hypothesis = hypo
         sigma, tau, xi = chosen
@@ -654,32 +667,49 @@ def run_experiment(config, out_dir=None, write_files: bool = True, *,
         }
         report["hypothesis"] = hypo.to_dict() if hypo is not None else None
         report["all_passed"] = stab.all_passed and not errors
+    return RunResult(config=config, report=report, all_passed=bool(report["all_passed"]),
+                     report_path=None, trace_paths={}, stabilization=stab)
 
-    report_path = None
+
+def run_experiment(config, out_dir=None, write_files: bool = True) -> RunResult:
+    """Full pipeline: solve ground truth, perturb, stabilize, verify, emit.
+
+    The report is written as JSON (plus one convergence CSV per map) when
+    ``write_files`` is set and an output directory is known.  Fatal errors
+    (empty derivation space with ``on_empty: error``, divergent control,
+    nonconvergent iteration) are recorded in the report under their codes
+    instead of propagating, and force ``all_passed`` to false.  A run that
+    writes no files keeps only the trace rows ``n <= 10`` (see
+    :func:`direct_method_stabilize`).  The report's ``derivation`` entry is
+    the solver's rank margin for the map candidate used.  One evaluator is
+    built per distinct perturbed map: maps with equal base matrices,
+    ``theta``, ``p``, directions, normalized vectors, norms and, for
+    ``hash``, seeds (see :func:`_map_key`) share it, so that the checks
+    evaluate it once.  This is the one-point case of a sweep's
+    :func:`_run_points`.
+    """
+    if not isinstance(config, ExperimentConfig):
+        config = load_config(config)
+    target_dir = Path(out_dir) if out_dir is not None else config.out_dir
+    writes = write_files and target_dir is not None
+    (result,) = _run_points([config], keep_traces=writes)
     if writes:
-        report_with_stamp = dict(report)
+        report_with_stamp = dict(result.report)
         report_with_stamp["timestamp"] = datetime.datetime.now(
             datetime.timezone.utc
         ).isoformat()
-        report_path = write_json(target_dir / "report.json", report_with_stamp)
+        result.report_path = write_json(target_dir / "report.json", report_with_stamp)
+        stab = result.stabilization
         # the four traces share their columns, so they are rendered together
         texts = ([None] * len(MAP_NAMES) if stab is None
                  else _trace_texts([stab.traces[name] for name in MAP_NAMES]))
         for name, text in zip(MAP_NAMES, texts):
             trace_path = target_dir / f"trace_{name}.csv"
             if text is not None:
-                trace_paths[name] = write_trace_csv(trace_path, text)
+                result.trace_paths[name] = write_trace_csv(trace_path, text)
             else:  # a previous run's traces must not pass for this run's
                 trace_path.unlink(missing_ok=True)
-
-    return RunResult(
-        config=config,
-        report=report,
-        all_passed=bool(report["all_passed"]),
-        report_path=report_path,
-        trace_paths=trace_paths,
-        stabilization=stab,
-    )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -725,47 +755,72 @@ def _sweep_point(config: ExperimentConfig, param: str, value: float) -> Experime
                    out_dir=None)
 
 
+def _point_rows(config: ExperimentConfig) -> int:
+    """The rows a point adds to the largest stack of a stacked check: its
+    hypothesis inputs, bound points, identity triples or ray rows, which a
+    run that writes no trace keeps to ``_RATE_ROWS + 2`` per ray."""
+    alg, samples = config.algebra, config.samples
+    lambdas = len(_lambda_grid(alg.field, config.lambda_grid))
+    return max(samples["hypothesis_tuples"] * (5 + lambdas), samples["bound_points"],
+               samples["identity_triples"],
+               (alg.dim + samples["linearity_points"]) * (_RATE_ROWS + 2))
+
+
+def _groups(points: list) -> list:
+    """``[start, end]`` of each run of consecutive points whose rows (see
+    :func:`_point_rows`) stay within ``_TUPLE_CHUNK`` together; a point
+    with more runs alone."""
+    groups, held = [], 0
+    for at, point in enumerate(points):
+        rows = _point_rows(point)
+        if groups and held + rows <= _TUPLE_CHUNK:
+            groups[-1][1], held = at + 1, held + rows
+        else:
+            groups.append([at, at + 1])
+            held = rows
+    return groups
+
+
 def run_sweep(config, param: str, values, out_csv=None) -> list:
     """One experiment per parameter value; one result row per point.
 
     Every point's config is built, and validated, before the first point
     runs, so a bad value raises its ``ConfigError`` before any work.  The
-    points share what no swept parameter reads: the algebra, the twist
-    maps, the self-module, solved ground truth and solver margin of one
-    solve per map candidate tried, one draw of the seeded samples of the
-    hypothesis, linearity, bound and identity checks, and each distinct
-    perturbed map's ``base(x)``, ``|x|`` and unit directions at the
-    hypothesis inputs and bound points (see :func:`_parts_at`), so that a
-    point's evaluator adds only ``theta |x|**p u(x)`` there.  All of it is
-    built before the first point, in one :class:`_Shared`, and left
-    unmodified (the arrays are read-only); nothing outlives the sweep.
-    Points then run one after another on the calling thread, in the order
-    of ``values``, each written to no file; each point's result equals the
-    standalone run of its config.
+    points then run in groups of consecutive points, in the order of
+    ``values``, whose stacked rows stay within ``_TUPLE_CHUNK`` (see
+    :func:`_groups`), each group in one :func:`_run_points` call on the
+    calling thread, writing no file.  A group shares what no swept
+    parameter reads: the algebra, the twist maps, the self-module, solved
+    ground truth and solver margin of one solve per map candidate tried,
+    one draw of the seeded samples of the hypothesis, linearity, bound and
+    identity checks, and each distinct perturbed map's ``base(x)``, ``|x|``
+    and unit directions at the hypothesis inputs and bound points (see
+    :func:`_parts_at`), so that a point's evaluator adds only ``theta
+    |x|**p u(x)`` there.  Its points run each check as one stacked pass, and
+    each point's result equals the standalone run of its config.  Nothing
+    outlives a group but its rows.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)
     values = [float(v) for v in values]
     points = [_sweep_point(config, param, v) for v in values]
-    shared = _sweep_shared(config) if points else None
-    results = [run_experiment(point, write_files=False, _shared=shared) for point in points]
-
     rows = []
-    for value, result in zip(values, results):
-        stab = result.stabilization
-        iterations = (
-            max(max(its) for its in stab.iterations.values()) if stab is not None else -1
-        )
-        rows.append(
-            {
-                "param": param,
-                "value": value,
-                "all_passed": result.all_passed,
-                "max_iterations": iterations,
-                "max_bound_violation": stab.max_bound_violation if stab else float("nan"),
-                "max_identity_residual": stab.max_identity_residual if stab else float("nan"),
-            }
-        )
+    for start, end in _groups(points):
+        for value, result in zip(values[start:end], _run_points(points[start:end])):
+            stab = result.stabilization
+            iterations = (
+                max(max(its) for its in stab.iterations.values()) if stab is not None else -1
+            )
+            rows.append(
+                {
+                    "param": param,
+                    "value": value,
+                    "all_passed": result.all_passed,
+                    "max_iterations": iterations,
+                    "max_bound_violation": stab.max_bound_violation if stab else float("nan"),
+                    "max_identity_residual": stab.max_identity_residual if stab else float("nan"),
+                }
+            )
 
     if out_csv is not None:
         lines = ([str(row[key]) for key in SWEEP_HEADER] for row in rows)

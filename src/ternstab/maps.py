@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _check_arguments, _trilinear
+from .algebra import _check_arguments, _joined, _trilinear
 from .errors import DimensionMismatch
 # product_* are only imported here: the traced benchmark wraps them at this module
 from .module import TernaryModule, product_abx, product_xab
@@ -171,16 +171,22 @@ def lie_derivation_residual(
             f"{deriv.out_dim}x{deriv.in_dim} and shapes {a.shape}, {b.shape}, {c.shape}"
         )
 
-    def apply(m, v):
-        return v @ m.matrix.T
+    return _residuals(mod, [(deriv, sigma, tau, xi)], a, b, c, signs)
 
-    def bracket(x, b, c):
-        return _bracket(mod, x, apply(tau, b), apply(xi, c), apply(sigma, c))
 
-    res = apply(deriv, _trilinear(alg._plan, a, b, c))
-    res = res - signs.s1 * bracket(apply(deriv, a), b, c)
-    res = res - signs.s2 * bracket(apply(deriv, b), a, c)
-    res = res - signs.s3 * bracket(apply(deriv, c), b, a)
+def _residuals(mod: TernaryModule, twists, a, b, c, signs: SignConvention) -> np.ndarray:
+    """:func:`lie_derivation_residual` at the triples ``a, b, c`` for each
+    ``(deriv, sigma, tau, xi)`` of ``twists``, stacked in that order along
+    the first axis: the product ``[abc]`` is taken once, each map is applied
+    to the triples on its own, and each bracket runs once over all of them,
+    so that each twist's rows keep the bits they have alone."""
+    def each(i, v) -> np.ndarray:
+        # map i of every twist, (deriv, sigma, tau, xi)[i], applied to v
+        return _joined([v @ maps[i].matrix.T for maps in twists])
+
+    res = each(0, _trilinear(mod.algebra._plan, a, b, c))
+    for sign, (u, v, w) in zip(signs.as_tuple(), ((a, b, c), (b, a, c), (c, b, a))):
+        res = res - sign * _bracket(mod, each(0, u), each(2, v), each(3, w), each(1, w))
     return res
 
 

@@ -60,9 +60,11 @@ class TernaryModule(_Space):
             if t.shape != shape:
                 raise DimensionMismatch(f"{name} has shape {t.shape}, expected {shape}")
             if t is self.algebra.structure:
-                # already a frozen copy: shared, with the algebra's plan
+                # already a frozen, finite copy: shared, with the algebra's plan
                 plan = self.algebra._plan
             else:
+                if not np.all(np.isfinite(t)):
+                    raise ValueError(f"{name} has non-finite entries")
                 t = t.copy()
                 t.setflags(write=False)
                 plan = _Plan.of(t)

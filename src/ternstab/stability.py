@@ -11,30 +11,38 @@ samples the defect inequalities themselves and reports violations as
 findings rather than failures.  Each group of seeded samples, the
 hypothesis tuples and the linearity, bound and identity points, is drawn in
 one pass, into read-only arrays that a sweep's points share, and each map
-is evaluated on all of a check's points in one stacked pass.
+is evaluated on all of a check's points in one stacked pass.  Both checks
+are the one-point case of a core that runs many points, such as a sweep's,
+on one draw: each point keeps its own ``phi`` values, map evaluations and
+stop searches, while the brackets, divisions, differences, norms and
+residuals run once over all points' rows, each point reading its own
+segment, with the bits each row has alone.
 """
 
 from __future__ import annotations
 
 import bisect
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-# ternary_product and product_* are only imported: the traced benchmark wraps them here
-from .algebra import (COMPLEX, _check_arguments, _norms_with, _random_vector, _trilinear,
-                      l2_norm, ternary_product)
-# cauchy_tail_bound is only imported: the traced benchmark wraps it here
-from .control import ControlFunction, _checked_phi, _tail, cauchy_tail_bound, summed_majorant
-from .errors import DimensionMismatch, NonConvergenceError
-from .maps import LinearMap, SignConvention, LIE_SIGNS, _bracket, lie_derivation_residual
+# ternary_product, product_*, cauchy_tail_bound, summed_majorant and
+# lie_derivation_residual are only imported: the traced benchmark wraps them here
+from .algebra import (COMPLEX, _check_arguments, _joined, _norms_with, _random_vector,
+                      _trilinear, l2_norm, ternary_product)
+from .control import (ControlFunction, _phis, _tail, cauchy_tail_bound, summed_majorant)
+from .errors import DimensionMismatch, DivergentControlError, NonConvergenceError
+from .maps import (LinearMap, SignConvention, LIE_SIGNS, _bracket, _residuals,
+                   lie_derivation_residual)
 from .module import TernaryModule, product_abx, product_xab
 
 #: hard iteration cap: 2**n stays inside double range with headroom
 ITERATION_CAP = 1000
 #: map kinds whose ``fn`` takes a whole ``(N, in_dim)`` stack
 _STACKED_KINDS = ("linear-plus-perturbation", "exact-linear")
+#: default threshold of the derivation identity's normalized residual
+_IDENTITY_TOL = 1e-8
 #: trace rows ``n <= _RATE_ROWS`` are all that ``_rate_estimate`` reads, and
 #: all that a run keeps when it writes no trace file
 _RATE_ROWS = 10
@@ -193,97 +201,139 @@ class _Layout:
     rated: list
 
 
-def _stack(xs, ks) -> tuple:
-    """The points ``2**k x``, for each row ``x`` of ``xs`` and each ``k`` of
-    its entry in ``ks``, and the ``2**k`` column; the four maps of a run
-    share it, so it is read-only."""
-    scale = np.ldexp(1.0, np.concatenate(ks))[:, None]
+def _stack(xs, ks, counts) -> tuple:
+    """The points ``2**k x``, for each row ``x`` of ``xs`` repeated its
+    entry of ``counts`` times and the ``k`` of ``ks`` in turn, and the
+    ``2**k`` column; the four maps of a run share it, so it is read-only."""
+    scale = np.ldexp(1.0, np.asarray(ks, dtype=np.intp))[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        points = np.repeat(xs, [len(k) for k in ks], axis=0) * scale
+        points = np.repeat(xs, counts, axis=0) * scale
     points.flags.writeable = False
     return points, scale
 
 
-def _ray_layout(control, xs, tol, max_iter, traced, trace_rows=None) -> _Layout:
+def _heads(controls, xs) -> list:
+    """Per control, ``h = phi(x, x, 0, ...) / 2`` at each row of the float
+    stack ``xs`` as a list, from :func:`_phis` (the norms of ``xs`` taken
+    once), or the :class:`DivergentControlError` of a control that breaks
+    its ratio there."""
+    zeros = (np.zeros(xs.shape[1], dtype=xs.dtype),) * (controls[0].arity - 2)
+    return [phi if isinstance(phi, DivergentControlError) else (phi / 2.0).tolist()
+            for phi in _phis(controls, (xs, xs, *zeros), checked=True)]
+
+
+def _ray_layout(control, xs, tol, max_iter, traced, trace_rows=None, heads=None) -> _Layout:
     """The :class:`_Layout` of the rays at the rows ``x`` of an ``(P, d)``
     stack ``xs``, ray ``r`` traced if ``traced[r]``.  A ray reads ``x``, its
     stop row (or row ``min(max_iter, 1000)`` when no row stops) and its
     traced rows, ``n <= trace_rows`` when that is set.  A ray's bounds depend
-    on ``x`` only through ``h = phi(x, x, 0, ...) / 2``, evaluated (and a
-    custom ratio checked) for all rays in one call, so the stop is searched
-    once per distinct ``h``; a zero ``x`` stops at 0.  The traced rows' ray
-    index, ``n`` and tail bound columns are built here, once for every map
-    of the run, and so are the indexes of the rows ``_rate_estimate`` reads.
-    Its callers have checked ``tol`` and ``max_iter``."""
+    on ``x`` only through ``h = phi(x, x, 0, ...) / 2``, given per ray in
+    ``heads`` or else found here by :func:`_heads` (a custom ratio checked),
+    so the stop is searched once per distinct ``h``; a zero ``x`` stops at
+    0.  The traced rows' ray index, ``n`` and tail bound columns are built
+    here, once for every map of the run, and so are the indexes of the rows
+    ``_rate_estimate`` reads.  Its callers have checked ``tol`` and
+    ``max_iter``."""
     xs = np.asarray(xs)
+    xs = np.asarray(xs, dtype=np.result_type(xs.dtype, np.float64))
+    if heads is None:
+        (heads,) = _heads([control], xs)
+        if isinstance(heads, DivergentControlError):
+            raise heads
     limit = min(int(max_iter), ITERATION_CAP)
-    xn = np.array(xs, dtype=np.result_type(xs.dtype, np.float64))
-    zeros = (np.zeros(xn.shape[1], dtype=xn.dtype),) * (control.arity - 2)
-    heads = (_checked_phi(control, (xn, xn, *zeros)) / 2.0).tolist()
     searched, tails_of = {}, {}
-    stops, rows, counts, tails = [], [], [], []
-    for x, h, wanted in zip(xn, heads, traced):
-        if x.any() and h not in searched:
-            searched[h] = _a_priori_stop(control, h, tol, limit)
+    stops, ends, rows, counts, tails = [], [], [], [], []
+    for moved, h, wanted in zip(xs.any(axis=1).tolist(), heads, traced):
         # a zero x is not searched: it stops at 0
-        stop = searched[h] if x.any() else 0
+        if moved and h not in searched:
+            searched[h] = _a_priori_stop(control, h, tol, limit)
+        stop = searched[h] if moved else 0
         end = limit if stop is None else stop
         count = 0 if not wanted else end if trace_rows is None else min(end, trace_rows)
         if count and h not in tails_of:
             tails_of[h] = [_tail(control, h, k) for k in range(1, count + 1)]
-        ray = np.arange(1, end + 1)
         stops.append(stop)
-        rows.append(ray if count == end else np.append(ray[:count], end))
+        ends.append(end)
+        rows.append(range(1, end + 1) if count == end else [*range(1, count + 1), end])
         counts.append(count)
         tails.append(tails_of.get(h))
-    sizes = np.array([len(r) + 1 for r in rows])
+    sizes = [len(r) + 1 for r in rows]
     last = np.cumsum(sizes) - 1
     start = last - sizes + 1
-    current = np.concatenate([np.arange(s + 1, s + c + 1) for s, c in zip(start, counts)])
+    # each ray's k: 0 (x itself), its traced rows 1..count, then its end
+    ks = np.arange(sum(sizes)) - np.repeat(start, sizes)
+    ks[last] = ends
+    current = np.flatnonzero((ks >= 1) & (ks <= np.repeat(counts, sizes)))
     columns = ([r for r, c in enumerate(counts) for _ in range(c)],
                [n for c in counts for n in range(1, c + 1)],
                [t for tail, c in zip(tails, counts) if c for t in tail[:c]])
     rated = [j for j, n in enumerate(columns[1]) if 3 <= n <= _RATE_ROWS]
-    return _Layout(limit, stops, rows, counts, tails,
-                   *_stack(xn, [np.append(0, r) for r in rows]), start, last, current,
-                   columns, rated)
+    return _Layout(limit, stops, rows, counts, tails, *_stack(xs, ks, sizes), start, last,
+                   current, columns, rated)
 
 
 def _hyers_limits(f, layout: _Layout, out_norm=None) -> tuple:
-    """:func:`hyers_limit` for every ray of ``layout``, from one
-    :meth:`EvaluableMap.evaluate_stack` call on its stack.
+    """:func:`hyers_limit` for every ray of ``layout``: the one-member case
+    of :func:`_stacked_limits`."""
+    return _stacked_limits([(f, layout)], out_norm)[0]
 
-    Returns, per ray, ``(limit, n)`` or the :class:`NonConvergenceError`
-    that the ray alone raises, and the map's trace: rows ``(ray index, n,
-    successive_difference, tail_bound)``, ray by ray.  When every ray stops
-    and every row is finite, each limit is read at the ray's last row,
-    every traced difference comes from one norm call, and the trace is one
-    ``zip`` of the layout's shared columns with those differences.
-    Otherwise each ray is read alone: a ray with a row that is not finite
-    is evaluated again, whole, in one more stack shared by such rays, which
-    leaves the other rays' outcomes alone, and a ray with no stop fails at
-    the cap; a ray's trace then ends before its first row that is not
-    finite.
+
+def _stacked_limits(members, out_norm=None) -> list:
+    """:func:`hyers_limit` for every ray of each ``(f, layout)`` of
+    ``members``, from one :meth:`EvaluableMap.evaluate_stack` call per
+    member on its layout's stack.
+
+    Returns, per member, per ray ``(limit, n)`` or the
+    :class:`NonConvergenceError` that the ray alone raises, and the map's
+    trace: rows ``(ray index, n, successive_difference, tail_bound)``, ray
+    by ray.  The division by ``2**k`` runs once for all members.  A member
+    whose every ray stops and every row is finite reads each limit at the
+    ray's last row, its traced differences come from one norm call for all
+    such members, and its trace is one ``zip`` of the layout's shared
+    columns with them.  Any other member's rays are read alone: a ray with a
+    row that is not finite is evaluated again, whole, in one more stack
+    shared by such rays, and a ray with no stop fails at the cap; a ray's
+    trace then ends before its first row that is not finite.
     """
+    sizes = [len(layout.scale) for _, layout in members]
+    starts = np.cumsum(sizes) - sizes
     # the norms recompute rows whose squares overflow, and a row that leaves
     # double range is reported or dropped, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = f.evaluate_stack(layout.points) / layout.scale
-    if None not in layout.stops and np.isfinite(scaled).all():
-        current = layout.current
+        scaled = (_joined([f.evaluate_stack(layout.points) for f, layout in members])
+                  / _joined([layout.scale for _, layout in members]))
+    finite = np.logical_and.reduceat(np.isfinite(scaled).all(axis=1), starts)
+    fast = [i for i, (_, layout) in enumerate(members) if finite[i] and None not in layout.stops]
+    if fast:
+        current = _joined([starts[i] + members[i][1].current for i in fast])
         diffs = _norms_with(out_norm, scaled[current] - scaled[current - 1]).tolist()
+        limits = scaled[_joined([starts[i] + members[i][1].last for i in fast])]
+    out, read, taken = [None] * len(members), 0, 0
+    for i in fast:
+        layout = members[i][1]
         rays, ns, tails = layout.columns
-        return ([(scaled[i].copy(), n) for i, n in zip(layout.last, layout.stops)],
-                list(zip(rays, ns, diffs, tails)))
+        count, size = len(layout.current), len(layout.last)
+        out[i] = (list(zip(limits[taken : taken + size], layout.stops)),
+                  list(zip(rays, ns, diffs[read : read + count], tails)))
+        read, taken = read + count, taken + size
+    for i, (f, layout) in enumerate(members):
+        if out[i] is None:
+            out[i] = _ray_outcomes(f, layout, scaled[starts[i] : starts[i] + sizes[i]], out_norm)
+    return out
 
+
+def _ray_outcomes(f, layout: _Layout, scaled, out_norm) -> tuple:
+    """:func:`_stacked_limits` of one member read ray by ray, from its
+    scaled values ``scaled``."""
     traces = [[] for _ in layout.rows]
     outcomes = [_ray_outcome(layout, r, scaled[i : j + 1], rows, out_norm, traces[r])
                 for r, (i, j, rows) in enumerate(zip(layout.start, layout.last, layout.rows))]
     again = [r for r, outcome in enumerate(outcomes) if outcome is None]
     if again:
-        ks = [np.arange(1, layout.rows[r][-1] + 1) for r in again]
+        ks = [range(1, layout.rows[r][-1] + 1) for r in again]
         # row start[r] of the stack is x itself
-        points, scale = _stack(layout.points[layout.start[again]], ks)
+        points, scale = _stack(layout.points[layout.start[again]], [k for ray in ks for k in ray],
+                               [len(k) for k in ks])
         with np.errstate(over="ignore", invalid="ignore"):
             whole = f.evaluate_stack(points) / scale
         for r, rows, part in zip(again, ks, np.split(whole, np.cumsum([len(k) for k in ks])[:-1])):
@@ -342,7 +392,11 @@ class HypothesisReport:
     worst: dict | None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a dict that shares no mutable object with the report."""
+        out = dict(vars(self))
+        if self.worst is not None:
+            out["worst"] = {**self.worst, "lambda": list(self.worst["lambda"])}
+        return out
 
 
 def _lambda_grid(field_tag: str, count: int):
@@ -461,28 +515,47 @@ def check_hypothesis(
     ``x, y, u`` (and ``v, w`` in ``lie`` mode) per sample, and evaluated
     together: each distinct map object (``g``, ``h`` and ``k`` may be one)
     and each side of ``phi`` once on one stack, the residuals and slacks as
-    ``(samples, lambdas, 4)``.  A sweep draws them once and passes them to
-    each point as ``_points``.  A ``samples`` or
+    ``(samples, lambdas, 4)``.  A caller that has drawn them passes them as
+    ``_points``.  A ``samples`` or
     ``seed`` that is not a nonnegative integer, a ``lambda_grid`` that is
     not an integer of at least 2, or a ``mode`` other than ``lie`` and
     ``jordan`` raises ``ValueError`` before any map is evaluated.
     """
+    return _check_hypotheses([(f, g, h, k, control)], mod, signs, lambda_grid, samples, seed,
+                             mode, _points)[0]
+
+
+def _check_hypotheses(runs, mod: TernaryModule, signs: SignConvention, lambda_grid: int,
+                      samples: int, seed: int, mode: str, points=None) -> list:
+    """:func:`check_hypothesis` of each ``(f, g, h, k, control)`` of
+    ``runs``, all on one draw of the points: the report of each, equal to its
+    own call's.  Each control's ``phi`` comes from :func:`_phis`, so equal
+    norms of the drawn arguments are taken once, and each distinct map is
+    evaluated once per input on its own rows.  The brackets, the residual
+    norms and the slacks then run once over all runs' samples stacked, and
+    each run's report reads its own segment of them."""
     _check_arguments(mode=mode, samples=samples, seed=seed, lambda_grid=lambda_grid)
     alg = mod.algebra
-    if _points is None:
-        _points = _hypothesis_points(alg, samples, seed, mode, lambda_grid)
-    lams = _points.lams
+    if points is None:
+        points = _hypothesis_points(alg, samples, seed, mode, lambda_grid)
+    lams = points.lams
     lam_col = lams[:, None]
-    args = tuple(np.moveaxis(_points.drawn, 1, 0))
+    args = tuple(np.moveaxis(points.drawn, 1, 0))
     zeros = (np.zeros(alg.dim, dtype=alg.dtype),) * (len(args) - 2)
-    phi = np.stack([control.evaluate(*args), *[control.evaluate(*args[:2], *zeros)] * 3],
-                   axis=-1)[:, None]
-    inputs = ((f, _points.f_input), *((m, _points.shared_input) for m in (g, h, k)))
+    controls = [run[4] for run in runs]
+    main = np.array(_phis(controls, args)).reshape(len(runs), samples)
+    side = np.array(_phis(controls, (*args[:2], *zeros))).reshape(len(runs), samples)
+    phi = np.stack([main, side, side, side], axis=-1).reshape(-1, 1, 4)
     at = {}  # one evaluation per distinct map and input: g, h and k may be one map
-    for m, xs in inputs:
-        if (m, id(xs)) not in at:
-            at[m, id(xs)] = m.evaluate_stack(xs).reshape(samples, 5 + len(lams), m.out_dim)
-    f_at, g_at, h_at, k_at = (at[m, id(xs)] for m, xs in inputs)
+    for run in runs:
+        for m, xs in zip(run[:4], (points.f_input,) + (points.shared_input,) * 3):
+            if (m, id(xs)) not in at:
+                at[m, id(xs)] = m.evaluate_stack(xs).reshape(samples, 5 + len(lams), m.out_dim)
+    f_at, g_at, h_at, k_at = (
+        _joined([at[run[n], id(points.f_input if n == 0 else points.shared_input)]
+                 for run in runs])
+        for n in range(4))
+    at.clear()  # joined above, when there are several runs
     bracket_sum = (
         signs.s1 * _bracket(mod, f_at[:, 2], h_at[:, 3], k_at[:, 4], g_at[:, 4])
         + signs.s2 * _bracket(mod, f_at[:, 3], h_at[:, 2], k_at[:, 4], g_at[:, 4])
@@ -493,31 +566,40 @@ def check_hypothesis(
     res = np.stack([mod.norms_of(defects[0] - bracket_sum[:, None])]
                    + [alg.norms_of(defect) for defect in defects[1:]], axis=-1)
     slack = phi - res
-    # the first strict minimum in C order, as a running minimum finds it: a
-    # NaN slack is never one, and the appended inf stands for none at all
-    ranked = np.append(np.where(np.isnan(slack), np.inf, slack), np.inf)
-    first = int(np.argmin(ranked))
-    worst = None
-    if ranked[first] < np.inf:
-        index, j, which = np.unravel_index(first, slack.shape)
-        worst = {
-            "inequality": ("main", "g", "h", "k")[which],
-            "sample": int(index),
-            "lambda": [float(np.real(lams[j])), float(np.imag(lams[j]))],
-            "residual": float(res[index, j, which]),
-            "phi": float(phi[index, 0, which]),
-            "slack": float(ranked[first]),
-        }
-
-    return HypothesisReport(
-        mode=mode,
-        tuples_checked=samples,
-        lambda_count=len(lams),
-        max_residual=float(np.fmax.reduce(res, axis=None, initial=0.0)),
-        min_slack=float(ranked[first]),
-        violations=int(np.count_nonzero(slack < -1e-12 * (1.0 + phi))),
-        worst=worst,
-    )
+    # per run, the first strict minimum in C order, as a running minimum
+    # finds it: a NaN slack is never one, and the appended inf stands for
+    # none at all
+    ranked = np.where(np.isnan(slack), np.inf, slack).reshape(len(runs), -1)
+    ranked = np.concatenate([ranked, np.full((len(runs), 1), np.inf)], axis=1)
+    firsts = np.argmin(ranked, axis=1).tolist()
+    maxima = np.fmax.reduce(res.reshape(len(runs), -1), axis=1, initial=0.0).tolist()
+    violations = np.count_nonzero((slack < -1e-12 * (1.0 + phi)).reshape(len(runs), -1),
+                                  axis=1).tolist()
+    reports = []
+    for run, first in enumerate(firsts):
+        least = float(ranked[run, first])
+        worst = None
+        if least < np.inf:
+            index, j, which = np.unravel_index(first, (samples, len(lams), 4))
+            row = run * samples + index
+            worst = {
+                "inequality": ("main", "g", "h", "k")[which],
+                "sample": int(index),
+                "lambda": [float(np.real(lams[j])), float(np.imag(lams[j]))],
+                "residual": float(res[row, j, which]),
+                "phi": float(phi[row, 0, which]),
+                "slack": least,
+            }
+        reports.append(HypothesisReport(
+            mode=mode,
+            tuples_checked=samples,
+            lambda_count=len(lams),
+            max_residual=maxima[run],
+            min_slack=least,
+            violations=violations[run],
+            worst=worst,
+        ))
+    return reports
 
 
 @dataclass
@@ -598,7 +680,7 @@ def direct_method_stabilize(
     bound_points: int = 100,
     identity_triples: int = 100,
     linearity_points: int = 5,
-    identity_tol: float = 1e-8,
+    identity_tol: float = _IDENTITY_TOL,
     keep_traces: bool = True,
     *,
     _points: _CheckPoints | None = None,
@@ -649,99 +731,151 @@ def direct_method_stabilize(
     rows ``n <= 10`` that ``convergence_rates`` reads.
 
     The seeded points of the three checks are drawn by
-    :func:`_check_points`, each group in one call; a sweep draws them once
-    and passes them to each point as ``_points``.
+    :func:`_check_points`, each group in one call; a caller that has drawn
+    them passes them as ``_points``.
     """
-    _check_arguments(positive=("tol",), tol=tol, identity_tol=identity_tol, mode=mode,
-                     max_iter=max_iter, seed=seed, bound_points=bound_points,
-                     identity_triples=identity_triples, linearity_points=linearity_points)
+    outcome, = _stabilize([((f, g, h, k), control, tol)], mod, signs, mode, max_iter, seed,
+                          bound_points, identity_triples, linearity_points, identity_tol,
+                          keep_traces, _points)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _stabilize(runs, mod: TernaryModule, signs: SignConvention, mode: str, max_iter: int,
+               seed: int, bound_points: int, identity_triples: int, linearity_points: int,
+               identity_tol: float = _IDENTITY_TOL, keep_traces: bool = True,
+               points: _CheckPoints | None = None) -> list:
+    """:func:`direct_method_stabilize` of each ``((f, g, h, k), control,
+    tol)`` of ``runs``, all on one draw of the points.
+
+    Returns, per run, its report or the :class:`DivergentControlError` or
+    :class:`NonConvergenceError` that its own call raises; the ``f(0)``
+    check raises as the first run's would.  Each run has its own layout,
+    stop searches and map evaluations, and ``phi`` comes from
+    :func:`_phis`, so equal norms are taken once.  The limits of all runs'
+    maps of one output norm (see :func:`_stacked_limits`), the norms of the
+    linearity and bound gaps and the identity residuals at the shared
+    triples each run once, and each run reads its own segment.
+    """
+    for _, _, tol in runs:
+        _check_arguments(positive=("tol",), tol=tol, identity_tol=identity_tol, mode=mode,
+                         max_iter=max_iter, seed=seed, bound_points=bound_points,
+                         identity_triples=identity_triples, linearity_points=linearity_points)
     alg = mod.algebra
-    if _points is None:
-        _points = _check_points(alg, seed, linearity_points, bound_points, identity_triples,
-                                mode)
-    xs = _points.linearity
-    # the basis rays, traced, then the linearity rays: one layout for the four maps
-    layout = _ray_layout(control, np.concatenate([alg.basis(), xs]), tol, max_iter,
-                         [True] * alg.dim + [False] * len(xs),
-                         None if keep_traces else _RATE_ROWS)
-    zeros = (np.zeros(alg.dim, dtype=alg.dtype),) * (control.arity - 2)
-    points = _points.bounds
-    phi_values = summed_majorant(control, (points, points) + zeros).tolist()
-    named = (("f", f, mod.norm_of), ("g", g, alg.norm_of), ("h", h, alg.norm_of),
-             ("k", k, alg.norm_of))
-    distinct = list(dict.fromkeys((m, out_norm) for _, m, out_norm in named))
-    checked = set()
-    for name, m, _ in named:
-        if m not in checked:
-            checked.add(m)
+    if points is None:
+        points = _check_points(alg, seed, linearity_points, bound_points, identity_triples,
+                               mode)
+    xs, bounds = points.linearity, points.bounds
+    controls = [control for _, control, _ in runs]
+    # the basis rays, traced, then the linearity rays: one layout for the four maps of a run
+    rays = np.concatenate([alg.basis(), xs])
+    zeros = (np.zeros(alg.dim, dtype=alg.dtype),) * (controls[0].arity - 2)
+    traced = [True] * alg.dim + [False] * len(xs)
+    outcomes, layouts, majorants, named = [None] * len(runs), {}, {}, {}
+    for at, (run, heads, phi) in enumerate(zip(runs, _heads(controls, rays),
+                                               _phis(controls, (bounds, bounds, *zeros), True))):
+        maps, control, tol = run
+        outcomes[at] = next((v for v in (heads, phi) if isinstance(v, DivergentControlError)),
+                            None)
+        if outcomes[at] is not None:
+            continue
+        layouts[at] = _ray_layout(control, rays, tol, max_iter, traced,
+                                  None if keep_traces else _RATE_ROWS, heads)
+        majorants[at] = (phi / (2.0 * (1.0 - control.ratio))).tolist()
+        named[at] = tuple(zip("fghk", maps, (mod.norm_of,) + (alg.norm_of,) * 3))
+        for m in dict.fromkeys(maps):
             if not l2_norm(m(np.zeros(m.in_dim, dtype=alg.dtype))) <= 1e-12:
-                raise ValueError(f"{name}(0) != 0; the direct method requires it")
+                raise ValueError(f"{'fghk'[maps.index(m)]}(0) != 0; the direct method requires it")
+    # per run, each distinct map with its output norm: names that share
+    # both share its outcomes, recovered matrix and gaps
+    keys = {at: [(at, m, out_norm) for m, out_norm in
+                 dict.fromkeys((m, out_norm) for _, m, out_norm in maps)]
+            for at, maps in named.items()}
+    by_norm, limits, recovered, fresh = {}, {}, {}, {}
+    for key in (key for mine in keys.values() for key in mine):
+        by_norm.setdefault(key[2], []).append(key)
+    for out_norm, group in by_norm.items():
+        found = _stacked_limits([(m, layouts[at]) for at, m, _ in group], out_norm)
+        for (at, m, out_norm), (outcomes_of, rows) in zip(group, found):
+            basis, fresh[at, m, out_norm] = outcomes_of[: alg.dim], outcomes_of[alg.dim :]
+            failed = [(i, o) for i, o in enumerate(basis) if isinstance(o, NonConvergenceError)]
+            # a basis vector whose limit fails gets a zero column
+            for i, o in failed:
+                basis[i] = np.zeros(m.out_dim, dtype=alg.dtype), o.iterations or 0
+            recovered[at, m, out_norm] = LinearMap(np.column_stack([col for col, _ in basis]))
+            limits[at, m, out_norm] = rows, failed, [n for _, n in basis]
 
-    limits, recovered, fresh = {}, {}, {}
-    for key in distinct:
-        m, out_norm = key
-        outcomes, rows = _hyers_limits(m, layout, out_norm)
-        basis, fresh[key] = outcomes[: alg.dim], outcomes[alg.dim :]
-        failed = [(i, outcome) for i, outcome in enumerate(basis)
-                  if isinstance(outcome, NonConvergenceError)]
-        # a basis vector whose limit fails gets a zero column
-        for i, outcome in failed:
-            basis[i] = np.zeros(m.out_dim, dtype=alg.dtype), outcome.iterations or 0
-        recovered[key] = LinearMap(np.column_stack([col for col, _ in basis]))
-        limits[key] = rows, failed, [n for _, n in basis]
-    traces, iterations, failures = {}, {}, []
-    for name, m, out_norm in named:
-        rows, failed, its = limits[m, out_norm]
-        traces[name], iterations[name] = list(rows), list(its)
-        failures += [{"map": name, "basis_index": i, "code": outcome.code,
-                      "message": str(outcome)} for i, outcome in failed]
-    deriv, sigma, tau, xi = (recovered[m, out_norm] for _, m, out_norm in named)
+    # linearity: in a run whose basis converged, the first failure in point
+    # order, then map order; a name that repeats a map repeats its outcomes
+    gaps = {}
+    for at, maps in named.items():
+        if any(limits[at, m, out_norm][1] for _, m, out_norm in maps):
+            continue
+        found = (o for by_map in zip(*(fresh[key] for key in keys[at])) for o in by_map)
+        outcomes[at] = next((o for o in found if isinstance(o, NonConvergenceError)), None)
+        if outcomes[at] is None:
+            gaps[at] = [(key[2], recovered[key].apply(xs) - np.reshape(
+                [value for value, _ in fresh[key]], (-1, key[1].out_dim))) for key in keys[at]]
+    linearity = {at: np.max(norms, initial=0.0) for at, norms in _split_norms(gaps).items()}
+    live = [at for at in named if outcomes[at] is None]
+    gaps = {at: [(key[2], key[1].evaluate_stack(bounds) - recovered[key].apply(bounds))
+                 for key in keys[at]] for at in live}
+    violations = {at: np.max(np.subtract(norms, majorants[at])) if bound_points else 0.0
+                  for at, norms in _split_norms(gaps).items()}
+    identity = []
+    if live:
+        a, b, c = points.identity
+        twists = [[recovered[at, m, out_norm] for _, m, out_norm in named[at]] for at in live]
+        res = mod.norms_of(_residuals(mod, twists, a, b, c, signs)).reshape(len(live), len(a))
+        scale = 1.0 + alg.norms_of(a) * alg.norms_of(b) * alg.norms_of(c)
+        identity = np.max(res / scale, axis=1, initial=0.0).tolist()
 
-    linearity_max = 0.0
-    if not failures:
-        # the first failure in point order, then map order; a name that
-        # repeats a map repeats its outcomes
-        for outcome in (o for by_map in zip(*fresh.values()) for o in by_map):
-            if isinstance(outcome, NonConvergenceError):
-                raise outcome
-        gaps = [_norms_with(out_norm, recovered[m, out_norm].apply(xs)
-                            - np.reshape([value for value, _ in fresh[m, out_norm]],
-                                         (-1, m.out_dim)))
-                for m, out_norm in distinct]
-        # np.max, unlike max(), keeps a NaN
-        linearity_max = np.max(gaps, initial=0.0)
+    for at, max_identity in zip(live, identity):
+        layout, rates = layouts[at], {}
+        for _, m, out_norm in named[at]:
+            # a trace as long as the layout's columns has all of their rows;
+            # a ray cut short by a row that is not finite leaves a shorter one
+            rows = limits[at, m, out_norm][0]
+            if (m, out_norm) not in rates:
+                rates[m, out_norm] = _rate_estimate([rows[j] for j in layout.rated] if len(rows)
+                                                    == len(layout.current) else rows)
+        deriv, sigma, tau, xi = (recovered[at, m, out_norm] for _, m, out_norm in named[at])
+        outcomes[at] = StabilizationReport(
+            derivation=deriv,
+            sigma=sigma,
+            tau=tau,
+            xi=xi,
+            mode=mode,
+            tol=float(runs[at][2]),
+            identity_tol=float(identity_tol),
+            iterations={name: list(limits[at, m, o][2]) for name, m, o in named[at]},
+            traces={name: list(limits[at, m, o][0]) for name, m, o in named[at]},
+            convergence_rates={name: rates[m, o] for name, m, o in named[at]},
+            phi_tilde_values=majorants[at],
+            max_bound_violation=float(violations[at]),
+            bound_points=bound_points,
+            max_identity_residual=float(max_identity),
+            identity_triples=identity_triples,
+            linearity_max=float(linearity.get(at, 0.0)),
+            linearity_points=linearity_points,
+            failures=[{"map": name, "basis_index": i, "code": o.code, "message": str(o)}
+                      for name, m, out_norm in named[at] for i, o in limits[at, m, out_norm][1]],
+        )
+    return outcomes
 
-    gaps = [_norms_with(out_norm, m.evaluate_stack(points) - recovered[m, out_norm].apply(points))
-            for m, out_norm in distinct]
-    max_violation = np.max(np.subtract(gaps, phi_values)) if bound_points else 0.0
 
-    a, b, c = _points.identity
-    res = mod.norms_of(lie_derivation_residual(mod, deriv, a, b, c, sigma, tau, xi, signs))
-    scale = 1.0 + alg.norms_of(a) * alg.norms_of(b) * alg.norms_of(c)
-    max_identity = float(np.max(res / scale, initial=0.0))
+def _split_norms(gaps: dict) -> dict:
+    """Per run, the norms of its ``(out_norm, rows)`` gaps, in order: the
+    rows of each output norm stacked over all runs and normed in one call."""
+    grouped = {}
+    for at, pairs in gaps.items():
+        for j, (out_norm, rows) in enumerate(pairs):
+            grouped.setdefault(out_norm, []).append((at, j, rows))
+    norms = {at: [None] * len(pairs) for at, pairs in gaps.items()}
+    for out_norm, members in grouped.items():
+        found, end = _norms_with(out_norm, _joined([rows for _, _, rows in members])), 0
+        for at, j, rows in members:
+            norms[at][j], end = found[end : end + len(rows)], end + len(rows)
+    return norms
 
-    # a trace as long as the layout's columns has all of their rows; a ray
-    # cut short by a row that is not finite leaves a shorter one
-    rates = {name: _rate_estimate([rows[j] for j in layout.rated]
-                                  if len(rows) == len(layout.current) else rows)
-             for name, rows in traces.items()}
-    return StabilizationReport(
-        derivation=deriv,
-        sigma=sigma,
-        tau=tau,
-        xi=xi,
-        mode=mode,
-        tol=float(tol),
-        identity_tol=float(identity_tol),
-        iterations=iterations,
-        traces=traces,
-        convergence_rates=rates,
-        phi_tilde_values=phi_values,
-        max_bound_violation=float(max_violation),
-        bound_points=bound_points,
-        max_identity_residual=float(max_identity),
-        identity_triples=identity_triples,
-        linearity_max=float(linearity_max),
-        linearity_points=linearity_points,
-        failures=failures,
-    )

@@ -66,8 +66,8 @@ MUTATIONS = [
     ),
     Mutation(
         "duplicate-arguments-summed-once", "control.py",
-        "        for row in zip(*(norms[i] for i in first if i in norms)):\n",
-        "        for row in zip(*(norms[i] for i in distinct)):\n",
+        "    return list(zip(*(norms[i] for i in first if i in norms)))\n",
+        "    return list(zip(*(norms[i] for i in distinct)))\n",
         ("tests/test_control.py", "-k", "StackedArguments"),
     ),
     Mutation(
@@ -93,6 +93,18 @@ MUTATIONS = [
         "            runs.append(leads[start:n])\n",
         "            runs.append(leads[start:n - 1])\n",
         ("tests/test_laws.py",),
+    ),
+    Mutation(
+        "stacked-segment-shifted-by-one-row", "stability.py",
+        "            norms[at][j], end = found[end : end + len(rows)], end + len(rows)\n",
+        "            norms[at][j], end = found[end : end + len(rows)], end + len(rows) + 1\n",
+        ("tests/test_harness.py", "-k", "Sweep"),
+    ),
+    Mutation(
+        "stacked-phi-of-the-first-point", "stability.py",
+        "    controls = [run[4] for run in runs]\n",
+        "    controls = [runs[0][4]] * len(runs)\n",
+        ("tests/test_harness.py", "-k", "Sweep"),
     ),
 ]
 

@@ -504,7 +504,7 @@ class TestSweep:
         def no_work(*args, **kwargs):
             raise AssertionError("the sweep started work")
 
-        monkeypatch.setattr(harness, "run_experiment", no_work)
+        monkeypatch.setattr(harness, "_run_points", no_work)
         monkeypatch.setattr(harness, "solve_exact_derivations", no_work)
         with pytest.raises(ConfigError) as swept:
             ts.run_sweep(raw, param, values)
@@ -592,32 +592,47 @@ def _bits(value) -> bytes:
     return np.asarray(value).tobytes()
 
 
+def _recording_points(monkeypatch) -> list:
+    """Patch ``harness._run_points`` so that the results of every point it
+    runs are appended, in order, to the list returned."""
+    run_points, results = harness._run_points, []
+
+    def recording(configs, *args, **kwargs):
+        found = run_points(configs, *args, **kwargs)
+        results.extend(found)
+        return found
+
+    monkeypatch.setattr(harness, "_run_points", recording)
+    return results
+
+
 def _assert_points_equal_standalone_runs(monkeypatch, raw, param, values):
     """Each point of a sweep of ``param`` over ``values``: its row, recovered
     matrices, traces and report, equal to the standalone run of its config."""
-    run, results = harness.run_experiment, []
-
-    def recording(config, *args, **kwargs):
-        result = run(config, *args, **kwargs)
-        results.append(result)
-        return result
-
-    monkeypatch.setattr(harness, "run_experiment", recording)
-    rows = ts.run_sweep(raw, param, values)
+    with monkeypatch.context() as patch:
+        results = _recording_points(patch)
+        rows = ts.run_sweep(raw, param, values)
+    run = harness.run_experiment
     assert len(results) == len(rows) == len(values)
     for value, row, result in zip(values, rows, results):
         alone = run(harness._sweep_config(raw, param, value), write_files=False)
         assert row["value"] == value and result.config.raw == alone.config.raw
         stab, swept = alone.stabilization, result.stabilization
         assert row["all_passed"] == alone.all_passed
-        assert row["max_iterations"] == max(max(its) for its in stab.iterations.values())
-        assert row["max_bound_violation"] == stab.max_bound_violation
-        assert row["max_identity_residual"] == stab.max_identity_residual
-        for name in ("derivation", "sigma", "tau", "xi"):
-            assert _bits(getattr(swept, name).matrix) == _bits(getattr(stab, name).matrix)
-        assert swept.traces.keys() == stab.traces.keys()
-        for name, trace in stab.traces.items():
-            assert _bits(swept.traces[name]) == _bits(trace)
+        if stab is None:
+            # a fatal error, such as a linearity ray that does not converge
+            assert swept is None and row["max_iterations"] == -1
+            assert math.isnan(row["max_bound_violation"])
+            assert math.isnan(row["max_identity_residual"])
+        else:
+            assert row["max_iterations"] == max(max(its) for its in stab.iterations.values())
+            assert row["max_bound_violation"] == stab.max_bound_violation
+            assert row["max_identity_residual"] == stab.max_identity_residual
+            for name in ("derivation", "sigma", "tau", "xi"):
+                assert _bits(getattr(swept, name).matrix) == _bits(getattr(stab, name).matrix)
+            assert swept.traces.keys() == stab.traces.keys()
+            for name, trace in stab.traces.items():
+                assert _bits(swept.traces[name]) == _bits(trace)
         assert json.dumps(result.report) == json.dumps(alone.report)
     # no point's report shares a margin, error or note list with another's
     for key in ("derivation", "errors", "notes"):
@@ -675,14 +690,10 @@ class TestSweepHashMemo:
         raw = _small_raw()
         raw["algebra"] = {"builder": "trivial-matrix", "m": 2}
         raw["derivation"]["on_empty"] = "error"
-        run, results = harness.run_experiment, []
-
-        def recording(config, *args, **kwargs):
-            results.append(run(config, *args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(harness, "run_experiment", recording)
-        ts.run_sweep(raw, "p", self.VALUES)
+        with monkeypatch.context() as patch:
+            results = _recording_points(patch)
+            ts.run_sweep(raw, "p", self.VALUES)
+        run = harness.run_experiment
         for value, result in zip(self.VALUES, results):
             alone = run(harness._sweep_config(raw, "p", value), write_files=False)
             assert result.report["errors"][0]["code"] == "EMPTY_DERIVATION_SPACE"
@@ -701,16 +712,17 @@ class TestSweepIsSerial:
             "hypothesis_tuples": 0,
             "linearity_points": 0,
         }
-        run, calls = harness.run_experiment, []
+        run_points, calls = harness._run_points, []
 
-        def recording(config, *args, **kwargs):
-            calls.append((config.raw["control"]["p"], threading.get_ident()))
-            return run(config, *args, **kwargs)
+        def recording(configs, *args, **kwargs):
+            calls.extend((config.raw["control"]["p"], threading.get_ident())
+                         for config in configs)
+            return run_points(configs, *args, **kwargs)
 
         def no_start(thread):
             raise AssertionError(f"run_sweep started thread {thread.name}")
 
-        monkeypatch.setattr(harness, "run_experiment", recording)
+        monkeypatch.setattr(harness, "_run_points", recording)
         monkeypatch.setattr(threading.Thread, "start", no_start)
         rows = ts.run_sweep(raw, "p", [0.6, 0.3, 0.45])
         assert [row["value"] for row in rows] == [0.6, 0.3, 0.45]
@@ -726,6 +738,102 @@ SHIPPED = ("oddpoly3_p05", "trivial2x2_p05", "oddpoly3_jordan")
                                            ("tol", [1e-6, 1e-9, 1e-12])])
 def test_shipped_sweep_points_equal_standalone_runs(monkeypatch, name, param, values):
     _assert_points_equal_standalone_runs(monkeypatch, load_raw(f"{name}.json"), param, values)
+
+
+P_GRID = [round(0.1 * i, 1) for i in range(1, 10)]
+
+
+class TestStackedSweep:
+    """A sweep runs its points through each check as one stacked pass, in
+    groups whose stacked rows stay within ``_TUPLE_CHUNK``; every point
+    still equals its standalone run."""
+
+    @pytest.mark.parametrize("max_iter, outcomes", [(40, "PPFFFFFFF"), (39, "PEFFFFFFF")])
+    def test_points_that_fail_to_converge_equal_standalone_runs(self, monkeypatch, max_iter,
+                                                                 outcomes):
+        # P passes; F has basis rays that do not stop by max_iter, which its
+        # report lists as failures; E converges on the basis but not on a
+        # linearity ray, whose error ends that point alone
+        raw = _small_raw()
+        raw["max_iter"] = max_iter
+        raw["samples"]["linearity_points"] = 5
+        _assert_points_equal_standalone_runs(monkeypatch, raw, "p", P_GRID)
+        with monkeypatch.context() as patch:
+            results = _recording_points(patch)
+            ts.run_sweep(raw, "p", P_GRID)
+        seen = "".join("P" if result.all_passed else "E" if result.report["errors"] else "F"
+                       for result in results)
+        assert seen == outcomes
+        for result in results:
+            if result.report["errors"]:
+                assert result.report["errors"][0]["code"] == "NONCONVERGENT"
+                assert result.stabilization is None
+            elif not result.all_passed:
+                assert {f["code"] for f in result.report["recovered"]["failures"]} == {
+                    "NONCONVERGENT"}
+
+    @pytest.mark.parametrize("per_group", [1, 2, 4])
+    def test_groups_under_a_small_chunk_equal_one_group(self, monkeypatch, per_group):
+        raw = _small_raw()
+        with monkeypatch.context() as patch:
+            whole = _recording_points(patch)
+            rows = ts.run_sweep(raw, "p", P_GRID)
+        groups, run_points = [], harness._run_points
+
+        def recording(configs, *args, **kwargs):
+            groups.append(len(configs))
+            return run_points(configs, *args, **kwargs)
+
+        point = harness.load_config(harness._sweep_config(raw, "p", 0.5))
+        monkeypatch.setattr(harness, "_TUPLE_CHUNK", per_group * harness._point_rows(point))
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_run_points", recording)
+            chunked = _recording_points(patch)
+            assert json.dumps(ts.run_sweep(raw, "p", P_GRID)) == json.dumps(rows)
+        assert groups == [per_group] * (9 // per_group) + [9 % per_group] * (9 % per_group > 0)
+        assert len(chunked) == len(whole) == 9
+        for one, other in zip(chunked, whole):
+            assert json.dumps(one.report) == json.dumps(other.report)
+            for name in ("derivation", "sigma", "tau", "xi"):
+                assert (_bits(getattr(one.stabilization, name).matrix)
+                        == _bits(getattr(other.stabilization, name).matrix))
+            for name, trace in other.stabilization.traces.items():
+                assert _bits(one.stabilization.traces[name]) == _bits(trace)
+
+    def test_a_point_larger_than_the_chunk_runs_alone(self, monkeypatch):
+        raw = _small_raw()
+        with monkeypatch.context() as patch:
+            whole = _recording_points(patch)
+            rows = ts.run_sweep(raw, "p", [0.2, 0.5, 0.8])
+        monkeypatch.setattr(harness, "_TUPLE_CHUNK", 1)
+        assert harness._groups([harness.load_config(raw)] * 3) == [[0, 1], [1, 2], [2, 3]]
+        with monkeypatch.context() as patch:
+            alone = _recording_points(patch)
+            assert json.dumps(ts.run_sweep(raw, "p", [0.2, 0.5, 0.8])) == json.dumps(rows)
+        assert [json.dumps(r.report) for r in alone] == [json.dumps(r.report) for r in whole]
+
+    def test_memory_of_a_long_sweep_stays_that_of_one_group(self):
+        # 300 hypothesis tuples make a point 2,100 rows, so that nine points
+        # fill a group: a 90-point sweep runs ten groups one after another,
+        # and no group's arrays outlive it
+        import tracemalloc
+
+        raw = _small_raw()
+        raw["samples"]["hypothesis_tuples"] = 300
+        config = harness.load_config(raw)
+        assert harness._TUPLE_CHUNK // harness._point_rows(config) == 9
+        ts.run_sweep(config, "p", P_GRID)  # imports and caches outside the measure
+        peaks = {}
+        for count in (9, 90):
+            values = [round(0.1 + 0.8 * i / (count - 1), 6) for i in range(count)]
+            tracemalloc.start()
+            try:
+                rows = ts.run_sweep(config, "p", values)
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(rows) == count
+        assert peaks[90] < 1.5 * peaks[9]
 
 
 def _counting_maps(monkeypatch):
@@ -862,18 +970,18 @@ class TestSweepParts:
 
     @staticmethod
     def _recorded(monkeypatch):
-        made, parts_at, sweep_shared = [], [], harness._sweep_shared
+        made, parts_at, map_parts = [], [], harness._map_parts
         original = harness._parts_at
 
-        def recording_shared(config):
-            made.append(sweep_shared(config))
-            return made[-1]
+        def recording_shared(config, bases, hypothesis, checks):
+            made.append(((hypothesis, checks), map_parts(config, bases, hypothesis, checks)))
+            return made[-1][1]
 
         def recording_parts(base, spec, xs, *args):
             parts_at.append(xs)
             return original(base, spec, xs, *args)
 
-        monkeypatch.setattr(harness, "_sweep_shared", recording_shared)
+        monkeypatch.setattr(harness, "_map_parts", recording_shared)
         monkeypatch.setattr(harness, "_parts_at", recording_parts)
         return made, parts_at
 
@@ -887,8 +995,8 @@ class TestSweepParts:
             parts_at.clear()
             rows = ts.run_sweep(raw, "p", values)
             assert len(rows) == len(values) and all(row["all_passed"] for row in rows)
-            (shared,) = made
-            hypothesis, checks = shared.points
+            ((points, parts),) = made
+            hypothesis, checks = points
             stacks = {"f": hypothesis.f_input, "shared": hypothesis.shared_input,
                       "bounds": checks.bounds}
             # f at its input and the bounds, each distinct twist map at the
@@ -897,8 +1005,8 @@ class TestSweepParts:
             f_maps, twist_maps = distinct
             assert counts == {"f": f_maps, "shared": twist_maps,
                               "bounds": f_maps + twist_maps}
-            assert len(shared.parts) == f_maps + twist_maps
-            for pairs in shared.parts.values():
+            assert len(parts) == f_maps + twist_maps
+            for pairs in parts.values():
                 for stack, (out, moved, sizes, unit) in pairs:
                     assert isinstance(sizes, tuple)
                     for array in (out, moved, unit):

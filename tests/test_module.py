@@ -118,3 +118,17 @@ class TestModuleValidation:
         )
         report = ts.check_module_axioms(mod, 0.0, samples=20)
         assert report.passed
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["product_xab", "product_axb", "product_abx"])
+    def test_non_finite_product_rejected_as_by_the_algebra(self, matrix2, name, bad):
+        # trivial m = 2's self-module with one entry of one product not
+        # finite: the module rejects it as TernaryAlgebra rejects its tensor
+        tensor = np.array(matrix2.structure)
+        tensor[0, 0, 0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            ts.TernaryAlgebra(matrix2.dim, matrix2.field, tensor)
+        products = {key: matrix2.structure
+                    for key in ("product_xab", "product_axb", "product_abx")}
+        with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+            ts.TernaryModule(algebra=matrix2, dim=matrix2.dim, **{**products, name: tensor})

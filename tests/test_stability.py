@@ -411,6 +411,26 @@ class TestCheckHypothesis:
         assert report.worst is not None
         assert report.worst["slack"] == report.min_slack
 
+    @pytest.mark.parametrize("samples", [40, 0])
+    def test_to_dict_shares_no_mutable_object(self, perturbed_oddpoly, oddpoly3_module,
+                                              samples):
+        # the fields in order, equal to a deep copy's, but no dict or list of
+        # the report: editing the dict leaves the report as it was
+        f, g, h, k, control = perturbed_oddpoly
+        report = ts.check_hypothesis(f, g, h, k, control, oddpoly3_module, samples=samples,
+                                     seed=4)
+        before = dataclasses.asdict(report)
+        out = report.to_dict()
+        assert out == before and list(out) == list(before)
+        assert (report.worst is None) == (samples == 0)
+        if report.worst is not None:
+            assert out["worst"] is not report.worst
+            assert out["worst"]["lambda"] is not report.worst["lambda"]
+            out["worst"]["lambda"].append(0.0)
+            out["worst"]["slack"] = 1.0
+        out["violations"] = -1
+        assert dataclasses.asdict(report) == before
+
     def test_jordan_hypothesis_path(self, perturbed_oddpoly, oddpoly3_module):
         f, g, h, k, _ = perturbed_oddpoly
         control3 = ts.power_control(0.1, 0.5, arity=3, norm=oddpoly3_module.algebra.norm_of)

@@ -88,9 +88,10 @@ def test_axioms_op_passes_its_check(tmp_path):
 def test_traced_sweep_sees_the_stacked_work(tmp_path):
     # a sweep point evaluates each of its four maps once for the origin
     # check, the hypothesis sample, the basis and linearity points together
-    # and the bounds, and the tracer still sees one experiment span and one
-    # direct-method span per point; the derivation system is solved once
-    # per sweep config, not per point
+    # and the bounds.  Its points run their checks as one stacked pass of
+    # the sweep, so the tracer sees no experiment, hypothesis or
+    # direct-method span; the derivation system is solved once per sweep
+    # config, not per point
     tracing = _load("tracing")
     tracer = tracing.Tracer()
     with tracing.patched(tracer):
@@ -102,9 +103,10 @@ def test_traced_sweep_sees_the_stacked_work(tmp_path):
     points = sum(len(rows) for rows in sweeps.values())
     assert points == 4
     assert totals["harness.perturb_eval"]["calls"] <= 16 * points
-    assert totals["stability.direct_method"]["calls"] == points
-    assert totals["harness.run_experiment"]["calls"] == points
-    assert totals["maps.solve"]["calls"] == len(sweeps) == 2
+    for name in ("harness.run_experiment", "stability.check_hypothesis",
+                 "stability.direct_method"):
+        assert name not in totals
+    assert totals["harness.sweep"]["calls"] == totals["maps.solve"]["calls"] == len(sweeps) == 2
 
 
 def test_traced_large_d_sees_every_file_written(tmp_path):
@@ -129,11 +131,11 @@ def test_traced_large_d_sees_every_file_written(tmp_path):
 
 
 def test_traced_sweep_sees_each_points_checks(tmp_path):
-    # a sweep draws its samples once, but every point still runs its
-    # hypothesis check and its direct method through the traced names: one
-    # span of each below each point's experiment span, and four evaluations
-    # per distinct map per point (the origin check, the hypothesis sample,
-    # the basis and linearity rays, and the bounds).  oddpoly3_p05 has four
+    # a sweep draws its samples once and runs its points' checks as one
+    # stacked pass, not through the traced names, but every point still
+    # evaluates its own maps below its sweep's span: four evaluations per
+    # distinct map per point (the origin check, the hypothesis sample, the
+    # basis and linearity rays, and the bounds).  oddpoly3_p05 has four
     # distinct maps (g, h and k hash with their own seeds); trivial2x2_p05's
     # fixed g, h and k are one map, so it has two
     tracing = _load("tracing")
@@ -145,8 +147,11 @@ def test_traced_sweep_sees_each_points_checks(tmp_path):
     sweep.check(sweeps)
     spans = [span for span in tracer.take() if span[5] == 0]
     points = sum(len(rows) for rows in sweeps.values())
-    runs = [span[0] for span in spans if span[1] == "harness.run_experiment"]
-    assert points == len(runs) == 4
-    for name in ("stability.check_hypothesis", "stability.direct_method"):
-        assert sorted(span[4] for span in spans if span[1] == name) == sorted(runs)
+    sweeps_seen = {span[0] for span in spans if span[1] == "harness.sweep"}
+    assert points == 4 and len(sweeps_seen) == 2
+    for name in ("harness.run_experiment", "stability.check_hypothesis",
+                 "stability.direct_method"):
+        assert not [span for span in spans if span[1] == name]
+    evaluations = [span for span in spans if span[1] == "harness.perturb_eval"]
+    assert {span[4] for span in evaluations} <= sweeps_seen
     assert tracing.layer_totals(spans)["harness.perturb_eval"]["calls"] == 4 * (4 + 2) * points // 2
