@@ -71,9 +71,10 @@ def _choice(name: str, value, options: tuple) -> None:
 
 
 def _finite(value) -> bool:
-    """Whether ``value`` is a finite real number; any other value is not."""
+    """Whether ``value`` is a finite real number; any other value, a bool
+    included, is not."""
     try:
-        return math.isfinite(value)
+        return not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
     except (TypeError, OverflowError):
         return False
 

@@ -55,28 +55,24 @@ class ControlFunction:
             return
         if self.fn is None:
             raise ValueError("custom control needs an evaluator")
-        if isinstance(self.ratio, bool) or not (_finite(self.ratio) and 0.0 <= self.ratio < 1.0):
+        if not (_finite(self.ratio) and 0.0 <= self.ratio < 1.0):
             raise ValueError(f"ratio must lie in [0, 1), got {self.ratio!r}")
 
     def evaluate(self, *args):
         """``phi(*args)``, or one value per row of ``(N, d)`` stacks (single
-        vectors broadcast), each bitwise the row's value alone: a power control
-        takes the norms of each dtype's arguments in one call, each argument
-        object once, leaving out the arguments that are zero throughout, and
-        sums ``|arg|**p`` per row in argument order as Python floats."""
+        vectors broadcast), each bitwise the row's value alone; a power
+        control's comes from :func:`_phis`."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        stacked = any(np.ndim(a) > 1 for a in args)
         if self.kind == "custom":
+            stacked = any(np.ndim(a) > 1 for a in args)
             rows = zip(*np.broadcast_arrays(*args)) if stacked else [args]
             values = [float(self.fn(*row)) for row in rows]
             # inf passes: the ratio check reports it as divergent
             if not all(val >= 0.0 for val in values):
                 raise ValueError("custom control returned a negative or NaN value")
             return np.array(values) if stacked else values[0]
-        sums = _power_sums(_norm_rows(self.norm, args, stacked), self.p)
-        values = [self.theta * total for total in sums]
-        return np.array(values) if stacked else values[0]
+        return _phis([self], args)[0]
 
     __call__ = evaluate
 
@@ -116,12 +112,14 @@ def _power_sums(rows, p: float) -> list:
 
 
 def _phis(controls, args, checked: bool = False) -> list:
-    """``control.evaluate(*args)`` for each of ``controls``, each bitwise
-    that control's own: power controls of equal norms share one
-    :func:`_norm_rows` of ``args``, and those of equal ``p`` one sum of
-    powers, which each scales by its own ``theta``.  With ``checked``, each
-    value is :func:`_checked_phi`'s, and a control that breaks its ratio gets
-    its :class:`DivergentControlError` in place of its values."""
+    """``control.evaluate(*args)`` for each of ``controls``: a power
+    control's is computed here, ``theta`` times the sum of ``|arg|**p`` over
+    :func:`_norm_rows` per row, as Python floats; power controls of equal
+    norms share one :func:`_norm_rows` of ``args``, and those of equal ``p``
+    one sum of powers.  Any other control's is its own call.  With
+    ``checked``, each value is :func:`_checked_phi`'s, and a control that
+    breaks its ratio gets its :class:`DivergentControlError` in place of its
+    values."""
     stacked = any(np.ndim(a) > 1 for a in args)
     rows, sums, out = [], {}, []
     for control in controls:

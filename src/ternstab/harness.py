@@ -29,13 +29,7 @@ from .algebra import (
     trivial_matrix_algebra,
 )
 from .control import ControlFunction, _check_power_law
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    DivergentControlError,
-    EmptyDerivationSpaceError,
-    NonConvergenceError,
-)
+from .errors import ConfigError, DimensionMismatch, EmptyDerivationSpaceError
 from .maps import LinearMap, SignConvention, solve_exact_derivations
 from .module import self_module
 from .serialize import (
@@ -58,14 +52,13 @@ from .stability import (
     _RATE_ROWS,
     EvaluableMap,
     StabilizationReport,
-    _check_hypotheses,
     _check_points,
     _hypothesis_points,
     _lambda_grid,
-    _stabilize,
-    check_hypothesis,
-    direct_method_stabilize,
 )
+# the stacked cores, under the public names: the traced benchmark wraps them here
+from .stability import _check_hypotheses as check_hypothesis
+from .stability import _stabilize as direct_method_stabilize
 
 MAP_NAMES = ("f", "g", "h", "k")
 _DIRECTIONS = ("fixed", "hash")
@@ -550,40 +543,6 @@ def _perturbed_maps(config: ExperimentConfig, bases: list, parts: dict) -> list:
     return maps
 
 
-def _checks(configs: list, mod, maps: list, hypothesis, checks, keep_traces: bool) -> tuple:
-    """Per config, its hypothesis report (None when it samples no tuple)
-    and its stabilization report or the error that ends it.  One config
-    runs through ``check_hypothesis`` and ``direct_method_stabilize``,
-    several through their stacked cores, once for all of them."""
-    config, samples = configs[0], configs[0].samples
-    tuples = samples["hypothesis_tuples"]
-    counts = {key: samples[key] for key in ("bound_points", "identity_triples",
-                                            "linearity_points")}
-    if len(configs) == 1:
-        hypo = None
-        try:
-            if tuples > 0:
-                hypo = check_hypothesis(*maps[0], config.control, mod, config.signs,
-                                        lambda_grid=config.lambda_grid, samples=tuples,
-                                        seed=config.seed, mode=config.mode, _points=hypothesis)
-            outcome = direct_method_stabilize(
-                *maps[0], config.control, mod, config.signs, tol=config.tol, mode=config.mode,
-                max_iter=config.max_iter, seed=config.seed, keep_traces=keep_traces,
-                _points=checks, **counts)
-        except (DivergentControlError, NonConvergenceError) as exc:
-            outcome = exc
-        return [hypo], [outcome]
-    hypos = [None] * len(configs)
-    if tuples > 0:
-        hypos = _check_hypotheses([(*m, c.control) for m, c in zip(maps, configs)], mod,
-                                  config.signs, config.lambda_grid, tuples, config.seed,
-                                  config.mode, hypothesis)
-    outcomes = _stabilize([(m, c.control, c.tol) for m, c in zip(maps, configs)], mod,
-                          config.signs, config.mode, config.max_iter, config.seed,
-                          keep_traces=keep_traces, points=checks, **counts)
-    return hypos, outcomes
-
-
 def _run_points(configs: list, keep_traces: bool = False) -> list:
     """The :class:`RunResult` of each of ``configs``, none written to a file.
 
@@ -593,19 +552,27 @@ def _run_points(configs: list, keep_traces: bool = False) -> list:
     :func:`_draw_points`), and each distinct perturbed map's parts at the
     hypothesis inputs and bound points are computed once (see
     :func:`_map_parts`), all left unmodified.  Each config then gets its own
-    maps and the checks run once for all configs (see :func:`_checks`).  A
+    maps, and each check runs once for all configs, in one stacked pass.  A
     fatal error (empty derivation space with ``on_empty: error``, divergent
     control, nonconvergent iteration) is recorded in its report under its
     code and forces ``all_passed`` to false.
     """
-    mod, truth, chosen, margin, errors, notes = _ground_truth(configs[0])
+    config, samples = configs[0], configs[0].samples
+    mod, truth, chosen, margin, errors, notes = _ground_truth(config)
     hypos, outcomes = [None] * len(configs), [None] * len(configs)
     if not errors:
-        hypothesis, checks = _draw_points(configs[0])
-        bases = _bases(configs[0], mod, truth, chosen)
-        parts = _map_parts(configs[0], bases, hypothesis, checks)
-        maps = [_perturbed_maps(config, bases, parts) for config in configs]
-        hypos, outcomes = _checks(configs, mod, maps, hypothesis, checks, keep_traces)
+        hypothesis, checks = _draw_points(config)
+        bases = _bases(config, mod, truth, chosen)
+        parts = _map_parts(config, bases, hypothesis, checks)
+        runs = [(_perturbed_maps(c, bases, parts), c) for c in configs]
+        if hypothesis is not None:
+            hypos = check_hypothesis([(*maps, c.control) for maps, c in runs], mod, config.signs,
+                                     config.lambda_grid, samples["hypothesis_tuples"],
+                                     config.seed, config.mode, hypothesis)
+        outcomes = direct_method_stabilize(
+            [(maps, c.control, c.tol) for maps, c in runs], mod, config.signs, config.mode,
+            config.max_iter, config.seed, samples["bound_points"], samples["identity_triples"],
+            samples["linearity_points"], keep_traces=keep_traces, points=checks)
     return [_result(config, (margin, errors, notes), truth, chosen, hypo, outcome)
             for config, hypo, outcome in zip(configs, hypos, outcomes)]
 

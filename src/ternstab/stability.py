@@ -167,7 +167,7 @@ def hyers_limit(
     if x.shape != (f.in_dim,):
         raise DimensionMismatch(f"input shape {x.shape} for map with in_dim {f.in_dim}")
     layout = _ray_layout(control, x[None], tol, max_iter, [trace is not None], trace_rows)
-    (outcome,), rows = _hyers_limits(f, layout, out_norm)
+    (outcome,), rows = _stacked_limits([(f, layout)], out_norm)[0]
     if trace is not None:
         trace.extend(row[1:] for row in rows)
     if isinstance(outcome, NonConvergenceError):
@@ -270,12 +270,6 @@ def _ray_layout(control, xs, tol, max_iter, traced, trace_rows=None, heads=None)
     rated = [j for j, n in enumerate(columns[1]) if 3 <= n <= _RATE_ROWS]
     return _Layout(limit, stops, rows, counts, tails, *_stack(xs, ks, sizes), start, last,
                    current, columns, rated)
-
-
-def _hyers_limits(f, layout: _Layout, out_norm=None) -> tuple:
-    """:func:`hyers_limit` for every ray of ``layout``: the one-member case
-    of :func:`_stacked_limits`."""
-    return _stacked_limits([(f, layout)], out_norm)[0]
 
 
 def _stacked_limits(members, out_norm=None) -> list:
@@ -495,8 +489,6 @@ def check_hypothesis(
     samples: int = 50,
     seed: int = 0,
     mode: str = "lie",
-    *,
-    _points: _HypothesisPoints | None = None,
 ) -> HypothesisReport:
     """Sample the defect inequalities of the four maps.
 
@@ -515,14 +507,13 @@ def check_hypothesis(
     ``x, y, u`` (and ``v, w`` in ``lie`` mode) per sample, and evaluated
     together: each distinct map object (``g``, ``h`` and ``k`` may be one)
     and each side of ``phi`` once on one stack, the residuals and slacks as
-    ``(samples, lambdas, 4)``.  A caller that has drawn them passes them as
-    ``_points``.  A ``samples`` or
-    ``seed`` that is not a nonnegative integer, a ``lambda_grid`` that is
-    not an integer of at least 2, or a ``mode`` other than ``lie`` and
-    ``jordan`` raises ``ValueError`` before any map is evaluated.
+    ``(samples, lambdas, 4)``.  A ``samples`` or ``seed`` that is not a
+    nonnegative integer, a ``lambda_grid`` that is not an integer of at
+    least 2, or a ``mode`` other than ``lie`` and ``jordan`` raises
+    ``ValueError`` before any map is evaluated.
     """
     return _check_hypotheses([(f, g, h, k, control)], mod, signs, lambda_grid, samples, seed,
-                             mode, _points)[0]
+                             mode)[0]
 
 
 def _check_hypotheses(runs, mod: TernaryModule, signs: SignConvention, lambda_grid: int,
@@ -682,8 +673,6 @@ def direct_method_stabilize(
     linearity_points: int = 5,
     identity_tol: float = _IDENTITY_TOL,
     keep_traces: bool = True,
-    *,
-    _points: _CheckPoints | None = None,
 ) -> StabilizationReport:
     """Recover ``(D, sigma, tau, xi)`` from ``(f, g, h, k)`` and verify them.
 
@@ -728,15 +717,13 @@ def direct_method_stabilize(
     that check fails.  Per-basis convergence failures are recorded and mark
     the report as partial instead of aborting the remaining work.  ``traces`` holds every
     doubling of every basis vector, or with ``keep_traces`` false only the
-    rows ``n <= 10`` that ``convergence_rates`` reads.
-
-    The seeded points of the three checks are drawn by
-    :func:`_check_points`, each group in one call; a caller that has drawn
-    them passes them as ``_points``.
+    rows ``n <= 10`` that ``convergence_rates`` reads.  The seeded points
+    of the three checks are drawn by :func:`_check_points`, each group in
+    one call.
     """
     outcome, = _stabilize([((f, g, h, k), control, tol)], mod, signs, mode, max_iter, seed,
                           bound_points, identity_triples, linearity_points, identity_tol,
-                          keep_traces, _points)
+                          keep_traces)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -106,6 +106,17 @@ MUTATIONS = [
         "    controls = [runs[0][4]] * len(runs)\n",
         ("tests/test_harness.py", "-k", "Sweep"),
     ),
+    Mutation(
+        "run-keeps-no-whole-trace", "harness.py",
+        "keep_traces=keep_traces, points=checks)", "keep_traces=False, points=checks)",
+        ("tests/test_golden.py",),
+    ),
+    Mutation(
+        "bool-counted-as-a-number", "algebra.py",
+        "        return not isinstance(value, (bool, np.bool_)) and math.isfinite(value)\n",
+        "        return math.isfinite(value)\n",
+        ("tests/test_input_rules.py",),
+    ),
 ]
 
 

@@ -864,9 +864,9 @@ def _counting_maps(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(harness, "perturb_map", counting)
-    for name, check in (("hypothesis", harness.check_hypothesis),
-                        ("direct", harness.direct_method_stabilize)):
-        monkeypatch.setattr(harness, check.__name__, in_phase(name, check))
+    for name, attr in (("hypothesis", "check_hypothesis"),
+                       ("direct", "direct_method_stabilize")):
+        monkeypatch.setattr(harness, attr, in_phase(name, getattr(harness, attr)))
     return built, calls
 
 

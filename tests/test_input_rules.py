@@ -54,10 +54,10 @@ FRACTIONS = [2.5, math.nan, math.inf]
 # (config path, library calls of the value, bad values, boundary values)
 RULES = [
     (("tol",), [lambda v: stabilize(tol=v), lambda v: limit(tol=v)],
-     [0.0, -1.0, math.nan, math.inf], [5e-324]),
+     [0.0, -1.0, math.nan, math.inf, True], [5e-324]),
     (("derivation", "rank_tol"),
      [lambda v: ts.solve_exact_derivations(MOD, IDENTITY, IDENTITY, IDENTITY, rank_tol=v)],
-     [-1e-300, math.nan, math.inf], [0.0]),
+     [-1e-300, math.nan, math.inf, True], [0.0]),
     (("max_iter",), [lambda v: stabilize(max_iter=v), lambda v: limit(max_iter=v)],
      [-1, *FRACTIONS], [0]),
     (("lambda_grid",), [lambda v: hypothesis(lambda_grid=v)], [1, 0, -1, *FRACTIONS], [2]),
@@ -70,14 +70,14 @@ RULES = [
      [-1, *FRACTIONS], [0]),
     (("samples", "hypothesis_tuples"), [lambda v: hypothesis(samples=v)], [-1, *FRACTIONS],
      [0]),
-    (("control", "theta"), [lambda v: ts.power_control(v, 0.5)], [-0.1, math.nan, math.inf],
-     [0.0]),
-    (("control", "p"), [lambda v: ts.power_control(0.1, v)], [1.0, -0.1, math.nan, math.inf],
-     [0.0]),
+    (("control", "theta"), [lambda v: ts.power_control(v, 0.5)],
+     [-0.1, math.nan, math.inf, True], [0.0]),
+    (("control", "p"), [lambda v: ts.power_control(0.1, v)],
+     [1.0, -0.1, math.nan, math.inf, False], [0.0]),
     (("perturbation", "f", "theta"), [lambda v: ts.PerturbationSpec(theta=v, p=0.5)],
-     [-0.1, math.nan, math.inf], [0.0]),
+     [-0.1, math.nan, math.inf, True], [0.0]),
     (("perturbation", "g", "p"), [lambda v: ts.PerturbationSpec(theta=0.1, p=v)],
-     [1.0, -0.1, math.nan], [0.0]),
+     [1.0, -0.1, math.nan, False], [0.0]),
     (("perturbation", "h", "direction"),
      [lambda v: ts.PerturbationSpec(theta=0.1, p=0.5, direction=v)], ["random", "", None],
      ["fixed", "hash"]),
@@ -108,10 +108,10 @@ def config_error(raw) -> str:
 
 def assert_same_rule(config_message: str, where: str, library_message: str) -> None:
     """The loader's message names the field; unless the value failed the
-    loader's JSON typing (a fraction or NaN where an integer belongs), it
-    then states the library's rule word for word."""
+    loader's JSON typing (a fraction or NaN where an integer belongs, a bool
+    where a number does), it then states the library's rule word for word."""
     assert config_message.startswith(where + " "), config_message
-    if " must be an integer, got " not in config_message:
+    if not any(f" must be {kind}, got " in config_message for kind in ("an integer", "a number")):
         assert config_message.split(" ", 1)[1] == library_message.split(" ", 1)[1]
 
 
@@ -166,3 +166,15 @@ def test_zero_rank_tol_loads_and_runs():
     config = ts.load_config(configured(("derivation", "rank_tol"), 0))
     assert config.rank_tol == 0.0
     assert ts.run_experiment(config, write_files=False).all_passed
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_])
+@pytest.mark.parametrize("call", [
+    lambda v: ts.TernaryAlgebra(ALG.dim, "real", ALG.structure, norm_scale=v),
+    lambda v: ts.check_ternary_associativity(ALG, v),
+], ids=["norm_scale", "associativity tol"])
+def test_a_bool_is_no_number(call, value):
+    # float arguments that no config row reaches: one rule with the rows
+    # above, and with the counts and signs
+    with pytest.raises(ValueError, match=f"got {value!r}$"):
+        call(value)

@@ -28,9 +28,9 @@ from ternstab.serialize import register_custom_control
 from ternstab.stability import (
     ITERATION_CAP,
     _a_priori_stop,
-    _hyers_limits,
     _rate_estimate,
     _ray_layout,
+    _stacked_limits,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -941,10 +941,11 @@ def _reference_linearity(named, recovered, control, alg, tol, max_iter, seed, co
 
 def _core(f, control, xs, tol, max_iter=ITERATION_CAP, out_norm=None, traced=True,
           trace_rows=None):
-    """``_hyers_limits``'s outcomes in the form of ``_outcome``, the map's
-    one trace split into the rows of each ray as ``hyers_limit`` keeps them."""
+    """``_stacked_limits``'s outcomes for the one member ``(f, layout)``, in
+    the form of ``_outcome``, the map's one trace split into the rows of
+    each ray as ``hyers_limit`` keeps them."""
     layout = _ray_layout(control, xs, tol, max_iter, [traced] * len(xs), trace_rows)
-    outcomes, trace = _hyers_limits(f, layout, out_norm)
+    (outcomes, trace), = _stacked_limits([(f, layout)], out_norm)
     # ray by ray: a stable sort by ray index leaves it as it is
     assert trace == sorted(trace, key=lambda row: row[0])
     traces = [[row[1:] for row in trace if row[0] == r] for r in range(len(xs))]
@@ -1048,7 +1049,7 @@ def _overflowing(m, row):
 
 
 class TestStackedCore:
-    """``_hyers_limits`` evaluates every ray of a block in one stack; each
+    """``_stacked_limits`` evaluates every ray of a block in one stack; each
     outcome must equal ``hyers_limit``'s at its point alone, which the tests
     above hold to the one-step loop, and the direct method's basis and
     linearity results, one evaluation per map on one ray layout per run,

@@ -88,10 +88,11 @@ def test_axioms_op_passes_its_check(tmp_path):
 def test_traced_sweep_sees_the_stacked_work(tmp_path):
     # a sweep point evaluates each of its four maps once for the origin
     # check, the hypothesis sample, the basis and linearity points together
-    # and the bounds.  Its points run their checks as one stacked pass of
-    # the sweep, so the tracer sees no experiment, hypothesis or
-    # direct-method span; the derivation system is solved once per sweep
-    # config, not per point
+    # and the bounds.  A sweep group runs each check once for all its
+    # points, and each of these sweeps is one group, so the tracer sees one
+    # hypothesis and one direct-method span per sweep and no experiment
+    # span; the derivation system is solved once per sweep config, not per
+    # point
     tracing = _load("tracing")
     tracer = tracing.Tracer()
     with tracing.patched(tracer):
@@ -103,10 +104,10 @@ def test_traced_sweep_sees_the_stacked_work(tmp_path):
     points = sum(len(rows) for rows in sweeps.values())
     assert points == 4
     assert totals["harness.perturb_eval"]["calls"] <= 16 * points
-    for name in ("harness.run_experiment", "stability.check_hypothesis",
+    assert "harness.run_experiment" not in totals
+    for name in ("harness.sweep", "maps.solve", "stability.check_hypothesis",
                  "stability.direct_method"):
-        assert name not in totals
-    assert totals["harness.sweep"]["calls"] == totals["maps.solve"]["calls"] == len(sweeps) == 2
+        assert totals[name]["calls"] == len(sweeps) == 2
 
 
 def test_traced_large_d_sees_every_file_written(tmp_path):
@@ -128,12 +129,24 @@ def test_traced_large_d_sees_every_file_written(tmp_path):
     assert written == [path.stat().st_size for path in files]
     totals = tracing.layer_totals(spans)["serialize.write"]
     assert (totals["calls"], totals["bytes"]) == (10, sum(written))
+    # and each run runs each check once, below its own experiment span
+    runs = {span[0] for span in spans if span[1] == "harness.run_experiment"}
+    for name in ("stability.check_hypothesis", "stability.direct_method"):
+        assert sorted(span[4] for span in spans if span[1] == name) == sorted(runs)
+    assert len(runs) == 2
+
+
+def _ancestors(span, by_id):
+    """The ids of the spans that ``span`` runs below, innermost first."""
+    while span[4] is not None:
+        span = by_id[span[4]]
+        yield span[0]
 
 
 def test_traced_sweep_sees_each_points_checks(tmp_path):
     # a sweep draws its samples once and runs its points' checks as one
-    # stacked pass, not through the traced names, but every point still
-    # evaluates its own maps below its sweep's span: four evaluations per
+    # stacked pass, one span of each check below its sweep's span, and
+    # every point evaluates its own maps below that span: four evaluations per
     # distinct map per point (the origin check, the hypothesis sample, the
     # basis and linearity rays, and the bounds).  oddpoly3_p05 has four
     # distinct maps (g, h and k hash with their own seeds); trivial2x2_p05's
@@ -149,9 +162,10 @@ def test_traced_sweep_sees_each_points_checks(tmp_path):
     points = sum(len(rows) for rows in sweeps.values())
     sweeps_seen = {span[0] for span in spans if span[1] == "harness.sweep"}
     assert points == 4 and len(sweeps_seen) == 2
-    for name in ("harness.run_experiment", "stability.check_hypothesis",
-                 "stability.direct_method"):
-        assert not [span for span in spans if span[1] == name]
+    assert not [span for span in spans if span[1] == "harness.run_experiment"]
+    for name in ("stability.check_hypothesis", "stability.direct_method"):
+        assert sorted(span[4] for span in spans if span[1] == name) == sorted(sweeps_seen)
+    by_id = {span[0]: span for span in spans}
     evaluations = [span for span in spans if span[1] == "harness.perturb_eval"]
-    assert {span[4] for span in evaluations} <= sweeps_seen
+    assert all(sweeps_seen.intersection(_ancestors(span, by_id)) for span in evaluations)
     assert tracing.layer_totals(spans)["harness.perturb_eval"]["calls"] == 4 * (4 + 2) * points // 2
