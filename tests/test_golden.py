@@ -1,11 +1,13 @@
 """Golden reports: each bundled config must reproduce its stored report.
 
 ``tests/golden/<name>.json`` holds the ``report.json`` of ``configs/<name>.json``
-with the timestamp removed.  A rerun must match it leaf by leaf: non-float
+with the timestamp removed, and so it does for the test-only configs of
+``tests/golden/configs/``: ``trivial2x2_p05``'s settings with the algebra
+swapped for odd-poly cap 15 under dense random twists and cap 31 complex.  A rerun must match it leaf by leaf: non-float
 leaves exactly, floats to ``|a - b| <= 1e-12 * max(1, |a|, |b|)``.  The
 absolute floor covers values that are rounding noise, such as an identity
 residual near 1e-11.  ``tests/golden/traces.json`` holds the sha256 of each
-config's four ``trace_*.csv`` files, which a rerun must match byte for byte.
+bundled config's four ``trace_*.csv`` files, which a rerun must match byte for byte.
 
 Regenerate the files (only when a report change is intended, and say why in
 CHANGES.md) with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -26,12 +28,14 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 NAMES = ("oddpoly3_p05", "trivial2x2_p05", "oddpoly3_jordan")
+TEST_NAMES = ("oddpoly15_dense_twists", "oddpoly31_complex")
 TRACE_FILES = tuple(f"trace_{m}.csv" for m in "fghk")
 REL_TOL = 1e-12
 
 
 def _report(name: str, out_dir: Path) -> dict:
-    ts.run_experiment(CONFIG_DIR / f"{name}.json", out_dir=out_dir)
+    config_dir = CONFIG_DIR if name in NAMES else GOLDEN_DIR / "configs"
+    ts.run_experiment(config_dir / f"{name}.json", out_dir=out_dir)
     report = json.loads((out_dir / "report.json").read_text())
     del report["timestamp"]
     return report
@@ -65,7 +69,7 @@ def _mismatches(got, want, path="$"):
     return []
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", NAMES + TEST_NAMES)
 def test_report_matches_golden(name, tmp_path):
     want = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
     got = _report(name, tmp_path)
@@ -88,10 +92,11 @@ def test_tolerance_rejects_a_moved_float():
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     digests = {}
-    for name in NAMES:
+    for name in NAMES + TEST_NAMES:
         with tempfile.TemporaryDirectory() as tmp:
             report = _report(name, Path(tmp))
-            digests[name] = _trace_digests(Path(tmp))
+            if name in NAMES:
+                digests[name] = _trace_digests(Path(tmp))
         (GOLDEN_DIR / f"{name}.json").write_text(dump_json(report))
         print(f"wrote {GOLDEN_DIR / f'{name}.json'}")
     (GOLDEN_DIR / "traces.json").write_text(dump_json(digests))
