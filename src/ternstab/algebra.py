@@ -31,13 +31,13 @@ DEFAULT_TUPLE_BUDGET = 1_000_000
 # sampled tuples are evaluated in chunks of this many, bounding a chunk's
 # index arrays, gathered rows and values (n x d each) to a few MB at d = 16
 _TUPLE_CHUNK = 20_000
-# a plan contracts stacks over its nonzeros when the staged first product
-# does more than this many multiply-adds per nonzero.  On the builders'
-# tensors the nonzero kernel wins on stacks of a few hundred rows at every
-# ratio, and loses up to about 15 us a call on one vector or 40 rows at
-# d <= 9; at ratios up to 8 (d <= 4) it wins on no stack under about 100
-# rows, which is as large as the stacks of an experiment at that size get
-# (CHANGES.md holds the per-call times)
+# a plan contracts stacks over its nonzeros when the staged first product,
+# counted over the live (k, l) pairs only, does more than this many
+# multiply-adds per nonzero.  On the builders' tensors the nonzero kernel
+# wins on stacks of a few hundred rows at every ratio, and loses up to about
+# 15 us a call on one vector or 40 rows at d <= 9; at ratios up to 8 (d <= 4)
+# it wins on no stack under about 100 rows, which is as large as the stacks
+# of an experiment at that size get (CHANGES.md holds the per-call times)
 _NONZERO_RATIO = 8
 # and when that ratio is also more than a 32nd of the nonzeros per output
 # coordinate.  On random-pattern tensors of density 1/16 at d = 25, about 16
@@ -209,33 +209,28 @@ class _Space:
 
 
 class _Plan(NamedTuple):
-    """A ``(d1, d2, d3, dout)`` tensor with the slabs its contractions run
-    over, found once from ``tensor != 0`` by the algebra or module that
-    holds the tensor.
+    """A ``(d1, d2, d3, dout)`` tensor with the index arrays its contractions
+    read, found once from ``tensor != 0`` by the algebra or module that holds
+    the tensor.
 
-    ``pairs`` holds the flat indices ``k * dout + l`` of the live pairs, those
-    with a nonzero ``T[i, j, k, l]``, or is None when every pair is live;
-    ``stage1`` is the ``(d1, d2 * pairs)`` matrix of ``_trilinear``'s first
-    stage over them; ``counts`` is the ``(d1, d2, d3)`` number of nonzeros in
-    each row ``T[i, j, k, :]``, which the law evaluator reads; ``nonzeros``
-    lists the nonzero entries as index arrays ``(i, j, k, l)`` and values
-    ``v``, in C order, for the derivation solver's assembly and the law
-    evaluator.
+    ``counts`` is the ``(d1, d2, d3)`` number of nonzeros in each row ``T[i,
+    j, k, :]``, which the law evaluator reads; ``nonzeros`` lists the nonzero
+    entries as index arrays ``(i, j, k, l)`` and values ``v``, in C order,
+    for the derivation solver's assembly and the law evaluator.
 
-    On a sparse tensor, whose ``stage1`` holds more than ``_NONZERO_RATIO``
-    entries per nonzero and more than a ``_RUN_TERMS``-th of the nonzeros
-    per output coordinate, ``terms`` and ``runs`` hold the nonzeros sorted by
-    ``l`` (C order within a run of equal ``l``) for ``_trilinear``'s nonzero
-    kernel: ``terms`` is ``(i, j, pair, k, v)``, where ``i`` and ``j`` list
-    the distinct ``(i, j)`` of the nonzeros in C order, ``pair`` gives each
-    nonzero's place among them, and ``v`` is None when every value is 1;
-    ``runs`` is the start of each run and its ``l``.  Both are None on any
-    other tensor.
+    On a sparse tensor, whose ``d1 * d2 * live`` multiply-adds over its
+    ``live`` pairs ``(k, l)``, those with a nonzero ``T[i, j, k, l]``, are
+    more than ``_NONZERO_RATIO`` per nonzero and more than a
+    ``_RUN_TERMS``-th of the nonzeros per output coordinate, ``terms`` and
+    ``runs`` hold the nonzeros sorted by ``l`` (C order within a run of
+    equal ``l``) for ``_trilinear``'s nonzero kernel: ``terms`` is ``(i, j,
+    pair, k, v)``, where ``i`` and ``j`` list the distinct ``(i, j)`` of the
+    nonzeros in C order, ``pair`` gives each nonzero's place among them, and
+    ``v`` is None when every value is 1; ``runs`` is the start of each run
+    and its ``l``.  Both are None on any other tensor.
     """
 
     tensor: np.ndarray
-    pairs: np.ndarray | None
-    stage1: np.ndarray
     counts: np.ndarray
     nonzeros: tuple
     terms: tuple | None
@@ -245,28 +240,24 @@ class _Plan(NamedTuple):
     def of(cls, tensor: np.ndarray) -> _Plan:
         d1, d2, d3, dout = tensor.shape
         live = tensor != 0
-        pairs = np.flatnonzero(live.any(axis=(0, 1)))
-        if len(pairs) == d3 * dout:
-            pairs, stage1 = None, tensor.reshape(d1, -1)
-        else:
-            stage1 = tensor.reshape(d1, d2, -1)[:, :, pairs].reshape(d1, -1)
+        staged = d1 * d2 * int(np.count_nonzero(live.any(axis=(0, 1))))
         where = np.nonzero(live)
         nonzeros = (*where, tensor[where])
         row = np.ravel_multi_index(where[:3], (d1, d2, d3))
         counts = np.bincount(row, minlength=d1 * d2 * d3).reshape(d1, d2, d3)
         terms = runs = None
-        if stage1.size > _NONZERO_RATIO * len(row):
+        if staged > _NONZERO_RATIO * len(row):
             i, j, k, out, v = (x[np.argsort(where[3], kind="stable")] for x in nonzeros)
             ij, pair = np.unique(i * d2 + j, return_inverse=True)
             starts = np.flatnonzero(np.diff(out, prepend=-1))
             # one run per output coordinate with a nonzero
-            if stage1.size * _RUN_TERMS * len(starts) > len(row) ** 2:
+            if staged * _RUN_TERMS * len(starts) > len(row) ** 2:
                 terms = (ij // d2, ij % d2, pair, k, None if (v == 1).all() else v)
                 runs = (starts, out[starts])
-        for v in (stage1, counts, *nonzeros, *(terms or ()), *(runs or ())):
+        for v in (counts, *nonzeros, *(terms or ()), *(runs or ())):
             if v is not None:
                 v.setflags(write=False)
-        return cls(tensor, pairs, stage1, counts, nonzeros, terms, runs)
+        return cls(tensor, counts, nonzeros, terms, runs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,15 +320,9 @@ def _trilinear(plan: _Plan, a, b, c) -> np.ndarray:
     the result has the broadcast leading shape followed by ``dout``.  A
     stack, where some operand has the whole leading shape (one vector, an
     ``(N, d)`` stack, or a stack against single vectors), on a plan with
-    ``runs`` takes ``_by_nonzeros``.  Any other call, such as a grid of
-    basis vectors, whose leading shape is an outer product of the operands',
-    or a call on a dense plan, takes three staged matrix products, one slot
-    at a time, over the live slabs of the plan: the first two run over the
-    live ``(k, l)`` pairs only and fill their columns of a zero
-    ``(d3, dout)`` block before the third (all of it when every pair is
-    live).  Fewer columns can move the last bit of an inexact sum, as BLAS
-    may order a column's sum by its place among them.  Either kernel gives
-    each row of a stack the bits it has alone.
+    ``runs`` takes ``_by_nonzeros``; any other call takes three staged
+    matrix products over the whole tensor, one slot at a time.  Either
+    kernel gives each row of a stack the bits it has alone.
     """
     if plan.runs is not None:
         leads = (a.shape[:-1], b.shape[:-1], c.shape[:-1])
@@ -345,12 +330,8 @@ def _trilinear(plan: _Plan, a, b, c) -> np.ndarray:
         if lead in leads:
             return _by_nonzeros(plan, a, b, c, lead)
     d1, d2, d3, dout = plan.tensor.shape
-    out = a[..., None, :] @ plan.stage1
-    out = b[..., None, :] @ out.reshape(*out.shape[:-2], d2, plan.stage1.shape[1] // d2)
-    if plan.pairs is not None:
-        full = np.zeros(out.shape[:-1] + (d3 * dout,), out.dtype)
-        full[..., plan.pairs] = out
-        out = full
+    out = a[..., None, :] @ plan.tensor.reshape(d1, d2 * d3 * dout)
+    out = b[..., None, :] @ out.reshape(*out.shape[:-2], d2, d3 * dout)
     out = c[..., None, :] @ out.reshape(*out.shape[:-2], d3, dout)
     return out[..., 0, :]
 
@@ -886,9 +867,10 @@ def verify_identity_and_reduce(alg: TernaryAlgebra, e, tol: float) -> BinaryRedu
             worst_index=worst,
             residual=identity_residual,
         )
-    table = _trilinear(t, eye[:, None], e, eye)  # [e_i e e_k]
-    # (e_i e_j) e_k - e_i (e_j e_k)
-    assoc = _trilinear(t, table[:, :, None], e, eye) - _trilinear(t, eye[:, None, None], e, table)
+    table = np.tensordot(e, alg.structure, (0, 1))  # [e_i e e_k] = sum_j e_j T[i, j, k, :]
+    # (e_i e_j) e_k - e_i (e_j e_k): sums over l of table[i, j, l] table[l, k] and
+    # of table[j, k, l] table[i, l], the latter in (j, k, i) order
+    assoc = np.tensordot(table, table, 1) - np.tensordot(table, table, (2, 1)).transpose(2, 0, 1, 3)
     assoc_residual = float(alg.norms_of(assoc).max())
     return BinaryReduction(e, table, identity_residual, assoc_residual)
 

@@ -30,7 +30,7 @@ from .algebra import (
 )
 from .control import ControlFunction, _check_power_law
 from .errors import ConfigError, DimensionMismatch, EmptyDerivationSpaceError
-from .maps import LinearMap, SignConvention, solve_exact_derivations
+from .maps import LinearMap, SignConvention, _check_twist_maps, solve_exact_derivations
 from .module import self_module
 from .serialize import (
     _checked,
@@ -395,10 +395,11 @@ def _parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     map_candidates = []
     for where, cand in candidates.items():
         cand = _typed(cand, where)
-        map_candidates.append(
-            tuple(_build_map(cand.get(n, "identity"), algebra, base_dir, f"{where}.{n}")
-                  for n in ("sigma", "tau", "xi"))
-        )
+        maps = tuple(_build_map(cand.get(n, "identity"), algebra, base_dir, f"{where}.{n}")
+                     for n in ("sigma", "tau", "xi"))
+        with _checked(f"{where}."):
+            _check_twist_maps(algebra, *maps)
+        map_candidates.append(maps)
 
     perturbations = _parse_perturbations(raw, algebra.dim)
     samples = {**DEFAULT_SAMPLES, **_typed(raw.get("samples", {}), "samples")}

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _check_arguments, _joined, _trilinear
+from .algebra import REAL, _check_arguments, _joined, _trilinear
 from .errors import DimensionMismatch
 # product_* are only imported here: the traced benchmark wraps them at this module
 from .module import TernaryModule, product_abx, product_xab
@@ -114,14 +114,15 @@ LIE_SIGNS = SignConvention(1, 1, 1)
 MIXED_SIGNS = SignConvention(1, -1, -1)
 
 
-def _check_twist_maps(mod: TernaryModule, sigma, tau, xi):
-    d = mod.algebra.dim
+def _check_twist_maps(alg, sigma, tau, xi):
+    """Each twist must map the algebra ``alg`` to itself, and be real if ``alg`` is."""
+    d = alg.dim
     for name, m in (("sigma", sigma), ("tau", tau), ("xi", xi)):
         if m.in_dim != d or m.out_dim != d:
-            raise DimensionMismatch(
-                f"{name} must map the {d}-dim algebra to itself, "
-                f"got {m.out_dim}x{m.in_dim}"
-            )
+            raise DimensionMismatch(f"{name} must map the {d}-dim algebra to itself, "
+                                    f"got {m.out_dim}x{m.in_dim}")
+        if m.matrix.dtype.kind == "c" and alg.field == REAL:
+            raise ValueError(f"{name} must be a real map on the real algebra, got a complex one")
 
 
 def _bracket(mod: TernaryModule, x, tb, xc, sc) -> np.ndarray:
@@ -135,7 +136,7 @@ def twisted_bracket(
     mod: TernaryModule, x, b, c, sigma: LinearMap, tau: LinearMap, xi: LinearMap
 ) -> np.ndarray:
     """``[x, tau(b), xi(c)] - [sigma(c), tau(b), x]`` through the module products."""
-    _check_twist_maps(mod, sigma, tau, xi)
+    _check_twist_maps(mod.algebra, sigma, tau, xi)
     b, c = mod.algebra.vector(b), mod.algebra.vector(c)
     return _bracket(mod, mod.vector(x), tau(b), xi(c), sigma(c))
 
@@ -160,7 +161,7 @@ def lie_derivation_residual(
     accumulation order is fixed (first bracket subtracted first) so
     sign-flipped variants are bitwise reproducible.
     """
-    _check_twist_maps(mod, sigma, tau, xi)
+    _check_twist_maps(mod.algebra, sigma, tau, xi)
     alg = mod.algebra
     a, b, c = (np.asarray(v, dtype=alg.dtype) for v in (a, b, c))
     if deriv.matrix.shape != (mod.dim, alg.dim) or any(
@@ -211,10 +212,19 @@ def residual_on_basis(
     xi: LinearMap,
     signs: SignConvention = LIE_SIGNS,
 ) -> np.ndarray:
-    """Residual tensor ``R[i, j, k, :]`` over all basis triples, vectorized."""
-    eye = mod.algebra.basis()
-    grid = (eye[:, None, None, :], eye[None, :, None, :], eye[None, None, :, :])
-    return lie_derivation_residual(mod, deriv, *grid, sigma, tau, xi, signs)
+    """Residual tensor ``R[i, j, k, :]`` of :func:`lie_derivation_residual`
+    over all basis triples, from the bracket table ``G``: ``D T[i, j, k, :]``
+    less each bracket ``sum_u D[u, v] G[u, ., ., :]``, ``v`` its slot's index."""
+    _check_twist_maps(mod.algebra, sigma, tau, xi)
+    if deriv.matrix.shape != (mod.dim, mod.algebra.dim):
+        raise DimensionMismatch(
+            f"need a {mod.dim}x{mod.algebra.dim} deriv, got {deriv.out_dim}x{deriv.in_dim}")
+    terms = np.tensordot(deriv.matrix, _bracket_table(mod, sigma, tau, xi), (0, 0))
+    res = mod.algebra.structure @ deriv.matrix.T
+    # [D(a) b c], [D(b) a c] and [D(c) b a] at (a, b, c) = (e_i, e_j, e_k)
+    for sign, axes in zip(signs.as_tuple(), ((0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3))):
+        res = res - sign * terms.transpose(axes)
+    return res
 
 
 #: entries of one dense row chunk of a component before an R-only QR step
@@ -250,12 +260,19 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return first
 
 
+def _bracket_table(mod: TernaryModule, sigma, tau, xi) -> np.ndarray:
+    """``G[u, b, c, w]``, coordinate ``w`` of the twisted bracket ``[e_u e_b
+    e_c]``, read from the module tensors with the twists applied in slots 2
+    and 3; under identity twists each entry is exactly a tensor entry, or
+    the difference of two."""
+    first = np.tensordot(np.tensordot(mod.product_xab, tau.matrix, (1, 0)), xi.matrix, (1, 0))
+    second = np.tensordot(np.tensordot(mod.product_abx, sigma.matrix, (0, 0)), tau.matrix, (0, 0))
+    return first.transpose(0, 2, 3, 1) - second.transpose(0, 3, 2, 1)  # (u, w, b, c), (u, w, c, b)
+
+
 def _bracket_entries(mod: TernaryModule, sigma, tau, xi):
-    """The nonzeros ``(u, b, c, w, g)`` of ``G[u, b, c, w]``, coordinate ``w``
-    of the twisted bracket ``[e_u b c]`` at basis vectors."""
-    ex = np.eye(mod.dim, dtype=mod.dtype)[:, None, None, :]
-    table = _bracket(mod, ex, tau.matrix.T[None, :, None, :], xi.matrix.T[None, None, :, :],
-                     sigma.matrix.T[None, None, :, :])
+    """The nonzeros ``(u, b, c, w, g)`` of the bracket table ``G``."""
+    table = _bracket_table(mod, sigma, tau, xi)
     where = np.nonzero(table)
     return (*where, table[where])
 
@@ -507,7 +524,7 @@ def solve_exact_derivations(
     infinite or negative ``rank_tol`` raises ``ValueError`` before any work.
     """
     _check_arguments(rank_tol=rank_tol)
-    _check_twist_maps(mod, sigma, tau, xi)
+    _check_twist_maps(mod.algebra, sigma, tau, xi)
     da, dx = mod.algebra.dim, mod.dim
     dtype = mod.dtype
     columns = dx * da

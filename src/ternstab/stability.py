@@ -129,7 +129,6 @@ def hyers_limit(
     max_iter: int = ITERATION_CAP,
     out_norm=None,
     trace=None,
-    trace_rows=None,
 ) -> tuple:
     """Limit of ``f(2**n x) / 2**n`` with a certified stopping rule.
 
@@ -148,9 +147,8 @@ def hyers_limit(
     the first row that is not; otherwise the rows left out are not
     checked.  Returns the scaled iterate and the stopping ``n``.
     ``trace``, if a list, receives a row ``(n, successive_difference,
-    tail_bound)`` per iteration, also for the iterations before a failure;
-    with ``trace_rows`` set, only the rows ``n <= trace_rows``.  This is
-    the one-point case of the stacked core that
+    tail_bound)`` per iteration, also for the iterations before a failure.
+    This is the one-point case of the stacked core that
     :func:`direct_method_stabilize` runs over many points at once.
 
     Raises :class:`NonConvergenceError` when a row that is evaluated is not
@@ -166,7 +164,7 @@ def hyers_limit(
     x = np.asarray(x)
     if x.shape != (f.in_dim,):
         raise DimensionMismatch(f"input shape {x.shape} for map with in_dim {f.in_dim}")
-    layout = _ray_layout(control, x[None], tol, max_iter, [trace is not None], trace_rows)
+    layout = _ray_layout(control, x[None], tol, max_iter, [trace is not None])
     (outcome,), rows = _stacked_limits([(f, layout)], out_norm)[0]
     if trace is not None:
         trace.extend(row[1:] for row in rows)

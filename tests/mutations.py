@@ -117,6 +117,18 @@ MUTATIONS = [
         "        return math.isfinite(value)\n",
         ("tests/test_input_rules.py",),
     ),
+    Mutation(
+        "bracket-table-tau-and-xi-swapped", "maps.py",
+        "np.tensordot(np.tensordot(mod.product_xab, tau.matrix, (1, 0)), xi.matrix, (1, 0))",
+        "np.tensordot(np.tensordot(mod.product_xab, xi.matrix, (1, 0)), tau.matrix, (1, 0))",
+        ("tests/test_contraction.py", "-k", "BracketTable"),
+    ),
+    Mutation(
+        "kernel-rule-counts-every-pair", "algebra.py",
+        "        staged = d1 * d2 * int(np.count_nonzero(live.any(axis=(0, 1))))\n",
+        "        staged = d1 * d2 * d3 * dout\n",
+        ("tests/test_contraction.py", "-k", "LiveSlabs"),
+    ),
 ]
 
 

@@ -110,6 +110,17 @@ def _coded_failure(argv, capsys):
     return captured
 
 
+def test_complex_twist_on_a_real_algebra_is_a_coded_error(tmp_path, capsys):
+    raw = json.loads((CONFIG_DIR / "oddpoly3_p05.json").read_text())
+    raw["maps"]["tau"] = {"matrix": [[[1, 0.5], [0, 0]], [[0, 0], [1, -0.5]]]}
+    raw.pop("out")
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    captured = _coded_failure(["stabilize", str(tmp_path / "cfg.json"),
+                               "--out", str(tmp_path / "out")], capsys)
+    assert "maps.tau must be a real map on the real algebra" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("document", [[], 5, "text", None])
 @pytest.mark.parametrize("argv", [
     ["stabilize", "CONFIG"],

@@ -3,12 +3,13 @@ replaced.
 
 Each reference below is the earlier direct formula, kept here verbatim in
 spirit: a four-operand ``np.einsum`` per product, the dense three-stage
-kernel before it ran over the live slabs of its tensor, the six-einsum
-basis residual of the derivation solver, and the per-tuple loop over the
-five module chains.
+kernel, the bracket table contracted over a grid of basis vectors, the
+six-einsum basis residual of the derivation solver, and the per-tuple loop
+over the five module chains.
 """
 
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 import ternstab as ts
 from ternstab import algebra as algebra_mod
+from ternstab import maps as maps_mod
 from ternstab import module as module_mod
 from ternstab.algebra import _Plan, _trilinear
 from ternstab.errors import DimensionMismatch
@@ -39,12 +41,20 @@ def planned(tensor, a, b, c):
 
 
 def dense_trilinear(tensor, a, b, c):
-    """``_trilinear`` before its plan: three products over every slab."""
+    """``_trilinear`` without a plan: three products over every slab."""
     d1, d2, d3, dout = tensor.shape
     out = a[..., None, :] @ tensor.reshape(d1, d2 * d3 * dout)
     out = b[..., None, :] @ out.reshape(*out.shape[:-2], d2, d3 * dout)
     out = c[..., None, :] @ out.reshape(*out.shape[:-2], d3, dout)
     return out[..., 0, :]
+
+
+def staged_terms(tensor):
+    """The kernel rule's count of a tensor's staged first product: ``d1 d2``
+    multiply-adds for each live pair ``(k, l)``, one with a nonzero ``T[i,
+    j, k, l]``."""
+    d1, d2 = tensor.shape[:2]
+    return d1 * d2 * np.count_nonzero(np.any(tensor, axis=(0, 1)))
 
 
 def random_module(rng, da, dx, field, scale=1.0):
@@ -177,16 +187,19 @@ def operands(rng, shape, field, draw):
 
 
 class TestLiveSlabs:
-    """``_trilinear`` over its plan against the dense three-stage kernel.
+    """``_trilinear`` over its plan against the dense three-stage kernel, and
+    the kernel each plan takes.
 
-    Only the order of each staged sum can differ: the first two products
-    run over fewer columns, and a BLAS kernel may sum an output column in
-    another order depending on where it lies among them.  So the two are
-    bitwise equal wherever the sums are exact (small integer tensors and
-    operands), and on a tensor whose pairs are all live, which takes the
-    dense products whole; on random entries they agree within the rounding
-    bound of the three staged sums.
+    The staged products are the dense kernel, so the two are bitwise equal
+    on every call that does not take the nonzero kernel.  The kernel rule
+    counts the staged first product over the live ``(k, l)`` pairs only
+    (``staged_terms``), and ``KERNELS`` fixes its choice on each tensor.
     """
+
+    #: the tensors of ``tensors`` and ``builder_ladder`` whose plans keep the
+    #: staged products for stacks; every other one takes the nonzero kernel
+    STAGED = {"trivial m=2", "odd-poly cap=3", "odd-poly cap=5", "dense", "dense d=9",
+              "zero slab", "sparse pairs", "zero", "random d=25 density 1/16"}
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_exact_sums_are_bitwise(self, field):
@@ -197,16 +210,14 @@ class TestLiveSlabs:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_all_live_pairs_take_the_dense_products(self, field):
+    def test_staged_products_are_the_dense_kernel(self, field):
         rng = np.random.default_rng(14)
         for name, t in tensors(field).items():
-            plan = _Plan.of(t)
-            assert (plan.pairs is None) == name.startswith("dense"), name
-            if plan.pairs is None:
-                assert plan.counts.all() and np.shares_memory(plan.stage1, t)
-                for a, b, c in operands(rng, t.shape, field, random_array):
-                    got, want = _trilinear(plan, a, b, c), dense_trilinear(t, a, b, c)
-                    assert got.tobytes() == want.tobytes(), name
+            # the plan without its nonzero kernel takes the staged products on every call
+            plan = _Plan.of(t)._replace(terms=None, runs=None)
+            for a, b, c in operands(rng, t.shape, field, random_array):
+                got, want = _trilinear(plan, a, b, c), dense_trilinear(t, a, b, c)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_random_sums_within_the_rounding_bound(self, field):
@@ -223,17 +234,31 @@ class TestLiveSlabs:
                 scale = dense_trilinear(abs(t), abs(a), abs(b), abs(c))
                 assert np.all(abs(got - want) <= 2 * n * u / (1 - n * u) * scale), name
 
-    def test_plan_keeps_the_live_slabs(self):
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_every_plan_keeps_its_kernel(self, field):
+        found = {**tensors(field), **builder_ladder(field)}
+        for name, t in found.items():
+            plan = _Plan.of(t)
+            staged = name in self.STAGED
+            assert (plan.runs is None) is (plan.terms is None) is staged, name
+            if not staged:
+                assert staged_terms(t) > algebra_mod._NONZERO_RATIO * np.count_nonzero(t), name
+        # the nonzero kernel's constants count live pairs only: counting all
+        # d3 dout pairs would send trivial m = 2 (a ratio of 8.0) to it
+        t = found["trivial m=2"]
+        assert staged_terms(t) == algebra_mod._NONZERO_RATIO * np.count_nonzero(t) < t.size
+
+    def test_plan_counts_the_nonzeros_of_each_row(self):
         t = tensors("real")["trivial m=4"]
         plan = _Plan.of(t)
         # E_aq E_qr E_rs = E_as: the pair ((r, s), (a, s)) is live for any q
-        assert len(plan.pairs) == 4**3 and plan.stage1.shape == (16, 16 * 4**3)
+        assert staged_terms(t) == 16 * 16 * 4**3
         # one nonzero in each of the 4**4 live rows (i, j, k)
         assert plan.counts.shape == (16, 16, 16) and plan.counts.max() == 1
         assert np.count_nonzero(plan.counts) == plan.counts.sum() == 4**4 == np.count_nonzero(t)
         np.testing.assert_array_equal(plan.counts, np.count_nonzero(t, axis=-1))
         empty = _Plan.of(np.zeros((2, 2, 2, 2)))
-        assert len(empty.pairs) == 0 and empty.stage1.shape == (2, 0)
+        assert staged_terms(empty.tensor) == 0 and empty.runs is None
         assert empty.counts.shape == (2, 2, 2) and not empty.counts.any()
 
     def test_self_module_shares_the_algebra_plan(self):
@@ -282,6 +307,105 @@ def six_einsum_residual_on_basis(mod, deriv, sigma, tau, xi, signs):
         )
         res = res - s * (pos - neg)
     return res
+
+
+def grid_bracket_table(mod, sigma, tau, xi):
+    """The bracket table as the twisted bracket over a grid of basis vectors:
+    ``e_u`` against the columns of ``tau`` and of ``xi`` and ``sigma``,
+    through the dense kernel."""
+    ex = np.eye(mod.dim, dtype=mod.dtype)[:, None, None, :]
+    tb = tau.matrix.T[None, :, None, :]
+    xc, sc = xi.matrix.T[None, None, :, :], sigma.matrix.T[None, None, :, :]
+    return (dense_trilinear(mod.product_xab, ex, tb, xc)
+            - dense_trilinear(mod.product_abx, sc, tb, ex))
+
+
+def builder_algebras(field):
+    """Builders from d = 2 to d = 36."""
+    return ([ts.trivial_matrix_algebra(m, field) for m in range(2, 7)]
+            + [ts.odd_polynomial_algebra(cap, field) for cap in (3, 15, 31, 71)])
+
+
+class TestBracketTable:
+    """``maps._bracket_table`` reads the module tensors; the grid contraction
+    it replaced is the reference."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_identity_twists_read_the_grid_bitwise(self, field):
+        for alg in builder_algebras(field):
+            mod = ts.self_module(alg)
+            eye = ts.LinearMap.identity(alg.dim, alg.dtype)
+            got = maps_mod._bracket_table(mod, eye, eye, eye)
+            want = grid_bracket_table(mod, eye, eye, eye)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), alg.dim
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_random_twists_agree_with_the_grid(self, field):
+        rng = np.random.default_rng(18)
+        modules = [ts.self_module(alg) for alg in builder_algebras(field)[:7]]
+        modules.append(random_module(rng, 2, 3, field))
+        for mod in modules:
+            d = mod.algebra.dim
+            sigma, tau, xi = (ts.LinearMap(random_array(rng, (d, d), field)) for _ in range(3))
+            got = maps_mod._bracket_table(mod, sigma, tau, xi)
+            want = grid_bracket_table(mod, sigma, tau, xi)
+            assert got.shape == want.shape == (mod.dim, d, d, mod.dim)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), d
+
+    def test_entries_are_the_tables_nonzeros(self):
+        mod = ts.self_module(ts.trivial_matrix_algebra(3))
+        eye = ts.LinearMap.identity(9)
+        u, b, c, w, g = maps_mod._bracket_entries(mod, eye, eye, eye)
+        want = grid_bracket_table(mod, eye, eye, eye)
+        assert len(g) and np.all(g != 0)
+        at = np.ravel_multi_index((u, b, c, w), want.shape)
+        np.testing.assert_array_equal(np.flatnonzero(want), at)
+        assert g.tobytes() == want[u, b, c, w].tobytes()
+
+
+class TestNoGridCalls:
+    """No library call contracts a grid of basis vectors: every call into
+    ``_trilinear`` is a stack, one whose leading shape is some operand's."""
+
+    @staticmethod
+    def record(monkeypatch):
+        calls = []
+        kernel = algebra_mod._trilinear
+
+        def recorded(plan, a, b, c):
+            leads = (a.shape[:-1], b.shape[:-1], c.shape[:-1])
+            calls.append(np.broadcast_shapes(*leads) in leads)
+            return kernel(plan, a, b, c)
+
+        sites = [m for name, m in sys.modules.items()
+                 if name.startswith("ternstab.") and getattr(m, "_trilinear", None) is kernel]
+        assert algebra_mod in sites and maps_mod in sites
+        for site in sites:
+            monkeypatch.setattr(site, "_trilinear", recorded)
+        return calls
+
+    def test_experiments(self, monkeypatch, tmp_path):
+        from test_golden import CONFIG_DIR, GOLDEN_DIR
+        calls = self.record(monkeypatch)
+        configs = [*CONFIG_DIR.glob("*.json"), *(GOLDEN_DIR / "configs").glob("*.json")]
+        assert len(configs) == 5
+        for path in configs:
+            assert ts.run_experiment(path, out_dir=tmp_path / path.stem).all_passed
+        assert calls and all(calls)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_basis_residual_and_identity_reduction(self, field, monkeypatch):
+        calls = self.record(monkeypatch)
+        rng = np.random.default_rng(19)
+        for alg in (ts.trivial_matrix_algebra(3, field), ts.odd_polynomial_algebra(7, field)):
+            d = alg.dim
+            deriv, sigma, tau, xi = (ts.LinearMap(random_array(rng, (d, d), field))
+                                     for _ in range(4))
+            ts.residual_on_basis(ts.self_module(alg), deriv, sigma, tau, xi)
+        assert not calls
+        alg = ts.trivial_matrix_algebra(3, field)
+        ts.verify_identity_and_reduce(alg, np.eye(3).ravel(), 1e-12)
+        assert len(calls) == 3 and all(calls)
 
 
 class TestResidual:
@@ -457,6 +581,20 @@ class TestSampledModuleChains:
             assert abs(report.chain_residuals[name] - value) <= 1e-14 * value
 
 
+def builder_ladder(field):
+    """Every builder's tensor up to d = 36, and random-pattern tensors at
+    d = 25 whose output runs are long (density 1/16) and short (1/32)."""
+    rng = np.random.default_rng(25)
+    shape = (25,) * 4
+    return {
+        **{f"trivial m={m}": ts.trivial_matrix_algebra(m, field).structure for m in range(2, 7)},
+        **{f"odd-poly cap={cap}": ts.odd_polynomial_algebra(cap, field).structure
+           for cap in range(3, 72, 2)},
+        **{f"random d=25 density 1/{n}":
+           random_array(rng, shape, field) * (rng.random(shape) < 1 / n) for n in (16, 32)},
+    }
+
+
 def builder_tensors(field):
     """The builders' tensors that contract stacks over their nonzeros."""
     return {
@@ -488,7 +626,7 @@ class TestNonzeroKernel:
         rng = np.random.default_rng(16)
         for name, t in builder_tensors(field).items():
             plan = _Plan.of(t)
-            assert plan.stage1.size > algebra_mod._NONZERO_RATIO * np.count_nonzero(t), name
+            assert staged_terms(t) > algebra_mod._NONZERO_RATIO * np.count_nonzero(t), name
             assert plan.terms is not None and plan.runs is not None, name
             d = t.shape[0]
             stack, one = random_array(rng, (7, d), field), random_array(rng, d, field)
@@ -533,7 +671,7 @@ class TestNonzeroKernel:
         for density, staged in ((1 / 16, True), (1 / 32, False)):
             t = random_array(rng, shape, field) * (rng.random(shape) < density)
             plan = _Plan.of(t)
-            assert plan.stage1.size > algebra_mod._NONZERO_RATIO * np.count_nonzero(t)
+            assert staged_terms(t) > algebra_mod._NONZERO_RATIO * np.count_nonzero(t)
             assert (plan.runs is None) is staged, density
         builders = [ts.trivial_matrix_algebra(m, field) for m in (3, 4, 5)]
         builders += [ts.odd_polynomial_algebra(cap, field) for cap in range(7, 50, 2)]

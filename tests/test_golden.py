@@ -3,11 +3,12 @@
 ``tests/golden/<name>.json`` holds the ``report.json`` of ``configs/<name>.json``
 with the timestamp removed, and so it does for the test-only configs of
 ``tests/golden/configs/``: ``trivial2x2_p05``'s settings with the algebra
-swapped for odd-poly cap 15 under dense random twists and cap 31 complex.  A rerun must match it leaf by leaf: non-float
-leaves exactly, floats to ``|a - b| <= 1e-12 * max(1, |a|, |b|)``.  The
-absolute floor covers values that are rounding noise, such as an identity
-residual near 1e-11.  ``tests/golden/traces.json`` holds the sha256 of each
-bundled config's four ``trace_*.csv`` files, which a rerun must match byte for byte.
+swapped for odd-poly cap 15 under dense random twists and cap 31 complex.
+A rerun must match it leaf by leaf: non-float leaves exactly, floats to
+``|a - b| <= 1e-12 * max(1, |a|, |b|)``.  The absolute floor covers values
+that are rounding noise, such as an identity residual near 1e-11.
+``tests/golden/traces.json`` holds the sha256 of each bundled config's four
+``trace_*.csv`` files, which a rerun must match byte for byte.
 
 Regenerate the files (only when a report change is intended, and say why in
 CHANGES.md) with ``PYTHONPATH=src python tests/test_golden.py``.

@@ -19,7 +19,7 @@ import pytest
 
 import ternstab as ts
 from ternstab.errors import ConfigError
-from ternstab.serialize import algebra_to_json
+from ternstab.serialize import algebra_to_json, linear_map_from_json
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "oddpoly3_p05.json"
 ALG = ts.odd_polynomial_algebra(3)
@@ -43,6 +43,24 @@ def hypothesis(**kwargs):
 
 def limit(**kwargs):
     return ts.hyers_limit(MAPS[0], ZERO, np.ones(ALG.dim), **{"tol": 1e-10, **kwargs})
+
+
+def twists(tau):
+    """Identity ``sigma`` and ``xi`` around the ``tau`` that a config's map spec holds."""
+    return IDENTITY, linear_map_from_json({"in_dim": ALG.dim, "out_dim": ALG.dim, **tau}), IDENTITY
+
+
+#: every library entry point that takes twist maps
+TWISTED = [
+    lambda v: ts.twisted_bracket(MOD, np.ones(ALG.dim), np.ones(ALG.dim), np.ones(ALG.dim),
+                                 *twists(v)),
+    lambda v: ts.lie_derivation_residual(MOD, TRUTH, *np.ones((3, ALG.dim)), *twists(v)),
+    lambda v: ts.jordan_residual(MOD, TRUTH, np.ones(ALG.dim), *twists(v)),
+    lambda v: ts.residual_on_basis(MOD, TRUTH, *twists(v)),
+    lambda v: ts.solve_exact_derivations(MOD, *twists(v)),
+]
+#: a complex twist of the real odd-poly cap 3 algebra
+COMPLEX_TWIST = {"matrix": [[[1, 0.5], [0, 0]], [[0, 0], [1, -0.5]]]}
 
 
 def algebra_document(norm_scale):
@@ -86,6 +104,7 @@ RULES = [
      ["quaternion", "", None], ["real", "complex"]),
     (("mode",), [lambda v: stabilize(mode=v), lambda v: hypothesis(mode=v)], ["skew", ""],
      ["lie"]),
+    (("maps", "tau"), TWISTED, [COMPLEX_TWIST], [{"matrix": [[1, 0.5], [0, 1]]}]),
 ]
 IDS = [".".join(path) for path, *_ in RULES]
 
@@ -178,3 +197,22 @@ def test_a_bool_is_no_number(call, value):
     # above, and with the counts and signs
     with pytest.raises(ValueError, match=f"got {value!r}$"):
         call(value)
+
+
+def test_a_complex_fallback_twist_is_named_by_its_path():
+    raw = configured(("fallback_maps",), [{"xi": COMPLEX_TWIST}])
+    assert config_error(raw) == (
+        "fallback_maps.0.xi must be a real map on the real algebra, got a complex one")
+
+
+def test_real_twists_on_a_complex_algebra_stay_allowed():
+    alg = ts.odd_polynomial_algebra(5, "complex")
+    mod = ts.self_module(alg)
+    rng = np.random.default_rng(3)
+    real = [ts.LinearMap(rng.standard_normal((alg.dim, alg.dim))) for _ in range(3)]
+    cast = [ts.LinearMap(m.matrix.astype(alg.dtype)) for m in real]
+    got, want = (ts.solve_exact_derivations(mod, *maps) for maps in (real, cast))
+    assert [m.matrix.tobytes() for m in got] == [m.matrix.tobytes() for m in want]
+    raw = configured(("algebra",), {"builder": "odd-poly", "cap": 3, "field": "complex"})
+    raw["maps"]["tau"] = {"matrix": [[1, 0.5], [0, 1]]}
+    assert ts.run_experiment(ts.load_config(raw), write_files=False).report is not None

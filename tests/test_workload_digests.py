@@ -36,9 +36,10 @@ def _digests(scratch: Path) -> dict:
         for kind in ("bundled", "large_d"):
             experiments = workloads.WORKLOADS[kind](seed, False, scratch / f"{kind}_{seed}")
             for name, result in experiments.op().items():
-                digests[f"{kind}/{name}/report.json"] = workloads._report_digest(result.report_path)
+                report = result.report_path
+                digests[f"{kind}/{name}/report.json"] = workloads._report_digest(report)
                 for file in TRACE_FILES:
-                    data = (result.report_path.parent / file).read_bytes()
+                    data = (report.parent / file).read_bytes()
                     digests[f"{kind}/{name}/{file}"] = _sha256(data)
         for kind in ("psweep", "axioms"):
             op = workloads.WORKLOADS[kind](seed, False, scratch).op()
