@@ -178,7 +178,7 @@ def perturb_map(
     in_norm=None,
     out_norm=None,
     *,
-    _parts=(),
+    _parts=None,
 ) -> EvaluableMap:
     """Evaluator ``x -> base(x) + theta |x|**p u(x)`` with unit ``u``.
 
@@ -186,18 +186,30 @@ def perturb_map(
     perturbation magnitude exactly in the output norm.  The evaluator takes
     one point or an ``(N, d)`` stack; each row of a stack gets exactly the
     value it would get alone.  ``hash`` directions come from
-    :func:`_hash_units`.  ``_parts`` pairs stacks with their
-    :func:`_parts_at`, computed once for a sweep: at one of those very
-    stacks the evaluator adds ``theta |x|**p u(x)``, a Python float power
-    per row, to the stored ``base(x)`` instead of computing it all again.
+    :func:`_hash_units`.  ``_parts`` is a dict that the evaluators of one
+    map key (see :func:`_map_key`) of a sweep group share: it holds the
+    :func:`_parts_at` of each read-only stack one of them has met, keyed by
+    the stack's ``id`` beside the stack itself, so that at such a stack the
+    others add ``theta |x|**p u(x)``, a Python float power per row, to the
+    stored ``base(x)`` instead of computing it all again.  A writeable
+    stack, which its owner may change, is never stored, and without
+    ``_parts`` every call computes afresh.
     """
     fixed_unit = _fixed_unit(base, spec, out_norm)
 
-    def evaluate_rows(x):
-        known = next((parts for stack, parts in _parts if stack is x), None)
-        if known is None and spec.theta == 0.0:
+    def parts_at(x, memo):
+        if memo is None or x.flags.writeable:
+            return _parts_at(base, spec, x, in_norm, out_norm, fixed_unit)
+        stack, parts = memo.get(id(x), (None, None))
+        if stack is not x:
+            parts = _parts_at(base, spec, x, in_norm, out_norm, fixed_unit)
+            memo[id(x)] = x, parts
+        return parts
+
+    def evaluate_rows(x, memo):
+        if spec.theta == 0.0 and (memo is None or id(x) not in memo):
             return base.apply(x)
-        out, moved, sizes, unit = known or _parts_at(base, spec, x, in_norm, out_norm, fixed_unit)
+        out, moved, sizes, unit = parts_at(x, memo)
         out = out.copy()
         if spec.theta == 0.0 or not len(moved):
             return out
@@ -207,10 +219,11 @@ def perturb_map(
         return out
 
     # evaluate does not call itself: a closure over its own name is a
-    # reference cycle, which would keep the parts alive until a collection
+    # reference cycle, which would keep the parts alive until a collection.
+    # One point is a fresh view each call, so it is not stored
     def evaluate(x):
         x = np.asarray(x)
-        return evaluate_rows(x[None])[0] if x.ndim == 1 else evaluate_rows(x)
+        return evaluate_rows(x[None], None)[0] if x.ndim == 1 else evaluate_rows(x, _parts)
 
     return EvaluableMap(base.in_dim, base.out_dim, evaluate, kind="linear-plus-perturbation")
 
@@ -514,32 +527,17 @@ def _bases(config: ExperimentConfig, mod, truth: LinearMap, chosen: tuple) -> li
     return bases
 
 
-def _map_parts(config: ExperimentConfig, bases: list, hypothesis, checks) -> dict:
-    """Per map key, the pairs of ``perturb_map``'s ``_parts`` of each
-    distinct map of ``bases``: its parts at the hypothesis input it is
-    evaluated at and at the bound points, none of which reads ``p``,
-    ``theta`` or ``tol``; the arrays read-only."""
-    in_norm, parts = config.algebra.norm_of, {}
-    for name, base, out_norm, unit, key in bases:
-        spec = config.perturbations[name]
-        inputs = [] if hypothesis is None else [
-            hypothesis.f_input if name == "f" else hypothesis.shared_input]
-        for xs in inputs + [checks.bounds]:
-            if all(stack is not xs for stack, _ in parts.get(key, ())):
-                parts[key] = parts.get(key, ()) + ((xs, _parts_at(
-                    base, spec, xs, in_norm, out_norm, unit)),)
-    return parts
-
-
 def _perturbed_maps(config: ExperimentConfig, bases: list, parts: dict) -> list:
     """The four perturbed maps of ``config``, one evaluator per distinct
-    map: maps with equal keys, ``theta`` and ``p`` share it."""
+    map: maps with equal keys, ``theta`` and ``p`` share it.  The
+    evaluators of one key share its entry of ``parts``, which is made
+    here when it is missing (see :func:`perturb_map`)."""
     in_norm, maps, made = config.algebra.norm_of, [], {}
     for name, base, out_norm, _, key in bases:
         spec = config.perturbations[name]
         if (key, spec.theta, spec.p) not in made:
             made[key, spec.theta, spec.p] = perturb_map(
-                base, spec, in_norm=in_norm, out_norm=out_norm, _parts=parts.get(key, ()))
+                base, spec, in_norm=in_norm, out_norm=out_norm, _parts=parts.setdefault(key, {}))
         maps.append(made[key, spec.theta, spec.p])
     return maps
 
@@ -549,22 +547,21 @@ def _run_points(configs: list, keep_traces: bool = False) -> list:
 
     The configs differ in nothing but ``p``, ``theta`` and ``tol``, which
     no shared part reads: one ground truth is solved (see
-    :func:`_ground_truth`), the seeded samples are drawn once (see
-    :func:`_draw_points`), and each distinct perturbed map's parts at the
-    hypothesis inputs and bound points are computed once (see
-    :func:`_map_parts`), all left unmodified.  Each config then gets its own
-    maps, and each check runs once for all configs, in one stacked pass.  A
-    fatal error (empty derivation space with ``on_empty: error``, divergent
-    control, nonconvergent iteration) is recorded in its report under its
-    code and forces ``all_passed`` to false.
+    :func:`_ground_truth`) and the seeded samples are drawn once (see
+    :func:`_draw_points`), all left unmodified.  Each config then gets its
+    own maps, whose evaluators of one map key share one memo of the parts
+    they compute at the read-only stacks of the checks (see
+    :func:`perturb_map`), and each check runs once for all configs, in one
+    stacked pass.  A fatal error (empty derivation space with ``on_empty:
+    error``, divergent control, nonconvergent iteration) is recorded in its
+    report under its code and forces ``all_passed`` to false.
     """
     config, samples = configs[0], configs[0].samples
     mod, truth, chosen, margin, errors, notes = _ground_truth(config)
     hypos, outcomes = [None] * len(configs), [None] * len(configs)
     if not errors:
         hypothesis, checks = _draw_points(config)
-        bases = _bases(config, mod, truth, chosen)
-        parts = _map_parts(config, bases, hypothesis, checks)
+        bases, parts = _bases(config, mod, truth, chosen), {}
         runs = [(_perturbed_maps(c, bases, parts), c) for c in configs]
         if hypothesis is not None:
             hypos = check_hypothesis([(*maps, c.control) for maps, c in runs], mod, config.signs,
@@ -761,12 +758,17 @@ def run_sweep(config, param: str, values, out_csv=None) -> list:
     parameter reads: the algebra, the twist maps, the self-module, solved
     ground truth and solver margin of one solve per map candidate tried,
     one draw of the seeded samples of the hypothesis, linearity, bound and
-    identity checks, and each distinct perturbed map's ``base(x)``, ``|x|``
-    and unit directions at the hypothesis inputs and bound points (see
-    :func:`_parts_at`), so that a point's evaluator adds only ``theta
-    |x|**p u(x)`` there.  Its points run each check as one stacked pass, and
-    each point's result equals the standalone run of its config.  Nothing
-    outlives a group but its rows.
+    identity checks, and the stacks its maps are evaluated on: the
+    hypothesis inputs, the bound points, one zero row for the ``f(0)``
+    check and one stack of the doubling rays' rows, which holds the rows
+    ``2**k x`` up to the traced count once for every point and each point's
+    stop rows (see ``stability._ray_layouts``).  Each distinct perturbed
+    map's ``base(x)``, ``|x|`` and unit directions at each of those stacks
+    (see :func:`_parts_at`) are computed by the first point's evaluator to
+    meet it, so that every other point's evaluator adds only ``theta
+    |x|**p u(x)`` there.  Its points run each check as one stacked pass,
+    and each point's result equals the standalone run of its config.
+    Nothing outlives a group but its rows.
     """
     if not isinstance(config, ExperimentConfig):
         config = load_config(config)

@@ -264,7 +264,13 @@ def _bracket_table(mod: TernaryModule, sigma, tau, xi) -> np.ndarray:
     """``G[u, b, c, w]``, coordinate ``w`` of the twisted bracket ``[e_u e_b
     e_c]``, read from the module tensors with the twists applied in slots 2
     and 3; under identity twists each entry is exactly a tensor entry, or
-    the difference of two."""
+    the difference of two, and the tensors are read without a product;
+    ``+ 0.0`` then makes every zero ``0.0``, as the grid contraction of the
+    basis gives it."""
+    if all(np.array_equal(m.matrix, np.eye(len(m.matrix))) for m in (sigma, tau, xi)):
+        table = mod.product_xab - mod.product_abx.transpose(2, 1, 0, 3)
+        table += 0.0
+        return table
     first = np.tensordot(np.tensordot(mod.product_xab, tau.matrix, (1, 0)), xi.matrix, (1, 0))
     second = np.tensordot(np.tensordot(mod.product_abx, sigma.matrix, (0, 0)), tau.matrix, (0, 0))
     return first.transpose(0, 2, 3, 1) - second.transpose(0, 3, 2, 1)  # (u, w, b, c), (u, w, c, b)

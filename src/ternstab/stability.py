@@ -16,7 +16,8 @@ are the one-point case of a core that runs many points, such as a sweep's,
 on one draw: each point keeps its own ``phi`` values, map evaluations and
 stop searches, while the brackets, divisions, differences, norms and
 residuals run once over all points' rows, each point reading its own
-segment, with the bits each row has alone.
+segment, with the bits each row has alone.  The points' maps are
+evaluated on one stack of the rows that any point's rays read.
 """
 
 from __future__ import annotations
@@ -177,35 +178,44 @@ def hyers_limit(
 class _Layout:
     """The rays of one doubling run, laid out before any map is evaluated:
     ray ``r`` reads ``f`` at ``x`` and at ``2**k x`` for each ``k`` of
-    ``rows[r]``, rows ``start[r]..last[r]`` of one ``points`` stack whose
-    ``2**k`` factors are ``scale``.  Its first ``traced[r]`` rows go to its
-    trace, with the tail bounds ``tails[r]``, and ``current`` indexes every
-    traced row of the stack, ray by ray.  ``columns`` holds the ray index,
-    ``n`` and tail bound of those rows, in that order, which every map's
-    trace shares, and ``rated`` indexes the rows with ``3 <= n <=
-    _RATE_ROWS``."""
+    ``rows[r]``, the run's rows ``start[r]..last[r]``.  Its first
+    ``traced[r]`` rows go to its trace, with the tail bounds ``tails[r]``,
+    and ``current`` indexes every traced row of the run, ray by ray.
+    ``columns`` holds the ray index, ``n`` and tail bound of those rows, in
+    that order, which every map's trace shares, and ``rated`` indexes the
+    rows with ``3 <= n <= _RATE_ROWS``.  A map is evaluated on the
+    read-only stack ``points``: the run's rows themselves when ``index`` is
+    None, else a stack that the runs of a sweep group share, from which
+    ``index`` picks the run's rows.  ``scale`` holds the ``2**k`` of the
+    run's rows."""
 
     limit: int
     stops: list
     rows: list
     traced: list
     tails: list
-    points: np.ndarray
-    scale: np.ndarray
     start: np.ndarray
     last: np.ndarray
     current: np.ndarray
     columns: tuple
     rated: list
+    points: np.ndarray | None = None
+    index: np.ndarray | None = None
+    scale: np.ndarray | None = None
 
 
-def _stack(xs, ks, counts) -> tuple:
-    """The points ``2**k x``, for each row ``x`` of ``xs`` repeated its
-    entry of ``counts`` times and the ``k`` of ``ks`` in turn, and the
-    ``2**k`` column; the four maps of a run share it, so it is read-only."""
+#: row ``2**k x`` of ray ``r`` has the code ``r * _ROW_CODES + k`` in a
+#: stack that several runs share
+_ROW_CODES = ITERATION_CAP + 1
+
+
+def _stack(xs, ks) -> tuple:
+    """The points ``2**k x``, for each row ``x`` of ``xs`` and its ``k`` of
+    ``ks``, and the ``2**k`` column; the maps of a run, or of a sweep group,
+    share the points, so they are read-only."""
     scale = np.ldexp(1.0, np.asarray(ks, dtype=np.intp))[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        points = np.repeat(xs, counts, axis=0) * scale
+        points = xs * scale
     points.flags.writeable = False
     return points, scale
 
@@ -221,59 +231,92 @@ def _heads(controls, xs) -> list:
 
 
 def _ray_layout(control, xs, tol, max_iter, traced, trace_rows=None, heads=None) -> _Layout:
-    """The :class:`_Layout` of the rays at the rows ``x`` of an ``(P, d)``
-    stack ``xs``, ray ``r`` traced if ``traced[r]``.  A ray reads ``x``, its
-    stop row (or row ``min(max_iter, 1000)`` when no row stops) and its
-    traced rows, ``n <= trace_rows`` when that is set.  A ray's bounds depend
-    on ``x`` only through ``h = phi(x, x, 0, ...) / 2``, given per ray in
-    ``heads`` or else found here by :func:`_heads` (a custom ratio checked),
-    so the stop is searched once per distinct ``h``; a zero ``x`` stops at
-    0.  The traced rows' ray index, ``n`` and tail bound columns are built
-    here, once for every map of the run, and so are the indexes of the rows
-    ``_rate_estimate`` reads.  Its callers have checked ``tol`` and
-    ``max_iter``."""
+    """The :class:`_Layout` of one run at the rays of an ``(P, d)`` stack
+    ``xs``, on a stack of its own rows (see :func:`_ray_layouts`).
+    ``heads`` holds ``h = phi(x, x, 0, ...) / 2`` per ray, or else it is
+    found here by :func:`_heads` (a custom ratio checked).  Its callers
+    have checked ``tol`` and ``max_iter``."""
     xs = np.asarray(xs)
     xs = np.asarray(xs, dtype=np.result_type(xs.dtype, np.float64))
     if heads is None:
         (heads,) = _heads([control], xs)
         if isinstance(heads, DivergentControlError):
             raise heads
+    (layout,) = _ray_layouts([(control, tol, heads)], xs, max_iter, traced, trace_rows)
+    return layout
+
+
+def _ray_layouts(runs, xs, max_iter, traced, trace_rows=None) -> list:
+    """The :class:`_Layout` of each ``(control, tol, heads)`` of ``runs``
+    at the rays of the float stack ``xs``, ray ``r`` traced if
+    ``traced[r]``, and the stack its maps are evaluated on.
+
+    A ray reads ``x``, its stop row (or row ``min(max_iter, 1000)`` when no
+    row stops) and its traced rows, ``n <= trace_rows`` when that is set.
+    A ray's bounds depend on ``x`` only through its ``h`` of ``heads``, so
+    a run searches the stop once per distinct ``h``; a zero ``x`` stops at
+    0.  The traced rows' ray index, ``n`` and tail bound columns are built
+    here, once for every map of the run, and so are the indexes of the rows
+    ``_rate_estimate`` reads.
+
+    One run gets a stack of its own rows, ray by ray.  Several runs, such
+    as a sweep group's, share one instead, which holds once each row ``2**k
+    x`` that some run reads, ray by ray in ``k`` order: the head ``k = 0``
+    up to the largest traced count, which every run reads, then the stop
+    rows beyond it.  A map of any run meets that one object, so that a
+    sweep's evaluators can share what they compute at it (see
+    ``harness.perturb_map``), and each run's ``index`` picks its own rows
+    from it."""
     limit = min(int(max_iter), ITERATION_CAP)
-    searched, tails_of = {}, {}
-    stops, ends, rows, counts, tails = [], [], [], [], []
-    for moved, h, wanted in zip(xs.any(axis=1).tolist(), heads, traced):
-        # a zero x is not searched: it stops at 0
-        if moved and h not in searched:
-            searched[h] = _a_priori_stop(control, h, tol, limit)
-        stop = searched[h] if moved else 0
-        end = limit if stop is None else stop
-        count = 0 if not wanted else end if trace_rows is None else min(end, trace_rows)
-        if count and h not in tails_of:
-            tails_of[h] = [_tail(control, h, k) for k in range(1, count + 1)]
-        stops.append(stop)
-        ends.append(end)
-        rows.append(range(1, end + 1) if count == end else [*range(1, count + 1), end])
-        counts.append(count)
-        tails.append(tails_of.get(h))
-    sizes = [len(r) + 1 for r in rows]
-    last = np.cumsum(sizes) - 1
-    start = last - sizes + 1
-    # each ray's k: 0 (x itself), its traced rows 1..count, then its end
-    ks = np.arange(sum(sizes)) - np.repeat(start, sizes)
-    ks[last] = ends
-    current = np.flatnonzero((ks >= 1) & (ks <= np.repeat(counts, sizes)))
-    columns = ([r for r, c in enumerate(counts) for _ in range(c)],
-               [n for c in counts for n in range(1, c + 1)],
-               [t for tail, c in zip(tails, counts) if c for t in tail[:c]])
-    rated = [j for j, n in enumerate(columns[1]) if 3 <= n <= _RATE_ROWS]
-    return _Layout(limit, stops, rows, counts, tails, *_stack(xs, ks, sizes), start, last,
-                   current, columns, rated)
+    moved = xs.any(axis=1).tolist()
+    layouts, ks = [], []
+    for control, tol, heads in runs:
+        searched, tails_of = {}, {}
+        stops, ends, rows, counts, tails = [], [], [], [], []
+        for nonzero, h, wanted in zip(moved, heads, traced):
+            # a zero x is not searched: it stops at 0
+            if nonzero and h not in searched:
+                searched[h] = _a_priori_stop(control, h, tol, limit)
+            stop = searched[h] if nonzero else 0
+            end = limit if stop is None else stop
+            count = 0 if not wanted else end if trace_rows is None else min(end, trace_rows)
+            if count and h not in tails_of:
+                tails_of[h] = [_tail(control, h, k) for k in range(1, count + 1)]
+            stops.append(stop)
+            ends.append(end)
+            rows.append(range(1, end + 1) if count == end else [*range(1, count + 1), end])
+            counts.append(count)
+            tails.append(tails_of.get(h))
+        sizes = [len(r) + 1 for r in rows]
+        last = np.cumsum(sizes) - 1
+        start = last - sizes + 1
+        # each ray's k: 0 (x itself), its traced rows 1..count, then its end
+        ks.append(np.arange(sum(sizes)) - np.repeat(start, sizes))
+        ks[-1][last] = ends
+        current = np.flatnonzero((ks[-1] >= 1) & (ks[-1] <= np.repeat(counts, sizes)))
+        columns = ([r for r, c in enumerate(counts) for _ in range(c)],
+                   [n for c in counts for n in range(1, c + 1)],
+                   [t for tail, c in zip(tails, counts) if c for t in tail[:c]])
+        rated = [j for j, n in enumerate(columns[1]) if 3 <= n <= _RATE_ROWS]
+        layouts.append(_Layout(limit, stops, rows, counts, tails, start, last, current, columns,
+                               rated))
+    rays = [np.repeat(np.arange(len(xs)), layout.last - layout.start + 1) for layout in layouts]
+    if len(layouts) == 1:
+        layouts[0].points, layouts[0].scale = _stack(xs[rays[0]], ks[0])
+        return layouts
+    codes = [ray * _ROW_CODES + k for ray, k in zip(rays, ks)]
+    union, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+    points, scale = _stack(xs[union // _ROW_CODES], union % _ROW_CODES)
+    indexes = np.split(inverse, np.cumsum([len(c) for c in codes])[:-1])
+    for layout, index in zip(layouts, indexes):
+        layout.points, layout.index, layout.scale = points, index, scale[index]
+    return layouts
 
 
 def _stacked_limits(members, out_norm=None) -> list:
     """:func:`hyers_limit` for every ray of each ``(f, layout)`` of
     ``members``, from one :meth:`EvaluableMap.evaluate_stack` call per
-    member on its layout's stack.
+    member on its layout's stack, of which it reads the layout's rows.
 
     Returns, per member, per ray ``(limit, n)`` or the
     :class:`NonConvergenceError` that the ray alone raises, and the map's
@@ -292,7 +335,7 @@ def _stacked_limits(members, out_norm=None) -> list:
     # the norms recompute rows whose squares overflow, and a row that leaves
     # double range is reported or dropped, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = (_joined([f.evaluate_stack(layout.points) for f, layout in members])
+        scaled = (_joined([_rows_read(f, layout) for f, layout in members])
                   / _joined([layout.scale for _, layout in members]))
     finite = np.logical_and.reduceat(np.isfinite(scaled).all(axis=1), starts)
     fast = [i for i, (_, layout) in enumerate(members) if finite[i] and None not in layout.stops]
@@ -314,6 +357,12 @@ def _stacked_limits(members, out_norm=None) -> list:
     return out
 
 
+def _rows_read(f, layout: _Layout) -> np.ndarray:
+    """``f`` at the layout's rows, from one evaluation of its stack."""
+    values = f.evaluate_stack(layout.points)
+    return values if layout.index is None else values[layout.index]
+
+
 def _ray_outcomes(f, layout: _Layout, scaled, out_norm) -> tuple:
     """:func:`_stacked_limits` of one member read ray by ray, from its
     scaled values ``scaled``."""
@@ -323,9 +372,10 @@ def _ray_outcomes(f, layout: _Layout, scaled, out_norm) -> tuple:
     again = [r for r, outcome in enumerate(outcomes) if outcome is None]
     if again:
         ks = [range(1, layout.rows[r][-1] + 1) for r in again]
-        # row start[r] of the stack is x itself
-        points, scale = _stack(layout.points[layout.start[again]], [k for ray in ks for k in ray],
-                               [len(k) for k in ks])
+        # the run's row start[r] is x itself
+        origins = layout.start[again] if layout.index is None else layout.index[layout.start[again]]
+        points, scale = _stack(np.repeat(layout.points[origins], [len(k) for k in ks], axis=0),
+                               [k for ray in ks for k in ray])
         with np.errstate(over="ignore", invalid="ignore"):
             whole = f.evaluate_stack(points) / scale
         for r, rows, part in zip(again, ks, np.split(whole, np.cumsum([len(k) for k in ks])[:-1])):
@@ -738,7 +788,10 @@ def _stabilize(runs, mod: TernaryModule, signs: SignConvention, mode: str, max_i
     :class:`NonConvergenceError` that its own call raises; the ``f(0)``
     check raises as the first run's would.  Each run has its own layout,
     stop searches and map evaluations, and ``phi`` comes from
-    :func:`_phis`, so equal norms are taken once.  The limits of all runs'
+    :func:`_phis`, so equal norms are taken once.  The runs' maps are
+    evaluated on one stack of the rays' rows (see :func:`_ray_layouts`)
+    and one read-only zero row, so that the evaluators of a sweep meet the
+    same objects at every point.  The limits of all runs'
     maps of one output norm (see :func:`_stacked_limits`), the norms of the
     linearity and bound gaps and the identity residuals at the shared
     triples each run once, and each run reads its own segment.
@@ -753,11 +806,13 @@ def _stabilize(runs, mod: TernaryModule, signs: SignConvention, mode: str, max_i
                                mode)
     xs, bounds = points.linearity, points.bounds
     controls = [control for _, control, _ in runs]
-    # the basis rays, traced, then the linearity rays: one layout for the four maps of a run
+    # the basis rays, traced, then the linearity rays: one layout for the
+    # four maps of a run, all runs' layouts on one stack
     rays = np.concatenate([alg.basis(), xs])
     zeros = (np.zeros(alg.dim, dtype=alg.dtype),) * (controls[0].arity - 2)
-    traced = [True] * alg.dim + [False] * len(xs)
-    outcomes, layouts, majorants, named = [None] * len(runs), {}, {}, {}
+    origin = np.zeros((1, alg.dim), dtype=alg.dtype)
+    origin.flags.writeable = False
+    outcomes, planned, majorants, named = [None] * len(runs), {}, {}, {}
     for at, (run, heads, phi) in enumerate(zip(runs, _heads(controls, rays),
                                                _phis(controls, (bounds, bounds, *zeros), True))):
         maps, control, tol = run
@@ -765,13 +820,15 @@ def _stabilize(runs, mod: TernaryModule, signs: SignConvention, mode: str, max_i
                             None)
         if outcomes[at] is not None:
             continue
-        layouts[at] = _ray_layout(control, rays, tol, max_iter, traced,
-                                  None if keep_traces else _RATE_ROWS, heads)
+        planned[at] = control, tol, heads
         majorants[at] = (phi / (2.0 * (1.0 - control.ratio))).tolist()
         named[at] = tuple(zip("fghk", maps, (mod.norm_of,) + (alg.norm_of,) * 3))
         for m in dict.fromkeys(maps):
-            if not l2_norm(m(np.zeros(m.in_dim, dtype=alg.dtype))) <= 1e-12:
+            if not l2_norm(m.evaluate_stack(origin)[0]) <= 1e-12:
                 raise ValueError(f"{'fghk'[maps.index(m)]}(0) != 0; the direct method requires it")
+    traced = [True] * alg.dim + [False] * len(xs)
+    layouts = dict(zip(planned, _ray_layouts(list(planned.values()), rays, max_iter, traced,
+                                             None if keep_traces else _RATE_ROWS))) if planned else {}
     # per run, each distinct map with its output norm: names that share
     # both share its outcomes, recovered matrix and gaps
     keys = {at: [(at, m, out_norm) for m, out_norm in

@@ -124,6 +124,30 @@ MUTATIONS = [
         ("tests/test_contraction.py", "-k", "BracketTable"),
     ),
     Mutation(
+        "shared-rays-keyed-by-k-alone", "stability.py",
+        "    codes = [ray * _ROW_CODES + k for ray, k in zip(rays, ks)]\n",
+        "    codes = [k for ray, k in zip(rays, ks)]\n",
+        ("tests/test_stacked.py", "-k", "SharedRays"),
+    ),
+    Mutation(
+        "shared-rays-read-by-the-next-run", "stability.py",
+        "    for layout, index in zip(layouts, indexes):\n",
+        "    for layout, index in zip(layouts, indexes[1:] + indexes[:1]):\n",
+        ("tests/test_stacked.py", "-k", "SharedRays"),
+    ),
+    Mutation(
+        "parts-of-a-writeable-stack-kept", "harness.py",
+        "        if memo is None or x.flags.writeable:\n",
+        "        if memo is None:\n",
+        ("tests/test_harness.py", "-k", "SweepParts"),
+    ),
+    Mutation(
+        "bracket-table-read-under-a-twisted-tau", "maps.py",
+        "for m in (sigma, tau, xi)):\n",
+        "for m in (sigma, xi)):\n",
+        ("tests/test_contraction.py", "-k", "BracketTable"),
+    ),
+    Mutation(
         "kernel-rule-counts-every-pair", "algebra.py",
         "        staged = d1 * d2 * int(np.count_nonzero(live.any(axis=(0, 1))))\n",
         "        staged = d1 * d2 * d3 * dout\n",

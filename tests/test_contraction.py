@@ -19,6 +19,7 @@ import ternstab as ts
 from ternstab import algebra as algebra_mod
 from ternstab import maps as maps_mod
 from ternstab import module as module_mod
+from ternstab import serialize
 from ternstab.algebra import _Plan, _trilinear
 from ternstab.errors import DimensionMismatch
 
@@ -351,6 +352,65 @@ class TestBracketTable:
             want = grid_bracket_table(mod, sigma, tau, xi)
             assert got.shape == want.shape == (mod.dim, d, d, mod.dim)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), d
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_negative_zeros_read_as_the_grid_gives_them(self, tmp_path, field):
+        # the read gives every zero the sign the grid gives it, 0.0; the
+        # tensordots with identity matrices it replaced gave some zero parts
+        # of a complex table -0.0.  The loader builds a complex structure
+        # as re + 1j * im, which leaves no -0.0, so that one is built here
+        rng = np.random.default_rng(34)
+        values = np.array([1.5, -2.0, 0.0, -0.0])
+        for d in (2, 3):
+            tensor = rng.choice(values, (d,) * 4)
+            if field == "complex":
+                tensor = tensor.astype(complex)
+                tensor.imag = rng.choice(values, (d,) * 4)
+                alg = ts.TernaryAlgebra(d, field, tensor)
+            else:
+                path = tmp_path / f"algebra{d}.json"
+                serialize.write_json(path, serialize.algebra_to_json(
+                    ts.TernaryAlgebra(d, field, tensor)))
+                alg = serialize.algebra_from_json(serialize.read_json(path))
+            parts = np.ascontiguousarray(alg.structure).view(np.float64)
+            assert np.any(np.signbit(parts) & (parts == 0))
+            mod = ts.self_module(alg)
+            eye = ts.LinearMap.identity(d, alg.dtype)
+            got = maps_mod._bracket_table(mod, eye, eye, eye)
+            want = grid_bracket_table(mod, eye, eye, eye)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), d
+            parts = got.view(np.float64)
+            assert not np.any(np.signbit(parts) & (parts == 0))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_only_identity_twists_skip_the_products(self, monkeypatch, field):
+        # one twist that is not the identity, in any slot, takes the four
+        # tensordots; three identities take none
+        calls = []
+        tensordot = np.tensordot
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape)
+            return tensordot(*args, **kwargs)
+
+        monkeypatch.setattr(np, "tensordot", counting)
+        rng = np.random.default_rng(35)
+        for alg in builder_algebras(field)[:4]:
+            mod, d = ts.self_module(alg), alg.dim
+            eye = ts.LinearMap.identity(d, alg.dtype)
+            calls.clear()
+            maps_mod._bracket_table(mod, eye, eye, eye)
+            assert calls == []
+            other = ts.LinearMap(np.eye(d, dtype=alg.dtype) + 0.5 * random_array(rng, (d, d),
+                                                                                 alg.field))
+            for slot in range(3):
+                twists = [eye, eye, eye]
+                twists[slot] = other
+                calls.clear()
+                got = maps_mod._bracket_table(mod, *twists)
+                assert calls == [(d, d)] * 4
+                want = grid_bracket_table(mod, *twists)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (d, slot)
 
     def test_entries_are_the_tables_nonzeros(self):
         mod = ts.self_module(ts.trivial_matrix_algebra(3))

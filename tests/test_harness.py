@@ -653,8 +653,11 @@ class TestSweepHashMemo:
         monkeypatch.setenv("TERNSTAB_THREADS", threads)
         _assert_points_equal_standalone_runs(monkeypatch, _small_raw(), "p", self.VALUES)
 
+    # tol 0.3 stops the basis rays at 1 and 0.03 at 8, inside the rows
+    # 1..10 that every point reads, beside points that stop after them
     @pytest.mark.parametrize("param, values", [("theta", [0.0, 0.05, 0.3]),
-                                               ("tol", [1e-6, 1e-9, 1e-12])])
+                                               ("tol", [1e-6, 1e-9, 1e-12]),
+                                               ("tol", [0.3, 0.1, 0.03, 1e-2, 1e-6])])
     def test_theta_and_tol_points_equal_standalone_runs(self, monkeypatch, param, values):
         _assert_points_equal_standalone_runs(monkeypatch, _small_raw(), param, values)
 
@@ -964,24 +967,31 @@ class TestCoincidingMaps:
 
 
 class TestSweepParts:
-    """A sweep computes each distinct map's parameter-free parts once,
-    before its first point, at the hypothesis inputs and the bound points,
-    into read-only arrays; nothing is kept between sweeps or runs."""
+    """A sweep group computes each distinct map's parameter-free parts once
+    per read-only stack it is evaluated on: the hypothesis inputs, the
+    bound points, the group's shared ray stack and its zero row; nothing is
+    kept between sweeps or runs."""
 
     @staticmethod
     def _recorded(monkeypatch):
-        made, parts_at, map_parts = [], [], harness._map_parts
+        made, parts_at = [], []
+        draw, perturbed = harness._draw_points, harness._perturbed_maps
         original = harness._parts_at
 
-        def recording_shared(config, bases, hypothesis, checks):
-            made.append(((hypothesis, checks), map_parts(config, bases, hypothesis, checks)))
-            return made[-1][1]
+        def recording_draw(config):
+            made.append([draw(config), None])
+            return made[-1][0]
+
+        def recording_maps(config, bases, parts):
+            made[-1][1] = parts
+            return perturbed(config, bases, parts)
 
         def recording_parts(base, spec, xs, *args):
             parts_at.append(xs)
             return original(base, spec, xs, *args)
 
-        monkeypatch.setattr(harness, "_map_parts", recording_shared)
+        monkeypatch.setattr(harness, "_draw_points", recording_draw)
+        monkeypatch.setattr(harness, "_perturbed_maps", recording_maps)
         monkeypatch.setattr(harness, "_parts_at", recording_parts)
         return made, parts_at
 
@@ -1005,13 +1015,85 @@ class TestSweepParts:
             f_maps, twist_maps = distinct
             assert counts == {"f": f_maps, "shared": twist_maps,
                               "bounds": f_maps + twist_maps}
+            # and every distinct map at the group's ray stack and zero row
+            rest = [xs for xs in parts_at if all(xs is not stack for stack in stacks.values())]
+            shared = list({id(xs): xs for xs in rest}.values())
+            assert sorted(len(xs) for xs in shared)[0] == 1 and len(shared) == 2
+            assert [sum(xs is stack for xs in rest) for stack in shared] == [
+                f_maps + twist_maps] * 2
             assert len(parts) == f_maps + twist_maps
-            for pairs in parts.values():
-                for stack, (out, moved, sizes, unit) in pairs:
-                    assert isinstance(sizes, tuple)
+            for memo in parts.values():
+                # its hypothesis input, the bounds, the ray stack and the zero row
+                assert len(memo) == 4
+                for stack, (out, moved, sizes, unit) in memo.values():
+                    assert isinstance(sizes, tuple) and not stack.flags.writeable
                     for array in (out, moved, unit):
+                        if array is None:
+                            continue
                         with pytest.raises(ValueError, match="read-only"):
                             array[(0,) * array.ndim] = 1
+
+    def test_a_writeable_stack_is_computed_afresh(self, monkeypatch, oddpoly3):
+        # the evaluators of one map share the parts of a read-only stack,
+        # kept beside it; a stack its owner may change is read anew at every
+        # call, and one point is never kept
+        calls, parts_at = [], harness._parts_at
+
+        def counting(base, spec, xs, *args):
+            calls.append(xs)
+            return parts_at(base, spec, xs, *args)
+
+        monkeypatch.setattr(harness, "_parts_at", counting)
+        base, norm, memo = ts.LinearMap(np.array([[2.0, 1.0], [0.0, 3.0]])), oddpoly3.norm_of, {}
+        specs = [ts.PerturbationSpec(theta=0.1, p=p, direction="hash", seed=4) for p in (0.5, 0.9)]
+        shared = [harness.perturb_map(base, spec, norm, norm, _parts=memo) for spec in specs]
+        fresh = [harness.perturb_map(base, spec, norm, norm) for spec in specs]
+        xs = np.array([[1.0, 2.0], [3.0, -4.0], [0.0, 0.0]])
+        for _ in range(2):
+            for m, alone in zip(shared, fresh):
+                assert _bits(m.fn(xs)) == _bits(alone.fn(xs))
+                assert _bits(m.fn(xs[1])) == _bits(alone.fn(xs[1]))
+            xs[0] = [5.0, -6.0]
+        assert memo == {} and len(calls) == 16
+        stack = xs.copy()
+        stack.flags.writeable = False
+        calls.clear()
+        for m, alone in zip(shared, fresh):
+            assert _bits(m.fn(stack)) == _bits(alone.fn(stack))
+        assert [entry[0] for entry in memo.values()] == [stack]
+        assert next(iter(memo.values()))[0] is stack and len(calls) == 3
+
+    @pytest.mark.parametrize("write_files", [False, True])
+    def test_a_lone_run_evaluates_only_its_own_rows(self, monkeypatch, tmp_path, write_files):
+        # the rays of one run are evaluated on its rows alone: per basis ray
+        # x, its traced rows and its stop row, per linearity ray x and its
+        # stop row, beside 70 hypothesis rows, the zero row and 10 bound
+        # points per distinct map (f and three hash directions)
+        sizes, perturb = [], harness.perturb_map
+
+        def recording(*args, **kwargs):
+            m = perturb(*args, **kwargs)
+
+            def fn(x):
+                sizes.append(len(x))
+                return m.fn(x)
+
+            return ts.EvaluableMap(m.in_dim, m.out_dim, fn, m.kind)
+
+        monkeypatch.setattr(harness, "perturb_map", recording)
+        result = ts.run_experiment(_small_raw(), out_dir=tmp_path, write_files=write_files)
+        config, alg = result.config, result.config.algebra
+        ident = ts.EvaluableMap(alg.dim, alg.dim, lambda v: v)
+
+        def stop(x):
+            return ts.hyers_limit(ident, config.control, x, config.tol)[1]
+
+        basis = [stop(e) for e in alg.basis()]
+        assert basis == result.stabilization.iterations["f"] and min(basis) > 10
+        linearity = stability._check_points(alg, config.seed, 1, 10, 10, config.mode).linearity
+        rays = (sum(n + 1 if write_files else 12 for n in basis)
+                + sum(1 + (stop(x) > 0) for x in linearity))
+        assert sorted(sizes) == sorted([70, 1, rays, 10] * 4)
 
     def test_identical_runs_make_equal_calls(self, monkeypatch):
         # no cache outlives a run or a sweep: the second of two identical

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import ternstab as ts
-from ternstab import stability
+from ternstab import harness, stability
 from ternstab.algebra import _norms_with, _random_vector, l2_norm
 from ternstab.control import cauchy_tail_bound
 from ternstab.errors import DivergentControlError, NonConvergenceError
@@ -1211,7 +1211,7 @@ class TestStackedCore:
                 maps, control, mod, max_iter=max_iter, keep_traces=keep_traces) == want
 
         layouts, stacks = [], []
-        layout, evaluate = stability._ray_layout, ts.EvaluableMap.evaluate_stack
+        layout, evaluate = stability._ray_layouts, ts.EvaluableMap.evaluate_stack
 
         def counting_layout(*args, **kwargs):
             layouts.append(len(args[1]))
@@ -1221,7 +1221,7 @@ class TestStackedCore:
             stacks.append("fghk"[[m is self for m in maps].index(True)])
             return evaluate(self, xs)
 
-        monkeypatch.setattr(stability, "_ray_layout", counting_layout)
+        monkeypatch.setattr(stability, "_ray_layouts", counting_layout)
         monkeypatch.setattr(ts.EvaluableMap, "evaluate_stack", counting_stack)
         for max_iter in (1000, 30):
             layouts.clear()
@@ -1230,9 +1230,10 @@ class TestStackedCore:
                                        keep_traces=keep_traces, seed=3, bound_points=2,
                                        identity_triples=2)
             assert layouts == [alg.dim + 5]
-            # the doubling, g's whole ray when it was cut, and the bounds
+            # the f(0) check, the doubling, g's whole ray when it was cut,
+            # and the bounds
             assert {name: stacks.count(name) for name in "fghk"} == {
-                "f": 2, "g": 2 if keep_traces else 3, "h": 2, "k": 2}
+                "f": 3, "g": 3 if keep_traces else 4, "h": 3, "k": 3}
 
     def test_linearity_raises_the_first_error_in_point_then_map_order(self):
         # g and h leave double range on the ray of one linearity point each,
@@ -1305,3 +1306,142 @@ class TestStackedCore:
                 assert report.converged and report.linearity_points == count
                 assert {name: calls.count(name) for name in "fghk"} == dict.fromkeys("fghk", 3)
                 assert searches.count(unit) == 1 and len(searches) == len(set(searches))
+
+
+def _sweep_maps(alg, p, memos=None, direction="hash", overflow=None):
+    """Four perturbed random linear maps at ``p``, built as a sweep builds
+    them when ``memos`` holds one dict per map, else each on its own; g
+    leaves double range on the ray of e_0 from row ``overflow`` on, when
+    that is set."""
+    rng = np.random.default_rng(6)
+    maps = []
+    for seed in range(4):
+        matrix = rng.standard_normal((alg.dim, alg.dim)).astype(alg.dtype)
+        spec = ts.PerturbationSpec(theta=0.1, p=p, direction=direction, seed=seed)
+        maps.append(harness.perturb_map(ts.LinearMap(matrix), spec, alg.norm_of, alg.norm_of,
+                                        _parts=None if memos is None else memos[seed]))
+    if overflow is not None:
+        maps[1] = _overflowing(maps[1], overflow)
+    return tuple(maps)
+
+
+REPORT_FIELDS = ("iterations", "traces", "convergence_rates", "phi_tilde_values",
+                 "max_bound_violation", "max_identity_residual", "linearity_max", "failures")
+
+
+def _assert_group_equals_runs(alg, points, mode="lie", keep_traces=False, max_iter=ITERATION_CAP,
+                              direction="hash", overflow=None):
+    """``_stabilize`` of the runs ``(p, tol)`` of ``points`` as one group,
+    their maps sharing one memo per map and their rays one stack, equal to
+    each run's own ``direct_method_stabilize`` of maps that share nothing:
+    the same report, bit for bit, or the same error."""
+    mod = ts.self_module(alg)
+    arity = 5 if mode == "lie" else 3
+    memos = [{} for _ in range(4)]
+    runs = [(_sweep_maps(alg, p, memos, direction, overflow),
+             ts.power_control(0.1, p, arity=arity, norm=alg.norm_of), tol) for p, tol in points]
+    kwargs = dict(seed=3, bound_points=4, identity_triples=3, linearity_points=5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        group = stability._stabilize(runs, mod, ts.LIE_SIGNS, mode, max_iter, keep_traces=keep_traces,
+                                     **kwargs)
+    outcomes = []
+    for (p, tol), got in zip(points, group):
+        control = ts.power_control(0.1, p, arity=arity, norm=alg.norm_of)
+        maps = _sweep_maps(alg, p, None, direction, overflow)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = ts.direct_method_stabilize(*maps, control, mod, tol=tol, mode=mode,
+                                                  max_iter=max_iter, keep_traces=keep_traces,
+                                                  **kwargs)
+        except NonConvergenceError as exc:
+            assert isinstance(got, NonConvergenceError), (p, tol)
+            assert (str(got), got.iterations) == (str(exc), exc.iterations)
+            outcomes.append("E")
+            continue
+        assert isinstance(got, ts.StabilizationReport), (p, tol, got)
+        for name in ("derivation", "sigma", "tau", "xi"):
+            assert _same(getattr(got, name).matrix, getattr(want, name).matrix), (p, tol, name)
+        for name in REPORT_FIELDS:
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), (p, tol, name)
+        outcomes.append("P" if want.converged else "F")
+    # every map computed its parts once at each stack the group shares
+    stacks = [{id(stack) for stack, _ in memo.values()} for memo in memos]
+    assert all(len(ids) == len(memo) for ids, memo in zip(stacks, memos))
+    return "".join(outcomes)
+
+
+class TestSharedRays:
+    """A group of runs, such as a sweep's, evaluates each map on one shared
+    stack of the rows its runs read; each run reads its own rows of it and
+    equals its run alone."""
+
+    P_TOLS = [(0.2, 1e-10), (0.5, 1e-10), (0.8, 1e-6), (0.5, 1e-12)]
+
+    @pytest.mark.parametrize("keep_traces", [False, True])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("direction", ["fixed", "hash"])
+    def test_group_equals_runs(self, field, direction, keep_traces):
+        alg = ts.odd_polynomial_algebra(5, field)
+        assert _assert_group_equals_runs(alg, self.P_TOLS, keep_traces=keep_traces,
+                                         direction=direction) == "PPPP"
+
+    @pytest.mark.parametrize("keep_traces", [False, True])
+    def test_stops_below_the_rate_rows(self, keep_traces):
+        # tol 0.3 stops the unit vectors at 1 and 0.03 at 8, inside the rows
+        # every run reads up to 10, beside rays that stop after them
+        alg = ts.odd_polynomial_algebra(5)
+        control = ts.power_control(0.1, 0.5, arity=5, norm=alg.norm_of)
+        tols = [0.3, 0.1, 0.03, 1e-2, 1e-6]
+        assert [_stop(control, alg.basis()[0], tol) for tol in tols] == [1, 4, 8, 11, 37]
+        points = [(0.5, tol) for tol in tols]
+        assert _assert_group_equals_runs(alg, points, keep_traces=keep_traces) == "PPPPP"
+
+    @pytest.mark.parametrize("max_iter, outcomes", [(7, "FFF"), (40, "PFF"), (64, "PEF"),
+                                                    (100, "PPF")])
+    def test_max_iter_below_the_stops(self, max_iter, outcomes):
+        # F: basis rays without a stop by max_iter, all of them read at row
+        # max_iter, which the runs share; E: a linearity ray without one
+        alg = ts.odd_polynomial_algebra(5)
+        points = [(0.2, 1e-10), (0.5, 1e-10), (0.8, 1e-10)]
+        assert _assert_group_equals_runs(alg, points, max_iter=max_iter) == outcomes
+
+    @pytest.mark.parametrize("keep_traces", [False, True])
+    def test_a_ray_that_is_not_finite_is_evaluated_whole(self, keep_traces):
+        # g leaves double range on the ray of e_0 from row 20 on, before
+        # every stop: the run's rows are not all finite, the ray is
+        # evaluated again, whole, and g's report lists the failure
+        alg = ts.odd_polynomial_algebra(5)
+        points = [(0.5, 1e-10), (0.6, 1e-10), (0.3, 1e-6)]
+        assert _assert_group_equals_runs(alg, points, keep_traces=keep_traces,
+                                         overflow=20) == "FFF"
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_jordan_mode(self, field):
+        alg = ts.odd_polynomial_algebra(5, field)
+        assert _assert_group_equals_runs(alg, self.P_TOLS, mode="jordan") == "PPPP"
+
+    def test_rows_are_shared_and_read_in_place(self):
+        # the shared stack holds each row once, the head k = 0..10 of every
+        # basis ray first; each run's rows are the rows of its own stack
+        alg = ts.odd_polynomial_algebra(5)
+        xs = np.concatenate([alg.basis(), _random_vector(np.random.default_rng(2), alg.dim,
+                                                          alg.field, count=3)])
+        traced = [True] * alg.dim + [False] * 3
+        runs = []
+        for p, tol in self.P_TOLS:
+            control = ts.power_control(0.1, p, arity=5, norm=alg.norm_of)
+            (heads,) = stability._heads([control], xs)
+            runs.append((control, tol, heads))
+        shared = stability._ray_layouts(runs, xs, ITERATION_CAP, traced, 10)
+        codes = set()
+        for layout, (control, tol, heads) in zip(shared, runs):
+            alone = stability._ray_layouts([(control, tol, heads)], xs, ITERATION_CAP, traced, 10)[0]
+            assert alone.index is None and layout.points is shared[0].points
+            assert not layout.points.flags.writeable
+            assert _same(layout.points[layout.index], alone.points)
+            assert _same(layout.scale, alone.scale)
+            for r, (i, j) in enumerate(zip(alone.start, alone.last)):
+                codes.update((r, int(k)) for k in np.log2(alone.scale[i : j + 1, 0]))
+        assert len(shared[0].points) == len(codes)
+        head = shared[0].points[: 11]
+        assert _same(head, xs[:1] * np.ldexp(1.0, np.arange(11))[:, None])
