@@ -214,7 +214,8 @@ def perturb_map(
         if spec.theta == 0.0 or not len(moved):
             return out
         # Python float ** per row, as for a single point
-        scale = np.array([spec.theta * size**spec.p for size in sizes])[:, None]
+        theta, p = spec.theta, spec.p
+        scale = np.array([theta * size**p for size in sizes])[:, None]
         out[moved] = out[moved] + scale * unit
         return out
 
