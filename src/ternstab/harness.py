@@ -192,8 +192,9 @@ def perturb_map(
     the stack's ``id`` beside the stack itself, so that at such a stack the
     others add ``theta |x|**p u(x)``, a Python float power per row, to the
     stored ``base(x)`` instead of computing it all again.  A writeable
-    stack, which its owner may change, is never stored, and without
-    ``_parts`` every call computes afresh.
+    stack, which its owner may change or which no other map meets (such as
+    a ray the direct method evaluates again, whole), is never stored, and
+    without ``_parts`` every call computes afresh.
     """
     fixed_unit = _fixed_unit(base, spec, out_norm)
 

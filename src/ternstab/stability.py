@@ -184,10 +184,9 @@ class _Layout:
     ``columns`` holds the ray index, ``n`` and tail bound of those rows, in
     that order, which every map's trace shares, and ``rated`` indexes the
     rows with ``3 <= n <= _RATE_ROWS``.  A map is evaluated on the
-    read-only stack ``points``: the run's rows themselves when ``index`` is
-    None, else a stack that the runs of a sweep group share, from which
-    ``index`` picks the run's rows.  ``scale`` holds the ``2**k`` of the
-    run's rows."""
+    read-only stack ``points``, which the runs of a sweep group share, and
+    ``index`` picks the run's rows from it.  ``scale`` holds the ``2**k``
+    of the run's rows."""
 
     limit: int
     stops: list
@@ -211,12 +210,10 @@ _ROW_CODES = ITERATION_CAP + 1
 
 def _stack(xs, ks) -> tuple:
     """The points ``2**k x``, for each row ``x`` of ``xs`` and its ``k`` of
-    ``ks``, and the ``2**k`` column; the maps of a run, or of a sweep group,
-    share the points, so they are read-only."""
+    ``ks``, and the ``2**k`` column."""
     scale = np.ldexp(1.0, np.asarray(ks, dtype=np.intp))[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         points = xs * scale
-    points.flags.writeable = False
     return points, scale
 
 
@@ -259,14 +256,14 @@ def _ray_layouts(runs, xs, max_iter, traced, trace_rows=None) -> list:
     here, once for every map of the run, and so are the indexes of the rows
     ``_rate_estimate`` reads.
 
-    One run gets a stack of its own rows, ray by ray.  Several runs, such
-    as a sweep group's, share one instead, which holds once each row ``2**k
+    The runs share one read-only stack, which holds once each row ``2**k
     x`` that some run reads, ray by ray in ``k`` order: the head ``k = 0``
     up to the largest traced count, which every run reads, then the stop
     rows beyond it.  A map of any run meets that one object, so that a
     sweep's evaluators can share what they compute at it (see
     ``harness.perturb_map``), and each run's ``index`` picks its own rows
-    from it."""
+    from it.  A lone run's rows never repeat and come in that order, so its
+    stack is its own rows and its ``index`` counts them off."""
     limit = min(int(max_iter), ITERATION_CAP)
     moved = xs.any(axis=1).tolist()
     layouts, ks = [], []
@@ -300,13 +297,11 @@ def _ray_layouts(runs, xs, max_iter, traced, trace_rows=None) -> list:
         rated = [j for j, n in enumerate(columns[1]) if 3 <= n <= _RATE_ROWS]
         layouts.append(_Layout(limit, stops, rows, counts, tails, start, last, current, columns,
                                rated))
-    rays = [np.repeat(np.arange(len(xs)), layout.last - layout.start + 1) for layout in layouts]
-    if len(layouts) == 1:
-        layouts[0].points, layouts[0].scale = _stack(xs[rays[0]], ks[0])
-        return layouts
-    codes = [ray * _ROW_CODES + k for ray, k in zip(rays, ks)]
+    codes = [np.repeat(np.arange(len(xs)) * _ROW_CODES, layout.last - layout.start + 1) + k
+             for layout, k in zip(layouts, ks)]
     union, inverse = np.unique(np.concatenate(codes), return_inverse=True)
     points, scale = _stack(xs[union // _ROW_CODES], union % _ROW_CODES)
+    points.flags.writeable = False
     indexes = np.split(inverse, np.cumsum([len(c) for c in codes])[:-1])
     for layout, index in zip(layouts, indexes):
         layout.points, layout.index, layout.scale = points, index, scale[index]
@@ -359,8 +354,7 @@ def _stacked_limits(members, out_norm=None) -> list:
 
 def _rows_read(f, layout: _Layout) -> np.ndarray:
     """``f`` at the layout's rows, from one evaluation of its stack."""
-    values = f.evaluate_stack(layout.points)
-    return values if layout.index is None else values[layout.index]
+    return f.evaluate_stack(layout.points)[layout.index]
 
 
 def _ray_outcomes(f, layout: _Layout, scaled, out_norm) -> tuple:
@@ -372,9 +366,10 @@ def _ray_outcomes(f, layout: _Layout, scaled, out_norm) -> tuple:
     again = [r for r, outcome in enumerate(outcomes) if outcome is None]
     if again:
         ks = [range(1, layout.rows[r][-1] + 1) for r in again]
-        # the run's row start[r] is x itself
-        origins = layout.start[again] if layout.index is None else layout.index[layout.start[again]]
-        points, scale = _stack(np.repeat(layout.points[origins], [len(k) for k in ks], axis=0),
+        # the run's row start[r] is x itself; no other map meets this stack,
+        # so it stays writeable and no evaluator keeps what it computes here
+        points, scale = _stack(np.repeat(layout.points[layout.index[layout.start[again]]],
+                                         [len(k) for k in ks], axis=0),
                                [k for ray in ks for k in ray])
         with np.errstate(over="ignore", invalid="ignore"):
             whole = f.evaluate_stack(points) / scale

@@ -125,8 +125,8 @@ MUTATIONS = [
     ),
     Mutation(
         "shared-rays-keyed-by-k-alone", "stability.py",
-        "    codes = [ray * _ROW_CODES + k for ray, k in zip(rays, ks)]\n",
-        "    codes = [k for ray, k in zip(rays, ks)]\n",
+        "    codes = [np.repeat(np.arange(len(xs)) * _ROW_CODES,",
+        "    codes = [np.repeat(np.arange(len(xs)) * 0,",
         ("tests/test_stacked.py", "-k", "SharedRays"),
     ),
     Mutation(
@@ -140,6 +140,13 @@ MUTATIONS = [
         "        if memo is None or x.flags.writeable:\n",
         "        if memo is None:\n",
         ("tests/test_harness.py", "-k", "SweepParts"),
+    ),
+    Mutation(
+        "parts-of-a-ray-evaluated-again-kept", "stability.py",
+        "                               [k for ray in ks for k in ray])\n",
+        "                               [k for ray in ks for k in ray])\n"
+        "        points.flags.writeable = False\n",
+        ("tests/test_stacked.py", "-k", "SharedRays"),
     ),
     Mutation(
         "bracket-table-read-under-a-twisted-tau", "maps.py",
