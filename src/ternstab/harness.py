@@ -762,9 +762,9 @@ def run_sweep(config, param: str, values, out_csv=None) -> list:
     one draw of the seeded samples of the hypothesis, linearity, bound and
     identity checks, and the stacks its maps are evaluated on: the
     hypothesis inputs, the bound points, one zero row for the ``f(0)``
-    check and one stack of the doubling rays' rows, which holds the rows
-    ``2**k x`` up to the traced count once for every point and each point's
-    stop rows (see ``stability._ray_layouts``).  Each distinct perturbed
+    check and a stack of the doubling rays' rows per nine points, which
+    holds the rows ``2**k x`` up to the traced count once for those points
+    and each one's stop rows (see ``stability._ray_layouts``).  Each distinct perturbed
     map's ``base(x)``, ``|x|`` and unit directions at each of those stacks
     (see :func:`_parts_at`) are computed by the first point's evaluator to
     meet it, so that every other point's evaluator adds only ``theta

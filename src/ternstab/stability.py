@@ -17,7 +17,8 @@ on one draw: each point keeps its own ``phi`` values, map evaluations and
 stop searches, while the brackets, divisions, differences, norms and
 residuals run once over all points' rows, each point reading its own
 segment, with the bits each row has alone.  The points' maps are
-evaluated on one stack of the rows that any point's rays read.
+evaluated on a stack of the rows that their rays read, one for every
+``_SHARED_RUNS`` points.
 """
 
 from __future__ import annotations
@@ -206,6 +207,10 @@ class _Layout:
 #: row ``2**k x`` of ray ``r`` has the code ``r * _ROW_CODES + k`` in a
 #: stack that several runs share
 _ROW_CODES = ITERATION_CAP + 1
+#: at most this many runs share one stack: a perturbed map of each run
+#: evaluates every row of the stack, so a stack of all the runs of a large
+#: sweep group would cost each run a share that grows with the group
+_SHARED_RUNS = 9
 
 
 def _stack(xs, ks) -> tuple:
@@ -256,14 +261,15 @@ def _ray_layouts(runs, xs, max_iter, traced, trace_rows=None) -> list:
     here, once for every map of the run, and so are the indexes of the rows
     ``_rate_estimate`` reads.
 
-    The runs share one read-only stack, which holds once each row ``2**k
-    x`` that some run reads, ray by ray in ``k`` order: the head ``k = 0``
-    up to the largest traced count, which every run reads, then the stop
-    rows beyond it.  A map of any run meets that one object, so that a
-    sweep's evaluators can share what they compute at it (see
-    ``harness.perturb_map``), and each run's ``index`` picks its own rows
-    from it.  A lone run's rows never repeat and come in that order, so its
-    stack is its own rows and its ``index`` counts them off."""
+    Each ``_SHARED_RUNS`` consecutive runs share one read-only stack, which
+    holds once each row ``2**k x`` that one of them reads, ray by ray in
+    ``k`` order: the head ``k = 0`` up to the largest traced count, which
+    every run reads, then the stop rows beyond it.  A map of any of them
+    meets that one object, so that a sweep's evaluators can share what they
+    compute at it (see ``harness.perturb_map``), and each run's ``index``
+    picks its own rows from it.  A lone run's rows never repeat and come in
+    that order, so its stack is its own rows and its ``index`` counts them
+    off."""
     limit = min(int(max_iter), ITERATION_CAP)
     moved = xs.any(axis=1).tolist()
     layouts, ks = [], []
@@ -299,12 +305,14 @@ def _ray_layouts(runs, xs, max_iter, traced, trace_rows=None) -> list:
                                rated))
     codes = [np.repeat(np.arange(len(xs)) * _ROW_CODES, layout.last - layout.start + 1) + k
              for layout, k in zip(layouts, ks)]
-    union, inverse = np.unique(np.concatenate(codes), return_inverse=True)
-    points, scale = _stack(xs[union // _ROW_CODES], union % _ROW_CODES)
-    points.flags.writeable = False
-    indexes = np.split(inverse, np.cumsum([len(c) for c in codes])[:-1])
-    for layout, index in zip(layouts, indexes):
-        layout.points, layout.index, layout.scale = points, index, scale[index]
+    for at in range(0, len(layouts), _SHARED_RUNS):
+        shared = codes[at : at + _SHARED_RUNS]
+        union, inverse = np.unique(np.concatenate(shared), return_inverse=True)
+        points, scale = _stack(xs[union // _ROW_CODES], union % _ROW_CODES)
+        points.flags.writeable = False
+        indexes = np.split(inverse, np.cumsum([len(c) for c in shared])[:-1])
+        for layout, index in zip(layouts[at : at + _SHARED_RUNS], indexes):
+            layout.points, layout.index, layout.scale = points, index, scale[index]
     return layouts
 
 
@@ -784,9 +792,9 @@ def _stabilize(runs, mod: TernaryModule, signs: SignConvention, mode: str, max_i
     check raises as the first run's would.  Each run has its own layout,
     stop searches and map evaluations, and ``phi`` comes from
     :func:`_phis`, so equal norms are taken once.  The runs' maps are
-    evaluated on one stack of the rays' rows (see :func:`_ray_layouts`)
-    and one read-only zero row, so that the evaluators of a sweep meet the
-    same objects at every point.  The limits of all runs'
+    evaluated on stacks of the rays' rows that runs share (see
+    :func:`_ray_layouts`) and one read-only zero row, so that the
+    evaluators of a sweep meet the same objects at several points.  The limits of all runs'
     maps of one output norm (see :func:`_stacked_limits`), the norms of the
     linearity and bound gaps and the identity residuals at the shared
     triples each run once, and each run reads its own segment.
@@ -802,7 +810,7 @@ def _stabilize(runs, mod: TernaryModule, signs: SignConvention, mode: str, max_i
     xs, bounds = points.linearity, points.bounds
     controls = [control for _, control, _ in runs]
     # the basis rays, traced, then the linearity rays: one layout for the
-    # four maps of a run, all runs' layouts on one stack
+    # four maps of a run, the layouts of several runs on one stack
     rays = np.concatenate([alg.basis(), xs])
     zeros = (np.zeros(alg.dim, dtype=alg.dtype),) * (controls[0].arity - 2)
     origin = np.zeros((1, alg.dim), dtype=alg.dtype)

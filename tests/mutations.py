@@ -131,8 +131,8 @@ MUTATIONS = [
     ),
     Mutation(
         "shared-rays-read-by-the-next-run", "stability.py",
-        "    for layout, index in zip(layouts, indexes):\n",
-        "    for layout, index in zip(layouts, indexes[1:] + indexes[:1]):\n",
+        "        for layout, index in zip(layouts[at : at + _SHARED_RUNS], indexes):\n",
+        "        for layout, index in zip(layouts[at : at + _SHARED_RUNS], indexes[1:] + indexes[:1]):\n",
         ("tests/test_stacked.py", "-k", "SharedRays"),
     ),
     Mutation(
@@ -140,6 +140,12 @@ MUTATIONS = [
         "        if memo is None or x.flags.writeable:\n",
         "        if memo is None:\n",
         ("tests/test_harness.py", "-k", "SweepParts"),
+    ),
+    Mutation(
+        "every-run-of-a-group-on-one-stack", "stability.py",
+        "_SHARED_RUNS = 9\n",
+        "_SHARED_RUNS = ITERATION_CAP\n",
+        ("tests/test_stacked.py", "-k", "SharedRays"),
     ),
     Mutation(
         "parts-of-a-ray-evaluated-again-kept", "stability.py",

@@ -1365,9 +1365,11 @@ def _assert_group_equals_runs(alg, points, mode="lie", keep_traces=False, max_it
             assert repr(getattr(got, name)) == repr(getattr(want, name)), (p, tol, name)
         outcomes.append("P" if want.converged else "F")
     # every map computed its parts once at each stack the group shares, and
-    # kept those of no other: the zero row, the ray stack and the bounds
+    # kept those of no other: the zero row, the bounds and a ray stack per
+    # _SHARED_RUNS runs
+    shared = 2 + -(-len(points) // stability._SHARED_RUNS)
     stacks = [{id(stack) for stack, _ in memo.values()} for memo in memos]
-    assert all(len(ids) == len(memo) <= 3 for ids, memo in zip(stacks, memos))
+    assert all(len(ids) == len(memo) <= shared for ids, memo in zip(stacks, memos))
     return "".join(outcomes)
 
 
@@ -1420,6 +1422,28 @@ class TestSharedRays:
     def test_jordan_mode(self, field):
         alg = ts.odd_polynomial_algebra(5, field)
         assert _assert_group_equals_runs(alg, self.P_TOLS, mode="jordan") == "PPPP"
+
+    def test_a_large_group_shares_a_stack_per_nine_runs(self):
+        # twelve runs: the first nine read one ray stack, the last three
+        # another, and each equals its run alone
+        alg = ts.odd_polynomial_algebra(5)
+        points = [(0.05 * i, 1e-10) for i in range(2, 14)]
+        assert _assert_group_equals_runs(alg, points) == "P" * 12
+        xs = np.concatenate([alg.basis(), _random_vector(np.random.default_rng(2), alg.dim,
+                                                          alg.field, count=3)])
+        runs = []
+        for p, tol in points:
+            control = ts.power_control(0.1, p, arity=5, norm=alg.norm_of)
+            (heads,) = stability._heads([control], xs)
+            runs.append((control, tol, heads))
+        traced = [True] * alg.dim + [False] * 3
+        layouts = stability._ray_layouts(runs, xs, ITERATION_CAP, traced, 10)
+        stacks = list({id(layout.points): layout.points for layout in layouts}.values())
+        assert stability._SHARED_RUNS == 9 and len(stacks) == 2
+        assert [layout.points is stacks[at >= 9] for at, layout in enumerate(layouts)] == [True] * 12
+        for layout, run in zip(layouts, runs):
+            alone = stability._ray_layouts([run], xs, ITERATION_CAP, traced, 10)[0]
+            assert _same(layout.points[layout.index], alone.points)
 
     def test_rows_are_shared_and_read_in_place(self):
         # the shared stack holds each row once, the head k = 0..10 of every
